@@ -16,8 +16,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adainf_apps::{catalog, AppRuntime};
-use adainf_core::drift_cache::{DetectScratch, DriftCache};
-use adainf_core::drift_detect::{detect_drift, detect_drift_cached, retrain_order};
+use adainf_core::drift_cache::{build_retrain_order, DetectScratch, DriftCache};
+use adainf_core::drift_detect::{detect_drift, detect_drift_cached};
 use adainf_core::AdaInfConfig;
 use adainf_driftgen::workload::ArrivalConfig;
 use adainf_simcore::Prng;
@@ -50,7 +50,7 @@ fn bench_drift(c: &mut Criterion) {
 
     group.bench_function("detect_plus_retrain_cached", |b| {
         b.iter(|| {
-            let mut cache = DriftCache::new(true);
+            let mut cache = DriftCache::default();
             let report = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
             for node in 0..rt.spec.nodes.len() {
                 black_box(
@@ -66,7 +66,15 @@ fn bench_drift(c: &mut Criterion) {
 
     group.bench_function("retrain_order_single_node", |b| {
         let mut scratch = DetectScratch::default();
-        b.iter(|| black_box(retrain_order(&rt, 1, config.pca_components, &root, &mut scratch)))
+        b.iter(|| {
+            black_box(build_retrain_order(
+                &rt,
+                1,
+                config.pca_components,
+                &root,
+                &mut scratch,
+            ))
+        })
     });
 
     group.finish();

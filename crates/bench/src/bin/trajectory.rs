@@ -41,7 +41,7 @@ const DRIFT_DETECT_CEILING_US: f64 = 18_000.0;
 
 /// The ceiling, adjusted for the host actually running the smoke. The
 /// fan-out serializes on hosts with fewer cores than the reference
-/// budget assumes, so the prebuild portion of the budget stretches by
+/// budget assumes, so the artifact-build portion of the budget stretches by
 /// the missing parallelism (8 / cores); the guard still fails on any
 /// host if the *serialized* data path regresses. On ≥ 8 cores this is
 /// exactly [`DRIFT_DETECT_CEILING_US`].

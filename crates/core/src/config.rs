@@ -41,12 +41,6 @@ pub struct AdaInfConfig {
     /// depend on this flag (enforced by the golden determinism tests,
     /// which run with it off).
     pub decision_cache: bool,
-    /// Share drift-detection artifacts (feature matrices, PCA fits,
-    /// deviation rankings, correctness prefix-sums) across consumers
-    /// within a period instead of rebuilding per lookup. PCA randomness
-    /// is keyed by `(period, node)` child streams, so cached and rebuilt
-    /// artifacts are bit-identical — purely a performance switch.
-    pub drift_artifact_cache: bool,
     /// Admit against *learned* latency forecasts instead of the analytic
     /// inputs: an online per-app ridge regressor (see [`crate::predict`])
     /// streams an observation from every completed job, and once warm its
@@ -62,28 +56,10 @@ pub struct AdaInfConfig {
     /// are used; below this the admission path falls back to the
     /// analytic inputs bit-exactly.
     pub predictor_warmup: u32,
-    /// Build the period's drift artifacts concurrently (one scoped-thread
-    /// fan-out over all stale `(app, node)` entries) before the detection
-    /// sweep reads them. Each build is an independent pure function of
-    /// its key, warm-start input and root stream, so the results are
-    /// bit-identical to sequential builds — purely a performance switch.
-    /// Only effective together with [`Self::drift_artifact_cache`].
-    pub drift_parallel_build: bool,
-    /// Overlap the period boundary's drift work with the boundary's own
-    /// drift-independent bookkeeping: stale artifact inputs are
-    /// snapshotted at their `(pool generation, model version)` keys and
-    /// built on a detached background stage while the accuracy tables
-    /// refresh, then joined per application as the detection sweep
-    /// reaches them. Results are index-addressed pure functions of the
-    /// snapshots, so the joined state is bit-identical to the inline
-    /// build at any worker count — purely a performance switch (pinned
-    /// by the overlap ≡ inline property tests). Only effective together
-    /// with [`Self::drift_artifact_cache`] and
-    /// [`Self::drift_parallel_build`].
-    pub drift_overlap: bool,
     /// Worker threads for the background drift stage (0 = the host's
     /// available parallelism). Exposed so the determinism tests can pin
-    /// exact worker counts; results never depend on it.
+    /// exact worker counts — one worker is their sequential reference;
+    /// results never depend on it.
     pub drift_workers: usize,
 
     // ---- Ablation switches (§5.2) ----
@@ -121,11 +97,8 @@ impl Default for AdaInfConfig {
             cpu_offload_threshold: 0,
             joint_batch_space: false,
             decision_cache: true,
-            drift_artifact_cache: true,
             predicted_latency: false,
             predictor_warmup: 64,
-            drift_parallel_build: true,
-            drift_overlap: true,
             drift_workers: 0,
             use_impact_degrees: true,
             update_dag_each_period: true,

@@ -5,9 +5,15 @@
 //! the old training data, projections, per-class means and deviation
 //! rankings — and historically recomputed them per consumer: twice inside
 //! `detect_drift` (pool + reference rankings each refit the PCA) and a
-//! third time in `retrain_order` for every impacted node. This module
-//! computes each node's artifacts **exactly once per period** and shares
-//! them.
+//! third time in the retraining-order selection for every impacted node.
+//! This module computes each node's artifacts **exactly once per period**
+//! and shares them.
+//!
+//! Filling: at each period boundary the scheduler builds every stale
+//! entry on a background stage ([`DriftCache::snapshot_stale`] →
+//! [`DriftSnapshot::build`] → [`DriftCache::insert_built`]), so its
+//! lookups that period all hit. [`DriftCache::artifacts`] builds on a
+//! miss for every other caller.
 //!
 //! Determinism: PCA-fit randomness is routed through a child [`Prng`]
 //! stream derived from the scheduler's root stream via [`Prng::split`],
@@ -28,7 +34,6 @@ use adainf_modelzoo::TrainableModel;
 use adainf_nn::metrics::cosine_distance;
 use adainf_nn::pca::{Pca, PcaScratch};
 use adainf_nn::{InferScratch, Matrix};
-use adainf_simcore::parallel::fan_out_indexed_owned;
 use adainf_simcore::Prng;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -237,11 +242,12 @@ pub struct DetectScratch {
 
 /// The exact inputs one node's artifact build reads, factored out of
 /// [`AppRuntime`] so the same build code runs against two sources:
-/// live runtime borrows (the inline path) and owned boundary snapshots
-/// (the background path, [`DriftSnapshot`]). A build is a pure function
-/// of these five values plus the warm/carry state and the root stream —
-/// the equality that makes the overlapped pipeline bit-identical to
-/// the inline one.
+/// live runtime borrows (a missing [`DriftCache::artifacts`] lookup and
+/// the standalone builders) and owned boundary snapshots (the
+/// background stage, [`DriftSnapshot`]). A build is a pure function of
+/// these five values plus the warm/carry state and the root stream —
+/// the equality that makes a background build bit-identical to a
+/// sequential one.
 pub struct DriftInputs<'a> {
     /// Previous period's training pool — the distribution deviated from.
     pub old: &'a LabeledSamples,
@@ -256,7 +262,7 @@ pub struct DriftInputs<'a> {
 }
 
 impl<'a> DriftInputs<'a> {
-    /// The live-borrow view of `(rt, node)` — what the inline build
+    /// The live-borrow view of `(rt, node)` — what a lookup-time build
     /// reads directly out of the runtime.
     pub fn from_runtime(rt: &'a AppRuntime, node: usize) -> Self {
         DriftInputs {
@@ -429,11 +435,19 @@ fn rankings(
     (deviation, ref_order, pca.into_components(), feats)
 }
 
-/// The pool deviation ranking alone — the cheap subset of
-/// [`build_artifacts`] for consumers that never read the prefix-sums or
-/// the reference order (standalone order queries outside the scheduler's
-/// cached detection path). Bit-equal to `build_artifacts(..).deviation`,
-/// at none of the cost of the two full-set correctness passes.
+/// Ranks the new-pool samples of `node` by descending deviation from the
+/// old training data (§3.2); returns sample indices, most deviating
+/// first. The cheap subset of [`build_artifacts`] for consumers that
+/// never read the prefix-sums or the reference order (standalone order
+/// queries outside the scheduler's cached detection path): bit-equal to
+/// `build_artifacts(..).deviation`, at none of the cost of the two
+/// full-set correctness passes.
+///
+/// `root` is only used as a split root for the keyed per-`(period, node)`
+/// PCA stream — it is never advanced, so repeated calls are reproducible.
+/// `scratch` holds the PCA/projection buffers; callers loop over nodes,
+/// so taking it from the caller reuses one allocation set across the
+/// whole sweep instead of reallocating per call.
 pub fn build_deviation_ranking(
     rt: &AppRuntime,
     node: usize,
@@ -455,8 +469,14 @@ pub fn build_deviation_ranking(
     .0
 }
 
-/// The §3.3.2 retraining order alone — [`build_deviation_ranking`]'s
-/// interleave, bit-equal to `build_artifacts(..).retrain`.
+/// The retraining consumption order (§3.3.2) alone, bit-equal to
+/// `build_artifacts(..).retrain`: deviation-prioritised but stratified —
+/// the [`build_deviation_ranking`] order is split into a most-deviating
+/// half and a remainder, interleaved 1:1. Early slices are thus
+/// dominated by the drifted samples (the paper's "samples that deviate
+/// the most"), while every SGD stage still sees a distribution mix,
+/// which keeps sequential slice training from regressing onto the
+/// stale-looking tail at the end of the pool.
 pub fn build_retrain_order(
     rt: &AppRuntime,
     node: usize,
@@ -535,22 +555,14 @@ pub fn build_artifacts(
     artifacts
 }
 
-/// One stale prebuild job: its `(app, node)` slot, the key to build at,
-/// the warm-start input resolved for it and the old-feature carry taken
-/// from the evicted entry. The job **owns** both matrices, so the
-/// fan-out can move each job wholesale to exactly one worker — no
-/// shared slot, no lock.
-type PrebuildJob = ((usize, usize), (u64, u64), Option<Matrix>, Matrix);
-
 /// An owned boundary snapshot of everything one stale `(app, node)`
 /// artifact build reads — the unit of work handed to the background
 /// stage by [`DriftCache::snapshot_stale`]. Owning clones (rather than
-/// borrowing the runtime like [`DriftCache::prebuild`]'s scoped
-/// fan-out) is what lets the build run on a detached thread that
-/// outlives the spawning statement: the serving loop may go on mutating
-/// pools and models, the snapshot's inputs are frozen at the boundary
-/// key. The clone cost is a few feature-matrix-sized `memcpy`s — ~2 %
-/// of the build it moves off the critical path.
+/// borrowing the runtime) is what lets the build run on a detached
+/// thread that outlives the spawning statement: the serving loop may go
+/// on mutating pools and models, the snapshot's inputs are frozen at
+/// the boundary key. The clone cost is a few feature-matrix-sized
+/// `memcpy`s — ~2 % of the build it moves off the critical path.
 #[derive(Clone)]
 pub struct DriftSnapshot {
     /// The `(app, node)` cache slot this build refreshes.
@@ -574,16 +586,16 @@ pub struct BuiltArtifacts {
     /// The `(app, node)` cache slot to install into.
     pub slot: (usize, usize),
     key: (u64, u64),
-    warm: Option<Matrix>,
+    warm_started: bool,
     /// The built artifact set.
     pub artifacts: DriftArtifacts,
 }
 
 impl DriftSnapshot {
     /// Runs the artifact build against the snapshotted inputs —
-    /// bit-identical to [`DriftCache::prebuild`] building the same key
-    /// inline, because [`rankings`] reads exactly the [`DriftInputs`]
-    /// values and both paths feed it the same ones.
+    /// bit-identical to [`DriftCache::artifacts`] building the same key
+    /// from the live runtime, because `rankings` reads exactly the
+    /// [`DriftInputs`] values and both paths feed it the same ones.
     pub fn build(self, pca_components: usize, scratch: &mut DetectScratch) -> BuiltArtifacts {
         let inputs = DriftInputs {
             old: &self.old,
@@ -604,32 +616,26 @@ impl DriftSnapshot {
         BuiltArtifacts {
             slot: self.slot,
             key: self.key,
-            warm: self.warm,
+            warm_started: self.warm.is_some(),
             artifacts,
         }
     }
 }
 
-/// One cache slot: the tag it was built for, the warm-start input that
-/// build consumed, and the artifacts themselves.
+/// One cache slot: the tag it was built for and the artifacts
+/// themselves.
 #[derive(Clone, Debug)]
 struct CacheEntry {
     /// `(pool generation, model version)` the artifacts were built at.
     key: (u64, u64),
-    /// The warm-start basis this entry's build consumed (`None` = cold
-    /// keyed-random start). Kept so a same-key rebuild (disabled cache)
-    /// replays the original build bit for bit.
-    warm_input: Option<Matrix>,
     artifacts: DriftArtifacts,
 }
 
 impl CacheEntry {
     /// The warm-start input a build at `key` should consume given this
-    /// prior entry.
+    /// prior entry (callers only rebuild at a key the entry does not
+    /// hold).
     ///
-    /// * Same key — a replay (only the disabled cache rebuilds in place):
-    ///   reuse the exact input of the original build, so the rebuild is
-    ///   bit-identical.
     /// * Next pool generation at an unchanged model version — the
     ///   previous period's basis is a valid warm start: the old-sample
     ///   distribution moves gradually, so the dominant subspace barely
@@ -638,9 +644,6 @@ impl CacheEntry {
     ///   feature space) or a generation jump — invalidates the warm
     ///   state; the build falls back to the keyed random start.
     fn warm_for(&self, key: (u64, u64)) -> Option<Matrix> {
-        if self.key == key {
-            return self.warm_input.clone();
-        }
         let usable = self.key.1 == key.1
             && self.key.0 + 1 == key.0
             && self.artifacts.basis.rows() > 0;
@@ -653,9 +656,8 @@ impl CacheEntry {
     /// `advance_period`'s pool→old move makes the carried matrix
     /// bit-identical to recomputing `features(old)`. Unlike
     /// [`Self::warm_for`], an invalid carry never changes results (the
-    /// build recomputes the identical matrix), so same-key replays do
-    /// not need to preserve it — the evicted matrix's *allocation* is
-    /// recycled as the build's feature buffer either way.
+    /// build recomputes the identical matrix) — the evicted matrix's
+    /// *allocation* is recycled as the build's feature buffer either way.
     fn carry_valid(&self, key: (u64, u64)) -> bool {
         self.key.1 == key.1
             && self.key.0 + 1 == key.0
@@ -682,7 +684,7 @@ impl CacheEntry {
 /// rebuilds in place, so the map never outgrows `apps × nodes` entries.
 /// Rebuilds warm-start their PCA fit from the previous period's basis
 /// when the model version is unchanged (see `CacheEntry::warm_for`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DriftCache {
     entries: BTreeMap<(usize, usize), CacheEntry>,
     /// Lookups answered from the cache.
@@ -691,27 +693,10 @@ pub struct DriftCache {
     pub misses: u64,
     /// Rebuilds that warm-started their PCA fit from a previous basis.
     pub warm_starts: u64,
-    enabled: bool,
     scratch: DetectScratch,
 }
 
 impl DriftCache {
-    /// Creates the cache. With `enabled == false` every lookup rebuilds —
-    /// bit-identical results either way (each rebuild replays the exact
-    /// warm input of its first build, so the build stays a pure function
-    /// of the key, warm state and root stream) — the flag is purely a
-    /// perf switch.
-    pub fn new(enabled: bool) -> Self {
-        DriftCache {
-            entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            warm_starts: 0,
-            enabled,
-            scratch: DetectScratch::default(),
-        }
-    }
-
     /// The artifacts of `(app, node)` for the runtime's current period
     /// and model version, building them on first use.
     pub fn artifacts(
@@ -727,7 +712,7 @@ impl DriftCache {
         let scratch = &mut self.scratch;
         match self.entries.entry((app, node)) {
             Entry::Occupied(mut e) => {
-                if self.enabled && e.get().key == key {
+                if e.get().key == key {
                     self.hits += 1;
                 } else {
                     self.misses += 1;
@@ -743,11 +728,7 @@ impl DriftCache {
                         warm.as_ref(),
                         carry,
                     );
-                    *e.get_mut() = CacheEntry {
-                        key,
-                        warm_input: warm,
-                        artifacts,
-                    };
+                    *e.get_mut() = CacheEntry { key, artifacts };
                 }
                 &e.into_mut().artifacts
             }
@@ -762,93 +743,8 @@ impl DriftCache {
                     None,
                     Matrix::default(),
                 );
-                &v.insert(CacheEntry {
-                    key,
-                    warm_input: None,
-                    artifacts,
-                })
-                .artifacts
+                &v.insert(CacheEntry { key, artifacts }).artifacts
             }
-        }
-    }
-
-    /// Builds every stale `(app, node)` entry in `jobs` concurrently
-    /// through the [`adainf_simcore::parallel`] owned fan-out, so a
-    /// period boundary pays max-over-nodes build latency instead of the
-    /// sum. Entries that are already current are skipped (they will hit
-    /// on the next [`Self::artifacts`] lookup).
-    ///
-    /// Bit-equality with the sequential path: each build is an
-    /// independent pure function of `(runtime, node, warm input, root)`
-    /// — warm inputs are resolved up front on the caller's thread from
-    /// the *previous* period's entries (builds of the same period never
-    /// feed each other's warm state), each job writes its own slot, and
-    /// insertion happens in job order on the caller's thread. A no-op
-    /// when the cache is disabled, which keeps the disabled path's
-    /// rebuild-per-lookup semantics intact.
-    pub fn prebuild(
-        &mut self,
-        jobs: &[(usize, usize)],
-        apps: &[AppRuntime],
-        pca_components: usize,
-        root: &Prng,
-        threads: usize,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        // Resolve the stale subset, each build's warm input and its
-        // old-feature carry first; the fan-out then only runs pure
-        // builds. The carries are *taken out of* the previous period's
-        // entries on the caller's thread and moved **into their jobs**,
-        // so same-period builds never feed each other and each worker
-        // receives exclusive ownership of its carries through the
-        // owned fan-out's per-slot deal — index-addressed handoff, no
-        // per-build lock traffic.
-        let mut stale: Vec<PrebuildJob> = Vec::new();
-        for &(app, node) in jobs {
-            let rt = &apps[app];
-            let key = (rt.period(), rt.models[node].version());
-            match self.entries.get_mut(&(app, node)) {
-                Some(e) if e.key == key => {}
-                prior => {
-                    let (warm, carry) = match prior {
-                        Some(e) => (e.warm_for(key), e.take_carry(key)),
-                        None => (None, Matrix::default()),
-                    };
-                    stale.push(((app, node), key, warm, carry));
-                }
-            }
-        }
-        let built = fan_out_indexed_owned(
-            stale,
-            threads,
-            DetectScratch::default,
-            |_, ((app, node), key, warm, carry): PrebuildJob, scratch: &mut DetectScratch| {
-                let inputs = DriftInputs::from_runtime(&apps[app], node);
-                let artifacts = build_ranked(
-                    &inputs,
-                    node,
-                    pca_components,
-                    root,
-                    scratch,
-                    warm.as_ref(),
-                    carry,
-                );
-                ((app, node), key, warm, artifacts)
-            },
-        );
-        for (slot, key, warm, artifacts) in built {
-            self.misses += 1;
-            self.warm_starts += u64::from(warm.is_some());
-            self.entries.insert(
-                slot,
-                CacheEntry {
-                    key,
-                    warm_input: warm,
-                    artifacts,
-                },
-            );
         }
     }
 
@@ -861,10 +757,10 @@ impl DriftCache {
     /// worker while the serving loop keeps mutating the live runtime:
     /// the snapshot pins the `(pool generation, model version)` key the
     /// artifacts are defined over, which is why the background result
-    /// is bit-identical to an inline build at the same key. Entries
-    /// that are already current are skipped, exactly like
-    /// [`Self::prebuild`]; returns nothing when the cache is disabled
-    /// (the disabled path keeps its rebuild-per-lookup semantics).
+    /// is bit-identical to a [`Self::artifacts`] build at the same key.
+    /// Entries that are already current are skipped (their next lookup
+    /// hits). Warm inputs and carries are taken from the *previous*
+    /// period's entries, so builds of one period never feed each other.
     ///
     /// Every returned snapshot must come back through
     /// [`Self::insert_built`] before the next lookup of its slot —
@@ -876,9 +772,6 @@ impl DriftCache {
         apps: &[AppRuntime],
         root: &Prng,
     ) -> Vec<DriftSnapshot> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let mut stale = Vec::new();
         for &(app, node) in jobs {
             let rt = &apps[app];
@@ -909,17 +802,16 @@ impl DriftCache {
     }
 
     /// Installs one background-built result, bumping the same counters
-    /// an inline [`Self::prebuild`] insert would. Callers insert in job
-    /// order, so the cache state (entries, counters, warm chains) ends
-    /// bit-identical to the inline path's.
+    /// a missing [`Self::artifacts`] lookup would. Callers insert in job
+    /// order, so the cache state (entries, counters, warm chains) is the
+    /// same at every pool width.
     pub fn insert_built(&mut self, built: BuiltArtifacts) {
         self.misses += 1;
-        self.warm_starts += u64::from(built.warm.is_some());
+        self.warm_starts += u64::from(built.warm_started);
         self.entries.insert(
             built.slot,
             CacheEntry {
                 key: built.key,
-                warm_input: built.warm,
                 artifacts: built.artifacts,
             },
         );
@@ -936,12 +828,6 @@ impl DriftCache {
     /// later hit replays exactly what a fresh build would produce).
     pub fn get_mut(&mut self, app: usize, node: usize) -> Option<&mut DriftArtifacts> {
         self.entries.get_mut(&(app, node)).map(|e| &mut e.artifacts)
-    }
-}
-
-impl Default for DriftCache {
-    fn default() -> Self {
-        DriftCache::new(true)
     }
 }
 
@@ -1043,7 +929,7 @@ mod tests {
     fn cached_artifacts_bit_equal_fresh_build() {
         let rt = drifted_runtime(2);
         let root = Prng::new(7);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         let first = cache.artifacts(0, &rt, 1, 8, &root).clone();
         assert_eq!(cache.misses, 1);
         let hit = cache.artifacts(0, &rt, 1, 8, &root).clone();
@@ -1071,7 +957,7 @@ mod tests {
     fn cache_invalidates_on_period_and_version_bumps() {
         let mut rt = drifted_runtime(1);
         let root = Prng::new(7);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         cache.artifacts(0, &rt, 1, 8, &root);
         cache.artifacts(0, &rt, 1, 8, &root);
         assert_eq!((cache.hits, cache.misses), (1, 1));
@@ -1106,56 +992,19 @@ mod tests {
         }
     }
 
-    /// Prebuilding a period's artifacts through the scoped-thread fan-out
-    /// must leave the cache in exactly the state sequential lookups would
-    /// have produced — entries, counters and warm chains included — at
-    /// every thread count.
-    #[test]
-    fn parallel_prebuild_bit_equal_sequential_lookups() {
-        let root = Prng::new(7);
-        for threads in [1, 2, 7] {
-            let mut rt = drifted_runtime(1);
-            let mut seq = DriftCache::new(true);
-            let mut par = DriftCache::new(true);
-            // Two generations so the second prebuild exercises warm starts.
-            for _ in 0..2 {
-                let nodes = rt.spec.nodes.len();
-                let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-                let apps = std::slice::from_ref(&rt);
-                par.prebuild(&jobs, apps, 8, &root, threads);
-                for node in 0..nodes {
-                    let s = seq.artifacts(0, &rt, node, 8, &root).clone();
-                    let p = par.artifacts(0, &rt, node, 8, &root);
-                    assert_eq!(s.deviation, p.deviation, "threads {threads} node {node}");
-                    assert_eq!(s.retrain, p.retrain, "threads {threads} node {node}");
-                    assert_eq!(s.ref_order, p.ref_order, "threads {threads} node {node}");
-                    let sb: Vec<u32> = s.basis.data().iter().map(|x| x.to_bits()).collect();
-                    let pb: Vec<u32> = p.basis.data().iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(sb, pb, "threads {threads} node {node} basis");
-                }
-                rt.advance_period();
-            }
-            assert_eq!(seq.misses, par.misses, "threads {threads}");
-            assert_eq!(seq.warm_starts, par.warm_starts, "threads {threads}");
-            assert!(par.warm_starts > 0, "second generation must warm-start");
-            // Prebuilt entries are current: the lookups above all hit.
-            assert_eq!(par.hits as usize, 2 * rt.spec.nodes.len(), "threads {threads}");
-        }
-    }
-
-    /// The overlapped pipeline's handoff: boundary snapshots built on a
+    /// The period boundary's handoff: boundary snapshots built on a
     /// detached background stage, joined in an adversarial (reverse)
     /// order and installed in job order, must leave the cache — entries,
-    /// counters and warm chains — bit-identical to sequential inline
-    /// lookups, at every thread count.
+    /// counters and warm chains — bit-identical to sequential lookups,
+    /// at every thread count, and every lookup after the join must hit.
     #[test]
     fn background_snapshot_stage_bit_equal_sequential_lookups() {
         use adainf_simcore::parallel::spawn_background;
         let root = Prng::new(7);
         for threads in [1, 2, 4, 8] {
             let mut rt = drifted_runtime(1);
-            let mut seq = DriftCache::new(true);
-            let mut bg = DriftCache::new(true);
+            let mut seq = DriftCache::default();
+            let mut bg = DriftCache::default();
             // Two generations so the second stage exercises warm starts
             // and feature carries through the snapshot path.
             for _ in 0..2 {
@@ -1182,18 +1031,27 @@ mod tests {
                     let s = seq.artifacts(0, &rt, node, 8, &root).clone();
                     let p = bg.artifacts(0, &rt, node, 8, &root);
                     assert_eq!(&s, p, "threads {threads} node {node}");
+                    let sb: Vec<u32> = s.basis.data().iter().map(|x| x.to_bits()).collect();
+                    let pb: Vec<u32> = p.basis.data().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(sb, pb, "threads {threads} node {node} basis");
                 }
                 rt.advance_period();
             }
             assert_eq!(seq.misses, bg.misses, "threads {threads}");
             assert_eq!(seq.warm_starts, bg.warm_starts, "threads {threads}");
             assert!(bg.warm_starts > 0, "second generation must warm-start");
+            // Installed entries are current: the lookups above all hit.
+            assert_eq!(
+                bg.hits as usize,
+                2 * rt.spec.nodes.len(),
+                "threads {threads}"
+            );
         }
     }
 
     /// Adversarial schedule replay over the snapshot handoff: forced
     /// claim-order permutations and worker assignments (fan_out_check)
-    /// over the snapshot builds must reproduce the inline builds
+    /// over the snapshot builds must reproduce sequential lookups
     /// bit-for-bit — a build secretly depending on execution order or
     /// worker identity fails loudly here.
     #[test]
@@ -1201,7 +1059,7 @@ mod tests {
         use adainf_simcore::parallel::fan_out_check;
         let rt = drifted_runtime(2);
         let root = Prng::new(7);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         let nodes = rt.spec.nodes.len();
         let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
         let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
@@ -1209,9 +1067,9 @@ mod tests {
         let built = fan_out_check(11, 3, &[1, 2, 4], snaps.len(), DetectScratch::default, |i, scratch| {
             snaps[i].clone().build(8, scratch).artifacts
         });
-        let mut inline = DriftCache::new(true);
+        let mut sequential = DriftCache::default();
         for (node, art) in built.iter().enumerate() {
-            let reference = inline.artifacts(0, &rt, node, 8, &root);
+            let reference = sequential.artifacts(0, &rt, node, 8, &root);
             assert_eq!(art, reference, "node {node}");
         }
     }
@@ -1224,7 +1082,7 @@ mod tests {
 
         // Adjacent periods, same model version: warm start.
         let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         cache.artifacts(0, &rt, 1, 8, &root);
         rt.advance_period();
         cache.artifacts(0, &rt, 1, 8, &root);
@@ -1232,7 +1090,7 @@ mod tests {
 
         // Model-version bump alongside the period step: cold restart.
         let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         cache.artifacts(0, &rt, 1, 8, &root);
         rt.advance_period();
         let slice = rt.pools[1].samples().clone();
@@ -1242,53 +1100,11 @@ mod tests {
 
         // Generation jump (two periods between builds): cold restart.
         let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         cache.artifacts(0, &rt, 1, 8, &root);
         rt.advance_period();
         rt.advance_period();
         cache.artifacts(0, &rt, 1, 8, &root);
         assert_eq!(cache.warm_starts, 0, "generation jump must invalidate");
-    }
-
-    /// A disabled cache rebuilds per lookup; after a period step its
-    /// rebuilds replay the enabled cache's warm chain, so the two stay
-    /// bit-identical even once warm starts enter the picture.
-    #[test]
-    fn disabled_cache_matches_across_warm_started_periods() {
-        let root = Prng::new(7);
-        let mut rt = drifted_runtime(1);
-        let mut on = DriftCache::new(true);
-        let mut off = DriftCache::new(false);
-        for _ in 0..2 {
-            let a = on.artifacts(0, &rt, 1, 8, &root).clone();
-            let b = off.artifacts(0, &rt, 1, 8, &root).clone();
-            // Repeat lookup on the disabled cache: replays the warm input.
-            let c = off.artifacts(0, &rt, 1, 8, &root).clone();
-            assert_eq!(a.deviation, b.deviation);
-            assert_eq!(b.deviation, c.deviation);
-            let ab: Vec<u32> = a.basis.data().iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u32> = b.basis.data().iter().map(|x| x.to_bits()).collect();
-            let cb: Vec<u32> = c.basis.data().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ab, bb);
-            assert_eq!(bb, cb);
-            rt.advance_period();
-        }
-        assert_eq!(on.warm_starts, off.warm_starts / 2);
-        assert!(on.warm_starts > 0);
-    }
-
-    #[test]
-    fn disabled_cache_rebuilds_but_matches() {
-        let rt = drifted_runtime(1);
-        let root = Prng::new(7);
-        let mut on = DriftCache::new(true);
-        let mut off = DriftCache::new(false);
-        let a = on.artifacts(0, &rt, 1, 8, &root).clone();
-        let b = off.artifacts(0, &rt, 1, 8, &root).clone();
-        off.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!(off.hits, 0, "disabled cache must never hit");
-        assert_eq!(off.misses, 2);
-        assert_eq!(a.deviation, b.deviation);
-        assert_eq!(a.retrain, b.retrain);
     }
 }

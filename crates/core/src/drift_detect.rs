@@ -33,7 +33,7 @@
 //! growing `S` actually reaches it before stabilising.
 
 use crate::config::AdaInfConfig;
-use crate::drift_cache::{build_deviation_ranking, build_retrain_order, DetectScratch, DriftCache};
+use crate::drift_cache::{DetectScratch, DriftCache};
 use adainf_apps::AppRuntime;
 use adainf_simcore::Prng;
 
@@ -48,44 +48,9 @@ pub struct DriftReport {
     pub trace: Vec<(f64, Vec<usize>)>,
 }
 
-/// Ranks the new-pool samples of `node` by descending deviation from the
-/// old training data; returns sample indices, most deviating first.
-///
-/// `root` is only used as a split root for the keyed per-`(period, node)`
-/// PCA stream — it is never advanced, so repeated calls are reproducible.
-/// `scratch` holds the PCA/projection buffers; callers loop over nodes,
-/// so taking it from the caller reuses one allocation set across the
-/// whole sweep instead of reallocating per call.
-pub fn deviation_order(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    build_deviation_ranking(rt, node, pca_components, root, scratch)
-}
-
-/// The retraining consumption order (§3.3.2): deviation-prioritised but
-/// stratified — the ranking is split into a most-deviating half and a
-/// remainder, interleaved 1:1. Early slices are thus dominated by the
-/// drifted samples (the paper's "samples that deviate the most"), while
-/// every SGD stage still sees a distribution mix, which keeps sequential
-/// slice training from regressing onto the stale-looking tail at the end
-/// of the pool.
-pub fn retrain_order(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    build_retrain_order(rt, node, pca_components, root, scratch)
-}
-
 /// Runs the §3.2 detection loop over all nodes of one application.
 pub fn detect_drift(rt: &AppRuntime, config: &AdaInfConfig, root: &Prng) -> DriftReport {
-    let mut cache = DriftCache::new(true);
+    let mut cache = DriftCache::default();
     detect_drift_cached(rt, 0, config, &mut cache, root)
 }
 
@@ -164,6 +129,7 @@ pub fn detect_drift_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drift_cache::build_deviation_ranking;
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
 
@@ -280,7 +246,7 @@ mod tests {
     fn deviation_order_is_permutation() {
         let rt = drifted_runtime(1);
         let rng = Prng::new(4);
-        let order = deviation_order(&rt, 1, 8, &rng, &mut DetectScratch::default());
+        let order = build_deviation_ranking(&rt, 1, 8, &rng, &mut DetectScratch::default());
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..order.len()).collect::<Vec<_>>());
@@ -292,7 +258,7 @@ mod tests {
         let root = Prng::new(5);
         let config = AdaInfConfig::default();
         let plain = detect_drift(&rt, &config, &root);
-        let mut cache = DriftCache::new(true);
+        let mut cache = DriftCache::default();
         let first = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
         let again = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
         assert!(cache.hits > 0, "second detection must hit the cache");

@@ -65,9 +65,7 @@ pub struct AdaInfScheduler {
     sched_wall_ns: u128,
     sched_calls: u64,
     /// Cumulative wall-clock of period-boundary drift **work** —
-    /// caller-thread compute plus background-worker build time. With
-    /// the overlapped pipeline off this is exactly the inline drift
-    /// block; with it on the same work total is split across threads.
+    /// caller-thread compute plus background-worker build time.
     drift_wall_ns: u128,
     /// The same drift work wall-clock, per period boundary in period
     /// order — the distribution behind the harness's p99 drift latency.
@@ -75,8 +73,8 @@ pub struct AdaInfScheduler {
     /// Cumulative wall-clock the serving loop was actually **stalled**
     /// by drift work — the critical path: snapshot + spawn, the
     /// detection sweep's own compute, and time blocked joining
-    /// background builds. Equal to `drift_wall_ns` when the overlap is
-    /// off; the gap between the two is the overlap win.
+    /// background builds. The gap between this and `drift_wall_ns` is
+    /// the work the background stage hid from serving.
     drift_blocked_ns: u128,
     /// Exact memoisation of the per-session searches (see [`crate::cache`]).
     cache: DecisionCache,
@@ -84,8 +82,8 @@ pub struct AdaInfScheduler {
     /// detection and retraining-order selection share one feature/PCA/
     /// ranking computation per `(app, node, period, model version)`.
     drift: DriftCache,
-    /// Largest resolved worker-thread count used by any parallel drift
-    /// prebuild this run (0 when no fan-out ran). Bench rows record it so
+    /// Largest resolved worker-thread count used by any background drift
+    /// stage this run (0 when no stage had work). Bench rows record it so
     /// results document the host parallelism they were measured under.
     worker_threads: usize,
     /// Online per-app latency predictor (see [`crate::predict`]), built
@@ -104,7 +102,6 @@ impl AdaInfScheduler {
     ) -> Self {
         let specs = specs.into();
         let n = specs.len();
-        let drift = DriftCache::new(config.drift_artifact_cache);
         let predictor = config
             .predicted_latency
             .then(|| LatencyPredictor::new(n, config.predictor_warmup as u64));
@@ -123,7 +120,7 @@ impl AdaInfScheduler {
             drift_period_ns: Vec::new(),
             drift_blocked_ns: 0,
             cache: DecisionCache::default(),
-            drift,
+            drift: DriftCache::default(),
             worker_threads: 0,
             predictor,
         }
@@ -155,10 +152,9 @@ impl AdaInfScheduler {
     /// Refreshes the per-node `(cut, accuracy)` tables and initial
     /// accuracies. Reads only model weights and evaluation sets (and
     /// writes only the runtime's accuracy cache) — disjoint from
-    /// everything the drift sweep touches, which is what lets the
-    /// overlapped pipeline run this in the window between spawning the
-    /// background builds and joining them, bit-identically to the
-    /// inline order.
+    /// everything the drift sweep touches, which is what lets
+    /// `on_period_start` run this in the window between spawning the
+    /// background builds and joining them without changing any result.
     fn refresh_accuracy_values(&mut self, apps: &mut [AppRuntime]) {
         for (a, rt) in apps.iter_mut().enumerate() {
             let mut table = Vec::with_capacity(rt.spec.nodes.len());
@@ -261,10 +257,6 @@ impl Scheduler for AdaInfScheduler {
         let wall = WallTimer::start();
         self.last_reports.clear();
 
-        let overlap = self.config.drift_artifact_cache
-            && self.config.drift_parallel_build
-            && self.config.drift_overlap;
-
         // Three drift wall-clock components, accumulated separately so
         // the metrics can tell total *work* apart from the serving
         // loop's *stall*:
@@ -277,184 +269,115 @@ impl Scheduler for AdaInfScheduler {
         let mut drift_built_ns: u128 = 0;
         let mut drift_blocked_ns: u128 = 0;
 
-        if overlap {
-            // ---- Overlapped period pipeline ----
-            // Stage 1: snapshot the stale artifact inputs at their
-            // (pool generation, model version) keys and launch the
-            // builds on a detached background stage.
-            let seg = WallTimer::start();
-            let (mut stage, slots) = {
-                let AdaInfScheduler {
-                    config,
-                    rng,
-                    states,
-                    drift,
-                    worker_threads,
-                    ..
-                } = &mut *self;
-                let mut jobs: Vec<(usize, usize)> = Vec::new();
-                for (a, rt) in apps.iter().enumerate() {
-                    let update_dag = config.update_dag_each_period || !states[a].frozen;
-                    for node in 0..rt.spec.nodes.len() {
-                        if update_dag || states[a].ridag.retrains(node) {
-                            jobs.push((a, node));
-                        }
+        // Stage 1: snapshot the stale artifact inputs at their
+        // (pool generation, model version) keys and launch the builds on
+        // a detached background stage. The job set mirrors exactly what
+        // the sweep below reads — every node of apps that run detection,
+        // and only the frozen RI-DAG's retraining nodes otherwise.
+        let seg = WallTimer::start();
+        let (mut stage, slots) = {
+            let AdaInfScheduler {
+                config,
+                rng,
+                states,
+                drift,
+                worker_threads,
+                ..
+            } = &mut *self;
+            let mut jobs: Vec<(usize, usize)> = Vec::new();
+            for (a, rt) in apps.iter().enumerate() {
+                let update_dag = config.update_dag_each_period || !states[a].frozen;
+                for node in 0..rt.spec.nodes.len() {
+                    if update_dag || states[a].ridag.retrains(node) {
+                        jobs.push((a, node));
                     }
                 }
-                let snaps = drift.snapshot_stale(&jobs, apps, rng);
-                if !snaps.is_empty() {
-                    *worker_threads = (*worker_threads)
-                        .max(parallel::resolved_threads(snaps.len(), config.drift_workers).max(1));
-                }
-                let slots: Vec<(usize, usize)> = snaps.iter().map(|s| s.slot).collect();
-                let pca_components = config.pca_components;
-                let stage = parallel::spawn_background(
-                    snaps,
-                    config.drift_workers,
-                    DetectScratch::default,
-                    move |_, snap: DriftSnapshot, scratch: &mut DetectScratch| {
-                        let t = WallTimer::start();
-                        let built = snap.build(pca_components, scratch);
-                        (built, t.elapsed_nanos() as u64)
-                    },
-                );
-                (stage, slots)
-            };
-            drift_caller_ns += seg.elapsed_nanos();
+            }
+            let snaps = drift.snapshot_stale(&jobs, apps, rng);
+            if !snaps.is_empty() {
+                *worker_threads = (*worker_threads)
+                    .max(parallel::resolved_threads(snaps.len(), config.drift_workers).max(1));
+            }
+            let slots: Vec<(usize, usize)> = snaps.iter().map(|s| s.slot).collect();
+            let pca_components = config.pca_components;
+            let stage = parallel::spawn_background(
+                snaps,
+                config.drift_workers,
+                DetectScratch::default,
+                move |_, snap: DriftSnapshot, scratch: &mut DetectScratch| {
+                    let t = WallTimer::start();
+                    let built = snap.build(pca_components, scratch);
+                    (built, t.elapsed_nanos() as u64)
+                },
+            );
+            (stage, slots)
+        };
+        drift_caller_ns += seg.elapsed_nanos();
 
-            // Overlap window: the accuracy-table value refresh reads
-            // only model weights and evaluation sets — independent of
-            // every build in flight — so it fills the caller's wait.
-            self.refresh_accuracy_values(apps);
+        // Overlap window: the accuracy-table value refresh reads only
+        // model weights and evaluation sets — independent of every build
+        // in flight — so it fills the caller's wait.
+        self.refresh_accuracy_values(apps);
 
-            // Stage 2: the detection sweep, joining each application's
-            // background builds right before it needs them (first
-            // artifact consumption). Inserts happen in job order, so
-            // cache counters and warm chains are bit-identical to the
-            // inline prebuild's.
-            let seg = WallTimer::start();
-            {
-                let AdaInfScheduler {
-                    config,
-                    rng,
-                    states,
-                    last_reports,
-                    drift,
-                    ..
-                } = &mut *self;
-                let mut next_slot = 0usize;
-                for (a, rt) in apps.iter_mut().enumerate() {
-                    while next_slot < slots.len() && slots[next_slot].0 == a {
-                        let waited = WallTimer::start();
-                        let (built, build_ns): (BuiltArtifacts, u64) = stage.take(next_slot);
-                        drift_blocked_ns += waited.elapsed_nanos();
-                        drift_built_ns += u128::from(build_ns);
-                        drift.insert_built(built);
-                        next_slot += 1;
-                    }
-                    let update_dag = config.update_dag_each_period || !states[a].frozen;
-                    if update_dag {
-                        let report = detect_drift_cached(rt, a, config, drift, rng);
-                        states[a].ridag = RiDag::build(&rt.spec, &report);
-                        if !report.impacted.is_empty() {
-                            states[a].frozen = true;
-                        }
-                        last_reports.push(report);
-                    }
-                    for node in 0..rt.spec.nodes.len() {
-                        if states[a].ridag.retrains(node) {
-                            let order = drift
-                                .artifacts(a, rt, node, config.pca_components, rng)
-                                .retrain
-                                .clone();
-                            rt.pools[node].set_order(&order);
-                        }
-                    }
-                }
-                // Next-boundary backstop: nothing should be left (every
-                // job belongs to an application the sweep visited), but
-                // join defensively before the ledger check retires the
-                // stage — finish() asserts every snapshot was built and
-                // joined exactly once.
-                let waited = WallTimer::start();
-                for (_, (built, build_ns)) in stage.drain() {
+        // Stage 2: the detection sweep, joining each application's
+        // background builds right before it needs them (first artifact
+        // consumption). Inserts happen in job order, so cache counters
+        // and warm chains do not depend on the pool width.
+        let seg = WallTimer::start();
+        {
+            let AdaInfScheduler {
+                config,
+                rng,
+                states,
+                last_reports,
+                drift,
+                ..
+            } = &mut *self;
+            let mut next_slot = 0usize;
+            for (a, rt) in apps.iter_mut().enumerate() {
+                while next_slot < slots.len() && slots[next_slot].0 == a {
+                    let waited = WallTimer::start();
+                    let (built, build_ns): (BuiltArtifacts, u64) = stage.take(next_slot);
+                    drift_blocked_ns += waited.elapsed_nanos();
                     drift_built_ns += u128::from(build_ns);
                     drift.insert_built(built);
+                    next_slot += 1;
                 }
-                drift_blocked_ns += waited.elapsed_nanos();
-                stage.finish();
-            }
-            drift_caller_ns += seg.elapsed_nanos();
-        } else {
-            let seg = WallTimer::start();
-            {
-                // Disjoint field borrows: the drift cache and rng are used
-                // while states and reports are written.
-                let AdaInfScheduler {
-                    config,
-                    rng,
-                    states,
-                    last_reports,
-                    drift,
-                    worker_threads,
-                    ..
-                } = &mut *self;
-                // Build this period's artifacts concurrently before the
-                // sequential sweep reads them. The job set mirrors exactly
-                // what the sweep below touches — every node of apps that run
-                // detection, and only the frozen RI-DAG's retraining nodes
-                // otherwise — so warm-start chains are identical whether the
-                // entries were prebuilt or built on first lookup.
-                if config.drift_artifact_cache && config.drift_parallel_build {
-                    let mut jobs: Vec<(usize, usize)> = Vec::new();
-                    for (a, rt) in apps.iter().enumerate() {
-                        let update_dag = config.update_dag_each_period || !states[a].frozen;
-                        for node in 0..rt.spec.nodes.len() {
-                            if update_dag || states[a].ridag.retrains(node) {
-                                jobs.push((a, node));
-                            }
-                        }
+                // AdaInf/U builds each application's DAG once — frozen at
+                // the first period in which drift is detected at all.
+                let update_dag = config.update_dag_each_period || !states[a].frozen;
+                if update_dag {
+                    let report = detect_drift_cached(rt, a, config, drift, rng);
+                    states[a].ridag = RiDag::build(&rt.spec, &report);
+                    if !report.impacted.is_empty() {
+                        states[a].frozen = true;
                     }
-                    *worker_threads =
-                        (*worker_threads).max(parallel::resolved_threads(jobs.len(), 0));
-                    drift.prebuild(&jobs, apps, config.pca_components, rng, 0);
+                    last_reports.push(report);
                 }
-                for (a, rt) in apps.iter_mut().enumerate() {
-                    // AdaInf/U builds each application's DAG once — frozen at
-                    // the first period in which drift is detected at all.
-                    let update_dag = config.update_dag_each_period || !states[a].frozen;
-                    if update_dag {
-                        let report = detect_drift_cached(rt, a, config, drift, rng);
-                        states[a].ridag = RiDag::build(&rt.spec, &report);
-                        if !report.impacted.is_empty() {
-                            states[a].frozen = true;
-                        }
-                        last_reports.push(report);
-                    }
-                    // Order every retraining pool by deviation so retraining
-                    // consumes the most-deviating samples first (§3.3.2). This
-                    // applies even for /U — sample selection is not part of
-                    // the DAG-update ablation. The order comes from the same
-                    // cached artifacts the detector just built.
-                    for node in 0..rt.spec.nodes.len() {
-                        if states[a].ridag.retrains(node) {
-                            let order = drift
-                                .artifacts(a, rt, node, config.pca_components, rng)
-                                .retrain
-                                .clone();
-                            rt.pools[node].set_order(&order);
-                        }
+                // Order every retraining pool by deviation so retraining
+                // consumes the most-deviating samples first (§3.3.2). This
+                // applies even for /U — sample selection is not part of
+                // the DAG-update ablation. The order comes from the same
+                // cached artifacts the detector just read.
+                for node in 0..rt.spec.nodes.len() {
+                    if states[a].ridag.retrains(node) {
+                        let order = drift
+                            .artifacts(a, rt, node, config.pca_components, rng)
+                            .retrain
+                            .clone();
+                        rt.pools[node].set_order(&order);
                     }
                 }
             }
-            // Inline: the whole drift block runs on (and stalls) the
-            // caller — critical path and total work coincide.
-            drift_caller_ns += seg.elapsed_nanos();
-            self.refresh_accuracy_values(apps);
+            // Slots are in application order and the sweep visits every
+            // application, so every build is joined by now; finish()
+            // asserts each snapshot was built and joined exactly once.
+            stage.finish();
         }
-        self.drift_wall_ns += drift_caller_ns - drift_blocked_ns + drift_built_ns;
-        self.drift_period_ns
-            .push((drift_caller_ns - drift_blocked_ns + drift_built_ns) as u64);
+        drift_caller_ns += seg.elapsed_nanos();
+        let drift_work_ns = drift_caller_ns - drift_blocked_ns + drift_built_ns;
+        self.drift_wall_ns += drift_work_ns;
+        self.drift_period_ns.push(drift_work_ns as u64);
         self.drift_blocked_ns += drift_caller_ns;
         self.select_period_structures();
         // Time plans are valid only for this period's DAGs and accuracy

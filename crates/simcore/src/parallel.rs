@@ -283,8 +283,8 @@ impl<T> Drop for WorkerExitGuard<T> {
 /// Handle to a detached background fan-out started by
 /// [`spawn_background`]: the jobs run on real (non-scoped) worker
 /// threads while the caller keeps executing, and each result is joined
-/// lazily — [`take`](Self::take) one index, [`drain`](Self::drain) the
-/// rest, then [`finish`](Self::finish) to retire the stage.
+/// lazily — [`take`](Self::take) every index, then
+/// [`finish`](Self::finish) to retire the stage.
 ///
 /// Determinism is the fan-out contract unchanged: jobs are dealt
 /// round-robin exactly like [`fan_out_indexed_owned`], every result is
@@ -388,16 +388,6 @@ where
 }
 
 impl<T> BackgroundTasks<T> {
-    /// Number of jobs in the stage.
-    pub fn len(&self) -> usize {
-        self.taken.len()
-    }
-
-    /// Whether the stage was spawned over zero jobs.
-    pub fn is_empty(&self) -> bool {
-        self.taken.is_empty()
-    }
-
     /// Joins slot `idx`, blocking until its worker has produced the
     /// result, and moves the value out.
     ///
@@ -424,18 +414,6 @@ impl<T> BackgroundTasks<T> {
             // simlint: allow(no-unwrap-in-lib) — same poisoning argument as the lock above
             slots = self.shared.cv.wait(slots).unwrap();
         }
-    }
-
-    /// Joins every not-yet-taken slot in index order and returns the
-    /// `(index, result)` pairs — the backstop join at a stage boundary.
-    pub fn drain(&mut self) -> Vec<(usize, T)> {
-        let mut out = Vec::new();
-        for idx in 0..self.taken.len() {
-            if !self.taken[idx] {
-                out.push((idx, self.take(idx)));
-            }
-        }
-        out
     }
 
     /// Retires the stage: joins the worker threads and verifies the
@@ -737,24 +715,8 @@ mod tests {
     }
 
     #[test]
-    fn background_drain_collects_the_rest_in_index_order() {
-        let mut stage = spawn_background((0..9u64).collect(), 3, || (), |_, j, ()| j * 3);
-        assert_eq!(stage.len(), 9);
-        assert_eq!(stage.take(4), 12);
-        let rest = stage.drain();
-        let idxs: Vec<usize> = rest.iter().map(|(i, _)| *i).collect();
-        assert_eq!(idxs, vec![0, 1, 2, 3, 5, 6, 7, 8]);
-        for (i, v) in &rest {
-            assert_eq!(*v, *i as u64 * 3);
-        }
-        stage.finish();
-    }
-
-    #[test]
     fn background_empty_stage_retires_cleanly() {
-        let mut stage = spawn_background(Vec::<u8>::new(), 4, || (), |i, _, ()| i);
-        assert!(stage.is_empty());
-        assert!(stage.drain().is_empty());
+        let stage = spawn_background(Vec::<u8>::new(), 4, || (), |i, _, ()| i);
         stage.finish();
     }
 

@@ -156,23 +156,24 @@ fn device_stall_predicted_reconverges() {
     );
 }
 
-/// The parallel drift-artifact build stays invisible with chaos armed:
-/// fault injection perturbs pools, model versions and period timing, and
-/// the fan-out must still reproduce the sequential build bit for bit.
+/// The pool width stays invisible with chaos armed: fault injection
+/// perturbs pools, model versions and period timing, and four drift and
+/// training workers must still reproduce the one-worker run bit for bit.
 #[test]
 fn parallel_drift_build_matches_sequential_under_chaos() {
-    let make = |drift_parallel_build| {
+    let make = |workers: usize| {
         let mut cfg = config(
             Method::AdaInf(AdaInfConfig {
-                drift_parallel_build,
+                drift_workers: workers,
                 ..AdaInfConfig::default()
             }),
             11,
         );
+        cfg.train_workers = workers;
         cfg.chaos = Some(ChaosConfig::scenario(FaultSpec::chaos(11)));
         run(cfg)
     };
-    let (p, s) = (make(true), make(false));
+    let (p, s) = (make(4), make(1));
     assert_eq!(p.total_requests, s.total_requests);
     assert_eq!(p.shed_requests, s.shed_requests);
     assert_eq!(p.fault_sessions, s.fault_sessions);

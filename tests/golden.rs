@@ -118,44 +118,6 @@ fn scrooge_reproduces_seed_engine() {
     );
 }
 
-/// The parallel drift-artifact build must be invisible in the results:
-/// building a period's artifacts through the scoped-thread fan-out vs
-/// sequentially on first lookup yields bit-identical metrics. Each build
-/// is a pure function of its `(pool generation, model version)` key,
-/// warm-start input and root stream, and the prebuild resolves warm
-/// inputs before fanning out — so thread scheduling can never reorder
-/// observable work.
-#[test]
-fn parallel_drift_build_does_not_change_decisions() {
-    for seed in [11, 23, 47] {
-        let parallel = run(config(Method::AdaInf(AdaInfConfig::default()), seed));
-        let sequential = run(config(
-            Method::AdaInf(AdaInfConfig {
-                drift_parallel_build: false,
-                ..AdaInfConfig::default()
-            }),
-            seed,
-        ));
-        assert_eq!(parallel.total_requests, sequential.total_requests);
-        let (p, s) = (parallel.summary(), sequential.summary());
-        assert_eq!(
-            p.mean_accuracy.to_bits(),
-            s.mean_accuracy.to_bits(),
-            "seed {seed}: mean_accuracy"
-        );
-        assert_eq!(
-            p.mean_finish_rate.to_bits(),
-            s.mean_finish_rate.to_bits(),
-            "seed {seed}: mean_finish_rate"
-        );
-        assert_eq!(
-            p.mean_inference_latency_ms.to_bits(),
-            s.mean_inference_latency_ms.to_bits(),
-            "seed {seed}: mean_inference_latency_ms"
-        );
-    }
-}
-
 /// Predicted-latency admission must be invisible on pristine runs:
 /// admission only fires inside fault windows, so turning the predictor
 /// on cannot perturb a fault-free run — every AdaInf golden row
