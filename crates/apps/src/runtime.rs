@@ -16,6 +16,7 @@ use adainf_driftgen::{ArrivalTrace, LabeledSamples, RetrainPool, TaskStream, Tas
 use adainf_driftgen::workload::ArrivalConfig;
 use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::TrainableModel;
+use adainf_nn::InferScratch;
 use adainf_simcore::{Prng, SimTime};
 
 /// Samples drawn per node per period as the retraining pool (stand-in for
@@ -59,6 +60,8 @@ pub struct AppRuntime {
     /// tiny slices per period) re-evaluates only every ~256 consumed
     /// samples — accuracy moves smoothly in between.
     acc_cache: Vec<(u64, u64, [f64; HEAD_EXITS])>,
+    /// Forward-pass buffers reused by every accuracy-cache miss.
+    score_scratch: InferScratch,
     /// Current period index.
     period: u64,
     /// Retraining pool size per period.
@@ -101,6 +104,7 @@ impl AppRuntime {
             eval_sets: Vec::new(),
             initial_accuracy: vec![0.0; n],
             acc_cache: vec![(u64::MAX, u64::MAX, [0.0; HEAD_EXITS]); n],
+            score_scratch: InferScratch::default(),
             period: 0,
             pool_size,
         };
@@ -187,18 +191,15 @@ impl AppRuntime {
         if cb == bucket && cp == self.period {
             return cached[exit];
         }
-        let mut accs = [0.0; HEAD_EXITS];
-        // Evaluate each distinct head exit once.
-        let profile_cuts: Vec<usize> = {
-            // Find a representative cut per exit.
-            let l = self.models[node].profile.num_layers();
-            (0..HEAD_EXITS)
-                .map(|e| ((e + 1) * l).div_ceil(HEAD_EXITS).saturating_sub(1))
-                .collect()
-        };
-        for (e, &c) in profile_cuts.iter().enumerate() {
-            accs[e] = self.models[node].accuracy_on(&self.eval_sets[node], c);
-        }
+        let model = &self.models[node];
+        // Every exit from one trunk pass. Slot `e` of the cache keeps
+        // the accuracy of the exit a representative cut for `e` maps to.
+        let by_exit = model.exit_accuracies(&self.eval_sets[node], &mut self.score_scratch);
+        let l = model.profile.num_layers();
+        let accs: [f64; HEAD_EXITS] = std::array::from_fn(|e| {
+            let cut = ((e + 1) * l).div_ceil(HEAD_EXITS).saturating_sub(1);
+            by_exit[model.head_exit_for_cut(cut)]
+        });
         self.acc_cache[node] = (bucket, self.period, accs);
         accs[exit]
     }

@@ -3,6 +3,10 @@
 //! * `gemm/*` — the `Matrix` multiply kernels driving every SGD
 //!   retraining step, in both the allocating and the `_into`
 //!   (caller-owned output) forms, at the MLP's steady-state shapes.
+//! * `gemm/head_*`, `gemm/backward_input_grad_*` — the same kernels at
+//!   the shapes the deployed early-exit heads actually run: a 6-class
+//!   head's forward and weight gradient (the lane-padded narrow path)
+//!   and a trunk layer's transposed input gradient.
 //! * `decision_path/*` — the AdaInf §3.3.2 batch/structure search with
 //!   the decision cache on vs off.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
@@ -44,8 +48,32 @@ fn bench_gemm(c: &mut Criterion) {
     group.bench_function("t_matmul_into_256x32x64", |bch| {
         bch.iter(|| black_box(&at).t_matmul_into(black_box(&bt), &mut out))
     });
+    let mut wt_scratch = Matrix::zeros(0, 0);
     group.bench_function("matmul_t_into_32x256x64", |bch| {
-        bch.iter(|| black_box(&a).matmul_t_into(black_box(&wt), &mut out))
+        bch.iter(|| black_box(&a).matmul_t_into(black_box(&wt), &mut wt_scratch, &mut out))
+    });
+
+    // Head forward: a 32-row batch through the last 32-wide trunk
+    // activation into a 6-class head (bias, no ReLU).
+    let acts = random_matrix(32, 32, &mut rng);
+    let head_w = random_matrix(32, 6, &mut rng);
+    let head_b: Vec<f32> = (0..6).map(|_| rng.gauss() as f32).collect();
+    group.bench_function("head_forward_32x32x6", |bch| {
+        bch.iter(|| black_box(&acts).affine_into(black_box(&head_w), &head_b, false, &mut out))
+    });
+    // Head weight gradient aᵀ·g: 24-wide activations, 6-class gradient.
+    let head_in = random_matrix(32, 24, &mut rng);
+    let head_g = random_matrix(32, 6, &mut rng);
+    group.bench_function("head_weight_grad_32x24x6", |bch| {
+        bch.iter(|| black_box(&head_in).t_matmul_into(black_box(&head_g), &mut out))
+    });
+    // Backward input gradient g·Wᵀ of the 32→24 trunk layer.
+    let trunk_g = random_matrix(32, 24, &mut rng);
+    let trunk_w = random_matrix(32, 24, &mut rng);
+    group.bench_function("backward_input_grad_32x24x32", |bch| {
+        bch.iter(|| {
+            black_box(&trunk_g).matmul_t_into(black_box(&trunk_w), &mut wt_scratch, &mut out)
+        })
     });
     group.finish();
 }

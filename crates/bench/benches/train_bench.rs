@@ -7,6 +7,9 @@
 //!   the blocked gradient GEMM and the fused momentum update.
 //! * `train/batch_parts_adam` — the same pass under the fused Adam
 //!   update kernel.
+//! * `train/score_exits_400` — scoring every head exit of a deployed
+//!   model on a 400-row evaluation set, the work an accuracy-cache miss
+//!   does.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +19,7 @@ use std::hint::black_box;
 use adainf_driftgen::{TaskStream, TaskStreamConfig};
 use adainf_modelzoo::{zoo, TrainSliceScratch, TrainableModel};
 use adainf_nn::layer::Update;
-use adainf_nn::{EarlyExitMlp, MlpConfig, TrainScratch};
+use adainf_nn::{EarlyExitMlp, InferScratch, MlpConfig, TrainScratch};
 use adainf_simcore::Prng;
 
 fn training_batch(n: usize) -> adainf_driftgen::LabeledSamples {
@@ -84,6 +87,15 @@ fn bench_train(c: &mut Criterion) {
                 &mut scratch,
             ))
         })
+    });
+
+    group.bench_function("score_exits_400", |b| {
+        let mut rng = root.split(4);
+        let mut model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
+        model.train_slice(&batch, 2);
+        let eval = training_batch(400);
+        let mut scratch = InferScratch::default();
+        b.iter(|| black_box(model.exit_accuracies(black_box(&eval), &mut scratch)))
     });
 
     group.finish();

@@ -108,6 +108,26 @@ impl TrainableModel {
         )
     }
 
+    /// Accuracy of every head exit on a sample batch, from one trunk
+    /// pass through `scratch` (see
+    /// [`adainf_nn::EarlyExitMlp::exit_accuracies_with_scratch`]).
+    /// Entry `e` bit-equals [`Self::accuracy_on`] at any cut that
+    /// [`Self::head_exit_for_cut`] maps to exit `e`.
+    pub fn exit_accuracies(
+        &self,
+        samples: &LabeledSamples,
+        scratch: &mut InferScratch,
+    ) -> [f64; HEAD_EXITS] {
+        let mut accs = [0.0; HEAD_EXITS];
+        self.head.exit_accuracies_with_scratch(
+            &samples.inputs,
+            &samples.labels,
+            scratch,
+            &mut accs,
+        );
+        accs
+    }
+
     /// Predicted class per sample at the given cut.
     pub fn predict(&self, inputs: &Matrix, cut: usize) -> Vec<usize> {
         self.head.predict(inputs, self.head_exit_for_cut(cut))

@@ -66,13 +66,15 @@ pub struct DenseCache {
     pub pre: Matrix,
 }
 
-/// Reusable parameter-gradient buffers for [`Dense::backward_scratch`].
+/// Reusable parameter-gradient buffers for [`Dense::backward_scratch`]
+/// (plus the transposed-weight copy its input gradient multiplies by).
 /// Holding one of these across SGD steps makes the backward pass free
 /// of heap allocations in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct GradScratch {
     grad_w: Matrix,
     grad_b: Vec<f32>,
+    weights_t: Matrix,
 }
 
 impl Dense {
@@ -108,8 +110,11 @@ impl Dense {
     /// Forward pass; returns the activation and the cache for backward.
     pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
         let mut pre = Matrix::default();
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut pre, &mut out);
+        input.affine_into(&self.weights, &self.bias, false, &mut pre);
+        let mut out = pre.clone();
+        if self.relu {
+            out.relu_inplace();
+        }
         (
             out,
             DenseCache {
@@ -117,19 +122,6 @@ impl Dense {
                 pre,
             },
         )
-    }
-
-    /// Forward pass writing the pre-activation into `pre` and the
-    /// activation into `out`, both reshaped in place. Allocation-free
-    /// once the buffers have warmed up; values match [`Self::forward`]
-    /// exactly.
-    pub fn forward_into(&self, input: &Matrix, pre: &mut Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weights, pre);
-        pre.add_row_vec(&self.bias);
-        out.copy_from(pre);
-        if self.relu {
-            out.relu_inplace();
-        }
     }
 
     /// Forward pass without caching (inference).
@@ -175,35 +167,40 @@ impl Dense {
             &cache.pre,
             &mut grad_out,
             update,
-            &mut grad_in,
+            Some(&mut grad_in),
             &mut scratch,
         );
         grad_in
     }
 
-    /// Allocation-free backward pass. `input`/`pre` are the forward
-    /// activations (what a [`DenseCache`] holds), `grad_out` is the
+    /// Allocation-free backward pass. `input` is the layer's forward
+    /// input; `mask` is its forward pre-activation or its ReLU output —
+    /// `relu(x) ≤ 0 ⇔ x ≤ 0`, so either gives the same ReLU mask, and it
+    /// is not read when the layer has no ReLU. `grad_out` is the
     /// gradient w.r.t. this layer's output (mutated in place by the
-    /// ReLU mask), `grad_in` receives the gradient w.r.t. the input,
-    /// and `scratch` holds the reusable parameter-gradient buffers.
-    /// Arithmetic and update order match [`Self::backward_with`]
-    /// exactly, so results are bit-identical.
+    /// mask), `grad_in` receives the gradient w.r.t. the input (`None`
+    /// skips it, for a first layer whose input has no parameters to
+    /// train), and `scratch` holds the reusable parameter-gradient
+    /// buffers. Arithmetic and update order match
+    /// [`Self::backward_with`] exactly, so results are bit-identical.
     pub fn backward_scratch(
         &mut self,
         input: &Matrix,
-        pre: &Matrix,
+        mask: &Matrix,
         grad_out: &mut Matrix,
         update: Update,
-        grad_in: &mut Matrix,
+        grad_in: Option<&mut Matrix>,
         scratch: &mut GradScratch,
     ) {
         if self.relu {
-            grad_out.relu_backward_inplace(pre);
+            grad_out.relu_backward_inplace(mask);
         }
         let batch = input.rows().max(1) as f32;
         // Gradient w.r.t. input, for the upstream layer (reads the
         // pre-update weights, so it must precede the optimizer step).
-        grad_out.matmul_t_into(&self.weights, grad_in);
+        if let Some(grad_in) = grad_in {
+            grad_out.matmul_t_into(&self.weights, &mut scratch.weights_t, grad_in);
+        }
         // Raw weight-gradient sums; the batch-mean scaling and
         // robustness clamp are fused into the optimizer kernels below,
         // saving two full passes over the gradient buffer per step.

@@ -1,11 +1,19 @@
 //! A minimal row-major `f32` matrix.
 //!
-//! Only the operations backpropagation needs are implemented, with plain
-//! triple loops — at the scales used here (feature dims ≤ 64, batch ≤ 64)
-//! this is far from being a bottleneck, and the code stays auditable.
+//! Only the operations backpropagation needs are implemented. The GEMM
+//! kernels unroll and pad across *independent* output elements only:
+//! every output element keeps one accumulator fed in ascending-k order,
+//! so results are bit-identical to a plain triple loop at any SIMD
+//! width.
 
 use adainf_simcore::Prng;
 use std::fmt;
+
+/// Rows of the right-hand operand packed per pass by the narrow GEMM
+/// paths ([`Matrix::matmul_into`] and [`Matrix::t_matmul_into`] at
+/// output widths ≤ 16): the lane-padded stack buffer holds this many
+/// rows, so its size is fixed whatever the contraction length.
+const NARROW_CHUNK: usize = 64;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -166,10 +174,19 @@ impl Matrix {
     /// traffic; the per-element accumulators stay independent, so
     /// blocking changes nothing bitwise.
     ///
+    /// Outputs at most 16 columns wide (the early-exit heads' 2–12
+    /// classes, the 16-wide last trunk layer) take the lane-padded
+    /// narrow path instead, chosen from the output width alone.
+    ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+        match other.cols {
+            0..=8 => return self.matmul_narrow_into::<8>(other, out),
+            9..=16 => return self.matmul_narrow_into::<16>(other, out),
+            _ => {}
+        }
         out.reset_zeroed(self.rows, other.cols);
         let w = other.cols;
         let d = self.cols;
@@ -289,6 +306,39 @@ impl Matrix {
         }
     }
 
+    /// [`Self::matmul_into`] for outputs `w ≤ L` columns wide. The
+    /// `other` rows are packed, zero-padded to `L` lanes, into a
+    /// fixed-size stack buffer ([`NARROW_CHUNK`] rows per pass), and
+    /// each output row accumulates in one `[f32; L]` register group —
+    /// a full-width vector multiply-add per `k` step instead of the
+    /// general path's short remainder loop — four rows at a time so
+    /// their add chains overlap (see [`accumulate_narrow`]).
+    fn matmul_narrow_into<const L: usize>(&self, other: &Matrix, out: &mut Matrix) {
+        let (d, w) = (self.cols, other.cols);
+        out.reset_zeroed(self.rows, w);
+        if d == 0 || w == 0 {
+            return;
+        }
+        let full = self.rows / 4 * 4;
+        let mut packed = [[0.0f32; L]; NARROW_CHUNK];
+        for k0 in (0..d).step_by(NARROW_CHUNK) {
+            let kc = (d - k0).min(NARROW_CHUNK);
+            pack_narrow(&mut packed, &other.data[k0 * w..(k0 + kc) * w], w);
+            let packed = &packed[..kc];
+            let (a_full, a_tail) = self.data.split_at(full * d);
+            let (o_full, o_tail) = out.data.split_at_mut(full * w);
+            for (a, o) in a_full
+                .chunks_exact(4 * d)
+                .zip(o_full.chunks_exact_mut(4 * w))
+            {
+                accumulate_narrow::<L, 4>(packed, |r, k| a[r * d + k0 + k], o, w);
+            }
+            for (a, o) in a_tail.chunks_exact(d).zip(o_tail.chunks_exact_mut(w)) {
+                accumulate_narrow::<L, 1>(packed, |_, k| a[k0 + k], o, w);
+            }
+        }
+    }
+
     /// `relu?(self × weights + bias)`, written into `out` — the fused
     /// dense-layer forward pass. Runs the exact [`Self::matmul_into`]
     /// loop, then applies the bias add (and optional ReLU) to each output
@@ -332,12 +382,19 @@ impl Matrix {
 
     /// `selfᵀ × other`, written into `out` (reshaped and zeroed in
     /// place). Accumulation order per output element matches
-    /// [`Self::t_matmul`] exactly (row order of the operands).
+    /// [`Self::t_matmul`] exactly (row order of the operands). Outputs
+    /// at most 16 columns wide (the heads' weight gradients) take the
+    /// lane-padded narrow path, chosen from the output width alone.
     ///
     /// # Panics
     /// Panics on row-count mismatch.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
+        match other.cols {
+            0..=8 => return self.t_matmul_narrow_into::<8>(other, out),
+            9..=16 => return self.t_matmul_narrow_into::<16>(other, out),
+            _ => {}
+        }
         out.reset_zeroed(self.cols, other.cols);
         let m = self.rows;
         // Eight r steps per pass; per-output-element accumulation stays
@@ -413,84 +470,70 @@ impl Matrix {
         }
     }
 
-    /// `self × otherᵀ` without materialising the transpose.
+    /// [`Self::t_matmul_into`] for outputs `n ≤ L` columns wide: the
+    /// `other` rows are packed, zero-padded to `L` lanes, into a
+    /// fixed-size stack buffer ([`NARROW_CHUNK`] rows per pass), and
+    /// output row `i` accumulates `self[r][i] · other[r]` over ascending
+    /// `r` in one `[f32; L]` register group, four output rows at a time
+    /// (see [`accumulate_narrow`]).
+    fn t_matmul_narrow_into<const L: usize>(&self, other: &Matrix, out: &mut Matrix) {
+        let (m, d, n) = (self.rows, self.cols, other.cols);
+        out.reset_zeroed(d, n);
+        if d == 0 || n == 0 {
+            return;
+        }
+        let full = d / 4 * 4;
+        let mut packed = [[0.0f32; L]; NARROW_CHUNK];
+        for r0 in (0..m).step_by(NARROW_CHUNK) {
+            let rc = (m - r0).min(NARROW_CHUNK);
+            pack_narrow(&mut packed, &other.data[r0 * n..(r0 + rc) * n], n);
+            let packed = &packed[..rc];
+            let a = &self.data[r0 * d..(r0 + rc) * d];
+            let (o_full, o_tail) = out.data.split_at_mut(full * n);
+            for (block, o) in o_full.chunks_exact_mut(4 * n).enumerate() {
+                let i = 4 * block;
+                accumulate_narrow::<L, 4>(packed, |c, r| a[r * d + i + c], o, n);
+            }
+            for (i, o) in (full..d).zip(o_tail.chunks_exact_mut(n)) {
+                accumulate_narrow::<L, 1>(packed, |_, r| a[r * d + i], o, n);
+            }
+        }
+    }
+
+    /// `self × otherᵀ`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        let mut other_t = Matrix::zeros(0, 0);
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(other, &mut out);
+        self.matmul_t_into(other, &mut other_t, &mut out);
         out
     }
 
-    /// `self × otherᵀ`, written into `out` (reshaped in place). Each
-    /// output element is a single dot product of two contiguous rows,
-    /// evaluated in the same order as [`Self::matmul_t`].
-    ///
-    /// Output columns are processed four at a time: the four dot
-    /// products keep independent accumulators, so the additions of
-    /// *each* output element still happen in plain k order (bit-exact
-    /// against the one-at-a-time loop) while the FP add latency chain
-    /// is overlapped fourfold.
+    /// `self × otherᵀ`, written into `out` (reshaped in place) — the
+    /// backward pass's input gradient `grad × Wᵀ`. `other` is first
+    /// transposed into the caller-owned `other_t` buffer, then the
+    /// product runs through [`Self::matmul_into`], so it is vectorised
+    /// across output columns rather than evaluated as one strided dot
+    /// product per element. Each output element is still the plain
+    /// ascending-k sum `Σ self[i][k]·other[j][k]` from `+0.0`.
     ///
     /// # Panics
     /// Panics on column-count mismatch.
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul_t_into(&self, other: &Matrix, other_t: &mut Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        out.reset_zeroed(self.rows, other.rows);
-        let n = other.rows;
-        let w = other.cols;
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = &other.data[j * w..(j + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                let (mut s4, mut s5, mut s6, mut s7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((((((&a, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in arow
-                    .iter()
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    s0 += a * v0;
-                    s1 += a * v1;
-                    s2 += a * v2;
-                    s3 += a * v3;
-                    s4 += a * v4;
-                    s5 += a * v5;
-                    s6 += a * v6;
-                    s7 += a * v7;
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                out_row[j + 4] = s4;
-                out_row[j + 5] = s5;
-                out_row[j + 6] = s6;
-                out_row[j + 7] = s7;
-                j += 8;
-            }
-            for (o, brow) in out_row[j..]
-                .iter_mut()
-                .zip(other.data[j * w..].chunks_exact(w))
-            {
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *o = acc;
+        other.transpose_into(other_t);
+        self.matmul_into(other_t, out);
+    }
+
+    /// Writes `selfᵀ` into `out`, reshaping it in place and reusing its
+    /// allocation.
+    fn transpose_into(&self, out: &mut Matrix) {
+        out.reset_zeroed(self.cols, self.rows);
+        if self.cols == 0 {
+            return;
+        }
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = x;
             }
         }
     }
@@ -610,7 +653,7 @@ impl Matrix {
 
     /// `self × v`, written into `out` (resized in place) — the
     /// power-iteration matvec of the PCA fit, in the same blocked family
-    /// as [`Self::matmul_t_into`].
+    /// as [`Self::centered_matmul_t_into`].
     ///
     /// Rows are processed eight at a time with one independent
     /// accumulator each, so every output element is still a plain
@@ -698,11 +741,13 @@ impl Matrix {
         }
     }
 
-    /// Element-wise in-place multiply by the ReLU mask of `pre` (the
-    /// backward pass of ReLU): entries where `pre <= 0` are zeroed.
-    pub fn relu_backward_inplace(&mut self, pre: &Matrix) {
-        assert_eq!(self.data.len(), pre.data.len(), "shape mismatch");
-        for (g, p) in self.data.iter_mut().zip(&pre.data) {
+    /// Element-wise in-place multiply by the ReLU mask of `mask` (the
+    /// backward pass of ReLU): entries where `mask <= 0` are zeroed.
+    /// `mask` may be the ReLU's input or its output — `relu(x) <= 0`
+    /// exactly when `x <= 0` — so callers can keep either.
+    pub fn relu_backward_inplace(&mut self, mask: &Matrix) {
+        assert_eq!(self.data.len(), mask.data.len(), "shape mismatch");
+        for (g, p) in self.data.iter_mut().zip(&mask.data) {
             if *p <= 0.0 {
                 *g = 0.0;
             }
@@ -779,18 +824,32 @@ impl Matrix {
 
     /// Index of the maximum entry of each row (argmax classification).
     pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                row.iter()
-                    .enumerate()
-                    // simlint: allow(no-unwrap-in-lib) — logits come out of finite-weight GEMMs; NaN means a training bug worth a loud stop
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        (0..self.rows).map(|r| row_argmax(self.row(r))).collect()
     }
+
+    /// Number of rows whose argmax (as [`Self::argmax_rows`] picks it)
+    /// equals the row's label — classification hits counted in place,
+    /// without materialising the prediction vector.
+    ///
+    /// # Panics
+    /// Panics when `labels.len() != self.rows()`.
+    pub(crate) fn count_argmax_hits(&self, labels: &[usize]) -> usize {
+        assert_eq!(labels.len(), self.rows, "label count mismatch");
+        (0..self.rows)
+            .zip(labels)
+            .filter(|&(r, &label)| row_argmax(self.row(r)) == label)
+            .count()
+    }
+}
+
+/// Index of a row's maximum entry; the last one on ties.
+fn row_argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        // simlint: allow(no-unwrap-in-lib) — logits come out of finite-weight GEMMs; NaN means a training bug worth a loud stop
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 impl Default for Matrix {
@@ -804,6 +863,47 @@ impl Default for Matrix {
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix({}x{})", self.rows, self.cols)
+    }
+}
+
+/// Copies the `w`-wide rows of `src` into the first rows of `packed`,
+/// leaving lanes `w..L` at the zero they were created with.
+fn pack_narrow<const L: usize>(packed: &mut [[f32; L]], src: &[f32], w: usize) {
+    for (p, row) in packed.iter_mut().zip(src.chunks_exact(w)) {
+        p[..w].copy_from_slice(row);
+    }
+}
+
+/// The inner loop of the narrow GEMM paths: adds `x(r, k) · packed[k]`
+/// for ascending `k` into each of the `R` `w`-wide rows of `out`, each
+/// row held in one `[f32; L]` accumulator (a full-width vector) for the
+/// whole pass. The `R` rows' add chains are independent, so they
+/// overlap instead of waiting on one another. Lanes past `w` only ever
+/// multiply the zero padding and are dropped; every kept element starts
+/// from its stored value (`+0.0` on the first pass) and adds its
+/// products in ascending `k`, so results are bit-identical to the
+/// general kernels.
+#[inline(always)]
+fn accumulate_narrow<const L: usize, const R: usize>(
+    packed: &[[f32; L]],
+    x: impl Fn(usize, usize) -> f32,
+    out: &mut [f32],
+    w: usize,
+) {
+    let mut acc = [[0.0f32; L]; R];
+    for (a, o) in acc.iter_mut().zip(out.chunks_exact(w)) {
+        a[..w].copy_from_slice(o);
+    }
+    for (k, b) in packed.iter().enumerate() {
+        for (r, a) in acc.iter_mut().enumerate() {
+            let xr = x(r, k);
+            for (s, &v) in a.iter_mut().zip(b) {
+                *s += xr * v;
+            }
+        }
+    }
+    for (a, o) in acc.iter().zip(out.chunks_exact_mut(w)) {
+        o.copy_from_slice(&a[..w]);
     }
 }
 
@@ -918,8 +1018,13 @@ mod tests {
 
         let data_d: Vec<f32> = (0..2 * 5).map(|_| rng.gauss() as f32).collect();
         let d = Matrix::from_slice(2, 5, &data_d);
-        a.matmul_t_into(&d, &mut out);
+        let mut d_t = Matrix::from_slice(1, 1, &[9.0]);
+        a.matmul_t_into(&d, &mut d_t, &mut out);
         assert_eq!(out, a.matmul_t(&d));
+        let mut a_t = Matrix::from_slice(1, 1, &[9.0]);
+        a.transpose_into(&mut a_t);
+        assert_eq!((a_t.rows(), a_t.cols()), (5, 4));
+        assert!((0..4).all(|r| (0..5).all(|c| a_t.get(c, r) == a.get(r, c))));
 
         // Zero entries in the left operand must not perturb results
         // (the old implementation skipped them; the branch-free one
@@ -959,7 +1064,7 @@ mod tests {
     }
 
     /// The fused centred projection must bit-match centring into a
-    /// scratch matrix first and then running the plain `matmul_t_into`.
+    /// scratch matrix first and then running the plain `matmul_t`.
     #[test]
     fn centered_matmul_t_bit_matches_two_pass() {
         let mut rng = Prng::new(29);
@@ -977,8 +1082,7 @@ mod tests {
                     .map(|(i, &x)| x - mean[i % w])
                     .collect();
                 let centered = Matrix::from_slice(rows, w, &centered_data);
-                let mut expect = Matrix::default();
-                centered.matmul_t_into(&b, &mut expect);
+                let expect = centered.matmul_t(&b);
                 let mut got = Matrix::from_slice(1, 1, &[5.0]);
                 a.centered_matmul_t_into(&mean, &b, &mut got);
                 let eb: Vec<u32> = expect.data().iter().map(|x| x.to_bits()).collect();
@@ -1184,6 +1288,10 @@ mod tests {
         let mut grad = Matrix::from_slice(1, 4, &[1.0, 1.0, 1.0, 1.0]);
         grad.relu_backward_inplace(&pre);
         assert_eq!(grad.data(), &[0.0, 0.0, 1.0, 0.0]);
+        // The ReLU output carries the same mask as its input.
+        let mut from_act = Matrix::from_slice(1, 4, &[1.0, 1.0, 1.0, 1.0]);
+        from_act.relu_backward_inplace(&act);
+        assert_eq!(from_act, grad);
     }
 
     #[test]
@@ -1192,6 +1300,8 @@ mod tests {
         assert_eq!(m.col_sums(), vec![4.0, 6.0]);
         assert_eq!(m.col_means(), vec![2.0, 3.0]);
         assert_eq!(m.argmax_rows(), vec![1, 0]);
+        assert_eq!(m.count_argmax_hits(&[1, 1]), 1);
+        assert_eq!(m.count_argmax_hits(&[1, 0]), 2);
     }
 
     #[test]

@@ -109,20 +109,29 @@ impl Clone for EarlyExitMlp {
     }
 }
 
+/// Rows per trunk pass of [`EarlyExitMlp::exit_accuracies_with_scratch`]:
+/// scoring in fixed row chunks bounds its scratch at this many rows
+/// whatever the evaluation-set size. Every row's forward pass is
+/// independent of the others, so chunking changes no bit.
+const SCORE_CHUNK: usize = 64;
+
 /// Ping-pong activation buffers for the allocation-free inference
-/// entry points ([`EarlyExitMlp::predict_with_scratch`]). One instance
+/// entry points ([`EarlyExitMlp::predict_with_scratch`],
+/// [`EarlyExitMlp::exit_accuracies_with_scratch`]). One instance
 /// serves any number of forward passes; buffers reshape on first use.
 #[derive(Clone, Debug, Default)]
 pub struct InferScratch {
     ping: Matrix,
     pong: Matrix,
+    /// The input rows of the current scoring chunk.
+    rows: Matrix,
 }
 
 /// Preallocated buffers reused by every [`EarlyExitMlp::train_batch`]
 /// call, so steady-state SGD retraining performs zero heap
-/// allocations: forward activations and pre-activations per trunk
-/// layer, softmax/gradient carriers, and per-layer parameter-gradient
-/// scratch.
+/// allocations: forward activations per trunk layer (also the ReLU
+/// masks of the backward pass), softmax/gradient carriers, and
+/// per-layer parameter-gradient scratch.
 ///
 /// Public so parallel training fan-outs can hold one instance per
 /// *worker* (via [`EarlyExitMlp::train_batch_parts_with`]) instead of
@@ -133,8 +142,6 @@ pub struct InferScratch {
 pub struct TrainScratch {
     /// Post-activation output of each trunk layer.
     activations: Vec<Matrix>,
-    /// Pre-activation output of each trunk layer (ReLU mask input).
-    trunk_pre: Vec<Matrix>,
     /// Head logits, softmaxed in place into class probabilities.
     probs: Matrix,
     /// Gradient carrier flowing backward through the trunk.
@@ -232,7 +239,7 @@ impl EarlyExitMlp {
         scratch: &mut InferScratch,
     ) -> Vec<usize> {
         assert!(exit < self.num_exits(), "exit out of range");
-        let InferScratch { ping, pong } = scratch;
+        let InferScratch { ping, pong, .. } = scratch;
         self.trunk[0].infer_into(inputs, ping);
         for layer in &self.trunk[1..=exit] {
             layer.infer_into(ping, pong);
@@ -267,7 +274,7 @@ impl EarlyExitMlp {
             self.config.hidden[0],
             "feature width mismatch"
         );
-        let InferScratch { ping, pong } = scratch;
+        let InferScratch { ping, pong, .. } = scratch;
         if exit == 0 {
             self.heads[0].infer_into(features, pong);
         } else {
@@ -291,6 +298,58 @@ impl EarlyExitMlp {
         let preds = self.predict(inputs, exit);
         let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         correct as f64 / labels.len() as f64
+    }
+
+    /// [`Self::accuracy`] at every exit from one trunk pass: writes exit
+    /// `e`'s fraction of correctly classified rows into `accuracies[e]`
+    /// (all `0.0` for an empty batch). Rows are scored in fixed chunks
+    /// through `scratch`, and each exit's head reads the trunk
+    /// activation the pass already holds, so the trunk runs once rather
+    /// than once per exit and nothing is allocated once the scratch is
+    /// warm. Forward kernels, softmax and argmax are the ones
+    /// [`Self::accuracy`] runs, so every value is bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics on a label-count mismatch or when `accuracies.len()`
+    /// differs from [`Self::num_exits`].
+    pub fn exit_accuracies_with_scratch(
+        &self,
+        inputs: &Matrix,
+        labels: &[usize],
+        scratch: &mut InferScratch,
+        accuracies: &mut [f64],
+    ) {
+        assert_eq!(inputs.rows(), labels.len(), "label count mismatch");
+        assert_eq!(accuracies.len(), self.num_exits(), "one slot per exit");
+        // Hit counts accumulate exactly in the f64 slots (far below
+        // 2^53), then divide once — the same `correct / n` as
+        // `accuracy`.
+        accuracies.fill(0.0);
+        if labels.is_empty() {
+            return;
+        }
+        let InferScratch { ping, pong, rows } = scratch;
+        let mut start = 0;
+        while start < labels.len() {
+            let end = (start + SCORE_CHUNK).min(labels.len());
+            rows.copy_rows_from(inputs, start, end);
+            let chunk_labels = &labels[start..end];
+            self.trunk[0].infer_into(rows, ping);
+            for (e, hits) in accuracies.iter_mut().enumerate() {
+                if e > 0 {
+                    self.trunk[e].infer_into(ping, pong);
+                    std::mem::swap(ping, pong);
+                }
+                self.heads[e].infer_into(ping, pong);
+                pong.softmax_rows_inplace();
+                *hits += pong.count_argmax_hits(chunk_labels) as f64;
+            }
+            start = end;
+        }
+        let n = labels.len() as f64;
+        for a in accuracies.iter_mut() {
+            *a /= n;
+        }
     }
 
     /// The hidden representation at the *first* trunk layer — used as the
@@ -367,16 +426,15 @@ impl EarlyExitMlp {
         let n_exits = self.num_exits();
         let scratch = &mut self.scratch;
         scratch.activations.resize_with(n_exits, Matrix::default);
-        scratch.trunk_pre.resize_with(n_exits, Matrix::default);
         scratch.head_grads.resize_with(n_exits, Matrix::default);
 
-        // Forward through the trunk, keeping each layer's input
-        // (previous activation) and pre-activation for the backward
-        // pass.
+        // Forward through the trunk with the fused dense kernel. Each
+        // layer's output is both the next layer's input and, for the
+        // backward pass, its own ReLU mask.
         for e in 0..n_exits {
             let (earlier, rest) = scratch.activations.split_at_mut(e);
             let input = if e == 0 { inputs } else { &earlier[e - 1] };
-            self.trunk[e].forward_into(input, &mut scratch.trunk_pre[e], &mut rest[0]);
+            self.trunk[e].infer_into(input, &mut rest[0]);
         }
 
         // Per-exit head forward + softmax-CE gradient, updating heads and
@@ -401,32 +459,33 @@ impl EarlyExitMlp {
                 &scratch.probs,
                 &mut scratch.grad,
                 update,
-                &mut scratch.head_grads[e],
+                Some(&mut scratch.head_grads[e]),
                 &mut scratch.layer,
             );
         }
 
         // Backward through the trunk, adding each head's contribution at
-        // its level.
+        // its level. Layer 0's input gradient would flow into the raw
+        // features, which nothing trains, so it is never computed.
         std::mem::swap(&mut scratch.grad, &mut scratch.head_grads[n_exits - 1]);
         for e in (0..n_exits).rev() {
-            let input = if e == 0 {
-                inputs
+            let (input, grad_in) = if e == 0 {
+                (inputs, None)
             } else {
-                &scratch.activations[e - 1]
+                (&scratch.activations[e - 1], Some(&mut scratch.grad_in))
             };
             self.trunk[e].backward_scratch(
                 input,
-                &scratch.trunk_pre[e],
+                &scratch.activations[e],
                 &mut scratch.grad,
                 update,
-                &mut scratch.grad_in,
+                grad_in,
                 &mut scratch.layer,
             );
-            std::mem::swap(&mut scratch.grad, &mut scratch.grad_in);
             if e > 0 {
-                // `grad` currently targets activation e-1; add the exit
+                // The new `grad` targets activation e-1; add the exit
                 // gradient injected there.
+                std::mem::swap(&mut scratch.grad, &mut scratch.grad_in);
                 scratch.grad.axpy(1.0, &scratch.head_grads[e - 1]);
             }
         }
@@ -649,6 +708,290 @@ mod tests {
         let mut out = Matrix::from_slice(1, 1, &[3.0]);
         net.features_into(&test.inputs, &mut out);
         assert_eq!(feats, out);
+    }
+
+    /// The one-pass scorer must bit-match [`EarlyExitMlp::accuracy`] at
+    /// every exit, at row counts below, inside and across its row
+    /// chunks, through one scratch reused across sizes.
+    #[test]
+    fn one_pass_exit_scoring_matches_accuracy() {
+        let mut rng = Prng::new(19);
+        let mut net = EarlyExitMlp::new(head_config(6, None), &mut rng);
+        for _ in 0..3 {
+            let (x, y) = random_batch(&mut rng, 32, 6);
+            net.train_batch_parts(&x, &y);
+        }
+        let mut scratch = InferScratch::default();
+        for rows in [400, 0, 1, 31] {
+            let (x, y) = random_batch(&mut rng, rows, 6);
+            let mut accs = [9.0; 3];
+            net.exit_accuracies_with_scratch(&x, &y, &mut scratch, &mut accs);
+            for (exit, &got) in accs.iter().enumerate() {
+                let want = net.accuracy(&x, &y, exit);
+                assert_eq!(got.to_bits(), want.to_bits(), "{rows} rows, exit {exit}");
+            }
+        }
+    }
+
+    /// The deployed heads' shape: 16 inputs, a 32/24/16 trunk.
+    fn head_config(classes: usize, update: Option<Update>) -> MlpConfig {
+        MlpConfig {
+            input_dim: 16,
+            hidden: vec![32, 24, 16],
+            classes,
+            lr: 0.05,
+            momentum: 0.9,
+            exit_weights: vec![0.3, 0.55, 1.0],
+            update,
+        }
+    }
+
+    fn random_batch(rng: &mut Prng, rows: usize, classes: usize) -> (Matrix, Vec<usize>) {
+        let data: Vec<f32> = (0..rows * 16).map(|_| rng.gauss() as f32).collect();
+        let labels = (0..rows).map(|_| rng.index(classes)).collect();
+        (Matrix::from_slice(rows, 16, &data), labels)
+    }
+
+    /// One dense layer of the naive reference step: parameters plus
+    /// optimizer state, all as flat row-major vectors.
+    struct RefLayer {
+        w: Vec<f32>,
+        b: Vec<f32>,
+        n_in: usize,
+        n_out: usize,
+        relu: bool,
+        m_w: Vec<f32>,
+        m_b: Vec<f32>,
+        v_w: Vec<f32>,
+        v_b: Vec<f32>,
+        steps: u64,
+    }
+
+    /// `a (rows × k) × b (k × n)` as a plain triple loop.
+    fn ref_matmul(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; rows * n];
+        for i in 0..rows {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[kk * n + j];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    impl RefLayer {
+        fn of(layer: &Dense) -> Self {
+            let (n_in, n_out) = (layer.in_dim(), layer.out_dim());
+            RefLayer {
+                w: layer.weights.data().to_vec(),
+                b: layer.bias.clone(),
+                n_in,
+                n_out,
+                relu: layer.relu,
+                m_w: vec![0.0; n_in * n_out],
+                m_b: vec![0.0; n_out],
+                v_w: vec![0.0; n_in * n_out],
+                v_b: vec![0.0; n_out],
+                steps: 0,
+            }
+        }
+
+        /// Unfused forward: GEMM, then the bias pass, then the ReLU
+        /// pass. Returns `(pre-activation, activation)`.
+        fn forward(&self, x: &[f32], rows: usize) -> (Vec<f32>, Vec<f32>) {
+            let mut pre = ref_matmul(x, &self.w, rows, self.n_in, self.n_out);
+            for row in pre.chunks_mut(self.n_out) {
+                for (p, b) in row.iter_mut().zip(&self.b) {
+                    *p += b;
+                }
+            }
+            let mut act = pre.clone();
+            if self.relu {
+                for a in &mut act {
+                    if *a < 0.0 {
+                        *a = 0.0;
+                    }
+                }
+            }
+            (pre, act)
+        }
+
+        /// Masks `grad` by `pre`, then returns the input gradient
+        /// `grad × Wᵀ` (pre-update weights) and applies the update.
+        fn backward(
+            &mut self,
+            x: &[f32],
+            pre: &[f32],
+            grad: &mut [f32],
+            rows: usize,
+            update: Update,
+        ) -> Vec<f32> {
+            let (n_in, n_out) = (self.n_in, self.n_out);
+            if self.relu {
+                for (g, &p) in grad.iter_mut().zip(pre) {
+                    if p <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
+            }
+            let mut grad_in = vec![0.0f32; rows * n_in];
+            for r in 0..rows {
+                for i in 0..n_in {
+                    let mut acc = 0.0f32;
+                    for k in 0..n_out {
+                        acc += grad[r * n_out + k] * self.w[i * n_out + k];
+                    }
+                    grad_in[r * n_in + i] = acc;
+                }
+            }
+            let mut grad_w = vec![0.0f32; n_in * n_out];
+            for i in 0..n_in {
+                for j in 0..n_out {
+                    let mut acc = 0.0f32;
+                    for r in 0..rows {
+                        acc += x[r * n_in + i] * grad[r * n_out + j];
+                    }
+                    grad_w[i * n_out + j] = acc;
+                }
+            }
+            let batch = rows.max(1) as f32;
+            let mut grad_b = vec![0.0f32; n_out];
+            for r in 0..rows {
+                for j in 0..n_out {
+                    grad_b[j] += grad[r * n_out + j];
+                }
+            }
+            for g in &mut grad_b {
+                *g = (*g / batch).clamp(-5.0, 5.0);
+            }
+            let inv_batch = 1.0 / batch;
+            for g in &mut grad_w {
+                *g = (*g * inv_batch).clamp(-5.0, 5.0);
+            }
+            match update {
+                Update::SgdMomentum { lr, momentum } => {
+                    let params = self.w.iter_mut().chain(&mut self.b);
+                    let vel = self.m_w.iter_mut().chain(&mut self.m_b);
+                    for ((p, v), g) in params.zip(vel).zip(grad_w.iter().chain(&grad_b)) {
+                        *v = momentum * *v - lr * g;
+                        *p += *v;
+                    }
+                }
+                Update::Adam {
+                    lr,
+                    beta1,
+                    beta2,
+                    eps,
+                } => {
+                    self.steps += 1;
+                    let t = self.steps as f32;
+                    let (c1, c2) = (1.0 - beta1.powf(t), 1.0 - beta2.powf(t));
+                    let params = self.w.iter_mut().chain(&mut self.b);
+                    let m1 = self.m_w.iter_mut().chain(&mut self.m_b);
+                    let m2 = self.v_w.iter_mut().chain(&mut self.v_b);
+                    for (((p, m), v), g) in params.zip(m1).zip(m2).zip(grad_w.iter().chain(&grad_b))
+                    {
+                        *m = beta1 * *m + (1.0 - beta1) * g;
+                        *v = beta2 * *v + (1.0 - beta2) * g * g;
+                        *p -= lr * (*m / c1) / ((*v / c2).sqrt() + eps);
+                    }
+                }
+            }
+            grad_in
+        }
+    }
+
+    /// One deep-supervision SGD step, computed naively: every exit's
+    /// softmax-CE gradient updates its head, then the trunk backward
+    /// adds each head's input gradient at its level. Layer 0's input
+    /// gradient is computed like every other layer's and dropped.
+    fn reference_step(
+        trunk: &mut [RefLayer],
+        heads: &mut [RefLayer],
+        exit_weights: &[f32],
+        x: &[f32],
+        labels: &[usize],
+        update: Update,
+    ) {
+        let rows = labels.len();
+        let mut pres = Vec::new();
+        let mut acts: Vec<Vec<f32>> = Vec::new();
+        for (e, layer) in trunk.iter().enumerate() {
+            let input = if e == 0 { x } else { &acts[e - 1] };
+            let (pre, act) = layer.forward(input, rows);
+            pres.push(pre);
+            acts.push(act);
+        }
+        let mut head_grads = Vec::new();
+        for (e, head) in heads.iter_mut().enumerate() {
+            let (logits, mut grad) = head.forward(&acts[e], rows);
+            for (row, &label) in grad.chunks_mut(head.n_out).zip(labels) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut total = 0.0;
+                for p in row.iter_mut() {
+                    *p = (*p - max).exp();
+                    total += *p;
+                }
+                for p in row.iter_mut() {
+                    *p /= total;
+                }
+                row[label] -= 1.0;
+                for p in row.iter_mut() {
+                    *p *= exit_weights[e];
+                }
+            }
+            head_grads.push(head.backward(&acts[e], &logits, &mut grad, rows, update));
+        }
+        let mut grad = head_grads.pop().expect("at least one exit");
+        for e in (0..trunk.len()).rev() {
+            let input = if e == 0 { x } else { &acts[e - 1] };
+            let grad_in = trunk[e].backward(input, &pres[e], &mut grad, rows, update);
+            if e > 0 {
+                grad = grad_in;
+                for (g, h) in grad.iter_mut().zip(&head_grads[e - 1]) {
+                    *g += 1.0 * h;
+                }
+            }
+        }
+    }
+
+    /// The production step (fused forward, activation-masked ReLU
+    /// backward, transposed and lane-padded GEMMs, no layer-0 input
+    /// gradient) must leave every parameter bit-equal to the naive
+    /// reference step, under both update rules, at every deployed head
+    /// width and on a ragged batch.
+    #[test]
+    fn train_step_bit_matches_naive_reference() {
+        for classes in [2, 3, 6, 12] {
+            for update in [None, Some(Update::adam(0.01))] {
+                let mut rng = Prng::new(100 + classes as u64);
+                let cfg = head_config(classes, update);
+                let rule = cfg.update_rule();
+                let exit_weights = cfg.exit_weights.clone();
+                let mut net = EarlyExitMlp::new(cfg, &mut rng);
+                let mut trunk: Vec<RefLayer> = net.trunk.iter().map(RefLayer::of).collect();
+                let mut heads: Vec<RefLayer> = net.heads.iter().map(RefLayer::of).collect();
+                for (step, rows) in [32, 32, 17, 32].into_iter().enumerate() {
+                    let (x, y) = random_batch(&mut rng, rows, classes);
+                    net.train_batch_parts(&x, &y);
+                    reference_step(&mut trunk, &mut heads, &exit_weights, x.data(), &y, rule);
+                    let want: Vec<u32> = trunk
+                        .iter()
+                        .chain(&heads)
+                        .flat_map(|l| l.w.iter().chain(&l.b))
+                        .map(|p| p.to_bits())
+                        .collect();
+                    let got: Vec<u32> = net.flatten_params().iter().map(|p| p.to_bits()).collect();
+                    assert!(
+                        got == want,
+                        "{classes} classes, {update:?}: step {step} diverges"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,17 +5,32 @@
 //! every output element must still receive its contributions in plain
 //! ascending-k order — exactly what the reference below computes. Any
 //! reassociation (e.g. multi-lane partial sums of one dot product)
-//! would change low-order bits and fail these tests. Shapes are drawn
-//! past the unroll widths (8-wide k / j, 4-wide r) so the blocked
-//! bodies, the tails, and the degenerate 1×1 cases are all exercised.
+//! would change low-order bits and fail these tests. Shapes span the
+//! ones the early-exit heads run: rows 0–41 (the 32-row SGD batch and
+//! its ragged tail), inner and output widths up to 33, so the 8- and
+//! 16-lane narrow paths (output width ≤ 8, ≤ 16), the general path
+//! past them, the 32-wide trunk, the unroll tails and the degenerate
+//! empty shapes are all exercised.
 
 use adainf_nn::Matrix;
 use adainf_simcore::Prng;
-use proptest::{prop_assert, proptest};
+use proptest::prelude::{prop_assert, proptest, ProptestConfig, TestCaseError};
+
+type CaseResult = Result<(), TestCaseError>;
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut Prng) -> Matrix {
     let data: Vec<f32> = (0..rows * cols).map(|_| rng.gauss() as f32).collect();
     Matrix::from_slice(rows, cols, &data)
+}
+
+fn transpose(a: &Matrix) -> Matrix {
+    let mut t = Matrix::zeros(a.cols(), a.rows());
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            t.set(j, i, a.get(i, j));
+        }
+    }
+    t
 }
 
 /// Plain i→j→k triple loop: the seed engine's accumulation order.
@@ -33,7 +48,23 @@ fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn assert_bit_identical(label: &str, got: &Matrix, want: &Matrix) -> Result<(), proptest::test_runner::TestCaseError> {
+/// The unfused dense forward: triple-loop GEMM, then the bias add, then
+/// the ReLU clamp, each as its own pass.
+fn reference_affine(a: &Matrix, w: &Matrix, bias: &[f32], relu: bool) -> Matrix {
+    let mut out = reference_matmul(a, w);
+    for i in 0..out.rows() {
+        for (j, &b) in bias.iter().enumerate() {
+            let mut x = out.get(i, j) + b;
+            if relu && x < 0.0 {
+                x = 0.0;
+            }
+            out.set(i, j, x);
+        }
+    }
+    out
+}
+
+fn assert_bit_identical(label: &str, got: &Matrix, want: &Matrix) -> CaseResult {
     prop_assert!(got.rows() == want.rows(), "{} rows", label);
     prop_assert!(got.cols() == want.cols(), "{} cols", label);
     for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
@@ -49,67 +80,87 @@ fn assert_bit_identical(label: &str, got: &Matrix, want: &Matrix) -> Result<(), 
     Ok(())
 }
 
+/// Every kernel on an `m × k` left operand and an `n`-wide output,
+/// against the reference, into deliberately dirty, mis-shaped buffers.
+fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) -> CaseResult {
+    let mut rng = Prng::new(seed);
+    let shape = format!("{m}x{k}x{n}");
+    let a = random_matrix(m, k, &mut rng);
+    let b = random_matrix(k, n, &mut rng);
+    let mut out = Matrix::from_slice(1, 3, &[7.0, 7.0, 7.0]);
+    let mut scratch = Matrix::from_slice(2, 1, &[7.0, 7.0]);
+
+    let want = reference_matmul(&a, &b);
+    a.matmul_into(&b, &mut out);
+    assert_bit_identical(&format!("matmul_into {shape}"), &out, &want)?;
+    // The allocating form must agree with its _into twin.
+    assert_bit_identical(&format!("matmul {shape}"), &a.matmul(&b), &want)?;
+
+    let bias: Vec<f32> = (0..n).map(|_| rng.gauss() as f32).collect();
+    for relu in [false, true] {
+        let want = reference_affine(&a, &b, &bias, relu);
+        a.affine_into(&b, &bias, relu, &mut out);
+        assert_bit_identical(&format!("affine_into {shape} relu={relu}"), &out, &want)?;
+    }
+
+    // selfᵀ (k×m over m×k storage) × other (m×n): contraction over the
+    // shared row index, ascending — same order as the reference over
+    // materialised aᵀ.
+    let g = random_matrix(m, n, &mut rng);
+    let want = reference_matmul(&transpose(&a), &g);
+    a.t_matmul_into(&g, &mut out);
+    assert_bit_identical(&format!("t_matmul_into {shape}"), &out, &want)?;
+
+    // self (m×k) × otherᵀ (k×n over n×k storage).
+    let w = random_matrix(n, k, &mut rng);
+    let want = reference_matmul(&a, &transpose(&w));
+    a.matmul_t_into(&w, &mut scratch, &mut out);
+    assert_bit_identical(&format!("matmul_t_into {shape}"), &out, &want)?;
+    assert_bit_identical(&format!("matmul_t {shape}"), &a.matmul_t(&w), &want)?;
+    Ok(())
+}
+
 proptest! {
-    fn matmul_into_matches_reference(
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
-        seed in 0u64..1 << 32,
-    ) {
-        let mut rng = Prng::new(seed);
-        let a = random_matrix(m, k, &mut rng);
-        let b = random_matrix(k, n, &mut rng);
-        let want = reference_matmul(&a, &b);
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut out);
-        assert_bit_identical("matmul_into", &out, &want)?;
-        // The allocating form must agree with its _into twin.
-        assert_bit_identical("matmul", &a.matmul(&b), &want)?;
-    }
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    fn t_matmul_into_matches_reference(
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
+    fn kernels_match_reference(
+        m in 0usize..42,
+        k in 0usize..34,
+        n in 0usize..34,
         seed in 0u64..1 << 32,
     ) {
-        let mut rng = Prng::new(seed);
-        // selfᵀ (k×m over m×k storage) × other (m×n): contraction over
-        // the shared row index, ascending — same order as the reference
-        // over materialised aᵀ.
-        let a = random_matrix(m, k, &mut rng);
-        let b = random_matrix(m, n, &mut rng);
-        let mut at = Matrix::zeros(k, m);
-        for i in 0..m {
-            for j in 0..k {
-                at.set(j, i, a.get(i, j));
+        check_all_kernels(m, k, n, seed)?;
+    }
+}
+
+/// Every output width across both narrow-lane boundaries (8, 16) and
+/// the 32-wide trunk, at inner widths around the 8-step unroll and row
+/// counts around the two-row blocking and the 32-row SGD batch.
+#[test]
+fn kernels_match_reference_at_every_output_width() {
+    let mut seed = 0;
+    for n in 0..=33 {
+        for k in [0, 1, 6, 8, 12, 16, 24, 31, 32, 33] {
+            for m in [0, 1, 2, 7, 31, 32, 41] {
+                seed += 1;
+                if let Err(e) = check_all_kernels(m, k, n, seed) {
+                    panic!("{e:?}");
+                }
             }
         }
-        let want = reference_matmul(&at, &b);
-        let mut out = Matrix::zeros(0, 0);
-        a.t_matmul_into(&b, &mut out);
-        assert_bit_identical("t_matmul_into", &out, &want)?;
     }
+}
 
-    fn matmul_t_into_matches_reference(
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
-        seed in 0u64..1 << 32,
-    ) {
-        let mut rng = Prng::new(seed);
-        // self (m×k) × otherᵀ (k×n over n×k storage).
-        let a = random_matrix(m, k, &mut rng);
-        let b = random_matrix(n, k, &mut rng);
-        let mut bt = Matrix::zeros(k, n);
-        for i in 0..n {
-            for j in 0..k {
-                bt.set(j, i, b.get(i, j));
-            }
+/// Contractions longer than one packed chunk of the narrow paths: the
+/// partial sums carried across chunks must stay bit-exact.
+#[test]
+fn narrow_paths_carry_partial_sums_across_chunks() {
+    for (seed, (m, k, n)) in [(150, 65, 6), (3, 129, 12), (130, 7, 16), (70, 200, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        if let Err(e) = check_all_kernels(m, k, n, seed as u64 + 1000) {
+            panic!("{e:?}");
         }
-        let want = reference_matmul(&a, &bt);
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_t_into(&b, &mut out);
-        assert_bit_identical("matmul_t_into", &out, &want)?;
     }
 }

@@ -69,9 +69,10 @@ fn hot_registry_matches_the_tree() {
         let source = std::fs::read_to_string(root.join(path))
             .unwrap_or_else(|e| panic!("[hot] lists missing file {path}: {e}"));
         for f in fns {
+            // `fn f(` or, for a generic function, `fn f<`.
             assert!(
-                source.contains(&format!("fn {f}(")),
-                "[hot] {path} lists `{f}`, but no `fn {f}(` exists there"
+                source.contains(&format!("fn {f}(")) || source.contains(&format!("fn {f}<")),
+                "[hot] {path} lists `{f}`, but no `fn {f}(` or `fn {f}<` exists there"
             );
             entries += 1;
         }
