@@ -183,7 +183,8 @@ impl AppRuntime {
     }
 
     /// Accuracy of node `i` at structure cut `cut`, on the current
-    /// period's evaluation set, cached per (model version, period).
+    /// period's evaluation set, cached per (model version, period):
+    /// exactly [`TrainableModel::accuracy_on`] at that cut.
     pub fn accuracy(&mut self, node: usize, cut: usize) -> f64 {
         let bucket = self.models[node].trained_samples() / 256;
         let (cb, cp, cached) = self.acc_cache[node];
@@ -191,15 +192,9 @@ impl AppRuntime {
         if cb == bucket && cp == self.period {
             return cached[exit];
         }
-        let model = &self.models[node];
-        // Every exit from one trunk pass. Slot `e` of the cache keeps
-        // the accuracy of the exit a representative cut for `e` maps to.
-        let by_exit = model.exit_accuracies(&self.eval_sets[node], &mut self.score_scratch);
-        let l = model.profile.num_layers();
-        let accs: [f64; HEAD_EXITS] = std::array::from_fn(|e| {
-            let cut = ((e + 1) * l).div_ceil(HEAD_EXITS).saturating_sub(1);
-            by_exit[model.head_exit_for_cut(cut)]
-        });
+        // Every exit from one trunk pass, indexed by exit.
+        let accs =
+            self.models[node].exit_accuracies(&self.eval_sets[node], &mut self.score_scratch);
         self.acc_cache[node] = (bucket, self.period, accs);
         accs[exit]
     }
@@ -310,6 +305,26 @@ mod tests {
         // the call must not panic and must return a valid probability).
         let c = rt.accuracy(1, cut);
         assert!((0.0..=1.0).contains(&c));
+    }
+
+    /// The cached per-exit accuracies must be indexed by the exit each
+    /// cut maps to, on every zoo profile: backbones whose depth is not
+    /// a multiple of the exit count map some representative cuts to a
+    /// deeper exit.
+    #[test]
+    fn cached_accuracy_matches_accuracy_on_at_every_exit_point() {
+        let root = Prng::new(31);
+        for spec in catalog::apps_for_count(14) {
+            let name = spec.name.clone();
+            let mut rt = AppRuntime::new(spec, ArrivalConfig::default(), 100, &root);
+            for node in 0..rt.models.len() {
+                for cut in rt.models[node].profile.exit_points() {
+                    let want = rt.models[node].accuracy_on(rt.eval_set(node), cut);
+                    let got = rt.accuracy(node, cut);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name} node {node} cut {cut}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn empty_fault_spec_reproduces_pristine_goldens() {
         (
             11u64,
             1725130u64,
-            0.9030360621563216f64,
+            0.9031915247768613f64,
             0.9992656108706952f64,
         ),
         (23, 1518908, 0.9093875812740043, 0.9998909458453026),
