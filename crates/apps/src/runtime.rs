@@ -18,6 +18,7 @@ use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::TrainableModel;
 use adainf_nn::InferScratch;
 use adainf_simcore::{Prng, SimTime};
+use std::sync::Arc;
 
 /// Samples drawn per node per period as the retraining pool (stand-in for
 /// "the inference requests collected during the previous time period").
@@ -40,16 +41,17 @@ pub struct AppRuntime {
     pub arrivals: ArrivalTrace,
     /// Per-node samples of the *previous* period's training data — the
     /// "old training samples" the drift detector compares against (§3.2).
-    old_samples: Vec<LabeledSamples>,
+    /// Shared with the retired pool rather than copied from it.
+    old_samples: Vec<Arc<LabeledSamples>>,
     /// Per-node held-out samples aligned with the *current* pool's
     /// distribution (promoted to `old_ref` at the next boundary).
-    ref_samples: Vec<LabeledSamples>,
+    ref_samples: Vec<Arc<LabeledSamples>>,
     /// Per-node held-out samples aligned with `old_samples` — the
     /// distribution the model was last retrained on. Never trained on:
     /// the drift detector's drift-free counterfactual (tail accuracy on
     /// these is what the new pool's tail is compared against, avoiding
     /// train-set memorisation bias).
-    old_ref: Vec<LabeledSamples>,
+    old_ref: Vec<Arc<LabeledSamples>>,
     /// Per-node evaluation sets for the current period.
     eval_sets: Vec<LabeledSamples>,
     /// Initial full-structure accuracy `I_m` per node (§3.2).
@@ -124,9 +126,9 @@ impl AppRuntime {
             let eval = self.streams[i].sample(EVAL_SIZE);
             self.initial_accuracy[i] =
                 self.models[i].accuracy_on(&eval, self.models[i].profile.full_cut());
-            self.old_samples.push(train);
-            self.ref_samples.push(self.streams[i].sample(600));
-            self.old_ref.push(self.streams[i].sample(600));
+            self.old_samples.push(Arc::new(train));
+            self.ref_samples.push(Arc::new(self.streams[i].sample(600)));
+            self.old_ref.push(Arc::new(self.streams[i].sample(600)));
             self.eval_sets.push(eval);
             // Period-0 pool: the initial data is the "previous" data.
             self.pools[i] = RetrainPool::new(self.streams[i].sample(self.pool_size));
@@ -144,15 +146,15 @@ impl AppRuntime {
     }
 
     /// The previous period's training samples of node `i` (drift-detector
-    /// comparison basis).
-    pub fn old_samples(&self, node: usize) -> &LabeledSamples {
+    /// comparison basis), shared like [`RetrainPool::samples`].
+    pub fn old_samples(&self, node: usize) -> &Arc<LabeledSamples> {
         &self.old_samples[node]
     }
 
     /// Held-out samples from the distribution the model was last
     /// retrained on (never trained on) — the drift detector's drift-free
-    /// counterfactual.
-    pub fn ref_samples(&self, node: usize) -> &LabeledSamples {
+    /// counterfactual — shared like [`RetrainPool::samples`].
+    pub fn ref_samples(&self, node: usize) -> &Arc<LabeledSamples> {
         &self.old_ref[node]
     }
 
@@ -162,9 +164,10 @@ impl AppRuntime {
     }
 
     /// Advances to the next period: the current pools' data becomes the
-    /// "old samples", streams drift, and new pools/eval sets are drawn
-    /// from the new distribution (the pool lags one period, as retraining
-    /// data is always the previous period's requests).
+    /// "old samples" (handed over, not copied), streams drift, and new
+    /// pools/eval sets are drawn from the new distribution (the pool lags
+    /// one period, as retraining data is always the previous period's
+    /// requests).
     pub fn advance_period(&mut self) {
         self.period += 1;
         for i in 0..self.streams.len() {
@@ -173,9 +176,9 @@ impl AppRuntime {
             let pool_samples = self.streams[i].sample(self.pool_size);
             self.old_ref[i] = std::mem::replace(
                 &mut self.ref_samples[i],
-                self.streams[i].sample(600),
+                Arc::new(self.streams[i].sample(600)),
             );
-            self.old_samples[i] = self.pools[i].samples().clone();
+            self.old_samples[i] = Arc::clone(self.pools[i].samples());
             self.pools[i] = RetrainPool::new(pool_samples);
             self.streams[i].advance_period();
             self.eval_sets[i] = self.streams[i].sample(EVAL_SIZE);
@@ -324,6 +327,32 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "{name} node {node} cut {cut}");
                 }
             }
+        }
+    }
+
+    /// The boundary hands the retiring pool's samples to `old_samples`
+    /// and the held-out set to `old_ref` without copying either. The
+    /// test holds the retiring sets alive, so an equal data pointer
+    /// cannot come from a freed-and-reused allocation.
+    #[test]
+    fn advance_period_shares_the_retiring_sets() {
+        let mut rt = surveillance_runtime();
+        let pools: Vec<Arc<LabeledSamples>> =
+            rt.pools.iter().map(|p| Arc::clone(p.samples())).collect();
+        let held_out = rt.ref_samples.clone();
+        rt.advance_period();
+        let ptr = |s: &LabeledSamples| s.inputs.data().as_ptr();
+        for node in 0..rt.models.len() {
+            assert_eq!(
+                ptr(rt.old_samples(node)),
+                ptr(&pools[node]),
+                "node {node} old samples"
+            );
+            assert_eq!(
+                ptr(rt.ref_samples(node)),
+                ptr(&held_out[node]),
+                "node {node} held-out set"
+            );
         }
     }
 

@@ -9,6 +9,13 @@
 //!   feature/PCA/ranking artifacts once.
 //! * `drift/retrain_order_single_node` — the standalone §3.3.2
 //!   deviation-ordered retraining selection for one node.
+//! * `drift/period_boundary_3apps` — one whole period boundary of a
+//!   three-app set at the paper's 6000-sample pools: every runtime
+//!   advances (fresh pools, held-out and evaluation sets), the stale
+//!   artifact inputs are snapshotted, and every node's artifacts are
+//!   built on one worker scratch and installed — the steady state, with
+//!   each build warm-started from the previous period's basis.
+//! * `driftgen/sample_6000` — one 6000-sample retraining-pool draw.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +27,31 @@ use adainf_core::drift_cache::{build_retrain_order, DetectScratch, DriftCache};
 use adainf_core::drift_detect::{detect_drift, detect_drift_cached};
 use adainf_core::AdaInfConfig;
 use adainf_driftgen::workload::ArrivalConfig;
+use adainf_driftgen::{TaskStream, TaskStreamConfig};
 use adainf_simcore::Prng;
+
+/// The paper workload's retraining-pool size per node.
+const PAPER_POOL: usize = 6000;
+
+/// Advances every runtime one period, then refreshes every node's drift
+/// artifacts the way the scheduler's boundary does: snapshot the stale
+/// inputs, build each snapshot (here on one worker scratch), install.
+fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, root: &Prng) {
+    for rt in apps.iter_mut() {
+        rt.advance_period();
+    }
+    let jobs: Vec<(usize, usize)> = apps
+        .iter()
+        .enumerate()
+        .flat_map(|(a, rt)| (0..rt.spec.nodes.len()).map(move |n| (a, n)))
+        .collect();
+    let snaps = cache.snapshot_stale(&jobs, apps, root);
+    let mut scratch = DetectScratch::default();
+    for snap in snaps {
+        let built = snap.build(pca, &mut scratch);
+        cache.insert_built(built);
+    }
+}
 
 fn drifted_runtime(periods: usize) -> AppRuntime {
     let root = Prng::new(314);
@@ -77,6 +108,28 @@ fn bench_drift(c: &mut Criterion) {
         })
     });
 
+    group.bench_function("period_boundary_3apps", |b| {
+        let root = Prng::new(42);
+        let mut apps: Vec<AppRuntime> = catalog::apps_for_count(3)
+            .into_iter()
+            .map(|spec| AppRuntime::new(spec, ArrivalConfig::default(), PAPER_POOL, &root))
+            .collect();
+        let mut cache = DriftCache::default();
+        // One boundary first, so every measured build has a warm basis.
+        period_boundary(&mut apps, &mut cache, config.pca_components, &root);
+        b.iter(|| period_boundary(&mut apps, &mut cache, config.pca_components, &root));
+        black_box(cache.warm_starts);
+    });
+
+    group.finish();
+
+    let mut group = c.benchmark_group("driftgen");
+    group.bench_function("sample_6000", |b| {
+        let root = Prng::new(42);
+        let config = TaskStreamConfig::new("bench", 6, 1).with_drift(0.3, 0.2);
+        let mut stream = TaskStream::new(config, &root);
+        b.iter(|| black_box(stream.sample(PAPER_POOL)))
+    });
     group.finish();
 }
 

@@ -32,8 +32,8 @@ struct TimedRun {
 /// Bench-smoke ceiling on AdaInf's mean per-period drift wall time (µs),
 /// as budgeted for the reference hardware class: ≥ 8 cores feeding the
 /// parallel per-(app, node) artifact fan-out. The default run carries 21
-/// build jobs per period at ~2.2 ms each after the kernel/warm-start/
-/// feature-carry work (~47 ms serialized, ~6 ms across 8 cores) plus
+/// build jobs per period at ~2.2 ms each after the kernel and warm-start
+/// work (~47 ms serialized, ~6 ms across 8 cores) plus
 /// ~7 ms of sequential S-loop detection — comfortably under 18 ms when
 /// the fan-out actually fans out. See EXPERIMENTS.md "drift wall" for
 /// the measured breakdown.

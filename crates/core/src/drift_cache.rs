@@ -37,6 +37,7 @@ use adainf_nn::{InferScratch, Matrix};
 use adainf_simcore::Prng;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Stream label base for the per-`(period, node)` PCA child streams.
 /// Mixed (not added) so labels cannot collide with other subsystem
@@ -73,14 +74,6 @@ pub struct DriftArtifacts {
     /// warm-start seed for the next period's fit of the same
     /// `(app, node)`. Empty when the node had no old data to fit.
     pub basis: Matrix,
-    /// The pool's feature matrix at this entry's model version, kept as
-    /// the next period's old-feature matrix: `advance_period` moves the
-    /// pool verbatim into `old_samples`, and features are a pure
-    /// function of (model weights, samples) — so at an unchanged model
-    /// version the carried matrix is bit-identical to recomputing
-    /// `features(old)`. Empty when the node had no old data (the build
-    /// early-returns before any feature pass).
-    pub pool_features: Matrix,
 }
 
 /// Extends a correctness prefix-sum to cover `take` samples of `order`,
@@ -88,23 +81,15 @@ pub struct DriftArtifacts {
 /// row-independent, so predicting `order[done..take]` as its own batch
 /// yields the same per-sample predictions as any other batching — the
 /// running count is bit-equal to a full-set pass however it is grown.
-/// The chunk rows are gathered into `scratch` and predicted through the
-/// scratch-based forward pass: no subset clone, no per-layer
-/// allocations, bit-identical predictions.
-///
-/// When the caller holds the samples' first-layer feature matrix (the
-/// artifact build already computed it for the ranking), `features`
-/// short-circuits the forward pass: the chunk gathers feature rows
-/// instead of input rows and the prediction resumes above the first
-/// trunk layer — bit-identical by the feature-carry identity, one dense
-/// layer cheaper per predicted sample.
-#[allow(clippy::too_many_arguments)]
+/// The chunk's input rows are gathered into `scratch` and predicted
+/// through the scratch-based forward pass: no subset clone, no
+/// per-layer allocations, bit-identical predictions. The pool and the
+/// held-out reference prefixes both run this same input pass.
 fn extend_prefix(
     prefix: &mut Vec<u32>,
     rt: &AppRuntime,
     node: usize,
     samples: &LabeledSamples,
-    features: Option<&Matrix>,
     order: &[usize],
     take: usize,
     scratch: &mut DetectScratch,
@@ -114,19 +99,11 @@ fn extend_prefix(
     }
     let model = &rt.models[node];
     let done = prefix.len() - 1;
+    scratch
+        .chunk
+        .gather_rows_from(&samples.inputs, &order[done..take]);
     let cut = model.profile.full_cut();
-    let preds = match features.filter(|f| f.rows() == samples.len()) {
-        Some(f) => {
-            scratch.chunk.gather_rows_from(f, &order[done..take]);
-            model.predict_from_features_with_scratch(&scratch.chunk, cut, &mut scratch.infer)
-        }
-        None => {
-            scratch
-                .chunk
-                .gather_rows_from(&samples.inputs, &order[done..take]);
-            model.predict_with_scratch(&scratch.chunk, cut, &mut scratch.infer)
-        }
-    };
+    let preds = model.predict_with_scratch(&scratch.chunk, cut, &mut scratch.infer);
     let mut acc = prefix[done];
     for (p, &i) in preds.iter().zip(&order[done..take]) {
         acc += u32::from(*p == samples.labels[i]);
@@ -144,13 +121,11 @@ impl DriftArtifacts {
         take: usize,
         scratch: &mut DetectScratch,
     ) -> u32 {
-        let samples = rt.pools[node].samples();
         extend_prefix(
             &mut self.pool_prefix,
             rt,
             node,
-            samples,
-            Some(&self.pool_features),
+            rt.pools[node].samples(),
             &self.deviation,
             take,
             scratch,
@@ -167,13 +142,11 @@ impl DriftArtifacts {
         take: usize,
         scratch: &mut DetectScratch,
     ) -> u32 {
-        let samples = rt.ref_samples(node);
         extend_prefix(
             &mut self.ref_prefix,
             rt,
             node,
-            samples,
-            None,
+            rt.ref_samples(node),
             &self.ref_order,
             take,
             scratch,
@@ -230,8 +203,9 @@ impl DriftArtifacts {
 #[derive(Clone, Debug, Default)]
 pub struct DetectScratch {
     pca: PcaScratch,
-    /// Reference-set feature matrix.
-    ref_feats: Matrix,
+    /// Feature matrix of the sample set being fitted or ranked: the old
+    /// set, then the pool, then the held-out set, one after another.
+    feats: Matrix,
     projected: Matrix,
     scored: Vec<(usize, f64)>,
     /// Gathered ranked-subset rows for the prefix extension.
@@ -245,8 +219,8 @@ pub struct DetectScratch {
 /// live runtime borrows (a missing [`DriftCache::artifacts`] lookup and
 /// the standalone builders) and owned boundary snapshots (the
 /// background stage, [`DriftSnapshot`]). A build is a pure function of
-/// these five values plus the warm/carry state and the root stream —
-/// the equality that makes a background build bit-identical to a
+/// these five values plus the warm basis and the root stream — the
+/// equality that makes a background build bit-identical to a
 /// sequential one.
 pub struct DriftInputs<'a> {
     /// Previous period's training pool — the distribution deviated from.
@@ -363,24 +337,14 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
 /// The deviation rankings of the pool and (optionally) the held-out
 /// reference set, from one feature pass over the old data and **one**
 /// shared PCA fit, plus the fitted basis for warm-starting the next
-/// period and the pool's feature matrix for carrying into the next
-/// period's old-feature slot. The pool ranking never depends on whether
-/// the reference ranking is computed — the keyed PCA stream is consumed
-/// identically either way.
+/// period. The pool ranking never depends on whether the reference
+/// ranking is computed — the keyed PCA stream is consumed identically
+/// either way.
 ///
-/// `carry` is an owned buffer with two roles. When its row count matches
-/// the old set, it is the previous period's pool-feature matrix at an
-/// unchanged model version: `advance_period` moves the pool verbatim
-/// into the old set and features are a pure function of (model weights,
-/// samples), so reading it instead of recomputing `features(old)` is
-/// bit-identical. Otherwise only its allocation is reused (callers clear
-/// invalid carries to zero rows). Either way the same buffer is then
-/// overwritten with the pool's features — the old features are dead once
-/// the projections are done — and returned as the artifact's
-/// next-period carry, so the steady state recycles one feature
-/// allocation per `(app, node)` instead of faulting in a fresh matrix
-/// every period.
-#[allow(clippy::too_many_arguments)]
+/// The old, pool and held-out features go through the one
+/// `scratch.feats` buffer in turn: each matrix is dead once its set is
+/// fitted or ranked, so a build holds one feature matrix at a time and
+/// keeps none after it returns.
 fn rankings(
     inputs: &DriftInputs<'_>,
     node: usize,
@@ -389,8 +353,7 @@ fn rankings(
     scratch: &mut DetectScratch,
     with_ref: bool,
     warm: Option<&Matrix>,
-    carry: Matrix,
-) -> (Vec<usize>, Vec<usize>, Matrix, Matrix) {
+) -> (Vec<usize>, Vec<usize>, Matrix) {
     let &DriftInputs {
         old,
         pool,
@@ -404,35 +367,37 @@ fn rankings(
             (0..pool.len()).collect(),
             (0..held_out.len()).collect(),
             Matrix::default(),
-            Matrix::default(),
         );
     }
     let DetectScratch {
         pca: pca_scratch,
-        ref_feats,
+        feats,
         projected,
         scored,
         ..
     } = scratch;
-    let mut feats = carry;
-    if feats.rows() != old.len() {
-        model.features_into(old, &mut feats);
-    }
+    model.features_into(old, feats);
     let mut rng = root.split(PCA_STREAM ^ (period << 16) ^ node as u64);
-    let pca = Pca::fit_warm_with_scratch(&feats, pca_components, &mut rng, pca_scratch, warm);
-    pca.transform_into(&feats, pca_scratch, projected);
+    let pca = Pca::fit_warm_with_scratch(feats, pca_components, &mut rng, pca_scratch, warm);
+    pca.transform_into(feats, pca_scratch, projected);
     let means = class_means(projected, &old.labels, model.classes());
-    // The old features are dead from here on: overwrite the buffer with
-    // the pool's features and hand it back as the next-period carry.
-    model.features_into(pool, &mut feats);
-    let deviation = rank_features(pool, &feats, &pca, &means, pca_scratch, projected, scored);
+    model.features_into(pool, feats);
+    let deviation = rank_features(pool, feats, &pca, &means, pca_scratch, projected, scored);
     let ref_order = if with_ref {
-        model.features_into(held_out, ref_feats);
-        rank_features(held_out, ref_feats, &pca, &means, pca_scratch, projected, scored)
+        model.features_into(held_out, feats);
+        rank_features(
+            held_out,
+            feats,
+            &pca,
+            &means,
+            pca_scratch,
+            projected,
+            scored,
+        )
     } else {
         Vec::new()
     };
-    (deviation, ref_order, pca.into_components(), feats)
+    (deviation, ref_order, pca.into_components())
 }
 
 /// Ranks the new-pool samples of `node` by descending deviation from the
@@ -456,17 +421,7 @@ pub fn build_deviation_ranking(
     scratch: &mut DetectScratch,
 ) -> Vec<usize> {
     let inputs = DriftInputs::from_runtime(rt, node);
-    rankings(
-        &inputs,
-        node,
-        pca_components,
-        root,
-        scratch,
-        false,
-        None,
-        Matrix::default(),
-    )
-    .0
+    rankings(&inputs, node, pca_components, root, scratch, false, None).0
 }
 
 /// The retraining consumption order (§3.3.2) alone, bit-equal to
@@ -510,10 +465,9 @@ fn build_ranked(
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
-    carry: Matrix,
 ) -> DriftArtifacts {
-    let (deviation, ref_order, basis, pool_features) =
-        rankings(inputs, node, pca_components, root, scratch, true, warm, carry);
+    let (deviation, ref_order, basis) =
+        rankings(inputs, node, pca_components, root, scratch, true, warm);
     let retrain = interleave(&deviation);
     let artifacts = DriftArtifacts {
         deviation,
@@ -522,7 +476,6 @@ fn build_ranked(
         pool_prefix: vec![0],
         ref_prefix: vec![0],
         basis,
-        pool_features,
     };
     if cfg!(feature = "strict-invariants") {
         artifacts.check_invariants(inputs.pool.len(), inputs.held_out.len());
@@ -543,7 +496,7 @@ pub fn build_artifacts(
     scratch: &mut DetectScratch,
 ) -> DriftArtifacts {
     let inputs = DriftInputs::from_runtime(rt, node);
-    let mut artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None, Matrix::default());
+    let mut artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None);
     let pool_len = artifacts.deviation.len();
     let ref_len = artifacts.ref_order.len();
     if pool_len > 0 {
@@ -557,12 +510,14 @@ pub fn build_artifacts(
 
 /// An owned boundary snapshot of everything one stale `(app, node)`
 /// artifact build reads — the unit of work handed to the background
-/// stage by [`DriftCache::snapshot_stale`]. Owning clones (rather than
-/// borrowing the runtime) is what lets the build run on a detached
+/// stage by [`DriftCache::snapshot_stale`]. Owning its inputs (rather
+/// than borrowing the runtime) is what lets the build run on a detached
 /// thread that outlives the spawning statement: the serving loop may go
 /// on mutating pools and models, the snapshot's inputs are frozen at
-/// the boundary key. The clone cost is a few feature-matrix-sized
-/// `memcpy`s — ~2 % of the build it moves off the critical path.
+/// the boundary key. The old, pool and held-out sets are shared with
+/// the runtime, not copied: sample sets are immutable once drawn, and
+/// the runtime only ever replaces them. Only the model parameters and
+/// the warm basis are copied.
 #[derive(Clone)]
 pub struct DriftSnapshot {
     /// The `(app, node)` cache slot this build refreshes.
@@ -571,12 +526,11 @@ pub struct DriftSnapshot {
     /// time.
     pub key: (u64, u64),
     period: u64,
-    old: LabeledSamples,
-    pool: LabeledSamples,
-    held_out: LabeledSamples,
+    old: Arc<LabeledSamples>,
+    pool: Arc<LabeledSamples>,
+    held_out: Arc<LabeledSamples>,
     model: TrainableModel,
     warm: Option<Matrix>,
-    carry: Matrix,
     root: Prng,
 }
 
@@ -611,7 +565,6 @@ impl DriftSnapshot {
             &self.root,
             scratch,
             self.warm.as_ref(),
-            self.carry,
         );
         BuiltArtifacts {
             slot: self.slot,
@@ -648,34 +601,6 @@ impl CacheEntry {
             && self.key.0 + 1 == key.0
             && self.artifacts.basis.rows() > 0;
         usable.then(|| self.artifacts.basis.clone())
-    }
-
-    /// Whether this entry's pool-feature matrix is a bit-valid
-    /// old-feature carry for a build at `key`: adjacent pool generation
-    /// at an unchanged model version — the exact condition under which
-    /// `advance_period`'s pool→old move makes the carried matrix
-    /// bit-identical to recomputing `features(old)`. Unlike
-    /// [`Self::warm_for`], an invalid carry never changes results (the
-    /// build recomputes the identical matrix) — the evicted matrix's
-    /// *allocation* is recycled as the build's feature buffer either way.
-    fn carry_valid(&self, key: (u64, u64)) -> bool {
-        self.key.1 == key.1
-            && self.key.0 + 1 == key.0
-            && self.artifacts.pool_features.rows() > 0
-    }
-
-    /// Takes the evicted pool-feature matrix out of this entry for reuse
-    /// by the replacing build: bit-valid carry contents when
-    /// [`Self::carry_valid`] holds, otherwise a cleared buffer whose
-    /// warmed-up allocation the build overwrites — either way the
-    /// replacing build faults in no fresh feature pages.
-    fn take_carry(&mut self, key: (u64, u64)) -> Matrix {
-        let valid = self.carry_valid(key);
-        let mut carry = std::mem::take(&mut self.artifacts.pool_features);
-        if !valid {
-            carry.reset_zeroed(0, 0);
-        }
-        carry
     }
 }
 
@@ -718,31 +643,15 @@ impl DriftCache {
                     self.misses += 1;
                     let warm = e.get().warm_for(key);
                     self.warm_starts += u64::from(warm.is_some());
-                    let carry = e.get_mut().take_carry(key);
-                    let artifacts = build_ranked(
-                        &inputs,
-                        node,
-                        pca_components,
-                        root,
-                        scratch,
-                        warm.as_ref(),
-                        carry,
-                    );
+                    let artifacts =
+                        build_ranked(&inputs, node, pca_components, root, scratch, warm.as_ref());
                     *e.get_mut() = CacheEntry { key, artifacts };
                 }
                 &e.into_mut().artifacts
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let artifacts = build_ranked(
-                    &inputs,
-                    node,
-                    pca_components,
-                    root,
-                    scratch,
-                    None,
-                    Matrix::default(),
-                );
+                let artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None);
                 &v.insert(CacheEntry { key, artifacts }).artifacts
             }
         }
@@ -750,24 +659,23 @@ impl DriftCache {
 
     /// Resolves the stale subset of `jobs` into **owned**
     /// [`DriftSnapshot`]s, in job order — the handoff step of the
-    /// overlapped period pipeline. Each snapshot clones exactly the
-    /// inputs its build reads (old/pool/reference sample sets, the
-    /// model at its version tag) plus the warm/carry state taken from
-    /// the evicted entry, so the build can run on a detached background
-    /// worker while the serving loop keeps mutating the live runtime:
-    /// the snapshot pins the `(pool generation, model version)` key the
-    /// artifacts are defined over, which is why the background result
-    /// is bit-identical to a [`Self::artifacts`] build at the same key.
+    /// overlapped period pipeline. Each snapshot shares the sample sets
+    /// its build reads (old/pool/reference) with the runtime and copies
+    /// the model at its version tag and the evicted entry's warm basis,
+    /// so the build can run on a detached background worker while the
+    /// serving loop keeps mutating the live runtime: the snapshot pins
+    /// the `(pool generation, model version)` key the artifacts are
+    /// defined over, which is why the background result is
+    /// bit-identical to a [`Self::artifacts`] build at the same key.
     /// Entries that are already current are skipped (their next lookup
-    /// hits). Warm inputs and carries are taken from the *previous*
-    /// period's entries, so builds of one period never feed each other.
+    /// hits). Warm inputs are taken from the *previous* period's
+    /// entries, so builds of one period never feed each other.
     ///
     /// Every returned snapshot must come back through
-    /// [`Self::insert_built`] before the next lookup of its slot —
-    /// the background stage's ledger enforces the join, and the carry
-    /// matrices taken here would otherwise be lost.
+    /// [`Self::insert_built`] before the next lookup of its slot — the
+    /// background stage's ledger enforces the join.
     pub fn snapshot_stale(
-        &mut self,
+        &self,
         jobs: &[(usize, usize)],
         apps: &[AppRuntime],
         root: &Prng,
@@ -776,27 +684,21 @@ impl DriftCache {
         for &(app, node) in jobs {
             let rt = &apps[app];
             let key = (rt.period(), rt.models[node].version());
-            match self.entries.get_mut(&(app, node)) {
-                Some(e) if e.key == key => {}
-                prior => {
-                    let (warm, carry) = match prior {
-                        Some(e) => (e.warm_for(key), e.take_carry(key)),
-                        None => (None, Matrix::default()),
-                    };
-                    stale.push(DriftSnapshot {
-                        slot: (app, node),
-                        key,
-                        period: rt.period(),
-                        old: rt.old_samples(node).clone(),
-                        pool: rt.pools[node].samples().clone(),
-                        held_out: rt.ref_samples(node).clone(),
-                        model: rt.models[node].clone(),
-                        warm,
-                        carry,
-                        root: root.clone(),
-                    });
-                }
+            let prior = self.entries.get(&(app, node));
+            if prior.is_some_and(|e| e.key == key) {
+                continue;
             }
+            stale.push(DriftSnapshot {
+                slot: (app, node),
+                key,
+                period: rt.period(),
+                old: Arc::clone(rt.old_samples(node)),
+                pool: Arc::clone(rt.pools[node].samples()),
+                held_out: Arc::clone(rt.ref_samples(node)),
+                model: rt.models[node].clone(),
+                warm: prior.and_then(|e| e.warm_for(key)),
+                root: root.clone(),
+            });
         }
         stale
     }
@@ -1006,7 +908,7 @@ mod tests {
             let mut seq = DriftCache::default();
             let mut bg = DriftCache::default();
             // Two generations so the second stage exercises warm starts
-            // and feature carries through the snapshot path.
+            // through the snapshot path.
             for _ in 0..2 {
                 let nodes = rt.spec.nodes.len();
                 let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
@@ -1059,7 +961,7 @@ mod tests {
         use adainf_simcore::parallel::fan_out_check;
         let rt = drifted_runtime(2);
         let root = Prng::new(7);
-        let mut cache = DriftCache::default();
+        let cache = DriftCache::default();
         let nodes = rt.spec.nodes.len();
         let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
         let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
@@ -1071,6 +973,41 @@ mod tests {
         for (node, art) in built.iter().enumerate() {
             let reference = sequential.artifacts(0, &rt, node, 8, &root);
             assert_eq!(art, reference, "node {node}");
+        }
+    }
+
+    /// Snapshots share the runtime's old, pool and held-out sample sets
+    /// rather than copying them, at every generation: the data pointers
+    /// a build reads are the runtime's own.
+    #[test]
+    fn snapshots_share_the_runtime_sample_sets() {
+        let root = Prng::new(7);
+        let mut rt = drifted_runtime(1);
+        let mut cache = DriftCache::default();
+        let ptr = |s: &LabeledSamples| s.inputs.data().as_ptr();
+        for _ in 0..2 {
+            let nodes = rt.spec.nodes.len();
+            let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
+            let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
+            assert_eq!(snaps.len(), nodes);
+            for snap in &snaps {
+                let node = snap.slot.1;
+                assert_eq!(ptr(&snap.old), ptr(rt.old_samples(node)), "node {node} old");
+                assert_eq!(
+                    ptr(&snap.pool),
+                    ptr(rt.pools[node].samples()),
+                    "node {node} pool"
+                );
+                assert_eq!(
+                    ptr(&snap.held_out),
+                    ptr(rt.ref_samples(node)),
+                    "node {node} held-out"
+                );
+            }
+            for snap in snaps {
+                cache.insert_built(snap.build(8, &mut DetectScratch::default()));
+            }
+            rt.advance_period();
         }
     }
 

@@ -361,11 +361,10 @@ impl Scheduler for AdaInfScheduler {
                 // cached artifacts the detector just read.
                 for node in 0..rt.spec.nodes.len() {
                     if states[a].ridag.retrains(node) {
-                        let order = drift
+                        let order = &drift
                             .artifacts(a, rt, node, config.pca_components, rng)
-                            .retrain
-                            .clone();
-                        rt.pools[node].set_order(&order);
+                            .retrain;
+                        rt.pools[node].set_order(order);
                     }
                 }
             }

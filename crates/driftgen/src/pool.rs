@@ -8,8 +8,14 @@
 //! been used or are being used by other jobs", §3.3.2), and hands out
 //! samples in a caller-supplied priority order (AdaInf orders them by
 //! deviation from the old data; baselines use arrival order).
+//!
+//! The samples themselves are immutable and shared: when the period
+//! ends, the runtime keeps the retiring pool's set as the drift
+//! detector's old data, and the detector's boundary snapshots read the
+//! same set, all without a copy.
 
 use crate::stream::LabeledSamples;
+use std::sync::Arc;
 
 /// The retraining sample pool of one model for the current period.
 ///
@@ -26,7 +32,7 @@ use crate::stream::LabeledSamples;
 /// ```
 #[derive(Clone, Debug)]
 pub struct RetrainPool {
-    samples: LabeledSamples,
+    samples: Arc<LabeledSamples>,
     /// Sample indices in consumption order (highest priority first).
     order: Vec<usize>,
     /// How many of `order` have been consumed.
@@ -39,7 +45,7 @@ impl RetrainPool {
     pub fn new(samples: LabeledSamples) -> Self {
         let order = (0..samples.len()).collect();
         RetrainPool {
-            samples,
+            samples: Arc::new(samples),
             order,
             cursor: 0,
         }
@@ -77,8 +83,9 @@ impl RetrainPool {
         }
     }
 
-    /// Read-only access to the underlying samples.
-    pub fn samples(&self) -> &LabeledSamples {
+    /// The underlying samples, shared: clone the `Arc` to keep them
+    /// past the pool's lifetime without copying them.
+    pub fn samples(&self) -> &Arc<LabeledSamples> {
         &self.samples
     }
 

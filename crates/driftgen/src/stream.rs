@@ -85,38 +85,36 @@ impl LabeledSamples {
         self.labels.is_empty()
     }
 
-    /// Concatenates batches of equal feature width.
+    /// Concatenates batches of equal feature width, copying each part's
+    /// rows once, straight into the output matrix.
     pub fn concat(parts: &[&LabeledSamples]) -> LabeledSamples {
         let dim = parts
             .iter()
             .find(|p| !p.is_empty())
             .map(|p| p.inputs.cols())
             .unwrap_or(0);
-        let mut data = Vec::new();
-        let mut labels = Vec::new();
+        let rows = parts.iter().map(|p| p.len()).sum();
+        let mut inputs = Matrix::zeros(rows, dim.max(1));
+        let mut labels = Vec::with_capacity(rows);
+        let mut at = 0;
         for p in parts {
             assert!(p.is_empty() || p.inputs.cols() == dim, "width mismatch");
-            data.extend_from_slice(p.inputs.data());
+            let part = p.inputs.data();
+            inputs.data_mut()[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
             labels.extend_from_slice(&p.labels);
         }
-        LabeledSamples {
-            inputs: Matrix::from_slice(labels.len(), dim.max(1), &data),
-            labels,
-        }
+        LabeledSamples { inputs, labels }
     }
 
-    /// Selects a subset of rows by index.
+    /// Selects a subset of rows by index, gathered straight into the
+    /// output matrix.
     pub fn select(&self, indices: &[usize]) -> LabeledSamples {
-        let dim = self.inputs.cols();
-        let mut data = Vec::with_capacity(indices.len() * dim);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            data.extend_from_slice(self.inputs.row(i));
-            labels.push(self.labels[i]);
-        }
+        let mut inputs = Matrix::default();
+        inputs.gather_rows_from(&self.inputs, indices);
         LabeledSamples {
-            inputs: Matrix::from_slice(indices.len(), dim, &data),
-            labels,
+            inputs,
+            labels: indices.iter().map(|&i| self.labels[i]).collect(),
         }
     }
 }
@@ -226,27 +224,25 @@ impl TaskStream {
         }
     }
 
-    /// Draws `n` labelled samples from the *current* distribution.
+    /// Draws `n` labelled samples from the *current* distribution: per
+    /// sample one class draw, then one Gaussian per feature, written
+    /// straight into the output row.
     pub fn sample(&mut self, n: usize) -> LabeledSamples {
-        let dim = self.config.feature_dim;
-        let mut data = Vec::with_capacity(n * dim);
+        let mut inputs = Matrix::zeros(n, self.config.feature_dim);
         let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
+        let total = Prng::weight_total(&self.priors);
+        for r in 0..n {
             let class = self
                 .rng
-                .weighted_index(&self.priors)
+                .weighted_index_with_total(&self.priors, total)
                 // simlint: allow(no-unwrap-in-lib) — priors come from a simplex draw, all strictly positive
                 .expect("priors are positive");
-            let mean_row = self.means.row(class).to_vec();
-            for &m in mean_row.iter().take(dim) {
-                data.push(m + (self.rng.gauss() * self.config.noise) as f32);
+            for (x, &m) in inputs.row_mut(r).iter_mut().zip(self.means.row(class)) {
+                *x = m + (self.rng.gauss() * self.config.noise) as f32;
             }
             labels.push(class);
         }
-        LabeledSamples {
-            inputs: Matrix::from_slice(n, dim, &data),
-            labels,
-        }
+        LabeledSamples { inputs, labels }
     }
 
     /// Empirical label distribution of a sample batch, normalised.
@@ -377,6 +373,134 @@ mod tests {
         assert_eq!(sub.inputs.row(1), a.inputs.row(2));
         let both = LabeledSamples::concat(&[&a, &sub]);
         assert_eq!(both.len(), 13);
+    }
+
+    /// `TaskStream::sample` as it was before rows were written in place:
+    /// the prior sum redone per draw, each mean row copied out, rows
+    /// staged in a vector that `Matrix::from_slice` copies again.
+    fn staged_sample(s: &mut TaskStream, n: usize) -> LabeledSamples {
+        let dim = s.config.feature_dim;
+        let mut data = Vec::with_capacity(n * dim);
+        let mut labels = Vec::with_capacity(n);
+        for _ in 0..n {
+            let class = s
+                .rng
+                .weighted_index(&s.priors)
+                .expect("priors are positive");
+            let mean_row = s.means.row(class).to_vec();
+            for &m in mean_row.iter().take(dim) {
+                data.push(m + (s.rng.gauss() * s.config.noise) as f32);
+            }
+            labels.push(class);
+        }
+        LabeledSamples {
+            inputs: Matrix::from_slice(n, dim, &data),
+            labels,
+        }
+    }
+
+    /// `LabeledSamples::concat` as it was, staging rows in a vector.
+    fn staged_concat(parts: &[&LabeledSamples]) -> LabeledSamples {
+        let dim = parts
+            .iter()
+            .find(|p| !p.is_empty())
+            .map(|p| p.inputs.cols())
+            .unwrap_or(0);
+        let mut data = Vec::new();
+        let mut labels = Vec::new();
+        for p in parts {
+            assert!(p.is_empty() || p.inputs.cols() == dim, "width mismatch");
+            data.extend_from_slice(p.inputs.data());
+            labels.extend_from_slice(&p.labels);
+        }
+        LabeledSamples {
+            inputs: Matrix::from_slice(labels.len(), dim.max(1), &data),
+            labels,
+        }
+    }
+
+    /// `LabeledSamples::select` as it was, staging rows in a vector.
+    fn staged_select(s: &LabeledSamples, indices: &[usize]) -> LabeledSamples {
+        let dim = s.inputs.cols();
+        let mut data = Vec::with_capacity(indices.len() * dim);
+        let mut labels = Vec::with_capacity(indices.len());
+        for &i in indices {
+            data.extend_from_slice(s.inputs.row(i));
+            labels.push(s.labels[i]);
+        }
+        LabeledSamples {
+            inputs: Matrix::from_slice(indices.len(), dim, &data),
+            labels,
+        }
+    }
+
+    fn assert_bit_equal(got: &LabeledSamples, want: &LabeledSamples, what: &str) {
+        let bits = |s: &LabeledSamples| -> Vec<u32> {
+            s.inputs.data().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(
+            (got.inputs.rows(), got.inputs.cols()),
+            (want.inputs.rows(), want.inputs.cols()),
+            "{what}: shape"
+        );
+        assert_eq!(bits(got), bits(want), "{what}: inputs");
+        assert_eq!(got.labels, want.labels, "{what}: labels");
+    }
+
+    /// Writing sample rows in place (one prior sum per call) and
+    /// building `concat`/`select` without a staging vector must
+    /// reproduce the staged builders bit for bit, and leave the stream's
+    /// generator at the same next draw.
+    #[test]
+    fn in_place_builders_bit_match_staged_reference() {
+        for classes in [2usize, 3, 5, 6, 8, 10, 12] {
+            let root = Prng::new(60 + classes as u64);
+            let config = TaskStreamConfig::new("ref", classes, classes as u64).with_drift(0.5, 0.4);
+            let mut fast = TaskStream::new(config, &root);
+            let mut slow = fast.clone();
+            let mut drawn = Vec::new();
+            for n in [0usize, 1, 17, 600] {
+                let got = fast.sample(n);
+                let want = staged_sample(&mut slow, n);
+                assert_bit_equal(&got, &want, &format!("{classes} classes, sample({n})"));
+                drawn.push(got);
+                fast.advance_period();
+                slow.advance_period();
+            }
+            assert_eq!(fast.rng.gauss().to_bits(), slow.rng.gauss().to_bits());
+            assert_eq!(fast.rng.next_u64(), slow.rng.next_u64());
+
+            let empty = LabeledSamples {
+                inputs: Matrix::zeros(0, 1),
+                labels: Vec::new(),
+            };
+            let [none, one, some, many] = [&drawn[0], &drawn[1], &drawn[2], &drawn[3]];
+            let part_lists: [&[&LabeledSamples]; 5] = [
+                &[],
+                &[&empty, none],
+                &[many],
+                &[&empty, one, none, some, &empty, many],
+                &[some, some],
+            ];
+            for parts in part_lists {
+                let what = format!("{classes} classes, concat of {}", parts.len());
+                assert_bit_equal(&LabeledSamples::concat(parts), &staged_concat(parts), &what);
+            }
+
+            let mut rng = Prng::new(classes as u64);
+            let mut shuffled: Vec<usize> = (0..many.len()).collect();
+            rng.shuffle(&mut shuffled);
+            let index_lists: [&[usize]; 4] = [&[], &[5], &[3, 3, 0, 599], &shuffled[..250]];
+            for indices in index_lists {
+                let what = format!("{classes} classes, select of {}", indices.len());
+                assert_bit_equal(&many.select(indices), &staged_select(many, indices), &what);
+            }
+            assert_bit_equal(
+                &none.select(&[]),
+                &staged_select(none, &[]),
+                "select from empty",
+            );
+        }
     }
 
     #[test]

@@ -146,25 +146,6 @@ impl TrainableModel {
             .predict_with_scratch(inputs, self.head_exit_for_cut(cut), scratch)
     }
 
-    /// [`Self::predict_with_scratch`] resumed from a cached
-    /// first-layer feature matrix (see
-    /// [`adainf_nn::EarlyExitMlp::predict_from_features_with_scratch`]):
-    /// `features` rows must come from [`Self::features_into`] at the
-    /// same model version. Predictions are bit-identical to the input
-    /// pass at one dense layer less.
-    pub fn predict_from_features_with_scratch(
-        &self,
-        features: &Matrix,
-        cut: usize,
-        scratch: &mut InferScratch,
-    ) -> Vec<usize> {
-        self.head.predict_from_features_with_scratch(
-            features,
-            self.head_exit_for_cut(cut),
-            scratch,
-        )
-    }
-
     /// Mini-batch size of the head's SGD.
     pub const SGD_BATCH: usize = 32;
 

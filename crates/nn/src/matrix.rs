@@ -150,6 +150,7 @@ impl Matrix {
         self.rows = indices.len();
         self.cols = src.cols;
         self.data.clear();
+        self.data.reserve(indices.len() * src.cols);
         for &i in indices {
             self.data.extend_from_slice(src.row(i));
         }

@@ -250,45 +250,6 @@ impl EarlyExitMlp {
         pong.argmax_rows()
     }
 
-    /// [`Self::predict_with_scratch`] resumed from the first trunk
-    /// layer's output: `features` must be the matrix
-    /// [`Self::features_into`] produced for the same rows (it IS
-    /// `trunk[0]`'s post-activation output, bit for bit), so the pass
-    /// skips that layer and runs the identical remaining ladder —
-    /// predictions are bit-equal to the full input pass at one dense
-    /// layer less. Callers holding cached feature matrices (the drift
-    /// detector's per-period artifacts) use this for their lazy
-    /// prefix-accuracy extensions.
-    ///
-    /// # Panics
-    /// Panics if `exit >= num_exits()` or the feature width mismatches.
-    pub fn predict_from_features_with_scratch(
-        &self,
-        features: &Matrix,
-        exit: usize,
-        scratch: &mut InferScratch,
-    ) -> Vec<usize> {
-        assert!(exit < self.num_exits(), "exit out of range");
-        assert_eq!(
-            features.cols(),
-            self.config.hidden[0],
-            "feature width mismatch"
-        );
-        let InferScratch { ping, pong, .. } = scratch;
-        if exit == 0 {
-            self.heads[0].infer_into(features, pong);
-        } else {
-            self.trunk[1].infer_into(features, ping);
-            for layer in &self.trunk[2..=exit] {
-                layer.infer_into(ping, pong);
-                std::mem::swap(ping, pong);
-            }
-            self.heads[exit].infer_into(ping, pong);
-        }
-        pong.softmax_rows_inplace();
-        pong.argmax_rows()
-    }
-
     /// Fraction of rows classified correctly at the given exit.
     pub fn accuracy(&self, inputs: &Matrix, labels: &[usize], exit: usize) -> f64 {
         assert_eq!(inputs.rows(), labels.len(), "label count mismatch");

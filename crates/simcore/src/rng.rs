@@ -175,7 +175,20 @@ impl Prng {
     /// weights. Returns `None` when all weights are zero or the slice is
     /// empty.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
+        self.weighted_index_with_total(weights, Self::weight_total(weights))
+    }
+
+    /// The sum [`Self::weighted_index`] draws against: the finite
+    /// positive weights, added in slice order.
+    pub fn weight_total(weights: &[f64]) -> f64 {
+        weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum()
+    }
+
+    /// [`Self::weighted_index`] with the weight sum hoisted out, for
+    /// loops that draw many indices from one fixed weight vector.
+    /// `total` must be [`Self::weight_total`]`(weights)`; the call then
+    /// takes the same single draw and returns the same index.
+    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> Option<usize> {
         if total <= 0.0 {
             return None;
         }
@@ -298,6 +311,15 @@ mod tests {
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
         assert_eq!(r.weighted_index(&[]), None);
         assert_eq!(r.weighted_index(&[0.0, 0.0]), None);
+        // The hoisted-total form takes the same draw.
+        let w = [0.2, f64::NAN, 0.0, 0.5, 0.3];
+        let total = Prng::weight_total(&w);
+        let mut a = Prng::new(6);
+        let mut b = Prng::new(6);
+        for _ in 0..1000 {
+            assert_eq!(a.weighted_index(&w), b.weighted_index_with_total(&w, total));
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -363,9 +363,9 @@ fn drift_background_stage_survives_adversarial_schedules() {
 
         // Layer 3: the production handoff — boundary snapshots built on
         // the background stage and installed in job order — at each
-        // worker count reproduces the same rankings, basis and carried
-        // features bit-for-bit (prefix-sums are lazily extended, so
-        // only the eagerly-built fields are compared).
+        // worker count reproduces the same rankings and basis
+        // bit-for-bit (prefix-sums are lazily extended, so only the
+        // eagerly-built fields are compared).
         for threads in [1usize, 2, 4, 8] {
             let mut cache = DriftCache::default();
             let snaps = cache.snapshot_stale(&jobs, &apps, &root);
@@ -392,11 +392,6 @@ fn drift_background_stage_survives_adversarial_schedules() {
                     m.data().iter().map(|v| v.to_bits()).collect()
                 };
                 assert_eq!(bits(&art.basis), bits(&want.basis), "basis bits @{threads}t");
-                assert_eq!(
-                    bits(&art.pool_features),
-                    bits(&want.pool_features),
-                    "pool_features bits @{threads}t"
-                );
             }
         }
     }
