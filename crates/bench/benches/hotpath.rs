@@ -7,8 +7,6 @@
 //!   the shapes the deployed early-exit heads actually run: a 6-class
 //!   head's forward and weight gradient (the lane-padded narrow path)
 //!   and a trunk layer's transposed input gradient.
-//! * `decision_path/*` — the AdaInf §3.3.2 batch/structure search with
-//!   the decision cache on vs off.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
 //!   simulation through the public `run` entry point, so a regression
 //!   anywhere in the stack shows up even if every micro-bench holds.
@@ -18,7 +16,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use adainf_bench::decision_bench;
 use adainf_harness::sim::{run, RunConfig};
 use adainf_nn::Matrix;
 use adainf_simcore::{Prng, SimDuration};
@@ -78,10 +75,6 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decision_path(c: &mut Criterion) {
-    decision_bench::bench_decision_cache(c);
-}
-
 fn bench_tiny_run(c: &mut Criterion) {
     let config = RunConfig {
         duration: SimDuration::from_secs(20),
@@ -97,5 +90,5 @@ fn bench_tiny_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_decision_path, bench_tiny_run);
+criterion_group!(benches, bench_gemm, bench_tiny_run);
 criterion_main!(benches);

@@ -3,10 +3,9 @@
 //!
 //! Table 1's "session scheduling" column is a *measured* number: one
 //! `on_session` call on the standard 8-application deployment, timed by
-//! the criterion harness. The `benches/overheads.rs` and
-//! `benches/hotpath.rs` benchmark targets and the `table1` binary all
-//! call into this module so the reported latency and the standalone
-//! bench are literally the same code path.
+//! the criterion harness. The `benches/overheads.rs` benchmark target
+//! and the `table1` binary both call into this module so the reported
+//! latency and the standalone bench are literally the same code path.
 
 use criterion::Criterion;
 use std::hint::black_box;
@@ -104,28 +103,6 @@ pub fn bench_session_scheduling(c: &mut Criterion) {
         sched.on_period_start(&mut s.apps, &s.server, SimTime::ZERO);
         let ctx = s.ctx(SimTime::from_secs(1));
         group.bench_function("scrooge", |b| {
-            b.iter(|| black_box(sched.on_session(black_box(&ctx))))
-        });
-    }
-    group.finish();
-}
-
-/// Benches the AdaInf §3.3.2 search with the decision cache on vs off
-/// (`decision_path/{cached,uncached}`). Same scenario, same context;
-/// the cached variant answers repeat sessions from the memo table.
-pub fn bench_decision_cache(c: &mut Criterion) {
-    let mut s = Scenario::standard();
-    let mut group = c.benchmark_group("decision_path");
-    for (id, cache) in [("cached", true), ("uncached", false)] {
-        let config = AdaInfConfig {
-            decision_cache: cache,
-            ..AdaInfConfig::default()
-        };
-        let mut sched =
-            AdaInfScheduler::new(config, Profiler::default(), s.specs.clone(), 7);
-        sched.on_period_start(&mut s.apps, &s.server, SimTime::ZERO);
-        let ctx = s.ctx(SimTime::ZERO);
-        group.bench_function(id, |b| {
             b.iter(|| black_box(sched.on_session(black_box(&ctx))))
         });
     }

@@ -10,8 +10,11 @@
 //! same `(gpu fraction, predicted requests)` pairs are presented over
 //! and over. The cache memoises the search results keyed
 //! on the **exact bit pattern** of the inputs — a hit replays the
-//! identical decision, so cached and uncached runs are bit-for-bit
-//! indistinguishable (enforced by the golden determinism tests).
+//! identical decision. Under the `strict-invariants` feature every hit
+//! also reruns its search and asserts the fresh value is bit-equal to
+//! the stored one, so any run built with that feature (the golden,
+//! chaos and properties suites, the core unit tests) checks
+//! cached ≡ recomputed on every lookup.
 //!
 //! Invalidation: per-app demand curves and joint batch/space choices
 //! depend only on the immutable [`AppSpec`](adainf_apps::AppSpec)s, so
@@ -21,7 +24,9 @@
 //! (and thus on every drift-impact change).
 
 use crate::timealloc::TimePlan;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 /// Key for the gpu-fraction-dependent caches: `(app, requests,
 /// gpu.to_bits())`. Keying on the exact bits (not a quantisation) is what
@@ -54,13 +59,87 @@ pub struct DecisionCache {
     /// `(app, requests, gpu)` → pool-independent §3.3.2 time plan.
     /// Cleared every period.
     plan: BTreeMap<FracKey, TimePlan>,
+    counts: Counts,
+}
+
+/// Lookup counters, shared by every table.
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
     /// Lookups answered from a table.
-    pub hits: u64,
+    hits: u64,
     /// Lookups that ran the underlying search.
-    pub misses: u64,
-    /// Entries dropped to keep a table within the capacity bound
-    /// (`TABLE_CAP`).
-    pub evictions: u64,
+    misses: u64,
+    /// Entries dropped to keep a table within `TABLE_CAP`.
+    evictions: u64,
+}
+
+/// Bit-level equality of a memoised value, for the `strict-invariants`
+/// recompute-on-hit check: floats compare by `to_bits`, so a divergence
+/// cannot hide behind `-0.0 == 0.0`.
+trait BitEq {
+    fn bit_eq(&self, other: &Self) -> bool;
+}
+
+impl BitEq for f64 {
+    fn bit_eq(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl BitEq for u32 {
+    fn bit_eq(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+impl BitEq for (f64, u32) {
+    fn bit_eq(&self, other: &Self) -> bool {
+        self.0.bit_eq(&other.0) && self.1 == other.1
+    }
+}
+
+/// Every field of a [`TimePlan`] is an integer or a `SimDuration`
+/// (integer microseconds), so its derived `PartialEq` is bit equality.
+impl BitEq for TimePlan {
+    fn bit_eq(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+/// The one lookup behind every table: evict at the cap, then answer
+/// from the table or run `compute` and store its value. Under
+/// `strict-invariants` a hit runs `compute` as well and asserts the
+/// fresh value is bit-equal to the stored one.
+fn lookup<'t, K: Ord + Copy + Debug, V: BitEq + Debug>(
+    table: &'t mut BTreeMap<K, V>,
+    counts: &mut Counts,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> &'t V {
+    // Evict *before* taking the entry: the returned reference must
+    // point at the entry just looked up, never at one being dropped.
+    if table.len() >= TABLE_CAP && !table.contains_key(&key) && table.pop_first().is_some() {
+        counts.evictions += 1;
+    }
+    match table.entry(key) {
+        Entry::Occupied(e) => {
+            counts.hits += 1;
+            let stored = e.into_mut();
+            if cfg!(feature = "strict-invariants") {
+                let fresh = compute();
+                assert!(
+                    fresh.bit_eq(stored),
+                    "strict-invariants: cache hit for {key:?} replayed {stored:?}, \
+                     but the search now gives {fresh:?}"
+                );
+            }
+            stored
+        }
+        Entry::Vacant(e) => {
+            counts.misses += 1;
+            e.insert(compute())
+        }
+    }
 }
 
 impl DecisionCache {
@@ -69,33 +148,14 @@ impl DecisionCache {
         self.plan.clear();
     }
 
-    /// Fraction of lookups answered from a table.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
+    /// `(hits, misses, evictions)` over every table so far.
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
+        (self.counts.hits, self.counts.misses, self.counts.evictions)
     }
 
     /// Memoised SLO-demand fraction for `(app, requests)`.
     pub fn demand(&mut self, app: usize, requests: u32, compute: impl FnOnce() -> f64) -> f64 {
-        if self.demand.len() >= TABLE_CAP
-            && !self.demand.contains_key(&(app, requests))
-            && self.demand.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.demand.entry((app, requests)) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                *e.insert(compute())
-            }
-        }
+        *lookup(&mut self.demand, &mut self.counts, (app, requests), compute)
     }
 
     /// Memoised joint `(fraction, batch)` choice for `(app, requests)`.
@@ -105,22 +165,7 @@ impl DecisionCache {
         requests: u32,
         compute: impl FnOnce() -> (f64, u32),
     ) -> (f64, u32) {
-        if self.joint.len() >= TABLE_CAP
-            && !self.joint.contains_key(&(app, requests))
-            && self.joint.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.joint.entry((app, requests)) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                *e.insert(compute())
-            }
-        }
+        *lookup(&mut self.joint, &mut self.counts, (app, requests), compute)
     }
 
     /// `strict-invariants` check on a float cache key: the key must be a
@@ -150,22 +195,7 @@ impl DecisionCache {
     ) -> u32 {
         Self::check_key(gpu);
         let key = (app, requests, gpu.to_bits());
-        if self.batch_at.len() >= TABLE_CAP
-            && !self.batch_at.contains_key(&key)
-            && self.batch_at.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.batch_at.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                *e.get()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                *e.insert(compute())
-            }
-        }
+        *lookup(&mut self.batch_at, &mut self.counts, key, compute)
     }
 
     /// Memoised §3.3.2 time plan for `(app, requests, gpu)`. Returns a
@@ -180,24 +210,7 @@ impl DecisionCache {
     ) -> &TimePlan {
         Self::check_key(gpu);
         let key = (app, requests, gpu.to_bits());
-        // Evict *before* taking the entry: the returned reference must
-        // point at the entry just looked up, never at one being dropped.
-        if self.plan.len() >= TABLE_CAP
-            && !self.plan.contains_key(&key)
-            && self.plan.pop_first().is_some()
-        {
-            self.evictions += 1;
-        }
-        match self.plan.entry(key) {
-            std::collections::btree_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                self.misses += 1;
-                e.insert(compute())
-            }
-        }
+        lookup(&mut self.plan, &mut self.counts, key, compute)
     }
 }
 
@@ -217,15 +230,13 @@ mod tests {
             });
             assert_eq!(d, 0.25);
         }
-        assert_eq!(calls, 1);
-        assert_eq!(cache.hits, 2);
-        assert_eq!(cache.misses, 1);
+        // The armed check reruns the search on every hit.
+        let strict = cfg!(feature = "strict-invariants");
+        assert_eq!(calls, if strict { 3 } else { 1 });
+        assert_eq!(cache.stats(), (2, 1, 0));
         // A different key computes again.
-        cache.demand(0, 17, || {
-            calls += 1;
-            0.5
-        });
-        assert_eq!(calls, 2);
+        cache.demand(0, 17, || 0.5);
+        assert_eq!(cache.stats(), (2, 2, 0));
     }
 
     #[test]
@@ -240,18 +251,19 @@ mod tests {
         cache.plan(0, 16, 0.25, mk);
         cache.demand(0, 16, || 0.3);
         cache.start_period();
-        let mut recomputed = false;
-        cache.plan(0, 16, 0.25, || {
-            recomputed = true;
-            mk()
-        });
-        assert!(recomputed, "plans must not survive the period boundary");
-        let mut demand_recomputed = false;
-        cache.demand(0, 16, || {
-            demand_recomputed = true;
-            0.3
-        });
-        assert!(!demand_recomputed, "demand tables are spec-lifetime");
+        let (_, misses, _) = cache.stats();
+        cache.plan(0, 16, 0.25, mk);
+        assert_eq!(
+            cache.stats().1,
+            misses + 1,
+            "plans must not survive the period boundary"
+        );
+        cache.demand(0, 16, || 0.3);
+        assert_eq!(
+            cache.stats().1,
+            misses + 1,
+            "demand tables are spec-lifetime"
+        );
     }
 
     #[cfg(feature = "strict-invariants")]
@@ -262,6 +274,17 @@ mod tests {
         cache.batch_at(0, 16, f64::NAN, || 8);
     }
 
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "but the search now gives")]
+    fn strict_recomputes_every_hit() {
+        // -0.0 == 0.0 as floats; the check compares bits, so a search
+        // whose answer moved by sign alone still fails the hit.
+        let mut cache = DecisionCache::default();
+        cache.demand(0, 16, || 0.0);
+        cache.demand(0, 16, || -0.0);
+    }
+
     #[test]
     fn tables_bounded_by_cap() {
         let mut cache = DecisionCache::default();
@@ -269,13 +292,16 @@ mod tests {
         for r in 0..n {
             cache.demand(0, r, || f64::from(r));
         }
-        assert_eq!(cache.evictions, 10);
+        assert_eq!(cache.stats(), (0, u64::from(n), 10));
         // The latest entry survives and replays its cached value.
-        assert_eq!(cache.demand(0, n - 1, || unreachable!()), f64::from(n - 1));
+        assert_eq!(
+            cache.demand(0, n - 1, || f64::from(n - 1)),
+            f64::from(n - 1)
+        );
+        assert_eq!(cache.stats(), (1, u64::from(n), 10));
         // Re-presenting an existing key at cap must not evict anything.
-        let before = cache.evictions;
-        cache.demand(0, n - 1, || unreachable!());
-        assert_eq!(cache.evictions, before);
+        cache.demand(0, n - 1, || f64::from(n - 1));
+        assert_eq!(cache.stats(), (2, u64::from(n), 10));
     }
 
     #[test]
@@ -284,6 +310,8 @@ mod tests {
         cache.batch_at(0, 16, 0.25, || 8);
         let b = cache.batch_at(0, 16, 0.250000001, || 4);
         assert_eq!(b, 4, "nearby fractions must not alias");
-        assert_eq!(cache.batch_at(0, 16, 0.25, || unreachable!()), 8);
+        assert_eq!(cache.stats(), (0, 2, 0));
+        assert_eq!(cache.batch_at(0, 16, 0.25, || 8), 8);
+        assert_eq!(cache.stats(), (1, 2, 0));
     }
 }

@@ -35,12 +35,6 @@ pub struct AdaInfConfig {
     /// in one shot instead of choosing the batch at full GPU and
     /// re-adjusting after allocation ("Design Challenge").
     pub joint_batch_space: bool,
-    /// Memoise the per-session scheduling searches (§3.3) keyed on the
-    /// exact bit patterns of their inputs. Purely a performance switch:
-    /// cache hits replay decisions bit-identically, so results never
-    /// depend on this flag (enforced by the golden determinism tests,
-    /// which run with it off).
-    pub decision_cache: bool,
     /// Admit against *learned* latency forecasts instead of the analytic
     /// inputs: an online per-app ridge regressor (see [`crate::predict`])
     /// streams an observation from every completed job, and once warm its
@@ -96,7 +90,6 @@ impl Default for AdaInfConfig {
             retrain_epochs: 1,
             cpu_offload_threshold: 0,
             joint_batch_space: false,
-            decision_cache: true,
             predicted_latency: false,
             predictor_warmup: 64,
             drift_workers: 0,

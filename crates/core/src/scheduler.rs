@@ -20,10 +20,8 @@ use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
-use crate::space::{
-    divide_space, divide_space_cached, divide_space_joint, divide_space_joint_cached, JobDemand,
-};
-use crate::timealloc::{allocate_time, clamp_slices, plan_time, select_structures, strategies};
+use crate::space::{divide_space, divide_space_joint, JobDemand};
+use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
 use adainf_simcore::parallel;
 use adainf_simcore::walltime::WallTimer;
@@ -139,11 +137,6 @@ impl AdaInfScheduler {
         std::time::Duration::from_nanos((self.sched_wall_ns / self.sched_calls as u128) as u64)
     }
 
-    /// `(hits, misses, evictions)` of the decision cache so far.
-    pub fn cache_stats(&self) -> (u64, u64, u64) {
-        (self.cache.hits, self.cache.misses, self.cache.evictions)
-    }
-
     /// `(hits, misses)` of the drift artifact cache so far.
     pub fn drift_cache_stats(&self) -> (u64, u64) {
         (self.drift.hits, self.drift.misses)
@@ -205,7 +198,7 @@ impl Scheduler for AdaInfScheduler {
     }
 
     fn cache_stats(&self) -> (u64, u64, u64) {
-        (self.cache.hits, self.cache.misses, self.cache.evictions)
+        self.cache.stats()
     }
 
     fn drift_overhead_ns(&self) -> u128 {
@@ -454,35 +447,23 @@ impl Scheduler for AdaInfScheduler {
             .cloned()
             .collect();
 
-        let mut division = match (self.config.joint_batch_space, self.config.decision_cache) {
-            (true, true) => divide_space_joint_cached(
+        let mut division = if self.config.joint_batch_space {
+            divide_space_joint(
                 &gpu_demands,
                 ctx.server.total_space(),
                 ctx.avg_job_time,
                 &self.profiler,
                 &mut self.cache,
-            ),
-            (true, false) => divide_space_joint(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                &self.profiler,
-            ),
-            (false, true) => divide_space_cached(
+            )
+        } else {
+            divide_space(
                 &gpu_demands,
                 ctx.server.total_space(),
                 ctx.avg_job_time,
                 self.config.slo_aware_space,
                 &self.profiler,
                 &mut self.cache,
-            ),
-            (false, false) => divide_space(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                self.config.slo_aware_space,
-                &self.profiler,
-            ),
+            )
         };
         // Never over-commit the free capacity: scale down proportionally.
         let wanted: f64 = division.iter().map(|d| d.gpu).sum();
@@ -516,45 +497,20 @@ impl Scheduler for AdaInfScheduler {
             .map(|(d, job)| {
                 let state = &states[job.app];
                 let spec = &specs[job.app];
-                let (cuts, batch, slices) = if config.decision_cache {
-                    // The pool-independent plan is memoised; only the
-                    // clamp against the live pools runs per session.
-                    let plan = cache.plan(job.app, job.requests, d.gpu, || {
-                        plan_time(
-                            spec,
-                            &state.ridag,
-                            state.cuts.clone(),
-                            d.gpu,
-                            job.requests,
-                            config,
-                            profiler,
-                        )
-                    });
-                    let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
-                    (plan.cuts.clone(), plan.batch, slices)
-                } else {
-                    let acc_table = &state.acc_table;
-                    let acc = |node: usize, cut: usize| -> f64 {
-                        acc_table
-                            .get(node)
-                            .and_then(|entries| {
-                                entries.iter().find(|(c, _)| *c == cut).map(|(_, a)| *a)
-                            })
-                            .unwrap_or(0.0)
-                    };
-                    let alloc = allocate_time(
+                // The pool-independent plan is memoised; only the clamp
+                // against the live pools runs per session.
+                let plan = cache.plan(job.app, job.requests, d.gpu, || {
+                    plan_time(
                         spec,
                         &state.ridag,
-                        &acc,
-                        &state.initial_acc,
+                        state.cuts.clone(),
                         d.gpu,
                         job.requests,
-                        &ctx.pool_remaining[job.app],
                         config,
                         profiler,
-                    );
-                    (alloc.cuts, alloc.batch, alloc.slices)
-                };
+                    )
+                });
+                let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
                 for s in &slices {
                     progress.record_slice(
                         job.app,
@@ -567,8 +523,8 @@ impl Scheduler for AdaInfScheduler {
                 JobPlan {
                     app: job.app,
                     gpu: d.gpu,
-                    batch,
-                    cuts,
+                    batch: plan.batch,
+                    cuts: plan.cuts.clone(),
                     retrain: slices,
                     exec: mode,
                     eviction: policy,
@@ -771,6 +727,73 @@ mod tests {
         for p in &plans {
             assert!(p.gpu > 0.0 && p.gpu <= 1.0);
             assert!(p.batch >= 1);
+        }
+    }
+
+    /// Every plan served from the warm decision cache equals the plan
+    /// recomputed with the cache swapped for an empty one: 12 contexts,
+    /// each recurring 5 times in each of 3 periods (180 sessions), for
+    /// both space dividers and with half the sessions squeezed below
+    /// demand.
+    #[test]
+    fn warm_cache_plans_equal_cold_recomputes() {
+        const SQUEEZED: f64 = 0.3;
+        for joint_batch_space in [false, true] {
+            let (_, mut apps, server) = setup(3);
+            let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+            let config = AdaInfConfig {
+                joint_batch_space,
+                ..AdaInfConfig::default()
+            };
+            let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
+            for period in 1..=3u64 {
+                for rt in &mut apps {
+                    rt.advance_period();
+                }
+                let now = SimTime::from_secs(50 * period);
+                sched.on_period_start(&mut apps, &server, now);
+                let pools: Vec<Vec<usize>> = apps
+                    .iter()
+                    .map(|rt| rt.pools.iter().map(|p| p.remaining()).collect())
+                    .collect();
+                let (hits_before, ..) = sched.cache.stats();
+                for i in 0..60usize {
+                    let predicted: Vec<u32> = (0..3).map(|a| [8, 16, 32][(i + a) % 3]).collect();
+                    let free_gpus = [4.0, SQUEEZED][i % 2];
+                    let ctx = SessionCtx {
+                        now,
+                        predicted: &predicted,
+                        server: &server,
+                        free_gpus,
+                        avg_job_time: SimDuration::from_millis([40, 60][(i / 2) % 2]),
+                        pool_remaining: &pools,
+                    };
+                    let warm = sched.on_session(&ctx);
+                    let warm_cache = std::mem::take(&mut sched.cache);
+                    let cold = sched.on_session(&ctx);
+                    sched.cache = warm_cache;
+                    // Debug renders f64 in shortest round-trip form, so
+                    // equal renderings are bit-equal plans.
+                    assert_eq!(
+                        format!("{warm:?}"),
+                        format!("{cold:?}"),
+                        "joint {joint_batch_space}, period {period}, session {i}"
+                    );
+                    // Roomy sessions want more than the squeezed free
+                    // space, so the squeezed ones ran the scale-down.
+                    let total: f64 = warm.iter().map(|p| p.gpu).sum();
+                    if free_gpus == SQUEEZED {
+                        assert!(total <= SQUEEZED + 1e-9, "squeezed total {total}");
+                    } else {
+                        assert!(total > SQUEEZED, "roomy total {total}");
+                    }
+                }
+                let (hits, ..) = sched.cache.stats();
+                assert!(
+                    hits > hits_before,
+                    "period {period}: the warm cache never hit"
+                );
+            }
         }
     }
 

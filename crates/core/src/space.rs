@@ -84,7 +84,8 @@ pub fn joint_choice(job: &JobDemand, profiler: &Profiler) -> (f64, u32) {
         .expect("candidates non-empty") // simlint: allow(no-unwrap-in-lib) — BATCH_CANDIDATES is a non-empty const
 }
 
-/// Divides `total_gpus` among the session's jobs.
+/// Divides `total_gpus` among the session's jobs, with the demand
+/// inversion and batch re-adjustment memoised in `cache`.
 ///
 /// `avg_job_time` is the EWMA of recent job completion times (`T_a`);
 /// `slo_aware = false` is the AdaInf/S ablation (even split).
@@ -94,52 +95,12 @@ pub fn divide_space(
     avg_job_time: SimDuration,
     slo_aware: bool,
     profiler: &Profiler,
-) -> Vec<JobSpace> {
-    divide_space_inner(jobs, total_gpus, avg_job_time, slo_aware, profiler, None)
-}
-
-/// [`divide_space`] with the demand inversion and batch re-adjustment
-/// memoised in `cache`. Bit-identical to the uncached division: the
-/// cache stores the exact values the searches would produce.
-pub fn divide_space_cached(
-    jobs: &[JobDemand],
-    total_gpus: f64,
-    avg_job_time: SimDuration,
-    slo_aware: bool,
-    profiler: &Profiler,
     cache: &mut DecisionCache,
-) -> Vec<JobSpace> {
-    divide_space_inner(
-        jobs,
-        total_gpus,
-        avg_job_time,
-        slo_aware,
-        profiler,
-        Some(cache),
-    )
-}
-
-fn divide_space_inner(
-    jobs: &[JobDemand],
-    total_gpus: f64,
-    avg_job_time: SimDuration,
-    slo_aware: bool,
-    profiler: &Profiler,
-    mut cache: Option<&mut DecisionCache>,
 ) -> Vec<JobSpace> {
     if jobs.is_empty() {
         return Vec::new();
     }
-    // Concurrent sessions: s = T_a / 5 ms, rounded up to a whole
-    // session, at least 1. Partial sessions cannot overlap, and the
-    // integer count keeps the derived gpu fractions on a small
-    // recurrent set — the EWMA `T_a` varies continuously, and feeding
-    // it through unrounded would make every period's fractions novel
-    // bit patterns, defeating the decision cache's exact-key tables.
-    let s = (avg_job_time.as_millis_f64() / SESSION.as_millis_f64())
-        .ceil()
-        .max(1.0);
-    let session_pool = total_gpus / s;
+    let session_pool = session_pool(total_gpus, avg_job_time);
 
     // Demand per job: fraction needed to meet the SLO from the best
     // full-GPU batch configuration.
@@ -149,10 +110,7 @@ fn divide_space_inner(
             if !slo_aware {
                 return 1.0;
             }
-            match cache.as_deref_mut() {
-                Some(c) => c.demand(j.app, j.requests, || slo_demand(j, profiler)),
-                None => slo_demand(j, profiler),
-            }
+            cache.demand(j.app, j.requests, || slo_demand(j, profiler))
         })
         .collect();
     let total_demand: f64 = demands.iter().sum();
@@ -161,12 +119,9 @@ fn divide_space_inner(
         .zip(&demands)
         .map(|(j, d)| {
             let gpu = quantize_space((session_pool * d / total_demand).clamp(1e-3, 1.0));
-            let batch = match cache.as_deref_mut() {
-                Some(c) => c.batch_at(j.app, j.requests, gpu, || {
-                    profiler.optimal_batch_at(&j.cost, j.requests, gpu).0
-                }),
-                None => profiler.optimal_batch_at(&j.cost, j.requests, gpu).0,
-            };
+            let batch = cache.batch_at(j.app, j.requests, gpu, || {
+                profiler.optimal_batch_at(&j.cost, j.requests, gpu).0
+            });
             JobSpace {
                 app: j.app,
                 gpu,
@@ -180,49 +135,23 @@ fn divide_space_inner(
 /// fraction **jointly** — for every batch candidate, invert the
 /// regression from that batch's own full-GPU worst case, and keep the
 /// `(batch, fraction)` pair with the smallest fraction that meets the
-/// SLO. No post-allocation re-adjustment is needed.
+/// SLO. No post-allocation re-adjustment is needed. The per-job choice
+/// is memoised in `cache`.
 pub fn divide_space_joint(
-    jobs: &[JobDemand],
-    total_gpus: f64,
-    avg_job_time: SimDuration,
-    profiler: &Profiler,
-) -> Vec<JobSpace> {
-    divide_space_joint_inner(jobs, total_gpus, avg_job_time, profiler, None)
-}
-
-/// [`divide_space_joint`] with the per-job choice memoised in `cache`.
-pub fn divide_space_joint_cached(
     jobs: &[JobDemand],
     total_gpus: f64,
     avg_job_time: SimDuration,
     profiler: &Profiler,
     cache: &mut DecisionCache,
 ) -> Vec<JobSpace> {
-    divide_space_joint_inner(jobs, total_gpus, avg_job_time, profiler, Some(cache))
-}
-
-fn divide_space_joint_inner(
-    jobs: &[JobDemand],
-    total_gpus: f64,
-    avg_job_time: SimDuration,
-    profiler: &Profiler,
-    mut cache: Option<&mut DecisionCache>,
-) -> Vec<JobSpace> {
     if jobs.is_empty() {
         return Vec::new();
     }
-    // Whole concurrent sessions, as in `divide_space_inner`.
-    let s = (avg_job_time.as_millis_f64() / SESSION.as_millis_f64())
-        .ceil()
-        .max(1.0);
-    let session_pool = total_gpus / s;
+    let session_pool = session_pool(total_gpus, avg_job_time);
 
     let choices: Vec<(f64, u32)> = jobs
         .iter()
-        .map(|j| match cache.as_deref_mut() {
-            Some(c) => c.joint(j.app, j.requests, || joint_choice(j, profiler)),
-            None => joint_choice(j, profiler),
-        })
+        .map(|j| cache.joint(j.app, j.requests, || joint_choice(j, profiler)))
         .collect();
     let total_demand: f64 = choices.iter().map(|(g, _)| g).sum();
 
@@ -234,6 +163,20 @@ fn divide_space_joint_inner(
             batch,
         })
         .collect()
+}
+
+/// One session's share of the server: `total_gpus / s` with
+/// `s = T_a / 5 ms` concurrent sessions, rounded up to a whole session,
+/// at least 1. Partial sessions cannot overlap, and the integer count
+/// keeps the derived gpu fractions on a small recurrent set — the EWMA
+/// `T_a` varies continuously, and feeding it through unrounded would
+/// make every period's fractions novel bit patterns, defeating the
+/// decision cache's exact-key tables.
+fn session_pool(total_gpus: f64, avg_job_time: SimDuration) -> f64 {
+    let s = (avg_job_time.as_millis_f64() / SESSION.as_millis_f64())
+        .ceil()
+        .max(1.0);
+    total_gpus / s
 }
 
 #[cfg(test)]
@@ -253,14 +196,32 @@ mod tests {
         }
     }
 
+    /// [`divide_space`] through a fresh cache, `T_a` in milliseconds.
+    fn split(jobs: &[JobDemand], gpus: f64, t_a_ms: u64, slo_aware: bool) -> Vec<JobSpace> {
+        let (p, mut cache) = (Profiler::default(), DecisionCache::default());
+        divide_space(
+            jobs,
+            gpus,
+            SimDuration::from_millis(t_a_ms),
+            slo_aware,
+            &p,
+            &mut cache,
+        )
+    }
+
+    /// [`divide_space_joint`] through a fresh cache.
+    fn split_joint(jobs: &[JobDemand], gpus: f64, t_a_ms: u64) -> Vec<JobSpace> {
+        let (p, mut cache) = (Profiler::default(), DecisionCache::default());
+        divide_space_joint(jobs, gpus, SimDuration::from_millis(t_a_ms), &p, &mut cache)
+    }
+
     #[test]
     fn heavier_jobs_get_more_space() {
-        let p = Profiler::default();
         let jobs = vec![
             demand(0, 32, 1.5e8, 400),
             demand(1, 32, 3.0e7, 400), // 5× lighter
         ];
-        let div = divide_space(&jobs, 4.0, SimDuration::from_millis(100), true, &p);
+        let div = split(&jobs, 4.0, 100, true);
         assert_eq!(div.len(), 2);
         assert!(
             div[0].gpu > div[1].gpu * 1.5,
@@ -272,51 +233,46 @@ mod tests {
 
     #[test]
     fn tighter_slo_gets_more_space() {
-        let p = Profiler::default();
         let jobs = vec![demand(0, 32, 1.5e8, 400), demand(1, 32, 1.5e8, 600)];
-        let div = divide_space(&jobs, 4.0, SimDuration::from_millis(100), true, &p);
+        let div = split(&jobs, 4.0, 100, true);
         assert!(div[0].gpu > div[1].gpu);
     }
 
     #[test]
     fn even_split_when_not_slo_aware() {
-        let p = Profiler::default();
         let jobs = vec![demand(0, 32, 1.5e8, 400), demand(1, 32, 1.0e7, 600)];
-        let div = divide_space(&jobs, 4.0, SimDuration::from_millis(100), false, &p);
+        let div = split(&jobs, 4.0, 100, false);
         assert!((div[0].gpu - div[1].gpu).abs() < 1e-9);
     }
 
     #[test]
     fn more_concurrency_means_smaller_pool() {
-        let p = Profiler::default();
         let jobs = vec![demand(0, 32, 1.5e8, 400)];
-        let short = divide_space(&jobs, 4.0, SimDuration::from_millis(20), true, &p);
-        let long = divide_space(&jobs, 4.0, SimDuration::from_millis(400), true, &p);
+        let short = split(&jobs, 4.0, 20, true);
+        let long = split(&jobs, 4.0, 400, true);
         assert!(short[0].gpu > long[0].gpu);
     }
 
     #[test]
     fn batch_adapts_to_allocation() {
-        let p = Profiler::default();
         // A job alone on a big server gets a large fraction → batch 16;
         // squeezed among many concurrent sessions → smaller batch.
         let jobs = vec![demand(0, 64, 1.5e8, 400)];
-        let roomy = divide_space(&jobs, 8.0, SimDuration::from_millis(10), true, &p);
-        let tight = divide_space(&jobs, 1.0, SimDuration::from_millis(500), true, &p);
+        let roomy = split(&jobs, 8.0, 10, true);
+        let tight = split(&jobs, 1.0, 500, true);
         assert!(roomy[0].batch >= tight[0].batch);
         assert!(tight[0].batch >= 1);
     }
 
     #[test]
     fn allocations_sit_on_the_centi_gpu_grid() {
-        let p = Profiler::default();
         let jobs = vec![
             demand(0, 37, 1.5e8, 400),
             demand(1, 53, 3.0e7, 450),
             demand(2, 11, 6.0e7, 500),
         ];
-        let div = divide_space(&jobs, 4.0, SimDuration::from_millis(137), true, &p);
-        let joint = divide_space_joint(&jobs, 4.0, SimDuration::from_millis(137), &p);
+        let div = split(&jobs, 4.0, 137, true);
+        let joint = split_joint(&jobs, 4.0, 137);
         for d in div.iter().chain(&joint) {
             let centi = d.gpu * 100.0;
             assert!(
@@ -334,9 +290,8 @@ mod tests {
 
     #[test]
     fn empty_jobs_yield_empty_division() {
-        let p = Profiler::default();
-        assert!(divide_space(&[], 4.0, SimDuration::from_millis(100), true, &p).is_empty());
-        assert!(divide_space_joint(&[], 4.0, SimDuration::from_millis(100), &p).is_empty());
+        assert!(split(&[], 4.0, 100, true).is_empty());
+        assert!(split_joint(&[], 4.0, 100).is_empty());
     }
 
     #[test]
@@ -344,10 +299,9 @@ mod tests {
         // The one-shot decision should land near the two-step result for
         // typical jobs (the two approaches only diverge when the batch
         // re-adjustment would change the choice a lot).
-        let p = Profiler::default();
         let jobs = vec![demand(0, 32, 1.5e8, 400), demand(1, 32, 6.0e7, 500)];
-        let two_step = divide_space(&jobs, 4.0, SimDuration::from_millis(100), true, &p);
-        let joint = divide_space_joint(&jobs, 4.0, SimDuration::from_millis(100), &p);
+        let two_step = split(&jobs, 4.0, 100, true);
+        let joint = split_joint(&jobs, 4.0, 100);
         for (a, b) in two_step.iter().zip(&joint) {
             assert_eq!(a.app, b.app);
             assert!(b.gpu > 0.0 && b.gpu <= 1.0);

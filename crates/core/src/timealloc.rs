@@ -12,6 +12,12 @@
 //! 4. splits `T_r` among the retraining tasks in proportion to their
 //!    impact degrees and converts each share into a retraining setting
 //!    (samples, batch, epochs) via the offline profiles.
+//!
+//! Step 1 depends only on period state, so the scheduler runs
+//! [`select_structures`] once per period; steps 2–4 are
+//! [`plan_time`], memoised per `(app, requests, gpu)` by the decision
+//! cache; [`clamp_slices`] then caps each slice at the live pool state
+//! every session.
 
 use crate::config::AdaInfConfig;
 use crate::plan::RetrainSlice;
@@ -21,22 +27,9 @@ use adainf_apps::AppSpec;
 use adainf_gpusim::{EvictionPolicyKind, ExecMode};
 use adainf_simcore::SimDuration;
 
-/// The outcome of time division for one job.
-#[derive(Clone, Debug)]
-pub struct TimeAllocation {
-    /// Structure cut per DAG node.
-    pub cuts: Vec<usize>,
-    /// Re-adjusted request batch size.
-    pub batch: u32,
-    /// Estimated total inference time of the job.
-    pub inference_time: SimDuration,
-    /// Retraining slices, one per impacted model with budget > 0.
-    pub slices: Vec<RetrainSlice>,
-}
-
 /// A retraining slice before the pool bound is applied: `fit` samples
 /// fit in the budget; the live pool state caps it at plan time.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProtoSlice {
     /// DAG node (model) index.
     pub node: usize,
@@ -54,7 +47,7 @@ pub struct ProtoSlice {
 /// clamp of slice samples against the remaining retraining pools. This
 /// is what the scheduler's decision cache stores — pools drain between
 /// sessions, so the clamp must be re-applied at every lookup.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimePlan {
     /// Structure cut per DAG node.
     pub cuts: Vec<usize>,
@@ -203,32 +196,6 @@ pub fn clamp_slices(proto: &[ProtoSlice], pool_remaining: &[usize]) -> Vec<Retra
         .collect()
 }
 
-/// Divides the job's SLO time. `accuracy(node, cut)` is the scheduler's
-/// period-refreshed structure-accuracy snapshot; `initial_acc[node]` is
-/// `I_m`; `pool_remaining[node]` bounds the retraining samples available.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_time(
-    app: &AppSpec,
-    ridag: &RiDag,
-    accuracy: &dyn Fn(usize, usize) -> f64,
-    initial_acc: &[f64],
-    gpu: f64,
-    requests: u32,
-    pool_remaining: &[usize],
-    config: &AdaInfConfig,
-    profiler: &Profiler,
-) -> TimeAllocation {
-    let cuts = select_structures(app, ridag, accuracy, initial_acc, config);
-    let plan = plan_time(app, ridag, cuts, gpu, requests, config, profiler);
-    let slices = clamp_slices(&plan.proto, pool_remaining);
-    TimeAllocation {
-        cuts: plan.cuts,
-        batch: plan.batch,
-        inference_time: plan.inference_time,
-        slices,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,112 +226,79 @@ mod tests {
         }
     }
 
+    /// The scheduler's time path for one job: the period's structure
+    /// choice, the pool-independent plan, then the clamp against `pools`.
+    fn allocate(
+        app: &AppSpec,
+        dag: &RiDag,
+        gpu: f64,
+        requests: u32,
+        pools: &[usize],
+        config: &AdaInfConfig,
+    ) -> (TimePlan, Vec<RetrainSlice>) {
+        let cuts = select_structures(app, dag, &acc_fn(app), &[0.95, 0.95, 0.95], config);
+        let plan = plan_time(app, dag, cuts, gpu, requests, config, &Profiler::default());
+        let slices = clamp_slices(&plan.proto, pools);
+        (plan, slices)
+    }
+
     #[test]
     fn unimpacted_models_use_full_structure() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            32,
-            &[1000, 1000, 1000],
-            &AdaInfConfig::default(),
-            &p,
-        );
+        let config = AdaInfConfig::default();
+        let (plan, _) = allocate(&app, &dag, 0.3, 32, &[1000, 1000, 1000], &config);
         // Node 0 (not retrained) must use its full structure; impacted
         // nodes must pick an early exit clearing A_m (skipping the 70 %
         // shallowest exit).
-        assert_eq!(alloc.cuts[0], app.nodes[0].profile.full_cut());
+        assert_eq!(plan.cuts[0], app.nodes[0].profile.full_cut());
         let exits1 = app.nodes[1].profile.exit_points();
-        assert_eq!(alloc.cuts[1], exits1[1], "should skip the failing exit");
-        assert!(alloc.cuts[1] < app.nodes[1].profile.full_cut());
+        assert_eq!(plan.cuts[1], exits1[1], "should skip the failing exit");
+        assert!(plan.cuts[1] < app.nodes[1].profile.full_cut());
     }
 
     #[test]
     fn spare_time_split_follows_impact() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            16,
-            &[100_000, 100_000, 100_000],
-            &AdaInfConfig::default(),
-            &p,
-        );
-        assert_eq!(alloc.slices.len(), 2);
-        let s1 = alloc.slices.iter().find(|s| s.node == 1).unwrap();
-        let s2 = alloc.slices.iter().find(|s| s.node == 2).unwrap();
+        let pools = [100_000, 100_000, 100_000];
+        let (plan, slices) = allocate(&app, &dag, 0.3, 16, &pools, &AdaInfConfig::default());
+        assert_eq!(slices.len(), 2);
+        let s1 = slices.iter().find(|s| s.node == 1).unwrap();
+        let s2 = slices.iter().find(|s| s.node == 2).unwrap();
         // Impact 0.12 vs 0.04 → 3:1 time split.
         let ratio = s1.time.as_millis_f64() / s2.time.as_millis_f64();
         assert!((ratio - 3.0).abs() < 0.05, "ratio {ratio}");
         // The budgets must fit inside the SLO spare time.
-        let total: f64 = alloc.slices.iter().map(|s| s.time.as_millis_f64()).sum();
+        let total: f64 = slices.iter().map(|s| s.time.as_millis_f64()).sum();
         assert!(
-            total <= app.slo.as_millis_f64() - alloc.inference_time.as_millis_f64() + 0.01
+            total <= app.slo.as_millis_f64() - plan.inference_time.as_millis_f64() + 0.01
         );
     }
 
     #[test]
     fn variant_i_splits_evenly() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            16,
-            &[100_000, 100_000, 100_000],
-            &AdaInfConfig::variant_i(),
-            &p,
-        );
-        let times: Vec<f64> = alloc.slices.iter().map(|s| s.time.as_millis_f64()).collect();
+        let pools = [100_000, 100_000, 100_000];
+        let (_, slices) = allocate(&app, &dag, 0.3, 16, &pools, &AdaInfConfig::variant_i());
+        let times: Vec<f64> = slices.iter().map(|s| s.time.as_millis_f64()).collect();
         assert!((times[0] - times[1]).abs() < 0.01, "{times:?}");
     }
 
     #[test]
     fn variant_e_uses_full_structures() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            16,
-            &[1000, 1000, 1000],
-            &AdaInfConfig::variant_e(),
-            &p,
-        );
-        assert_eq!(alloc.cuts, app.full_cuts());
+        let config = AdaInfConfig::variant_e();
+        let (plan, _) = allocate(&app, &dag, 0.3, 16, &[1000, 1000, 1000], &config);
+        assert_eq!(plan.cuts, app.full_cuts());
     }
 
     #[test]
     fn pool_exhaustion_limits_samples() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            16,
-            &[5, 0, 0],
-            &AdaInfConfig::default(),
-            &p,
-        );
-        // Pools for nodes 1 and 2 are empty → no slices at all.
-        assert!(alloc.slices.is_empty(), "{:?}", alloc.slices);
+        let (plan, slices) = allocate(&app, &dag, 0.3, 16, &[5, 0, 0], &AdaInfConfig::default());
+        // The plan budgets both impacted models, but their pools are
+        // empty → no slices at all.
+        assert_eq!(plan.proto.len(), 2);
+        assert!(slices.is_empty(), "{slices:?}");
     }
 
     #[test]
@@ -396,40 +330,20 @@ mod tests {
     #[test]
     fn no_retraining_when_disabled() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.3,
-            16,
-            &[1000, 1000, 1000],
-            &AdaInfConfig::early_without_retraining(),
-            &p,
-        );
-        assert!(alloc.slices.is_empty());
+        let config = AdaInfConfig::early_without_retraining();
+        let (plan, slices) = allocate(&app, &dag, 0.3, 16, &[1000, 1000, 1000], &config);
+        assert!(slices.is_empty());
         // Early exits still used (it is "Early"-w/o).
-        assert!(alloc.cuts[1] < app.nodes[1].profile.full_cut());
+        assert!(plan.cuts[1] < app.nodes[1].profile.full_cut());
     }
 
     #[test]
     fn overloaded_job_gets_no_spare_time() {
         let (app, dag) = surveillance_setup();
-        let p = Profiler::default();
         // A tiny fraction with a large job: inference exceeds the SLO.
-        let alloc = allocate_time(
-            &app,
-            &dag,
-            &acc_fn(&app),
-            &[0.95, 0.95, 0.95],
-            0.005,
-            256,
-            &[1000, 1000, 1000],
-            &AdaInfConfig::default(),
-            &p,
-        );
-        assert!(alloc.inference_time > app.slo);
-        assert!(alloc.slices.is_empty());
+        let config = AdaInfConfig::default();
+        let (plan, slices) = allocate(&app, &dag, 0.005, 256, &[1000, 1000, 1000], &config);
+        assert!(plan.inference_time > app.slo);
+        assert!(slices.is_empty());
     }
 }

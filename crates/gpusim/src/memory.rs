@@ -164,8 +164,9 @@ pub struct GpuMemory {
     effective_capacity: u64,
     resident: BTreeMap<ContentKey, Resident>,
     used: u64,
-    /// Non-resident contents we know about, and where they live.
-    spilled: BTreeMap<ContentKey, CpuLocation>,
+    /// Non-resident contents we know about: where each lives and the
+    /// bytes it was spilled with (what a pinned spill reserved in PIN).
+    spilled: BTreeMap<ContentKey, (CpuLocation, u64)>,
     pin_used: u64,
     stats: MemoryStats,
     reuse_events: Vec<ReuseEvent>,
@@ -344,7 +345,7 @@ impl GpuMemory {
                 CpuLocation::Pageable => self.config.pageable_bandwidth,
             };
             comm += self.transfer_cost(v.bytes, bandwidth, now);
-            self.spilled.insert(v.key, location);
+            self.spilled.insert(v.key, (location, v.bytes));
         }
         self.stats.comm_time += comm;
         comm
@@ -451,16 +452,18 @@ impl GpuMemory {
         // Miss: free room, then fetch or produce.
         let mut comm = self.make_room(bytes, now);
         let fetch_location = self.spilled.remove(&key);
-        if let Some(loc) = fetch_location {
+        if let Some((loc, spilled_bytes)) = fetch_location {
+            // Release what the spill reserved, which need not be this
+            // access's byte count.
             if loc == CpuLocation::Pinned {
                 if cfg!(feature = "strict-invariants") {
                     assert!(
-                        self.pin_used >= bytes,
-                        "strict-invariants: releasing {bytes} B of PIN with only {} B reserved",
+                        self.pin_used >= spilled_bytes,
+                        "strict-invariants: releasing {spilled_bytes} B of PIN with only {} B reserved",
                         self.pin_used
                     );
                 }
-                self.pin_used = self.pin_used.saturating_sub(bytes);
+                self.pin_used = self.pin_used.saturating_sub(spilled_bytes);
             }
             if intent == AccessIntent::Fetch {
                 let bandwidth = match loc {
@@ -531,17 +534,12 @@ impl GpuMemory {
                 e.dead = true;
             }
         }
-        // Also forget spilled intermediates of the job.
-        self.spilled.retain(|k, loc| {
-            let dead =
-                k.app == app && k.job == job && k.ctype == ContentType::Intermediate;
-            if dead && *loc == CpuLocation::Pinned {
-                // (bytes unknown once spilled; PIN accounting keeps the
-                // reservation until next fetch — conservatively release
-                // nothing here.)
-            }
-            !dead
-        });
+        // Also forget spilled intermediates of the job. A pinned one's
+        // PIN reservation is not released and stays counted in
+        // `pin_used`; releasing it would change the comm inflation the
+        // detailed engine (`exec::run_concurrent`) measures.
+        self.spilled
+            .retain(|k, _| !(k.app == app && k.job == job && k.ctype == ContentType::Intermediate));
     }
 
     /// Like [`Self::retire_job`], but for the execution engine's encoded
@@ -571,6 +569,7 @@ impl GpuMemory {
                 e.dead = true;
             }
         }
+        // Pinned ones keep their PIN reservation, as in `retire_job`.
         self.spilled.retain(|k, _| {
             !(k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate)
         });
@@ -943,6 +942,29 @@ mod tests {
                 pinned + pageable,
                 "slo {slo_ms}: param refetch should stay pageable"
             );
+        }
+    }
+
+    #[test]
+    fn pinned_refetch_releases_the_spilled_size() {
+        // A pinned content fetched back at another size (smaller, then
+        // larger) must release the bytes its spill reserved, not the
+        // new access's byte count.
+        for resize in [300, 450] {
+            let mut cfg = small_config(EvictionPolicyKind::Priority);
+            cfg.gpu_capacity = 500;
+            cfg.pin_capacity = 2000;
+            let mut mem = GpuMemory::new(cfg);
+            let inter = ContentKey::intermediate(1, 1, 0, 1);
+            let spoiler = ContentKey::intermediate(1, 2, 0, 2);
+            let ctx = TaskContext::Retraining;
+            mem.access(inter, 400, ctx, 1, 0, 400.0, AccessIntent::Produce, t(0));
+            mem.access(spoiler, 400, ctx, 2, 0, 400.0, AccessIntent::Produce, t(10));
+            assert_eq!(mem.pin_used, 400, "the retraining intermediate spills to PIN");
+            // The spoiler dies, so the refetch drops it without a spill.
+            mem.retire_job(1, 2, false);
+            mem.access(inter, resize, ctx, 1, 0, 400.0, AccessIntent::Fetch, t(20));
+            assert_eq!(mem.pin_used, 0, "refetch at {resize} B");
         }
     }
 

@@ -6,7 +6,7 @@
 
 use crate::metrics::RunMetrics;
 use crate::sim::{run, RunConfig};
-use adainf_simcore::parallel::fan_out;
+use adainf_simcore::parallel::fan_out_indexed;
 
 /// Runs every configuration, using up to `threads` worker threads
 /// (0 = one per configuration, capped at the available parallelism).
@@ -16,7 +16,12 @@ use adainf_simcore::parallel::fan_out;
 /// shared atomic counter and each writes its result into a dedicated
 /// slot, so many-core sweeps never contend on a queue or results lock.
 pub fn run_many(configs: Vec<RunConfig>, threads: usize) -> Vec<RunMetrics> {
-    fan_out(configs.len(), threads, |idx| run(configs[idx].clone()))
+    fan_out_indexed(
+        configs.len(),
+        threads,
+        || (),
+        |idx, ()| run(configs[idx].clone()),
+    )
 }
 
 #[cfg(test)]

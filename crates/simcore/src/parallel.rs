@@ -28,10 +28,11 @@
 //! Two layers close the loop on the discipline the comments above only
 //! promise:
 //!
-//! * the `race-check` cargo feature instruments [`fan_out_indexed`] with
-//!   a claim bitmap — one atomic claim counter per index — and asserts,
-//!   after the scoped threads join, that every index was claimed exactly
-//!   once and no slot was lost;
+//! * the `race-check` cargo feature instruments [`fan_out_indexed`] and
+//!   [`fan_out_indexed_owned`] with a claim bitmap — one atomic claim
+//!   counter per index — and asserts, after the scoped threads join,
+//!   that every index was claimed exactly once and no slot was lost
+//!   ([`spawn_background`] keeps the same ledger unconditionally);
 //! * [`fan_out_check`] is a seeded adversarial schedule-replay harness:
 //!   it derives K deterministic claim-order permutations from a
 //!   [`Prng`] seed, replays the job set under each permutation at every
@@ -65,15 +66,16 @@ pub fn resolved_threads(n: usize, threads: usize) -> usize {
 }
 
 /// One claim counter per job index, armed by the `race-check` feature:
-/// [`fan_out_indexed`] bumps an index's counter when a worker claims it
-/// and [`verify`](ClaimLedger::verify) asserts — after the scoped
-/// threads joined — that every index was claimed exactly once. A double
-/// claim (two workers running the same job) or a lost slot (an index no
+/// [`fan_out_indexed`] bumps an index's counter when a worker claims it,
+/// [`fan_out_indexed_owned`] when a worker starts a job dealt to it, and
+/// [`verify`](ClaimLedger::verify) asserts — after the scoped threads
+/// joined — that every index was claimed exactly once. A double claim
+/// (two workers running the same job) or a lost slot (an index no
 /// worker ran) is a broken work-index pool, never a benign race: both
 /// would silently desynchronise the parallel result from the
-/// sequential loop. ([`fan_out_check`]'s forced replays verify a ledger
-/// unconditionally — it is a checking harness; only the production
-/// [`fan_out_indexed`] instrumentation is behind the feature.)
+/// sequential loop. ([`fan_out_check`]'s forced replays and
+/// [`spawn_background`] verify a ledger unconditionally; only the two
+/// scoped production fan-outs' instrumentation is behind the feature.)
 struct ClaimLedger {
     claims: Vec<AtomicUsize>,
 }
@@ -163,15 +165,6 @@ where
         .collect()
 }
 
-/// [`fan_out_indexed`] without per-worker state.
-pub fn fan_out<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    fan_out_indexed(n, threads, || (), |i, ()| work(i))
-}
-
 /// Runs `work(index, job, state)` for every job in `jobs`, handing each
 /// worker **ownership** of the jobs it executes. Results return in
 /// input order, bit-identical to the sequential
@@ -213,22 +206,22 @@ where
             .collect();
     }
 
-    // Deal the owned jobs round-robin into per-worker lists on the
-    // caller's thread; each list moves into its worker wholesale.
-    let mut deals: Vec<Vec<(usize, J)>> = (0..max_threads).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deals[i % max_threads].push((i, job));
-    }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    #[cfg(feature = "race-check")]
+    let ledger = ClaimLedger::new(n);
 
     std::thread::scope(|scope| {
-        for deal in deals {
+        for deal in deal_round_robin(jobs, max_threads) {
             let slots = &slots;
             let make_state = &make_state;
             let work = &work;
+            #[cfg(feature = "race-check")]
+            let ledger = &ledger;
             scope.spawn(move || {
                 let mut state = make_state();
                 for (idx, job) in deal {
+                    #[cfg(feature = "race-check")]
+                    ledger.claim(idx);
                     let result = work(idx, job, &mut state);
                     if slots[idx].set(result).is_err() {
                         unreachable!("slot {idx} dealt twice");
@@ -238,11 +231,25 @@ where
         }
     });
 
+    #[cfg(feature = "race-check")]
+    ledger.verify("fan_out_indexed_owned");
+
     slots
         .into_iter()
         // simlint: allow(no-unwrap-in-lib) — the scoped threads above joined and every index was dealt to exactly one worker
         .map(|slot| slot.into_inner().expect("every job completed"))
         .collect()
+}
+
+/// Deals owned jobs round-robin into `workers` per-worker lists of
+/// `(index, job)` — worker `w` gets jobs `w, w+W, w+2W, …` — on the
+/// caller's thread, so each list moves into its worker wholesale.
+fn deal_round_robin<J>(jobs: Vec<J>, workers: usize) -> Vec<Vec<(usize, J)>> {
+    let mut deals: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        deals[i % workers].push((i, job));
+    }
+    deals
 }
 
 /// Per-slot completion state shared between a background stage's
@@ -348,10 +355,7 @@ where
     }
 
     let max_threads = resolved_threads(n, threads).max(1);
-    let mut deals: Vec<Vec<(usize, J)>> = (0..max_threads).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deals[i % max_threads].push((i, job));
-    }
+    let deals = deal_round_robin(jobs, max_threads);
 
     // simlint: allow(no-unwrap-in-lib) — the workers have not started yet, so the lock cannot be poisoned or contended
     shared.slots.lock().unwrap().workers_alive = max_threads;
@@ -568,15 +572,15 @@ mod tests {
     fn matches_sequential_map_in_order() {
         let seq: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(31)).collect();
         for threads in [0, 1, 2, 5, 64] {
-            let par = fan_out(97, threads, |i| (i as u64).wrapping_mul(31));
+            let par = fan_out_indexed(97, threads, || (), |i, ()| (i as u64).wrapping_mul(31));
             assert_eq!(par, seq, "threads={threads}");
         }
     }
 
     #[test]
     fn empty_and_single_are_fine() {
-        assert!(fan_out(0, 4, |i| i).is_empty());
-        assert_eq!(fan_out(1, 4, |i| i + 7), vec![7]);
+        assert!(fan_out_indexed(0, 4, || (), |i, ()| i).is_empty());
+        assert_eq!(fan_out_indexed(1, 4, || (), |i, ()| i + 7), vec![7]);
     }
 
     #[test]

@@ -146,8 +146,9 @@ pub const RULES: &[RuleInfo] = &[
                       OnceLock slots (parallel ≡ sequential bit-equality), carry the \
                       race-check claim ledger, and are exercised by the schedule-replay \
                       harness (fan_out_check). An ad-hoc thread::spawn elsewhere gets none \
-                      of that. Fix: express the work as fan_out / fan_out_indexed / \
-                      fan_out_indexed_owned over an index space or owned job list.",
+                      of that. Fix: express the work as fan_out_indexed over an index \
+                      space, or fan_out_indexed_owned / spawn_background over an owned \
+                      job list.",
     },
     RuleInfo {
         id: "no-shared-sync-outside-pool",
@@ -631,8 +632,8 @@ fn check_adhoc_threading(ctx: &mut Ctx<'_>) {
             i,
             rule,
             "ad-hoc thread creation; all parallelism goes through the race-checked \
-             fan-outs in crates/simcore/src/parallel.rs (fan_out / fan_out_indexed / \
-             fan_out_indexed_owned)"
+             fan-outs in crates/simcore/src/parallel.rs (fan_out_indexed / \
+             fan_out_indexed_owned / spawn_background)"
                 .to_string(),
         );
     }

@@ -1,7 +1,7 @@
 //! Fixture: parallelism expressed through the race-checked fan-outs,
 //! which own all thread spawning inside simcore/src/parallel.rs.
-use adainf_simcore::parallel::fan_out;
+use adainf_simcore::parallel::fan_out_indexed;
 
 pub fn square_all(xs: &[u64]) -> Vec<u64> {
-    fan_out(xs, 0, |x| x * x)
+    fan_out_indexed(xs.len(), 0, || (), |i, ()| xs[i] * xs[i])
 }
