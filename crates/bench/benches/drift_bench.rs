@@ -11,10 +11,10 @@
 //!   deviation-ordered retraining selection for one node.
 //! * `drift/period_boundary_3apps` — one whole period boundary of a
 //!   three-app set at the paper's 6000-sample pools: every runtime
-//!   advances (fresh pools, held-out and evaluation sets), the stale
-//!   artifact inputs are snapshotted, and every node's artifacts are
-//!   built on one worker scratch and installed — the steady state, with
-//!   each build warm-started from the previous period's basis.
+//!   advances (fresh pools, held-out and evaluation sets), and every
+//!   node's artifacts are rebuilt by one `DriftCache::refresh` at width
+//!   1 — the steady state, with each build warm-started from the
+//!   previous period's basis.
 //! * `driftgen/sample_6000` — one 6000-sample retraining-pool draw.
 
 #![forbid(unsafe_code)]
@@ -34,8 +34,7 @@ use adainf_simcore::Prng;
 const PAPER_POOL: usize = 6000;
 
 /// Advances every runtime one period, then refreshes every node's drift
-/// artifacts the way the scheduler's boundary does: snapshot the stale
-/// inputs, build each snapshot (here on one worker scratch), install.
+/// artifacts the way the scheduler's boundary does (here on one worker).
 fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, root: &Prng) {
     for rt in apps.iter_mut() {
         rt.advance_period();
@@ -45,12 +44,7 @@ fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, 
         .enumerate()
         .flat_map(|(a, rt)| (0..rt.spec.nodes.len()).map(move |n| (a, n)))
         .collect();
-    let snaps = cache.snapshot_stale(&jobs, apps, root);
-    let mut scratch = DetectScratch::default();
-    for snap in snaps {
-        let built = snap.build(pca, &mut scratch);
-        cache.insert_built(built);
-    }
+    cache.refresh(&jobs, apps, pca, root, 1);
 }
 
 fn drifted_runtime(periods: usize) -> AppRuntime {

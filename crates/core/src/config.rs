@@ -50,10 +50,10 @@ pub struct AdaInfConfig {
     /// are used; below this the admission path falls back to the
     /// analytic inputs bit-exactly.
     pub predictor_warmup: u32,
-    /// Worker threads for the background drift stage (0 = the host's
-    /// available parallelism). Exposed so the determinism tests can pin
-    /// exact worker counts — one worker is their sequential reference;
-    /// results never depend on it.
+    /// Width of the period-boundary drift artifact build fan-out
+    /// (0 = the host's available parallelism). Exposed so the
+    /// determinism tests can pin exact worker counts — one worker is
+    /// their sequential reference; results never depend on it.
     pub drift_workers: usize,
 
     // ---- Ablation switches (§5.2) ----

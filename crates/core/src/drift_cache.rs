@@ -10,10 +10,9 @@
 //! and shares them.
 //!
 //! Filling: at each period boundary the scheduler builds every stale
-//! entry on a background stage ([`DriftCache::snapshot_stale`] →
-//! [`DriftSnapshot::build`] → [`DriftCache::insert_built`]), so its
-//! lookups that period all hit. [`DriftCache::artifacts`] builds on a
-//! miss for every other caller.
+//! entry at once ([`DriftCache::refresh`], fanned out across the
+//! boundary's workers), so its lookups that period all hit.
+//! [`DriftCache::artifacts`] builds on a miss for every other caller.
 //!
 //! Determinism: PCA-fit randomness is routed through a child [`Prng`]
 //! stream derived from the scheduler's root stream via [`Prng::split`],
@@ -30,14 +29,12 @@
 
 use adainf_apps::AppRuntime;
 use adainf_driftgen::LabeledSamples;
-use adainf_modelzoo::TrainableModel;
 use adainf_nn::metrics::cosine_distance;
 use adainf_nn::pca::{Pca, PcaScratch};
 use adainf_nn::{InferScratch, Matrix};
-use adainf_simcore::Prng;
+use adainf_simcore::{parallel, Prng};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Stream label base for the per-`(period, node)` PCA child streams.
 /// Mixed (not added) so labels cannot collide with other subsystem
@@ -214,41 +211,6 @@ pub struct DetectScratch {
     infer: InferScratch,
 }
 
-/// The exact inputs one node's artifact build reads, factored out of
-/// [`AppRuntime`] so the same build code runs against two sources:
-/// live runtime borrows (a missing [`DriftCache::artifacts`] lookup and
-/// the standalone builders) and owned boundary snapshots (the
-/// background stage, [`DriftSnapshot`]). A build is a pure function of
-/// these five values plus the warm basis and the root stream — the
-/// equality that makes a background build bit-identical to a
-/// sequential one.
-pub struct DriftInputs<'a> {
-    /// Previous period's training pool — the distribution deviated from.
-    pub old: &'a LabeledSamples,
-    /// Current pool, ranked by deviation.
-    pub pool: &'a LabeledSamples,
-    /// Held-out reference set, ranked by the same metric.
-    pub held_out: &'a LabeledSamples,
-    /// The node's model at the build's version tag.
-    pub model: &'a TrainableModel,
-    /// Pool generation, keying the PCA child stream.
-    pub period: u64,
-}
-
-impl<'a> DriftInputs<'a> {
-    /// The live-borrow view of `(rt, node)` — what a lookup-time build
-    /// reads directly out of the runtime.
-    pub fn from_runtime(rt: &'a AppRuntime, node: usize) -> Self {
-        DriftInputs {
-            old: rt.old_samples(node),
-            pool: rt.pools[node].samples(),
-            held_out: rt.ref_samples(node),
-            model: &rt.models[node],
-            period: rt.period(),
-        }
-    }
-}
-
 /// Mean projected old-feature vector per class, accumulated in one
 /// ascending pass over the labels. Classes unseen in the old data fall
 /// back to the global mean. Bit-identical to a per-class rescan: each
@@ -346,7 +308,7 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
 /// fitted or ranked, so a build holds one feature matrix at a time and
 /// keeps none after it returns.
 fn rankings(
-    inputs: &DriftInputs<'_>,
+    rt: &AppRuntime,
     node: usize,
     pca_components: usize,
     root: &Prng,
@@ -354,13 +316,10 @@ fn rankings(
     with_ref: bool,
     warm: Option<&Matrix>,
 ) -> (Vec<usize>, Vec<usize>, Matrix) {
-    let &DriftInputs {
-        old,
-        pool,
-        held_out,
-        model,
-        period,
-    } = inputs;
+    let old = rt.old_samples(node);
+    let pool = rt.pools[node].samples();
+    let held_out = rt.ref_samples(node);
+    let model = &rt.models[node];
     if old.is_empty() {
         // No old data to deviate from: identity orders, nothing fitted.
         return (
@@ -377,7 +336,7 @@ fn rankings(
         ..
     } = scratch;
     model.features_into(old, feats);
-    let mut rng = root.split(PCA_STREAM ^ (period << 16) ^ node as u64);
+    let mut rng = root.split(PCA_STREAM ^ (rt.period() << 16) ^ node as u64);
     let pca = Pca::fit_warm_with_scratch(feats, pca_components, &mut rng, pca_scratch, warm);
     pca.transform_into(feats, pca_scratch, projected);
     let means = class_means(projected, &old.labels, model.classes());
@@ -420,8 +379,7 @@ pub fn build_deviation_ranking(
     root: &Prng,
     scratch: &mut DetectScratch,
 ) -> Vec<usize> {
-    let inputs = DriftInputs::from_runtime(rt, node);
-    rankings(&inputs, node, pca_components, root, scratch, false, None).0
+    rankings(rt, node, pca_components, root, scratch, false, None).0
 }
 
 /// The retraining consumption order (§3.3.2) alone, bit-equal to
@@ -459,7 +417,7 @@ pub fn build_retrain_order(
 /// result is reproducible from the key and the warm-start basis alone:
 /// replaying a build with the same `warm` input is bit-identical.
 fn build_ranked(
-    inputs: &DriftInputs<'_>,
+    rt: &AppRuntime,
     node: usize,
     pca_components: usize,
     root: &Prng,
@@ -467,7 +425,7 @@ fn build_ranked(
     warm: Option<&Matrix>,
 ) -> DriftArtifacts {
     let (deviation, ref_order, basis) =
-        rankings(inputs, node, pca_components, root, scratch, true, warm);
+        rankings(rt, node, pca_components, root, scratch, true, warm);
     let retrain = interleave(&deviation);
     let artifacts = DriftArtifacts {
         deviation,
@@ -478,7 +436,7 @@ fn build_ranked(
         basis,
     };
     if cfg!(feature = "strict-invariants") {
-        artifacts.check_invariants(inputs.pool.len(), inputs.held_out.len());
+        artifacts.check_invariants(rt.pools[node].samples().len(), rt.ref_samples(node).len());
     }
     artifacts
 }
@@ -495,8 +453,7 @@ pub fn build_artifacts(
     root: &Prng,
     scratch: &mut DetectScratch,
 ) -> DriftArtifacts {
-    let inputs = DriftInputs::from_runtime(rt, node);
-    let mut artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None);
+    let mut artifacts = build_ranked(rt, node, pca_components, root, scratch, None);
     let pool_len = artifacts.deviation.len();
     let ref_len = artifacts.ref_order.len();
     if pool_len > 0 {
@@ -506,73 +463,6 @@ pub fn build_artifacts(
         artifacts.ref_prefix_at(rt, node, ref_len, scratch);
     }
     artifacts
-}
-
-/// An owned boundary snapshot of everything one stale `(app, node)`
-/// artifact build reads — the unit of work handed to the background
-/// stage by [`DriftCache::snapshot_stale`]. Owning its inputs (rather
-/// than borrowing the runtime) is what lets the build run on a detached
-/// thread that outlives the spawning statement: the serving loop may go
-/// on mutating pools and models, the snapshot's inputs are frozen at
-/// the boundary key. The old, pool and held-out sets are shared with
-/// the runtime, not copied: sample sets are immutable once drawn, and
-/// the runtime only ever replaces them. Only the model parameters and
-/// the warm basis are copied.
-#[derive(Clone)]
-pub struct DriftSnapshot {
-    /// The `(app, node)` cache slot this build refreshes.
-    pub slot: (usize, usize),
-    /// The `(pool generation, model version)` tag pinned at snapshot
-    /// time.
-    pub key: (u64, u64),
-    period: u64,
-    old: Arc<LabeledSamples>,
-    pool: Arc<LabeledSamples>,
-    held_out: Arc<LabeledSamples>,
-    model: TrainableModel,
-    warm: Option<Matrix>,
-    root: Prng,
-}
-
-/// A completed background build, ready for
-/// [`DriftCache::insert_built`].
-pub struct BuiltArtifacts {
-    /// The `(app, node)` cache slot to install into.
-    pub slot: (usize, usize),
-    key: (u64, u64),
-    warm_started: bool,
-    /// The built artifact set.
-    pub artifacts: DriftArtifacts,
-}
-
-impl DriftSnapshot {
-    /// Runs the artifact build against the snapshotted inputs —
-    /// bit-identical to [`DriftCache::artifacts`] building the same key
-    /// from the live runtime, because `rankings` reads exactly the
-    /// [`DriftInputs`] values and both paths feed it the same ones.
-    pub fn build(self, pca_components: usize, scratch: &mut DetectScratch) -> BuiltArtifacts {
-        let inputs = DriftInputs {
-            old: &self.old,
-            pool: &self.pool,
-            held_out: &self.held_out,
-            model: &self.model,
-            period: self.period,
-        };
-        let artifacts = build_ranked(
-            &inputs,
-            self.slot.1,
-            pca_components,
-            &self.root,
-            scratch,
-            self.warm.as_ref(),
-        );
-        BuiltArtifacts {
-            slot: self.slot,
-            key: self.key,
-            warm_started: self.warm.is_some(),
-            artifacts,
-        }
-    }
 }
 
 /// One cache slot: the tag it was built for and the artifacts
@@ -596,11 +486,11 @@ impl CacheEntry {
     /// * Anything else — a model-version bump (retraining rotated the
     ///   feature space) or a generation jump — invalidates the warm
     ///   state; the build falls back to the keyed random start.
-    fn warm_for(&self, key: (u64, u64)) -> Option<Matrix> {
+    fn warm_for(&self, key: (u64, u64)) -> Option<&Matrix> {
         let usable = self.key.1 == key.1
             && self.key.0 + 1 == key.0
             && self.artifacts.basis.rows() > 0;
-        usable.then(|| self.artifacts.basis.clone())
+        usable.then_some(&self.artifacts.basis)
     }
 }
 
@@ -633,7 +523,6 @@ impl DriftCache {
         root: &Prng,
     ) -> &DriftArtifacts {
         let key = (rt.period(), rt.models[node].version());
-        let inputs = DriftInputs::from_runtime(rt, node);
         let scratch = &mut self.scratch;
         match self.entries.entry((app, node)) {
             Entry::Occupied(mut e) => {
@@ -643,80 +532,65 @@ impl DriftCache {
                     self.misses += 1;
                     let warm = e.get().warm_for(key);
                     self.warm_starts += u64::from(warm.is_some());
-                    let artifacts =
-                        build_ranked(&inputs, node, pca_components, root, scratch, warm.as_ref());
+                    let artifacts = build_ranked(rt, node, pca_components, root, scratch, warm);
                     *e.get_mut() = CacheEntry { key, artifacts };
                 }
                 &e.into_mut().artifacts
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let artifacts = build_ranked(&inputs, node, pca_components, root, scratch, None);
+                let artifacts = build_ranked(rt, node, pca_components, root, scratch, None);
                 &v.insert(CacheEntry { key, artifacts }).artifacts
             }
         }
     }
 
-    /// Resolves the stale subset of `jobs` into **owned**
-    /// [`DriftSnapshot`]s, in job order — the handoff step of the
-    /// overlapped period pipeline. Each snapshot shares the sample sets
-    /// its build reads (old/pool/reference) with the runtime and copies
-    /// the model at its version tag and the evicted entry's warm basis,
-    /// so the build can run on a detached background worker while the
-    /// serving loop keeps mutating the live runtime: the snapshot pins
-    /// the `(pool generation, model version)` key the artifacts are
-    /// defined over, which is why the background result is
-    /// bit-identical to a [`Self::artifacts`] build at the same key.
-    /// Entries that are already current are skipped (their next lookup
-    /// hits). Warm inputs are taken from the *previous* period's
+    /// The period boundary's fill: builds every stale entry among `jobs`
+    /// across up to `threads` workers (0 = the host's available
+    /// parallelism) and installs the results in job order, bumping the
+    /// counters a missing [`Self::artifacts`] lookup would. Each build
+    /// borrows the runtime and the evicted entry's warm basis and is a
+    /// pure function of its `(pool generation, model version)` key and
+    /// keyed PCA stream, so entries, counters and warm chains are the
+    /// same at every width. Current entries are skipped (their next
+    /// lookup hits). Warm inputs come from the *previous* period's
     /// entries, so builds of one period never feed each other.
     ///
-    /// Every returned snapshot must come back through
-    /// [`Self::insert_built`] before the next lookup of its slot — the
-    /// background stage's ledger enforces the join.
-    pub fn snapshot_stale(
-        &self,
+    /// Returns the resolved worker count (0 when nothing was stale).
+    pub fn refresh(
+        &mut self,
         jobs: &[(usize, usize)],
         apps: &[AppRuntime],
+        pca_components: usize,
         root: &Prng,
-    ) -> Vec<DriftSnapshot> {
-        let mut stale = Vec::new();
-        for &(app, node) in jobs {
-            let rt = &apps[app];
-            let key = (rt.period(), rt.models[node].version());
-            let prior = self.entries.get(&(app, node));
-            if prior.is_some_and(|e| e.key == key) {
-                continue;
-            }
-            stale.push(DriftSnapshot {
-                slot: (app, node),
-                key,
-                period: rt.period(),
-                old: Arc::clone(rt.old_samples(node)),
-                pool: Arc::clone(rt.pools[node].samples()),
-                held_out: Arc::clone(rt.ref_samples(node)),
-                model: rt.models[node].clone(),
-                warm: prior.and_then(|e| e.warm_for(key)),
-                root: root.clone(),
-            });
-        }
-        stale
-    }
-
-    /// Installs one background-built result, bumping the same counters
-    /// a missing [`Self::artifacts`] lookup would. Callers insert in job
-    /// order, so the cache state (entries, counters, warm chains) is the
-    /// same at every pool width.
-    pub fn insert_built(&mut self, built: BuiltArtifacts) {
-        self.misses += 1;
-        self.warm_starts += u64::from(built.warm_started);
-        self.entries.insert(
-            built.slot,
-            CacheEntry {
-                key: built.key,
-                artifacts: built.artifacts,
+        threads: usize,
+    ) -> usize {
+        let stale: Vec<((usize, usize), (u64, u64))> = jobs
+            .iter()
+            .map(|&(app, node)| {
+                let rt = &apps[app];
+                ((app, node), (rt.period(), rt.models[node].version()))
+            })
+            .filter(|(slot, key)| self.entries.get(slot).is_none_or(|e| e.key != *key))
+            .collect();
+        let entries = &self.entries;
+        let built = parallel::fan_out_indexed(
+            stale.len(),
+            threads,
+            DetectScratch::default,
+            |i, scratch| {
+                let ((app, node), key) = stale[i];
+                let warm = entries.get(&(app, node)).and_then(|e| e.warm_for(key));
+                let artifacts = build_ranked(&apps[app], node, pca_components, root, scratch, warm);
+                (warm.is_some(), artifacts)
             },
         );
+        for (&(slot, key), (warm_started, artifacts)) in stale.iter().zip(built) {
+            self.misses += 1;
+            self.warm_starts += u64::from(warm_started);
+            self.entries.insert(slot, CacheEntry { key, artifacts });
+        }
+        parallel::resolved_threads(stale.len(), threads)
     }
 
     /// Shared view of an already-built entry; `None` when
@@ -894,120 +768,55 @@ mod tests {
         }
     }
 
-    /// The period boundary's handoff: boundary snapshots built on a
-    /// detached background stage, joined in an adversarial (reverse)
-    /// order and installed in job order, must leave the cache — entries,
-    /// counters and warm chains — bit-identical to sequential lookups,
-    /// at every thread count, and every lookup after the join must hit.
+    /// The period boundary's fill: `refresh` at every width must leave
+    /// the cache — entries, counters and warm chains — bit-identical to
+    /// sequential lookups, and every lookup after it must hit.
     #[test]
-    fn background_snapshot_stage_bit_equal_sequential_lookups() {
-        use adainf_simcore::parallel::spawn_background;
+    fn refresh_bit_equal_sequential_lookups() {
         let root = Prng::new(7);
         for threads in [1, 2, 4, 8] {
             let mut rt = drifted_runtime(1);
             let mut seq = DriftCache::default();
-            let mut bg = DriftCache::default();
-            // Two generations so the second stage exercises warm starts
-            // through the snapshot path.
+            let mut refreshed = DriftCache::default();
+            // Two generations so the second refresh exercises warm starts.
             for _ in 0..2 {
                 let nodes = rt.spec.nodes.len();
                 let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-                let snaps = bg.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
-                let n = snaps.len();
-                assert_eq!(n, nodes, "all slots stale at a fresh generation");
-                let mut stage = spawn_background(
-                    snaps,
-                    threads,
-                    DetectScratch::default,
-                    |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(8, scratch),
+                let misses = refreshed.misses;
+                let width = refreshed.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads);
+                assert_eq!(width, threads.min(nodes), "threads {threads}");
+                assert_eq!(
+                    refreshed.misses - misses,
+                    nodes as u64,
+                    "all slots stale at a fresh generation"
                 );
-                let mut built: Vec<Option<BuiltArtifacts>> = (0..n).map(|_| None).collect();
-                for idx in (0..n).rev() {
-                    built[idx] = Some(stage.take(idx));
-                }
-                stage.finish();
-                for b in built.into_iter().flatten() {
-                    bg.insert_built(b);
-                }
                 for node in 0..nodes {
                     let s = seq.artifacts(0, &rt, node, 8, &root).clone();
-                    let p = bg.artifacts(0, &rt, node, 8, &root);
+                    let p = refreshed.artifacts(0, &rt, node, 8, &root);
                     assert_eq!(&s, p, "threads {threads} node {node}");
                     let sb: Vec<u32> = s.basis.data().iter().map(|x| x.to_bits()).collect();
                     let pb: Vec<u32> = p.basis.data().iter().map(|x| x.to_bits()).collect();
                     assert_eq!(sb, pb, "threads {threads} node {node} basis");
                 }
+                // A second refresh at the same key finds nothing stale.
+                assert_eq!(
+                    refreshed.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads),
+                    0
+                );
                 rt.advance_period();
             }
-            assert_eq!(seq.misses, bg.misses, "threads {threads}");
-            assert_eq!(seq.warm_starts, bg.warm_starts, "threads {threads}");
-            assert!(bg.warm_starts > 0, "second generation must warm-start");
-            // Installed entries are current: the lookups above all hit.
+            assert_eq!(seq.misses, refreshed.misses, "threads {threads}");
+            assert_eq!(seq.warm_starts, refreshed.warm_starts, "threads {threads}");
+            assert!(
+                refreshed.warm_starts > 0,
+                "second generation must warm-start"
+            );
+            // Refreshed entries are current: the lookups above all hit.
             assert_eq!(
-                bg.hits as usize,
+                refreshed.hits as usize,
                 2 * rt.spec.nodes.len(),
                 "threads {threads}"
             );
-        }
-    }
-
-    /// Adversarial schedule replay over the snapshot handoff: forced
-    /// claim-order permutations and worker assignments (fan_out_check)
-    /// over the snapshot builds must reproduce sequential lookups
-    /// bit-for-bit — a build secretly depending on execution order or
-    /// worker identity fails loudly here.
-    #[test]
-    fn snapshot_handoff_survives_adversarial_schedules() {
-        use adainf_simcore::parallel::fan_out_check;
-        let rt = drifted_runtime(2);
-        let root = Prng::new(7);
-        let cache = DriftCache::default();
-        let nodes = rt.spec.nodes.len();
-        let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-        let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
-        assert_eq!(snaps.len(), nodes);
-        let built = fan_out_check(11, 3, &[1, 2, 4], snaps.len(), DetectScratch::default, |i, scratch| {
-            snaps[i].clone().build(8, scratch).artifacts
-        });
-        let mut sequential = DriftCache::default();
-        for (node, art) in built.iter().enumerate() {
-            let reference = sequential.artifacts(0, &rt, node, 8, &root);
-            assert_eq!(art, reference, "node {node}");
-        }
-    }
-
-    /// Snapshots share the runtime's old, pool and held-out sample sets
-    /// rather than copying them, at every generation: the data pointers
-    /// a build reads are the runtime's own.
-    #[test]
-    fn snapshots_share_the_runtime_sample_sets() {
-        let root = Prng::new(7);
-        let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::default();
-        let ptr = |s: &LabeledSamples| s.inputs.data().as_ptr();
-        for _ in 0..2 {
-            let nodes = rt.spec.nodes.len();
-            let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-            let snaps = cache.snapshot_stale(&jobs, std::slice::from_ref(&rt), &root);
-            assert_eq!(snaps.len(), nodes);
-            for snap in &snaps {
-                let node = snap.slot.1;
-                assert_eq!(ptr(&snap.old), ptr(rt.old_samples(node)), "node {node} old");
-                assert_eq!(
-                    ptr(&snap.pool),
-                    ptr(rt.pools[node].samples()),
-                    "node {node} pool"
-                );
-                assert_eq!(
-                    ptr(&snap.held_out),
-                    ptr(rt.ref_samples(node)),
-                    "node {node} held-out"
-                );
-            }
-            for snap in snaps {
-                cache.insert_built(snap.build(8, &mut DetectScratch::default()));
-            }
-            rt.advance_period();
         }
     }
 

@@ -176,13 +176,11 @@ pub trait Scheduler {
         &[]
     }
 
-    /// Wall-clock nanoseconds the serving loop actually *stalled* on
-    /// drift work — the drift critical path. For inline schedulers this
-    /// equals [`Self::drift_overhead_ns`]; overlapped schedulers report
-    /// only snapshot/spawn/sweep time plus join waits, excluding the
-    /// background builds that ran concurrently with serving.
+    /// Wall-clock nanoseconds the serving loop stalled on drift work.
+    /// Drift work runs on the serving loop's own boundary, so this is
+    /// [`Self::drift_overhead_ns`].
     fn drift_blocked_ns(&self) -> u128 {
-        0
+        self.drift_overhead_ns()
     }
 
     /// Largest resolved worker-thread count the scheduler's parallel

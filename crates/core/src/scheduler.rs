@@ -13,7 +13,7 @@
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
-use crate::drift_cache::{BuiltArtifacts, DetectScratch, DriftCache, DriftSnapshot};
+use crate::drift_cache::DriftCache;
 use crate::drift_detect::{detect_drift_cached, DriftReport};
 use crate::incremental::RetrainProgress;
 use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
@@ -23,7 +23,6 @@ use crate::ridag::RiDag;
 use crate::space::{divide_space, divide_space_joint, JobDemand};
 use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
-use adainf_simcore::parallel;
 use adainf_simcore::walltime::WallTimer;
 use adainf_simcore::{Prng, SimDuration, SimTime};
 use std::sync::Arc;
@@ -62,26 +61,20 @@ pub struct AdaInfScheduler {
     /// Cumulative wall-clock spent in session scheduling, and calls.
     sched_wall_ns: u128,
     sched_calls: u64,
-    /// Cumulative wall-clock of period-boundary drift **work** —
-    /// caller-thread compute plus background-worker build time.
+    /// Cumulative wall-clock of period-boundary drift work: the
+    /// artifact build plus the detection sweep.
     drift_wall_ns: u128,
-    /// The same drift work wall-clock, per period boundary in period
-    /// order — the distribution behind the harness's p99 drift latency.
+    /// The same drift wall-clock, per period boundary in period order —
+    /// the distribution behind the harness's p99 drift latency.
     drift_period_ns: Vec<u64>,
-    /// Cumulative wall-clock the serving loop was actually **stalled**
-    /// by drift work — the critical path: snapshot + spawn, the
-    /// detection sweep's own compute, and time blocked joining
-    /// background builds. The gap between this and `drift_wall_ns` is
-    /// the work the background stage hid from serving.
-    drift_blocked_ns: u128,
     /// Exact memoisation of the per-session searches (see [`crate::cache`]).
     cache: DecisionCache,
     /// Per-period drift artifact cache (see [`crate::drift_cache`]):
     /// detection and retraining-order selection share one feature/PCA/
     /// ranking computation per `(app, node, period, model version)`.
     drift: DriftCache,
-    /// Largest resolved worker-thread count used by any background drift
-    /// stage this run (0 when no stage had work). Bench rows record it so
+    /// Largest resolved worker-thread count used by any boundary drift
+    /// build this run (0 when no build had work). Bench rows record it so
     /// results document the host parallelism they were measured under.
     worker_threads: usize,
     /// Online per-app latency predictor (see [`crate::predict`]), built
@@ -116,7 +109,6 @@ impl AdaInfScheduler {
             sched_calls: 0,
             drift_wall_ns: 0,
             drift_period_ns: Vec::new(),
-            drift_blocked_ns: 0,
             cache: DecisionCache::default(),
             drift: DriftCache::default(),
             worker_threads: 0,
@@ -145,9 +137,9 @@ impl AdaInfScheduler {
     /// Refreshes the per-node `(cut, accuracy)` tables and initial
     /// accuracies. Reads only model weights and evaluation sets (and
     /// writes only the runtime's accuracy cache) — disjoint from
-    /// everything the drift sweep touches, which is what lets
-    /// `on_period_start` run this in the window between spawning the
-    /// background builds and joining them without changing any result.
+    /// everything the drift build and sweep touch, so `on_period_start`
+    /// can run it ahead of them, outside the drift clock, without
+    /// changing any result.
     fn refresh_accuracy_values(&mut self, apps: &mut [AppRuntime]) {
         for (a, rt) in apps.iter_mut().enumerate() {
             let mut table = Vec::with_capacity(rt.spec.nodes.len());
@@ -209,10 +201,6 @@ impl Scheduler for AdaInfScheduler {
         &self.drift_period_ns
     }
 
-    fn drift_blocked_ns(&self) -> u128 {
-        self.drift_blocked_ns
-    }
-
     fn worker_threads(&self) -> Option<usize> {
         (self.worker_threads > 0).then_some(self.worker_threads)
     }
@@ -250,127 +238,71 @@ impl Scheduler for AdaInfScheduler {
         let wall = WallTimer::start();
         self.last_reports.clear();
 
-        // Three drift wall-clock components, accumulated separately so
-        // the metrics can tell total *work* apart from the serving
-        // loop's *stall*:
-        //   caller  — time this thread spent inside the drift sections
-        //             (snapshot + spawn + the sweep, waits included);
-        //   built   — background workers' build time;
-        //   blocked — the subset of `caller` spent waiting on joins.
-        // Total work = caller − blocked + built; critical path = caller.
-        let mut drift_caller_ns: u128 = 0;
-        let mut drift_built_ns: u128 = 0;
-        let mut drift_blocked_ns: u128 = 0;
-
-        // Stage 1: snapshot the stale artifact inputs at their
-        // (pool generation, model version) keys and launch the builds on
-        // a detached background stage. The job set mirrors exactly what
-        // the sweep below reads — every node of apps that run detection,
-        // and only the frozen RI-DAG's retraining nodes otherwise.
-        let seg = WallTimer::start();
-        let (mut stage, slots) = {
-            let AdaInfScheduler {
-                config,
-                rng,
-                states,
-                drift,
-                worker_threads,
-                ..
-            } = &mut *self;
-            let mut jobs: Vec<(usize, usize)> = Vec::new();
-            for (a, rt) in apps.iter().enumerate() {
-                let update_dag = config.update_dag_each_period || !states[a].frozen;
-                for node in 0..rt.spec.nodes.len() {
-                    if update_dag || states[a].ridag.retrains(node) {
-                        jobs.push((a, node));
-                    }
-                }
-            }
-            let snaps = drift.snapshot_stale(&jobs, apps, rng);
-            if !snaps.is_empty() {
-                *worker_threads = (*worker_threads)
-                    .max(parallel::resolved_threads(snaps.len(), config.drift_workers).max(1));
-            }
-            let slots: Vec<(usize, usize)> = snaps.iter().map(|s| s.slot).collect();
-            let pca_components = config.pca_components;
-            let stage = parallel::spawn_background(
-                snaps,
-                config.drift_workers,
-                DetectScratch::default,
-                move |_, snap: DriftSnapshot, scratch: &mut DetectScratch| {
-                    let t = WallTimer::start();
-                    let built = snap.build(pca_components, scratch);
-                    (built, t.elapsed_nanos() as u64)
-                },
-            );
-            (stage, slots)
-        };
-        drift_caller_ns += seg.elapsed_nanos();
-
-        // Overlap window: the accuracy-table value refresh reads only
-        // model weights and evaluation sets — independent of every build
-        // in flight — so it fills the caller's wait.
         self.refresh_accuracy_values(apps);
 
-        // Stage 2: the detection sweep, joining each application's
-        // background builds right before it needs them (first artifact
-        // consumption). Inserts happen in job order, so cache counters
-        // and warm chains do not depend on the pool width.
-        let seg = WallTimer::start();
-        {
-            let AdaInfScheduler {
-                config,
-                rng,
-                states,
-                last_reports,
-                drift,
-                ..
-            } = &mut *self;
-            let mut next_slot = 0usize;
-            for (a, rt) in apps.iter_mut().enumerate() {
-                while next_slot < slots.len() && slots[next_slot].0 == a {
-                    let waited = WallTimer::start();
-                    let (built, build_ns): (BuiltArtifacts, u64) = stage.take(next_slot);
-                    drift_blocked_ns += waited.elapsed_nanos();
-                    drift_built_ns += u128::from(build_ns);
-                    drift.insert_built(built);
-                    next_slot += 1;
-                }
-                // AdaInf/U builds each application's DAG once — frozen at
-                // the first period in which drift is detected at all.
-                let update_dag = config.update_dag_each_period || !states[a].frozen;
-                if update_dag {
-                    let report = detect_drift_cached(rt, a, config, drift, rng);
-                    states[a].ridag = RiDag::build(&rt.spec, &report);
-                    if !report.impacted.is_empty() {
-                        states[a].frozen = true;
-                    }
-                    last_reports.push(report);
-                }
-                // Order every retraining pool by deviation so retraining
-                // consumes the most-deviating samples first (§3.3.2). This
-                // applies even for /U — sample selection is not part of
-                // the DAG-update ablation. The order comes from the same
-                // cached artifacts the detector just read.
-                for node in 0..rt.spec.nodes.len() {
-                    if states[a].ridag.retrains(node) {
-                        let order = &drift
-                            .artifacts(a, rt, node, config.pca_components, rng)
-                            .retrain;
-                        rt.pools[node].set_order(order);
-                    }
+        // One drift clock over the artifact build and the detection
+        // sweep.
+        let drift_wall = WallTimer::start();
+        let AdaInfScheduler {
+            config,
+            rng,
+            states,
+            last_reports,
+            drift,
+            worker_threads,
+            ..
+        } = &mut *self;
+        // Build every stale artifact set up front. The job set mirrors
+        // exactly what the sweep below reads — every node of apps that
+        // run detection, and only the frozen RI-DAG's retraining nodes
+        // otherwise — so every lookup in the sweep hits.
+        let mut jobs: Vec<(usize, usize)> = Vec::new();
+        for (a, rt) in apps.iter().enumerate() {
+            let update_dag = config.update_dag_each_period || !states[a].frozen;
+            for node in 0..rt.spec.nodes.len() {
+                if update_dag || states[a].ridag.retrains(node) {
+                    jobs.push((a, node));
                 }
             }
-            // Slots are in application order and the sweep visits every
-            // application, so every build is joined by now; finish()
-            // asserts each snapshot was built and joined exactly once.
-            stage.finish();
         }
-        drift_caller_ns += seg.elapsed_nanos();
-        let drift_work_ns = drift_caller_ns - drift_blocked_ns + drift_built_ns;
-        self.drift_wall_ns += drift_work_ns;
-        self.drift_period_ns.push(drift_work_ns as u64);
-        self.drift_blocked_ns += drift_caller_ns;
+        let width = drift.refresh(
+            &jobs,
+            apps,
+            config.pca_components,
+            rng,
+            config.drift_workers,
+        );
+        *worker_threads = (*worker_threads).max(width);
+
+        for (a, rt) in apps.iter_mut().enumerate() {
+            // AdaInf/U builds each application's DAG once — frozen at
+            // the first period in which drift is detected at all.
+            let update_dag = config.update_dag_each_period || !states[a].frozen;
+            if update_dag {
+                let report = detect_drift_cached(rt, a, config, drift, rng);
+                states[a].ridag = RiDag::build(&rt.spec, &report);
+                if !report.impacted.is_empty() {
+                    states[a].frozen = true;
+                }
+                last_reports.push(report);
+            }
+            // Order every retraining pool by deviation so retraining
+            // consumes the most-deviating samples first (§3.3.2). This
+            // applies even for /U — sample selection is not part of
+            // the DAG-update ablation. The order comes from the same
+            // cached artifacts the detector just read.
+            for node in 0..rt.spec.nodes.len() {
+                if states[a].ridag.retrains(node) {
+                    let order = &drift
+                        .artifacts(a, rt, node, config.pca_components, rng)
+                        .retrain;
+                    rt.pools[node].set_order(order);
+                }
+            }
+        }
+        let drift_ns = drift_wall.elapsed_nanos();
+        self.drift_wall_ns += drift_ns;
+        self.drift_period_ns.push(drift_ns as u64);
         self.select_period_structures();
         // Time plans are valid only for this period's DAGs and accuracy
         // snapshots — drop the stale ones.
@@ -795,6 +727,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The serving loop waits out the whole boundary build, so the
+    /// stalled time is the drift work, and it is the sum of the
+    /// per-period samples.
+    #[test]
+    fn drift_clock_is_the_serving_stall() {
+        let (_, mut apps, server) = setup(2);
+        let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+        let config = AdaInfConfig {
+            drift_workers: 1,
+            ..AdaInfConfig::default()
+        };
+        let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
+        for period in 1..=2u64 {
+            for rt in &mut apps {
+                rt.advance_period();
+            }
+            sched.on_period_start(&mut apps, &server, SimTime::from_secs(50 * period));
+        }
+        assert_eq!(sched.drift_period_ns().len(), 2);
+        let per_period: u64 = sched.drift_period_ns().iter().sum();
+        assert!(per_period > 0);
+        assert_eq!(sched.drift_blocked_ns(), sched.drift_overhead_ns());
+        assert_eq!(sched.drift_overhead_ns(), u128::from(per_period));
+        assert_eq!(sched.worker_threads(), Some(1));
     }
 
     #[test]

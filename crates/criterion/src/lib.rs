@@ -7,8 +7,7 @@
 //! timed with `std::time::Instant` over an adaptively chosen iteration
 //! count and reported as one `bench: <name> ... <time>/iter` line on
 //! stdout (plus a machine-readable `BENCH_RESULT <name> <ns>` line),
-//! which is what the Table 1 regeneration and `BENCH_sim.json`
-//! tooling consume. Statistical analysis, plots and HTML reports are
+//! which is what the Table 1 regeneration consumes. Statistical analysis, plots and HTML reports are
 //! intentionally absent.
 //!
 //! Recognised CLI flags: `--quick` (shorter measurement window) and an

@@ -60,10 +60,9 @@ pub struct RunMetrics {
     /// schedulers that track it — the distribution behind
     /// [`Summary::drift_detect_p99_us`]. Empty otherwise.
     pub drift_detect_period_us: Vec<f64>,
-    /// Wall-clock nanoseconds the serving loop actually *stalled* on
-    /// drift work (the drift critical path): snapshot/spawn/sweep time
-    /// plus join waits, excluding background builds that overlapped
-    /// serving. Equals [`Self::drift_detect_ns`] for inline schedulers.
+    /// Wall-clock nanoseconds the serving loop stalled on drift work
+    /// (`Scheduler::drift_blocked_ns`). Drift work runs on the serving
+    /// loop's own boundary, so this equals [`Self::drift_detect_ns`].
     pub drift_blocked_ns: u64,
     /// Wall-clock nanoseconds of session serving across the run — every
     /// `step_session` call minus the retraining time accrued inside it.
@@ -312,9 +311,6 @@ impl RunMetrics {
                 / 1e3
                 / self.period_overhead.count().max(1) as f64,
             drift_detect_p99_us: self.drift_detect_p99_us(),
-            drift_critical_path_us: self.drift_blocked_ns as f64
-                / 1e3
-                / self.period_overhead.count().max(1) as f64,
             serve_us: self.serve_ns as f64
                 / 1e3
                 / self.period_overhead.count().max(1) as f64,
@@ -441,13 +437,6 @@ pub struct Summary {
     /// p99 per-period drift wall time (µs) — the period-boundary stall
     /// tail (0 for schedulers without per-period tracking).
     pub drift_detect_p99_us: f64,
-    /// Mean drift *critical path* per period (µs): time the serving loop
-    /// was actually blocked on drift work. Equals
-    /// [`Self::drift_detect_us`] for inline schedulers; for overlapped
-    /// schedulers the background builds are excluded, so
-    /// `drift_detect_us − drift_critical_path_us` is the work hidden
-    /// behind serving.
-    pub drift_critical_path_us: f64,
     /// Mean session-serving wall per period (µs) — the event loop's own
     /// phase of the breakdown (training time accrued inside sessions is
     /// counted under `train_us`, not here).
@@ -501,10 +490,6 @@ impl Summary {
             ("cache_evictions", json::int(self.cache_evictions)),
             ("drift_detect_us", json::num(self.drift_detect_us)),
             ("drift_detect_p99_us", json::num(self.drift_detect_p99_us)),
-            (
-                "drift_critical_path_us",
-                json::num(self.drift_critical_path_us),
-            ),
             ("serve_us", json::num(self.serve_us)),
             ("train_us", json::num(self.train_us)),
         ];

@@ -5,12 +5,10 @@
 //! workers claim job indices from one shared atomic counter and each
 //! writes its result into a dedicated `OnceLock` slot, so results return
 //! in input order without a queue or a results lock. Extracted here so
-//! the drift pipeline's per-`(app, node)` artifact builds can fan out
-//! through the same machinery. [`spawn_background`] is the detached
-//! variant of the same discipline: the fan-out runs on real threads
-//! while the caller keeps executing, and results are joined lazily
-//! through an index-addressed [`BackgroundTasks`] handle whose ledger
-//! (execute exactly once, join exactly once) is verified at retirement.
+//! the drift pipeline's per-`(app, node)` artifact builds at each period
+//! boundary can fan out through the same machinery. Every fan-out is
+//! scoped: it returns only after its workers joined, so no thread
+//! outlives the call that spawned it.
 //!
 //! Determinism: each job's result is a pure function of its index (the
 //! caller guarantees jobs are independent), every index is claimed by
@@ -31,8 +29,7 @@
 //! * the `race-check` cargo feature instruments [`fan_out_indexed`] and
 //!   [`fan_out_indexed_owned`] with a claim bitmap — one atomic claim
 //!   counter per index — and asserts, after the scoped threads join,
-//!   that every index was claimed exactly once and no slot was lost
-//!   ([`spawn_background`] keeps the same ledger unconditionally);
+//!   that every index was claimed exactly once and no slot was lost;
 //! * [`fan_out_check`] is a seeded adversarial schedule-replay harness:
 //!   it derives K deterministic claim-order permutations from a
 //!   [`Prng`] seed, replays the job set under each permutation at every
@@ -44,7 +41,7 @@
 
 use crate::rng::Prng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// The worker-thread count a fan-out over `n` jobs actually uses:
 /// `threads` capped at the job count, with `threads == 0` falling back
@@ -73,9 +70,9 @@ pub fn resolved_threads(n: usize, threads: usize) -> usize {
 /// (two workers running the same job) or a lost slot (an index no
 /// worker ran) is a broken work-index pool, never a benign race: both
 /// would silently desynchronise the parallel result from the
-/// sequential loop. ([`fan_out_check`]'s forced replays and
-/// [`spawn_background`] verify a ledger unconditionally; only the two
-/// scoped production fan-outs' instrumentation is behind the feature.)
+/// sequential loop. ([`fan_out_check`]'s forced replays verify a
+/// ledger unconditionally; only the two production fan-outs'
+/// instrumentation is behind the feature.)
 struct ClaimLedger {
     claims: Vec<AtomicUsize>,
 }
@@ -180,8 +177,8 @@ where
 /// workers start, and each result still lands in its own index-addressed
 /// `OnceLock` slot. The static deal gives up the atomic pool's dynamic
 /// load balancing, which is irrelevant for the near-uniform job sets
-/// this serves (per-`(app, node)` artifact builds of equal-sized
-/// pools); determinism is untouched because results are a pure function
+/// this serves (the boundary training flush's per-`(app, node)`
+/// slices); determinism is untouched because results are a pure function
 /// of the job, never of the worker or claim order.
 pub fn fan_out_indexed_owned<J, T, S, M, F>(
     jobs: Vec<J>,
@@ -206,12 +203,16 @@ where
             .collect();
     }
 
+    let mut deals: Vec<Vec<(usize, J)>> = (0..max_threads).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        deals[i % max_threads].push((i, job));
+    }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     #[cfg(feature = "race-check")]
     let ledger = ClaimLedger::new(n);
 
     std::thread::scope(|scope| {
-        for deal in deal_round_robin(jobs, max_threads) {
+        for deal in deals {
             let slots = &slots;
             let make_state = &make_state;
             let work = &work;
@@ -239,218 +240,6 @@ where
         // simlint: allow(no-unwrap-in-lib) — the scoped threads above joined and every index was dealt to exactly one worker
         .map(|slot| slot.into_inner().expect("every job completed"))
         .collect()
-}
-
-/// Deals owned jobs round-robin into `workers` per-worker lists of
-/// `(index, job)` — worker `w` gets jobs `w, w+W, w+2W, …` — on the
-/// caller's thread, so each list moves into its worker wholesale.
-fn deal_round_robin<J>(jobs: Vec<J>, workers: usize) -> Vec<Vec<(usize, J)>> {
-    let mut deals: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deals[i % workers].push((i, job));
-    }
-    deals
-}
-
-/// Per-slot completion state shared between a background stage's
-/// workers and the caller holding its [`BackgroundTasks`] handle.
-struct BackgroundShared<T> {
-    /// `None` = pending, `Some` = completed and not yet joined. A
-    /// joined result is moved out under the same lock, so pending and
-    /// taken are distinguished by the handle's own `taken` bitmap.
-    slots: Mutex<BackgroundSlots<T>>,
-    /// Signalled on every slot completion and on worker exit.
-    cv: Condvar,
-}
-
-struct BackgroundSlots<T> {
-    results: Vec<Option<T>>,
-    /// Workers still running. Guarded by the same lock as `results` so
-    /// a join can distinguish "not yet" from "never coming": a worker
-    /// that dies (panics) decrements this on unwind, and a waiter whose
-    /// slot is empty with no producers left must fail loudly instead of
-    /// sleeping forever.
-    workers_alive: usize,
-}
-
-/// Decrements `workers_alive` (and wakes waiters) when a worker exits —
-/// including by panic, so a caller blocked in [`BackgroundTasks::take`]
-/// fails loudly instead of deadlocking on a slot that will never fill.
-struct WorkerExitGuard<T>(Arc<BackgroundShared<T>>);
-
-impl<T> Drop for WorkerExitGuard<T> {
-    fn drop(&mut self) {
-        // simlint: allow(no-unwrap-in-lib) — a poisoned lock here means another worker panicked mid-insert; propagating the panic is the correct outcome
-        let mut slots = self.0.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.workers_alive -= 1;
-        self.0.cv.notify_all();
-    }
-}
-
-/// Handle to a detached background fan-out started by
-/// [`spawn_background`]: the jobs run on real (non-scoped) worker
-/// threads while the caller keeps executing, and each result is joined
-/// lazily — [`take`](Self::take) every index, then
-/// [`finish`](Self::finish) to retire the stage.
-///
-/// Determinism is the fan-out contract unchanged: jobs are dealt
-/// round-robin exactly like [`fan_out_indexed_owned`], every result is
-/// a pure function of its job, and results are index-addressed — so
-/// *when* the caller joins a slot affects wall-clock only, never the
-/// value. The ledger discipline is enforced unconditionally (not just
-/// under `race-check`): workers record an execute-exactly-once claim
-/// per index, the handle records a join-exactly-once bitmap, and
-/// [`finish`](Self::finish) verifies both — a double join or an
-/// abandoned slot is a broken pipeline, never a benign outcome.
-pub struct BackgroundTasks<T> {
-    shared: Arc<BackgroundShared<T>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    /// Join-exactly-once bitmap, caller-side (the handle is `!Sync`-ish
-    /// by use: joins happen on one thread).
-    taken: Vec<bool>,
-    /// Execute-exactly-once claims, worker-side.
-    ledger: Arc<ClaimLedger>,
-}
-
-/// Launches `work(index, job, state)` for every job in `jobs` on up to
-/// `threads` detached worker threads (0 = available parallelism) and
-/// returns immediately with a [`BackgroundTasks`] handle; results are
-/// joined lazily through it. At least one worker is spawned for a
-/// non-empty job set even when the host reports a single core — the
-/// point of a *background* stage is to overlap the caller, and on one
-/// core the OS timeslices the overlap instead.
-///
-/// Jobs are owned and moved to their workers before any run (the
-/// round-robin deal of [`fan_out_indexed_owned`]), so the handoff needs
-/// no queue lock; `make_state` builds one per-worker scratch value, so
-/// per-thread buffers warm once per worker, not once per job.
-pub fn spawn_background<J, T, S, M, F>(
-    jobs: Vec<J>,
-    threads: usize,
-    make_state: M,
-    work: F,
-) -> BackgroundTasks<T>
-where
-    J: Send + 'static,
-    T: Send + 'static,
-    M: Fn() -> S + Send + Sync + 'static,
-    F: Fn(usize, J, &mut S) -> T + Send + Sync + 'static,
-{
-    let n = jobs.len();
-    let shared = Arc::new(BackgroundShared {
-        slots: Mutex::new(BackgroundSlots {
-            results: (0..n).map(|_| None).collect(),
-            workers_alive: 0,
-        }),
-        cv: Condvar::new(),
-    });
-    let ledger = Arc::new(ClaimLedger::new(n));
-    if n == 0 {
-        return BackgroundTasks {
-            shared,
-            workers: Vec::new(),
-            taken: Vec::new(),
-            ledger,
-        };
-    }
-
-    let max_threads = resolved_threads(n, threads).max(1);
-    let deals = deal_round_robin(jobs, max_threads);
-
-    // simlint: allow(no-unwrap-in-lib) — the workers have not started yet, so the lock cannot be poisoned or contended
-    shared.slots.lock().unwrap().workers_alive = max_threads;
-    let ctx = Arc::new((make_state, work));
-    let workers = deals
-        .into_iter()
-        .map(|deal| {
-            let shared = Arc::clone(&shared);
-            let ledger = Arc::clone(&ledger);
-            let ctx = Arc::clone(&ctx);
-            std::thread::spawn(move || {
-                let _exit = WorkerExitGuard(Arc::clone(&shared));
-                let (make_state, work) = &*ctx;
-                let mut state = make_state();
-                for (idx, job) in deal {
-                    ledger.claim(idx);
-                    let result = work(idx, job, &mut state);
-                    // simlint: allow(no-unwrap-in-lib) — poisoning requires a panic inside this short insert section; propagating it is correct
-                    let mut slots = shared.slots.lock().unwrap();
-                    debug_assert!(slots.results[idx].is_none(), "slot {idx} dealt twice");
-                    slots.results[idx] = Some(result);
-                    shared.cv.notify_all();
-                }
-            })
-        })
-        .collect();
-
-    BackgroundTasks {
-        shared,
-        workers,
-        taken: vec![false; n],
-        ledger,
-    }
-}
-
-impl<T> BackgroundTasks<T> {
-    /// Joins slot `idx`, blocking until its worker has produced the
-    /// result, and moves the value out.
-    ///
-    /// # Panics
-    /// Panics if `idx` was already taken (the join-exactly-once ledger)
-    /// or if every worker exited without producing it (a worker panic —
-    /// surfaced here instead of deadlocking).
-    pub fn take(&mut self, idx: usize) -> T {
-        assert!(
-            !self.taken[idx],
-            "background ledger: slot {idx} joined twice"
-        );
-        // simlint: allow(no-unwrap-in-lib) — a poisoned lock means a worker panicked mid-insert; propagating is correct
-        let mut slots = self.shared.slots.lock().unwrap();
-        loop {
-            if let Some(result) = slots.results[idx].take() {
-                self.taken[idx] = true;
-                return result;
-            }
-            assert!(
-                slots.workers_alive > 0,
-                "background ledger: slot {idx} abandoned (worker died before producing it)"
-            );
-            // simlint: allow(no-unwrap-in-lib) — same poisoning argument as the lock above
-            slots = self.shared.cv.wait(slots).unwrap();
-        }
-    }
-
-    /// Retires the stage: joins the worker threads and verifies the
-    /// full ledger — every job executed exactly once (worker claims)
-    /// and every result joined exactly once (caller bitmap).
-    ///
-    /// # Panics
-    /// Panics if a worker panicked or any slot was never joined.
-    pub fn finish(mut self) {
-        for handle in self.workers.drain(..) {
-            // simlint: allow(no-unwrap-in-lib) — a worker panic must propagate to the caller, not vanish
-            handle.join().expect("background worker panicked");
-        }
-        self.ledger.verify("spawn_background");
-        for (idx, taken) in self.taken.iter().enumerate() {
-            assert!(
-                taken,
-                "background ledger: slot {idx} spawned but never joined"
-            );
-        }
-    }
-}
-
-impl<T> Drop for BackgroundTasks<T> {
-    /// Joins any still-running workers so a handle dropped on an error
-    /// path never leaves detached threads mutating shared state. No
-    /// ledger assertions here — [`finish`](Self::finish) is the checked
-    /// retirement; double-panicking an unwind helps nobody.
-    fn drop(&mut self) {
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// Seeded adversarial schedule-replay check for a [`fan_out_indexed`]
@@ -674,88 +463,6 @@ mod tests {
                 i + *ran
             },
         );
-    }
-
-    #[test]
-    fn background_matches_sequential_at_any_thread_count() {
-        let seq: Vec<u64> = (0..53).map(|i| (i as u64).wrapping_mul(97) ^ 5).collect();
-        for threads in [0, 1, 2, 4, 8] {
-            let jobs: Vec<u64> = (0..53).collect();
-            let mut stage = spawn_background(jobs, threads, || (), |_, j, ()| {
-                j.wrapping_mul(97) ^ 5
-            });
-            let joined: Vec<u64> = (0..53).map(|i| stage.take(i)).collect();
-            assert_eq!(joined, seq, "threads={threads}");
-            stage.finish();
-        }
-    }
-
-    #[test]
-    fn background_join_order_is_immaterial() {
-        // Adversarial replay over the handoff: join the slots in seeded
-        // permuted orders, at several thread counts, and assert the
-        // joined values always equal the sequential reference — the
-        // background analogue of fan_out_check's forced schedules.
-        let n = 37;
-        let reference: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let root = Prng::new(1213);
-        for p in 0..4u64 {
-            let mut order: Vec<usize> = (0..n).collect();
-            root.split(p).shuffle(&mut order);
-            for threads in [1, 2, 4, 8] {
-                let jobs: Vec<u64> = (0..n as u64).collect();
-                let mut stage =
-                    spawn_background(jobs, threads, || (), |_, j, ()| {
-                        j.wrapping_mul(0x9E37_79B9)
-                    });
-                let mut joined = vec![0u64; n];
-                for &idx in &order {
-                    joined[idx] = stage.take(idx);
-                }
-                stage.finish();
-                assert_eq!(joined, reference, "permutation {p}, threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn background_empty_stage_retires_cleanly() {
-        let stage = spawn_background(Vec::<u8>::new(), 4, || (), |i, _, ()| i);
-        stage.finish();
-    }
-
-    #[test]
-    fn background_worker_state_warms_once_per_worker() {
-        // Results only depend on the job, even though each worker's
-        // scratch accumulates across the jobs it was dealt.
-        let mut stage = spawn_background(
-            (0..24u64).collect(),
-            4,
-            || 0u64,
-            |_, j, ran: &mut u64| {
-                *ran += 1;
-                j + 100
-            },
-        );
-        let out: Vec<u64> = (0..24).map(|i| stage.take(i)).collect();
-        stage.finish();
-        assert_eq!(out, (100..124).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "joined twice")]
-    fn background_double_join_panics() {
-        let mut stage = spawn_background(vec![1u8, 2, 3], 2, || (), |_, j, ()| j);
-        let _ = stage.take(1);
-        let _ = stage.take(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "never joined")]
-    fn background_abandoned_slot_fails_finish() {
-        let mut stage = spawn_background(vec![1u8, 2, 3], 2, || (), |_, j, ()| j);
-        let _ = stage.take(0);
-        stage.finish();
     }
 
     #[test]

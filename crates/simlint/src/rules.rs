@@ -147,8 +147,7 @@ pub const RULES: &[RuleInfo] = &[
                       race-check claim ledger, and are exercised by the schedule-replay \
                       harness (fan_out_check). An ad-hoc thread::spawn elsewhere gets none \
                       of that. Fix: express the work as fan_out_indexed over an index \
-                      space, or fan_out_indexed_owned / spawn_background over an owned \
-                      job list.",
+                      space, or fan_out_indexed_owned over an owned job list.",
     },
     RuleInfo {
         id: "no-shared-sync-outside-pool",
@@ -633,7 +632,7 @@ fn check_adhoc_threading(ctx: &mut Ctx<'_>) {
             rule,
             "ad-hoc thread creation; all parallelism goes through the race-checked \
              fan-outs in crates/simcore/src/parallel.rs (fan_out_indexed / \
-             fan_out_indexed_owned / spawn_background)"
+             fan_out_indexed_owned)"
                 .to_string(),
         );
     }

@@ -2,7 +2,7 @@
 //! invariants across crates.
 
 use adainf::apps::{catalog, AppRuntime};
-use adainf::core::drift_cache::{build_artifacts, DetectScratch, DriftCache, DriftSnapshot};
+use adainf::core::drift_cache::{build_artifacts, DetectScratch, DriftCache};
 use adainf::core::regression::PowerLawScaler;
 use adainf::driftgen::workload::ArrivalConfig;
 use adainf::driftgen::{RetrainPool, TaskStream, TaskStreamConfig};
@@ -327,13 +327,12 @@ fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
 /// The real drift-artifact build is schedule-invariant: for three seeds,
 /// [`fan_out_check`] replays the per-(app, node) build under forced
 /// claim-order permutations at 1/2/4/8 workers and asserts bit-equality
-/// with the sequential loop, and the scheduler's background stage
-/// ([`DriftCache::snapshot_stale`] → `spawn_background` →
-/// [`DriftCache::insert_built`]) at every one of those thread counts
-/// must land on the same artifact bits.
+/// with the sequential loop, and the scheduler's boundary build
+/// ([`DriftCache::refresh`]) at every one of those widths must land on
+/// the same artifact bits.
 #[test]
-fn drift_background_stage_survives_adversarial_schedules() {
-    use adainf::simcore::parallel::{fan_out_check, spawn_background};
+fn drift_refresh_survives_adversarial_schedules() {
+    use adainf::simcore::parallel::fan_out_check;
 
     for seed in [11u64, 97, 2024] {
         let apps = [
@@ -361,29 +360,18 @@ fn drift_background_stage_survives_adversarial_schedules() {
             },
         );
 
-        // Layer 3: the production handoff — boundary snapshots built on
-        // the background stage and installed in job order — at each
-        // worker count reproduces the same rankings and basis
-        // bit-for-bit (prefix-sums are lazily extended, so only the
-        // eagerly-built fields are compared).
+        // Layer 3: the production boundary build at each width
+        // reproduces the same rankings and basis bit-for-bit
+        // (prefix-sums are lazily extended, so only the eagerly-built
+        // fields are compared).
         for threads in [1usize, 2, 4, 8] {
             let mut cache = DriftCache::default();
-            let snaps = cache.snapshot_stale(&jobs, &apps, &root);
-            assert_eq!(snaps.len(), jobs.len(), "every slot is stale");
-            let mut stage = spawn_background(
-                snaps,
-                threads,
-                DetectScratch::default,
-                |_, snap: DriftSnapshot, scratch: &mut DetectScratch| snap.build(8, scratch),
-            );
-            for j in 0..jobs.len() {
-                cache.insert_built(stage.take(j));
-            }
-            stage.finish();
+            cache.refresh(&jobs, &apps, 8, &root, threads);
+            assert_eq!(cache.misses as usize, jobs.len(), "every slot is stale");
             for (j, &(app, node)) in jobs.iter().enumerate() {
-                let art = cache.get(app, node).unwrap_or_else(|| {
-                    panic!("background stage({threads}) missing ({app}, {node})")
-                });
+                let art = cache
+                    .get(app, node)
+                    .unwrap_or_else(|| panic!("refresh({threads}) missing ({app}, {node})"));
                 let want = &reference[j];
                 assert_eq!(art.deviation, want.deviation, "deviation @{threads}t");
                 assert_eq!(art.retrain, want.retrain, "retrain @{threads}t");
@@ -586,9 +574,9 @@ fn predictor_off_is_inert_across_methods_and_seeds() {
 }
 
 /// The pool width is invisible in the results: with the same seed, a
-/// run whose background drift stage and boundary training fan-out use
+/// run whose boundary drift build and training fan-out use
 /// several workers is bit-identical to the one-worker run. Verified at
-/// three seeds × pool widths {2, 4, 8} (driving both the drift stage and
+/// three seeds × pool widths {2, 4, 8} (driving both the drift build and
 /// the training fan-out) against the width-1 baseline: request totals,
 /// shed counts, the full fine-grained accuracy series, and the summary
 /// aggregates all match to the bit. (The golden literals pin the width-1
