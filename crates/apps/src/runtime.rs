@@ -20,10 +20,6 @@ use adainf_nn::InferScratch;
 use adainf_simcore::{Prng, SimTime};
 use std::sync::Arc;
 
-/// Samples drawn per node per period as the retraining pool (stand-in for
-/// "the inference requests collected during the previous time period").
-pub const DEFAULT_POOL_SIZE: usize = 1500;
-
 /// Evaluation-set size per node per period.
 pub const EVAL_SIZE: usize = 400;
 
@@ -112,11 +108,6 @@ impl AppRuntime {
         };
         rt.initial_train();
         rt
-    }
-
-    /// Convenience constructor with default arrival/pool settings.
-    pub fn with_defaults(spec: AppSpec, root: &Prng) -> Self {
-        AppRuntime::new(spec, ArrivalConfig::default(), DEFAULT_POOL_SIZE, root)
     }
 
     fn initial_train(&mut self) {

@@ -7,8 +7,6 @@
 //!   work through a shared [`DriftCache`]: detection plus one
 //!   retraining-order lookup per node, paying for each node's
 //!   feature/PCA/ranking artifacts once.
-//! * `drift/retrain_order_single_node` — the standalone §3.3.2
-//!   deviation-ordered retraining selection for one node.
 //! * `drift/period_boundary_3apps` — one whole period boundary of a
 //!   three-app set at the paper's 6000-sample pools: every runtime
 //!   advances (fresh pools, held-out and evaluation sets), and every
@@ -23,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adainf_apps::{catalog, AppRuntime};
-use adainf_core::drift_cache::{build_retrain_order, DetectScratch, DriftCache};
+use adainf_core::drift_cache::DriftCache;
 use adainf_core::drift_detect::{detect_drift, detect_drift_cached};
 use adainf_core::AdaInfConfig;
 use adainf_driftgen::workload::ArrivalConfig;
@@ -86,19 +84,6 @@ fn bench_drift(c: &mut Criterion) {
                 );
             }
             black_box(report)
-        })
-    });
-
-    group.bench_function("retrain_order_single_node", |b| {
-        let mut scratch = DetectScratch::default();
-        b.iter(|| {
-            black_box(build_retrain_order(
-                &rt,
-                1,
-                config.pca_components,
-                &root,
-                &mut scratch,
-            ))
         })
     });
 

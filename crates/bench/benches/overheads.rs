@@ -4,9 +4,7 @@
 //!   for an 8-application session (the paper's AdaInf takes ~2 ms, Ekya's
 //!   period heuristic 8.4 s, Scrooge's optimiser 100 ms; our in-simulator
 //!   decision paths are far cheaper, but their *relative* cost ordering
-//!   is preserved and the absolute numbers are what Table 1's regenerator
-//!   reports). Shared with the `table1` binary via
-//!   `adainf_bench::decision_bench`.
+//!   is preserved). The scenario lives in `adainf_bench::decision_bench`.
 //! * `period_planning/*` — drift detection + RI-DAG generation for the
 //!   8-app deployment (the "periodical DAG update").
 //! * `memory/eviction` — priority-eviction throughput of the GPU memory

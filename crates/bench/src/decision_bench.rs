@@ -1,15 +1,11 @@
-//! Shared decision-latency measurement for Table 1 and the criterion
-//! benches.
-//!
-//! Table 1's "session scheduling" column is a *measured* number: one
-//! `on_session` call on the standard 8-application deployment, timed by
-//! the criterion harness. The `benches/overheads.rs` benchmark target
-//! and the `table1` binary both call into this module so the reported
-//! latency and the standalone bench are literally the same code path.
+//! The decision-latency scenario of the criterion benches: one
+//! `on_session` call per method on the standard 8-application
+//! deployment, the micro-bench counterpart of Table 1's "session
+//! scheduling" column. `benches/overheads.rs` times it, and its
+//! `period_planning` bench reuses the scenario's runtimes.
 
 use criterion::Criterion;
 use std::hint::black_box;
-use std::time::Duration;
 
 use adainf_apps::{apps_for_count, AppRuntime, AppSpec};
 use adainf_baselines::{EkyaScheduler, ScroogeScheduler};
@@ -107,24 +103,4 @@ pub fn bench_session_scheduling(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Runs the `session_scheduling/*` bench with a short embedded window
-/// and returns `(method name, mean µs per decision)` rows, method names
-/// matching `RunMetrics::name` ("AdaInf", "Ekya", "Scrooge").
-pub fn measured_decision_latency_us() -> Vec<(String, f64)> {
-    let mut c = Criterion::embedded(Duration::from_millis(120));
-    bench_session_scheduling(&mut c);
-    c.results()
-        .iter()
-        .map(|(id, ns)| {
-            let name = match id.rsplit('/').next().unwrap_or(id) {
-                "adainf" => "AdaInf",
-                "ekya" => "Ekya",
-                "scrooge" => "Scrooge",
-                other => other,
-            };
-            (name.to_string(), ns / 1e3)
-        })
-        .collect()
 }

@@ -3,10 +3,10 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation:
 //!
-//! * One binary per figure/table (`fig04` … `fig24`, `table1`, `table2`,
-//!   plus `run_all`), each printing the same rows/series the paper
-//!   reports. All accept `--fast` (150 s horizon) and `--full` (the
-//!   paper's 1000 s) flags; the default is 500 s.
+//! * `run_all [NAME…]` prints the same rows/series the paper reports, for
+//!   every figure and table or for the ones whose label starts with a
+//!   given name (`run_all fig18 table2`). It accepts `--fast` (150 s
+//!   horizon) and `--full` (the paper's 1000 s); the default is 500 s.
 //! * Criterion micro-benchmarks (`benches/`) for the Table 1 CPU-side
 //!   overheads: session scheduling latency (the paper's 2 ms), drift
 //!   detection / DAG update (the paper's 4.2 s), memory-manager eviction
@@ -17,14 +17,3 @@
 pub mod decision_bench;
 
 pub use adainf_harness::experiments;
-
-/// Entry helper shared by the figure binaries: parse scale, run, print.
-pub fn main_for(name: &str, f: fn(experiments::Scale) -> String) {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = experiments::Scale::from_args(&args);
-    eprintln!("[{name}] running at {scale:?} scale …");
-    let t0 = std::time::Instant::now();
-    let out = f(scale);
-    println!("{out}");
-    eprintln!("[{name}] done in {:.1}s", t0.elapsed().as_secs_f64());
-}

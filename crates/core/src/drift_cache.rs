@@ -279,7 +279,11 @@ fn rank_features(
 }
 
 /// Interleaves the deviation ranking into the §3.3.2 retraining order:
-/// most-deviating half 1:1 with the remainder, odd tail appended.
+/// most-deviating half 1:1 with the remainder, odd tail appended. Early
+/// slices are thus dominated by the drifted samples (the paper's
+/// "samples that deviate the most"), while every SGD stage still sees a
+/// distribution mix, which keeps sequential slice training from
+/// regressing onto the stale-looking tail at the end of the pool.
 fn interleave(ranked: &[usize]) -> Vec<usize> {
     let n = ranked.len();
     let half = n / 2;
@@ -296,12 +300,9 @@ fn interleave(ranked: &[usize]) -> Vec<usize> {
     out
 }
 
-/// The deviation rankings of the pool and (optionally) the held-out
-/// reference set, from one feature pass over the old data and **one**
-/// shared PCA fit, plus the fitted basis for warm-starting the next
-/// period. The pool ranking never depends on whether the reference
-/// ranking is computed — the keyed PCA stream is consumed identically
-/// either way.
+/// The deviation rankings of the pool and the held-out reference set,
+/// from one feature pass over the old data and **one** shared PCA fit,
+/// plus the fitted basis for warm-starting the next period.
 ///
 /// The old, pool and held-out features go through the one
 /// `scratch.feats` buffer in turn: each matrix is dead once its set is
@@ -313,7 +314,6 @@ fn rankings(
     pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
-    with_ref: bool,
     warm: Option<&Matrix>,
 ) -> (Vec<usize>, Vec<usize>, Matrix) {
     let old = rt.old_samples(node);
@@ -342,68 +342,17 @@ fn rankings(
     let means = class_means(projected, &old.labels, model.classes());
     model.features_into(pool, feats);
     let deviation = rank_features(pool, feats, &pca, &means, pca_scratch, projected, scored);
-    let ref_order = if with_ref {
-        model.features_into(held_out, feats);
-        rank_features(
-            held_out,
-            feats,
-            &pca,
-            &means,
-            pca_scratch,
-            projected,
-            scored,
-        )
-    } else {
-        Vec::new()
-    };
+    model.features_into(held_out, feats);
+    let ref_order = rank_features(
+        held_out,
+        feats,
+        &pca,
+        &means,
+        pca_scratch,
+        projected,
+        scored,
+    );
     (deviation, ref_order, pca.into_components())
-}
-
-/// Ranks the new-pool samples of `node` by descending deviation from the
-/// old training data (§3.2); returns sample indices, most deviating
-/// first. The cheap subset of [`build_artifacts`] for consumers that
-/// never read the prefix-sums or the reference order (standalone order
-/// queries outside the scheduler's cached detection path): bit-equal to
-/// `build_artifacts(..).deviation`, at none of the cost of the two
-/// full-set correctness passes.
-///
-/// `root` is only used as a split root for the keyed per-`(period, node)`
-/// PCA stream — it is never advanced, so repeated calls are reproducible.
-/// `scratch` holds the PCA/projection buffers; callers loop over nodes,
-/// so taking it from the caller reuses one allocation set across the
-/// whole sweep instead of reallocating per call.
-pub fn build_deviation_ranking(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    rankings(rt, node, pca_components, root, scratch, false, None).0
-}
-
-/// The retraining consumption order (§3.3.2) alone, bit-equal to
-/// `build_artifacts(..).retrain`: deviation-prioritised but stratified —
-/// the [`build_deviation_ranking`] order is split into a most-deviating
-/// half and a remainder, interleaved 1:1. Early slices are thus
-/// dominated by the drifted samples (the paper's "samples that deviate
-/// the most"), while every SGD stage still sees a distribution mix,
-/// which keeps sequential slice training from regressing onto the
-/// stale-looking tail at the end of the pool.
-pub fn build_retrain_order(
-    rt: &AppRuntime,
-    node: usize,
-    pca_components: usize,
-    root: &Prng,
-    scratch: &mut DetectScratch,
-) -> Vec<usize> {
-    interleave(&build_deviation_ranking(
-        rt,
-        node,
-        pca_components,
-        root,
-        scratch,
-    ))
 }
 
 /// Builds one node's ranked artifact set — both deviation rankings and
@@ -424,8 +373,7 @@ fn build_ranked(
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
 ) -> DriftArtifacts {
-    let (deviation, ref_order, basis) =
-        rankings(rt, node, pca_components, root, scratch, true, warm);
+    let (deviation, ref_order, basis) = rankings(rt, node, pca_components, root, scratch, warm);
     let retrain = interleave(&deviation);
     let artifacts = DriftArtifacts {
         deviation,
@@ -749,23 +697,6 @@ mod tests {
         // Stable key afterwards: hit again.
         cache.artifacts(0, &rt, 1, 8, &root);
         assert_eq!((cache.hits, cache.misses), (2, 3));
-    }
-
-    /// The lean standalone builders must reproduce the full build's
-    /// orders bit-for-bit — skipping the reference ranking and the two
-    /// correctness passes must not perturb the keyed PCA stream.
-    #[test]
-    fn lean_builders_match_full_artifacts() {
-        let rt = drifted_runtime(2);
-        let root = Prng::new(7);
-        let mut scratch = DetectScratch::default();
-        for node in 0..rt.spec.nodes.len() {
-            let full = build_artifacts(&rt, node, 8, &root, &mut scratch);
-            let deviation = build_deviation_ranking(&rt, node, 8, &root, &mut scratch);
-            let retrain = build_retrain_order(&rt, node, 8, &root, &mut scratch);
-            assert_eq!(deviation, full.deviation, "node {node}");
-            assert_eq!(retrain, full.retrain, "node {node}");
-        }
     }
 
     /// The period boundary's fill: `refresh` at every width must leave

@@ -129,7 +129,7 @@ pub fn detect_drift_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift_cache::build_deviation_ranking;
+    use crate::drift_cache::build_artifacts;
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
 
@@ -246,7 +246,7 @@ mod tests {
     fn deviation_order_is_permutation() {
         let rt = drifted_runtime(1);
         let rng = Prng::new(4);
-        let order = build_deviation_ranking(&rt, 1, 8, &rng, &mut DetectScratch::default());
+        let order = build_artifacts(&rt, 1, 8, &rng, &mut DetectScratch::default()).deviation;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..order.len()).collect::<Vec<_>>());

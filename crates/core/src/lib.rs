@@ -53,7 +53,6 @@ pub mod config;
 pub mod degrade;
 pub mod drift_cache;
 pub mod drift_detect;
-pub mod incremental;
 pub mod plan;
 pub mod predict;
 pub mod profiler;

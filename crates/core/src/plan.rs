@@ -176,13 +176,6 @@ pub trait Scheduler {
         &[]
     }
 
-    /// Wall-clock nanoseconds the serving loop stalled on drift work.
-    /// Drift work runs on the serving loop's own boundary, so this is
-    /// [`Self::drift_overhead_ns`].
-    fn drift_blocked_ns(&self) -> u128 {
-        self.drift_overhead_ns()
-    }
-
     /// Largest resolved worker-thread count the scheduler's parallel
     /// fan-outs actually ran with (after the ambient
     /// `available_parallelism` fallback), or `None` if this scheduler

@@ -7,15 +7,14 @@
 //! (§3.3.1) and divide each job's SLO time between inference and
 //! retraining (§3.3.2), emitting one [`JobPlan`] per job.
 //!
-//! Planning overheads are measured with wall-clock timers and reported in
-//! the period plan (Table 1 — the paper's AdaInf takes ~4.2 s for the
-//! periodical DAG update and ~2 ms per scheduling round).
+//! The period hook's wall-clock is reported in the period plan; the
+//! harness times each session call (Table 1 — the paper's AdaInf takes
+//! ~4.2 s for the periodical DAG update and ~2 ms per scheduling round).
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
 use crate::drift_cache::DriftCache;
 use crate::drift_detect::{detect_drift_cached, DriftReport};
-use crate::incremental::RetrainProgress;
 use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 use crate::profiler::Profiler;
@@ -55,12 +54,6 @@ pub struct AdaInfScheduler {
     states: Vec<AppState>,
     /// Drift reports of the latest detection round (Table 2).
     pub last_reports: Vec<DriftReport>,
-    /// Live incremental-retraining progress (planned slices; the harness
-    /// holds ground truth for actually consumed samples).
-    pub progress: RetrainProgress,
-    /// Cumulative wall-clock spent in session scheduling, and calls.
-    sched_wall_ns: u128,
-    sched_calls: u64,
     /// Cumulative wall-clock of period-boundary drift work: the
     /// artifact build plus the detection sweep.
     drift_wall_ns: u128,
@@ -104,9 +97,6 @@ impl AdaInfScheduler {
             specs,
             states: vec![AppState::default(); n],
             last_reports: Vec::new(),
-            progress: RetrainProgress::new(),
-            sched_wall_ns: 0,
-            sched_calls: 0,
             drift_wall_ns: 0,
             drift_period_ns: Vec::new(),
             cache: DecisionCache::default(),
@@ -119,14 +109,6 @@ impl AdaInfScheduler {
     /// The configuration in use.
     pub fn config(&self) -> &AdaInfConfig {
         &self.config
-    }
-
-    /// Mean measured wall-clock per session scheduling call.
-    pub fn mean_sched_wall(&self) -> std::time::Duration {
-        if self.sched_calls == 0 {
-            return std::time::Duration::ZERO;
-        }
-        std::time::Duration::from_nanos((self.sched_wall_ns / self.sched_calls as u128) as u64)
     }
 
     /// `(hits, misses)` of the drift artifact cache so far.
@@ -307,25 +289,6 @@ impl Scheduler for AdaInfScheduler {
         // Time plans are valid only for this period's DAGs and accuracy
         // snapshots — drop the stale ones.
         self.cache.start_period();
-        // Register this period's retraining nodes with the progress
-        // tracker.
-        let registrations: Vec<((usize, usize), u32)> = self
-            .states
-            .iter()
-            .enumerate()
-            .flat_map(|(a, s)| {
-                s.ridag
-                    .entries
-                    .iter()
-                    .map(move |e| ((a, e.node), 0u32))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut regs = registrations;
-        for ((a, node), pool) in regs.iter_mut() {
-            *pool = apps[*a].pools[*node].total() as u32;
-        }
-        self.progress.start_period(regs);
 
         PeriodPlan {
             apps: self
@@ -342,7 +305,6 @@ impl Scheduler for AdaInfScheduler {
     }
 
     fn on_session(&mut self, ctx: &SessionCtx<'_>) -> Vec<JobPlan> {
-        let wall = WallTimer::start();
         let demands: Vec<JobDemand> = ctx
             .predicted
             .iter()
@@ -413,14 +375,13 @@ impl Scheduler for AdaInfScheduler {
 
         let (mode, policy) = strategies(&self.config);
         // Disjoint field borrows: the plan-cache closure reads specs and
-        // states while the cache and progress tracker are written.
+        // states while the cache is written.
         let AdaInfScheduler {
             config,
             profiler,
             specs,
             states,
             cache,
-            progress,
             ..
         } = self;
         let mut plans: Vec<JobPlan> = division
@@ -442,22 +403,12 @@ impl Scheduler for AdaInfScheduler {
                         profiler,
                     )
                 });
-                let slices = clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]);
-                for s in &slices {
-                    progress.record_slice(
-                        job.app,
-                        s.node,
-                        s.samples,
-                        s.time.mul_f64(d.gpu),
-                        ctx.now,
-                    );
-                }
                 JobPlan {
                     app: job.app,
                     gpu: d.gpu,
                     batch: plan.batch,
                     cuts: plan.cuts.clone(),
-                    retrain: slices,
+                    retrain: clamp_slices(&plan.proto, &ctx.pool_remaining[job.app]),
                     exec: mode,
                     eviction: policy,
                     serial: false,
@@ -478,9 +429,6 @@ impl Scheduler for AdaInfScheduler {
                 cpu: true,
             });
         }
-
-        self.sched_wall_ns += wall.elapsed_nanos();
-        self.sched_calls += 1;
         plans
     }
 }
@@ -553,7 +501,6 @@ mod tests {
             let retrain_ms: f64 = p.retrain.iter().map(|s| s.time.as_millis_f64()).sum();
             assert!(retrain_ms <= apps[p.app].spec.slo.as_millis_f64() + 1e-6);
         }
-        assert!(sched.mean_sched_wall().as_micros() < 50_000);
     }
 
     #[test]
@@ -729,9 +676,8 @@ mod tests {
         }
     }
 
-    /// The serving loop waits out the whole boundary build, so the
-    /// stalled time is the drift work, and it is the sum of the
-    /// per-period samples.
+    /// The serving loop waits out the whole boundary build, so the drift
+    /// clock it stalls on is the sum of the per-period samples.
     #[test]
     fn drift_clock_is_the_serving_stall() {
         let (_, mut apps, server) = setup(2);
@@ -750,7 +696,6 @@ mod tests {
         assert_eq!(sched.drift_period_ns().len(), 2);
         let per_period: u64 = sched.drift_period_ns().iter().sum();
         assert!(per_period > 0);
-        assert_eq!(sched.drift_blocked_ns(), sched.drift_overhead_ns());
         assert_eq!(sched.drift_overhead_ns(), u128::from(per_period));
         assert_eq!(sched.worker_threads(), Some(1));
     }

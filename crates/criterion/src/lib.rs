@@ -6,9 +6,8 @@
 //! [`criterion_group!`] / [`criterion_main!`] macros. Each benchmark is
 //! timed with `std::time::Instant` over an adaptively chosen iteration
 //! count and reported as one `bench: <name> ... <time>/iter` line on
-//! stdout (plus a machine-readable `BENCH_RESULT <name> <ns>` line),
-//! which is what the Table 1 regeneration consumes. Statistical analysis, plots and HTML reports are
-//! intentionally absent.
+//! stdout (plus a machine-readable `BENCH_RESULT <name> <ns>` line).
+//! Statistical analysis, plots and HTML reports are intentionally absent.
 //!
 //! Recognised CLI flags: `--quick` (shorter measurement window) and an
 //! optional positional substring filter. Everything else cargo passes
@@ -28,9 +27,6 @@ pub struct Criterion {
     filter: Option<String>,
     /// All `(name, ns_per_iter)` results, for the final summary.
     results: Vec<(String, f64)>,
-    /// Suppresses per-benchmark stdout lines (embedded use, e.g. the
-    /// Table 1 regenerator measuring decision latency mid-report).
-    quiet: bool,
 }
 
 impl Default for Criterion {
@@ -39,7 +35,6 @@ impl Default for Criterion {
             measure_for: Duration::from_millis(300),
             filter: None,
             results: Vec::new(),
-            quiet: false,
         }
     }
 }
@@ -67,21 +62,6 @@ impl Criterion {
         c
     }
 
-    /// Embedded-measurement constructor: a short window and no stdout
-    /// reporting. Callers read the numbers back via [`Self::results`].
-    pub fn embedded(measure_for: Duration) -> Self {
-        Criterion {
-            measure_for,
-            quiet: true,
-            ..Criterion::default()
-        }
-    }
-
-    /// All `(benchmark id, mean ns/iter)` pairs measured so far.
-    pub fn results(&self) -> &[(String, f64)] {
-        &self.results
-    }
-
     /// Starts a named group; benchmark ids become `group/name`.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -105,10 +85,8 @@ impl Criterion {
             ns_per_iter: 0.0,
         };
         f(&mut bencher);
-        if !self.quiet {
-            println!("bench: {id:<42} {:>12}/iter", fmt_ns(bencher.ns_per_iter));
-            println!("BENCH_RESULT {id} {:.1}", bencher.ns_per_iter);
-        }
+        println!("bench: {id:<42} {:>12}/iter", fmt_ns(bencher.ns_per_iter));
+        println!("BENCH_RESULT {id} {:.1}", bencher.ns_per_iter);
         self.results.push((id.to_string(), bencher.ns_per_iter));
         self
     }
@@ -247,7 +225,6 @@ mod tests {
             measure_for: Duration::from_millis(5),
             filter: None,
             results: Vec::new(),
-            quiet: false,
         };
         c.bench_function("smoke/add", |b| {
             b.iter(|| black_box(2u64).wrapping_add(black_box(3)))
@@ -262,7 +239,6 @@ mod tests {
             measure_for: Duration::from_millis(2),
             filter: None,
             results: Vec::new(),
-            quiet: false,
         };
         let mut g = c.benchmark_group("g");
         g.sample_size(10);
@@ -277,7 +253,6 @@ mod tests {
             measure_for: Duration::from_millis(2),
             filter: Some("match".into()),
             results: Vec::new(),
-            quiet: false,
         };
         c.bench_function("other", |b| b.iter(|| black_box(1)));
         assert!(c.results.is_empty());

@@ -30,12 +30,10 @@ pub mod faultgen;
 pub mod pool;
 pub mod scenario;
 pub mod stream;
-pub mod trace;
 pub mod workload;
 
 pub use faultgen::{FaultKind, FaultSpec, FaultTimeline, Impairments};
 pub use pool::RetrainPool;
 pub use scenario::DriftProfile;
 pub use stream::{LabeledSamples, TaskStream, TaskStreamConfig};
-pub use trace::Trace;
 pub use workload::ArrivalTrace;

@@ -53,10 +53,7 @@ impl RetrainPool {
 
     /// An empty pool (models unaffected by drift are not retrained).
     pub fn empty() -> Self {
-        RetrainPool::new(LabeledSamples {
-            inputs: adainf_nn::Matrix::zeros(0, 1),
-            labels: Vec::new(),
-        })
+        RetrainPool::new(LabeledSamples::empty())
     }
 
     /// Total number of samples in the pool.
@@ -117,12 +114,6 @@ impl RetrainPool {
         let batch = self.samples.select(indices);
         self.cursor = end;
         batch
-    }
-
-    /// Peeks at the next `n` sample indices without consuming them.
-    pub fn peek_indices(&self, n: usize) -> &[usize] {
-        let end = self.cursor.saturating_add(n).min(self.order.len());
-        &self.order[self.cursor..end]
     }
 }
 

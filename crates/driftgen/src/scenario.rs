@@ -7,9 +7,6 @@
 //! those intensity levels so application catalogues can tag each model's
 //! task stream.
 
-use crate::stream::{TaskStream, TaskStreamConfig};
-use adainf_simcore::Prng;
-
 /// Qualitative drift intensity of a task stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DriftProfile {
@@ -24,7 +21,8 @@ pub enum DriftProfile {
 }
 
 impl DriftProfile {
-    /// `(prior_drift, mean_drift)` intensities for [`TaskStreamConfig`].
+    /// `(prior_drift, mean_drift)` intensities for
+    /// [`TaskStreamConfig`](crate::stream::TaskStreamConfig).
     ///
     /// The magnitudes were calibrated so a frozen model loses roughly the
     /// per-period accuracy the paper reports for each class of task
@@ -47,27 +45,19 @@ impl DriftProfile {
             DriftProfile::Severe => "severe",
         }
     }
-
-    /// Builds a stream with this profile's intensities.
-    pub fn build_stream(
-        self,
-        name: impl Into<String>,
-        classes: usize,
-        seed: u64,
-        root: &Prng,
-    ) -> TaskStream {
-        let (p, m) = self.intensities();
-        TaskStream::new(
-            TaskStreamConfig::new(name, classes, seed).with_drift(p, m),
-            root,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{TaskStream, TaskStreamConfig};
     use adainf_nn::metrics::js_divergence;
+    use adainf_simcore::Prng;
+
+    fn stream(profile: DriftProfile, seed: u64, root: &Prng) -> TaskStream {
+        let (p, m) = profile.intensities();
+        TaskStream::new(TaskStreamConfig::new("s", 5, seed).with_drift(p, m), root)
+    }
 
     #[test]
     fn intensities_are_ordered() {
@@ -87,8 +77,8 @@ mod tests {
     #[test]
     fn severe_drifts_more_than_stable_in_js() {
         let root = Prng::new(33);
-        let mut stable = DriftProfile::Stable.build_stream("s", 5, 1, &root);
-        let mut severe = DriftProfile::Severe.build_stream("v", 5, 2, &root);
+        let mut stable = stream(DriftProfile::Stable, 1, &root);
+        let mut severe = stream(DriftProfile::Severe, 2, &root);
         let s0 = stable.priors().to_vec();
         let v0 = severe.priors().to_vec();
         let mut js_stable = 0.0f64;

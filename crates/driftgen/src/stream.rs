@@ -57,12 +57,6 @@ impl TaskStreamConfig {
         self.mean_drift = mean_drift;
         self
     }
-
-    /// Sets the within-class noise.
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
 }
 
 /// A batch of labelled samples.
@@ -75,6 +69,14 @@ pub struct LabeledSamples {
 }
 
 impl LabeledSamples {
+    /// An empty batch.
+    pub fn empty() -> Self {
+        LabeledSamples {
+            inputs: Matrix::zeros(0, 1),
+            labels: Vec::new(),
+        }
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -470,10 +472,7 @@ mod tests {
             assert_eq!(fast.rng.gauss().to_bits(), slow.rng.gauss().to_bits());
             assert_eq!(fast.rng.next_u64(), slow.rng.next_u64());
 
-            let empty = LabeledSamples {
-                inputs: Matrix::zeros(0, 1),
-                labels: Vec::new(),
-            };
+            let empty = LabeledSamples::empty();
             let [none, one, some, many] = [&drawn[0], &drawn[1], &drawn[2], &drawn[3]];
             let part_lists: [&[&LabeledSamples]; 5] = [
                 &[],

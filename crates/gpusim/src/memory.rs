@@ -240,11 +240,6 @@ impl GpuMemory {
         &self.reuse_events
     }
 
-    /// Clears recorded reuse events (between measurement phases).
-    pub fn clear_reuse_events(&mut self) {
-        self.reuse_events.clear();
-    }
-
     /// `S_c = (1−α)·R_c + α·L_s` for a resident entry (§3.4.2). Dead
     /// blocks score infinitely high: they are never needed again.
     fn score(&self, key: &ContentKey, entry: &Resident) -> f64 {
@@ -507,44 +502,13 @@ impl GpuMemory {
         comm
     }
 
-    /// Marks all intermediates of `(app, job)` dead. With AdaInf's
-    /// maximise-usage strategy (§3.4.1) this is called on job completion:
-    /// "evict all intermediate outputs of the job but retain the updated
+    /// Marks all intermediates of `(app, job_hi)` dead, whatever their
+    /// slot: the execution engine encodes intermediate keys as
+    /// `key.job = (job << 8) | slot`. With AdaInf's maximise-usage
+    /// strategy (§3.4.1) this is called on job completion: "evict all
+    /// intermediate outputs of the job but retain the updated
     /// parameters". Dead blocks are dropped without writeback when space
     /// is needed; `eager` drops them immediately.
-    pub fn retire_job(&mut self, app: u32, job: u64, eager: bool) {
-        let keys: Vec<ContentKey> = self
-            .resident
-            .keys()
-            .filter(|k| {
-                k.app == app && k.job == job && k.ctype == ContentType::Intermediate
-            })
-            .copied()
-            .collect();
-        for key in keys {
-            if eager {
-                if let Some(e) = self.resident.remove(&key) {
-                    if cfg!(feature = "strict-invariants") {
-                        assert!(self.used >= e.bytes, "strict-invariants: resident accounting underflow");
-                    }
-                    self.used -= e.bytes;
-                    self.stats.drops += 1;
-                }
-            } else if let Some(e) = self.resident.get_mut(&key) {
-                e.dead = true;
-            }
-        }
-        // Also forget spilled intermediates of the job. A pinned one's
-        // PIN reservation is not released and stays counted in
-        // `pin_used`; releasing it would change the comm inflation the
-        // detailed engine (`exec::run_concurrent`) measures.
-        self.spilled
-            .retain(|k, _| !(k.app == app && k.job == job && k.ctype == ContentType::Intermediate));
-    }
-
-    /// Like [`Self::retire_job`], but for the execution engine's encoded
-    /// intermediate slots (`key.job = (job << 8) | slot`): retires every
-    /// intermediate of `(app, job_hi)` whatever its slot.
     pub fn retire_job_group(&mut self, app: u32, job_hi: u64, eager: bool) {
         let keys: Vec<ContentKey> = self
             .resident
@@ -569,7 +533,10 @@ impl GpuMemory {
                 e.dead = true;
             }
         }
-        // Pinned ones keep their PIN reservation, as in `retire_job`.
+        // Also forget spilled intermediates of the job. A pinned one's
+        // PIN reservation is not released and stays counted in
+        // `pin_used`; releasing it would change the comm inflation the
+        // detailed engine (`exec::run_concurrent`) measures.
         self.spilled.retain(|k, _| {
             !(k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate)
         });
@@ -786,9 +753,9 @@ mod tests {
     #[test]
     fn dead_intermediates_drop_without_writeback() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
         mem.access(inter, 900, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.retire_job(1, 7, false);
+        mem.retire_job_group(1, 7, false);
         let before = mem.stats().comm_time;
         let other = ContentKey::intermediate(2, 1, 0, 8);
         let cost = mem.access(other, 900, TaskContext::Inference, 8, 0, 400.0, AccessIntent::Produce, t(10));
@@ -800,12 +767,12 @@ mod tests {
     #[test]
     fn eager_retire_frees_immediately() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, (7 << 8) | 3);
         let param = ContentKey::param(1, 1, 0);
         mem.access(inter, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
         mem.access(param, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Fetch, t(1));
         let used = mem.used();
-        mem.retire_job(1, 7, true);
+        mem.retire_job_group(1, 7, true);
         assert_eq!(mem.used(), used - 300, "intermediate freed, param kept");
     }
 
@@ -889,9 +856,9 @@ mod tests {
     #[test]
     fn pressure_storm_counts_dead_drops_separately() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7);
+        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
         mem.access(inter, 600, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.retire_job(1, 7, false);
+        mem.retire_job_group(1, 7, false);
         let comm = mem.apply_pressure(0.1, t(10));
         assert_eq!(comm, SimDuration::ZERO, "dead blocks drop for free");
         assert_eq!(mem.stats().pressure_evictions, 1);
@@ -956,13 +923,13 @@ mod tests {
             cfg.pin_capacity = 2000;
             let mut mem = GpuMemory::new(cfg);
             let inter = ContentKey::intermediate(1, 1, 0, 1);
-            let spoiler = ContentKey::intermediate(1, 2, 0, 2);
+            let spoiler = ContentKey::intermediate(1, 2, 0, 2 << 8);
             let ctx = TaskContext::Retraining;
             mem.access(inter, 400, ctx, 1, 0, 400.0, AccessIntent::Produce, t(0));
             mem.access(spoiler, 400, ctx, 2, 0, 400.0, AccessIntent::Produce, t(10));
             assert_eq!(mem.pin_used, 400, "the retraining intermediate spills to PIN");
             // The spoiler dies, so the refetch drops it without a spill.
-            mem.retire_job(1, 2, false);
+            mem.retire_job_group(1, 2, false);
             mem.access(inter, resize, ctx, 1, 0, 400.0, AccessIntent::Fetch, t(20));
             assert_eq!(mem.pin_used, 0, "refetch at {resize} B");
         }

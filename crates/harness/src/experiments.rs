@@ -1,7 +1,7 @@
 //! One entry point per figure and table of the paper's evaluation.
 //!
 //! Every function returns the regenerated series/rows and a rendered
-//! plain-text report; the `adainf-bench` binaries are thin wrappers. The
+//! plain-text report; `adainf-bench`'s `run_all` runs them by name. The
 //! paper's 1000 s horizon is [`Scale::Full`]; [`Scale::Default`] (500 s)
 //! preserves every qualitative shape at less cost, and [`Scale::Fast`]
 //! (150 s) is for smoke runs.
@@ -903,23 +903,9 @@ pub fn fig24(scale: Scale) -> String {
 /// Table 1: time overheads of the methods (measured wall-clock for the
 /// CPU-side planning, modelled values for the edge–cloud path).
 ///
-/// The "session scheduling" column here is the in-run mean over every
-/// session of the comparison runs; the `table1` binary instead feeds in
-/// the criterion decision-latency micro-bench via
-/// [`table1_with_decision_bench`].
+/// The "session scheduling" column is the in-run mean over every session
+/// of the comparison runs.
 pub fn table1(scale: Scale) -> String {
-    table1_impl(scale, None)
-}
-
-/// [`table1`] with the "session scheduling" column taken from a
-/// criterion micro-bench: `sched_us` maps method names (matched as
-/// prefixes, so "Scrooge" also covers "Scrooge*") to the measured mean
-/// µs of one `on_session` call.
-pub fn table1_with_decision_bench(scale: Scale, sched_us: &[(String, f64)]) -> String {
-    table1_impl(scale, Some(sched_us))
-}
-
-fn table1_impl(scale: Scale, sched_us: Option<&[(String, f64)]>) -> String {
     let base = RunConfig {
         duration: SimDuration::from_secs(match scale {
             Scale::Fast => 100,
@@ -932,18 +918,10 @@ fn table1_impl(scale: Scale, sched_us: Option<&[(String, f64)]>) -> String {
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|m| {
-            let sched = sched_us
-                .and_then(|bench| {
-                    bench
-                        .iter()
-                        .find(|(name, _)| m.name.starts_with(name.as_str()))
-                })
-                .map(|(_, us)| format!("{:.3}ms", us / 1e3))
-                .unwrap_or_else(|| format!("{:.3}ms", m.sched_overhead.mean()));
             vec![
                 m.name.clone(),
                 format!("{:.1}ms", m.period_overhead.mean()),
-                sched,
+                format!("{:.3}ms", m.sched_overhead.mean()),
                 format!(
                     "{:.1}s",
                     if m.edge_cloud_bytes > 0 {
@@ -958,13 +936,8 @@ fn table1_impl(scale: Scale, sched_us: Option<&[(String, f64)]>) -> String {
             ]
         })
         .collect();
-    let sched_note = if sched_us.is_some() {
-        "criterion micro-bench of one on_session call"
-    } else {
-        "in-run mean"
-    };
     format!(
-        "Table 1 — time overheads (measured wall-clock; edge-cloud modelled;\n scheduling column: {sched_note})\n{}\n(paper: AdaInf 4.2s DAG update / 2ms scheduling; Ekya 8.4s; Scrooge\n 100ms scheduling + 34.1s / 85.7GB edge-cloud per period)\n",
+        "Table 1 — time overheads (measured wall-clock; edge-cloud modelled;\n scheduling column: in-run mean)\n{}\n(paper: AdaInf 4.2s DAG update / 2ms scheduling; Ekya 8.4s; Scrooge\n 100ms scheduling + 34.1s / 85.7GB edge-cloud per period)\n",
         table(
             &[
                 "method",

@@ -14,9 +14,9 @@
 //!   retraining-time/sample bookkeeping, latency stats, utilization,
 //!   overheads.
 //! * [`experiments`] — one entry point per figure/table of the paper,
-//!   used by the `adainf-bench` regenerator binaries.
-//! * [`report`] — plain-text/markdown/JSON emitters for the regenerated
-//!   tables and series.
+//!   run by name through `adainf-bench`'s `run_all`.
+//! * [`report`] — the plain-text table emitter of the regenerated
+//!   tables.
 //! * [`chaos`] — the chaos experiment suite: named fault scenarios
 //!   (request bursts, eviction storms, pool starvation, device stalls)
 //!   run against the schedulers, with per-scenario SLO-violation bounds.

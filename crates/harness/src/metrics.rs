@@ -60,9 +60,9 @@ pub struct RunMetrics {
     /// schedulers that track it — the distribution behind
     /// [`Summary::drift_detect_p99_us`]. Empty otherwise.
     pub drift_detect_period_us: Vec<f64>,
-    /// Wall-clock nanoseconds the serving loop stalled on drift work
-    /// (`Scheduler::drift_blocked_ns`). Drift work runs on the serving
-    /// loop's own boundary, so this equals [`Self::drift_detect_ns`].
+    /// Wall-clock nanoseconds the serving loop stalled on drift work.
+    /// Drift work runs on the serving loop's own boundary, so this equals
+    /// [`Self::drift_detect_ns`].
     pub drift_blocked_ns: u64,
     /// Wall-clock nanoseconds of session serving across the run — every
     /// `step_session` call minus the retraining time accrued inside it.

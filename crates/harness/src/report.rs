@@ -1,4 +1,4 @@
-//! Plain-text table/series emitters for the figure regenerators.
+//! Plain-text table emitters for the figure regenerators.
 
 use std::fmt::Write as _;
 
@@ -40,31 +40,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Formats a millisecond quantity.
-pub fn ms(x: f64) -> String {
-    format!("{x:.2}ms")
-}
-
-/// Renders rows as CSV with the given headers.
-pub fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = headers.join(",");
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders an `(x, y)` series as aligned two-column text.
-pub fn series(x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|(x, y)| vec![format!("{x:.4}"), format!("{y:.4}")])
-        .collect();
-    table(&[x_label, y_label], &rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,16 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_renders() {
-        let c = csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(c, "a,b\n1,2\n");
-    }
-
-    #[test]
     fn formatters() {
         assert_eq!(pct(0.964), "96.4%");
-        assert_eq!(ms(12.345), "12.35ms");
-        let s = series("x", "y", &[(1.0, 2.0)]);
-        assert!(s.contains("1.0000"));
     }
 }

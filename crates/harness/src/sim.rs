@@ -28,7 +28,7 @@ use adainf_baselines::{EkyaScheduler, ScroogeScheduler};
 use adainf_core::degrade::{
     admit_within_slo, should_shed_retraining, DegradePolicy, ReloadState,
 };
-use adainf_core::plan::{BulkRetrain, Scheduler, SessionCtx};
+use adainf_core::plan::{BulkRetrain, JobPlan, Scheduler, SessionCtx};
 use adainf_core::predict::LatencyFeatures;
 use adainf_core::profiler::{CommProfile, Profiler};
 use adainf_core::{AdaInfConfig, AdaInfScheduler};
@@ -36,7 +36,9 @@ use adainf_driftgen::faultgen::FaultWindow;
 use adainf_driftgen::workload::ArrivalConfig;
 use adainf_driftgen::{FaultKind, FaultSpec, FaultTimeline, Impairments, LabeledSamples};
 use adainf_gpusim::memory::AccessIntent;
-use adainf_gpusim::{ContentKey, EdgeServer, GpuMemory, GpuSpec, LatencyModel, TaskContext};
+use adainf_gpusim::{
+    ContentKey, EdgeServer, GpuMemory, GpuSpec, LatencyModel, StructureCost, TaskContext,
+};
 use adainf_modelzoo::TrainSliceScratch;
 use adainf_simcore::parallel;
 use adainf_simcore::time::{PERIOD, SESSION};
@@ -326,12 +328,7 @@ impl Simulation {
         let replay: Vec<Vec<LabeledSamples>> = node_counts
             .iter()
             .map(|&n| {
-                (0..n)
-                    .map(|_| LabeledSamples {
-                        inputs: adainf_nn::Matrix::zeros(0, 1),
-                        labels: Vec::new(),
-                    })
-                    .collect()
+                (0..n).map(|_| LabeledSamples::empty()).collect()
             })
             .collect();
         let predicted_ewma =
@@ -520,10 +517,7 @@ impl Simulation {
                     if let Some(shuffled) = self.prepare_flush(a, node) {
                         staged.push((a, node, shuffled));
                     }
-                    self.replay[a][node] = LabeledSamples {
-                        inputs: adainf_nn::Matrix::zeros(0, 1),
-                        labels: Vec::new(),
-                    };
+                    self.replay[a][node] = LabeledSamples::empty();
                 }
             }
             if !staged.is_empty() {
@@ -634,13 +628,7 @@ impl Simulation {
         // Two SGD passes capture the accuracy effect of the configured
         // multi-epoch retraining (the heads converge in 1–2 passes; the
         // GPU time charged is the scheduler's full setting).
-        let samples = std::mem::replace(
-            &mut p.samples,
-            LabeledSamples {
-                inputs: adainf_nn::Matrix::zeros(0, 1),
-                labels: Vec::new(),
-            },
-        );
+        let samples = std::mem::replace(&mut p.samples, LabeledSamples::empty());
         if !samples.is_empty() {
             self.metrics.retrain_samples[app][node] += samples.len() as u64;
             let w = WallTimer::start();
@@ -682,6 +670,33 @@ impl Simulation {
             self.releases.pop();
             self.in_use_milli = self.in_use_milli.saturating_sub(milli);
         }
+    }
+
+    /// The worst-case inference latency of `n` requests of `plan`: on the
+    /// host CPU, or on the plan's GPU share times the communication
+    /// inflation of its memory strategies. A transient device stall
+    /// inflates the GPU latency law for the session; CPU-offloaded jobs
+    /// are unaffected.
+    fn inference_latency(
+        &self,
+        plan: &JobPlan,
+        cost: &StructureCost,
+        n: u32,
+        imp: &Impairments,
+    ) -> SimDuration {
+        let latency = &self.profiler.latency;
+        if plan.cpu {
+            return latency.cpu_inference(cost, n);
+        }
+        let inflation = self.profiler.comm.inflation(plan.exec, plan.eviction);
+        let lat = if imp.latency_inflation > 1.0 {
+            latency
+                .with_stall(imp.latency_inflation)
+                .worst_case(cost, n, plan.batch, plan.gpu)
+        } else {
+            latency.worst_case(cost, n, plan.batch, plan.gpu)
+        };
+        lat.mul_f64(inflation)
     }
 
     fn step_session(&mut self, t: SimTime) {
@@ -785,26 +800,7 @@ impl Simulation {
             } else {
                 SimDuration::ZERO
             };
-            // Transient device stalls inflate the GPU latency law for
-            // the session (CPU-offloaded jobs are unaffected).
-            let stalled = !plan.cpu && imp.latency_inflation > 1.0;
-            let mut inference = if plan.cpu {
-                self.profiler.latency.cpu_inference(&cost, n)
-            } else {
-                let inflation =
-                    self.profiler.comm.inflation(plan.exec, plan.eviction);
-                let lat = if stalled {
-                    self.profiler
-                        .latency
-                        .with_stall(imp.latency_inflation)
-                        .worst_case(&cost, n, plan.batch, plan.gpu)
-                } else {
-                    self.profiler
-                        .latency
-                        .worst_case(&cost, n, plan.batch, plan.gpu)
-                };
-                lat.mul_f64(inflation)
-            };
+            let mut inference = self.inference_latency(&plan, &cost, n, &imp);
 
             // Inference-only fallback: when a fault window collapsed the
             // spare time the plan assumed, drop the planned retraining
@@ -1008,25 +1004,7 @@ impl Simulation {
                         continue;
                     }
                     // Re-cost the inference for the admitted prefix.
-                    inference = if plan.cpu {
-                        self.profiler.latency.cpu_inference(&cost, n_served)
-                    } else {
-                        let inflation = self
-                            .profiler
-                            .comm
-                            .inflation(plan.exec, plan.eviction);
-                        let lat = if stalled {
-                            self.profiler
-                                .latency
-                                .with_stall(imp.latency_inflation)
-                                .worst_case(&cost, n_served, plan.batch, plan.gpu)
-                        } else {
-                            self.profiler
-                                .latency
-                                .worst_case(&cost, n_served, plan.batch, plan.gpu)
-                        };
-                        lat.mul_f64(inflation)
-                    };
+                    inference = self.inference_latency(&plan, &cost, n_served, &imp);
                 }
             }
 
@@ -1276,7 +1254,7 @@ impl Simulation {
             .iter()
             .map(|&ns| ns as f64 / 1e3)
             .collect();
-        self.metrics.drift_blocked_ns = self.scheduler.drift_blocked_ns() as u64;
+        self.metrics.drift_blocked_ns = self.metrics.drift_detect_ns;
         self.metrics.serve_ns = self.serve_wall_ns as u64;
         self.metrics.train_ns = self.train_wall_ns as u64;
         // The run's resolved pool width: the widest fan-out of either
@@ -1354,6 +1332,18 @@ mod tests {
         let retrain: f64 = m.retrain_gpu_seconds.iter().sum();
         assert!(retrain > 1.0, "retrain gpu-s {retrain}");
         assert_eq!(m.edge_cloud_bytes, 0);
+    }
+
+    /// Drift work runs on the serving loop's own boundary, so the run's
+    /// drift stall is its drift clock: positive for AdaInf, zero for a
+    /// scheduler that runs no drift detection.
+    #[test]
+    fn drift_stall_is_the_drift_clock() {
+        let m = run(tiny(Method::AdaInf(AdaInfConfig::default())));
+        assert!(m.drift_detect_ns > 0);
+        assert_eq!(m.drift_blocked_ns, m.drift_detect_ns);
+        let m = run(tiny(Method::Ekya));
+        assert_eq!((m.drift_detect_ns, m.drift_blocked_ns), (0, 0));
     }
 
     #[test]

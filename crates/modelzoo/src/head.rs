@@ -223,7 +223,7 @@ impl TrainableModel {
         self.head.features_into(&samples.inputs, out);
     }
 
-    /// Snapshot of the head parameters (for parameter averaging, §3.3.2).
+    /// Snapshot of the head parameters.
     pub fn snapshot_params(&self) -> Vec<f32> {
         self.head.flatten_params()
     }

@@ -15,20 +15,15 @@
 //! * [`profile`] — [`profile::ModelProfile`]: layered cost description,
 //!   early-exit cut points every 3 layers (as in SPINN \[22\]).
 //! * [`zoo`] — the named backbones with calibrated magnitudes.
-//! * [`earlyexit`] — application-level early-exit structures: one cut per
-//!   model, enumerated exhaustively (81 structures for the surveillance
-//!   app, §2.2).
 //! * [`head`] — [`head::TrainableModel`]: profile + MLP head + retraining
 //!   state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod earlyexit;
 pub mod head;
 pub mod profile;
 pub mod zoo;
 
-pub use earlyexit::{AppStructure, StructureChoice};
 pub use head::{TrainSliceScratch, TrainableModel};
 pub use profile::ModelProfile;

@@ -141,12 +141,6 @@ impl ModelProfile {
     pub fn full_cut(&self) -> usize {
         self.num_layers() - 1
     }
-
-    /// Fraction of the full structure's FLOPs retained by cut `cut`.
-    pub fn depth_fraction(&self, cut: usize) -> f64 {
-        let total: f64 = self.layer_flops.iter().sum();
-        self.structure_cost(cut).flops_per_sample / total.max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -198,13 +192,6 @@ mod tests {
             p.full_cost().flops_per_sample,
             p.structure_cost(p.full_cut()).flops_per_sample
         );
-    }
-
-    #[test]
-    fn depth_fraction_is_one_at_full() {
-        let p = profile();
-        assert!((p.depth_fraction(p.full_cut()) - 1.0).abs() < 1e-12);
-        assert!(p.depth_fraction(2) < 0.5);
     }
 
     #[test]

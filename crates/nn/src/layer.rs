@@ -3,7 +3,7 @@
 use crate::matrix::Matrix;
 use adainf_simcore::Prng;
 
-/// The update rule applied by [`Dense::backward`].
+/// The update rule applied by [`Dense::backward_scratch`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Update {
     /// Classic SGD with momentum: `v = m·v − lr·g ; w += v`.
@@ -57,15 +57,6 @@ pub struct Dense {
     steps: u64,
 }
 
-/// Cached activations needed by the backward pass of one layer.
-#[derive(Clone, Debug)]
-pub struct DenseCache {
-    /// The layer input.
-    pub input: Matrix,
-    /// Pre-activation output (before ReLU), used for the ReLU mask.
-    pub pre: Matrix,
-}
-
 /// Reusable parameter-gradient buffers for [`Dense::backward_scratch`]
 /// (plus the transposed-weight copy its input gradient multiplies by).
 /// Holding one of these across SGD steps makes the backward pass free
@@ -107,24 +98,7 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    /// Forward pass; returns the activation and the cache for backward.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let mut pre = Matrix::default();
-        input.affine_into(&self.weights, &self.bias, false, &mut pre);
-        let mut out = pre.clone();
-        if self.relu {
-            out.relu_inplace();
-        }
-        (
-            out,
-            DenseCache {
-                input: input.clone(),
-                pre,
-            },
-        )
-    }
-
-    /// Forward pass without caching (inference).
+    /// Inference forward pass.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.infer_into(input, &mut out);
@@ -139,40 +113,6 @@ impl Dense {
         input.affine_into(&self.weights, &self.bias, self.relu, out);
     }
 
-    /// Backward pass with SGD-momentum (kept as the common fast path).
-    /// See [`Self::backward_with`] for pluggable update rules.
-    pub fn backward(
-        &mut self,
-        cache: &DenseCache,
-        grad_out: Matrix,
-        lr: f32,
-        momentum: f32,
-    ) -> Matrix {
-        self.backward_with(cache, grad_out, Update::SgdMomentum { lr, momentum })
-    }
-
-    /// Backward pass: consumes the gradient w.r.t. this layer's output,
-    /// applies the given update rule, and returns the gradient w.r.t.
-    /// the input. The gradient is averaged over the batch.
-    pub fn backward_with(
-        &mut self,
-        cache: &DenseCache,
-        mut grad_out: Matrix,
-        update: Update,
-    ) -> Matrix {
-        let mut grad_in = Matrix::default();
-        let mut scratch = GradScratch::default();
-        self.backward_scratch(
-            &cache.input,
-            &cache.pre,
-            &mut grad_out,
-            update,
-            Some(&mut grad_in),
-            &mut scratch,
-        );
-        grad_in
-    }
-
     /// Allocation-free backward pass. `input` is the layer's forward
     /// input; `mask` is its forward pre-activation or its ReLU output —
     /// `relu(x) ≤ 0 ⇔ x ≤ 0`, so either gives the same ReLU mask, and it
@@ -181,8 +121,7 @@ impl Dense {
     /// mask), `grad_in` receives the gradient w.r.t. the input (`None`
     /// skips it, for a first layer whose input has no parameters to
     /// train), and `scratch` holds the reusable parameter-gradient
-    /// buffers. Arithmetic and update order match
-    /// [`Self::backward_with`] exactly, so results are bit-identical.
+    /// buffers. The gradient is averaged over the batch.
     pub fn backward_scratch(
         &mut self,
         input: &Matrix,
@@ -283,7 +222,7 @@ impl Dense {
         }
     }
 
-    /// Flattens the parameters into `out` (used by parameter averaging).
+    /// Flattens the parameters into `out`.
     pub fn append_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.weights.data());
         out.extend_from_slice(&self.bias);
@@ -333,13 +272,22 @@ mod tests {
 
         // Analytic: run backward with grad_out = ones and lr so small the
         // update exposes the gradient: after update w' = w − lr·g, so
-        // g ≈ (w − w')/lr. Use zero momentum.
+        // g ≈ (w − w')/lr. Use zero momentum. The ReLU output is the mask.
         let mut l2 = layer.clone();
-        let (_, cache) = l2.forward(&x);
-        let ones = Matrix::from_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
+        let mut out = Matrix::default();
+        l2.infer_into(&x, &mut out);
+        let mut ones = Matrix::from_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
         let lr = 1e-4;
         let w_before = l2.weights.clone();
-        l2.backward(&cache, ones, lr, 0.0);
+        let update = Update::SgdMomentum { lr, momentum: 0.0 };
+        l2.backward_scratch(
+            &x,
+            &out,
+            &mut ones,
+            update,
+            None,
+            &mut GradScratch::default(),
+        );
         for r in 0..2 {
             for c in 0..2 {
                 let analytic = (w_before.get(r, c) - l2.weights.get(r, c)) / lr;
@@ -362,6 +310,8 @@ mod tests {
         // Fit y = sum(x) with a single linear layer under Adam.
         let mut rng = Prng::new(5);
         let mut layer = Dense::new(3, 1, false, &mut rng);
+        let mut y = Matrix::default();
+        let mut scratch = GradScratch::default();
         let mut last = f32::INFINITY;
         for step in 0..400 {
             let x = Matrix::from_slice(
@@ -374,7 +324,7 @@ mod tests {
             let target: Vec<f32> = (0..4)
                 .map(|r| x.row(r).iter().sum::<f32>())
                 .collect();
-            let (y, cache) = layer.forward(&x);
+            layer.infer_into(&x, &mut y);
             let mut grad = Matrix::zeros(4, 1);
             let mut loss = 0.0;
             for (r, &tgt) in target.iter().enumerate() {
@@ -383,7 +333,7 @@ mod tests {
                 grad.set(r, 0, 2.0 * e);
             }
             last = loss;
-            layer.backward_with(&cache, grad, Update::adam(0.02));
+            layer.backward_scratch(&x, &y, &mut grad, Update::adam(0.02), None, &mut scratch);
         }
         assert!(last < 0.01, "adam did not converge: {last}");
         // Weights near the true [1, 1, 1].

@@ -22,13 +22,10 @@
 //!   the drift detector (§3.2) before computing cosine distances.
 //! * [`metrics`] — cosine distance, KL and Jensen–Shannon divergence
 //!   (Fig 6), accuracy helpers.
-//! * [`average`] — parameter averaging across concurrently retrained model
-//!   versions (§3.3.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod average;
 pub mod layer;
 pub mod matrix;
 pub mod metrics;

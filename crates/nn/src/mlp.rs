@@ -325,45 +325,6 @@ impl EarlyExitMlp {
         self.trunk[0].infer_into(inputs, out);
     }
 
-    /// SPINN-style confidence-gated inference \[22\]: each row exits at
-    /// the first head whose top softmax probability reaches
-    /// `confidence`, falling through to the final exit otherwise.
-    /// Returns the predicted class and the exit used per row.
-    ///
-    /// This is the *dynamic* early-exit mode of the SPINN citation; the
-    /// AdaInf scheduler instead picks a *static* exit per structure
-    /// choice (§3.3.2). Both modes share the same heads.
-    pub fn predict_adaptive(&self, inputs: &Matrix, confidence: f32) -> Vec<(usize, usize)> {
-        let n = inputs.rows();
-        let mut out: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut x = inputs.clone();
-        for exit in 0..self.num_exits() {
-            x = self.trunk[exit].infer(&x);
-            let probs = self.heads[exit].infer(&x).softmax_rows();
-            let last = exit + 1 == self.num_exits();
-            for (r, slot) in out.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let row = probs.row(r);
-                let (best, &p) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite prob")) // simlint: allow(no-unwrap-in-lib) — softmax outputs are finite probabilities
-                    .expect("non-empty class row"); // simlint: allow(no-unwrap-in-lib) — class count is fixed and > 0
-                if p >= confidence || last {
-                    *slot = Some((best, exit));
-                }
-            }
-            if out.iter().all(Option::is_some) {
-                break;
-            }
-        }
-        out.into_iter()
-            .map(|o| o.expect("all rows exited")) // simlint: allow(no-unwrap-in-lib) — the final exit runs with `last == true`, which fills every remaining row
-            .collect()
-    }
-
     /// One SGD step on a mini-batch with deep supervision: the loss is the
     /// exit-weighted sum of per-exit cross-entropies. Returns the mean
     /// (weighted) loss, for monitoring.
@@ -607,31 +568,6 @@ mod tests {
         let first = net.train_batch(&batch);
         let last = net.train_epochs(&batch, 40);
         assert!(last < first * 0.5, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn adaptive_inference_exits_early_when_confident() {
-        let mut rng = Prng::new(77);
-        let mut net = EarlyExitMlp::new(MlpConfig::small(8, 2), &mut rng);
-        let train = blob_batch(&mut rng, 64, 8);
-        for _ in 0..40 {
-            net.train_batch(&train);
-        }
-        let test = blob_batch(&mut rng, 128, 8);
-        // Permissive gate: most samples exit at head 0.
-        let relaxed = net.predict_adaptive(&test.inputs, 0.6);
-        let early = relaxed.iter().filter(|(_, e)| *e == 0).count();
-        assert!(early > 64, "only {early} early exits at 0.6");
-        // Strict gate: nothing clears 1.0, everything falls through.
-        let strict = net.predict_adaptive(&test.inputs, 1.01);
-        assert!(strict.iter().all(|(_, e)| *e == net.num_exits() - 1));
-        // Accuracy stays high under the permissive gate.
-        let correct = relaxed
-            .iter()
-            .zip(&test.labels)
-            .filter(|((p, _), l)| p == *l)
-            .count();
-        assert!(correct as f64 / test.labels.len() as f64 > 0.9);
     }
 
     #[test]

@@ -226,12 +226,6 @@ impl Pca {
         let _ = scratch;
         data.centered_matmul_t_into(&self.mean, &self.components, out);
     }
-
-    /// Projects a single vector.
-    pub fn transform_vec(&self, v: &[f32]) -> Vec<f32> {
-        let m = Matrix::from_slice(1, v.len(), v);
-        self.transform(&m).row(0).to_vec()
-    }
 }
 
 /// Writes `data − mean` (per column) into `out`, reusing its allocation.
@@ -481,6 +475,7 @@ mod tests {
         let m = Matrix::from_slice(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let pca = Pca::fit(&m, 10, &mut rng);
         assert_eq!(pca.k(), 2);
-        assert_eq!(pca.transform_vec(&[1.0, 2.0]).len(), 2);
+        let one = Matrix::from_slice(1, 2, &[1.0, 2.0]);
+        assert_eq!(pca.transform(&one).cols(), 2);
     }
 }

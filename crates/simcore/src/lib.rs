@@ -1,9 +1,9 @@
 //! # adainf-simcore
 //!
-//! Deterministic discrete-event simulation kernel used by every other crate
-//! in the AdaInf workspace.
+//! Deterministic simulation kernel used by every other crate in the
+//! AdaInf workspace.
 //!
-//! The crate provides four building blocks:
+//! The crate provides these building blocks:
 //!
 //! * [`time`] — a microsecond-resolution simulated clock ([`SimTime`],
 //!   [`SimDuration`]) plus the scheduling constants of the paper (50 s
@@ -12,8 +12,6 @@
 //!   distributions the workloads need (uniform, normal, Poisson,
 //!   exponential, simplex perturbation). Determinism matters: every
 //!   experiment in the paper reproduction is replayable from a seed.
-//! * [`event`] — a time-ordered event queue with stable FIFO tie-breaking
-//!   and a minimal engine loop.
 //! * [`stats`] / [`series`] — online statistics, histograms, empirical CDFs
 //!   and windowed time series used by the metric pipeline (finish rate per
 //!   1 s window, accuracy per 50 s period, GPU utilization per second).
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod parallel;
 pub mod rng;
 pub mod series;
@@ -36,7 +33,6 @@ pub mod stats;
 pub mod time;
 pub mod walltime;
 
-pub use event::{Engine, EventQueue};
 pub use rng::Prng;
 pub use series::{PeriodSeries, WindowSeries};
 pub use stats::{Cdf, Histogram, OnlineStats};

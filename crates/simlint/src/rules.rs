@@ -865,7 +865,7 @@ mod tests {
             .any(|d| d.rule == "forbid-unsafe-everywhere"));
         assert!(lint("crates/core/src/lib.rs", present).is_empty());
         assert!(lint("crates/core/src/plan.rs", missing).is_empty());
-        assert!(lint("crates/bench/src/bin/fig08.rs", missing).len() == 1);
+        assert!(lint("crates/bench/src/bin/run_all.rs", missing).len() == 1);
         assert!(lint("examples/quickstart.rs", missing).len() == 1);
     }
 

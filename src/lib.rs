@@ -7,14 +7,14 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`simcore`] — deterministic discrete-event kernel (time, RNG,
-//!   events, statistics).
+//! * [`simcore`] — deterministic simulation kernel (time, RNG,
+//!   statistics, fan-out).
 //! * [`nn`] — the mini neural-network library behind every model's
 //!   accuracy dynamics (dense layers, SGD, early-exit MLPs, PCA).
 //! * [`driftgen`] — drifting data streams, retraining pools and the
 //!   request-arrival workload.
-//! * [`modelzoo`] — backbone cost profiles (TinyYOLOv3, MobileNetV2, …),
-//!   early-exit structures and trainable model instances.
+//! * [`modelzoo`] — backbone cost profiles (TinyYOLOv3, MobileNetV2, …)
+//!   with their early-exit cut points, and trainable model instances.
 //! * [`gpusim`] — the edge-server GPU simulator: latency laws, memory
 //!   manager with priority eviction, layer-level execution.
 //! * [`apps`] — the paper's application catalogue and runtime state.
