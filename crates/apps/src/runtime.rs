@@ -7,9 +7,12 @@
 //! (with golden labels) become the new retraining pool (§3.2), the
 //! streams take their drift step, and fresh evaluation sets are drawn.
 //!
-//! Accuracy evaluation is cached per `(model version, period)` so the
-//! harness can score millions of requests without re-running the head on
-//! every job.
+//! Accuracy evaluation is cached per head exit and `(trained-sample
+//! bucket, period)`, so the harness can score millions of requests
+//! without re-running the head on every job. A node's first read in a
+//! period (the period hook's accuracy refresh) scores every exit in one
+//! trunk pass; a later miss, after retraining moved the bucket, scores
+//! only the exit asked for.
 
 use crate::dag::AppSpec;
 use adainf_driftgen::{ArrivalTrace, LabeledSamples, RetrainPool, TaskStream, TaskStreamConfig};
@@ -52,12 +55,14 @@ pub struct AppRuntime {
     eval_sets: Vec<LabeledSamples>,
     /// Initial full-structure accuracy `I_m` per node (§3.2).
     initial_accuracy: Vec<f64>,
-    /// Per-node accuracy cache: (trained-sample bucket, period) →
-    /// accuracy per head exit. Keyed by `trained_samples / 256` rather
-    /// than the raw version so that incremental retraining (thousands of
-    /// tiny slices per period) re-evaluates only every ~256 consumed
-    /// samples — accuracy moves smoothly in between.
-    acc_cache: Vec<(u64, u64, [f64; HEAD_EXITS])>,
+    /// Per-node accuracy cache, one slot per head exit:
+    /// `(trained-sample bucket, period, accuracy)`. Keyed by
+    /// `trained_samples / 256` rather than the raw version so that
+    /// incremental retraining (thousands of tiny slices per period)
+    /// re-evaluates only every ~256 consumed samples — accuracy moves
+    /// smoothly in between. Each slot holds its exit's accuracy under
+    /// the weights of the read that scored it.
+    acc_cache: Vec<[(u64, u64, f64); HEAD_EXITS]>,
     /// Forward-pass buffers reused by every accuracy-cache miss.
     score_scratch: InferScratch,
     /// Current period index.
@@ -101,7 +106,7 @@ impl AppRuntime {
             old_ref: Vec::new(),
             eval_sets: Vec::new(),
             initial_accuracy: vec![0.0; n],
-            acc_cache: vec![(u64::MAX, u64::MAX, [0.0; HEAD_EXITS]); n],
+            acc_cache: vec![[(u64::MAX, u64::MAX, 0.0); HEAD_EXITS]; n],
             score_scratch: InferScratch::default(),
             period: 0,
             pool_size,
@@ -177,19 +182,34 @@ impl AppRuntime {
     }
 
     /// Accuracy of node `i` at structure cut `cut`, on the current
-    /// period's evaluation set, cached per (model version, period):
-    /// exactly [`TrainableModel::accuracy_on`] at that cut.
+    /// period's evaluation set, cached per head exit and (trained-sample
+    /// bucket, period): [`TrainableModel::accuracy_on`] at that cut, as
+    /// of the read that scored it. A miss scores only the exit asked
+    /// for, except on the node's first read in a period: every slot is
+    /// then stale, and all exits come from one trunk pass, since the
+    /// period hook's refresh reads each of them before any retraining.
     pub fn accuracy(&mut self, node: usize, cut: usize) -> f64 {
-        let bucket = self.models[node].trained_samples() / 256;
-        let (cb, cp, cached) = self.acc_cache[node];
-        let exit = self.models[node].head_exit_for_cut(cut);
-        if cb == bucket && cp == self.period {
-            return cached[exit];
+        let model = &self.models[node];
+        let (bucket, period) = (model.trained_samples() / 256, self.period);
+        let exit = model.head_exit_for_cut(cut);
+        let slots = &mut self.acc_cache[node];
+        let (b, p, cached) = slots[exit];
+        if (b, p) == (bucket, period) {
+            return cached;
         }
-        // Every exit from one trunk pass, indexed by exit.
-        let accs =
-            self.models[node].exit_accuracies(&self.eval_sets[node], &mut self.score_scratch);
-        self.acc_cache[node] = (bucket, self.period, accs);
+        let exits = if slots.iter().all(|&(_, p, _)| p != period) {
+            (1 << HEAD_EXITS) - 1
+        } else {
+            1 << exit
+        };
+        let mut accs = [0.0; HEAD_EXITS];
+        let eval = &self.eval_sets[node];
+        model.score_exits(eval, exits, &mut self.score_scratch, &mut accs);
+        for (e, (slot, &acc)) in slots.iter_mut().zip(&accs).enumerate() {
+            if exits >> e & 1 == 1 {
+                *slot = (bucket, period, acc);
+            }
+        }
         accs[exit]
     }
 
@@ -283,22 +303,89 @@ mod tests {
         );
     }
 
+    /// A structure cut of node `node` that maps to head exit `exit`.
+    fn cut_for_exit(rt: &AppRuntime, node: usize, exit: usize) -> usize {
+        let model = &rt.models[node];
+        let cuts = model.profile.exit_points();
+        *cuts
+            .iter()
+            .find(|&&c| model.head_exit_for_cut(c) == exit)
+            .expect("a cut per exit")
+    }
+
+    /// Trains node 1 on pool slices of `n` samples until its
+    /// trained-sample bucket moves (`true`) or would move with the next
+    /// slice (`false`).
+    fn train_node1(rt: &mut AppRuntime, n: usize, cross_bucket: bool) {
+        let bucket = |rt: &AppRuntime| rt.models[1].trained_samples() / 256;
+        let start = bucket(rt);
+        loop {
+            let next = (rt.models[1].trained_samples() + n as u64) / 256;
+            if !cross_bucket && next != start {
+                return;
+            }
+            let batch = rt.pools[1].take(n);
+            assert!(!batch.is_empty(), "pool exhausted");
+            rt.models[1].train_slice(&batch, 1);
+            if bucket(rt) != start {
+                return;
+            }
+        }
+    }
+
+    /// Each exit has its own slot: a node's first read in a period fills
+    /// all three from one pass, a later miss scores only the exit asked
+    /// for (a second exit in the same bucket is scored, with the weights
+    /// of that read, and cached on its own), and a bucket or period
+    /// change makes every slot stale.
     #[test]
     fn accuracy_cache_tracks_version_and_period() {
         let mut rt = surveillance_runtime();
-        let cut = rt.spec.nodes[1].profile.full_cut();
-        let a = rt.accuracy(1, cut);
-        let b = rt.accuracy(1, cut);
-        assert_eq!(a, b, "cached result must be identical");
-        // Train past the 256-sample refresh bucket.
-        for _ in 0..6 {
-            let batch = rt.pools[1].take(64);
-            rt.models[1].train_slice(&batch, 1);
+        let cut = |rt: &AppRuntime, e: usize| cut_for_exit(rt, 1, e);
+        let fresh =
+            |rt: &AppRuntime, e: usize| rt.models[1].accuracy_on(rt.eval_set(1), cut(rt, e));
+        let key = |rt: &AppRuntime| (rt.models[1].trained_samples() / 256, rt.period());
+        let slot_keys = |rt: &AppRuntime| rt.acc_cache[1].map(|(b, p, _)| (b, p));
+
+        // First read of the period: every exit scored at once.
+        let a = rt.accuracy(1, cut(&rt, 2));
+        assert_eq!(rt.accuracy(1, cut(&rt, 2)), a, "cached value");
+        assert_eq!(slot_keys(&rt), [key(&rt); 3]);
+        for e in 0..3 {
+            let got = rt.accuracy(1, cut(&rt, e));
+            assert_eq!(got.to_bits(), fresh(&rt, e).to_bits());
         }
-        // New bucket → re-evaluates (value may or may not change, but
-        // the call must not panic and must return a valid probability).
-        let c = rt.accuracy(1, cut);
+
+        // A bucket change makes every slot stale; a read scores only
+        // its own exit.
+        train_node1(&mut rt, 64, true);
+        let k1 = key(&rt);
+        let full = rt.accuracy(1, cut(&rt, 2));
+        assert_eq!(full.to_bits(), fresh(&rt, 2).to_bits());
+        let keys = slot_keys(&rt);
+        assert_eq!(keys[2], k1);
+        assert!(keys[..2].iter().all(|&k| k != k1), "{keys:?}");
+
+        // Retraining inside the bucket, then a second exit: scored with
+        // the weights it is read at, cached on its own; the first
+        // exit's slot keeps its value.
+        train_node1(&mut rt, 8, false);
+        assert_eq!(key(&rt), k1);
+        let early = rt.accuracy(1, cut(&rt, 0));
+        assert_eq!(early.to_bits(), fresh(&rt, 0).to_bits());
+        assert_eq!(slot_keys(&rt)[0], k1);
+        assert_eq!(slot_keys(&rt)[1], keys[1]);
+        assert_eq!(rt.accuracy(1, cut(&rt, 2)).to_bits(), full.to_bits());
+
+        // A period change: the node's first read refreshes every exit.
+        rt.advance_period();
+        let c = rt.accuracy(1, cut(&rt, 1));
         assert!((0.0..=1.0).contains(&c));
+        assert_eq!(slot_keys(&rt), [key(&rt); 3]);
+        for e in 0..3 {
+            let got = rt.accuracy(1, cut(&rt, e));
+            assert_eq!(got.to_bits(), fresh(&rt, e).to_bits());
+        }
     }
 
     /// The cached per-exit accuracies must be indexed by the exit each

@@ -3,10 +3,11 @@
 //! * `gemm/*` — the `Matrix` multiply kernels driving every SGD
 //!   retraining step, in both the allocating and the `_into`
 //!   (caller-owned output) forms, at the MLP's steady-state shapes.
-//! * `gemm/head_*`, `gemm/backward_input_grad_*` — the same kernels at
-//!   the shapes the deployed early-exit heads actually run: a 6-class
-//!   head's forward and weight gradient (the lane-padded narrow path)
-//!   and a trunk layer's transposed input gradient.
+//! * `gemm/head_*`, `gemm/trunk_forward_*`,
+//!   `gemm/backward_input_grad_*` — the same kernels at the shapes the
+//!   deployed early-exit heads actually run: a 6-class head's forward
+//!   and weight gradient (8 lanes), the 32- and 24-wide trunk layers'
+//!   forward passes, and a trunk layer's transposed input gradient.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
 //!   simulation through the public `run` entry point, so a regression
 //!   anywhere in the stack shows up even if every micro-bench holds.
@@ -72,6 +73,19 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(&trunk_g).matmul_t_into(black_box(&trunk_w), &mut wt_scratch, &mut out)
         })
     });
+    // Trunk forward of a 32-row batch: the 16→32 first layer and the
+    // 32→24 second layer (bias and ReLU).
+    for (id, k, w) in [
+        ("trunk_forward_32x16x32", 16, 32),
+        ("trunk_forward_32x32x24", 32, 24),
+    ] {
+        let x = random_matrix(32, k, &mut rng);
+        let weights = random_matrix(k, w, &mut rng);
+        let bias: Vec<f32> = (0..w).map(|_| rng.gauss() as f32).collect();
+        group.bench_function(id, |bch| {
+            bch.iter(|| black_box(&x).affine_into(black_box(&weights), &bias, true, &mut out))
+        });
+    }
     group.finish();
 }
 

@@ -8,8 +8,10 @@
 //! * `train/batch_parts_adam` — the same pass under the fused Adam
 //!   update kernel.
 //! * `train/score_exits_400` — scoring every head exit of a deployed
-//!   model on a 400-row evaluation set, the work an accuracy-cache miss
-//!   does.
+//!   model on a 400-row evaluation set in one trunk pass, the work a
+//!   node's first accuracy read in a period does.
+//! * `train/score_one_exit_400` — scoring the full-structure exit alone
+//!   on the same set, the work a later accuracy-cache miss does.
 
 #![forbid(unsafe_code)]
 
@@ -17,6 +19,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adainf_driftgen::{TaskStream, TaskStreamConfig};
+use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::{zoo, TrainSliceScratch, TrainableModel};
 use adainf_nn::layer::Update;
 use adainf_nn::{EarlyExitMlp, InferScratch, MlpConfig, TrainScratch};
@@ -62,11 +65,7 @@ fn bench_train(c: &mut Criterion) {
         );
         let mut scratch = TrainScratch::default();
         b.iter(|| {
-            black_box(net.train_batch_parts_with(
-                black_box(&features),
-                black_box(&batch.labels),
-                &mut scratch,
-            ))
+            net.train_batch_parts_with(black_box(&features), black_box(&batch.labels), &mut scratch)
         })
     });
 
@@ -81,22 +80,24 @@ fn bench_train(c: &mut Criterion) {
         );
         let mut scratch = TrainScratch::default();
         b.iter(|| {
-            black_box(net.train_batch_parts_with(
-                black_box(&features),
-                black_box(&batch.labels),
-                &mut scratch,
-            ))
+            net.train_batch_parts_with(black_box(&features), black_box(&batch.labels), &mut scratch)
         })
     });
 
-    group.bench_function("score_exits_400", |b| {
-        let mut rng = root.split(4);
-        let mut model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
-        model.train_slice(&batch, 2);
-        let eval = training_batch(400);
-        let mut scratch = InferScratch::default();
-        b.iter(|| black_box(model.exit_accuracies(black_box(&eval), &mut scratch)))
-    });
+    let mut rng = root.split(4);
+    let mut model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
+    model.train_slice(&batch, 2);
+    let eval = training_batch(400);
+    let mut scratch = InferScratch::default();
+    let mut accs = [0.0; HEAD_EXITS];
+    for (id, exits) in [("score_exits_400", 0b111), ("score_one_exit_400", 0b100)] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                model.score_exits(black_box(&eval), exits, &mut scratch, &mut accs);
+                black_box(accs)
+            })
+        });
+    }
 
     group.finish();
 }

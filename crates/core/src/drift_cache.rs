@@ -264,18 +264,26 @@ fn rank_features(
         let mean = &means[new.labels[i]];
         (i, cosine_distance(projected.row(i), mean))
     }));
-    // total_cmp would reorder signed zeros and perturb the golden metrics.
-    // The unstable sort with the ascending-index tiebreak reproduces the
-    // stable descending sort exactly: `scored` is built in ascending `i`,
-    // so stable order within an equal-distance group IS ascending `i` —
-    // the tiebreak — while skipping the stable sort's merge buffer.
-    scored.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            // simlint: allow(no-unwrap-in-lib) — cosine distances of unit-normalised rows are finite by construction
-            .expect("finite distances")
-            .then(a.0.cmp(&b.0))
-    });
+    sort_by_deviation(scored);
     scored.iter().map(|&(i, _)| i).collect()
+}
+
+/// Sorts `(index, distance)` pairs by descending distance, ascending
+/// index among equal distances: the stable descending sort of the
+/// distances, since `scored` is built in ascending index. The keys are
+/// integers, so no float comparator runs. Each distance maps to its
+/// IEEE total-order bits after `+ 0.0` folds −0.0 into +0.0, which
+/// orders exactly as `partial_cmp` does on non-NaN values (plain
+/// `total_cmp` would put −0.0 below +0.0 and perturb the goldens).
+/// Index keys are unique, so the unstable in-place sort is
+/// deterministic. A NaN distance panics, as comparing it did.
+fn sort_by_deviation(scored: &mut [(usize, f64)]) {
+    scored.sort_unstable_by_key(|&(i, d)| {
+        assert!(!d.is_nan(), "finite distances");
+        let bits = (d + 0.0).to_bits() as i64;
+        let total_order = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        (std::cmp::Reverse(total_order), i)
+    });
 }
 
 /// Interleaves the deviation ranking into the §3.3.2 retraining order:
@@ -560,6 +568,53 @@ mod tests {
     use super::*;
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
+
+    /// The integer-key sort must reproduce the float comparator it
+    /// replaced on equal distances, signed zeros and the slightly
+    /// negative `1 − cos` values rounding produces.
+    #[test]
+    fn deviation_sort_matches_the_float_comparator() {
+        let mut rng = Prng::new(5);
+        let special = [
+            0.0,
+            -0.0,
+            -1.1102230246251565e-16,
+            -2.220446049250313e-16,
+            1.1102230246251565e-16,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            2.0,
+            f64::INFINITY,
+        ];
+        for n in [0, 1, 2, 7, 64, 500] {
+            let scored: Vec<(usize, f64)> = (0..n)
+                .map(|i| {
+                    let d = if rng.index(3) == 0 {
+                        special[rng.index(special.len())]
+                    } else {
+                        // Quarter steps tie often; half get a small jitter.
+                        let jitter = rng.f64() * 1e-3 * rng.index(2) as f64;
+                        rng.index(9) as f64 / 4.0 - 0.5 + jitter
+                    };
+                    (i, d)
+                })
+                .collect();
+            let mut want = scored.clone();
+            want.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+            let mut got = scored;
+            sort_by_deviation(&mut got);
+            let order = |v: &[(usize, f64)]| v.iter().map(|&(i, _)| i).collect::<Vec<_>>();
+            assert_eq!(order(&got), order(&want), "{n} pairs");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn deviation_sort_panics_on_nan() {
+        sort_by_deviation(&mut [(0, 0.5), (1, f64::NAN), (2, 0.1)]);
+    }
 
     fn drifted_runtime(periods: usize) -> AppRuntime {
         let root = Prng::new(314);

@@ -108,24 +108,21 @@ impl TrainableModel {
         )
     }
 
-    /// Accuracy of every head exit on a sample batch, from one trunk
-    /// pass through `scratch` (see
-    /// [`adainf_nn::EarlyExitMlp::exit_accuracies_with_scratch`]).
-    /// Entry `e` bit-equals [`Self::accuracy_on`] at any cut that
+    /// Accuracy on a sample batch of each head exit whose bit is set in
+    /// `exits` (bit `e` asks for exit `e`), from one trunk pass through
+    /// `scratch`, written into `accuracies[e]`; the other slots are left
+    /// as they are (see [`adainf_nn::EarlyExitMlp::score_exits`]). Entry
+    /// `e` bit-equals [`Self::accuracy_on`] at any cut that
     /// [`Self::head_exit_for_cut`] maps to exit `e`.
-    pub fn exit_accuracies(
+    pub fn score_exits(
         &self,
         samples: &LabeledSamples,
+        exits: u32,
         scratch: &mut InferScratch,
-    ) -> [f64; HEAD_EXITS] {
-        let mut accs = [0.0; HEAD_EXITS];
-        self.head.exit_accuracies_with_scratch(
-            &samples.inputs,
-            &samples.labels,
-            scratch,
-            &mut accs,
-        );
-        accs
+        accuracies: &mut [f64; HEAD_EXITS],
+    ) {
+        self.head
+            .score_exits(&samples.inputs, &samples.labels, exits, scratch, accuracies);
     }
 
     /// Predicted class per sample at the given cut.

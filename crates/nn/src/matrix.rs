@@ -1,19 +1,26 @@
 //! A minimal row-major `f32` matrix.
 //!
-//! Only the operations backpropagation needs are implemented. The GEMM
-//! kernels unroll and pad across *independent* output elements only:
-//! every output element keeps one accumulator fed in ascending-k order,
-//! so results are bit-identical to a plain triple loop at any SIMD
-//! width.
+//! Only the operations backpropagation needs are implemented. One GEMM
+//! kernel family carries [`Matrix::matmul_into`] and
+//! [`Matrix::t_matmul_into`] at every output width: the output runs in
+//! column panels at most 32 wide, each padded to 8, 16, 24 or 32 vector
+//! lanes and accumulated several rows at a time. The kernels unroll and
+//! pad across *independent* output elements only: every output element
+//! keeps one accumulator fed in ascending-k order, so results are
+//! bit-identical to a plain triple loop at any SIMD width.
 
 use adainf_simcore::Prng;
 use std::fmt;
 
-/// Rows of the right-hand operand packed per pass by the narrow GEMM
-/// paths ([`Matrix::matmul_into`] and [`Matrix::t_matmul_into`] at
-/// output widths ≤ 16): the lane-padded stack buffer holds this many
-/// rows, so its size is fixed whatever the contraction length.
+/// Rows of the right-hand operand packed per pass by the GEMM kernel
+/// ([`Matrix::matmul_into`], [`Matrix::t_matmul_into`]): the
+/// lane-padded stack buffer holds this many rows of one column panel,
+/// so its size is fixed whatever the contraction length.
 const NARROW_CHUNK: usize = 64;
+
+/// Widest output column panel of the GEMM kernel: outputs wider than
+/// this run as several panels, the last one holding the remainder.
+const PANEL: usize = 32;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -167,177 +174,16 @@ impl Matrix {
     }
 
     /// `self × other`, written into `out` (reshaped and zeroed in
-    /// place). The i→k→j loop order keeps the inner loop a straight
-    /// `axpy` over contiguous rows, which the compiler autovectorises;
-    /// per-element accumulation order is the k order, identical to
-    /// [`Self::matmul`], so results are bit-identical. Two `self` rows
-    /// share each pass over the `other` block, halving the B-row
-    /// traffic; the per-element accumulators stay independent, so
-    /// blocking changes nothing bitwise.
-    ///
-    /// Outputs at most 16 columns wide (the early-exit heads' 2–12
-    /// classes, the 16-wide last trunk layer) take the lane-padded
-    /// narrow path instead, chosen from the output width alone.
+    /// place) through the lane-padded, register-blocked GEMM kernel
+    /// (see the module docs): `out[i][j] = Σ_k self[i][k]·other[k][j]`,
+    /// each element one accumulator fed in ascending `k`, so results
+    /// are bit-identical to the plain triple loop.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        match other.cols {
-            0..=8 => return self.matmul_narrow_into::<8>(other, out),
-            9..=16 => return self.matmul_narrow_into::<16>(other, out),
-            _ => {}
-        }
-        out.reset_zeroed(self.rows, other.cols);
-        let w = other.cols;
-        let d = self.cols;
-        let mut i = 0;
-        while i + 2 <= self.rows {
-            let a0 = &self.data[i * d..(i + 1) * d];
-            let a1 = &self.data[(i + 1) * d..(i + 2) * d];
-            let (lo, hi) = out.data.split_at_mut((i + 1) * w);
-            let o0 = &mut lo[i * w..];
-            let o1 = &mut hi[..w];
-            // Eight k steps per pass: each output element still receives
-            // its contributions in ascending k order (bit-exact against
-            // the one-step loop), while the B rows loaded for the block
-            // feed both output rows.
-            let mut k = 0;
-            while k + 8 <= d {
-                let a = &a0[k..k + 8];
-                let c = &a1[k..k + 8];
-                let b = &other.data[k * w..(k + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                for (((((((((o, p), &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in o0
-                    .iter_mut()
-                    .zip(o1.iter_mut())
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    let mut acc = *o;
-                    acc += a[0] * v0;
-                    acc += a[1] * v1;
-                    acc += a[2] * v2;
-                    acc += a[3] * v3;
-                    acc += a[4] * v4;
-                    acc += a[5] * v5;
-                    acc += a[6] * v6;
-                    acc += a[7] * v7;
-                    *o = acc;
-                    let mut bcc = *p;
-                    bcc += c[0] * v0;
-                    bcc += c[1] * v1;
-                    bcc += c[2] * v2;
-                    bcc += c[3] * v3;
-                    bcc += c[4] * v4;
-                    bcc += c[5] * v5;
-                    bcc += c[6] * v6;
-                    bcc += c[7] * v7;
-                    *p = bcc;
-                }
-                k += 8;
-            }
-            for ((&a, &c), orow) in a0[k..]
-                .iter()
-                .zip(&a1[k..])
-                .zip(other.data[k * w..].chunks_exact(w))
-            {
-                for ((o, p), &b) in o0.iter_mut().zip(o1.iter_mut()).zip(orow) {
-                    *o += a * b;
-                    *p += c * b;
-                }
-            }
-            i += 2;
-        }
-        if i < self.rows {
-            let arow = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut k = 0;
-            while k + 8 <= arow.len() {
-                let a = &arow[k..k + 8];
-                let b = &other.data[k * w..(k + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                for ((((((((o, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in out_row
-                    .iter_mut()
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    let mut acc = *o;
-                    acc += a[0] * v0;
-                    acc += a[1] * v1;
-                    acc += a[2] * v2;
-                    acc += a[3] * v3;
-                    acc += a[4] * v4;
-                    acc += a[5] * v5;
-                    acc += a[6] * v6;
-                    acc += a[7] * v7;
-                    *o = acc;
-                }
-                k += 8;
-            }
-            for (&a, orow) in arow[k..].iter().zip(other.data[k * w..].chunks_exact(w)) {
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// [`Self::matmul_into`] for outputs `w ≤ L` columns wide. The
-    /// `other` rows are packed, zero-padded to `L` lanes, into a
-    /// fixed-size stack buffer ([`NARROW_CHUNK`] rows per pass), and
-    /// each output row accumulates in one `[f32; L]` register group —
-    /// a full-width vector multiply-add per `k` step instead of the
-    /// general path's short remainder loop — four rows at a time so
-    /// their add chains overlap (see [`accumulate_narrow`]).
-    fn matmul_narrow_into<const L: usize>(&self, other: &Matrix, out: &mut Matrix) {
-        let (d, w) = (self.cols, other.cols);
-        out.reset_zeroed(self.rows, w);
-        if d == 0 || w == 0 {
-            return;
-        }
-        let full = self.rows / 4 * 4;
-        let mut packed = [[0.0f32; L]; NARROW_CHUNK];
-        for k0 in (0..d).step_by(NARROW_CHUNK) {
-            let kc = (d - k0).min(NARROW_CHUNK);
-            pack_narrow(&mut packed, &other.data[k0 * w..(k0 + kc) * w], w);
-            let packed = &packed[..kc];
-            let (a_full, a_tail) = self.data.split_at(full * d);
-            let (o_full, o_tail) = out.data.split_at_mut(full * w);
-            for (a, o) in a_full
-                .chunks_exact(4 * d)
-                .zip(o_full.chunks_exact_mut(4 * w))
-            {
-                accumulate_narrow::<L, 4>(packed, |r, k| a[r * d + k0 + k], o, w);
-            }
-            for (a, o) in a_tail.chunks_exact(d).zip(o_tail.chunks_exact_mut(w)) {
-                accumulate_narrow::<L, 1>(packed, |_, k| a[k0 + k], o, w);
-            }
-        }
+        self.gemm_into::<false>(other, out);
     }
 
     /// `relu?(self × weights + bias)`, written into `out` — the fused
@@ -354,8 +200,8 @@ impl Matrix {
     pub fn affine_into(&self, weights: &Matrix, bias: &[f32], relu: bool, out: &mut Matrix) {
         assert_eq!(self.cols, weights.rows, "matmul shape mismatch");
         assert_eq!(bias.len(), weights.cols, "bias width mismatch");
-        // The accumulation pass is the exact [`Self::matmul_into`] loop
-        // (shared so the two-row blocking lives in one place).
+        // The accumulation pass is the exact [`Self::matmul_into`]
+        // kernel (shared so the GEMM lives in one place).
         self.matmul_into(weights, out);
         // Row epilogue: bias, then the ReLU clamp — the exact order of
         // the unfused add_row_vec / relu_inplace passes.
@@ -382,122 +228,96 @@ impl Matrix {
     }
 
     /// `selfᵀ × other`, written into `out` (reshaped and zeroed in
-    /// place). Accumulation order per output element matches
-    /// [`Self::t_matmul`] exactly (row order of the operands). Outputs
-    /// at most 16 columns wide (the heads' weight gradients) take the
-    /// lane-padded narrow path, chosen from the output width alone.
+    /// place) through the same kernel as [`Self::matmul_into`], reading
+    /// `self` transposed in place: each output element accumulates
+    /// `self[r][i]·other[r][j]` over ascending `r`, exactly as
+    /// [`Self::t_matmul`] over a materialised transpose would.
     ///
     /// # Panics
     /// Panics on row-count mismatch.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        match other.cols {
-            0..=8 => return self.t_matmul_narrow_into::<8>(other, out),
-            9..=16 => return self.t_matmul_narrow_into::<16>(other, out),
-            _ => {}
-        }
-        out.reset_zeroed(self.cols, other.cols);
-        let m = self.rows;
-        // Eight r steps per pass; per-output-element accumulation stays
-        // in ascending r order (bit-exact against the one-step loop)
-        // while each output row is loaded/stored once per eight steps —
-        // the backward gradient GEMM mirrors the forward kernels'
-        // 8-wide blocking.
-        let mut r = 0;
-        while r + 8 <= m {
-            let (a0, a1, a2, a3) = (
-                self.row(r),
-                self.row(r + 1),
-                self.row(r + 2),
-                self.row(r + 3),
-            );
-            let (a4, a5, a6, a7) = (
-                self.row(r + 4),
-                self.row(r + 5),
-                self.row(r + 6),
-                self.row(r + 7),
-            );
-            let (b0, b1, b2, b3) = (
-                other.row(r),
-                other.row(r + 1),
-                other.row(r + 2),
-                other.row(r + 3),
-            );
-            let (b4, b5, b6, b7) = (
-                other.row(r + 4),
-                other.row(r + 5),
-                other.row(r + 6),
-                other.row(r + 7),
-            );
-            for i in 0..self.cols {
-                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-                let (x4, x5, x6, x7) = (a4[i], a5[i], a6[i], a7[i]);
-                let out_row = out.row_mut(i);
-                for ((((((((o, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in out_row
-                    .iter_mut()
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    let mut acc = *o;
-                    acc += x0 * v0;
-                    acc += x1 * v1;
-                    acc += x2 * v2;
-                    acc += x3 * v3;
-                    acc += x4 * v4;
-                    acc += x5 * v5;
-                    acc += x6 * v6;
-                    acc += x7 * v7;
-                    *o = acc;
-                }
+        self.gemm_into::<true>(other, out);
+    }
+
+    /// The GEMM kernel behind [`Self::matmul_into`] (`T = false`:
+    /// `out = self × other`) and [`Self::t_matmul_into`] (`T = true`:
+    /// `out = selfᵀ × other`); both contract over the rows of `other`.
+    /// The output runs in column panels at most [`PANEL`] wide. Each
+    /// panel's slice of `other` is packed, zero-padded to 8, 16, 24 or
+    /// 32 lanes, into a fixed-size stack buffer ([`NARROW_CHUNK`] rows
+    /// per pass), and output rows accumulate in `[f32; L]` register
+    /// groups, several rows per block (see [`accumulate_block`]).
+    fn gemm_into<const T: bool>(&self, other: &Matrix, out: &mut Matrix) {
+        let rows = if T { self.cols } else { self.rows };
+        out.reset_zeroed(rows, other.cols);
+        for c0 in (0..other.cols).step_by(PANEL) {
+            match other.cols - c0 {
+                0..=8 => self.gemm_panel::<T, 8, 8>(other, c0, out),
+                9..=16 => self.gemm_panel::<T, 16, 4>(other, c0, out),
+                17..=24 => self.gemm_panel::<T, 24, 4>(other, c0, out),
+                _ => self.gemm_panel::<T, 32, 4>(other, c0, out),
             }
-            r += 8;
-        }
-        while r < m {
-            let arow = self.row(r);
-            let brow = other.row(r);
-            for (i, &a) in arow.iter().enumerate() {
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-            r += 1;
         }
     }
 
-    /// [`Self::t_matmul_into`] for outputs `n ≤ L` columns wide: the
-    /// `other` rows are packed, zero-padded to `L` lanes, into a
-    /// fixed-size stack buffer ([`NARROW_CHUNK`] rows per pass), and
-    /// output row `i` accumulates `self[r][i] · other[r]` over ascending
-    /// `r` in one `[f32; L]` register group, four output rows at a time
-    /// (see [`accumulate_narrow`]).
-    fn t_matmul_narrow_into<const L: usize>(&self, other: &Matrix, out: &mut Matrix) {
-        let (m, d, n) = (self.rows, self.cols, other.cols);
-        out.reset_zeroed(d, n);
-        if d == 0 || n == 0 {
-            return;
-        }
-        let full = d / 4 * 4;
+    /// One column panel of [`Self::gemm_into`]: output columns
+    /// `c0..c0 + w` with `w = min(other.cols − c0, L)`, in blocks of `R`
+    /// rows (then single rows for the remainder). Every block keeps at
+    /// least eight independent 8-lane add chains in flight (`R · L ≥
+    /// 64`).
+    fn gemm_panel<const T: bool, const L: usize, const R: usize>(
+        &self,
+        other: &Matrix,
+        c0: usize,
+        out: &mut Matrix,
+    ) {
+        let n = other.cols;
+        let w = (n - c0).min(L);
+        let rows = out.rows;
+        let full = rows / R * R;
         let mut packed = [[0.0f32; L]; NARROW_CHUNK];
-        for r0 in (0..m).step_by(NARROW_CHUNK) {
-            let rc = (m - r0).min(NARROW_CHUNK);
-            pack_narrow(&mut packed, &other.data[r0 * n..(r0 + rc) * n], n);
-            let packed = &packed[..rc];
-            let a = &self.data[r0 * d..(r0 + rc) * d];
-            let (o_full, o_tail) = out.data.split_at_mut(full * n);
-            for (block, o) in o_full.chunks_exact_mut(4 * n).enumerate() {
-                let i = 4 * block;
-                accumulate_narrow::<L, 4>(packed, |c, r| a[r * d + i + c], o, n);
+        for k0 in (0..other.rows).step_by(NARROW_CHUNK) {
+            let kc = (other.rows - k0).min(NARROW_CHUNK);
+            for (p, row) in packed
+                .iter_mut()
+                .zip(other.data[k0 * n..].chunks_exact(n).take(kc))
+            {
+                p[..w].copy_from_slice(&row[c0..c0 + w]);
             }
-            for (i, o) in (full..d).zip(o_tail.chunks_exact_mut(n)) {
-                accumulate_narrow::<L, 1>(packed, |_, r| a[r * d + i], o, n);
+            let packed = &packed[..kc];
+            for i in (0..full).step_by(R) {
+                self.gemm_block::<T, L, R>(packed, k0, i, &mut out.data[i * n + c0..], n, w);
             }
+            for i in full..rows {
+                self.gemm_block::<T, L, 1>(packed, k0, i, &mut out.data[i * n + c0..], n, w);
+            }
+        }
+    }
+
+    /// One block of [`Self::gemm_panel`]: output rows `i..i + R`, fed
+    /// the packed chunk that starts at contraction index `k0`. Reads the
+    /// left operand in place: `self[i + r][k0 + k]` through row slices
+    /// cut to the chunk up front (no per-element bounds check), or
+    /// `self[k0 + k][i + r]` when transposed.
+    #[inline(always)]
+    fn gemm_block<const T: bool, const L: usize, const R: usize>(
+        &self,
+        packed: &[[f32; L]],
+        k0: usize,
+        i: usize,
+        out: &mut [f32],
+        stride: usize,
+        w: usize,
+    ) {
+        let d = self.cols;
+        if T {
+            let x = |r: usize, k: usize| self.data[(k0 + k) * d + i + r];
+            accumulate_block::<L, R>(packed, x, out, stride, w);
+        } else {
+            let a: [&[f32]; R] =
+                std::array::from_fn(|r| &self.data[(i + r) * d + k0..][..packed.len()]);
+            accumulate_block::<L, R>(packed, |r, k| a[r][k], out, stride, w);
         }
     }
 
@@ -628,7 +448,7 @@ impl Matrix {
     /// chains fed by strided row loads (measured ~3× on the 6000×32
     /// drift-projection shape). Each output element still owns one
     /// accumulator fed in ascending `k` order, so results are
-    /// bit-identical to the general path.
+    /// bit-identical to the eight-row-blocked loop above.
     fn centered_matmul_t8_into(&self, mean: &[f32], other: &Matrix, out: &mut Matrix) {
         let d = self.cols;
         let mut ct = vec![0.0f32; d * 8];
@@ -755,26 +575,10 @@ impl Matrix {
         }
     }
 
-    /// Row-wise softmax, numerically stabilised.
-    pub fn softmax_rows(&self) -> Matrix {
-        let mut out = self.clone();
-        out.softmax_rows_inplace();
-        out
-    }
-
     /// In-place row-wise softmax, numerically stabilised.
     pub fn softmax_rows_inplace(&mut self) {
         for r in 0..self.rows {
-            let row = self.row_mut(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut total = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                total += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= total;
-            }
+            softmax_row(self.row_mut(r));
         }
     }
 
@@ -822,24 +626,18 @@ impl Matrix {
         }
         out
     }
+}
 
-    /// Index of the maximum entry of each row (argmax classification).
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows).map(|r| row_argmax(self.row(r))).collect()
+/// In-place softmax of one row, numerically stabilised.
+fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut total = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        total += *x;
     }
-
-    /// Number of rows whose argmax (as [`Self::argmax_rows`] picks it)
-    /// equals the row's label — classification hits counted in place,
-    /// without materialising the prediction vector.
-    ///
-    /// # Panics
-    /// Panics when `labels.len() != self.rows()`.
-    pub(crate) fn count_argmax_hits(&self, labels: &[usize]) -> usize {
-        assert_eq!(labels.len(), self.rows, "label count mismatch");
-        (0..self.rows)
-            .zip(labels)
-            .filter(|&(r, &label)| row_argmax(self.row(r)) == label)
-            .count()
+    for x in row.iter_mut() {
+        *x /= total;
     }
 }
 
@@ -851,6 +649,48 @@ fn row_argmax(row: &[f32]) -> usize {
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+/// How far below the maximum a later logit must lie for
+/// [`softmax_argmax`] to skip the softmax: 2⁻²⁰.
+const ARGMAX_GAP: f32 = 1.0 / (1u32 << 20) as f32;
+
+/// The class a softmax of the logit `row` followed by [`row_argmax`]
+/// picks, read straight from the logits: the last maximal logit.
+///
+/// That is exact. The maximum's probability is `1 / total`, since
+/// `expf(0) = 1`. An earlier logit cannot beat it, and a tie goes to the
+/// later index: `expf` is faithfully rounded, so `expf(x − max) ≤ 1`,
+/// and the shared division keeps the order. A later logit at least
+/// 2⁻²⁰ below the maximum gets
+/// `expf(x − max) ≤ 1 − 15·2⁻²⁴`, which stays strictly below `1 / total`
+/// after the division, so it cannot tie either. A row that is not
+/// finite, or has a later logit closer than that, takes the softmax and
+/// [`row_argmax`] in place, with the same result and the same panic on
+/// NaN. Under `strict-invariants` every other row is checked the same
+/// way.
+pub(crate) fn softmax_argmax(row: &mut [f32]) -> usize {
+    let (mut best, mut max, mut finite) = (0, f32::NEG_INFINITY, true);
+    for (i, &x) in row.iter().enumerate() {
+        finite &= x.is_finite();
+        if x >= max {
+            (best, max) = (i, x);
+        }
+    }
+    let close = |later: &[f32]| later.iter().any(|&x| x - max > -ARGMAX_GAP);
+    if !finite || row.get(best + 1..).is_some_and(close) {
+        softmax_row(row);
+        return row_argmax(row);
+    }
+    if cfg!(feature = "strict-invariants") {
+        softmax_row(row);
+        assert_eq!(
+            row_argmax(row),
+            best,
+            "strict-invariants: logit argmax differs from the softmax argmax"
+        );
+    }
+    best
 }
 
 impl Default for Matrix {
@@ -867,33 +707,32 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// Copies the `w`-wide rows of `src` into the first rows of `packed`,
-/// leaving lanes `w..L` at the zero they were created with.
-fn pack_narrow<const L: usize>(packed: &mut [[f32; L]], src: &[f32], w: usize) {
-    for (p, row) in packed.iter_mut().zip(src.chunks_exact(w)) {
-        p[..w].copy_from_slice(row);
-    }
-}
-
-/// The inner loop of the narrow GEMM paths: adds `x(r, k) · packed[k]`
-/// for ascending `k` into each of the `R` `w`-wide rows of `out`, each
-/// row held in one `[f32; L]` accumulator (a full-width vector) for the
-/// whole pass. The `R` rows' add chains are independent, so they
-/// overlap instead of waiting on one another. Lanes past `w` only ever
-/// multiply the zero padding and are dropped; every kept element starts
-/// from its stored value (`+0.0` on the first pass) and adds its
-/// products in ascending `k`, so results are bit-identical to the
-/// general kernels.
+/// The inner loop of the GEMM kernel: adds `x(r, k) · packed[k]` for
+/// ascending `k` into each of the `R` rows of an output block, each row
+/// held in one `[f32; L]` accumulator (full-width vectors) for the whole
+/// pass. `out` starts at the block's first element; its rows lie
+/// `stride` apart and the block covers `w ≤ L` columns of each. The `R`
+/// rows' add chains are independent, so they overlap instead of waiting
+/// on one another. Lanes past `w` only ever multiply the zero padding
+/// and are dropped; every kept element starts from its stored value
+/// (`+0.0` on the first pass) and adds its products in ascending `k`,
+/// so results are bit-identical to the plain triple loop.
+///
+/// `x` reads the left operand where it lies, one row (or column) per
+/// accumulator. Fed from a k-major copy instead, with the `R` values of
+/// one `k` side by side, LLVM vectorises across the rows with gathers
+/// and scatters rather than across the lanes: several times slower.
 #[inline(always)]
-fn accumulate_narrow<const L: usize, const R: usize>(
+fn accumulate_block<const L: usize, const R: usize>(
     packed: &[[f32; L]],
     x: impl Fn(usize, usize) -> f32,
     out: &mut [f32],
+    stride: usize,
     w: usize,
 ) {
     let mut acc = [[0.0f32; L]; R];
-    for (a, o) in acc.iter_mut().zip(out.chunks_exact(w)) {
-        a[..w].copy_from_slice(o);
+    for (r, a) in acc.iter_mut().enumerate() {
+        a[..w].copy_from_slice(&out[r * stride..r * stride + w]);
     }
     for (k, b) in packed.iter().enumerate() {
         for (r, a) in acc.iter_mut().enumerate() {
@@ -903,8 +742,8 @@ fn accumulate_narrow<const L: usize, const R: usize>(
             }
         }
     }
-    for (a, o) in acc.iter().zip(out.chunks_exact_mut(w)) {
-        o.copy_from_slice(&a[..w]);
+    for (r, a) in acc.iter().enumerate() {
+        out[r * stride..r * stride + w].copy_from_slice(&a[..w]);
     }
 }
 
@@ -1269,8 +1108,8 @@ mod tests {
 
     #[test]
     fn softmax_rows_normalises() {
-        let m = Matrix::from_slice(2, 3, &[1.0, 2.0, 3.0, 1000.0, 1000.0, 1000.0]);
-        let s = m.softmax_rows();
+        let mut s = Matrix::from_slice(2, 3, &[1.0, 2.0, 3.0, 1000.0, 1000.0, 1000.0]);
+        s.softmax_rows_inplace();
         for r in 0..2 {
             let total: f32 = s.row(r).iter().sum();
             assert!((total - 1.0).abs() < 1e-5);
@@ -1296,13 +1135,121 @@ mod tests {
     }
 
     #[test]
-    fn col_stats_and_argmax() {
+    fn col_stats() {
         let m = Matrix::from_slice(2, 2, &[1.0, 5.0, 3.0, 1.0]);
         assert_eq!(m.col_sums(), vec![4.0, 6.0]);
         assert_eq!(m.col_means(), vec![2.0, 3.0]);
-        assert_eq!(m.argmax_rows(), vec![1, 0]);
-        assert_eq!(m.count_argmax_hits(&[1, 1]), 1);
-        assert_eq!(m.count_argmax_hits(&[1, 0]), 2);
+    }
+
+    /// [`softmax_argmax`] and the path it shortcuts, softmax then
+    /// [`row_argmax`], on a copy of `row` each: the class, or the panic
+    /// message.
+    fn both_argmaxes(row: &[f32]) -> (Result<usize, String>, Result<usize, String>) {
+        let run = |f: fn(&mut [f32]) -> usize| {
+            let mut copy = row.to_vec();
+            std::panic::catch_unwind(move || f(&mut copy)).map_err(|e| {
+                e.downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| e.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            })
+        };
+        let softmax_first = |r: &mut [f32]| {
+            softmax_row(r);
+            row_argmax(r)
+        };
+        (run(softmax_argmax), run(softmax_first))
+    }
+
+    fn assert_argmax_agrees(row: &[f32]) {
+        let (fast, slow) = both_argmaxes(row);
+        assert_eq!(fast, slow, "{row:?}");
+    }
+
+    #[test]
+    fn logit_argmax_takes_the_last_of_exact_ties() {
+        assert_eq!(softmax_argmax(&mut [1.0, 3.0, 3.0, -2.0]), 2);
+        assert_eq!(softmax_argmax(&mut [0.5; 7]), 6);
+        for row in [
+            [1.0, 3.0, 3.0, -2.0],
+            [3.0, 3.0, 3.0, 3.0],
+            [-7.0, 2.0, -7.0, 2.0],
+        ] {
+            assert_argmax_agrees(&row);
+        }
+    }
+
+    /// A later logit just below the maximum can tie it after the
+    /// softmax; those rows take the softmax path and still agree.
+    #[test]
+    fn logit_argmax_agrees_on_near_ties() {
+        for max in [0.0f32, 1.0, -3.5, 7.25, 1e3] {
+            for near in [
+                max.next_down(),
+                max - 1.0 / (1u32 << 21) as f32,
+                max - ARGMAX_GAP,
+            ] {
+                assert_argmax_agrees(&[max, near]);
+                assert_argmax_agrees(&[near, max]);
+                assert_argmax_agrees(&[-9.0, max, 0.5 * max - 1.0, near, -20.0]);
+            }
+        }
+    }
+
+    #[test]
+    fn logit_argmax_finds_the_max_at_every_position() {
+        assert_eq!(softmax_argmax(&mut [4.0]), 0);
+        assert_eq!(softmax_argmax(&mut []), 0);
+        assert_argmax_agrees(&[-1e30]);
+        for len in 1..=12 {
+            for at in 0..len {
+                let mut row: Vec<f32> = (0..len).map(|i| -0.25 * i as f32).collect();
+                row[at] = 2.0;
+                assert_argmax_agrees(&row);
+                assert_eq!(softmax_argmax(&mut row), at);
+            }
+        }
+    }
+
+    #[test]
+    fn logit_argmax_raises_the_same_panic_on_non_finite_rows() {
+        let nan = f32::NAN;
+        let (inf, ninf) = (f32::INFINITY, f32::NEG_INFINITY);
+        for row in [
+            vec![1.0, nan, 0.5],
+            vec![nan],
+            vec![0.0, inf, 2.0],
+            vec![inf, inf],
+            vec![ninf, ninf],
+            vec![ninf, 3.0, ninf, -1.0],
+            vec![2.0, ninf],
+        ] {
+            let (fast, slow) = both_argmaxes(&row);
+            assert_eq!(fast, slow, "{row:?}");
+            // A one-entry row has nothing to compare its NaN with.
+            if row.len() > 1 && (row.iter().any(|x| x.is_nan()) || row.contains(&inf)) {
+                assert_eq!(fast, Err("NaN logit".to_string()), "{row:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        /// Random logit rows at the heads' 2–12 classes; `grid` snaps
+        /// them onto a coarse grid so exact ties are common.
+        fn logit_argmax_matches_softmax_then_argmax(
+            logits in proptest::collection::vec(-6.0f32..6.0, 2..13),
+            grid in 0u32..3,
+        ) {
+            let row: Vec<f32> = if grid == 0 {
+                logits
+            } else {
+                logits.iter().map(|x| (x * grid as f32).round() / grid as f32).collect()
+            };
+            let (fast, slow) = both_argmaxes(&row);
+            proptest::prop_assert!(fast == slow, "{:?}: {:?} != {:?}", row, fast, slow);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cross-entropy losses, so every exit remains usable after retraining.
 
 use crate::layer::{Dense, GradScratch, Update};
-use crate::matrix::Matrix;
+use crate::matrix::{softmax_argmax, Matrix};
 use adainf_simcore::Prng;
 
 /// Hyper-parameters of an [`EarlyExitMlp`].
@@ -109,7 +109,7 @@ impl Clone for EarlyExitMlp {
     }
 }
 
-/// Rows per trunk pass of [`EarlyExitMlp::exit_accuracies_with_scratch`]:
+/// Rows per trunk pass of [`EarlyExitMlp::score_exits`]:
 /// scoring in fixed row chunks bounds its scratch at this many rows
 /// whatever the evaluation-set size. Every row's forward pass is
 /// independent of the others, so chunking changes no bit.
@@ -117,7 +117,7 @@ const SCORE_CHUNK: usize = 64;
 
 /// Ping-pong activation buffers for the allocation-free inference
 /// entry points ([`EarlyExitMlp::predict_with_scratch`],
-/// [`EarlyExitMlp::exit_accuracies_with_scratch`]). One instance
+/// [`EarlyExitMlp::score_exits`]). One instance
 /// serves any number of forward passes; buffers reshape on first use.
 #[derive(Clone, Debug, Default)]
 pub struct InferScratch {
@@ -206,29 +206,20 @@ impl EarlyExitMlp {
             .sum()
     }
 
-    /// Class-probability rows at the given exit (0-based; the last exit is
-    /// the "full structure").
+    /// Predicted class per row at the given exit (0-based; the last exit
+    /// is the "full structure"): the softmax argmax, last class on ties,
+    /// read straight from the logits (see [`Self::predict_with_scratch`]).
     ///
     /// # Panics
     /// Panics if `exit >= num_exits()`.
-    pub fn probabilities(&self, inputs: &Matrix, exit: usize) -> Matrix {
-        assert!(exit < self.num_exits(), "exit out of range");
-        let mut x = inputs.clone();
-        for layer in &self.trunk[..=exit] {
-            x = layer.infer(&x);
-        }
-        self.heads[exit].infer(&x).softmax_rows()
-    }
-
-    /// Predicted class per row at the given exit.
     pub fn predict(&self, inputs: &Matrix, exit: usize) -> Vec<usize> {
-        self.probabilities(inputs, exit).argmax_rows()
+        self.predict_with_scratch(inputs, exit, &mut InferScratch::default())
     }
 
     /// [`Self::predict`] through caller-provided ping-pong buffers: no
-    /// input clone, no per-layer allocation, softmax in place. The
-    /// forward kernels and the softmax/argmax math are the exact ones
-    /// [`Self::predict`] runs, so predictions are bit-identical.
+    /// input clone and no per-layer allocation. Each row's class is the
+    /// one softmax then argmax would pick, taken from the logits without
+    /// the softmax where that is exact (`matrix::softmax_argmax`).
     ///
     /// # Panics
     /// Panics if `exit >= num_exits()`.
@@ -246,8 +237,9 @@ impl EarlyExitMlp {
             std::mem::swap(ping, pong);
         }
         self.heads[exit].infer_into(ping, pong);
-        pong.softmax_rows_inplace();
-        pong.argmax_rows()
+        (0..pong.rows())
+            .map(|r| softmax_argmax(pong.row_mut(r)))
+            .collect()
     }
 
     /// Fraction of rows classified correctly at the given exit.
@@ -261,31 +253,40 @@ impl EarlyExitMlp {
         correct as f64 / labels.len() as f64
     }
 
-    /// [`Self::accuracy`] at every exit from one trunk pass: writes exit
-    /// `e`'s fraction of correctly classified rows into `accuracies[e]`
-    /// (all `0.0` for an empty batch). Rows are scored in fixed chunks
-    /// through `scratch`, and each exit's head reads the trunk
-    /// activation the pass already holds, so the trunk runs once rather
-    /// than once per exit and nothing is allocated once the scratch is
-    /// warm. Forward kernels, softmax and argmax are the ones
+    /// [`Self::accuracy`] at each exit whose bit is set in `exits` (bit
+    /// `e` asks for exit `e`), written into `accuracies[e]`; the other
+    /// slots are left as they are. An empty batch scores `0.0`. Rows are
+    /// scored in fixed chunks through `scratch`: the trunk runs up to
+    /// the deepest exit asked for, and only the heads asked for run on
+    /// the activation the pass already holds, so one trunk pass serves
+    /// every exit and nothing is allocated once the scratch is warm.
+    /// Forward kernels and the softmax argmax are the ones
     /// [`Self::accuracy`] runs, so every value is bit-identical to it.
     ///
     /// # Panics
-    /// Panics on a label-count mismatch or when `accuracies.len()`
-    /// differs from [`Self::num_exits`].
-    pub fn exit_accuracies_with_scratch(
+    /// Panics on a label-count mismatch, when `accuracies.len()` differs
+    /// from [`Self::num_exits`], or when `exits` names an exit past it.
+    pub fn score_exits(
         &self,
         inputs: &Matrix,
         labels: &[usize],
+        exits: u32,
         scratch: &mut InferScratch,
         accuracies: &mut [f64],
     ) {
         assert_eq!(inputs.rows(), labels.len(), "label count mismatch");
         assert_eq!(accuracies.len(), self.num_exits(), "one slot per exit");
+        let depth = (u32::BITS - exits.leading_zeros()) as usize;
+        assert!(depth <= self.num_exits(), "exit out of range");
+        let wanted = |e: usize| exits >> e & 1 == 1;
         // Hit counts accumulate exactly in the f64 slots (far below
         // 2^53), then divide once — the same `correct / n` as
         // `accuracy`.
-        accuracies.fill(0.0);
+        for (e, a) in accuracies.iter_mut().enumerate() {
+            if wanted(e) {
+                *a = 0.0;
+            }
+        }
         if labels.is_empty() {
             return;
         }
@@ -295,21 +296,35 @@ impl EarlyExitMlp {
             let end = (start + SCORE_CHUNK).min(labels.len());
             rows.copy_rows_from(inputs, start, end);
             let chunk_labels = &labels[start..end];
-            self.trunk[0].infer_into(rows, ping);
-            for (e, hits) in accuracies.iter_mut().enumerate() {
-                if e > 0 {
-                    self.trunk[e].infer_into(ping, pong);
+            let levels = self
+                .trunk
+                .iter()
+                .zip(&self.heads)
+                .zip(accuracies.iter_mut());
+            for (e, ((layer, head), acc)) in levels.enumerate().take(depth) {
+                if e == 0 {
+                    layer.infer_into(rows, ping);
+                } else {
+                    layer.infer_into(ping, pong);
                     std::mem::swap(ping, pong);
                 }
-                self.heads[e].infer_into(ping, pong);
-                pong.softmax_rows_inplace();
-                *hits += pong.count_argmax_hits(chunk_labels) as f64;
+                if wanted(e) {
+                    head.infer_into(ping, pong);
+                    let hits = chunk_labels
+                        .iter()
+                        .enumerate()
+                        .filter(|&(r, &label)| softmax_argmax(pong.row_mut(r)) == label)
+                        .count();
+                    *acc += hits as f64;
+                }
             }
             start = end;
         }
         let n = labels.len() as f64;
-        for a in accuracies.iter_mut() {
-            *a /= n;
+        for (e, a) in accuracies.iter_mut().enumerate() {
+            if wanted(e) {
+                *a /= n;
+            }
         }
     }
 
@@ -333,13 +348,23 @@ impl EarlyExitMlp {
     /// and are reused across calls, so steady-state retraining performs
     /// zero heap allocations once the buffers have warmed up.
     pub fn train_batch(&mut self, batch: &TrainBatch) -> f64 {
-        self.train_batch_parts(&batch.inputs, &batch.labels)
+        self.step(&batch.inputs, &batch.labels, true)
     }
 
     /// [`Self::train_batch`] on borrowed inputs and labels, so callers
     /// slicing mini-batches out of a larger sample set need not assemble
-    /// a [`TrainBatch`] (and clone rows into it) per step.
-    pub fn train_batch_parts(&mut self, inputs: &Matrix, labels: &[usize]) -> f64 {
+    /// a [`TrainBatch`] (and clone rows into it) per step. It skips the
+    /// loss, which only monitoring reads; the weights it leaves are
+    /// bit-identical to [`Self::train_batch`]'s.
+    pub fn train_batch_parts(&mut self, inputs: &Matrix, labels: &[usize]) {
+        self.step(inputs, labels, false);
+    }
+
+    /// The SGD step behind [`Self::train_batch`] and
+    /// [`Self::train_batch_parts`]; returns the mean weighted loss when
+    /// `with_loss`, else `0.0`. The loss only reads the softmax, so
+    /// skipping it changes no weight.
+    fn step(&mut self, inputs: &Matrix, labels: &[usize], with_loss: bool) -> f64 {
         assert_eq!(inputs.rows(), labels.len());
         if labels.is_empty() {
             return 0.0;
@@ -366,11 +391,15 @@ impl EarlyExitMlp {
             let w = self.config.exit_weights[e];
             self.heads[e].infer_into(&scratch.activations[e], &mut scratch.probs);
             scratch.probs.softmax_rows_inplace();
-            // Loss and gradient: dL/dlogits = (p − onehot) · w.
+            if with_loss {
+                for (r, &label) in labels.iter().enumerate() {
+                    let p = scratch.probs.get(r, label).max(1e-12);
+                    total_loss += -(p as f64).ln() * w as f64;
+                }
+            }
+            // Gradient: dL/dlogits = (p − onehot) · w.
             scratch.grad.copy_from(&scratch.probs);
             for (r, &label) in labels.iter().enumerate() {
-                let p = scratch.probs.get(r, label).max(1e-12);
-                total_loss += -(p as f64).ln() * w as f64;
                 scratch.grad.set(r, label, scratch.grad.get(r, label) - 1.0);
             }
             scratch.grad.scale(w);
@@ -425,11 +454,10 @@ impl EarlyExitMlp {
         inputs: &Matrix,
         labels: &[usize],
         scratch: &mut TrainScratch,
-    ) -> f64 {
+    ) {
         std::mem::swap(&mut self.scratch, scratch);
-        let loss = self.train_batch_parts(inputs, labels);
+        self.train_batch_parts(inputs, labels);
         std::mem::swap(&mut self.scratch, scratch);
-        loss
     }
 
     /// Trains on `batch` for `epochs` passes; returns the final loss.
@@ -586,10 +614,27 @@ mod tests {
         assert_eq!(pa, pb);
     }
 
-    /// The scratch-based inference entry points must bit-match their
-    /// allocating counterparts at every exit, with dirty reused buffers.
+    /// The reference prediction per row: softmax over the logits, then
+    /// the last maximal probability.
+    fn softmax_then_argmax(net: &EarlyExitMlp, inputs: &Matrix, exit: usize) -> Vec<usize> {
+        let mut x = inputs.clone();
+        for layer in &net.trunk[..=exit] {
+            x = layer.infer(&x);
+        }
+        let mut probs = net.heads[exit].infer(&x);
+        probs.softmax_rows_inplace();
+        (0..probs.rows())
+            .map(|r| {
+                let row = probs.row(r);
+                (0..row.len()).fold(0, |best, i| if row[i] >= row[best] { i } else { best })
+            })
+            .collect()
+    }
+
+    /// Both prediction entry points must pick, at every exit, the class
+    /// softmax then argmax picks, with dirty reused buffers.
     #[test]
-    fn scratch_inference_matches_allocating_paths() {
+    fn predictions_match_softmax_then_argmax() {
         let mut rng = Prng::new(13);
         let mut net = EarlyExitMlp::new(MlpConfig::small(8, 3), &mut rng);
         let train = blob_batch(&mut rng, 48, 8);
@@ -597,19 +642,21 @@ mod tests {
         let test = blob_batch(&mut rng, 96, 8);
         let mut scratch = InferScratch::default();
         for exit in 0..net.num_exits() {
-            let plain = net.predict(&test.inputs, exit);
+            let want = softmax_then_argmax(&net, &test.inputs, exit);
+            assert_eq!(net.predict(&test.inputs, exit), want, "exit {exit}");
             let fast = net.predict_with_scratch(&test.inputs, exit, &mut scratch);
-            assert_eq!(plain, fast, "exit {exit}");
+            assert_eq!(fast, want, "exit {exit}");
         }
         let feats = net.features(&test.inputs);
-        let mut out = Matrix::from_slice(1, 1, &[3.0]);
+        let mut out = Matrix::from_slice(1, 3, &[3.0, 3.0, 3.0]);
         net.features_into(&test.inputs, &mut out);
         assert_eq!(feats, out);
     }
 
-    /// The one-pass scorer must bit-match [`EarlyExitMlp::accuracy`] at
-    /// every exit, at row counts below, inside and across its row
-    /// chunks, through one scratch reused across sizes.
+    /// The masked scorer must bit-match [`EarlyExitMlp::accuracy`] at
+    /// every exit, for every set of exits asked for, at row counts
+    /// below, at and across its row chunks, through one scratch reused
+    /// across sizes; slots not asked for stay untouched.
     #[test]
     fn one_pass_exit_scoring_matches_accuracy() {
         let mut rng = Prng::new(19);
@@ -619,15 +666,52 @@ mod tests {
             net.train_batch_parts(&x, &y);
         }
         let mut scratch = InferScratch::default();
-        for rows in [400, 0, 1, 31] {
+        for rows in [400, 0, 1, 63, 64, 65, 31] {
             let (x, y) = random_batch(&mut rng, rows, 6);
-            let mut accs = [9.0; 3];
-            net.exit_accuracies_with_scratch(&x, &y, &mut scratch, &mut accs);
-            for (exit, &got) in accs.iter().enumerate() {
-                let want = net.accuracy(&x, &y, exit);
-                assert_eq!(got.to_bits(), want.to_bits(), "{rows} rows, exit {exit}");
+            let want: Vec<f64> = (0..3).map(|e| net.accuracy(&x, &y, e)).collect();
+            for exits in 0..8u32 {
+                let mut accs = [9.0; 3];
+                net.score_exits(&x, &y, exits, &mut scratch, &mut accs);
+                for (e, &got) in accs.iter().enumerate() {
+                    let want = if exits >> e & 1 == 1 { want[e] } else { 9.0 };
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{rows} rows, exits {exits:03b}, exit {e}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exit out of range")]
+    fn scoring_an_exit_past_the_trunk_panics() {
+        let mut rng = Prng::new(1);
+        let net = EarlyExitMlp::new(head_config(2, None), &mut rng);
+        let (x, y) = random_batch(&mut rng, 4, 2);
+        net.score_exits(&x, &y, 0b1000, &mut InferScratch::default(), &mut [0.0; 3]);
+    }
+
+    /// Skipping the loss must leave the same weights as computing it.
+    #[test]
+    fn loss_free_step_leaves_identical_weights() {
+        let mut rng = Prng::new(21);
+        let mut with_loss = EarlyExitMlp::new(head_config(6, None), &mut rng);
+        let mut without = with_loss.clone();
+        for rows in [32, 17, 32] {
+            let (inputs, labels) = random_batch(&mut rng, rows, 6);
+            let loss = with_loss.train_batch(&TrainBatch {
+                inputs: inputs.clone(),
+                labels: labels.clone(),
+            });
+            assert!(loss > 0.0);
+            without.train_batch_parts(&inputs, &labels);
+        }
+        let bits = |n: &EarlyExitMlp| -> Vec<u32> {
+            n.flatten_params().iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(&with_loss), bits(&without));
     }
 
     /// The deployed heads' shape: 16 inputs, a 32/24/16 trunk.
@@ -976,6 +1060,6 @@ mod tests {
         let mut rng = Prng::new(1);
         let net = EarlyExitMlp::new(MlpConfig::small(4, 2), &mut rng);
         let x = Matrix::zeros(1, 4);
-        net.probabilities(&x, 5);
+        net.predict(&x, 5);
     }
 }

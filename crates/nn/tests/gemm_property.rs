@@ -7,10 +7,10 @@
 //! reassociation (e.g. multi-lane partial sums of one dot product)
 //! would change low-order bits and fail these tests. Shapes span the
 //! ones the early-exit heads run: rows 0–41 (the 32-row SGD batch and
-//! its ragged tail), inner and output widths up to 33, so the 8- and
-//! 16-lane narrow paths (output width ≤ 8, ≤ 16), the general path
-//! past them, the 32-wide trunk, the unroll tails and the degenerate
-//! empty shapes are all exercised.
+//! its ragged tail), inner widths up to 33 and output widths up to 70,
+//! so every lane group (8, 16, 24 and 32 lanes), outputs of two full
+//! 32-column panels plus a tail, the row-block remainders and the
+//! degenerate empty shapes are all exercised.
 
 use adainf_nn::Matrix;
 use adainf_simcore::Prng;
@@ -126,22 +126,23 @@ proptest! {
     fn kernels_match_reference(
         m in 0usize..42,
         k in 0usize..34,
-        n in 0usize..34,
+        n in 0usize..71,
         seed in 0u64..1 << 32,
     ) {
         check_all_kernels(m, k, n, seed)?;
     }
 }
 
-/// Every output width across both narrow-lane boundaries (8, 16) and
-/// the 32-wide trunk, at inner widths around the 8-step unroll and row
-/// counts around the two-row blocking and the 32-row SGD batch.
+/// Every output width across the lane-group boundaries (8, 16, 24,
+/// 32) and the panel boundaries (32, 64), at inner widths around the
+/// packed chunk's edges and row counts around the row blocks and the
+/// 32-row SGD batch.
 #[test]
 fn kernels_match_reference_at_every_output_width() {
     let mut seed = 0;
-    for n in 0..=33 {
+    for n in 0..=70 {
         for k in [0, 1, 6, 8, 12, 16, 24, 31, 32, 33] {
-            for m in [0, 1, 2, 7, 31, 32, 41] {
+            for m in [0, 1, 2, 7, 9, 31, 32, 41] {
                 seed += 1;
                 if let Err(e) = check_all_kernels(m, k, n, seed) {
                     panic!("{e:?}");
@@ -151,13 +152,21 @@ fn kernels_match_reference_at_every_output_width() {
     }
 }
 
-/// Contractions longer than one packed chunk of the narrow paths: the
-/// partial sums carried across chunks must stay bit-exact.
+/// Contractions longer than one packed chunk: the partial sums carried
+/// across chunks, and across panels, must stay bit-exact.
 #[test]
-fn narrow_paths_carry_partial_sums_across_chunks() {
-    for (seed, (m, k, n)) in [(150, 65, 6), (3, 129, 12), (130, 7, 16), (70, 200, 1)]
-        .into_iter()
-        .enumerate()
+fn kernels_carry_partial_sums_across_chunks() {
+    for (seed, (m, k, n)) in [
+        (150, 65, 6),
+        (3, 129, 12),
+        (130, 7, 16),
+        (70, 200, 1),
+        (66, 130, 24),
+        (9, 70, 32),
+        (130, 65, 67),
+    ]
+    .into_iter()
+    .enumerate()
     {
         if let Err(e) = check_all_kernels(m, k, n, seed as u64 + 1000) {
             panic!("{e:?}");
