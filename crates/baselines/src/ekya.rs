@@ -31,8 +31,9 @@ use adainf_simcore::walltime::WallTimer;
 /// application's share).
 const MOVE_QUANTUM: f64 = 0.05;
 
-/// Retraining batch size Ekya uses for its bulk retraining.
-const RETRAIN_BATCH: u32 = 32;
+/// Smallest training batch Ekya's micro-profiling may pick for its bulk
+/// retraining.
+const MIN_TRAIN_BATCH: u32 = 8;
 
 /// Epochs of Ekya's bulk retraining (continual-learning configs retrain
 /// for many passes; the GPU time is charged accordingly).
@@ -86,7 +87,10 @@ impl EkyaScheduler {
         for (i, n) in app.nodes.iter().enumerate() {
             let cost = n.profile.full_cost();
             // Ekya's micro-profiling also tunes the training batch size.
-            let batch = self.profiler.best_train_batch(&cost, per_model).max(RETRAIN_BATCH.min(8));
+            let batch = self
+                .profiler
+                .best_train_batch(&cost, per_model)
+                .max(MIN_TRAIN_BATCH);
             // Samples whose RETRAIN_EPOCHS-epoch training fits the window.
             let fit = self.profiler.samples_within(
                 &cost,

@@ -6,9 +6,13 @@
 //!   over slightly perturbed data, the steady-state per-period cost once
 //!   the drift cache carries the previous basis forward. The convergence
 //!   early-exit should make this several times cheaper than cold.
+//! * `pca/transform` — projecting 6000 first-layer feature rows (width
+//!   32) onto 8 components, the drift ranking's shape. Each pass first
+//!   copies the features into the buffer the projection centres in
+//!   place, as the drift path writes fresh features before each one.
 //!
-//! Data shape mirrors the drift path: a few hundred feature rows at the
-//! head-layer width, reduced to `pca_components = 8` directions.
+//! The fit data mirrors the drift path: a few hundred feature rows at
+//! the head-layer width, reduced to `pca_components = 8` directions.
 
 #![forbid(unsafe_code)]
 
@@ -83,6 +87,19 @@ fn bench_pca(c: &mut Criterion) {
                 &mut scratch,
                 Some(&warm_basis),
             ))
+        })
+    });
+
+    let mut rng = Prng::new(13);
+    let raw: Vec<f32> = (0..6000 * 32).map(|_| rng.gauss() as f32).collect();
+    let feats = Matrix::from_slice(6000, 32, &raw);
+    let pca = Pca::fit(&feats, K, &mut rng);
+    group.bench_function("transform", |b| {
+        let (mut x, mut out) = (Matrix::default(), Matrix::default());
+        b.iter(|| {
+            x.copy_from(black_box(&feats));
+            pca.transform_into(&mut x, &mut out);
+            black_box(out.data()[0])
         })
     });
 

@@ -5,8 +5,6 @@
 //!   the period-boundary fan-out deals to its pool workers.
 //! * `train/batch_parts_sgd` — the raw early-exit backward pass with
 //!   the blocked gradient GEMM and the fused momentum update.
-//! * `train/batch_parts_adam` — the same pass under the fused Adam
-//!   update kernel.
 //! * `train/score_exits_400` — scoring every head exit of a deployed
 //!   model on a 400-row evaluation set in one trunk pass, the work a
 //!   node's first accuracy read in a period does.
@@ -21,7 +19,6 @@ use std::hint::black_box;
 use adainf_driftgen::{TaskStream, TaskStreamConfig};
 use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::{zoo, TrainSliceScratch, TrainableModel};
-use adainf_nn::layer::Update;
 use adainf_nn::{EarlyExitMlp, InferScratch, MlpConfig, TrainScratch};
 use adainf_simcore::Prng;
 
@@ -61,21 +58,6 @@ fn bench_train(c: &mut Criterion) {
         let mut rng = root.split(2);
         let mut net = EarlyExitMlp::new(
             MlpConfig::small(features.cols(), 6),
-            &mut rng,
-        );
-        let mut scratch = TrainScratch::default();
-        b.iter(|| {
-            net.train_batch_parts_with(black_box(&features), black_box(&batch.labels), &mut scratch)
-        })
-    });
-
-    group.bench_function("batch_parts_adam", |b| {
-        let mut rng = root.split(3);
-        let mut net = EarlyExitMlp::new(
-            MlpConfig {
-                update: Some(Update::adam(1e-3)),
-                ..MlpConfig::small(features.cols(), 6)
-            },
             &mut rng,
         );
         let mut scratch = TrainScratch::default();

@@ -24,8 +24,6 @@ pub struct AdaInfConfig {
     /// Detection margin: a model is impacted when `I_m − I'_m` exceeds
     /// this (guards against finite-sample noise on small `S`).
     pub detect_margin: f64,
-    /// Retraining batch size used by incremental slices.
-    pub retrain_batch: u32,
     /// Epochs per retraining slice.
     pub retrain_epochs: u32,
     /// §6 extension: sessions predicting at most this many requests are
@@ -86,7 +84,6 @@ impl Default for AdaInfConfig {
             stable_rounds: 4,
             pca_components: 8,
             detect_margin: 0.05,
-            retrain_batch: 32,
             retrain_epochs: 1,
             cpu_offload_threshold: 0,
             joint_batch_space: false,

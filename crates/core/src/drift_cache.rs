@@ -24,8 +24,8 @@
 //! `(pool generation, model version)`. The pool generation is the
 //! runtime's period counter — `advance_period` wholesale-replaces pools
 //! and reference sets, so any period bump invalidates. The model version
-//! bumps on every retraining slice and parameter load, so a retrained
-//! model never serves stale rankings.
+//! bumps on every retraining slice, so a retrained model never serves
+//! stale rankings.
 
 use adainf_apps::AppRuntime;
 use adainf_driftgen::LabeledSamples;
@@ -202,6 +202,7 @@ pub struct DetectScratch {
     pca: PcaScratch,
     /// Feature matrix of the sample set being fitted or ranked: the old
     /// set, then the pool, then the held-out set, one after another.
+    /// Each projection centres it in place.
     feats: Matrix,
     projected: Matrix,
     scored: Vec<(usize, f64)>,
@@ -245,20 +246,19 @@ pub fn class_means(projected: &Matrix, labels: &[usize], classes: usize) -> Vec<
 
 /// Ranks `new` samples by descending cosine deviation of their projected
 /// (pre-computed) feature vectors from the per-class means of the old
-/// data.
+/// data. The projection centres `features` in place.
 fn rank_features(
     new: &LabeledSamples,
-    features: &Matrix,
+    features: &mut Matrix,
     pca: &Pca,
     means: &[Vec<f32>],
-    pca_scratch: &mut PcaScratch,
     projected: &mut Matrix,
     scored: &mut Vec<(usize, f64)>,
 ) -> Vec<usize> {
     if new.is_empty() {
         return Vec::new();
     }
-    pca.transform_into(features, pca_scratch, projected);
+    pca.transform_into(features, projected);
     scored.clear();
     scored.extend((0..new.len()).map(|i| {
         let mean = &means[new.labels[i]];
@@ -346,20 +346,12 @@ fn rankings(
     model.features_into(old, feats);
     let mut rng = root.split(PCA_STREAM ^ (rt.period() << 16) ^ node as u64);
     let pca = Pca::fit_warm_with_scratch(feats, pca_components, &mut rng, pca_scratch, warm);
-    pca.transform_into(feats, pca_scratch, projected);
+    pca.transform_into(feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
     model.features_into(pool, feats);
-    let deviation = rank_features(pool, feats, &pca, &means, pca_scratch, projected, scored);
+    let deviation = rank_features(pool, feats, &pca, &means, projected, scored);
     model.features_into(held_out, feats);
-    let ref_order = rank_features(
-        held_out,
-        feats,
-        &pca,
-        &means,
-        pca_scratch,
-        projected,
-        scored,
-    );
+    let ref_order = rank_features(held_out, feats, &pca, &means, projected, scored);
     (deviation, ref_order, pca.into_components())
 }
 

@@ -62,7 +62,6 @@ impl TrainableModel {
             lr: 0.05,
             momentum: 0.9,
             exit_weights: vec![0.3, 0.55, 1.0],
-            update: None,
         };
         TrainableModel {
             profile,
@@ -224,12 +223,6 @@ impl TrainableModel {
     pub fn snapshot_params(&self) -> Vec<f32> {
         self.head.flatten_params()
     }
-
-    /// Replaces the head parameters with a snapshot.
-    pub fn load_params(&mut self, params: &[f32]) {
-        self.head.load_params(params);
-        self.version += 1;
-    }
 }
 
 #[cfg(test)]
@@ -329,23 +322,5 @@ mod tests {
             a.predict(&eval.inputs, a.profile.full_cut()),
             b.predict(&eval.inputs, b.profile.full_cut())
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip() {
-        let (mut model, mut stream) = setup();
-        let train = stream.sample(200);
-        model.train_slice(&train, 5);
-        let snap = model.snapshot_params();
-        let mut other = {
-            let root = Prng::new(77);
-            let mut rng = root.split(1);
-            TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng)
-        };
-        other.load_params(&snap);
-        let eval = stream.sample(200);
-        let a = model.predict(&eval.inputs, model.profile.full_cut());
-        let b = other.predict(&eval.inputs, other.profile.full_cut());
-        assert_eq!(a, b);
     }
 }

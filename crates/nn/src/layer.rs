@@ -3,39 +3,14 @@
 use crate::matrix::Matrix;
 use adainf_simcore::Prng;
 
-/// The update rule applied by [`Dense::backward_scratch`].
+/// The SGD-with-momentum step [`Dense::backward_scratch`] applies:
+/// `v = momentum·v − lr·g ; w += v`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Update {
-    /// Classic SGD with momentum: `v = m·v − lr·g ; w += v`.
-    SgdMomentum {
-        /// Learning rate.
-        lr: f32,
-        /// Velocity decay.
-        momentum: f32,
-    },
-    /// Adam (Kingma & Ba): bias-corrected first/second moment estimates.
-    Adam {
-        /// Learning rate.
-        lr: f32,
-        /// First-moment decay (typ. 0.9).
-        beta1: f32,
-        /// Second-moment decay (typ. 0.999).
-        beta2: f32,
-        /// Numerical floor.
-        eps: f32,
-    },
-}
-
-impl Update {
-    /// Adam with the textbook defaults at the given learning rate.
-    pub fn adam(lr: f32) -> Update {
-        Update::Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
+pub struct SgdMomentum {
+    /// Learning rate.
+    pub lr: f32,
+    /// Velocity decay.
+    pub momentum: f32,
 }
 
 /// A fully-connected layer `y = x·W + b` with an optional ReLU.
@@ -47,14 +22,9 @@ pub struct Dense {
     pub bias: Vec<f32>,
     /// Whether a ReLU follows the affine map.
     pub relu: bool,
-    // First-moment buffers (SGD velocity / Adam m).
+    // SGD-momentum velocities.
     vel_w: Matrix,
     vel_b: Vec<f32>,
-    // Adam second-moment buffers, allocated on first Adam step.
-    adam_v_w: Option<Matrix>,
-    adam_v_b: Vec<f32>,
-    // Adam step counter (bias correction).
-    steps: u64,
 }
 
 /// Reusable parameter-gradient buffers for [`Dense::backward_scratch`]
@@ -77,9 +47,6 @@ impl Dense {
             relu,
             vel_w: Matrix::zeros(in_dim, out_dim),
             vel_b: vec![0.0; out_dim],
-            adam_v_w: None,
-            adam_v_b: Vec::new(),
-            steps: 0,
         }
     }
 
@@ -127,7 +94,7 @@ impl Dense {
         input: &Matrix,
         mask: &Matrix,
         grad_out: &mut Matrix,
-        update: Update,
+        update: SgdMomentum,
         grad_in: Option<&mut Matrix>,
         scratch: &mut GradScratch,
     ) {
@@ -141,10 +108,9 @@ impl Dense {
             grad_out.matmul_t_into(&self.weights, &mut scratch.weights_t, grad_in);
         }
         // Raw weight-gradient sums; the batch-mean scaling and
-        // robustness clamp are fused into the optimizer kernels below,
-        // saving two full passes over the gradient buffer per step.
-        let grad_w = &mut scratch.grad_w;
-        input.t_matmul_into(grad_out, grad_w);
+        // robustness clamp are fused into `momentum_step` below, saving
+        // two full passes over the gradient buffer per step.
+        input.t_matmul_into(grad_out, &mut scratch.grad_w);
         // The bias gradient is a short vector — scale and clamp in
         // place, exactly as before.
         let grad_b = &mut scratch.grad_b;
@@ -152,73 +118,19 @@ impl Dense {
         for g in grad_b.iter_mut() {
             *g = (*g / batch).clamp(-5.0, 5.0);
         }
-        self.apply_update(update, &scratch.grad_w, 1.0 / batch, &scratch.grad_b);
-    }
-
-    /// Applies one optimizer step: `grad_w` holds *raw* gradient sums
-    /// (scaled by `inv_batch` and clamped inside the fused kernels),
-    /// `grad_b` is already batch-averaged and clamped.
-    fn apply_update(
-        &mut self,
-        update: Update,
-        grad_w: &Matrix,
-        inv_batch: f32,
-        grad_b: &[f32],
-    ) {
-        match update {
-            Update::SgdMomentum { lr, momentum } => {
-                // Momentum update: v = m·v − lr·g ; w += v.
-                crate::matrix::momentum_step(
-                    self.weights.data_mut(),
-                    self.vel_w.data_mut(),
-                    grad_w.data(),
-                    inv_batch,
-                    5.0,
-                    lr,
-                    momentum,
-                );
-                for ((b, v), g) in
-                    self.bias.iter_mut().zip(&mut self.vel_b).zip(grad_b)
-                {
-                    *v = momentum * *v - lr * g;
-                    *b += *v;
-                }
-            }
-            Update::Adam { lr, beta1, beta2, eps } => {
-                self.steps += 1;
-                if self.adam_v_b.len() != self.bias.len() {
-                    self.adam_v_b = vec![0.0; self.bias.len()];
-                }
-                let t = self.steps as f32;
-                let c1 = 1.0 - beta1.powf(t);
-                let c2 = 1.0 - beta2.powf(t);
-                let (rows, cols) = (self.weights.rows(), self.weights.cols());
-                let v_w = self.adam_v_w.get_or_insert_with(|| Matrix::zeros(rows, cols));
-                crate::matrix::adam_step(
-                    self.weights.data_mut(),
-                    self.vel_w.data_mut(),
-                    v_w.data_mut(),
-                    grad_w.data(),
-                    inv_batch,
-                    5.0,
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                    c1,
-                    c2,
-                );
-                for ((b, m), (v, g)) in self
-                    .bias
-                    .iter_mut()
-                    .zip(&mut self.vel_b)
-                    .zip(self.adam_v_b.iter_mut().zip(grad_b))
-                {
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    *b -= lr * (*m / c1) / ((*v / c2).sqrt() + eps);
-                }
-            }
+        let SgdMomentum { lr, momentum } = update;
+        crate::matrix::momentum_step(
+            self.weights.data_mut(),
+            self.vel_w.data_mut(),
+            scratch.grad_w.data(),
+            1.0 / batch,
+            5.0,
+            lr,
+            momentum,
+        );
+        for ((b, v), g) in self.bias.iter_mut().zip(&mut self.vel_b).zip(grad_b.iter()) {
+            *v = momentum * *v - lr * g;
+            *b += *v;
         }
     }
 
@@ -226,16 +138,6 @@ impl Dense {
     pub fn append_params(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.weights.data());
         out.extend_from_slice(&self.bias);
-    }
-
-    /// Loads parameters from a flat slice, returning how many were read.
-    pub fn load_params(&mut self, params: &[f32]) -> usize {
-        let w = self.weights.data_mut();
-        let nw = w.len();
-        w.copy_from_slice(&params[..nw]);
-        let nb = self.bias.len();
-        self.bias.copy_from_slice(&params[nw..nw + nb]);
-        nw + nb
     }
 }
 
@@ -279,7 +181,7 @@ mod tests {
         let mut ones = Matrix::from_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
         let lr = 1e-4;
         let w_before = l2.weights.clone();
-        let update = Update::SgdMomentum { lr, momentum: 0.0 };
+        let update = SgdMomentum { lr, momentum: 0.0 };
         l2.backward_scratch(
             &x,
             &out,
@@ -306,53 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_a_linear_target() {
-        // Fit y = sum(x) with a single linear layer under Adam.
-        let mut rng = Prng::new(5);
-        let mut layer = Dense::new(3, 1, false, &mut rng);
-        let mut y = Matrix::default();
-        let mut scratch = GradScratch::default();
-        let mut last = f32::INFINITY;
-        for step in 0..400 {
-            let x = Matrix::from_slice(
-                4,
-                3,
-                &(0..12)
-                    .map(|i| ((i * 7 + step) % 11) as f32 / 11.0 - 0.5)
-                    .collect::<Vec<_>>(),
-            );
-            let target: Vec<f32> = (0..4)
-                .map(|r| x.row(r).iter().sum::<f32>())
-                .collect();
-            layer.infer_into(&x, &mut y);
-            let mut grad = Matrix::zeros(4, 1);
-            let mut loss = 0.0;
-            for (r, &tgt) in target.iter().enumerate() {
-                let e = y.get(r, 0) - tgt;
-                loss += e * e;
-                grad.set(r, 0, 2.0 * e);
-            }
-            last = loss;
-            layer.backward_scratch(&x, &y, &mut grad, Update::adam(0.02), None, &mut scratch);
-        }
-        assert!(last < 0.01, "adam did not converge: {last}");
-        // Weights near the true [1, 1, 1].
-        for c in 0..3 {
-            assert!((layer.weights.get(c, 0) - 1.0).abs() < 0.15);
-        }
-    }
-
-    #[test]
-    fn params_round_trip() {
+    fn append_params_flattens_weights_then_bias() {
         let mut rng = Prng::new(3);
         let layer = Dense::new(4, 3, true, &mut rng);
         let mut flat = Vec::new();
         layer.append_params(&mut flat);
         assert_eq!(flat.len(), layer.param_count());
-        let mut other = Dense::new(4, 3, true, &mut rng);
-        let read = other.load_params(&flat);
-        assert_eq!(read, flat.len());
-        assert_eq!(other.weights.data(), layer.weights.data());
-        assert_eq!(other.bias, layer.bias);
+        assert_eq!(flat, [layer.weights.data(), &layer.bias].concat());
     }
 }

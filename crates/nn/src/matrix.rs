@@ -1,13 +1,16 @@
 //! A minimal row-major `f32` matrix.
 //!
-//! Only the operations backpropagation needs are implemented. One GEMM
-//! kernel family carries [`Matrix::matmul_into`] and
-//! [`Matrix::t_matmul_into`] at every output width: the output runs in
-//! column panels at most 32 wide, each padded to 8, 16, 24 or 32 vector
-//! lanes and accumulated several rows at a time. The kernels unroll and
-//! pad across *independent* output elements only: every output element
-//! keeps one accumulator fed in ascending-k order, so results are
-//! bit-identical to a plain triple loop at any SIMD width.
+//! Only the operations backpropagation and the PCA need are
+//! implemented. Every matrix product of the crate — the dense forward
+//! and backward passes, and the PCA's covariance, power iteration and
+//! projection — runs through one GEMM kernel family behind
+//! [`Matrix::matmul_into`] and [`Matrix::t_matmul_into`], at every
+//! output width: the output runs in column panels at most 32 wide, each
+//! padded to 8, 16, 24 or 32 vector lanes and accumulated several rows
+//! at a time. The kernels unroll and pad across *independent* output
+//! elements only: every output element keeps one accumulator fed in
+//! ascending-k order, so results are bit-identical to a plain triple
+//! loop at any SIMD width.
 
 use adainf_simcore::Prng;
 use std::fmt;
@@ -347,7 +350,7 @@ impl Matrix {
 
     /// Writes `selfᵀ` into `out`, reshaping it in place and reusing its
     /// allocation.
-    fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.reset_zeroed(self.cols, self.rows);
         if self.cols == 0 {
             return;
@@ -356,190 +359,6 @@ impl Matrix {
             for (c, &x) in row.iter().enumerate() {
                 out.data[c * self.rows + r] = x;
             }
-        }
-    }
-
-    /// `(self − mean) × otherᵀ`, written into `out` — the PCA projection
-    /// with the per-column mean subtraction fused into the GEMM instead
-    /// of materialising a centred copy first. Each `self` element is
-    /// centred (`x − mean[k]`) at the moment it enters the dot products,
-    /// which is the identical f32 subtraction the standalone centring
-    /// pass performs — per-element operation order matches
-    /// `center_into` + [`Self::matmul_t_into`] exactly, so results are
-    /// bit-identical at one full matrix write+read less.
-    ///
-    /// # Panics
-    /// Panics on column-count or mean-width mismatch.
-    pub fn centered_matmul_t_into(&self, mean: &[f32], other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        assert_eq!(mean.len(), self.cols, "mean width mismatch");
-        if other.rows == 8 {
-            return self.centered_matmul_t8_into(mean, other, out);
-        }
-        out.reset_zeroed(self.rows, other.rows);
-        let n = other.rows;
-        let w = other.cols;
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let out_row = out.row_mut(i);
-            let mut j = 0;
-            while j + 8 <= n {
-                let b = &other.data[j * w..(j + 8) * w];
-                let (b0, rest) = b.split_at(w);
-                let (b1, rest) = rest.split_at(w);
-                let (b2, rest) = rest.split_at(w);
-                let (b3, rest) = rest.split_at(w);
-                let (b4, rest) = rest.split_at(w);
-                let (b5, rest) = rest.split_at(w);
-                let (b6, b7) = rest.split_at(w);
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                let (mut s4, mut s5, mut s6, mut s7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (((((((((&a, &m), &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in arow
-                    .iter()
-                    .zip(mean)
-                    .zip(b0)
-                    .zip(b1)
-                    .zip(b2)
-                    .zip(b3)
-                    .zip(b4)
-                    .zip(b5)
-                    .zip(b6)
-                    .zip(b7)
-                {
-                    let x = a - m;
-                    s0 += x * v0;
-                    s1 += x * v1;
-                    s2 += x * v2;
-                    s3 += x * v3;
-                    s4 += x * v4;
-                    s5 += x * v5;
-                    s6 += x * v6;
-                    s7 += x * v7;
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                out_row[j + 4] = s4;
-                out_row[j + 5] = s5;
-                out_row[j + 6] = s6;
-                out_row[j + 7] = s7;
-                j += 8;
-            }
-            for (o, brow) in out_row[j..]
-                .iter_mut()
-                .zip(other.data[j * w..].chunks_exact(w))
-            {
-                let mut acc = 0.0;
-                for ((a, m), b) in arow.iter().zip(mean).zip(brow) {
-                    acc += (a - m) * b;
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// [`Self::centered_matmul_t_into`] specialised to exactly eight
-    /// `other` rows — the default-width PCA projection. The component
-    /// rows are first transposed into a k-major `d × 8` layout so the
-    /// eight per-element accumulators sit in one contiguous lane group;
-    /// the fixed-width `[f32; 8]` accumulator then vectorises to a
-    /// single 256-bit multiply-add per `k` step instead of eight scalar
-    /// chains fed by strided row loads (measured ~3× on the 6000×32
-    /// drift-projection shape). Each output element still owns one
-    /// accumulator fed in ascending `k` order, so results are
-    /// bit-identical to the eight-row-blocked loop above.
-    fn centered_matmul_t8_into(&self, mean: &[f32], other: &Matrix, out: &mut Matrix) {
-        let d = self.cols;
-        let mut ct = vec![0.0f32; d * 8];
-        for j in 0..8 {
-            let row = other.row(j);
-            for k in 0..d {
-                ct[k * 8 + j] = row[k];
-            }
-        }
-        out.reset_zeroed(self.rows, 8);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            let mut acc = [0.0f32; 8];
-            for ((&a, &m), ctk) in arow.iter().zip(mean).zip(ct.chunks_exact(8)) {
-                let x = a - m;
-                for (s, &c) in acc.iter_mut().zip(ctk) {
-                    *s += x * c;
-                }
-            }
-            out.row_mut(i).copy_from_slice(&acc);
-        }
-    }
-
-    /// `self × v`, written into `out` (resized in place) — the
-    /// power-iteration matvec of the PCA fit, in the same blocked family
-    /// as [`Self::centered_matmul_t_into`].
-    ///
-    /// Rows are processed eight at a time with one independent
-    /// accumulator each, so every output element is still a plain
-    /// ascending-`k` dot product — bit-exact against the scalar
-    /// row-by-row loop — while eight FP add latency chains overlap and
-    /// eight matrix rows stream through the cache per pass.
-    ///
-    /// # Panics
-    /// Panics when `v.len() != self.cols()`.
-    pub fn matvec_into(&self, v: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(v.len(), self.cols, "matvec shape mismatch");
-        out.clear();
-        out.resize(self.rows, 0.0);
-        let w = self.cols;
-        let mut i = 0;
-        while i + 8 <= self.rows {
-            let b = &self.data[i * w..(i + 8) * w];
-            let (b0, rest) = b.split_at(w);
-            let (b1, rest) = rest.split_at(w);
-            let (b2, rest) = rest.split_at(w);
-            let (b3, rest) = rest.split_at(w);
-            let (b4, rest) = rest.split_at(w);
-            let (b5, rest) = rest.split_at(w);
-            let (b6, b7) = rest.split_at(w);
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let (mut s4, mut s5, mut s6, mut s7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for ((((((((&a, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in v
-                .iter()
-                .zip(b0)
-                .zip(b1)
-                .zip(b2)
-                .zip(b3)
-                .zip(b4)
-                .zip(b5)
-                .zip(b6)
-                .zip(b7)
-            {
-                s0 += a * v0;
-                s1 += a * v1;
-                s2 += a * v2;
-                s3 += a * v3;
-                s4 += a * v4;
-                s5 += a * v5;
-                s6 += a * v6;
-                s7 += a * v7;
-            }
-            out[i] = s0;
-            out[i + 1] = s1;
-            out[i + 2] = s2;
-            out[i + 3] = s3;
-            out[i + 4] = s4;
-            out[i + 5] = s5;
-            out[i + 6] = s6;
-            out[i + 7] = s7;
-            i += 8;
-        }
-        for (o, row) in out[i..]
-            .iter_mut()
-            .zip(self.data[i * w..].chunks_exact(w))
-        {
-            let mut acc = 0.0;
-            for (a, b) in v.iter().zip(row) {
-                acc += a * b;
-            }
-            *o = acc;
         }
     }
 
@@ -774,40 +593,6 @@ pub fn momentum_step(
     }
 }
 
-/// Fused Adam step over one parameter block: per element,
-/// `gc = clamp(g·inv_batch, ±bound)`, then the bias-corrected moment
-/// updates `m = β₁·m + (1−β₁)·gc`, `v = β₂·v + (1−β₂)·gc·gc`,
-/// `w −= lr·(m/c1)/(√(v/c2) + ε)` — one pass over four buffers instead
-/// of a scale pass, a clamp pass and the update. `c1`/`c2` are the
-/// step-count bias corrections `1 − βᵢᵗ`, computed once by the caller.
-/// Per-element expressions are unchanged from the unfused pipeline, so
-/// parameters and optimizer state are bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn adam_step(
-    weights: &mut [f32],
-    m1: &mut [f32],
-    m2: &mut [f32],
-    grad: &[f32],
-    inv_batch: f32,
-    bound: f32,
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    c1: f32,
-    c2: f32,
-) {
-    assert_eq!(weights.len(), grad.len(), "adam_step shape mismatch");
-    assert_eq!(weights.len(), m1.len(), "adam_step shape mismatch");
-    assert_eq!(weights.len(), m2.len(), "adam_step shape mismatch");
-    for (((w, m), v), g) in weights.iter_mut().zip(m1).zip(m2).zip(grad) {
-        let gc = (g * inv_batch).clamp(-bound, bound);
-        *m = beta1 * *m + (1.0 - beta1) * gc;
-        *v = beta2 * *v + (1.0 - beta2) * gc * gc;
-        *w -= lr * (*m / c1) / ((*v / c2).sqrt() + eps);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -903,35 +688,6 @@ mod tests {
         }
     }
 
-    /// The fused centred projection must bit-match centring into a
-    /// scratch matrix first and then running the plain `matmul_t`.
-    #[test]
-    fn centered_matmul_t_bit_matches_two_pass() {
-        let mut rng = Prng::new(29);
-        for rows in [1usize, 8, 21] {
-            for (w, n) in [(32usize, 8usize), (6, 3), (12, 11)] {
-                let a_data: Vec<f32> = (0..rows * w).map(|_| rng.gauss() as f32).collect();
-                let b_data: Vec<f32> = (0..n * w).map(|_| rng.gauss() as f32).collect();
-                let mean: Vec<f32> = (0..w).map(|_| rng.gauss() as f32).collect();
-                let a = Matrix::from_slice(rows, w, &a_data);
-                let b = Matrix::from_slice(n, w, &b_data);
-                let centered_data: Vec<f32> = a
-                    .data()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &x)| x - mean[i % w])
-                    .collect();
-                let centered = Matrix::from_slice(rows, w, &centered_data);
-                let expect = centered.matmul_t(&b);
-                let mut got = Matrix::from_slice(1, 1, &[5.0]);
-                a.centered_matmul_t_into(&mean, &b, &mut got);
-                let eb: Vec<u32> = expect.data().iter().map(|x| x.to_bits()).collect();
-                let gb: Vec<u32> = got.data().iter().map(|x| x.to_bits()).collect();
-                assert_eq!(gb, eb, "{rows}x{w} by {n}");
-            }
-        }
-    }
-
     /// The 8-row-blocked gradient GEMM must bit-match a one-step
     /// ascending-r accumulation at every block remainder (m % 8).
     #[test]
@@ -992,76 +748,6 @@ mod tests {
             };
             assert!(eq(&w, w_ref.data()), "weights diverge at n={n}");
             assert!(eq(&v, v_ref.data()), "velocity diverges at n={n}");
-        }
-    }
-
-    /// The fused Adam kernel must bit-match the unfused pipeline
-    /// (scale pass, clamp pass, per-element moment/parameter updates).
-    #[test]
-    fn adam_step_bit_matches_unfused_sequence() {
-        let mut rng = Prng::new(43);
-        for n in [1usize, 8, 37, 256] {
-            let grad: Vec<f32> = (0..n).map(|_| rng.gauss() as f32 * 40.0).collect();
-            let w0: Vec<f32> = (0..n).map(|_| rng.gauss() as f32).collect();
-            let m0: Vec<f32> = (0..n).map(|_| rng.gauss() as f32 * 0.1).collect();
-            let v0: Vec<f32> = (0..n).map(|_| (rng.gauss() as f32 * 0.1).abs()).collect();
-            let (lr, beta1, beta2, eps, batch) = (0.02f32, 0.9f32, 0.999f32, 1e-8f32, 24.0f32);
-            let (c1, c2) = (1.0 - beta1.powf(3.0), 1.0 - beta2.powf(3.0));
-            // Unfused reference.
-            let mut g_ref = Matrix::from_slice(1, n, &grad);
-            g_ref.scale(1.0 / batch);
-            for g in g_ref.data_mut() {
-                *g = g.clamp(-5.0, 5.0);
-            }
-            let (mut w_ref, mut m_ref, mut v_ref) = (w0.clone(), m0.clone(), v0.clone());
-            for (((w, m), v), g) in w_ref
-                .iter_mut()
-                .zip(&mut m_ref)
-                .zip(&mut v_ref)
-                .zip(g_ref.data())
-            {
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                *w -= lr * (*m / c1) / ((*v / c2).sqrt() + eps);
-            }
-            // Fused.
-            let (mut w, mut m, mut v) = (w0.clone(), m0.clone(), v0.clone());
-            adam_step(
-                &mut w, &mut m, &mut v, &grad, 1.0 / batch, 5.0, lr, beta1, beta2, eps, c1, c2,
-            );
-            let eq = |a: &[f32], b: &[f32]| {
-                a.iter().map(|x| x.to_bits()).eq(b.iter().map(|x| x.to_bits()))
-            };
-            assert!(eq(&w, &w_ref), "weights diverge at n={n}");
-            assert!(eq(&m, &m_ref), "first moment diverges at n={n}");
-            assert!(eq(&v, &v_ref), "second moment diverges at n={n}");
-        }
-    }
-
-    #[test]
-    fn matvec_bit_matches_scalar_row_dots() {
-        let mut rng = Prng::new(31);
-        // Cover the 8-wide blocks and every remainder lane (rows % 8).
-        for rows in [1usize, 3, 7, 8, 9, 16, 19, 64] {
-            for cols in [1usize, 5, 8, 33] {
-                let data: Vec<f32> = (0..rows * cols).map(|_| rng.gauss() as f32).collect();
-                let m = Matrix::from_slice(rows, cols, &data);
-                let v: Vec<f32> = (0..cols).map(|_| rng.gauss() as f32).collect();
-                let expect: Vec<u32> = (0..rows)
-                    .map(|r| {
-                        let mut acc = 0.0f32;
-                        for (a, b) in v.iter().zip(m.row(r)) {
-                            acc += a * b;
-                        }
-                        acc.to_bits()
-                    })
-                    .collect();
-                // Dirty, wrongly-sized output buffer must be reshaped.
-                let mut out = vec![9.0f32; 3];
-                m.matvec_into(&v, &mut out);
-                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, expect, "{rows}x{cols}");
-            }
         }
     }
 

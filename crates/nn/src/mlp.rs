@@ -10,7 +10,7 @@
 //! Training uses SGD with momentum on a weighted sum of the per-exit
 //! cross-entropy losses, so every exit remains usable after retraining.
 
-use crate::layer::{Dense, GradScratch, Update};
+use crate::layer::{Dense, GradScratch, SgdMomentum};
 use crate::matrix::{softmax_argmax, Matrix};
 use adainf_simcore::Prng;
 
@@ -30,9 +30,6 @@ pub struct MlpConfig {
     /// Loss weight per exit; later exits usually get more weight. Must
     /// have the same length as `hidden` (checked at build time).
     pub exit_weights: Vec<f32>,
-    /// Optional update-rule override (e.g. [`Update::adam`]); `None`
-    /// uses SGD with the `lr`/`momentum` fields above.
-    pub update: Option<Update>,
 }
 
 impl MlpConfig {
@@ -46,16 +43,7 @@ impl MlpConfig {
             lr: 0.05,
             momentum: 0.9,
             exit_weights: vec![0.4, 1.0],
-            update: None,
         }
-    }
-
-    /// The effective update rule.
-    pub fn update_rule(&self) -> Update {
-        self.update.unwrap_or(Update::SgdMomentum {
-            lr: self.lr,
-            momentum: self.momentum,
-        })
     }
 }
 
@@ -369,7 +357,10 @@ impl EarlyExitMlp {
         if labels.is_empty() {
             return 0.0;
         }
-        let update = self.config.update_rule();
+        let update = SgdMomentum {
+            lr: self.config.lr,
+            momentum: self.config.momentum,
+        };
         let n_exits = self.num_exits();
         let scratch = &mut self.scratch;
         scratch.activations.resize_with(n_exits, Matrix::default);
@@ -477,19 +468,6 @@ impl EarlyExitMlp {
         }
         out
     }
-
-    /// Loads parameters produced by [`Self::flatten_params`] on a network
-    /// of identical shape.
-    ///
-    /// # Panics
-    /// Panics if the parameter count does not match.
-    pub fn load_params(&mut self, params: &[f32]) {
-        assert_eq!(params.len(), self.param_count(), "parameter count mismatch");
-        let mut offset = 0;
-        for layer in self.trunk.iter_mut().chain(self.heads.iter_mut()) {
-            offset += layer.load_params(&params[offset..]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -534,21 +512,6 @@ mod tests {
         assert!(last_loss < 0.2, "loss {last_loss}");
         let after = net.accuracy(&test.inputs, &test.labels, 1);
         assert!(after > before, "training must improve accuracy");
-    }
-
-    #[test]
-    fn adam_learns_blobs_too() {
-        let mut rng = Prng::new(44);
-        let mut cfg = MlpConfig::small(8, 2);
-        cfg.update = Some(Update::adam(0.01));
-        let mut net = EarlyExitMlp::new(cfg, &mut rng);
-        let train = blob_batch(&mut rng, 64, 8);
-        let test = blob_batch(&mut rng, 128, 8);
-        for _ in 0..60 {
-            net.train_batch(&train);
-        }
-        let acc = net.accuracy(&test.inputs, &test.labels, 1);
-        assert!(acc > 0.95, "adam accuracy {acc}");
     }
 
     #[test]
@@ -598,22 +561,6 @@ mod tests {
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
-    #[test]
-    fn params_round_trip_preserves_predictions() {
-        let mut rng = Prng::new(9);
-        let cfg = MlpConfig::small(6, 4);
-        let mut a = EarlyExitMlp::new(cfg.clone(), &mut rng);
-        let b = EarlyExitMlp::new(cfg, &mut rng);
-        let batch = blob_batch(&mut rng, 16, 6);
-        a.train_epochs(&batch, 5);
-        let params = a.flatten_params();
-        let mut b2 = b.clone();
-        b2.load_params(&params);
-        let pa = a.predict(&batch.inputs, 1);
-        let pb = b2.predict(&batch.inputs, 1);
-        assert_eq!(pa, pb);
-    }
-
     /// The reference prediction per row: softmax over the logits, then
     /// the last maximal probability.
     fn softmax_then_argmax(net: &EarlyExitMlp, inputs: &Matrix, exit: usize) -> Vec<usize> {
@@ -660,7 +607,7 @@ mod tests {
     #[test]
     fn one_pass_exit_scoring_matches_accuracy() {
         let mut rng = Prng::new(19);
-        let mut net = EarlyExitMlp::new(head_config(6, None), &mut rng);
+        let mut net = EarlyExitMlp::new(head_config(6), &mut rng);
         for _ in 0..3 {
             let (x, y) = random_batch(&mut rng, 32, 6);
             net.train_batch_parts(&x, &y);
@@ -688,7 +635,7 @@ mod tests {
     #[should_panic(expected = "exit out of range")]
     fn scoring_an_exit_past_the_trunk_panics() {
         let mut rng = Prng::new(1);
-        let net = EarlyExitMlp::new(head_config(2, None), &mut rng);
+        let net = EarlyExitMlp::new(head_config(2), &mut rng);
         let (x, y) = random_batch(&mut rng, 4, 2);
         net.score_exits(&x, &y, 0b1000, &mut InferScratch::default(), &mut [0.0; 3]);
     }
@@ -697,7 +644,7 @@ mod tests {
     #[test]
     fn loss_free_step_leaves_identical_weights() {
         let mut rng = Prng::new(21);
-        let mut with_loss = EarlyExitMlp::new(head_config(6, None), &mut rng);
+        let mut with_loss = EarlyExitMlp::new(head_config(6), &mut rng);
         let mut without = with_loss.clone();
         for rows in [32, 17, 32] {
             let (inputs, labels) = random_batch(&mut rng, rows, 6);
@@ -715,7 +662,7 @@ mod tests {
     }
 
     /// The deployed heads' shape: 16 inputs, a 32/24/16 trunk.
-    fn head_config(classes: usize, update: Option<Update>) -> MlpConfig {
+    fn head_config(classes: usize) -> MlpConfig {
         MlpConfig {
             input_dim: 16,
             hidden: vec![32, 24, 16],
@@ -723,7 +670,6 @@ mod tests {
             lr: 0.05,
             momentum: 0.9,
             exit_weights: vec![0.3, 0.55, 1.0],
-            update,
         }
     }
 
@@ -734,18 +680,15 @@ mod tests {
     }
 
     /// One dense layer of the naive reference step: parameters plus
-    /// optimizer state, all as flat row-major vectors.
+    /// momentum velocities, all as flat row-major vectors.
     struct RefLayer {
         w: Vec<f32>,
         b: Vec<f32>,
         n_in: usize,
         n_out: usize,
         relu: bool,
-        m_w: Vec<f32>,
-        m_b: Vec<f32>,
-        v_w: Vec<f32>,
-        v_b: Vec<f32>,
-        steps: u64,
+        vel_w: Vec<f32>,
+        vel_b: Vec<f32>,
     }
 
     /// `a (rows × k) × b (k × n)` as a plain triple loop.
@@ -772,11 +715,8 @@ mod tests {
                 n_in,
                 n_out,
                 relu: layer.relu,
-                m_w: vec![0.0; n_in * n_out],
-                m_b: vec![0.0; n_out],
-                v_w: vec![0.0; n_in * n_out],
-                v_b: vec![0.0; n_out],
-                steps: 0,
+                vel_w: vec![0.0; n_in * n_out],
+                vel_b: vec![0.0; n_out],
             }
         }
 
@@ -808,7 +748,7 @@ mod tests {
             pre: &[f32],
             grad: &mut [f32],
             rows: usize,
-            update: Update,
+            update: SgdMomentum,
         ) -> Vec<f32> {
             let (n_in, n_out) = (self.n_in, self.n_out);
             if self.relu {
@@ -852,34 +792,12 @@ mod tests {
             for g in &mut grad_w {
                 *g = (*g * inv_batch).clamp(-5.0, 5.0);
             }
-            match update {
-                Update::SgdMomentum { lr, momentum } => {
-                    let params = self.w.iter_mut().chain(&mut self.b);
-                    let vel = self.m_w.iter_mut().chain(&mut self.m_b);
-                    for ((p, v), g) in params.zip(vel).zip(grad_w.iter().chain(&grad_b)) {
-                        *v = momentum * *v - lr * g;
-                        *p += *v;
-                    }
-                }
-                Update::Adam {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                } => {
-                    self.steps += 1;
-                    let t = self.steps as f32;
-                    let (c1, c2) = (1.0 - beta1.powf(t), 1.0 - beta2.powf(t));
-                    let params = self.w.iter_mut().chain(&mut self.b);
-                    let m1 = self.m_w.iter_mut().chain(&mut self.m_b);
-                    let m2 = self.v_w.iter_mut().chain(&mut self.v_b);
-                    for (((p, m), v), g) in params.zip(m1).zip(m2).zip(grad_w.iter().chain(&grad_b))
-                    {
-                        *m = beta1 * *m + (1.0 - beta1) * g;
-                        *v = beta2 * *v + (1.0 - beta2) * g * g;
-                        *p -= lr * (*m / c1) / ((*v / c2).sqrt() + eps);
-                    }
-                }
+            let SgdMomentum { lr, momentum } = update;
+            let params = self.w.iter_mut().chain(&mut self.b);
+            let vel = self.vel_w.iter_mut().chain(&mut self.vel_b);
+            for ((p, v), g) in params.zip(vel).zip(grad_w.iter().chain(&grad_b)) {
+                *v = momentum * *v - lr * g;
+                *p += *v;
             }
             grad_in
         }
@@ -895,7 +813,7 @@ mod tests {
         exit_weights: &[f32],
         x: &[f32],
         labels: &[usize],
-        update: Update,
+        update: SgdMomentum,
     ) {
         let rows = labels.len();
         let mut pres = Vec::new();
@@ -942,35 +860,33 @@ mod tests {
     /// The production step (fused forward, activation-masked ReLU
     /// backward, transposed and lane-padded GEMMs, no layer-0 input
     /// gradient) must leave every parameter bit-equal to the naive
-    /// reference step, under both update rules, at every deployed head
-    /// width and on a ragged batch.
+    /// reference step at every deployed head width and on a ragged
+    /// batch.
     #[test]
     fn train_step_bit_matches_naive_reference() {
         for classes in [2, 3, 6, 12] {
-            for update in [None, Some(Update::adam(0.01))] {
-                let mut rng = Prng::new(100 + classes as u64);
-                let cfg = head_config(classes, update);
-                let rule = cfg.update_rule();
-                let exit_weights = cfg.exit_weights.clone();
-                let mut net = EarlyExitMlp::new(cfg, &mut rng);
-                let mut trunk: Vec<RefLayer> = net.trunk.iter().map(RefLayer::of).collect();
-                let mut heads: Vec<RefLayer> = net.heads.iter().map(RefLayer::of).collect();
-                for (step, rows) in [32, 32, 17, 32].into_iter().enumerate() {
-                    let (x, y) = random_batch(&mut rng, rows, classes);
-                    net.train_batch_parts(&x, &y);
-                    reference_step(&mut trunk, &mut heads, &exit_weights, x.data(), &y, rule);
-                    let want: Vec<u32> = trunk
-                        .iter()
-                        .chain(&heads)
-                        .flat_map(|l| l.w.iter().chain(&l.b))
-                        .map(|p| p.to_bits())
-                        .collect();
-                    let got: Vec<u32> = net.flatten_params().iter().map(|p| p.to_bits()).collect();
-                    assert!(
-                        got == want,
-                        "{classes} classes, {update:?}: step {step} diverges"
-                    );
-                }
+            let mut rng = Prng::new(100 + classes as u64);
+            let cfg = head_config(classes);
+            let rule = SgdMomentum {
+                lr: cfg.lr,
+                momentum: cfg.momentum,
+            };
+            let exit_weights = cfg.exit_weights.clone();
+            let mut net = EarlyExitMlp::new(cfg, &mut rng);
+            let mut trunk: Vec<RefLayer> = net.trunk.iter().map(RefLayer::of).collect();
+            let mut heads: Vec<RefLayer> = net.heads.iter().map(RefLayer::of).collect();
+            for (step, rows) in [32, 32, 17, 32].into_iter().enumerate() {
+                let (x, y) = random_batch(&mut rng, rows, classes);
+                net.train_batch_parts(&x, &y);
+                reference_step(&mut trunk, &mut heads, &exit_weights, x.data(), &y, rule);
+                let want: Vec<u32> = trunk
+                    .iter()
+                    .chain(&heads)
+                    .flat_map(|l| l.w.iter().chain(&l.b))
+                    .map(|p| p.to_bits())
+                    .collect();
+                let got: Vec<u32> = net.flatten_params().iter().map(|p| p.to_bits()).collect();
+                assert!(got == want, "{classes} classes: step {step} diverges");
             }
         }
     }
@@ -997,7 +913,6 @@ mod tests {
                 lr: 0.1,
                 momentum: 0.9,
                 exit_weights: vec![1.0],
-                update: None,
             },
             &mut rng,
         );
@@ -1015,7 +930,6 @@ mod tests {
                 lr: 0.1,
                 momentum: 0.9,
                 exit_weights: vec![],
-                update: None,
             },
             &mut rng,
         );
@@ -1044,7 +958,6 @@ mod tests {
                 lr: 0.1,
                 momentum: 0.9,
                 exit_weights: vec![0.5, 1.0],
-                update: None,
             },
             &mut rng,
         );

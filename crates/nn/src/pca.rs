@@ -4,6 +4,12 @@
 //! vectors with PCA before computing cosine distances "to get more
 //! accurate distance results". Power iteration on the covariance matrix is
 //! ample at the dimensionalities involved (≤ 64).
+//!
+//! Every product runs on the crate's one GEMM family
+//! ([`Matrix::matmul_into`], [`Matrix::t_matmul_into`]): the covariance
+//! `Xcᵀ·Xc`, each power-iteration step as the one-row product `vᵀ·D`
+//! with `D` the transposed covariance, and the projection `(X − μ)·B`
+//! with `B` the `d × k` transposed basis the fit stores.
 
 use crate::matrix::Matrix;
 use adainf_simcore::Prng;
@@ -32,23 +38,26 @@ pub struct Pca {
     mean: Vec<f32>,
     /// Principal components, one row per component.
     components: Matrix,
+    /// `components` transposed (`d × k`), the right operand of the
+    /// projection GEMM.
+    basis_t: Matrix,
 }
 
-/// Reusable buffers for [`Pca::fit_with_scratch`] and
-/// [`Pca::transform_into`]: the centred data copy, the covariance /
-/// deflation matrix and the power-iteration vectors. Reusing one scratch
-/// across fits and projections makes the drift-detection data path
-/// allocation-free once warm.
+/// Reusable buffers for [`Pca::fit_with_scratch`]: the centred data
+/// copy, the transposed covariance / deflation matrix and the
+/// power-iteration rows. Reusing one scratch across fits keeps them
+/// from allocating once warm.
 #[derive(Clone, Debug, Default)]
 pub struct PcaScratch {
     /// Centred copy of the input data (`x − mean` per column).
     centered: Matrix,
-    /// Covariance matrix, deflated in place per extracted component.
+    /// The transposed covariance `D = Cᵀ`, deflated in place per
+    /// extracted component.
     cov: Matrix,
-    /// Power-iteration vector.
-    v: Vec<f32>,
-    /// Power-iteration / Rayleigh product buffer.
-    w: Vec<f32>,
+    /// Power-iteration vector, one row.
+    v: Matrix,
+    /// Power-iteration / Rayleigh product `vᵀ·D`, one row.
+    w: Matrix,
 }
 
 impl Pca {
@@ -116,7 +125,8 @@ impl Pca {
         let mean = data.col_means();
 
         // Covariance matrix (d × d), centred: cov = Xcᵀ·Xc / n.
-        center_into(data, &mean, &mut scratch.centered);
+        scratch.centered.copy_from(data);
+        center(&mut scratch.centered, &mean);
         let PcaScratch {
             centered,
             cov,
@@ -126,38 +136,45 @@ impl Pca {
         centered.t_matmul_into(centered, cov);
         cov.scale(1.0 / data.rows() as f32);
 
+        // The iteration multiplies by `D = Cᵀ` from the left, `w = vᵀ·D`,
+        // so each step is a one-row GEMM whose element `j` is
+        // `Σ_i v_i·C[j][i]` in ascending `i`: the row-dot product `C·v`.
+        // `t_matmul_into` returns an exactly symmetric covariance (its
+        // `(i, j)` and `(j, i)` sums add the same products in the same
+        // order), so the covariance already is `D`; each deflation below
+        // keeps it the exact transpose of the deflated `C`.
         let mut components = Matrix::zeros(k, d);
         let deflated = cov;
         for comp in 0..k {
             // Warm start from the caller's basis row when usable,
             // otherwise a fresh random direction.
-            v.clear();
             let warm_row = warm
                 .filter(|b| b.cols() == d && comp < b.rows())
                 .map(|b| b.row(comp))
                 .filter(|row| row.iter().map(|x| x * x).sum::<f32>().sqrt() > 1e-6);
             let warmed = warm_row.is_some();
+            v.reset_zeroed(1, d);
             match warm_row {
-                Some(row) => v.extend_from_slice(row),
-                None => v.extend((0..d).map(|_| rng.gauss() as f32)),
+                Some(row) => v.data_mut().copy_from_slice(row),
+                None => v.data_mut().fill_with(|| rng.gauss() as f32),
             }
-            normalize(v);
+            normalize(v.data_mut());
 
             // Power iteration with a Rayleigh-quotient convergence
-            // early-exit. Each pass computes w = C·v through the blocked
-            // 8-wide matvec kernel and reads the eigenvalue estimate
-            // λ = vᵀ·C·v off the same product (v is unit), so the λ used
-            // for deflation costs no extra matvec. When the estimate
-            // never converges, the loop runs exactly [`MAX_POWER_ITERS`]
-            // normalize steps and measures λ on the final vector — bit
-            // for bit the fixed-iteration schedule of the pre-convergence
-            // fit (the per-pass estimates are pure reads).
+            // early-exit. Each pass computes w = vᵀ·D and reads the
+            // eigenvalue estimate λ = vᵀ·C·v off the same product (v is
+            // unit), so the λ used for deflation costs no extra product.
+            // When the estimate never converges, the loop runs exactly
+            // [`MAX_POWER_ITERS`] normalize steps and measures λ on the
+            // final vector — bit for bit the fixed-iteration schedule of
+            // the pre-convergence fit (the per-pass estimates are pure
+            // reads).
             let lambda: f32;
             let mut prev = f32::NAN;
             let mut steps = 0;
             loop {
-                deflated.matvec_into(v, w);
-                let est: f32 = v.iter().zip(&*w).map(|(x, y)| x * y).sum();
+                v.matmul_into(deflated, w);
+                let est: f32 = v.data().iter().zip(w.data()).map(|(x, y)| x * y).sum();
                 let converged = warmed
                     && prev.is_finite()
                     && (est - prev).abs() <= CONVERGENCE_TOL * est.abs();
@@ -167,22 +184,28 @@ impl Pca {
                 }
                 prev = est;
                 steps += 1;
-                normalize(w);
+                normalize(w.data_mut());
                 std::mem::swap(v, w);
             }
-            // Deflate in one fused pass: C ← C − λ v vᵀ, with the λv
-            // factor hoisted per row. `v` is the unit vector λ was
-            // measured on, so the deflated residual is exact.
-            for i in 0..d {
-                let lvi = lambda * v[i];
-                let row = deflated.row_mut(i);
-                for (c, &vj) in row.iter_mut().zip(&*v) {
-                    *c -= lvi * vj;
+            // Deflate C ← C − λ v vᵀ through its transpose: `D[j][i]`
+            // takes the `(λ·v_i)·v_j` that `C[i][j]` takes, so `D` stays
+            // exactly `Cᵀ`. `v` is the unit vector λ was measured on, so
+            // the deflated residual is exact.
+            let v = v.data();
+            for (j, &vj) in v.iter().enumerate() {
+                for (c, &vi) in deflated.row_mut(j).iter_mut().zip(v) {
+                    *c -= lambda * vi * vj;
                 }
             }
             components.row_mut(comp).copy_from_slice(v);
         }
-        Pca { mean, components }
+        let mut basis_t = Matrix::default();
+        components.transpose_into(&mut basis_t);
+        Pca {
+            mean,
+            components,
+            basis_t,
+        }
     }
 
     /// Number of components.
@@ -206,34 +229,32 @@ impl Pca {
     /// returning an `n × k` matrix.
     pub fn transform(&self, data: &Matrix) -> Matrix {
         let mut out = Matrix::default();
-        self.transform_into(data, &mut PcaScratch::default(), &mut out);
+        self.transform_into(&mut data.clone(), &mut out);
         out
     }
 
-    /// [`Self::transform`] into a caller-provided output buffer. The
-    /// projection `(X − μ) · Cᵀ` runs on the fused
-    /// [`Matrix::centered_matmul_t_into`] kernel — each element is
-    /// centred as it enters the dot products instead of materialising a
-    /// centred copy first. Per-element operation order matches the
-    /// two-pass pipeline exactly, so results are bit-identical to
-    /// [`Self::transform`]. (`scratch` is kept in the signature for the
-    /// established call sites; the fused kernel no longer touches it.)
+    /// [`Self::transform`] into a caller-provided output buffer,
+    /// consuming the caller's copy of the data: `data` is centred in
+    /// place (it holds `X − μ` on return), then `(X − μ)·B`, with `B` the
+    /// `d × k` transposed basis, runs through [`Matrix::matmul_into`].
+    /// Each element is the centred row's dot product with one component
+    /// in ascending feature order, so results are bit-identical to
+    /// [`Self::transform`].
     ///
     /// # Panics
     /// Panics on feature-dimensionality mismatch.
-    pub fn transform_into(&self, data: &Matrix, scratch: &mut PcaScratch, out: &mut Matrix) {
+    pub fn transform_into(&self, data: &mut Matrix, out: &mut Matrix) {
         assert_eq!(data.cols(), self.mean.len(), "dimensionality mismatch");
-        let _ = scratch;
-        data.centered_matmul_t_into(&self.mean, &self.components, out);
+        center(data, &self.mean);
+        data.matmul_into(&self.basis_t, out);
     }
 }
 
-/// Writes `data − mean` (per column) into `out`, reusing its allocation.
-fn center_into(data: &Matrix, mean: &[f32], out: &mut Matrix) {
-    out.reset_zeroed(data.rows(), data.cols());
+/// Subtracts `mean` from every row of `data`, in place.
+fn center(data: &mut Matrix, mean: &[f32]) {
     for r in 0..data.rows() {
-        for ((o, &x), &m) in out.row_mut(r).iter_mut().zip(data.row(r)).zip(mean) {
-            *o = x - m;
+        for (x, &m) in data.row_mut(r).iter_mut().zip(mean) {
+            *x -= m;
         }
     }
 }
@@ -337,12 +358,157 @@ mod tests {
         let b = Pca::fit_with_scratch(&m, 3, &mut r2, &mut scratch);
         assert_eq!(a.components.data(), b.components.data());
         assert_eq!(a.mean, b.mean);
-        // transform_into with a dirty, reused scratch bit-matches
-        // transform.
+        // transform_into into a dirty output bit-matches transform, and
+        // leaves the caller's copy centred.
         let expect = a.transform(&m);
         let mut out = Matrix::from_slice(1, 1, &[7.0]);
-        b.transform_into(&m, &mut scratch, &mut out);
+        let mut x = m.clone();
+        b.transform_into(&mut x, &mut out);
         assert_eq!(out, expect);
+        let centred = (0..n * d).map(|i| m.data()[i] - b.mean[i % d]);
+        assert!(x.data().iter().copied().eq(centred));
+    }
+
+    /// `n × d` Gaussian rows with a decaying spread per feature, so the
+    /// leading eigenvalues are distinct.
+    fn anisotropic(rng: &mut Prng, n: usize, d: usize) -> Matrix {
+        let data: Vec<f32> = (0..n * d)
+            .map(|i| rng.gauss() as f32 * (1.0 + (d - i % d) as f32 / 4.0))
+            .collect();
+        Matrix::from_slice(n, d, &data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The projection must bit-equal the naive centred dot products
+    /// `Σ_k (x_ik − μ_k)·c_jk`, each summed from `+0.0` in ascending `k`,
+    /// at one-panel and ragged component counts.
+    #[test]
+    fn transform_bit_matches_naive_centred_dot_products() {
+        let mut rng = Prng::new(29);
+        for d in [16, 32, 48] {
+            for k in [1, 3, 8, 9] {
+                let data = anisotropic(&mut rng, 37, d);
+                let pca = Pca::fit(&data, k, &mut rng);
+                let mut want = Matrix::zeros(data.rows(), k);
+                for i in 0..data.rows() {
+                    for j in 0..k {
+                        let mut acc = 0.0f32;
+                        for (f, (&x, &m)) in data.row(i).iter().zip(&pca.mean).enumerate() {
+                            acc += (x - m) * pca.components.get(j, f);
+                        }
+                        want.set(i, j, acc);
+                    }
+                }
+                assert_eq!(bits(&pca.transform(&data)), bits(&want), "d {d}, k {k}");
+            }
+        }
+    }
+
+    /// The fit as a row-dot power iteration: `w = C·v` one row dot
+    /// product at a time, and `C ← C − λ v vᵀ` deflated row by row, on a
+    /// triple-loop covariance. The GEMM fit iterates on `Cᵀ` instead and
+    /// must land on the same bits.
+    fn row_dot_fit(data: &Matrix, k: usize, rng: &mut Prng, warm: Option<&Matrix>) -> Matrix {
+        let (n, d) = (data.rows(), data.cols());
+        let mean = data.col_means();
+        let xc: Vec<f32> = (0..n * d).map(|i| data.data()[i] - mean[i % d]).collect();
+        let mut cov = vec![0.0f32; d * d];
+        for i in 0..d {
+            for j in 0..d {
+                let mut acc = 0.0f32;
+                for r in 0..n {
+                    acc += xc[r * d + i] * xc[r * d + j];
+                }
+                cov[i * d + j] = acc * (1.0 / n as f32);
+            }
+        }
+        let mut components = Vec::new();
+        for comp in 0..k {
+            let warm_row = warm
+                .filter(|b| b.cols() == d && comp < b.rows())
+                .map(|b| b.row(comp))
+                .filter(|row| row.iter().map(|x| x * x).sum::<f32>().sqrt() > 1e-6);
+            let warmed = warm_row.is_some();
+            let mut v: Vec<f32> = match warm_row {
+                Some(row) => row.to_vec(),
+                None => (0..d).map(|_| rng.gauss() as f32).collect(),
+            };
+            normalize(&mut v);
+            let mut w = vec![0.0f32; d];
+            let (mut prev, mut steps) = (f32::NAN, 0);
+            let lambda = loop {
+                for (o, row) in w.iter_mut().zip(cov.chunks_exact(d)) {
+                    let mut acc = 0.0f32;
+                    for (a, b) in v.iter().zip(row) {
+                        acc += a * b;
+                    }
+                    *o = acc;
+                }
+                let est: f32 = v.iter().zip(&w).map(|(x, y)| x * y).sum();
+                let converged = warmed
+                    && prev.is_finite()
+                    && (est - prev).abs() <= CONVERGENCE_TOL * est.abs();
+                if converged || steps >= MAX_POWER_ITERS {
+                    break est;
+                }
+                prev = est;
+                steps += 1;
+                normalize(&mut w);
+                std::mem::swap(&mut v, &mut w);
+            };
+            for (i, row) in cov.chunks_exact_mut(d).enumerate() {
+                let lvi = lambda * v[i];
+                for (c, &vj) in row.iter_mut().zip(&v) {
+                    *c -= lvi * vj;
+                }
+            }
+            components.extend_from_slice(&v);
+        }
+        Matrix::from_slice(k, d, &components)
+    }
+
+    /// Cold and warm fits bit-equal the row-dot reference, through one
+    /// scratch reused across shapes.
+    #[test]
+    fn fits_bit_match_the_row_dot_power_iteration() {
+        let mut scratch = PcaScratch::default();
+        for (seed, d) in [(3u64, 32), (4, 48)] {
+            let mut rng = Prng::new(seed);
+            let data = anisotropic(&mut rng, 120, d);
+            let cold = Pca::fit_with_scratch(&data, 8, &mut Prng::new(seed), &mut scratch);
+            let want = row_dot_fit(&data, 8, &mut Prng::new(seed), None);
+            assert_eq!(bits(&cold.components), bits(&want), "cold, d {d}");
+
+            let drifted = anisotropic(&mut rng, 120, d);
+            let basis = Pca::fit(&drifted, 8, &mut Prng::new(seed ^ 1)).into_components();
+            let warm =
+                Pca::fit_warm_with_scratch(&data, 8, &mut Prng::new(5), &mut scratch, Some(&basis));
+            let want = row_dot_fit(&data, 8, &mut Prng::new(5), Some(&basis));
+            assert_eq!(bits(&warm.components), bits(&want), "warm, d {d}");
+        }
+    }
+
+    /// The fit iterates on the covariance as its own transpose, which
+    /// holds only while `t_matmul_into` returns it bit-symmetric.
+    #[test]
+    fn covariance_is_bit_symmetric() {
+        let mut rng = Prng::new(31);
+        for d in [16, 32, 33, 48] {
+            for n in [1, 63, 64, 65, 200] {
+                let x = anisotropic(&mut rng, n, d);
+                let mut cov = Matrix::default();
+                x.t_matmul_into(&x, &mut cov);
+                for i in 0..d {
+                    for j in 0..i {
+                        let (a, b) = (cov.get(i, j), cov.get(j, i));
+                        assert_eq!(a.to_bits(), b.to_bits(), "{n}x{d} ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     /// Random data at several seeds: warm-started fits must keep the two
