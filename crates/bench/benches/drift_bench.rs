@@ -11,8 +11,9 @@
 //!   three-app set at the paper's 6000-sample pools: every runtime
 //!   advances (fresh pools, held-out and evaluation sets), and every
 //!   node's artifacts are rebuilt by one `DriftCache::refresh` at width
-//!   1 — the steady state, with each build warm-started from the
-//!   previous period's basis.
+//!   1 and then retired, as the scheduler retires them once read — the
+//!   steady state, with each build warm-started from the previous
+//!   period's retired basis.
 //! * `driftgen/sample_6000` — one 6000-sample retraining-pool draw.
 
 #![forbid(unsafe_code)]
@@ -32,7 +33,8 @@ use adainf_simcore::Prng;
 const PAPER_POOL: usize = 6000;
 
 /// Advances every runtime one period, then refreshes every node's drift
-/// artifacts the way the scheduler's boundary does (here on one worker).
+/// artifacts the way the scheduler's boundary does (here on one worker)
+/// and retires them to their warm-start bases.
 fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, root: &Prng) {
     for rt in apps.iter_mut() {
         rt.advance_period();
@@ -43,6 +45,7 @@ fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, 
         .flat_map(|(a, rt)| (0..rt.spec.nodes.len()).map(move |n| (a, n)))
         .collect();
     cache.refresh(&jobs, apps, pca, root, 1);
+    cache.retire();
 }
 
 fn drifted_runtime(periods: usize) -> AppRuntime {

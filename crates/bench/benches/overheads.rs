@@ -23,7 +23,7 @@ use adainf_gpusim::content::{ContentKey, TaskContext};
 use adainf_gpusim::memory::AccessIntent;
 use adainf_gpusim::{EvictionPolicyKind, GpuMemory, MemoryConfig};
 use adainf_nn::pca::Pca;
-use adainf_nn::{EarlyExitMlp, Matrix, MlpConfig, TrainBatch};
+use adainf_nn::{EarlyExitMlp, Label, Matrix, MlpConfig, TrainBatch};
 use adainf_simcore::{Prng, SimTime};
 
 fn bench_session_scheduling(c: &mut Criterion) {
@@ -79,7 +79,7 @@ fn bench_nn(c: &mut Criterion) {
     let mut net = EarlyExitMlp::new(MlpConfig::small(16, 6), &mut rng);
     let data: Vec<f32> = (0..32 * 16).map(|i| ((i % 17) as f32) / 17.0).collect();
     let inputs = Matrix::from_slice(32, 16, &data);
-    let labels: Vec<usize> = (0..32).map(|i| i % 6).collect();
+    let labels: Vec<Label> = (0..32).map(|i| i % 6).collect();
     let batch = TrainBatch {
         inputs: inputs.clone(),
         labels,

@@ -21,7 +21,10 @@
 //! they live for the scheduler's lifetime. Time plans depend on the
 //! period's RI-DAG and refreshed accuracy tables, so
 //! [`DecisionCache::start_period`] drops them at every period boundary
-//! (and thus on every drift-impact change).
+//! (and thus on every drift-impact change). The scheduler calls it at
+//! the top of its period hook, where no plan is looked up, so the
+//! finished period's plans (a few thousand) are freed before the
+//! boundary's drift build allocates.
 
 use crate::timealloc::TimePlan;
 use std::collections::btree_map::Entry;

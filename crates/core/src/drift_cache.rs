@@ -25,13 +25,21 @@
 //! runtime's period counter — `advance_period` wholesale-replaces pools
 //! and reference sets, so any period bump invalidates. The model version
 //! bumps on every retraining slice, so a retrained model never serves
-//! stale rankings.
+//! stale rankings. Once the boundary's last reader is done (the
+//! scheduler's detection sweep and `set_order`), [`DriftCache::retire`]
+//! cuts every entry down to its key and fitted basis, the warm-start
+//! seed of the next period's build: rankings and prefix-sums do not stay
+//! resident all period, nor sit beside the next period's while those
+//! build. A retired entry is never a hit; a lookup at its key rebuilds.
+//!
+//! Sample orders are `u32` (a pool never holds more than `u32::MAX`
+//! samples), half the bytes of `usize` orders over 6000-sample pools.
 
 use adainf_apps::AppRuntime;
 use adainf_driftgen::LabeledSamples;
 use adainf_nn::metrics::cosine_distance;
 use adainf_nn::pca::{Pca, PcaScratch};
-use adainf_nn::{InferScratch, Matrix};
+use adainf_nn::{InferScratch, Label, Matrix};
 use adainf_simcore::{parallel, Prng};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -50,12 +58,12 @@ const PCA_STREAM: u64 = 0xD21F_7000;
 pub struct DriftArtifacts {
     /// Pool-sample indices by descending deviation from the old training
     /// data (§3.2) — a permutation of `0..pool.len()`.
-    pub deviation: Vec<usize>,
+    pub deviation: Vec<u32>,
     /// The §3.3.2 retraining consumption order: the deviation ranking's
     /// most-deviating half interleaved 1:1 with the remainder.
-    pub retrain: Vec<usize>,
+    pub retrain: Vec<u32>,
     /// Held-out reference samples ranked by the same deviation metric.
-    pub ref_order: Vec<usize>,
+    pub ref_order: Vec<u32>,
     /// `pool_prefix[i]` = correct predictions (at the full cut) among the
     /// first `i` samples of `deviation`, with `pool_prefix[0] == 0`.
     /// Prefix accuracy is `prefix[take] / take`, bit-equal to
@@ -78,16 +86,17 @@ pub struct DriftArtifacts {
 /// row-independent, so predicting `order[done..take]` as its own batch
 /// yields the same per-sample predictions as any other batching — the
 /// running count is bit-equal to a full-set pass however it is grown.
-/// The chunk's input rows are gathered into `scratch` and predicted
-/// through the scratch-based forward pass: no subset clone, no
-/// per-layer allocations, bit-identical predictions. The pool and the
-/// held-out reference prefixes both run this same input pass.
+/// The chunk's input rows are gathered into `scratch` straight through
+/// the `u32` order and predicted through the scratch-based forward
+/// pass: no subset clone, no widened index copy, no per-layer
+/// allocations, bit-identical predictions. The pool and the held-out
+/// reference prefixes both run this same input pass.
 fn extend_prefix(
     prefix: &mut Vec<u32>,
     rt: &AppRuntime,
     node: usize,
     samples: &LabeledSamples,
-    order: &[usize],
+    order: &[u32],
     take: usize,
     scratch: &mut DetectScratch,
 ) {
@@ -102,8 +111,8 @@ fn extend_prefix(
     let cut = model.profile.full_cut();
     let preds = model.predict_with_scratch(&scratch.chunk, cut, &mut scratch.infer);
     let mut acc = prefix[done];
-    for (p, &i) in preds.iter().zip(&order[done..take]) {
-        acc += u32::from(*p == samples.labels[i]);
+    for (&p, &i) in preds.iter().zip(&order[done..take]) {
+        acc += u32::from(p == usize::from(samples.labels[i as usize]));
         prefix.push(acc);
     }
 }
@@ -157,12 +166,13 @@ impl DriftArtifacts {
     /// S-growth loop and the pool consumer rely on without re-validating
     /// per lookup.
     fn check_invariants(&self, pool_len: usize, ref_len: usize) {
-        let is_permutation = |order: &[usize], n: usize| {
+        let is_permutation = |order: &[u32], n: usize| {
             let mut seen = vec![false; n];
             order.len() == n
-                && order
-                    .iter()
-                    .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
+                && order.iter().all(|&i| {
+                    let i = i as usize;
+                    i < n && !std::mem::replace(&mut seen[i], true)
+                })
         };
         assert!(
             is_permutation(&self.deviation, pool_len),
@@ -205,7 +215,7 @@ pub struct DetectScratch {
     /// Each projection centres it in place.
     feats: Matrix,
     projected: Matrix,
-    scored: Vec<(usize, f64)>,
+    scored: Vec<(u32, f64)>,
     /// Gathered ranked-subset rows for the prefix extension.
     chunk: Matrix,
     /// Forward-pass ping-pong buffers for the prefix extension.
@@ -216,12 +226,13 @@ pub struct DetectScratch {
 /// ascending pass over the labels. Classes unseen in the old data fall
 /// back to the global mean. Bit-identical to a per-class rescan: each
 /// class's sum still adds rows in ascending row order.
-pub fn class_means(projected: &Matrix, labels: &[usize], classes: usize) -> Vec<Vec<f32>> {
+pub fn class_means(projected: &Matrix, labels: &[Label], classes: usize) -> Vec<Vec<f32>> {
     let k = projected.cols();
     let global_mean = projected.col_means();
     let mut sums = vec![0.0f32; classes * k];
     let mut counts = vec![0usize; classes];
     for (i, &label) in labels.iter().enumerate() {
+        let label = usize::from(label);
         counts[label] += 1;
         for (m, v) in sums[label * k..(label + 1) * k]
             .iter_mut()
@@ -253,16 +264,16 @@ fn rank_features(
     pca: &Pca,
     means: &[Vec<f32>],
     projected: &mut Matrix,
-    scored: &mut Vec<(usize, f64)>,
-) -> Vec<usize> {
+    scored: &mut Vec<(u32, f64)>,
+) -> Vec<u32> {
     if new.is_empty() {
         return Vec::new();
     }
     pca.transform_into(features, projected);
     scored.clear();
-    scored.extend((0..new.len()).map(|i| {
-        let mean = &means[new.labels[i]];
-        (i, cosine_distance(projected.row(i), mean))
+    scored.extend(new.labels.iter().enumerate().map(|(i, &label)| {
+        let mean = &means[usize::from(label)];
+        (i as u32, cosine_distance(projected.row(i), mean))
     }));
     sort_by_deviation(scored);
     scored.iter().map(|&(i, _)| i).collect()
@@ -277,7 +288,7 @@ fn rank_features(
 /// `total_cmp` would put −0.0 below +0.0 and perturb the goldens).
 /// Index keys are unique, so the unstable in-place sort is
 /// deterministic. A NaN distance panics, as comparing it did.
-fn sort_by_deviation(scored: &mut [(usize, f64)]) {
+fn sort_by_deviation(scored: &mut [(u32, f64)]) {
     scored.sort_unstable_by_key(|&(i, d)| {
         assert!(!d.is_nan(), "finite distances");
         let bits = (d + 0.0).to_bits() as i64;
@@ -292,7 +303,7 @@ fn sort_by_deviation(scored: &mut [(usize, f64)]) {
 /// "samples that deviate the most"), while every SGD stage still sees a
 /// distribution mix, which keeps sequential slice training from
 /// regressing onto the stale-looking tail at the end of the pool.
-fn interleave(ranked: &[usize]) -> Vec<usize> {
+fn interleave(ranked: &[u32]) -> Vec<u32> {
     let n = ranked.len();
     let half = n / 2;
     let mut out = Vec::with_capacity(n);
@@ -323,7 +334,7 @@ fn rankings(
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
-) -> (Vec<usize>, Vec<usize>, Matrix) {
+) -> (Vec<u32>, Vec<u32>, Matrix) {
     let old = rt.old_samples(node);
     let pool = rt.pools[node].samples();
     let held_out = rt.ref_samples(node);
@@ -331,8 +342,8 @@ fn rankings(
     if old.is_empty() {
         // No old data to deviate from: identity orders, nothing fitted.
         return (
-            (0..pool.len()).collect(),
-            (0..held_out.len()).collect(),
+            (0..pool.len() as u32).collect(),
+            (0..held_out.len() as u32).collect(),
             Matrix::default(),
         );
     }
@@ -420,12 +431,28 @@ struct CacheEntry {
     /// `(pool generation, model version)` the artifacts were built at.
     key: (u64, u64),
     artifacts: DriftArtifacts,
+    /// Set by [`DriftCache::retire`]: `artifacts` then holds only its
+    /// basis, and the entry answers no lookup.
+    retired: bool,
 }
 
 impl CacheEntry {
+    fn live(key: (u64, u64), artifacts: DriftArtifacts) -> Self {
+        CacheEntry {
+            key,
+            artifacts,
+            retired: false,
+        }
+    }
+
+    /// Whether a lookup at `key` may be answered from this entry.
+    fn hits(&self, key: (u64, u64)) -> bool {
+        !self.retired && self.key == key
+    }
+
     /// The warm-start input a build at `key` should consume given this
     /// prior entry (callers only rebuild at a key the entry does not
-    /// hold).
+    /// answer).
     ///
     /// * Next pool generation at an unchanged model version — the
     ///   previous period's basis is a valid warm start: the old-sample
@@ -434,6 +461,9 @@ impl CacheEntry {
     /// * Anything else — a model-version bump (retraining rotated the
     ///   feature space) or a generation jump — invalidates the warm
     ///   state; the build falls back to the keyed random start.
+    ///
+    /// A retired entry seeds exactly as it did live: retirement keeps
+    /// the key and the basis this rule reads.
     fn warm_for(&self, key: (u64, u64)) -> Option<&Matrix> {
         let usable = self.key.1 == key.1
             && self.key.0 + 1 == key.0
@@ -474,21 +504,21 @@ impl DriftCache {
         let scratch = &mut self.scratch;
         match self.entries.entry((app, node)) {
             Entry::Occupied(mut e) => {
-                if e.get().key == key {
+                if e.get().hits(key) {
                     self.hits += 1;
                 } else {
                     self.misses += 1;
                     let warm = e.get().warm_for(key);
                     self.warm_starts += u64::from(warm.is_some());
                     let artifacts = build_ranked(rt, node, pca_components, root, scratch, warm);
-                    *e.get_mut() = CacheEntry { key, artifacts };
+                    *e.get_mut() = CacheEntry::live(key, artifacts);
                 }
                 &e.into_mut().artifacts
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
                 let artifacts = build_ranked(rt, node, pca_components, root, scratch, None);
-                &v.insert(CacheEntry { key, artifacts }).artifacts
+                &v.insert(CacheEntry::live(key, artifacts)).artifacts
             }
         }
     }
@@ -500,9 +530,10 @@ impl DriftCache {
     /// borrows the runtime and the evicted entry's warm basis and is a
     /// pure function of its `(pool generation, model version)` key and
     /// keyed PCA stream, so entries, counters and warm chains are the
-    /// same at every width. Current entries are skipped (their next
+    /// same at every width. Current live entries are skipped (their next
     /// lookup hits). Warm inputs come from the *previous* period's
-    /// entries, so builds of one period never feed each other.
+    /// entries, live or retired, so builds of one period never feed each
+    /// other.
     ///
     /// Returns the resolved worker count (0 when nothing was stale).
     pub fn refresh(
@@ -519,7 +550,7 @@ impl DriftCache {
                 let rt = &apps[app];
                 ((app, node), (rt.period(), rt.models[node].version()))
             })
-            .filter(|(slot, key)| self.entries.get(slot).is_none_or(|e| e.key != *key))
+            .filter(|(slot, key)| self.entries.get(slot).is_none_or(|e| !e.hits(*key)))
             .collect();
         let entries = &self.entries;
         let built = parallel::fan_out_indexed(
@@ -536,22 +567,48 @@ impl DriftCache {
         for (&(slot, key), (warm_started, artifacts)) in stale.iter().zip(built) {
             self.misses += 1;
             self.warm_starts += u64::from(warm_started);
-            self.entries.insert(slot, CacheEntry { key, artifacts });
+            self.entries.insert(slot, CacheEntry::live(key, artifacts));
         }
         parallel::resolved_threads(stale.len(), threads)
     }
 
-    /// Shared view of an already-built entry; `None` when
-    /// [`Self::artifacts`] has not run for `(app, node)` yet.
-    pub fn get(&self, app: usize, node: usize) -> Option<&DriftArtifacts> {
-        self.entries.get(&(app, node)).map(|e| &e.artifacts)
+    /// Retires every entry to its warm-start seed: the key and the
+    /// fitted basis stay, the rankings and prefix-sums are freed. The
+    /// scheduler calls this once the boundary's detection sweep and
+    /// `set_order` have read the period's artifacts, so they do not stay
+    /// resident all period, nor beside the next period's while those
+    /// build. A retired entry answers no lookup: [`Self::get`] and
+    /// [`Self::get_mut`] return `None`, and [`Self::artifacts`] at its
+    /// key rebuilds (a miss) rather than hits. The next generation's
+    /// build warm-starts from it exactly as from a live entry.
+    pub fn retire(&mut self) {
+        for e in self.entries.values_mut() {
+            let basis = std::mem::take(&mut e.artifacts.basis);
+            e.artifacts = DriftArtifacts {
+                basis,
+                ..DriftArtifacts::default()
+            };
+            e.retired = true;
+        }
     }
 
-    /// Mutable view of an already-built entry, for lazily extending its
+    /// Shared view of a live entry; `None` when [`Self::artifacts`] has
+    /// not run for `(app, node)` yet or the entry is retired.
+    pub fn get(&self, app: usize, node: usize) -> Option<&DriftArtifacts> {
+        self.entries
+            .get(&(app, node))
+            .filter(|e| !e.retired)
+            .map(|e| &e.artifacts)
+    }
+
+    /// Mutable view of a live entry, for lazily extending its
     /// prefix-sums in place (the extension is value-preserving, so a
     /// later hit replays exactly what a fresh build would produce).
     pub fn get_mut(&mut self, app: usize, node: usize) -> Option<&mut DriftArtifacts> {
-        self.entries.get_mut(&(app, node)).map(|e| &mut e.artifacts)
+        self.entries
+            .get_mut(&(app, node))
+            .filter(|e| !e.retired)
+            .map(|e| &mut e.artifacts)
     }
 }
 
@@ -580,8 +637,8 @@ mod tests {
             2.0,
             f64::INFINITY,
         ];
-        for n in [0, 1, 2, 7, 64, 500] {
-            let scored: Vec<(usize, f64)> = (0..n)
+        for n in [0u32, 1, 2, 7, 64, 500] {
+            let scored: Vec<(u32, f64)> = (0..n)
                 .map(|i| {
                     let d = if rng.index(3) == 0 {
                         special[rng.index(special.len())]
@@ -597,7 +654,7 @@ mod tests {
             want.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
             let mut got = scored;
             sort_by_deviation(&mut got);
-            let order = |v: &[(usize, f64)]| v.iter().map(|&(i, _)| i).collect::<Vec<_>>();
+            let order = |v: &[(u32, f64)]| v.iter().map(|&(i, _)| i).collect::<Vec<_>>();
             assert_eq!(order(&got), order(&want), "{n} pairs");
         }
     }
@@ -634,14 +691,14 @@ mod tests {
         let data: Vec<f32> = (0..n * k).map(|_| rng.gauss() as f32).collect();
         let projected = Matrix::from_slice(n, k, &data);
         // Class 4 deliberately unseen: must fall back to the global mean.
-        let labels: Vec<usize> = (0..n).map(|i| i % (classes - 1)).collect();
+        let labels: Vec<Label> = (0..n).map(|i| (i % (classes - 1)) as Label).collect();
 
         // Reference: the old per-class rescan, verbatim.
         let global_mean = projected.col_means();
         let mut expect = vec![global_mean.clone(); classes];
         let mut counts = vec![0usize; classes];
         for &label in &labels {
-            counts[label] += 1;
+            counts[usize::from(label)] += 1;
         }
         for (c, out) in expect.iter_mut().enumerate() {
             if counts[c] == 0 {
@@ -649,7 +706,7 @@ mod tests {
             }
             let mut mean = vec![0.0f32; k];
             for (i, &label) in labels.iter().enumerate() {
-                if label == c {
+                if usize::from(label) == c {
                     for (m, v) in mean.iter_mut().zip(projected.row(i)) {
                         *m += v;
                     }
@@ -684,7 +741,7 @@ mod tests {
                 if take == 0 {
                     continue;
                 }
-                let subset = pool.select(&art.deviation[..take]);
+                let subset = pool.gather(&art.deviation[..take]);
                 let direct = model.accuracy_on(&subset, model.profile.full_cut());
                 let via_prefix = art.pool_prefix[take] as f64 / take as f64;
                 assert_eq!(
@@ -746,9 +803,16 @@ mod tests {
         assert_eq!((cache.hits, cache.misses), (2, 3));
     }
 
+    fn basis_bits(art: &DriftArtifacts) -> Vec<u32> {
+        art.basis.data().iter().map(|x| x.to_bits()).collect()
+    }
+
     /// The period boundary's fill: `refresh` at every width must leave
     /// the cache — entries, counters and warm chains — bit-identical to
-    /// sequential lookups, and every lookup after it must hit.
+    /// sequential lookups, and every lookup after it must hit. A cache
+    /// retired after each generation's reads, as the scheduler's is,
+    /// warm-starts its next refresh from the bases alone and lands on
+    /// the same bits.
     #[test]
     fn refresh_bit_equal_sequential_lookups() {
         let root = Prng::new(7);
@@ -756,6 +820,7 @@ mod tests {
             let mut rt = drifted_runtime(1);
             let mut seq = DriftCache::default();
             let mut refreshed = DriftCache::default();
+            let mut retiring = DriftCache::default();
             // Two generations so the second refresh exercises warm starts.
             for _ in 0..2 {
                 let nodes = rt.spec.nodes.len();
@@ -768,23 +833,39 @@ mod tests {
                     nodes as u64,
                     "all slots stale at a fresh generation"
                 );
+                retiring.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads);
                 for node in 0..nodes {
                     let s = seq.artifacts(0, &rt, node, 8, &root).clone();
                     let p = refreshed.artifacts(0, &rt, node, 8, &root);
                     assert_eq!(&s, p, "threads {threads} node {node}");
-                    let sb: Vec<u32> = s.basis.data().iter().map(|x| x.to_bits()).collect();
-                    let pb: Vec<u32> = p.basis.data().iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(sb, pb, "threads {threads} node {node} basis");
+                    assert_eq!(
+                        basis_bits(&s),
+                        basis_bits(p),
+                        "threads {threads} node {node} basis"
+                    );
+                    let r = retiring.get(0, node).expect("live until retired");
+                    assert_eq!(r, p, "threads {threads} node {node} after retirement");
+                    assert_eq!(
+                        basis_bits(r),
+                        basis_bits(p),
+                        "threads {threads} node {node}"
+                    );
                 }
                 // A second refresh at the same key finds nothing stale.
                 assert_eq!(
                     refreshed.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads),
                     0
                 );
+                retiring.retire();
                 rt.advance_period();
             }
             assert_eq!(seq.misses, refreshed.misses, "threads {threads}");
             assert_eq!(seq.warm_starts, refreshed.warm_starts, "threads {threads}");
+            assert_eq!(retiring.misses, refreshed.misses, "threads {threads}");
+            assert_eq!(
+                retiring.warm_starts, refreshed.warm_starts,
+                "threads {threads}"
+            );
             assert!(
                 refreshed.warm_starts > 0,
                 "second generation must warm-start"
@@ -799,36 +880,95 @@ mod tests {
     }
 
     /// Warm state survives exactly one period step at a fixed model
-    /// version, and dies on a model-version bump or a generation jump.
+    /// version, and dies on a model-version bump or a generation jump —
+    /// whether the previous entry is still live or already retired.
     #[test]
     fn warm_start_invalidates_on_version_and_generation_bumps() {
         let root = Prng::new(7);
+        for retire in [false, true] {
+            let first_build = |rt: &AppRuntime| {
+                let mut cache = DriftCache::default();
+                cache.artifacts(0, rt, 1, 8, &root);
+                if retire {
+                    cache.retire();
+                }
+                cache
+            };
 
-        // Adjacent periods, same model version: warm start.
-        let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::default();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        rt.advance_period();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!(cache.warm_starts, 1, "adjacent period must warm-start");
+            // Adjacent periods, same model version: warm start.
+            let mut rt = drifted_runtime(1);
+            let mut cache = first_build(&rt);
+            rt.advance_period();
+            let warm = cache.artifacts(0, &rt, 1, 8, &root).clone();
+            assert_eq!(
+                cache.warm_starts, 1,
+                "adjacent period must warm-start ({retire})"
+            );
+            // The same build through a live entry: bit-equal.
+            let mut live = DriftCache::default();
+            live.artifacts(0, &drifted_runtime(1), 1, 8, &root);
+            let want = live.artifacts(0, &rt, 1, 8, &root);
+            assert_eq!(&warm, want, "retired {retire}");
+            assert_eq!(basis_bits(&warm), basis_bits(want), "retired {retire}");
 
-        // Model-version bump alongside the period step: cold restart.
-        let mut rt = drifted_runtime(1);
-        let mut cache = DriftCache::default();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        rt.advance_period();
-        let slice = rt.pools[1].samples().clone();
-        rt.models[1].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!(cache.warm_starts, 0, "version bump must invalidate");
+            // Model-version bump alongside the period step: cold restart.
+            let mut rt = drifted_runtime(1);
+            let mut cache = first_build(&rt);
+            rt.advance_period();
+            let slice = rt.pools[1].samples().clone();
+            rt.models[1].train_slice(&slice, 1);
+            cache.artifacts(0, &rt, 1, 8, &root);
+            assert_eq!(
+                cache.warm_starts, 0,
+                "version bump must invalidate ({retire})"
+            );
 
-        // Generation jump (two periods between builds): cold restart.
-        let mut rt = drifted_runtime(1);
+            // Generation jump (two periods between builds): cold restart.
+            let mut rt = drifted_runtime(1);
+            let mut cache = first_build(&rt);
+            rt.advance_period();
+            rt.advance_period();
+            cache.artifacts(0, &rt, 1, 8, &root);
+            assert_eq!(
+                cache.warm_starts, 0,
+                "generation jump must invalidate ({retire})"
+            );
+        }
+    }
+
+    /// A retired entry answers no lookup: `get`/`get_mut` see nothing,
+    /// and a lookup at the very key it was built at rebuilds — one miss,
+    /// no hit — bit-equal to a fresh build, after which the entry is
+    /// live again.
+    #[test]
+    fn retired_entries_are_never_hits() {
+        let rt = drifted_runtime(2);
+        let root = Prng::new(7);
+        let nodes = rt.spec.nodes.len();
+        let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
         let mut cache = DriftCache::default();
+        cache.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, 1);
+        cache.retire();
+        for node in 0..nodes {
+            assert!(cache.get(0, node).is_none(), "node {node}");
+            assert!(cache.get_mut(0, node).is_none(), "node {node}");
+        }
+        let (hits, misses) = (cache.hits, cache.misses);
+        let rebuilt = cache.artifacts(0, &rt, 1, 8, &root).clone();
+        assert_eq!((cache.hits, cache.misses), (hits, misses + 1));
+        let fresh = build_ranked(&rt, 1, 8, &root, &mut DetectScratch::default(), None);
+        assert_eq!(rebuilt, fresh);
+        assert_eq!(basis_bits(&rebuilt), basis_bits(&fresh));
+        assert!(!rebuilt.deviation.is_empty());
         cache.artifacts(0, &rt, 1, 8, &root);
-        rt.advance_period();
-        rt.advance_period();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!(cache.warm_starts, 0, "generation jump must invalidate");
+        assert_eq!((cache.hits, cache.misses), (hits + 1, misses + 1));
+        assert!(cache.get(0, 1).is_some() && cache.get(0, 0).is_none());
+        // The rebuilt entry's next refresh at the same key is a no-op;
+        // the still-retired nodes rebuild.
+        assert_eq!(
+            cache.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, 1),
+            1
+        );
+        assert_eq!(cache.misses, misses + nodes as u64);
     }
 }

@@ -249,7 +249,7 @@ mod tests {
         let order = build_artifacts(&rt, 1, 8, &rng, &mut DetectScratch::default()).deviation;
         let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..order.len()).collect::<Vec<_>>());
+        assert_eq!(sorted, (0..order.len() as u32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -219,6 +219,10 @@ impl Scheduler for AdaInfScheduler {
     ) -> PeriodPlan {
         let wall = WallTimer::start();
         self.last_reports.clear();
+        // Time plans are valid only for one period's DAGs and accuracy
+        // snapshots, and nothing below looks one up: drop the finished
+        // period's now, before the drift build allocates.
+        self.cache.start_period();
 
         self.refresh_accuracy_values(apps);
 
@@ -282,13 +286,13 @@ impl Scheduler for AdaInfScheduler {
                 }
             }
         }
+        // The sweep and `set_order` were the artifacts' last readers:
+        // keep only each entry's warm-start basis for the next boundary.
+        drift.retire();
         let drift_ns = drift_wall.elapsed_nanos();
         self.drift_wall_ns += drift_ns;
         self.drift_period_ns.push(drift_ns as u64);
         self.select_period_structures();
-        // Time plans are valid only for this period's DAGs and accuracy
-        // snapshots — drop the stale ones.
-        self.cache.start_period();
 
         PeriodPlan {
             apps: self
@@ -698,6 +702,50 @@ mod tests {
         assert!(per_period > 0);
         assert_eq!(sched.drift_overhead_ns(), u128::from(per_period));
         assert_eq!(sched.worker_threads(), Some(1));
+    }
+
+    /// Each boundary retires every drift entry once the sweep and
+    /// `set_order` have read it, and retiring moves no lookup: over four
+    /// boundaries, with and without AdaInf/U's frozen DAG (whose later
+    /// boundaries rebuild only the retraining nodes), the cache reports
+    /// the counts it did when entries stayed live all period.
+    #[test]
+    fn period_start_retires_every_drift_entry() {
+        let cases = [
+            (
+                AdaInfConfig::default(),
+                [(8, 7), (16, 14), (26, 21), (37, 28)],
+            ),
+            (
+                AdaInfConfig::variant_u(),
+                [(8, 7), (13, 12), (19, 17), (24, 21)],
+            ),
+        ];
+        for (config, want) in cases {
+            let (_, mut apps, server) = setup(3);
+            let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+            let name = config.variant_name();
+            let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
+            let mut stats = Vec::new();
+            for period in 0..4u64 {
+                if period > 0 {
+                    for rt in &mut apps {
+                        rt.advance_period();
+                    }
+                }
+                sched.on_period_start(&mut apps, &server, SimTime::from_secs(50 * period));
+                for (a, rt) in apps.iter().enumerate() {
+                    for node in 0..rt.spec.nodes.len() {
+                        assert!(
+                            sched.drift.get(a, node).is_none(),
+                            "{name} period {period}: ({a}, {node}) still live"
+                        );
+                    }
+                }
+                stats.push(sched.drift_cache_stats());
+            }
+            assert_eq!(stats, want, "{name}");
+        }
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! ends, the runtime keeps the retiring pool's set as the drift
 //! detector's old data, and the detector's boundary snapshots read the
 //! same set, all without a copy.
+//!
+//! The consumption order is a `u32` per sample, half the bytes of a
+//! `usize` order, so a pool holds at most `u32::MAX` samples. Taking a
+//! slice gathers its rows straight through that order, with no widened
+//! copy of the indices.
 
 use crate::stream::LabeledSamples;
 use std::sync::Arc;
@@ -34,7 +39,7 @@ use std::sync::Arc;
 pub struct RetrainPool {
     samples: Arc<LabeledSamples>,
     /// Sample indices in consumption order (highest priority first).
-    order: Vec<usize>,
+    order: Vec<u32>,
     /// How many of `order` have been consumed.
     cursor: usize,
 }
@@ -42,8 +47,16 @@ pub struct RetrainPool {
 impl RetrainPool {
     /// Creates a pool over `samples`, consumed in arrival order until
     /// [`Self::set_order`] installs a different priority.
+    ///
+    /// # Panics
+    /// Panics with more than `u32::MAX` samples, the most a `u32` order
+    /// can index.
     pub fn new(samples: LabeledSamples) -> Self {
-        let order = (0..samples.len()).collect();
+        assert!(
+            u32::try_from(samples.len()).is_ok(),
+            "at most u32::MAX samples in a pool"
+        );
+        let order = (0..samples.len() as u32).collect();
         RetrainPool {
             samples: Arc::new(samples),
             order,
@@ -92,26 +105,28 @@ impl RetrainPool {
     ///
     /// # Panics
     /// Panics if `priority` is not a permutation of the full index range.
-    pub fn set_order(&mut self, priority: &[usize]) {
-        assert_eq!(priority.len(), self.samples.len(), "order length mismatch");
-        let mut seen = vec![false; self.samples.len()];
+    pub fn set_order(&mut self, priority: &[u32]) {
+        let n = self.samples.len();
+        assert_eq!(priority.len(), n, "order length mismatch");
+        let mut pending = vec![false; n];
         for &i in priority {
-            assert!(i < self.samples.len() && !seen[i], "not a permutation");
-            seen[i] = true;
+            let i = i as usize;
+            assert!(i < n && !pending[i], "not a permutation");
+            pending[i] = true;
         }
-        let consumed: std::collections::BTreeSet<usize> =
-            self.order[..self.cursor].iter().copied().collect();
-        let mut new_order: Vec<usize> = self.order[..self.cursor].to_vec();
-        new_order.extend(priority.iter().copied().filter(|i| !consumed.contains(i)));
-        self.order = new_order;
+        for &i in &self.order[..self.cursor] {
+            pending[i as usize] = false;
+        }
+        self.order.truncate(self.cursor);
+        self.order
+            .extend(priority.iter().copied().filter(|&i| pending[i as usize]));
     }
 
     /// Takes up to `n` samples off the front of the priority order,
     /// marking them consumed. Returns an empty batch when exhausted.
     pub fn take(&mut self, n: usize) -> LabeledSamples {
         let end = self.cursor.saturating_add(n).min(self.order.len());
-        let indices = &self.order[self.cursor..end];
-        let batch = self.samples.select(indices);
+        let batch = self.samples.gather(&self.order[self.cursor..end]);
         self.cursor = end;
         batch
     }

@@ -7,8 +7,13 @@
 //! what Fig 6 measures with JS divergence) and the class means (appearance
 //! drift — "sudden changes in lighting or occlusion") take a random-walk
 //! step whose magnitude is the stream's drift intensity.
+//!
+//! Samples carry one-byte [`Label`]s: a period boundary holds two
+//! 6000-sample sets per model, and an eight-byte label would add an
+//! eighth to every 64-byte feature row. A stream therefore has at most
+//! 256 classes.
 
-use adainf_nn::Matrix;
+use adainf_nn::{Label, Matrix, RowIndex, MAX_CLASSES};
 use adainf_simcore::Prng;
 
 /// Configuration of one task stream.
@@ -65,7 +70,7 @@ pub struct LabeledSamples {
     /// Feature rows, `n × feature_dim`.
     pub inputs: Matrix,
     /// Golden label per row (what the cloud golden model would return).
-    pub labels: Vec<usize>,
+    pub labels: Vec<Label>,
 }
 
 impl LabeledSamples {
@@ -85,6 +90,24 @@ impl LabeledSamples {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
+    }
+
+    /// Empties the batch to `0 × dim` with room for `capacity` rows,
+    /// keeping its allocations: the start of a gather from several
+    /// batches through [`Self::push`].
+    pub fn reset(&mut self, dim: usize, capacity: usize) {
+        self.inputs.reset_rows(dim, capacity);
+        self.labels.clear();
+        self.labels.reserve(capacity);
+    }
+
+    /// Appends row `i` of `src` — its input row and its label.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of range or the widths differ.
+    pub fn push(&mut self, src: &LabeledSamples, i: usize) {
+        self.inputs.push_row(src.inputs.row(i));
+        self.labels.push(src.labels[i]);
     }
 
     /// Concatenates batches of equal feature width, copying each part's
@@ -112,11 +135,20 @@ impl LabeledSamples {
     /// Selects a subset of rows by index, gathered straight into the
     /// output matrix.
     pub fn select(&self, indices: &[usize]) -> LabeledSamples {
+        self.gather(indices)
+    }
+
+    /// [`Self::select`] for any row-index type: the pool's `u32` orders
+    /// gather through here without a widened copy of the index list.
+    pub fn gather<I: RowIndex>(&self, indices: &[I]) -> LabeledSamples {
         let mut inputs = Matrix::default();
         inputs.gather_rows_from(&self.inputs, indices);
         LabeledSamples {
             inputs,
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
+            labels: indices
+                .iter()
+                .map(|&i| self.labels[i.row_index()])
+                .collect(),
         }
     }
 }
@@ -147,8 +179,17 @@ pub struct TaskStream {
 impl TaskStream {
     /// Creates the stream at period 0 with well-separated class means and
     /// mildly non-uniform priors.
+    ///
+    /// # Panics
+    /// Panics with fewer than two classes or features, or with more
+    /// classes than a one-byte [`Label`] names (256).
     pub fn new(config: TaskStreamConfig, root: &Prng) -> Self {
         assert!(config.classes >= 2, "need at least two classes");
+        assert!(
+            config.classes <= MAX_CLASSES,
+            "at most 256 classes: a Label is one byte, got {}",
+            config.classes
+        );
         assert!(config.feature_dim >= 2, "need at least two features");
         let mut rng = root.split(config.seed ^ STREAM_TAG);
         // Class means: random directions at a separation that a small MLP
@@ -242,7 +283,8 @@ impl TaskStream {
             for (x, &m) in inputs.row_mut(r).iter_mut().zip(self.means.row(class)) {
                 *x = m + (self.rng.gauss() * self.config.noise) as f32;
             }
-            labels.push(class);
+            // Exact: `new` caps the classes at 256.
+            labels.push(class as Label);
         }
         LabeledSamples { inputs, labels }
     }
@@ -251,7 +293,7 @@ impl TaskStream {
     pub fn label_histogram(&self, samples: &LabeledSamples) -> Vec<f64> {
         let mut counts = vec![0.0; self.config.classes];
         for &l in &samples.labels {
-            counts[l] += 1.0;
+            counts[usize::from(l)] += 1.0;
         }
         adainf_nn::metrics::normalize_hist(&counts)
     }
@@ -393,7 +435,7 @@ mod tests {
             for &m in mean_row.iter().take(dim) {
                 data.push(m + (s.rng.gauss() * s.config.noise) as f32);
             }
-            labels.push(class);
+            labels.push(class as Label);
         }
         LabeledSamples {
             inputs: Matrix::from_slice(n, dim, &data),
@@ -500,6 +542,19 @@ mod tests {
                 "select from empty",
             );
         }
+    }
+
+    /// Labels are one byte: a stream of 256 classes builds and labels
+    /// its samples in range, and one class more is rejected up front.
+    #[test]
+    #[should_panic(expected = "at most 256 classes")]
+    fn more_classes_than_a_label_names_panics() {
+        let root = Prng::new(3);
+        let mut widest = TaskStream::new(TaskStreamConfig::new("w", MAX_CLASSES, 1), &root);
+        let batch = widest.sample(2000);
+        assert!(batch.labels.iter().any(|&l| l > 200), "high classes drawn");
+        assert_eq!(widest.label_histogram(&batch).len(), MAX_CLASSES);
+        TaskStream::new(TaskStreamConfig::new("x", MAX_CLASSES + 1, 1), &root);
     }
 
     #[test]

@@ -247,6 +247,14 @@ pub struct Simulation {
     /// sequentially consuming a deviation-ordered pool makes the head
     /// track whatever the most recent slices looked like.
     replay: Vec<Vec<LabeledSamples>>,
+    /// The buffer every reservoir update gathers into before swapping
+    /// it with the reservoir (see [`absorb`]).
+    replay_spare: LabeledSamples,
+    /// Per app: its leaf nodes, in [`AppSpec::leaves`] order — the
+    /// nodes whose accuracy is the app's.
+    leaves: Vec<Vec<usize>>,
+    /// Per app: its other nodes, ascending.
+    inner: Vec<Vec<usize>>,
     /// Harness-side RNG (replay draws, shuffles).
     rng: Prng,
     /// Per-app completion time of the last serial job (queueing for
@@ -271,6 +279,73 @@ const STAGE_THRESHOLD: usize = 64;
 
 /// Replay reservoir capacity per (app, node).
 const REPLAY_CAP: usize = 1024;
+
+/// A flush's training set: the `fresh` rows plus a rehearsal draw of
+/// `min(fresh / 2, reservoir)` reservoir rows (with replacement),
+/// shuffled. The rows are gathered in shuffled order straight from
+/// `fresh` and the reservoir: the same rows, in the same order and from
+/// the same draws, as shuffling the concatenation of `fresh` and the
+/// drawn subset.
+fn rehearsal_set(
+    reservoir: &LabeledSamples,
+    fresh: &LabeledSamples,
+    rng: &mut Prng,
+) -> LabeledSamples {
+    let draws = (fresh.len() / 2).min(reservoir.len());
+    let drawn: Vec<usize> = (0..draws).map(|_| rng.index(reservoir.len())).collect();
+    let mut order: Vec<usize> = (0..fresh.len() + draws).collect();
+    rng.shuffle(&mut order);
+    let mut out = LabeledSamples::empty();
+    out.reset(fresh.inputs.cols(), order.len());
+    for &i in &order {
+        match i.checked_sub(fresh.len()) {
+            None => out.push(fresh, i),
+            Some(d) => out.push(reservoir, drawn[d]),
+        }
+    }
+    out
+}
+
+/// The down-sampling draw of a reservoir update that adds `fresh_len`
+/// rows to `reservoir_len`: when they overflow [`REPLAY_CAP`], the
+/// first `REPLAY_CAP` of one shuffle of their indices (old rows first,
+/// then fresh); `None` when they fit.
+fn draw_keep(reservoir_len: usize, fresh_len: usize, rng: &mut Prng) -> Option<Vec<usize>> {
+    let total = reservoir_len + fresh_len;
+    (total > REPLAY_CAP).then(|| {
+        let mut keep: Vec<usize> = (0..total).collect();
+        rng.shuffle(&mut keep);
+        keep.truncate(REPLAY_CAP);
+        keep
+    })
+}
+
+/// Folds `fresh` into `reservoir`: the old rows then the fresh ones,
+/// down-sampled by [`draw_keep`]. The kept rows are gathered straight
+/// into `spare`, which then swaps with the reservoir: the old
+/// reservoir's buffer becomes the spare of the next update, of any
+/// (app, node), so once the buffers have grown an update allocates
+/// nothing but its draw.
+fn absorb(
+    reservoir: &mut LabeledSamples,
+    spare: &mut LabeledSamples,
+    fresh: &LabeledSamples,
+    rng: &mut Prng,
+) {
+    let keep = draw_keep(reservoir.len(), fresh.len(), rng);
+    let old = &*reservoir;
+    let total = old.len() + fresh.len();
+    spare.reset(fresh.inputs.cols(), total.min(REPLAY_CAP));
+    let push = |i: usize| match i.checked_sub(old.len()) {
+        None => spare.push(old, i),
+        Some(f) => spare.push(fresh, f),
+    };
+    match keep {
+        Some(keep) => keep.into_iter().for_each(push),
+        None => (0..total).for_each(push),
+    }
+    std::mem::swap(reservoir, spare);
+}
 
 impl Simulation {
     /// Builds a run from its configuration.
@@ -327,8 +402,16 @@ impl Simulation {
             .collect();
         let replay: Vec<Vec<LabeledSamples>> = node_counts
             .iter()
-            .map(|&n| {
-                (0..n).map(|_| LabeledSamples::empty()).collect()
+            .map(|&n| (0..n).map(|_| LabeledSamples::empty()).collect())
+            .collect();
+        let leaves: Vec<Vec<usize>> = specs.iter().map(AppSpec::leaves).collect();
+        let inner: Vec<Vec<usize>> = specs
+            .iter()
+            .zip(&leaves)
+            .map(|(spec, leaves)| {
+                (0..spec.nodes.len())
+                    .filter(|node| !leaves.contains(node))
+                    .collect()
             })
             .collect();
         let predicted_ewma =
@@ -399,6 +482,9 @@ impl Simulation {
             scheduled_retrain: updated,
             stage,
             replay,
+            replay_spare: LabeledSamples::empty(),
+            leaves,
+            inner,
             rng: root.split(0x0051_ACE5),
             serial_free_at: vec![SimTime::ZERO; n_apps_for_state],
             scratch: SessionScratch::default(),
@@ -510,11 +596,14 @@ impl Simulation {
             // sequential loop did — and the pure SGD slices fan out
             // with one training scratch per worker. Each job owns its
             // sample set and a disjoint `&mut` model, so results are
-            // bit-identical at any worker count.
+            // bit-identical at any worker count. The reservoirs die with
+            // the period, each right after its last flush, and no
+            // boundary flush gathers into the spare.
+            self.replay_spare = LabeledSamples::empty();
             let mut staged: Vec<(usize, usize, LabeledSamples)> = Vec::new();
             for a in 0..self.apps.len() {
                 for node in 0..self.apps[a].spec.nodes.len() {
-                    if let Some(shuffled) = self.prepare_flush(a, node) {
+                    if let Some(shuffled) = self.prepare_flush(a, node, true) {
                         staged.push((a, node, shuffled));
                     }
                     self.replay[a][node] = LabeledSamples::empty();
@@ -1091,9 +1180,9 @@ impl Simulation {
             // Accuracy: leaf-node predictions against golden labels,
             // weighted by the requests actually served (shed requests
             // produced no predictions).
-            let leaves = self.specs[app].leaves();
+            let leaves = &self.leaves[app];
             let mut acc_sum = 0.0;
-            for &leaf in &leaves {
+            for &leaf in leaves {
                 let acc = self.apps[app].accuracy(leaf, plan.cuts[leaf]);
                 acc_sum += acc;
                 self.metrics.per_node_accuracy[app][leaf].record(
@@ -1103,15 +1192,13 @@ impl Simulation {
                 );
             }
             // Non-leaf nodes tracked too (Fig 5 includes the detector).
-            for node in 0..self.specs[app].nodes.len() {
-                if !leaves.contains(&node) {
-                    let acc = self.apps[app].accuracy(node, plan.cuts[node]);
-                    self.metrics.per_node_accuracy[app][node].record(
-                        t,
-                        acc * n_served as f64,
-                        n_served as f64,
-                    );
-                }
+            for &node in &self.inner[app] {
+                let acc = self.apps[app].accuracy(node, plan.cuts[node]);
+                self.metrics.per_node_accuracy[app][node].record(
+                    t,
+                    acc * n_served as f64,
+                    n_served as f64,
+                );
             }
             let acc = acc_sum / leaves.len().max(1) as f64;
             self.metrics
@@ -1129,17 +1216,18 @@ impl Simulation {
             // Updated-model share (Fig 4b): among the nodes scheduled for
             // retraining this period, how many of this job's models are
             // already refreshed?
-            let scheduled: Vec<usize> = (0..self.specs[app].nodes.len())
-                .filter(|&nd| self.scheduled_retrain[app][nd])
-                .collect();
-            let frac = if scheduled.is_empty() {
+            let (mut scheduled, mut updated) = (0usize, 0usize);
+            for (&s, &u) in self.scheduled_retrain[app]
+                .iter()
+                .zip(&self.updated_this_period[app])
+            {
+                scheduled += usize::from(s);
+                updated += usize::from(s && u);
+            }
+            let frac = if scheduled == 0 {
                 1.0
             } else {
-                scheduled
-                    .iter()
-                    .filter(|&&nd| self.updated_this_period[app][nd])
-                    .count() as f64
-                    / scheduled.len() as f64
+                updated as f64 / scheduled as f64
             };
             self.metrics
                 .updated_model
@@ -1199,35 +1287,26 @@ impl Simulation {
     /// exact order of the original fused routine (the hoisted
     /// `train_slice` consumed no RNG), so boundary flushes can prepare
     /// every (app, node) sequentially and fan the pure SGD work out in
-    /// parallel, bit-identically.
-    fn prepare_flush(&mut self, app: usize, node: usize) -> Option<LabeledSamples> {
+    /// parallel, bit-identically. `last` marks the period boundary's
+    /// flush, after which the reservoir is dropped: it makes the fold-in's
+    /// draws but gathers no rows.
+    fn prepare_flush(&mut self, app: usize, node: usize, last: bool) -> Option<LabeledSamples> {
         if self.stage[app][node].is_empty() {
             return None;
         }
         let parts = std::mem::take(&mut self.stage[app][node]);
         let refs: Vec<&LabeledSamples> = parts.iter().collect();
         let fresh = LabeledSamples::concat(&refs);
-        let reservoir = &self.replay[app][node];
-        let mix = if reservoir.is_empty() {
-            fresh.clone()
+        let reservoir = &mut self.replay[app][node];
+        let shuffled = rehearsal_set(reservoir, &fresh, &mut self.rng);
+        if last {
+            // The boundary drops the reservoir right after this flush:
+            // only the update's draws, which later flushes' streams
+            // depend on, still matter.
+            draw_keep(reservoir.len(), fresh.len(), &mut self.rng);
         } else {
-            let draw: Vec<usize> = (0..(fresh.len() / 2).min(reservoir.len()))
-                .map(|_| self.rng.index(reservoir.len()))
-                .collect();
-            LabeledSamples::concat(&[&fresh, &reservoir.select(&draw)])
-        };
-        let mut order: Vec<usize> = (0..mix.len()).collect();
-        self.rng.shuffle(&mut order);
-        let shuffled = mix.select(&order);
-        // Reservoir update: append, then down-sample to the cap.
-        let mut merged = LabeledSamples::concat(&[&self.replay[app][node], &fresh]);
-        if merged.len() > REPLAY_CAP {
-            let mut keep: Vec<usize> = (0..merged.len()).collect();
-            self.rng.shuffle(&mut keep);
-            keep.truncate(REPLAY_CAP);
-            merged = merged.select(&keep);
+            absorb(reservoir, &mut self.replay_spare, &fresh, &mut self.rng);
         }
-        self.replay[app][node] = merged;
         Some(shuffled)
     }
 
@@ -1235,7 +1314,7 @@ impl Simulation {
     /// rehearsing an equal-sized draw from the replay reservoir and
     /// shuffling, then folds the new samples into the reservoir.
     fn flush_stage(&mut self, app: usize, node: usize, epochs: usize) {
-        if let Some(shuffled) = self.prepare_flush(app, node) {
+        if let Some(shuffled) = self.prepare_flush(app, node, false) {
             let w = WallTimer::start();
             self.apps[app].models[node].train_slice(&shuffled, epochs.max(1));
             self.train_wall_ns += w.elapsed_nanos();
@@ -1290,6 +1369,92 @@ pub fn run(config: RunConfig) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adainf_driftgen::{TaskStream, TaskStreamConfig};
+
+    /// A flush as it was before the reservoir gathered its rows: the
+    /// training set selected, in shuffled order, out of the fresh rows
+    /// concatenated with the drawn reservoir subset, and the reservoir
+    /// concatenated with the fresh rows, then shuffle-selected down to
+    /// the cap when over it. Returns `(training set, new reservoir)`.
+    fn concat_then_select(
+        reservoir: &LabeledSamples,
+        fresh: &LabeledSamples,
+        rng: &mut Prng,
+    ) -> (LabeledSamples, LabeledSamples) {
+        let mix = if reservoir.is_empty() {
+            fresh.clone()
+        } else {
+            let draw: Vec<usize> = (0..(fresh.len() / 2).min(reservoir.len()))
+                .map(|_| rng.index(reservoir.len()))
+                .collect();
+            LabeledSamples::concat(&[fresh, &reservoir.select(&draw)])
+        };
+        let mut order: Vec<usize> = (0..mix.len()).collect();
+        rng.shuffle(&mut order);
+        let shuffled = mix.select(&order);
+        let mut merged = LabeledSamples::concat(&[reservoir, fresh]);
+        if merged.len() > REPLAY_CAP {
+            let mut keep: Vec<usize> = (0..merged.len()).collect();
+            rng.shuffle(&mut keep);
+            keep.truncate(REPLAY_CAP);
+            merged = merged.select(&keep);
+        }
+        (shuffled, merged)
+    }
+
+    fn assert_bit_equal(got: &LabeledSamples, want: &LabeledSamples, what: &str) {
+        let bits = |s: &LabeledSamples| -> Vec<u32> {
+            s.inputs.data().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(
+            (got.inputs.rows(), got.inputs.cols()),
+            (want.inputs.rows(), want.inputs.cols()),
+            "{what}: shape"
+        );
+        assert_eq!(bits(got), bits(want), "{what}: inputs");
+        assert_eq!(got.labels, want.labels, "{what}: labels");
+    }
+
+    /// Gathering the training set and the reservoir straight from their
+    /// sources must reproduce the concatenate-then-select flush bit for
+    /// bit — below, exactly at and above the reservoir cap, through
+    /// buffers reused across flushes — and leave the harness RNG at the
+    /// same next draw.
+    #[test]
+    fn gathered_reservoir_bit_matches_concat_then_select() {
+        let root = Prng::new(17);
+        let mut stream = TaskStream::new(TaskStreamConfig::new("r", 6, 3), &root);
+        let mut rng = Prng::new(5);
+        let mut reference_rng = rng.clone();
+        let (mut reservoir, mut spare) = (LabeledSamples::empty(), LabeledSamples::empty());
+        let mut reference = LabeledSamples::empty();
+        let mut totals = Vec::new();
+        // Running totals: 64, 264, 964, 1024 (the cap), 1088, 1154, 1025,
+        // 1924, 1088.
+        for (flush, n) in [64, 200, 700, 60, 64, 130, 1, 900, 64]
+            .into_iter()
+            .enumerate()
+        {
+            let fresh = stream.sample(n);
+            totals.push(reference.len() + n);
+            let got = rehearsal_set(&reservoir, &fresh, &mut rng);
+            absorb(&mut reservoir, &mut spare, &fresh, &mut rng);
+            let (want, merged) = concat_then_select(&reference, &fresh, &mut reference_rng);
+            reference = merged;
+            assert_bit_equal(&got, &want, &format!("flush {flush}: training set"));
+            assert_bit_equal(&reservoir, &reference, &format!("flush {flush}: reservoir"));
+        }
+        assert!(totals.iter().any(|&t| t < REPLAY_CAP), "{totals:?}");
+        assert!(totals.contains(&REPLAY_CAP), "{totals:?}");
+        assert!(totals.iter().any(|&t| t > REPLAY_CAP), "{totals:?}");
+        // The boundary's last flush draws but gathers no reservoir rows.
+        let fresh = stream.sample(100);
+        let got = rehearsal_set(&reservoir, &fresh, &mut rng);
+        assert!(draw_keep(reservoir.len(), fresh.len(), &mut rng).is_some());
+        let (want, _) = concat_then_select(&reference, &fresh, &mut reference_rng);
+        assert_bit_equal(&got, &want, "last flush: training set");
+        assert_eq!(rng.next_u64(), reference_rng.next_u64());
+    }
 
     fn tiny(method: Method) -> RunConfig {
         RunConfig {

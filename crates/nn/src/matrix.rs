@@ -122,6 +122,26 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Empties this matrix to `0 × cols` with room for `capacity` rows,
+    /// reusing the existing allocation when it is large enough: the
+    /// start of a row-by-row gather through [`Self::push_row`].
+    pub fn reset_rows(&mut self, cols: usize, capacity: usize) {
+        self.rows = 0;
+        self.cols = cols;
+        self.data.clear();
+        self.data.reserve(capacity * cols);
+    }
+
+    /// Appends `row` as the new last row.
+    ///
+    /// # Panics
+    /// Panics when `row.len() != self.cols()`.
+    pub fn push_row(&mut self, row: &[f32]) {
+        assert_eq!(row.len(), self.cols, "row width mismatch");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
     /// Copies `src` into this matrix, reusing the existing allocation
     /// when capacity permits.
     pub fn copy_from(&mut self, src: &Matrix) {
@@ -152,17 +172,18 @@ impl Matrix {
     /// allocation — the gather primitive behind zero-alloc ranked-subset
     /// passes (each row is the verbatim source row, so any row-wise
     /// computation over the gather bit-matches one over a cloned
-    /// subset).
+    /// subset). Indices may be `usize` or the drift path's `u32` sample
+    /// orders, read in place.
     ///
     /// # Panics
     /// Panics when an index is out of bounds.
-    pub fn gather_rows_from(&mut self, src: &Matrix, indices: &[usize]) {
+    pub fn gather_rows_from<I: RowIndex>(&mut self, src: &Matrix, indices: &[I]) {
         self.rows = indices.len();
         self.cols = src.cols;
         self.data.clear();
         self.data.reserve(indices.len() * src.cols);
         for &i in indices {
-            self.data.extend_from_slice(src.row(i));
+            self.data.extend_from_slice(src.row(i.row_index()));
         }
     }
 
@@ -474,6 +495,27 @@ fn row_argmax(row: &[f32]) -> usize {
 /// [`softmax_argmax`] to skip the softmax: 2⁻²⁰.
 const ARGMAX_GAP: f32 = 1.0 / (1u32 << 20) as f32;
 
+/// A row index [`Matrix::gather_rows_from`] accepts: `usize`, or the
+/// `u32` that sample orders are stored in (half the bytes of a `usize`
+/// order over a 6000-sample pool, and a pool never holds more than
+/// `u32::MAX` rows).
+pub trait RowIndex: Copy {
+    /// The index as a `usize`.
+    fn row_index(self) -> usize;
+}
+
+impl RowIndex for usize {
+    fn row_index(self) -> usize {
+        self
+    }
+}
+
+impl RowIndex for u32 {
+    fn row_index(self) -> usize {
+        self as usize
+    }
+}
+
 /// The class a softmax of the logit `row` followed by [`row_argmax`]
 /// picks, read straight from the logits: the last maximal logit.
 ///
@@ -769,14 +811,38 @@ mod tests {
     #[test]
     fn gather_rows_from_selects_in_index_order() {
         let src = Matrix::from_slice(4, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let want = Matrix::from_slice(3, 2, &[7.0, 8.0, 1.0, 2.0, 7.0, 8.0]);
         let mut dst = Matrix::zeros(9, 9);
-        dst.gather_rows_from(&src, &[3, 0, 3]);
-        assert_eq!(
-            dst,
-            Matrix::from_slice(3, 2, &[7.0, 8.0, 1.0, 2.0, 7.0, 8.0])
-        );
-        dst.gather_rows_from(&src, &[]);
+        dst.gather_rows_from(&src, &[3usize, 0, 3]);
+        assert_eq!(dst, want);
+        dst.gather_rows_from::<usize>(&src, &[]);
         assert_eq!(dst.rows(), 0);
+        dst.gather_rows_from(&src, &[3u32, 0, 3]);
+        assert_eq!(dst, want);
+    }
+
+    /// A row-by-row gather through `reset_rows` and `push_row` builds
+    /// the same matrix as `gather_rows_from`, reusing the allocation.
+    #[test]
+    fn push_row_gathers_like_gather_rows_from() {
+        let src = Matrix::from_slice(4, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let mut dst = Matrix::zeros(9, 9);
+        dst.reset_rows(2, 3);
+        for i in [3, 0, 3] {
+            dst.push_row(src.row(i));
+        }
+        let mut want = Matrix::default();
+        want.gather_rows_from(&src, &[3usize, 0, 3]);
+        assert_eq!(dst, want);
+        dst.reset_rows(2, 0);
+        assert_eq!((dst.rows(), dst.cols()), (0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn push_row_rejects_a_wrong_width() {
+        let mut m = Matrix::zeros(0, 3);
+        m.push_row(&[1.0, 2.0]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::layer::{Dense, GradScratch, SgdMomentum};
 use crate::matrix::{softmax_argmax, Matrix};
+use crate::{Label, MAX_CLASSES};
 use adainf_simcore::Prng;
 
 /// Hyper-parameters of an [`EarlyExitMlp`].
@@ -53,7 +54,7 @@ pub struct TrainBatch {
     /// Feature rows, `batch × input_dim`.
     pub inputs: Matrix,
     /// Class label per row.
-    pub labels: Vec<usize>,
+    pub labels: Vec<Label>,
 }
 
 /// An MLP with an early-exit head after every trunk layer.
@@ -146,9 +147,15 @@ impl EarlyExitMlp {
     /// Builds a randomly-initialised network.
     ///
     /// # Panics
-    /// Panics if `hidden` is empty or `exit_weights` length mismatches.
+    /// Panics if `hidden` is empty, `exit_weights` length mismatches, or
+    /// `classes` exceeds the 256 a [`Label`] can name.
     pub fn new(config: MlpConfig, rng: &mut Prng) -> Self {
         assert!(!config.hidden.is_empty(), "need at least one trunk layer");
+        assert!(
+            config.classes <= MAX_CLASSES,
+            "at most 256 classes: a Label is one byte, got {}",
+            config.classes
+        );
         assert_eq!(
             config.hidden.len(),
             config.exit_weights.len(),
@@ -231,13 +238,17 @@ impl EarlyExitMlp {
     }
 
     /// Fraction of rows classified correctly at the given exit.
-    pub fn accuracy(&self, inputs: &Matrix, labels: &[usize], exit: usize) -> f64 {
+    pub fn accuracy(&self, inputs: &Matrix, labels: &[Label], exit: usize) -> f64 {
         assert_eq!(inputs.rows(), labels.len(), "label count mismatch");
         if labels.is_empty() {
             return 0.0;
         }
         let preds = self.predict(inputs, exit);
-        let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
+        let correct = preds
+            .iter()
+            .zip(labels)
+            .filter(|&(&p, &l)| p == usize::from(l))
+            .count();
         correct as f64 / labels.len() as f64
     }
 
@@ -257,7 +268,7 @@ impl EarlyExitMlp {
     pub fn score_exits(
         &self,
         inputs: &Matrix,
-        labels: &[usize],
+        labels: &[Label],
         exits: u32,
         scratch: &mut InferScratch,
         accuracies: &mut [f64],
@@ -301,7 +312,9 @@ impl EarlyExitMlp {
                     let hits = chunk_labels
                         .iter()
                         .enumerate()
-                        .filter(|&(r, &label)| softmax_argmax(pong.row_mut(r)) == label)
+                        .filter(|&(r, &label)| {
+                            softmax_argmax(pong.row_mut(r)) == usize::from(label)
+                        })
                         .count();
                     *acc += hits as f64;
                 }
@@ -344,7 +357,7 @@ impl EarlyExitMlp {
     /// a [`TrainBatch`] (and clone rows into it) per step. It skips the
     /// loss, which only monitoring reads; the weights it leaves are
     /// bit-identical to [`Self::train_batch`]'s.
-    pub fn train_batch_parts(&mut self, inputs: &Matrix, labels: &[usize]) {
+    pub fn train_batch_parts(&mut self, inputs: &Matrix, labels: &[Label]) {
         self.step(inputs, labels, false);
     }
 
@@ -352,7 +365,7 @@ impl EarlyExitMlp {
     /// [`Self::train_batch_parts`]; returns the mean weighted loss when
     /// `with_loss`, else `0.0`. The loss only reads the softmax, so
     /// skipping it changes no weight.
-    fn step(&mut self, inputs: &Matrix, labels: &[usize], with_loss: bool) -> f64 {
+    fn step(&mut self, inputs: &Matrix, labels: &[Label], with_loss: bool) -> f64 {
         assert_eq!(inputs.rows(), labels.len());
         if labels.is_empty() {
             return 0.0;
@@ -384,13 +397,14 @@ impl EarlyExitMlp {
             scratch.probs.softmax_rows_inplace();
             if with_loss {
                 for (r, &label) in labels.iter().enumerate() {
-                    let p = scratch.probs.get(r, label).max(1e-12);
+                    let p = scratch.probs.get(r, usize::from(label)).max(1e-12);
                     total_loss += -(p as f64).ln() * w as f64;
                 }
             }
             // Gradient: dL/dlogits = (p − onehot) · w.
             scratch.grad.copy_from(&scratch.probs);
             for (r, &label) in labels.iter().enumerate() {
+                let label = usize::from(label);
                 scratch.grad.set(r, label, scratch.grad.get(r, label) - 1.0);
             }
             scratch.grad.scale(w);
@@ -443,7 +457,7 @@ impl EarlyExitMlp {
     pub fn train_batch_parts_with(
         &mut self,
         inputs: &Matrix,
-        labels: &[usize],
+        labels: &[Label],
         scratch: &mut TrainScratch,
     ) {
         std::mem::swap(&mut self.scratch, scratch);
@@ -480,7 +494,7 @@ mod tests {
         let mut data = Vec::with_capacity(n * dim);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
-            let label = i % 2;
+            let label = (i % 2) as Label;
             let center = if label == 0 { -1.5 } else { 1.5 };
             for _ in 0..dim {
                 data.push((center + rng.gauss() * 0.5) as f32);
@@ -544,7 +558,7 @@ mod tests {
         let mut net = EarlyExitMlp::new(MlpConfig::small(4, 3), &mut rng);
         let mut data = Vec::new();
         let mut labels = Vec::new();
-        for i in 0..60 {
+        for i in 0..60u8 {
             let c = i % 3;
             for d in 0..4 {
                 let center = if d == c { 2.0 } else { 0.0 };
@@ -673,9 +687,9 @@ mod tests {
         }
     }
 
-    fn random_batch(rng: &mut Prng, rows: usize, classes: usize) -> (Matrix, Vec<usize>) {
+    fn random_batch(rng: &mut Prng, rows: usize, classes: usize) -> (Matrix, Vec<Label>) {
         let data: Vec<f32> = (0..rows * 16).map(|_| rng.gauss() as f32).collect();
-        let labels = (0..rows).map(|_| rng.index(classes)).collect();
+        let labels = (0..rows).map(|_| rng.index(classes) as Label).collect();
         (Matrix::from_slice(rows, 16, &data), labels)
     }
 
@@ -812,7 +826,7 @@ mod tests {
         heads: &mut [RefLayer],
         exit_weights: &[f32],
         x: &[f32],
-        labels: &[usize],
+        labels: &[Label],
         update: SgdMomentum,
     ) {
         let rows = labels.len();
@@ -837,7 +851,7 @@ mod tests {
                 for p in row.iter_mut() {
                     *p /= total;
                 }
-                row[label] -= 1.0;
+                row[usize::from(label)] -= 1.0;
                 for p in row.iter_mut() {
                     *p *= exit_weights[e];
                 }
@@ -916,6 +930,18 @@ mod tests {
             },
             &mut rng,
         );
+    }
+
+    /// A `Label` is one byte, so a head with more than 256 classes
+    /// could not name its own outputs; 256 itself still builds.
+    #[test]
+    #[should_panic(expected = "at most 256 classes")]
+    fn more_classes_than_a_label_names_panics() {
+        let mut rng = Prng::new(1);
+        let config = |classes| MlpConfig::small(4, classes);
+        let net = EarlyExitMlp::new(config(MAX_CLASSES), &mut rng);
+        assert_eq!(net.classes(), 256);
+        EarlyExitMlp::new(config(MAX_CLASSES + 1), &mut rng);
     }
 
     #[test]

@@ -98,7 +98,7 @@ proptest! {
         let root = Prng::new(seed);
         let mut stream = TaskStream::new(TaskStreamConfig::new("t", 4, seed), &root);
         let mut pool = RetrainPool::new(stream.sample(n));
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<u32> = (0..n as u32).collect();
         let mut rng = Prng::new(seed ^ 0xF00D);
         rng.shuffle(&mut order);
         pool.set_order(&order);
@@ -407,7 +407,7 @@ proptest! {
             prop_assume!(!pool.is_empty());
             let take = ((take_frac * pool.len() as f64).ceil() as usize)
                 .clamp(1, pool.len());
-            let subset = pool.select(&art.deviation[..take]);
+            let subset = pool.gather(&art.deviation[..take]);
             let model = &rt.models[node];
             let direct = model.accuracy_on(&subset, model.profile.full_cut());
             let via_prefix = art.pool_prefix[take] as f64 / take as f64;
