@@ -7,6 +7,18 @@
 //! (with golden labels) become the new retraining pool (§3.2), the
 //! streams take their drift step, and fresh evaluation sets are drawn.
 //!
+//! Memory: a retraining pool is the largest set a node holds (6000
+//! samples in the paper workload), and a node holds at most one at a
+//! time. [`AppRuntime::new`] and [`AppRuntime::advance_period`] defer
+//! every new pool ([`TaskStream::defer`]); it is drawn when first read.
+//! The retiring pool becomes the node's old training set, and the
+//! held-out set drawn beside it becomes the old held-out set; whoever
+//! reads them at the boundary frees them once read
+//! ([`AppRuntime::free_old_samples`], [`AppRuntime::free_ref_samples`]).
+//! The drift detector fits on the old training sets and frees them
+//! before it draws the new pools; schedulers that never read the old
+//! sets free them in their period hook. Reading a freed set panics.
+//!
 //! Accuracy evaluation is cached per head exit and `(trained-sample
 //! bucket, period)`, so the harness can score millions of requests
 //! without re-running the head on every job. A node's first read in a
@@ -26,6 +38,9 @@ use std::sync::Arc;
 /// Evaluation-set size per node per period.
 pub const EVAL_SIZE: usize = 400;
 
+/// Held-out reference-set size per node per period.
+const HELD_OUT_SIZE: usize = 600;
+
 /// Live state of one application on the edge server.
 pub struct AppRuntime {
     /// The application's DAG specification.
@@ -34,14 +49,16 @@ pub struct AppRuntime {
     pub models: Vec<TrainableModel>,
     /// One drifting task stream per DAG node.
     pub streams: Vec<TaskStream>,
-    /// One retraining pool per DAG node (refreshed each period).
+    /// One retraining pool per DAG node (refreshed each period, drawn
+    /// when first read).
     pub pools: Vec<RetrainPool>,
     /// The application's request-arrival trace.
     pub arrivals: ArrivalTrace,
     /// Per-node samples of the *previous* period's training data — the
     /// "old training samples" the drift detector compares against (§3.2).
-    /// Shared with the retired pool rather than copied from it.
-    old_samples: Vec<Arc<LabeledSamples>>,
+    /// Shared with the retired pool rather than copied from it; `None`
+    /// once freed.
+    old_samples: Vec<Option<Arc<LabeledSamples>>>,
     /// Per-node held-out samples aligned with the *current* pool's
     /// distribution (promoted to `old_ref` at the next boundary).
     ref_samples: Vec<Arc<LabeledSamples>>,
@@ -49,8 +66,8 @@ pub struct AppRuntime {
     /// distribution the model was last retrained on. Never trained on:
     /// the drift detector's drift-free counterfactual (tail accuracy on
     /// these is what the new pool's tail is compared against, avoiding
-    /// train-set memorisation bias).
-    old_ref: Vec<Arc<LabeledSamples>>,
+    /// train-set memorisation bias). `None` once freed.
+    old_ref: Vec<Option<Arc<LabeledSamples>>>,
     /// Per-node evaluation sets for the current period.
     eval_sets: Vec<LabeledSamples>,
     /// Initial full-structure accuracy `I_m` per node (§3.2).
@@ -73,8 +90,8 @@ pub struct AppRuntime {
 
 impl AppRuntime {
     /// Deploys `spec`: builds streams and models, trains every model on
-    /// initial data (the "first 40 % of the dataset" role, §2), and draws
-    /// the first pools and evaluation sets.
+    /// initial data (the "first 40 % of the dataset" role, §2), draws
+    /// the first evaluation sets and defers the first pools.
     pub fn new(spec: AppSpec, arrival: ArrivalConfig, pool_size: usize, root: &Prng) -> Self {
         let mut rng = root.split(0x0A11_0000 ^ spec.id as u64);
         let mut models = Vec::with_capacity(spec.nodes.len());
@@ -122,12 +139,14 @@ impl AppRuntime {
             let eval = self.streams[i].sample(EVAL_SIZE);
             self.initial_accuracy[i] =
                 self.models[i].accuracy_on(&eval, self.models[i].profile.full_cut());
-            self.old_samples.push(Arc::new(train));
-            self.ref_samples.push(Arc::new(self.streams[i].sample(600)));
-            self.old_ref.push(Arc::new(self.streams[i].sample(600)));
+            self.old_samples.push(Some(Arc::new(train)));
+            self.ref_samples
+                .push(Arc::new(self.streams[i].sample(HELD_OUT_SIZE)));
+            self.old_ref
+                .push(Some(Arc::new(self.streams[i].sample(HELD_OUT_SIZE))));
             self.eval_sets.push(eval);
             // Period-0 pool: the initial data is the "previous" data.
-            self.pools[i] = RetrainPool::new(self.streams[i].sample(self.pool_size));
+            self.pools[i] = RetrainPool::deferred(self.streams[i].defer(self.pool_size));
         }
     }
 
@@ -143,15 +162,60 @@ impl AppRuntime {
 
     /// The previous period's training samples of node `i` (drift-detector
     /// comparison basis), shared like [`RetrainPool::samples`].
+    ///
+    /// # Panics
+    /// Panics once [`Self::free_old_samples`] has freed them.
     pub fn old_samples(&self, node: usize) -> &Arc<LabeledSamples> {
-        &self.old_samples[node]
+        match &self.old_samples[node] {
+            Some(old) => old,
+            None => panic!("old training set of node {node} read after it was freed"),
+        }
     }
 
     /// Held-out samples from the distribution the model was last
     /// retrained on (never trained on) — the drift detector's drift-free
     /// counterfactual — shared like [`RetrainPool::samples`].
+    ///
+    /// # Panics
+    /// Panics once [`Self::free_ref_samples`] has freed them.
     pub fn ref_samples(&self, node: usize) -> &Arc<LabeledSamples> {
-        &self.old_ref[node]
+        match &self.old_ref[node] {
+            Some(held_out) => held_out,
+            None => panic!("old held-out set of node {node} read after it was freed"),
+        }
+    }
+
+    /// Whether node `i`'s old training set is still held.
+    pub fn has_old_samples(&self, node: usize) -> bool {
+        self.old_samples[node].is_some()
+    }
+
+    /// Whether node `i`'s old held-out set is still held.
+    pub fn has_ref_samples(&self, node: usize) -> bool {
+        self.old_ref[node].is_some()
+    }
+
+    /// Frees every node's old training set: its last reader is done
+    /// with it. [`Self::advance_period`] installs the next.
+    pub fn free_old_samples(&mut self) {
+        self.old_samples.iter_mut().for_each(|old| *old = None);
+    }
+
+    /// Frees every node's old held-out set: its last reader is done
+    /// with it. [`Self::advance_period`] installs the next.
+    pub fn free_ref_samples(&mut self) {
+        self.old_ref
+            .iter_mut()
+            .for_each(|held_out| *held_out = None);
+    }
+
+    /// Draws every pool not drawn yet, for readers of the pools that
+    /// hold the runtime immutably (a drift detection outside the
+    /// scheduler).
+    pub fn draw_pools(&mut self) {
+        for pool in &mut self.pools {
+            pool.draw();
+        }
     }
 
     /// The current evaluation set of node `i`.
@@ -160,22 +224,20 @@ impl AppRuntime {
     }
 
     /// Advances to the next period: the current pools' data becomes the
-    /// "old samples" (handed over, not copied), streams drift, and new
-    /// pools/eval sets are drawn from the new distribution (the pool lags
-    /// one period, as retraining data is always the previous period's
-    /// requests).
+    /// "old samples" (handed over, not copied; a pool nobody read is
+    /// drawn now), streams drift, new evaluation sets are drawn and new
+    /// pools deferred to their first read (the pool lags one period, as
+    /// retraining data is always the previous period's requests).
     pub fn advance_period(&mut self) {
         self.period += 1;
         for i in 0..self.streams.len() {
-            // New pool drawn from the distribution requests just lived in,
+            // New pool from the distribution requests just lived in,
             // plus a held-out reference set from the same distribution.
-            let pool_samples = self.streams[i].sample(self.pool_size);
-            self.old_ref[i] = std::mem::replace(
-                &mut self.ref_samples[i],
-                Arc::new(self.streams[i].sample(600)),
-            );
-            self.old_samples[i] = Arc::clone(self.pools[i].samples());
-            self.pools[i] = RetrainPool::new(pool_samples);
+            let pool = RetrainPool::deferred(self.streams[i].defer(self.pool_size));
+            let held_out = Arc::new(self.streams[i].sample(HELD_OUT_SIZE));
+            self.old_ref[i] = Some(std::mem::replace(&mut self.ref_samples[i], held_out));
+            let mut retiring = std::mem::replace(&mut self.pools[i], pool);
+            self.old_samples[i] = Some(Arc::clone(retiring.draw()));
             self.streams[i].advance_period();
             self.eval_sets[i] = self.streams[i].sample(EVAL_SIZE);
         }
@@ -415,6 +477,7 @@ mod tests {
     #[test]
     fn advance_period_shares_the_retiring_sets() {
         let mut rt = surveillance_runtime();
+        rt.draw_pools();
         let pools: Vec<Arc<LabeledSamples>> =
             rt.pools.iter().map(|p| Arc::clone(p.samples())).collect();
         let held_out = rt.ref_samples.clone();
@@ -432,6 +495,63 @@ mod tests {
                 "node {node} held-out set"
             );
         }
+    }
+
+    /// `new` and `advance_period` defer every pool; a retiring pool
+    /// nobody read is drawn to become the old training set, bit-equal
+    /// to the pool a read would have drawn.
+    #[test]
+    fn pools_are_deferred_until_read() {
+        let mut rt = surveillance_runtime();
+        let mut read = surveillance_runtime();
+        for _ in 0..2 {
+            assert!(rt.pools.iter().all(|p| !p.is_drawn()));
+            assert!(rt
+                .pools
+                .iter()
+                .all(|p| p.total() == 600 && p.remaining() == 600));
+            read.draw_pools();
+            let drawn: Vec<Arc<LabeledSamples>> =
+                read.pools.iter().map(|p| Arc::clone(p.samples())).collect();
+            rt.advance_period();
+            read.advance_period();
+            for (node, want) in drawn.iter().enumerate() {
+                let old = rt.old_samples(node);
+                assert_eq!(old.labels, want.labels, "node {node}");
+                assert_eq!(old.inputs.data(), want.inputs.data(), "node {node}");
+            }
+        }
+    }
+
+    /// Freeing drops every node's old set; the next boundary installs
+    /// new ones.
+    #[test]
+    fn freed_old_sets_come_back_at_the_next_boundary() {
+        let mut rt = surveillance_runtime();
+        rt.free_old_samples();
+        assert!((0..3).all(|n| !rt.has_old_samples(n) && rt.has_ref_samples(n)));
+        rt.free_ref_samples();
+        assert!((0..3).all(|n| !rt.has_ref_samples(n)));
+        rt.advance_period();
+        assert!((0..3).all(|n| rt.has_old_samples(n) && rt.has_ref_samples(n)));
+        assert_eq!(rt.old_samples(0).len(), 600);
+        assert_eq!(rt.ref_samples(0).len(), HELD_OUT_SIZE);
+    }
+
+    #[test]
+    #[should_panic(expected = "old training set of node 1 read after it was freed")]
+    fn reading_a_freed_old_training_set_panics() {
+        let mut rt = surveillance_runtime();
+        rt.free_old_samples();
+        rt.old_samples(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "old held-out set of node 2 read after it was freed")]
+    fn reading_a_freed_old_held_out_set_panics() {
+        let mut rt = surveillance_runtime();
+        rt.free_ref_samples();
+        rt.ref_samples(2);
     }
 
     #[test]

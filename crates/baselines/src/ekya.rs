@@ -181,6 +181,10 @@ impl Scheduler for EkyaScheduler {
         let mut bulk = Vec::new();
 
         for (a, rt) in apps.iter_mut().enumerate() {
+            // Ekya runs no drift detection: the old training and
+            // held-out sets have no reader.
+            rt.free_old_samples();
+            rt.free_ref_samples();
             let spec = self.specs[a].clone();
             let pools: Vec<usize> = rt.pools.iter().map(|p| p.remaining()).collect();
             let stale: Vec<f64> = (0..spec.nodes.len())
@@ -317,6 +321,21 @@ mod tests {
             assert!(b.gpu > 0.0);
             assert!(b.available_at > SimTime::from_secs(50));
             assert_eq!(b.available_at, b.busy_until);
+        }
+    }
+
+    /// Ekya reads no old set: its period hook frees them all.
+    #[test]
+    fn period_hook_frees_the_old_sets() {
+        let (mut sched, mut apps, server) = setup();
+        for rt in &mut apps {
+            rt.advance_period();
+        }
+        sched.on_period_start(&mut apps, &server, SimTime::from_secs(50));
+        for rt in &apps {
+            for node in 0..rt.spec.nodes.len() {
+                assert!(!rt.has_old_samples(node) && !rt.has_ref_samples(node));
+            }
         }
     }
 

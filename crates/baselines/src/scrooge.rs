@@ -104,10 +104,13 @@ impl Scheduler for ScroogeScheduler {
     ) -> PeriodPlan {
         let wall = WallTimer::start();
         // Ship every pool to the cloud; updated models come back after
-        // upload + cloud training + download.
+        // upload + cloud training + download. Scrooge runs no drift
+        // detection: the old training and held-out sets have no reader.
         let mut bytes_up = 0u64;
         let mut models = 0u64;
-        for rt in apps.iter() {
+        for rt in apps.iter_mut() {
+            rt.free_old_samples();
+            rt.free_ref_samples();
             for pool in &rt.pools {
                 bytes_up += pool.total() as u64 * SAMPLE_BYTES;
                 models += 1;
@@ -222,6 +225,20 @@ mod tests {
         );
         // No edge GPU is occupied.
         assert!(plan.bulk.iter().all(|b| b.gpu == 0.0));
+    }
+
+    /// Scrooge reads no old set: its period hook frees them all, and
+    /// leaves the pools to the cloud upload that takes them.
+    #[test]
+    fn period_hook_frees_the_old_sets() {
+        let (mut sched, mut apps, server) = setup(2);
+        sched.on_period_start(&mut apps, &server, SimTime::ZERO);
+        for rt in &apps {
+            for node in 0..rt.spec.nodes.len() {
+                assert!(!rt.has_old_samples(node) && !rt.has_ref_samples(node));
+                assert!(!rt.pools[node].is_drawn());
+            }
+        }
     }
 
     #[test]

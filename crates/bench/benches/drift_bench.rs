@@ -9,10 +9,12 @@
 //!   feature/PCA/ranking artifacts once.
 //! * `drift/period_boundary_3apps` — one whole period boundary of a
 //!   three-app set at the paper's 6000-sample pools: every runtime
-//!   advances (fresh pools, held-out and evaluation sets), and every
-//!   node's artifacts are rebuilt by one `DriftCache::refresh` at width
-//!   1 and then retired, as the scheduler retires them once read — the
-//!   steady state, with each build warm-started from the previous
+//!   advances (held-out and evaluation sets drawn, pools deferred), and
+//!   every node's artifacts are rebuilt at width 1 as the scheduler
+//!   rebuilds them — fitted on the old sets, which are then freed, and
+//!   ranked on the pools drawn after them — and then retired with the
+//!   old held-out sets freed, as the scheduler retires them once read:
+//!   the steady state, with each build warm-started from the previous
 //!   period's retired basis.
 //! * `driftgen/sample_6000` — one 6000-sample retraining-pool draw.
 
@@ -32,9 +34,10 @@ use adainf_simcore::Prng;
 /// The paper workload's retraining-pool size per node.
 const PAPER_POOL: usize = 6000;
 
-/// Advances every runtime one period, then refreshes every node's drift
-/// artifacts the way the scheduler's boundary does (here on one worker)
-/// and retires them to their warm-start bases.
+/// Advances every runtime one period, then rebuilds every node's drift
+/// artifacts the way the scheduler's boundary does (here on one
+/// worker): fit on the old sets, free them, draw the pools, rank; and
+/// retires them to their warm-start bases, freeing the held-out sets.
 fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, root: &Prng) {
     for rt in apps.iter_mut() {
         rt.advance_period();
@@ -44,10 +47,19 @@ fn period_boundary(apps: &mut [AppRuntime], cache: &mut DriftCache, pca: usize, 
         .enumerate()
         .flat_map(|(a, rt)| (0..rt.spec.nodes.len()).map(move |n| (a, n)))
         .collect();
-    cache.refresh(&jobs, apps, pca, root, 1);
+    let fits = cache.fit_stale(&jobs, apps, pca, root, 1);
+    for rt in apps.iter_mut() {
+        rt.free_old_samples();
+        rt.draw_pools();
+    }
+    cache.rank_stale(fits, apps, 1);
     cache.retire();
+    for rt in apps.iter_mut() {
+        rt.free_ref_samples();
+    }
 }
 
+/// A runtime `periods` boundaries in, its pools drawn.
 fn drifted_runtime(periods: usize) -> AppRuntime {
     let root = Prng::new(314);
     let mut rt = AppRuntime::new(
@@ -59,6 +71,7 @@ fn drifted_runtime(periods: usize) -> AppRuntime {
     for _ in 0..periods {
         rt.advance_period();
     }
+    rt.draw_pools();
     rt
 }
 

@@ -54,9 +54,7 @@ fn main() {
             RunConfig {
                 comm: Some(adainf_core::profiler::CommProfile {
                     // Contended links raise every strategy's inflation.
-                    // These factors are typed in, not measured: no run
-                    // enables `MemoryConfig::bus_contention` (only its
-                    // own unit test does).
+                    // These factors are typed in, not measured.
                     grouped_priority: 1.18,
                     grouped_lru: 1.28,
                     per_request_priority: 1.34,

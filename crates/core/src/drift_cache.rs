@@ -10,9 +10,17 @@
 //! and shares them.
 //!
 //! Filling: at each period boundary the scheduler builds every stale
-//! entry at once ([`DriftCache::refresh`], fanned out across the
-//! boundary's workers), so its lookups that period all hit.
-//! [`DriftCache::artifacts`] builds on a miss for every other caller.
+//! entry at once, in two phases fanned out across the boundary's
+//! workers, so its lookups that period all hit.
+//! [`DriftCache::fit_stale`] fits each stale node's PCA basis and class
+//! means on its old training set; the scheduler then frees every old
+//! training set and draws the new pools, and [`DriftCache::rank_stale`]
+//! ranks each pool and held-out set against its fit. A boundary thus
+//! never holds a model's old training set and its new pool at once.
+//! [`DriftCache::artifacts`] builds on a miss for every other caller;
+//! like every build, it panics on a node whose old set is gone or whose
+//! pool is not drawn. Only a set that really is empty takes the
+//! identity-order path.
 //!
 //! Determinism: PCA-fit randomness is routed through a child [`Prng`]
 //! stream derived from the scheduler's root stream via [`Prng::split`],
@@ -319,39 +327,40 @@ fn interleave(ranked: &[u32]) -> Vec<u32> {
     out
 }
 
-/// The deviation rankings of the pool and the held-out reference set,
-/// from one feature pass over the old data and **one** shared PCA fit,
-/// plus the fitted basis for warm-starting the next period.
+/// What a build fits on a node's old training set: the PCA basis and
+/// the per-class means of the projected old features. Everything the
+/// rankings need of the old data, so the old set can go before the new
+/// pool is drawn.
+#[derive(Debug)]
+struct OldFit {
+    pca: Pca,
+    means: Vec<Vec<f32>>,
+}
+
+/// Fits the PCA basis and class means on node `node`'s old training
+/// set: one feature pass over the old data and **one** PCA fit, shared
+/// by both rankings. `None` when the old set is empty: there is nothing
+/// to deviate from.
 ///
-/// The old, pool and held-out features go through the one
-/// `scratch.feats` buffer in turn: each matrix is dead once its set is
-/// fitted or ranked, so a build holds one feature matrix at a time and
-/// keeps none after it returns.
-fn rankings(
+/// # Panics
+/// Panics if the old training set was freed.
+fn fit_old(
     rt: &AppRuntime,
     node: usize,
     pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
-) -> (Vec<u32>, Vec<u32>, Matrix) {
+) -> Option<OldFit> {
     let old = rt.old_samples(node);
-    let pool = rt.pools[node].samples();
-    let held_out = rt.ref_samples(node);
-    let model = &rt.models[node];
     if old.is_empty() {
-        // No old data to deviate from: identity orders, nothing fitted.
-        return (
-            (0..pool.len() as u32).collect(),
-            (0..held_out.len() as u32).collect(),
-            Matrix::default(),
-        );
+        return None;
     }
+    let model = &rt.models[node];
     let DetectScratch {
         pca: pca_scratch,
         feats,
         projected,
-        scored,
         ..
     } = scratch;
     model.features_into(old, feats);
@@ -359,18 +368,77 @@ fn rankings(
     let pca = Pca::fit_warm_with_scratch(feats, pca_components, &mut rng, pca_scratch, warm);
     pca.transform_into(feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
+    Some(OldFit { pca, means })
+}
+
+/// The deviation rankings of the pool and the held-out reference set
+/// against a fit of the old data (identity orders without one).
+///
+/// The pool and held-out features go through the one `scratch.feats`
+/// buffer in turn, as the old features did in [`fit_old`]: each matrix
+/// is dead once its set is fitted or ranked, so a build holds one
+/// feature matrix at a time and keeps none after it returns.
+///
+/// # Panics
+/// Panics if the pool is not drawn or the old held-out set was freed.
+fn rank_new(
+    rt: &AppRuntime,
+    node: usize,
+    fit: Option<&OldFit>,
+    scratch: &mut DetectScratch,
+) -> (Vec<u32>, Vec<u32>) {
+    let pool = rt.pools[node].samples();
+    let held_out = rt.ref_samples(node);
+    let Some(OldFit { pca, means }) = fit else {
+        return (
+            (0..pool.len() as u32).collect(),
+            (0..held_out.len() as u32).collect(),
+        );
+    };
+    let model = &rt.models[node];
+    let DetectScratch {
+        feats,
+        projected,
+        scored,
+        ..
+    } = scratch;
     model.features_into(pool, feats);
-    let deviation = rank_features(pool, feats, &pca, &means, projected, scored);
+    let deviation = rank_features(pool, feats, pca, means, projected, scored);
     model.features_into(held_out, feats);
-    let ref_order = rank_features(held_out, feats, &pca, &means, projected, scored);
-    (deviation, ref_order, pca.into_components())
+    let ref_order = rank_features(held_out, feats, pca, means, projected, scored);
+    (deviation, ref_order)
+}
+
+/// One node's ranked artifact set from its rankings and fit: the
+/// retraining interleave, the correctness prefix-sums left at their
+/// seed (`[0]`), to be extended lazily by
+/// [`DriftArtifacts::pool_prefix_at`] / [`DriftArtifacts::ref_prefix_at`]
+/// as deep as the detection loop actually reads, and the fitted basis
+/// (empty without a fit).
+fn ranked_artifacts(
+    rt: &AppRuntime,
+    node: usize,
+    (deviation, ref_order): (Vec<u32>, Vec<u32>),
+    fit: Option<OldFit>,
+) -> DriftArtifacts {
+    let retrain = interleave(&deviation);
+    let artifacts = DriftArtifacts {
+        deviation,
+        retrain,
+        ref_order,
+        pool_prefix: vec![0],
+        ref_prefix: vec![0],
+        basis: fit.map_or_else(Matrix::default, |fit| fit.pca.into_components()),
+    };
+    if cfg!(feature = "strict-invariants") {
+        artifacts.check_invariants(rt.pools[node].samples().len(), rt.ref_samples(node).len());
+    }
+    artifacts
 }
 
 /// Builds one node's ranked artifact set — both deviation rankings and
-/// the retraining interleave — with the correctness prefix-sums left at
-/// their seed (`[0]`), to be extended lazily by
-/// [`DriftArtifacts::pool_prefix_at`] / [`DriftArtifacts::ref_prefix_at`]
-/// as deep as the detection loop actually reads.
+/// the retraining interleave — from its old training set, drawn pool
+/// and old held-out set, with the prefix-sums left at their seed.
 ///
 /// PCA randomness comes from `root.split(...)` keyed by the runtime's
 /// period and the node, never from an advancing caller stream — so the
@@ -384,20 +452,9 @@ fn build_ranked(
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
 ) -> DriftArtifacts {
-    let (deviation, ref_order, basis) = rankings(rt, node, pca_components, root, scratch, warm);
-    let retrain = interleave(&deviation);
-    let artifacts = DriftArtifacts {
-        deviation,
-        retrain,
-        ref_order,
-        pool_prefix: vec![0],
-        ref_prefix: vec![0],
-        basis,
-    };
-    if cfg!(feature = "strict-invariants") {
-        artifacts.check_invariants(rt.pools[node].samples().len(), rt.ref_samples(node).len());
-    }
-    artifacts
+    let fit = fit_old(rt, node, pca_components, root, scratch, warm);
+    let rankings = rank_new(rt, node, fit.as_ref(), scratch);
+    ranked_artifacts(rt, node, rankings, fit)
 }
 
 /// Builds one node's complete artifact set: one feature pass over the old
@@ -405,6 +462,10 @@ fn build_ranked(
 /// deviation ranking each for the pool and the held-out reference, the
 /// retraining interleave and both correctness prefix-sums extended to
 /// their full sample sets.
+///
+/// # Panics
+/// Panics if the node's old training or held-out set was freed, or its
+/// pool is not drawn.
 pub fn build_artifacts(
     rt: &AppRuntime,
     node: usize,
@@ -489,9 +550,38 @@ pub struct DriftCache {
     scratch: DetectScratch,
 }
 
+/// One stale entry between the two phases of the boundary fill: its
+/// slot, its key, whether its fit warm-started, and the fit.
+#[derive(Debug)]
+struct StaleBuild {
+    slot: (usize, usize),
+    key: (u64, u64),
+    warm_started: bool,
+    fit: Option<OldFit>,
+}
+
+/// The fits [`DriftCache::fit_stale`] made on the old training sets,
+/// owned, for [`DriftCache::rank_stale`] to rank the new data against.
+#[derive(Debug)]
+pub struct StaleFits {
+    builds: Vec<StaleBuild>,
+}
+
+impl StaleFits {
+    /// The `(app, node)` slots being rebuilt, in job order: the pools
+    /// [`DriftCache::rank_stale`] reads.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.builds.iter().map(|b| b.slot)
+    }
+}
+
 impl DriftCache {
     /// The artifacts of `(app, node)` for the runtime's current period
     /// and model version, building them on first use.
+    ///
+    /// # Panics
+    /// A build panics if the node's old training or held-out set was
+    /// freed, or its pool is not drawn.
     pub fn artifacts(
         &mut self,
         app: usize,
@@ -523,27 +613,32 @@ impl DriftCache {
         }
     }
 
-    /// The period boundary's fill: builds every stale entry among `jobs`
-    /// across up to `threads` workers (0 = the host's available
-    /// parallelism) and installs the results in job order, bumping the
-    /// counters a missing [`Self::artifacts`] lookup would. Each build
-    /// borrows the runtime and the evicted entry's warm basis and is a
-    /// pure function of its `(pool generation, model version)` key and
-    /// keyed PCA stream, so entries, counters and warm chains are the
-    /// same at every width. Current live entries are skipped (their next
-    /// lookup hits). Warm inputs come from the *previous* period's
-    /// entries, live or retired, so builds of one period never feed each
-    /// other.
+    /// Phase one of the period boundary's fill: fits the PCA basis and
+    /// class means of every stale entry among `jobs` on its node's old
+    /// training set, across up to `threads` workers (0 = the host's
+    /// available parallelism). Current live entries are skipped (their
+    /// next lookup hits). Each fit borrows the runtime and the current
+    /// entry's warm basis and is a pure function of its
+    /// `(pool generation, model version)` key and keyed PCA stream, so
+    /// the fits are the same at every width. Warm inputs come from the
+    /// *previous* period's entries, live or retired, so builds of one
+    /// period never feed each other.
     ///
-    /// Returns the resolved worker count (0 when nothing was stale).
-    pub fn refresh(
-        &mut self,
+    /// The fits are all phase two needs of the old data: the caller
+    /// frees the old training sets and draws the stale pools
+    /// ([`StaleFits::slots`]) before handing them to
+    /// [`Self::rank_stale`].
+    ///
+    /// # Panics
+    /// Panics if a stale node's old training set was freed.
+    pub fn fit_stale(
+        &self,
         jobs: &[(usize, usize)],
         apps: &[AppRuntime],
         pca_components: usize,
         root: &Prng,
         threads: usize,
-    ) -> usize {
+    ) -> StaleFits {
         let stale: Vec<((usize, usize), (u64, u64))> = jobs
             .iter()
             .map(|&(app, node)| {
@@ -553,23 +648,68 @@ impl DriftCache {
             .filter(|(slot, key)| self.entries.get(slot).is_none_or(|e| !e.hits(*key)))
             .collect();
         let entries = &self.entries;
-        let built = parallel::fan_out_indexed(
+        let fits = parallel::fan_out_indexed(
             stale.len(),
             threads,
             DetectScratch::default,
             |i, scratch| {
                 let ((app, node), key) = stale[i];
                 let warm = entries.get(&(app, node)).and_then(|e| e.warm_for(key));
-                let artifacts = build_ranked(&apps[app], node, pca_components, root, scratch, warm);
-                (warm.is_some(), artifacts)
+                let fit = fit_old(&apps[app], node, pca_components, root, scratch, warm);
+                (warm.is_some(), fit)
             },
         );
-        for (&(slot, key), (warm_started, artifacts)) in stale.iter().zip(built) {
-            self.misses += 1;
-            self.warm_starts += u64::from(warm_started);
-            self.entries.insert(slot, CacheEntry::live(key, artifacts));
+        StaleFits {
+            builds: stale
+                .into_iter()
+                .zip(fits)
+                .map(|((slot, key), (warm_started, fit))| StaleBuild {
+                    slot,
+                    key,
+                    warm_started,
+                    fit,
+                })
+                .collect(),
         }
-        parallel::resolved_threads(stale.len(), threads)
+    }
+
+    /// Phase two of the period boundary's fill: ranks every fitted
+    /// entry's drawn pool and old held-out set against its fit, across
+    /// up to `threads` workers, and installs the results in job order,
+    /// bumping the counters a missing [`Self::artifacts`] lookup would.
+    /// Entries, counters and warm chains equal those of sequential
+    /// lookups at every width.
+    ///
+    /// Returns the resolved worker count (0 when nothing was stale).
+    ///
+    /// # Panics
+    /// Panics if a fitted node's pool is not drawn or its old held-out
+    /// set was freed.
+    pub fn rank_stale(&mut self, fits: StaleFits, apps: &[AppRuntime], threads: usize) -> usize {
+        let builds = fits.builds;
+        let rankings = parallel::fan_out_indexed(
+            builds.len(),
+            threads,
+            DetectScratch::default,
+            |i, scratch| {
+                let StaleBuild {
+                    slot: (app, node),
+                    fit,
+                    ..
+                } = &builds[i];
+                rank_new(&apps[*app], *node, fit.as_ref(), scratch)
+            },
+        );
+        let width = parallel::resolved_threads(builds.len(), threads);
+        for (build, rankings) in builds.into_iter().zip(rankings) {
+            let (app, node) = build.slot;
+            self.misses += 1;
+            self.warm_starts += u64::from(build.warm_started);
+            let artifacts = ranked_artifacts(&apps[app], node, rankings, build.fit);
+            self.entries
+                .insert(build.slot, CacheEntry::live(build.key, artifacts));
+        }
+        width
     }
 
     /// Retires every entry to its warm-start seed: the key and the
@@ -665,6 +805,7 @@ mod tests {
         sort_by_deviation(&mut [(0, 0.5), (1, f64::NAN), (2, 0.1)]);
     }
 
+    /// A runtime `periods` boundaries in, its pools drawn.
     fn drifted_runtime(periods: usize) -> AppRuntime {
         let root = Prng::new(314);
         let mut rt = AppRuntime::new(
@@ -676,7 +817,86 @@ mod tests {
         for _ in 0..periods {
             rt.advance_period();
         }
+        rt.draw_pools();
         rt
+    }
+
+    /// Both phases of the boundary fill over drawn pools, without the
+    /// scheduler's frees between them, so lookups can still rebuild
+    /// from the same runtime.
+    fn refresh(
+        cache: &mut DriftCache,
+        jobs: &[(usize, usize)],
+        apps: &[AppRuntime],
+        root: &Prng,
+        threads: usize,
+    ) -> usize {
+        let fits = cache.fit_stale(jobs, apps, 8, root, threads);
+        cache.rank_stale(fits, apps, threads)
+    }
+
+    /// The scheduler's boundary sequence — fit the stale nodes on their
+    /// old sets, free the old sets, draw the pools, rank — installs the
+    /// artifacts sequential lookups build on a runtime whose pools were
+    /// drawn up front, with the pools undrawn until the draw.
+    #[test]
+    fn phased_fill_with_frees_matches_lookups() {
+        let root = Prng::new(7);
+        let twin = drifted_runtime(2);
+        let mut apps = [AppRuntime::new(
+            catalog::video_surveillance(0),
+            ArrivalConfig::default(),
+            400,
+            &Prng::new(314),
+        )];
+        apps[0].advance_period();
+        apps[0].advance_period();
+        let nodes = apps[0].spec.nodes.len();
+        let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
+        let mut cache = DriftCache::default();
+        let fits = cache.fit_stale(&jobs, &apps, 8, &root, 2);
+        apps[0].free_old_samples();
+        assert!(apps[0].pools.iter().all(|p| !p.is_drawn()));
+        assert_eq!(fits.slots().collect::<Vec<_>>(), jobs);
+        for (a, node) in fits.slots() {
+            apps[a].pools[node].draw();
+        }
+        assert_eq!(cache.rank_stale(fits, &apps, 2), 2);
+        let mut seq = DriftCache::default();
+        for node in 0..nodes {
+            let want = seq.artifacts(0, &twin, node, 8, &root);
+            let got = cache.get(0, node).expect("installed");
+            assert_eq!(got, want, "node {node}");
+            assert_eq!(basis_bits(got), basis_bits(want), "node {node}");
+        }
+        assert_eq!(
+            (cache.misses, cache.warm_starts),
+            (seq.misses, seq.warm_starts)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "old training set of node 1 read after it was freed")]
+    fn looking_up_a_node_whose_old_set_is_gone_panics() {
+        let mut rt = drifted_runtime(1);
+        rt.free_old_samples();
+        DriftCache::default().artifacts(0, &rt, 1, 8, &Prng::new(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "old held-out set of node 0 read after it was freed")]
+    fn building_on_a_freed_held_out_set_panics() {
+        let mut rt = drifted_runtime(1);
+        rt.free_ref_samples();
+        build_artifacts(&rt, 0, 8, &Prng::new(7), &mut DetectScratch::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "retraining pool read before it was drawn")]
+    fn building_on_an_undrawn_pool_panics() {
+        let mut rt = drifted_runtime(1);
+        rt.advance_period();
+        build_artifacts(&rt, 2, 8, &Prng::new(7), &mut DetectScratch::default());
     }
 
     /// The old `rank_against` computed class means with one full rescan
@@ -791,6 +1011,7 @@ mod tests {
         assert_eq!((cache.hits, cache.misses), (1, 1));
         // Pool-generation bump: new period → rebuild.
         rt.advance_period();
+        rt.draw_pools();
         cache.artifacts(0, &rt, 1, 8, &root);
         assert_eq!((cache.hits, cache.misses), (1, 2));
         // Model-version bump: retraining → rebuild.
@@ -826,14 +1047,26 @@ mod tests {
                 let nodes = rt.spec.nodes.len();
                 let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
                 let misses = refreshed.misses;
-                let width = refreshed.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads);
+                let width = refresh(
+                    &mut refreshed,
+                    &jobs,
+                    std::slice::from_ref(&rt),
+                    &root,
+                    threads,
+                );
                 assert_eq!(width, threads.min(nodes), "threads {threads}");
                 assert_eq!(
                     refreshed.misses - misses,
                     nodes as u64,
                     "all slots stale at a fresh generation"
                 );
-                retiring.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads);
+                refresh(
+                    &mut retiring,
+                    &jobs,
+                    std::slice::from_ref(&rt),
+                    &root,
+                    threads,
+                );
                 for node in 0..nodes {
                     let s = seq.artifacts(0, &rt, node, 8, &root).clone();
                     let p = refreshed.artifacts(0, &rt, node, 8, &root);
@@ -853,11 +1086,18 @@ mod tests {
                 }
                 // A second refresh at the same key finds nothing stale.
                 assert_eq!(
-                    refreshed.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, threads),
+                    refresh(
+                        &mut refreshed,
+                        &jobs,
+                        std::slice::from_ref(&rt),
+                        &root,
+                        threads
+                    ),
                     0
                 );
                 retiring.retire();
                 rt.advance_period();
+                rt.draw_pools();
             }
             assert_eq!(seq.misses, refreshed.misses, "threads {threads}");
             assert_eq!(seq.warm_starts, refreshed.warm_starts, "threads {threads}");
@@ -899,6 +1139,7 @@ mod tests {
             let mut rt = drifted_runtime(1);
             let mut cache = first_build(&rt);
             rt.advance_period();
+            rt.draw_pools();
             let warm = cache.artifacts(0, &rt, 1, 8, &root).clone();
             assert_eq!(
                 cache.warm_starts, 1,
@@ -915,7 +1156,7 @@ mod tests {
             let mut rt = drifted_runtime(1);
             let mut cache = first_build(&rt);
             rt.advance_period();
-            let slice = rt.pools[1].samples().clone();
+            let slice = rt.pools[1].draw().clone();
             rt.models[1].train_slice(&slice, 1);
             cache.artifacts(0, &rt, 1, 8, &root);
             assert_eq!(
@@ -928,6 +1169,7 @@ mod tests {
             let mut cache = first_build(&rt);
             rt.advance_period();
             rt.advance_period();
+            rt.draw_pools();
             cache.artifacts(0, &rt, 1, 8, &root);
             assert_eq!(
                 cache.warm_starts, 0,
@@ -947,7 +1189,7 @@ mod tests {
         let nodes = rt.spec.nodes.len();
         let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
         let mut cache = DriftCache::default();
-        cache.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, 1);
+        refresh(&mut cache, &jobs, std::slice::from_ref(&rt), &root, 1);
         cache.retire();
         for node in 0..nodes {
             assert!(cache.get(0, node).is_none(), "node {node}");
@@ -966,7 +1208,7 @@ mod tests {
         // The rebuilt entry's next refresh at the same key is a no-op;
         // the still-retired nodes rebuild.
         assert_eq!(
-            cache.refresh(&jobs, std::slice::from_ref(&rt), 8, &root, 1),
+            refresh(&mut cache, &jobs, std::slice::from_ref(&rt), &root, 1),
             1
         );
         assert_eq!(cache.misses, misses + nodes as u64);

@@ -133,6 +133,7 @@ mod tests {
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
 
+    /// A runtime `periods` boundaries in, its pools drawn.
     fn drifted_runtime(periods: usize) -> AppRuntime {
         let root = Prng::new(314);
         let mut rt = AppRuntime::new(
@@ -144,6 +145,7 @@ mod tests {
         for _ in 0..periods {
             rt.advance_period();
         }
+        rt.draw_pools();
         rt
     }
 
@@ -185,6 +187,7 @@ mod tests {
             for _ in 0..2 {
                 rt.advance_period();
             }
+            rt.draw_pools();
             let rng = Prng::new(seed);
             let report = detect_drift(&rt, &AdaInfConfig::default(), &rng);
             for (node, _) in &report.impacted {

@@ -7,9 +7,11 @@
 //! (§3.3.1) and divide each job's SLO time between inference and
 //! retraining (§3.3.2), emitting one [`JobPlan`] per job.
 //!
-//! The period hook's wall-clock is reported in the period plan; the
-//! harness times each session call (Table 1 — the paper's AdaInf takes
-//! ~4.2 s for the periodical DAG update and ~2 ms per scheduling round).
+//! The period hook's wall-clock, less the retraining-pool draws it
+//! makes on the simulated world's behalf, is reported in the period
+//! plan; the harness times each session call (Table 1 — the paper's
+//! AdaInf takes ~4.2 s for the periodical DAG update and ~2 ms per
+//! scheduling round).
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
@@ -55,7 +57,8 @@ pub struct AdaInfScheduler {
     /// Drift reports of the latest detection round (Table 2).
     pub last_reports: Vec<DriftReport>,
     /// Cumulative wall-clock of period-boundary drift work: the
-    /// artifact build plus the detection sweep.
+    /// artifact build plus the detection sweep, less the pool draws
+    /// between the build's two phases.
     drift_wall_ns: u128,
     /// The same drift wall-clock, per period boundary in period order —
     /// the distribution behind the harness's p99 drift latency.
@@ -227,7 +230,9 @@ impl Scheduler for AdaInfScheduler {
         self.refresh_accuracy_values(apps);
 
         // One drift clock over the artifact build and the detection
-        // sweep.
+        // sweep, less the pool draws (the simulated world making data,
+        // not scheduling work: they are left out of the period overhead
+        // too).
         let drift_wall = WallTimer::start();
         let AdaInfScheduler {
             config,
@@ -251,13 +256,26 @@ impl Scheduler for AdaInfScheduler {
                 }
             }
         }
-        let width = drift.refresh(
+        // The build runs in two phases, so that no model's old training
+        // set and new pool are held at once: fit on the old sets, free
+        // them all, draw the stale pools, rank the pools and held-out
+        // sets against the fits.
+        let fits = drift.fit_stale(
             &jobs,
             apps,
             config.pca_components,
             rng,
             config.drift_workers,
         );
+        for rt in apps.iter_mut() {
+            rt.free_old_samples();
+        }
+        let draw_wall = WallTimer::start();
+        for (a, node) in fits.slots() {
+            apps[a].pools[node].draw();
+        }
+        let draw_ns = draw_wall.elapsed_nanos();
+        let width = drift.rank_stale(fits, apps, config.drift_workers);
         *worker_threads = (*worker_threads).max(width);
 
         for (a, rt) in apps.iter_mut().enumerate() {
@@ -286,10 +304,14 @@ impl Scheduler for AdaInfScheduler {
                 }
             }
         }
-        // The sweep and `set_order` were the artifacts' last readers:
-        // keep only each entry's warm-start basis for the next boundary.
+        // The sweep and `set_order` were the artifacts' and the old
+        // held-out sets' last readers: keep only each entry's warm-start
+        // basis for the next boundary.
         drift.retire();
-        let drift_ns = drift_wall.elapsed_nanos();
+        for rt in apps.iter_mut() {
+            rt.free_ref_samples();
+        }
+        let drift_ns = drift_wall.elapsed_nanos().saturating_sub(draw_ns);
         self.drift_wall_ns += drift_ns;
         self.drift_period_ns.push(drift_ns as u64);
         self.select_period_structures();
@@ -303,7 +325,9 @@ impl Scheduler for AdaInfScheduler {
                 })
                 .collect(),
             bulk: Vec::new(),
-            overhead: SimDuration::from_millis_f64(wall.elapsed_ms()),
+            overhead: SimDuration::from_millis_f64(
+                wall.elapsed_nanos().saturating_sub(draw_ns) as f64 / 1e6,
+            ),
             edge_cloud_bytes: 0,
         }
     }
@@ -745,6 +769,55 @@ mod tests {
                 stats.push(sched.drift_cache_stats());
             }
             assert_eq!(stats, want, "{name}");
+        }
+    }
+
+    /// Each boundary frees every old training and held-out set, and
+    /// draws exactly the pools the drift build read: all of them by
+    /// default, only the frozen DAG's retraining nodes' under AdaInf/U,
+    /// whose other pools stay undrawn.
+    #[test]
+    fn period_start_frees_old_sets_and_draws_only_read_pools() {
+        for config in [AdaInfConfig::default(), AdaInfConfig::variant_u()] {
+            let (_, mut apps, server) = setup(3);
+            let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+            let name = config.variant_name();
+            let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
+            let mut undrawn = 0;
+            for period in 0..4u64 {
+                if period > 0 {
+                    for rt in &mut apps {
+                        rt.advance_period();
+                    }
+                }
+                assert!(apps.iter().all(|rt| rt.pools.iter().all(|p| !p.is_drawn())));
+                let read: Vec<Vec<bool>> = sched
+                    .states
+                    .iter()
+                    .zip(&apps)
+                    .map(|(state, rt)| {
+                        let update_dag = sched.config.update_dag_each_period || !state.frozen;
+                        (0..rt.spec.nodes.len())
+                            .map(|node| update_dag || state.ridag.retrains(node))
+                            .collect()
+                    })
+                    .collect();
+                sched.on_period_start(&mut apps, &server, SimTime::from_secs(50 * period));
+                for (a, (rt, read)) in apps.iter().zip(&read).enumerate() {
+                    for (node, &read) in read.iter().enumerate() {
+                        let at = format!("{name} period {period}: ({a}, {node})");
+                        assert!(!rt.has_old_samples(node), "{at} old training set held");
+                        assert!(!rt.has_ref_samples(node), "{at} old held-out set held");
+                        assert_eq!(rt.pools[node].is_drawn(), read, "{at}");
+                        undrawn += usize::from(!read);
+                    }
+                }
+            }
+            assert_eq!(
+                undrawn > 0,
+                name == "AdaInf/U",
+                "{name}: {undrawn} undrawn pools"
+            );
         }
     }
 

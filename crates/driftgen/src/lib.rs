@@ -18,7 +18,8 @@
 //! * [`pool::RetrainPool`] — the per-period collection of new training
 //!   samples (previous period's requests plus golden labels) that
 //!   retraining draws from, with used-sample bookkeeping so concurrent
-//!   jobs never retrain on the same sample twice (§3.3.2).
+//!   jobs never retrain on the same sample twice (§3.3.2). A pool's
+//!   samples are drawn when first read.
 //! * [`workload::ArrivalTrace`] — a diurnal-plus-bursts request-rate curve
 //!   with Poisson arrivals per 5 ms session, standing in for the Twitter
 //!   trace.
@@ -35,5 +36,5 @@ pub mod workload;
 pub use faultgen::{FaultKind, FaultSpec, FaultTimeline, Impairments};
 pub use pool::RetrainPool;
 pub use scenario::DriftProfile;
-pub use stream::{LabeledSamples, TaskStream, TaskStreamConfig};
+pub use stream::{DeferredSample, LabeledSamples, TaskStream, TaskStreamConfig};
 pub use workload::ArrivalTrace;

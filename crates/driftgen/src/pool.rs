@@ -9,18 +9,35 @@
 //! samples in a caller-supplied priority order (AdaInf orders them by
 //! deviation from the old data; baselines use arrival order).
 //!
-//! The samples themselves are immutable and shared: when the period
-//! ends, the runtime keeps the retiring pool's set as the drift
-//! detector's old data, and the detector's boundary snapshots read the
-//! same set, all without a copy.
+//! A pool is drawn when first read. [`RetrainPool::deferred`] holds a
+//! [`DeferredSample`] — the few hundred bytes of stream state the draw
+//! reads — until the first [`RetrainPool::take`] or
+//! [`RetrainPool::draw`]; [`RetrainPool::total`],
+//! [`RetrainPool::remaining`] and [`RetrainPool::used`] answer without
+//! drawing. A period boundary thus draws each new pool after the drift
+//! detector has fitted and freed the old data, and never holds two
+//! pool-sized sets per model. The pool's order is built with its draw.
+//! [`RetrainPool::samples`] and [`RetrainPool::set_order`] panic on an
+//! undrawn pool: there are no rows yet to read or to rank.
+//!
+//! The drawn samples are immutable and shared: when the period ends,
+//! the runtime keeps the retiring pool's set as the drift detector's old
+//! data without a copy.
 //!
 //! The consumption order is a `u32` per sample, half the bytes of a
 //! `usize` order, so a pool holds at most `u32::MAX` samples. Taking a
 //! slice gathers its rows straight through that order, with no widened
 //! copy of the indices.
 
-use crate::stream::LabeledSamples;
+use crate::stream::{DeferredSample, LabeledSamples};
 use std::sync::Arc;
+
+/// A pool's samples: not drawn yet, or drawn and shared.
+#[derive(Clone, Debug)]
+enum Samples {
+    Deferred(DeferredSample),
+    Drawn(Arc<LabeledSamples>),
+}
 
 /// The retraining sample pool of one model for the current period.
 ///
@@ -29,37 +46,65 @@ use std::sync::Arc;
 /// use adainf_simcore::Prng;
 /// let root = Prng::new(1);
 /// let mut stream = TaskStream::new(TaskStreamConfig::new("demo", 4, 0), &root);
-/// let mut pool = RetrainPool::new(stream.sample(100));
-/// let slice = pool.take(30);
+/// let mut pool = RetrainPool::deferred(stream.defer(100));
+/// assert_eq!((pool.total(), pool.remaining()), (100, 100));
+/// assert!(!pool.is_drawn());
+/// let slice = pool.take(30); // the first read draws the pool
 /// assert_eq!(slice.len(), 30);
 /// assert_eq!(pool.remaining(), 70);
 /// assert!((pool.used_fraction() - 0.3).abs() < 1e-12);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RetrainPool {
-    samples: Arc<LabeledSamples>,
-    /// Sample indices in consumption order (highest priority first).
+    samples: Samples,
+    /// Sample indices in consumption order (highest priority first);
+    /// empty until the pool is drawn.
     order: Vec<u32>,
     /// How many of `order` have been consumed.
     cursor: usize,
 }
 
+/// The arrival-order consumption order of `n` samples.
+///
+/// # Panics
+/// Panics with more than `u32::MAX` samples, the most a `u32` order can
+/// index.
+fn arrival_order(n: usize) -> Vec<u32> {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "at most u32::MAX samples in a pool"
+    );
+    (0..n as u32).collect()
+}
+
 impl RetrainPool {
-    /// Creates a pool over `samples`, consumed in arrival order until
-    /// [`Self::set_order`] installs a different priority.
+    /// Creates a pool over drawn `samples`, consumed in arrival order
+    /// until [`Self::set_order`] installs a different priority.
     ///
     /// # Panics
     /// Panics with more than `u32::MAX` samples, the most a `u32` order
     /// can index.
     pub fn new(samples: LabeledSamples) -> Self {
+        RetrainPool {
+            order: arrival_order(samples.len()),
+            samples: Samples::Drawn(Arc::new(samples)),
+            cursor: 0,
+        }
+    }
+
+    /// Creates a pool whose samples are drawn at its first
+    /// [`Self::take`] or [`Self::draw`].
+    ///
+    /// # Panics
+    /// Panics with more than `u32::MAX` samples, as [`Self::new`] does.
+    pub fn deferred(samples: DeferredSample) -> Self {
         assert!(
             u32::try_from(samples.len()).is_ok(),
             "at most u32::MAX samples in a pool"
         );
-        let order = (0..samples.len() as u32).collect();
         RetrainPool {
-            samples: Arc::new(samples),
-            order,
+            samples: Samples::Deferred(samples),
+            order: Vec::new(),
             cursor: 0,
         }
     }
@@ -69,14 +114,32 @@ impl RetrainPool {
         RetrainPool::new(LabeledSamples::empty())
     }
 
-    /// Total number of samples in the pool.
+    /// Draws the samples if they are not drawn yet, and returns them.
+    pub fn draw(&mut self) -> &Arc<LabeledSamples> {
+        if let Samples::Deferred(deferred) = &self.samples {
+            let drawn = deferred.draw();
+            self.order = arrival_order(drawn.len());
+            self.samples = Samples::Drawn(Arc::new(drawn));
+        }
+        self.samples()
+    }
+
+    /// Whether the samples have been drawn.
+    pub fn is_drawn(&self) -> bool {
+        matches!(self.samples, Samples::Drawn(_))
+    }
+
+    /// Total number of samples in the pool, drawn or not.
     pub fn total(&self) -> usize {
-        self.samples.len()
+        match &self.samples {
+            Samples::Deferred(deferred) => deferred.len(),
+            Samples::Drawn(samples) => samples.len(),
+        }
     }
 
     /// Samples not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.order.len() - self.cursor
+        self.total() - self.cursor
     }
 
     /// Samples already consumed.
@@ -86,17 +149,22 @@ impl RetrainPool {
 
     /// Fraction of the pool consumed so far (0 when the pool is empty).
     pub fn used_fraction(&self) -> f64 {
-        if self.order.is_empty() {
-            0.0
-        } else {
-            self.cursor as f64 / self.order.len() as f64
+        match self.total() {
+            0 => 0.0,
+            total => self.cursor as f64 / total as f64,
         }
     }
 
     /// The underlying samples, shared: clone the `Arc` to keep them
     /// past the pool's lifetime without copying them.
+    ///
+    /// # Panics
+    /// Panics if the pool is not drawn yet ([`Self::draw`] draws it).
     pub fn samples(&self) -> &Arc<LabeledSamples> {
-        &self.samples
+        match &self.samples {
+            Samples::Drawn(samples) => samples,
+            Samples::Deferred(_) => panic!("retraining pool read before it was drawn"),
+        }
     }
 
     /// Installs a consumption priority over the *unconsumed* portion of
@@ -104,9 +172,15 @@ impl RetrainPool {
     /// already-consumed samples keep their position at the front.
     ///
     /// # Panics
-    /// Panics if `priority` is not a permutation of the full index range.
+    /// Panics if `priority` is not a permutation of the full index
+    /// range, or if the pool is not drawn yet (a priority ranks drawn
+    /// samples).
     pub fn set_order(&mut self, priority: &[u32]) {
-        let n = self.samples.len();
+        assert!(
+            self.is_drawn(),
+            "set_order on a retraining pool not drawn yet"
+        );
+        let n = self.total();
         assert_eq!(priority.len(), n, "order length mismatch");
         let mut pending = vec![false; n];
         for &i in priority {
@@ -123,10 +197,12 @@ impl RetrainPool {
     }
 
     /// Takes up to `n` samples off the front of the priority order,
-    /// marking them consumed. Returns an empty batch when exhausted.
+    /// marking them consumed, and draws the pool first if it is not
+    /// drawn yet. Returns an empty batch when exhausted.
     pub fn take(&mut self, n: usize) -> LabeledSamples {
+        self.draw();
         let end = self.cursor.saturating_add(n).min(self.order.len());
-        let batch = self.samples.gather(&self.order[self.cursor..end]);
+        let batch = self.samples().gather(&self.order[self.cursor..end]);
         self.cursor = end;
         batch
     }
@@ -185,5 +261,61 @@ mod tests {
         assert_eq!(p.total(), 0);
         assert_eq!(p.used_fraction(), 0.0);
         assert!(p.take(5).is_empty());
+    }
+
+    /// A drawn pool and a deferred pool over the same draw: equal
+    /// counts before any read, and equal slices after.
+    fn drawn_and_deferred(n: usize) -> (RetrainPool, RetrainPool) {
+        let root = Prng::new(4);
+        let mut s = TaskStream::new(TaskStreamConfig::new("t", 3, 1), &root);
+        let deferred = RetrainPool::deferred(s.clone().defer(n));
+        (RetrainPool::new(s.sample(n)), deferred)
+    }
+
+    fn counts(p: &RetrainPool) -> (usize, usize, usize, u64) {
+        (
+            p.total(),
+            p.remaining(),
+            p.used(),
+            p.used_fraction().to_bits(),
+        )
+    }
+
+    /// An undrawn pool answers `total`, `remaining`, `used` and
+    /// `used_fraction` as the drawn pool does, without drawing; its
+    /// first `take` draws it and hands out the same rows.
+    #[test]
+    fn deferred_pool_counts_like_a_drawn_one_and_take_draws_it() {
+        for n in [0usize, 1, 10] {
+            let (mut drawn, mut deferred) = drawn_and_deferred(n);
+            assert!(drawn.is_drawn() && !deferred.is_drawn());
+            assert_eq!(counts(&deferred), counts(&drawn), "n {n}");
+            assert!(!deferred.is_drawn(), "counting drew the pool");
+            let (a, b) = (drawn.take(4), deferred.take(4));
+            assert!(deferred.is_drawn(), "take draws");
+            assert_eq!(a.labels, b.labels, "n {n}");
+            assert_eq!(a.inputs.data(), b.inputs.data(), "n {n}");
+            assert_eq!(counts(&deferred), counts(&drawn), "n {n}");
+            assert_eq!(deferred.samples().labels, drawn.samples().labels);
+        }
+        // An explicit draw leaves the arrival order and the counts.
+        let (mut drawn, mut deferred) = drawn_and_deferred(6);
+        assert_eq!(deferred.draw().len(), 6);
+        assert_eq!(counts(&deferred), counts(&drawn));
+        assert_eq!(deferred.take(6).labels, drawn.take(6).labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "retraining pool read before it was drawn")]
+    fn reading_an_undrawn_pool_panics() {
+        let (_, deferred) = drawn_and_deferred(5);
+        deferred.samples();
+    }
+
+    #[test]
+    #[should_panic(expected = "set_order on a retraining pool not drawn yet")]
+    fn ordering_an_undrawn_pool_panics() {
+        let (_, mut deferred) = drawn_and_deferred(3);
+        deferred.set_order(&[2, 1, 0]);
     }
 }

@@ -8,10 +8,18 @@
 //! drift — "sudden changes in lighting or occlusion") take a random-walk
 //! step whose magnitude is the stream's drift intensity.
 //!
-//! Samples carry one-byte [`Label`]s: a period boundary holds two
-//! 6000-sample sets per model, and an eight-byte label would add an
-//! eighth to every 64-byte feature row. A stream therefore has at most
-//! 256 classes.
+//! Samples carry one-byte [`Label`]s: a model's 6000-sample retraining
+//! pool is the largest set the simulator holds, and an eight-byte label
+//! would add an eighth to every 64-byte feature row. A stream therefore
+//! has at most 256 classes.
+//!
+//! A draw can be deferred: [`TaskStream::defer`] snapshots what
+//! [`TaskStream::sample`] reads (the generator, the priors and the
+//! class means) and moves the stream's generator past exactly the draws
+//! `sample` would have made, without computing them. The
+//! [`DeferredSample`] later draws the same rows, bit for bit, and the
+//! stream goes on as if they had been drawn at once. Retraining pools
+//! are deferred this way, so a pool is drawn only when first read.
 
 use adainf_nn::{Label, Matrix, RowIndex, MAX_CLASSES};
 use adainf_simcore::Prng;
@@ -271,22 +279,40 @@ impl TaskStream {
     /// sample one class draw, then one Gaussian per feature, written
     /// straight into the output row.
     pub fn sample(&mut self, n: usize) -> LabeledSamples {
-        let mut inputs = Matrix::zeros(n, self.config.feature_dim);
-        let mut labels = Vec::with_capacity(n);
-        let total = Prng::weight_total(&self.priors);
-        for r in 0..n {
-            let class = self
-                .rng
-                .weighted_index_with_total(&self.priors, total)
-                // simlint: allow(no-unwrap-in-lib) — priors come from a simplex draw, all strictly positive
-                .expect("priors are positive");
-            for (x, &m) in inputs.row_mut(r).iter_mut().zip(self.means.row(class)) {
-                *x = m + (self.rng.gauss() * self.config.noise) as f32;
-            }
-            // Exact: `new` caps the classes at 256.
-            labels.push(class as Label);
+        draw_samples(
+            &mut self.rng,
+            &self.priors,
+            &self.means,
+            self.config.noise,
+            n,
+        )
+    }
+
+    /// [`Self::sample`]`(n)`, drawn later: the returned snapshot draws
+    /// the same rows bit for bit, and the stream's generator moves on
+    /// now past exactly the draws `sample(n)` makes — one uniform per
+    /// class draw, `feature_dim` Gaussians per row — so every later
+    /// draw of the stream is unchanged. Moving on takes integer draws
+    /// only: the order of raw draws does not change the state they
+    /// reach, and a spare left pending comes from the last two draws
+    /// either way, since each row ends with its Gaussians.
+    pub fn defer(&mut self, n: usize) -> DeferredSample {
+        let deferred = DeferredSample {
+            rng: self.rng.clone(),
+            priors: self.priors.clone(),
+            means: self.means.clone(),
+            noise: self.config.noise,
+            n,
+        };
+        assert!(
+            n == 0 || Prng::weight_total(&self.priors) > 0.0,
+            "priors are positive"
+        );
+        for _ in 0..n {
+            self.rng.next_u64();
         }
-        LabeledSamples { inputs, labels }
+        self.rng.skip_gauss(n * self.config.feature_dim);
+        deferred
     }
 
     /// Empirical label distribution of a sample batch, normalised.
@@ -296,6 +322,64 @@ impl TaskStream {
             counts[usize::from(l)] += 1.0;
         }
         adainf_nn::metrics::normalize_hist(&counts)
+    }
+}
+
+/// The body of [`TaskStream::sample`], shared with
+/// [`DeferredSample::draw`] so a deferred draw runs the same code on the
+/// same inputs.
+fn draw_samples(
+    rng: &mut Prng,
+    priors: &[f64],
+    means: &Matrix,
+    noise: f64,
+    n: usize,
+) -> LabeledSamples {
+    let mut inputs = Matrix::zeros(n, means.cols());
+    let mut labels = Vec::with_capacity(n);
+    let total = Prng::weight_total(priors);
+    for r in 0..n {
+        let class = rng
+            .weighted_index_with_total(priors, total)
+            // simlint: allow(no-unwrap-in-lib) — priors come from a simplex draw, all strictly positive
+            .expect("priors are positive");
+        for (x, &m) in inputs.row_mut(r).iter_mut().zip(means.row(class)) {
+            *x = m + (rng.gauss() * noise) as f32;
+        }
+        // Exact: `TaskStream::new` caps the classes at 256.
+        labels.push(class as Label);
+    }
+    LabeledSamples { inputs, labels }
+}
+
+/// A [`TaskStream::sample`] call not drawn yet: the generator with its
+/// pending Box–Muller spare, the priors and the class means it would
+/// read (a few hundred bytes), and the sample count.
+#[derive(Clone, Debug)]
+pub struct DeferredSample {
+    rng: Prng,
+    priors: Vec<f64>,
+    means: Matrix,
+    noise: f64,
+    n: usize,
+}
+
+impl DeferredSample {
+    /// Number of samples the draw yields.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the draw yields no samples.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Draws the samples: bit-equal to what `sample(n)` returned had it
+    /// run at the [`TaskStream::defer`] call, however often it is drawn.
+    pub fn draw(&self) -> LabeledSamples {
+        let mut rng = self.rng.clone();
+        draw_samples(&mut rng, &self.priors, &self.means, self.noise, self.n)
     }
 }
 
@@ -541,6 +625,46 @@ mod tests {
                 &staged_select(none, &[]),
                 "select from empty",
             );
+        }
+    }
+
+    /// A deferred draw, made later, equals the draw `sample` makes at
+    /// the `defer` call, and the stream goes on as if it had been made:
+    /// the next rows, Gaussians and raw draws all match. Five classes
+    /// leave a Box–Muller spare pending after `new` (its prior
+    /// perturbation draws one Gaussian per class), six do not; each
+    /// period's drift draws an even number of them.
+    #[test]
+    fn deferred_draws_bit_match_sample() {
+        for classes in [5usize, 6] {
+            for (prior_drift, mean_drift) in [(0.0, 0.0), (0.5, 0.4)] {
+                let root = Prng::new(70 + classes as u64);
+                let config =
+                    TaskStreamConfig::new("defer", classes, 3).with_drift(prior_drift, mean_drift);
+                let mut now = TaskStream::new(config, &root);
+                let mut later = now.clone();
+                let mut drawn = Vec::new();
+                let mut deferred = Vec::new();
+                for n in [0usize, 1, 17, 600, 6000] {
+                    drawn.push(now.sample(n));
+                    let d = later.defer(n);
+                    assert_eq!((d.len(), d.is_empty()), (n, n == 0));
+                    deferred.push(d);
+                    let what = format!("{classes} classes, drift {prior_drift}, after defer({n})");
+                    assert_bit_equal(&later.sample(3), &now.sample(3), &what);
+                    now.advance_period();
+                    later.advance_period();
+                }
+                for (d, want) in deferred.into_iter().zip(&drawn) {
+                    let what = format!(
+                        "{classes} classes, drift {prior_drift}, draw of {}",
+                        want.len()
+                    );
+                    assert_bit_equal(&d.draw(), want, &what);
+                }
+                assert_eq!(now.rng.gauss().to_bits(), later.rng.gauss().to_bits());
+                assert_eq!(now.rng.next_u64(), later.rng.next_u64());
+            }
         }
     }
 

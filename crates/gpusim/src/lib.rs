@@ -33,11 +33,9 @@ pub mod device;
 pub mod exec;
 pub mod latency;
 pub mod memory;
-pub mod transfer;
 
 pub use content::{ContentKey, ContentType, TaskContext};
 pub use device::{EdgeServer, GpuSpec};
 pub use exec::{ExecMode, TaskExec, TaskResult};
 pub use latency::{LatencyModel, StructureCost};
 pub use memory::{EvictionPolicyKind, GpuMemory, MemoryConfig, ReuseEvent};
-pub use transfer::TransferBus;

@@ -65,10 +65,6 @@ pub struct MemoryConfig {
     /// by offline profiling (§3.4.2 "AdaInf takes the mean value of the
     /// range as the value of R_c of the data type").
     pub reuse_table_ms: [f64; 4],
-    /// Model PCIe contention: concurrent transfers slow each other
-    /// (see [`crate::transfer::TransferBus`]). Off by default to keep
-    /// the headline calibration unchanged.
-    pub bus_contention: bool,
 }
 
 impl Default for MemoryConfig {
@@ -86,7 +82,6 @@ impl Default for MemoryConfig {
             // intermediate/retraining 0.02–7.5 ms, param/inference
             // 67–68.6 ms.
             reuse_table_ms: [0.8, 3.0, 3.8, 67.8],
-            bus_contention: false,
         }
     }
 }
@@ -174,8 +169,6 @@ pub struct GpuMemory {
     /// reuse intervals (Figs 12–13) span evictions: a parameter evicted
     /// between jobs is still *reused* by the next job.
     last_touch: BTreeMap<ContentKey, (SimTime, TaskContext, u64, u32)>,
-    /// Shared PCIe bus, used when `bus_contention` is enabled.
-    bus: crate::transfer::TransferBus,
 }
 
 /// How an access obtains the content if it is not resident.
@@ -192,7 +185,6 @@ pub enum AccessIntent {
 impl GpuMemory {
     /// Creates an empty memory with the given configuration.
     pub fn new(config: MemoryConfig) -> Self {
-        let bus = crate::transfer::TransferBus::new(config.pageable_bandwidth);
         GpuMemory {
             effective_capacity: config.gpu_capacity,
             config,
@@ -203,21 +195,12 @@ impl GpuMemory {
             stats: MemoryStats::default(),
             reuse_events: Vec::new(),
             last_touch: BTreeMap::new(),
-            bus,
         }
     }
 
-    /// Transfer cost of `bytes` over the given link bandwidth, inflated
-    /// by bus contention when enabled.
-    fn transfer_cost(&mut self, bytes: u64, bandwidth: f64, now: SimTime) -> SimDuration {
-        let nominal = SimDuration::from_millis_f64(bytes as f64 / bandwidth * 1e3);
-        if !self.config.bus_contention {
-            return nominal;
-        }
-        // The bus tracks physical occupancy at the pageable rate; the
-        // PIN speed-up is applied as a ratio on the contended figure.
-        let contended = self.bus.charge(bytes, now);
-        contended.mul_f64(nominal.as_millis_f64() / self.bus.nominal(bytes).as_millis_f64().max(1e-12))
+    /// Transfer cost of `bytes` over the given link bandwidth.
+    fn transfer_cost(bytes: u64, bandwidth: f64) -> SimDuration {
+        SimDuration::from_millis_f64(bytes as f64 / bandwidth * 1e3)
     }
 
     /// The configuration in use.
@@ -259,7 +242,7 @@ impl GpuMemory {
 
     /// Frees space for `needed` bytes by evicting victims according to the
     /// configured policy. Returns the GPU→CPU transfer time incurred.
-    fn make_room(&mut self, needed: u64, now: SimTime) -> SimDuration {
+    fn make_room(&mut self, needed: u64) -> SimDuration {
         if self.used + needed <= self.effective_capacity {
             return SimDuration::ZERO;
         }
@@ -339,7 +322,7 @@ impl GpuMemory {
                 CpuLocation::Pinned => self.config.pin_bandwidth,
                 CpuLocation::Pageable => self.config.pageable_bandwidth,
             };
-            comm += self.transfer_cost(v.bytes, bandwidth, now);
+            comm += Self::transfer_cost(v.bytes, bandwidth);
             self.spilled.insert(v.key, (location, v.bytes));
         }
         self.stats.comm_time += comm;
@@ -368,13 +351,14 @@ impl GpuMemory {
     /// of the configured bytes and immediately evicts down to it — an
     /// eviction storm. The storm's evictions and drops are accounted in
     /// [`MemoryStats::pressure_evictions`] as well as the regular
-    /// counters. Returns the writeback time incurred.
-    pub fn apply_pressure(&mut self, frac: f64, now: SimTime) -> SimDuration {
+    /// counters. Returns the writeback time incurred, at the link's
+    /// nominal bandwidth whatever the time `_now` of the storm.
+    pub fn apply_pressure(&mut self, frac: f64, _now: SimTime) -> SimDuration {
         let frac = frac.clamp(0.0, 1.0);
         self.effective_capacity =
             ((self.config.gpu_capacity as f64 * frac).max(1.0)) as u64;
         let before = self.stats.evictions + self.stats.drops;
-        let comm = self.make_room(0, now);
+        let comm = self.make_room(0);
         self.stats.pressure_evictions +=
             (self.stats.evictions + self.stats.drops).saturating_sub(before);
         comm
@@ -445,7 +429,7 @@ impl GpuMemory {
         }
 
         // Miss: free room, then fetch or produce.
-        let mut comm = self.make_room(bytes, now);
+        let mut comm = self.make_room(bytes);
         let fetch_location = self.spilled.remove(&key);
         if let Some((loc, spilled_bytes)) = fetch_location {
             // Release what the spill reserved, which need not be this
@@ -465,7 +449,7 @@ impl GpuMemory {
                     CpuLocation::Pinned => self.config.pin_bandwidth,
                     CpuLocation::Pageable => self.config.pageable_bandwidth,
                 };
-                let t = self.transfer_cost(bytes, bandwidth, now);
+                let t = Self::transfer_cost(bytes, bandwidth);
                 comm += t;
                 self.stats.comm_time += t;
                 self.stats.bytes_moved += bytes;
@@ -478,7 +462,7 @@ impl GpuMemory {
             // (models are loaded from host), so the initial fetch pays
             // pageable cost.
             let t =
-                self.transfer_cost(bytes, self.config.pageable_bandwidth, now);
+                Self::transfer_cost(bytes, self.config.pageable_bandwidth);
             comm += t;
             self.stats.comm_time += t;
             self.stats.bytes_moved += bytes;
@@ -792,38 +776,6 @@ mod tests {
                 Some(CrossReuse::ParamRetrainToInference),
                 Some(CrossReuse::ParamAcrossJobs)
             ]
-        );
-    }
-
-    #[test]
-    fn bus_contention_inflates_thrash() {
-        // The same eviction thrash costs strictly more with bus
-        // contention enabled.
-        let run = |contended: bool| -> SimDuration {
-            let mut cfg = small_config(EvictionPolicyKind::Lru);
-            cfg.gpu_capacity = 500;
-            cfg.bus_contention = contended;
-            let mut mem = GpuMemory::new(cfg);
-            let a = ContentKey::intermediate(1, 1, 0, 1);
-            let b = ContentKey::intermediate(1, 2, 0, 1);
-            let mut clock = 0u64;
-            for i in 0..20 {
-                let key = if i % 2 == 0 { a } else { b };
-                let intent = if i < 2 {
-                    AccessIntent::Produce
-                } else {
-                    AccessIntent::Fetch
-                };
-                clock += 50;
-                mem.access(key, 400, TaskContext::Inference, 1, 0, 400.0, intent, t(clock));
-            }
-            mem.stats().comm_time
-        };
-        let free_flow = run(false);
-        let contended = run(true);
-        assert!(
-            contended > free_flow,
-            "contended {contended:?} vs free {free_flow:?}"
         );
     }
 

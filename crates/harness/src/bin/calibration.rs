@@ -93,6 +93,7 @@ fn main() {
         for _ in 0..3 {
             rt.advance_period();
         }
+        rt.draw_pools();
         let rng = Prng::new(seed ^ 0xD);
         let report = detect_drift(&rt, &AdaInfConfig::default(), &rng);
         for (node, _) in report.impacted {

@@ -968,6 +968,7 @@ pub fn table2(_scale: Scale) -> String {
     // Advance to the second drifted period, as in the paper's table.
     rt.advance_period();
     rt.advance_period();
+    rt.draw_pools();
     let rng = Prng::new(7);
     let report = detect_drift(&rt, &AdaInfConfig::default(), &rng);
     let names = ["Object", "Person", "Vehicle"];

@@ -36,9 +36,9 @@ pub use matrix::{Matrix, RowIndex};
 pub use mlp::{EarlyExitMlp, InferScratch, MlpConfig, TrainBatch, TrainScratch};
 
 /// A class label. One byte: the catalogue's tasks have at most a dozen
-/// classes, and the sample sets a period boundary holds (two 6000-sample
-/// sets per model) keep one label per row, so a `usize` label would
-/// spend eight bytes where one does. [`EarlyExitMlp::new`] and the task
+/// classes, and the sample sets the simulator holds (a 6000-sample
+/// retraining pool per model) keep one label per row, so a `usize`
+/// label would spend eight bytes where one does. [`EarlyExitMlp::new`] and the task
 /// streams reject more than 256 classes, the most a `Label` can name.
 pub type Label = u8;
 

@@ -123,13 +123,37 @@ impl Prng {
         if let Some(v) = self.gauss_spare.take() {
             return v;
         }
+        let (r, theta) = self.box_muller_polar();
+        self.gauss_spare = Some(r * theta.sin());
+        r * theta.cos()
+    }
+
+    /// One Box–Muller transform's radius and angle, from two uniforms.
+    fn box_muller_polar(&mut self) -> (f64, f64) {
         // Avoid u == 0 so ln(u) is finite.
         let u = 1.0 - self.f64();
         let v = self.f64();
-        let r = (-2.0 * u.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * v;
-        self.gauss_spare = Some(r * theta.sin());
-        r * theta.cos()
+        ((-2.0 * u.ln()).sqrt(), 2.0 * std::f64::consts::PI * v)
+    }
+
+    /// Advances the generator past `n` [`Self::gauss`] calls without
+    /// computing their values: it leaves the same state and the same
+    /// pending spare as the calls would. A pending spare serves the
+    /// first call; each later pair of calls is one transform, two raw
+    /// draws. Only a transform whose sine half stays pending is
+    /// evaluated, so `ln`, `sqrt` and `sin` run at most once.
+    pub fn skip_gauss(&mut self, n: usize) {
+        let mut n = n;
+        if n > 0 && self.gauss_spare.take().is_some() {
+            n -= 1;
+        }
+        for _ in 0..n / 2 * 2 {
+            self.next_u64();
+        }
+        if n % 2 == 1 {
+            let (r, theta) = self.box_muller_polar();
+            self.gauss_spare = Some(r * theta.sin());
+        }
     }
 
     /// Normal with the given mean and standard deviation.
@@ -281,6 +305,36 @@ mod tests {
         let var = sq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    /// Skipping `n` calls leaves the state and the pending spare that
+    /// `n` real calls leave, from either entry state, whatever raw
+    /// draws come between skips.
+    #[test]
+    fn skip_gauss_lands_where_the_calls_do() {
+        for spare_first in [false, true] {
+            for n in [0usize, 1, 2, 3, 16, 17, 1001] {
+                let mut real = Prng::new(17);
+                if spare_first {
+                    real.gauss();
+                }
+                let mut skipped = real.clone();
+                for round in 0..3 {
+                    for _ in 0..n {
+                        real.gauss();
+                    }
+                    skipped.skip_gauss(n);
+                    assert_eq!(
+                        real.gauss_spare.map(f64::to_bits),
+                        skipped.gauss_spare.map(f64::to_bits),
+                        "spare {spare_first}, n {n}, round {round}"
+                    );
+                    assert_eq!(real.s, skipped.s, "spare {spare_first}, n {n}");
+                    assert_eq!(real.next_u64(), skipped.next_u64());
+                }
+                assert_eq!(real.gauss().to_bits(), skipped.gauss().to_bits());
+            }
+        }
     }
 
     #[test]

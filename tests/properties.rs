@@ -309,8 +309,9 @@ proptest! {
     }
 }
 
-/// Builds a small drifted runtime for the drift-cache properties.
-fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
+/// Builds a small runtime `periods` boundaries in, its pools not drawn
+/// yet, as a scheduler's boundary finds it.
+fn small_advanced_runtime(seed: u64, periods: usize) -> AppRuntime {
     let root = Prng::new(seed);
     let mut rt = AppRuntime::new(
         catalog::video_surveillance(0),
@@ -324,21 +325,36 @@ fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
     rt
 }
 
+/// Builds a small drifted runtime for the drift-cache properties, its
+/// pools drawn.
+fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
+    let mut rt = small_advanced_runtime(seed, periods);
+    rt.draw_pools();
+    rt
+}
+
 /// The real drift-artifact build is schedule-invariant: for three seeds,
 /// [`fan_out_check`] replays the per-(app, node) build under forced
 /// claim-order permutations at 1/2/4/8 workers and asserts bit-equality
-/// with the sequential loop, and the scheduler's boundary build
-/// ([`DriftCache::refresh`]) at every one of those widths must land on
-/// the same artifact bits.
+/// with the sequential loop, and the scheduler's two-phase boundary
+/// build ([`DriftCache::fit_stale`], the old sets freed and the pools
+/// drawn, [`DriftCache::rank_stale`]) at every one of those widths must
+/// land on the same artifact bits.
 #[test]
 fn drift_refresh_survives_adversarial_schedules() {
     use adainf::simcore::parallel::fan_out_check;
 
     for seed in [11u64, 97, 2024] {
-        let apps = [
-            small_drifted_runtime(seed, 1),
-            small_drifted_runtime(seed ^ 0x5EED, 2),
-        ];
+        let advanced = || {
+            [
+                small_advanced_runtime(seed, 1),
+                small_advanced_runtime(seed ^ 0x5EED, 2),
+            ]
+        };
+        let mut apps = advanced();
+        for rt in &mut apps {
+            rt.draw_pools();
+        }
         let jobs: Vec<(usize, usize)> = apps
             .iter()
             .enumerate()
@@ -363,15 +379,24 @@ fn drift_refresh_survives_adversarial_schedules() {
         // Layer 3: the production boundary build at each width
         // reproduces the same rankings and basis bit-for-bit
         // (prefix-sums are lazily extended, so only the eagerly-built
-        // fields are compared).
+        // fields are compared). Each width gets its own runtimes: the
+        // build frees their old training sets between its phases.
         for threads in [1usize, 2, 4, 8] {
+            let mut own = advanced();
             let mut cache = DriftCache::default();
-            cache.refresh(&jobs, &apps, 8, &root, threads);
+            let fits = cache.fit_stale(&jobs, &own, 8, &root, threads);
+            for rt in &mut own {
+                rt.free_old_samples();
+            }
+            for (app, node) in fits.slots() {
+                own[app].pools[node].draw();
+            }
+            cache.rank_stale(fits, &own, threads);
             assert_eq!(cache.misses as usize, jobs.len(), "every slot is stale");
             for (j, &(app, node)) in jobs.iter().enumerate() {
-                let art = cache
-                    .get(app, node)
-                    .unwrap_or_else(|| panic!("refresh({threads}) missing ({app}, {node})"));
+                let art = cache.get(app, node).unwrap_or_else(|| {
+                    panic!("boundary build at {threads} thread(s) missing ({app}, {node})")
+                });
                 let want = &reference[j];
                 assert_eq!(art.deviation, want.deviation, "deviation @{threads}t");
                 assert_eq!(art.retrain, want.retrain, "retrain @{threads}t");
@@ -468,6 +493,7 @@ proptest! {
         cache.artifacts(0, &rt, node, 8, &root);
         prop_assert_eq!((cache.hits, cache.misses), (1, 1));
         rt.advance_period();
+        rt.draw_pools();
         cache.artifacts(0, &rt, node, 8, &root);
         prop_assert_eq!((cache.hits, cache.misses), (1, 2));
         let slice = rt.pools[node].samples().clone();
