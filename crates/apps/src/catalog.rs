@@ -306,6 +306,33 @@ mod tests {
         }
     }
 
+    /// Every catalog model's cut → head-exit map, built once, equals
+    /// the depth-fraction formula it replaced, at every cut.
+    #[test]
+    fn head_exit_map_matches_the_depth_formula() {
+        use adainf_modelzoo::head::HEAD_EXITS;
+        use adainf_modelzoo::TrainableModel;
+        let mut rng = adainf_simcore::Prng::new(3);
+        for app in apps_for_count(14) {
+            for n in &app.nodes {
+                let model = TrainableModel::new(n.profile.clone(), n.classes, &mut rng);
+                let layers = n.profile.num_layers();
+                for cut in 0..layers {
+                    let frac = (cut + 1) as f64 / layers as f64;
+                    let want =
+                        ((frac * HEAD_EXITS as f64).ceil() as usize).clamp(1, HEAD_EXITS) - 1;
+                    assert_eq!(
+                        model.head_exit_for_cut(cut),
+                        want,
+                        "{} / {} cut {cut}",
+                        app.name,
+                        n.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn app_ids_are_contiguous_for_every_count() {
         for n in 1..=14 {

@@ -138,7 +138,7 @@ impl AppRuntime {
             self.models[i].train_slice(&train, 12);
             let eval = self.streams[i].sample(EVAL_SIZE);
             self.initial_accuracy[i] =
-                self.models[i].accuracy_on(&eval, self.models[i].profile.full_cut());
+                self.models[i].accuracy_on(&eval, self.models[i].profile().full_cut());
             self.old_samples.push(Some(Arc::new(train)));
             self.ref_samples
                 .push(Arc::new(self.streams[i].sample(HELD_OUT_SIZE)));
@@ -368,7 +368,7 @@ mod tests {
     /// A structure cut of node `node` that maps to head exit `exit`.
     fn cut_for_exit(rt: &AppRuntime, node: usize, exit: usize) -> usize {
         let model = &rt.models[node];
-        let cuts = model.profile.exit_points();
+        let cuts = model.profile().exit_points();
         *cuts
             .iter()
             .find(|&&c| model.head_exit_for_cut(c) == exit)
@@ -461,7 +461,7 @@ mod tests {
             let name = spec.name.clone();
             let mut rt = AppRuntime::new(spec, ArrivalConfig::default(), 100, &root);
             for node in 0..rt.models.len() {
-                for cut in rt.models[node].profile.exit_points() {
+                for cut in rt.models[node].profile().exit_points() {
                     let want = rt.models[node].accuracy_on(rt.eval_set(node), cut);
                     let got = rt.accuracy(node, cut);
                     assert_eq!(got.to_bits(), want.to_bits(), "{name} node {node} cut {cut}");

@@ -116,7 +116,7 @@ fn extend_prefix(
     scratch
         .chunk
         .gather_rows_from(&samples.inputs, &order[done..take]);
-    let cut = model.profile.full_cut();
+    let cut = model.profile().full_cut();
     let preds = model.predict_with_scratch(&scratch.chunk, cut, &mut scratch.infer);
     let mut acc = prefix[done];
     for (&p, &i) in preds.iter().zip(&order[done..take]) {
@@ -962,7 +962,7 @@ mod tests {
                     continue;
                 }
                 let subset = pool.gather(&art.deviation[..take]);
-                let direct = model.accuracy_on(&subset, model.profile.full_cut());
+                let direct = model.accuracy_on(&subset, model.profile().full_cut());
                 let via_prefix = art.pool_prefix[take] as f64 / take as f64;
                 assert_eq!(
                     direct.to_bits(),

@@ -640,11 +640,13 @@ mod tests {
     /// Every plan served from the warm decision cache equals the plan
     /// recomputed with the cache swapped for an empty one: 12 contexts,
     /// each recurring 5 times in each of 3 periods (180 sessions), for
-    /// both space dividers and with half the sessions squeezed below
-    /// demand.
+    /// both space dividers, with half the sessions squeezed below demand
+    /// and a third of app 0's counts past the cache's dense bound (those
+    /// compute uncached, warm or cold).
     #[test]
     fn warm_cache_plans_equal_cold_recomputes() {
         const SQUEEZED: f64 = 0.3;
+        const FAR: u32 = crate::cache::DENSE_REQUESTS + 9;
         for joint_batch_space in [false, true] {
             let (_, mut apps, server) = setup(3);
             let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
@@ -665,7 +667,9 @@ mod tests {
                     .collect();
                 let (hits_before, ..) = sched.cache.stats();
                 for i in 0..60usize {
-                    let predicted: Vec<u32> = (0..3).map(|a| [8, 16, 32][(i + a) % 3]).collect();
+                    let mut predicted: Vec<u32> =
+                        (0..3).map(|a| [8, 16, 32][(i + a) % 3]).collect();
+                    predicted[0] = [8, 16, FAR][i % 3];
                     let free_gpus = [4.0, SQUEEZED][i % 2];
                     let ctx = SessionCtx {
                         now,

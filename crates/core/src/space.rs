@@ -7,7 +7,9 @@
 //! proportional to its demand: the fraction `G^i` that the fitted
 //! regression says is needed to pull the job's best full-GPU worst-case
 //! latency `L^i_w` down to its SLO `L^i_s`. The batch size is then
-//! re-adjusted for the actually allocated space (Obs. 6).
+//! re-adjusted for the actually allocated space (Obs. 6) — for the
+//! structure the job will run, so that step belongs to the time plan
+//! ([`crate::timealloc::plan_time`]).
 
 use crate::cache::DecisionCache;
 use crate::profiler::Profiler;
@@ -36,8 +38,6 @@ pub struct JobSpace {
     pub app: usize,
     /// Allocated GPU amount (GPU units, ≤ 1 per job).
     pub gpu: f64,
-    /// Batch size re-adjusted for the allocated space.
-    pub batch: u32,
 }
 
 /// Snaps a GPU fraction onto the scheduler's allocation grid: whole
@@ -85,7 +85,7 @@ pub fn joint_choice(job: &JobDemand, profiler: &Profiler) -> (f64, u32) {
 }
 
 /// Divides `total_gpus` among the session's jobs, with the demand
-/// inversion and batch re-adjustment memoised in `cache`.
+/// inversion memoised in `cache`.
 ///
 /// `avg_job_time` is the EWMA of recent job completion times (`T_a`);
 /// `slo_aware = false` is the AdaInf/S ablation (even split).
@@ -117,16 +117,9 @@ pub fn divide_space(
 
     jobs.iter()
         .zip(&demands)
-        .map(|(j, d)| {
-            let gpu = quantize_space((session_pool * d / total_demand).clamp(1e-3, 1.0));
-            let batch = cache.batch_at(j.app, j.requests, gpu, || {
-                profiler.optimal_batch_at(&j.cost, j.requests, gpu).0
-            });
-            JobSpace {
-                app: j.app,
-                gpu,
-                batch,
-            }
+        .map(|(j, d)| JobSpace {
+            app: j.app,
+            gpu: quantize_space((session_pool * d / total_demand).clamp(1e-3, 1.0)),
         })
         .collect()
 }
@@ -135,8 +128,9 @@ pub fn divide_space(
 /// fraction **jointly** — for every batch candidate, invert the
 /// regression from that batch's own full-GPU worst case, and keep the
 /// `(batch, fraction)` pair with the smallest fraction that meets the
-/// SLO. No post-allocation re-adjustment is needed. The per-job choice
-/// is memoised in `cache`.
+/// SLO. The space divides by the chosen fractions, memoised per job in
+/// `cache`; the batch the job runs is the time plan's, re-adjusted for
+/// its structure like every other job's.
 pub fn divide_space_joint(
     jobs: &[JobDemand],
     total_gpus: f64,
@@ -149,18 +143,17 @@ pub fn divide_space_joint(
     }
     let session_pool = session_pool(total_gpus, avg_job_time);
 
-    let choices: Vec<(f64, u32)> = jobs
+    let choices: Vec<f64> = jobs
         .iter()
-        .map(|j| cache.joint(j.app, j.requests, || joint_choice(j, profiler)))
+        .map(|j| cache.joint(j.app, j.requests, || joint_choice(j, profiler).0))
         .collect();
-    let total_demand: f64 = choices.iter().map(|(g, _)| g).sum();
+    let total_demand: f64 = choices.iter().sum();
 
     jobs.iter()
         .zip(&choices)
-        .map(|(j, &(g, batch))| JobSpace {
+        .map(|(j, g)| JobSpace {
             app: j.app,
             gpu: quantize_space((session_pool * g / total_demand).clamp(1e-3, 1.0)),
-            batch,
         })
         .collect()
 }
@@ -182,6 +175,9 @@ fn session_pool(total_gpus: f64, avg_job_time: SimDuration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AdaInfConfig;
+    use crate::ridag::RiDag;
+    use crate::timealloc::plan_time;
 
     fn demand(app: usize, requests: u32, flops: f64, slo_ms: u64) -> JobDemand {
         JobDemand {
@@ -255,13 +251,26 @@ mod tests {
 
     #[test]
     fn batch_adapts_to_allocation() {
-        // A job alone on a big server gets a large fraction → batch 16;
-        // squeezed among many concurrent sessions → smaller batch.
-        let jobs = vec![demand(0, 64, 1.5e8, 400)];
-        let roomy = split(&jobs, 8.0, 10, true);
-        let tight = split(&jobs, 1.0, 500, true);
-        assert!(roomy[0].batch >= tight[0].batch);
-        assert!(tight[0].batch >= 1);
+        // Obs. 6: a job alone on a big server gets a large fraction →
+        // batch 16; squeezed among many concurrent sessions → smaller
+        // batch. The re-adjusted batch is the time plan's, the one every
+        // job plan carries.
+        let app = adainf_apps::catalog::video_surveillance(0);
+        let job = JobDemand {
+            app: 0,
+            requests: 64,
+            cost: app.full_structure_cost(),
+            slo: app.slo,
+        };
+        let batch = |gpus: f64, t_a_ms: u64| {
+            let gpu = split(&[job], gpus, t_a_ms, true)[0].gpu;
+            let (config, profiler) = (AdaInfConfig::default(), Profiler::default());
+            let cuts = app.full_cuts();
+            plan_time(&app, &RiDag::default(), cuts, gpu, 64, &config, &profiler).batch
+        };
+        let (roomy, tight) = (batch(8.0, 10), batch(1.0, 500));
+        assert!(roomy >= tight, "roomy batch {roomy} < tight batch {tight}");
+        assert!(tight >= 1);
     }
 
     #[test]

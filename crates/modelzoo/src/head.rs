@@ -22,7 +22,10 @@ pub const HEAD_EXITS: usize = 3;
 #[derive(Clone, Debug)]
 pub struct TrainableModel {
     /// Backbone cost profile.
-    pub profile: ModelProfile,
+    profile: ModelProfile,
+    /// `exits[cut]`: the head exit a backbone cut classifies with (see
+    /// [`Self::head_exit_for_cut`]), one entry per layer of `profile`.
+    exits: Vec<usize>,
     head: EarlyExitMlp,
     /// Monotone version counter, bumped by every retraining slice.
     version: u64,
@@ -63,13 +66,26 @@ impl TrainableModel {
             momentum: 0.9,
             exit_weights: vec![0.3, 0.55, 1.0],
         };
+        let layers = profile.num_layers();
+        let exits = (0..layers)
+            .map(|cut| {
+                let frac = (cut + 1) as f64 / layers as f64;
+                ((frac * HEAD_EXITS as f64).ceil() as usize).clamp(1, HEAD_EXITS) - 1
+            })
+            .collect();
         TrainableModel {
             profile,
+            exits,
             head: EarlyExitMlp::new(config, rng),
             version: 0,
             trained_samples: 0,
             slice_scratch: SliceScratch::default(),
         }
+    }
+
+    /// Backbone cost profile, fixed at construction.
+    pub fn profile(&self) -> &ModelProfile {
+        &self.profile
     }
 
     /// Number of classes of the bound task.
@@ -88,11 +104,12 @@ impl TrainableModel {
     }
 
     /// Maps a backbone structure cut onto a head exit: proportional in
-    /// depth fraction, so cutting the backbone early classifies with the
-    /// shallow head exit.
+    /// depth fraction, `⌈(cut + 1) / layers · HEAD_EXITS⌉ − 1` clamped to
+    /// the exits, so cutting the backbone early classifies with the
+    /// shallow head exit. A lookup in the map built at construction;
+    /// cuts past the backbone map to the last exit.
     pub fn head_exit_for_cut(&self, cut: usize) -> usize {
-        let frac = (cut + 1) as f64 / self.profile.num_layers() as f64;
-        ((frac * HEAD_EXITS as f64).ceil() as usize).clamp(1, HEAD_EXITS) - 1
+        self.exits.get(cut).copied().unwrap_or(HEAD_EXITS - 1)
     }
 
     /// Accuracy of the structure cut at `cut` on a sample batch.
@@ -245,7 +262,7 @@ mod tests {
     #[test]
     fn exit_mapping_is_proportional_and_total() {
         let (model, _) = setup();
-        let l = model.profile.num_layers();
+        let l = model.profile().num_layers();
         assert_eq!(model.head_exit_for_cut(l - 1), HEAD_EXITS - 1);
         assert_eq!(model.head_exit_for_cut(0), 0);
         // Monotone in cut.
@@ -262,12 +279,12 @@ mod tests {
         let (mut model, mut stream) = setup();
         let train = stream.sample(400);
         let eval = stream.sample(400);
-        let before = model.accuracy_on(&eval, model.profile.full_cut());
+        let before = model.accuracy_on(&eval, model.profile().full_cut());
         assert_eq!(model.version(), 0);
         for _ in 0..30 {
             model.train_slice(&train, 1);
         }
-        let after = model.accuracy_on(&eval, model.profile.full_cut());
+        let after = model.accuracy_on(&eval, model.profile().full_cut());
         assert!(after > before + 0.2, "accuracy {before} -> {after}");
         assert!(after > 0.85, "final accuracy {after}");
         assert_eq!(model.version(), 30);
@@ -283,7 +300,7 @@ mod tests {
         }
         let eval = stream.sample(800);
         let shallow = model.accuracy_on(&eval, 2);
-        let full = model.accuracy_on(&eval, model.profile.full_cut());
+        let full = model.accuracy_on(&eval, model.profile().full_cut());
         // Deep supervision makes this a soft property: the shallow exit
         // can edge out the full exit on easy realisations, but never by a
         // wide margin.
@@ -319,8 +336,8 @@ mod tests {
         }
         assert_eq!(a.snapshot_params(), b.snapshot_params());
         assert_eq!(
-            a.predict(&eval.inputs, a.profile.full_cut()),
-            b.predict(&eval.inputs, b.profile.full_cut())
+            a.predict(&eval.inputs, a.profile().full_cut()),
+            b.predict(&eval.inputs, b.profile().full_cut())
         );
     }
 }

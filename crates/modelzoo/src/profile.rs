@@ -15,17 +15,21 @@ use adainf_gpusim::StructureCost;
 /// full structure", following SPINN \[22\] (§2.2).
 pub const EXIT_STRIDE: usize = 3;
 
-/// A backbone's cost profile.
+/// A backbone's cost profile: per-layer costs, and the aggregate cost
+/// of every structure cut, summed once when the profile is built.
 #[derive(Clone, Debug)]
 pub struct ModelProfile {
     /// Backbone name ("TinyYOLOv3", …).
     pub name: String,
     /// Per-layer forward FLOPs (per sample).
-    pub layer_flops: Vec<f64>,
+    layer_flops: Vec<f64>,
     /// Per-layer parameter bytes.
-    pub layer_param_bytes: Vec<u64>,
+    layer_param_bytes: Vec<u64>,
     /// Per-layer activation bytes (per sample).
-    pub layer_activation_bytes: Vec<u64>,
+    layer_activation_bytes: Vec<u64>,
+    /// `costs[cut]`: the aggregate cost of layers `0..=cut`, the prefix
+    /// sums of the layer vectors in ascending layer order.
+    costs: Vec<StructureCost>,
 }
 
 impl ModelProfile {
@@ -62,7 +66,32 @@ impl ModelProfile {
                 .iter()
                 .map(|w| (w * total_activation_bytes as f64) as u64)
                 .collect(),
+            costs: Vec::new(),
         }
+        .with_costs()
+    }
+
+    /// Rebuilds the per-cut cost table from the layer vectors. Each
+    /// running sum adds one layer to the previous cut's, left to right —
+    /// the order of a slice sum over `..=cut` — so every entry is the
+    /// bit pattern summing that slice gives.
+    fn with_costs(mut self) -> Self {
+        let mut acc = StructureCost::zero();
+        self.costs = self
+            .layer_flops
+            .iter()
+            .zip(&self.layer_param_bytes)
+            .zip(&self.layer_activation_bytes)
+            .map(|((&flops, &params), &acts)| {
+                acc = acc.plus(StructureCost {
+                    flops_per_sample: flops,
+                    activation_bytes: acts as f64,
+                    param_bytes: params as f64,
+                });
+                acc
+            })
+            .collect();
+        self
     }
 
     /// Applies a model-compression factor (DeepSpeed-style, §4): FLOPs
@@ -79,7 +108,7 @@ impl ModelProfile {
         for p in &mut self.layer_param_bytes {
             *p = (*p as f64 * factor) as u64;
         }
-        self
+        self.with_costs()
     }
 
     /// Number of layers in the full structure.
@@ -116,25 +145,18 @@ impl ModelProfile {
     }
 
     /// Aggregate cost of the structure cut at `cut` (inclusive), for the
-    /// latency model.
+    /// latency model: a lookup in the table built with the profile.
+    ///
+    /// # Panics
+    /// Panics if `cut` is out of range.
     pub fn structure_cost(&self, cut: usize) -> StructureCost {
         assert!(cut < self.num_layers(), "cut {cut} out of range");
-        StructureCost {
-            flops_per_sample: self.layer_flops[..=cut].iter().sum(),
-            activation_bytes: self.layer_activation_bytes[..=cut]
-                .iter()
-                .map(|b| *b as f64)
-                .sum(),
-            param_bytes: self.layer_param_bytes[..=cut]
-                .iter()
-                .map(|b| *b as f64)
-                .sum(),
-        }
+        self.costs[cut]
     }
 
     /// Cost of the full structure.
     pub fn full_cost(&self) -> StructureCost {
-        self.structure_cost(self.num_layers() - 1)
+        self.costs[self.full_cut()]
     }
 
     /// The full-structure cut index.
@@ -209,6 +231,60 @@ mod tests {
     #[should_panic(expected = "factor must be in")]
     fn bad_compression_rejected() {
         profile().compressed(1.5);
+    }
+
+    /// The summing `structure_cost` the per-cut table replaced: each
+    /// field summed over the layer slice `..=cut`.
+    fn summed_cost(p: &ModelProfile, cut: usize) -> StructureCost {
+        StructureCost {
+            flops_per_sample: p.layer_flops[..=cut].iter().sum(),
+            activation_bytes: p.layer_activation_bytes[..=cut]
+                .iter()
+                .map(|b| *b as f64)
+                .sum(),
+            param_bytes: p.layer_param_bytes[..=cut].iter().map(|b| *b as f64).sum(),
+        }
+    }
+
+    /// Every zoo backbone, plain and compressed: the stored cost of
+    /// every cut bit-equals the slice sums over the layer vectors.
+    #[test]
+    fn cost_table_bit_equals_layer_sums() {
+        use crate::zoo;
+        let bits = |c: StructureCost| {
+            [
+                c.flops_per_sample.to_bits(),
+                c.activation_bytes.to_bits(),
+                c.param_bytes.to_bits(),
+            ]
+        };
+        let backbones = [
+            zoo::tiny_yolo_v3(),
+            zoo::mobilenet_v2(),
+            zoo::shufflenet(),
+            zoo::resnet18(),
+            zoo::ssdlite(),
+            zoo::stn_ocr(),
+            zoo::image_recognizer(),
+            zoo::nsfw_net(),
+            zoo::lang_id(),
+            zoo::translator(),
+            zoo::audio_net(),
+            zoo::intent_net(),
+        ];
+        for plain in backbones {
+            for p in [plain.clone(), plain.compressed(0.5)] {
+                for cut in 0..p.num_layers() {
+                    assert_eq!(
+                        bits(p.structure_cost(cut)),
+                        bits(summed_cost(&p, cut)),
+                        "{} cut {cut}",
+                        p.name
+                    );
+                }
+                assert_eq!(bits(p.full_cost()), bits(summed_cost(&p, p.full_cut())));
+            }
+        }
     }
 
     #[test]

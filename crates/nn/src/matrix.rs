@@ -6,19 +6,21 @@
 //! projection — runs through one GEMM kernel family behind
 //! [`Matrix::matmul_into`] and [`Matrix::t_matmul_into`], at every
 //! output width: the output runs in column panels at most 32 wide, each
-//! padded to 8, 16, 24 or 32 vector lanes and accumulated several rows
-//! at a time. The kernels unroll and pad across *independent* output
-//! elements only: every output element keeps one accumulator fed in
-//! ascending-k order, so results are bit-identical to a plain triple
-//! loop at any SIMD width.
+//! held in 8, 16, 24 or 32 vector lanes and accumulated several rows at
+//! a time. A right operand exactly that wide is read in place; a
+//! narrower panel is packed, zero-padded to the lane count. The kernels
+//! unroll and pad across *independent* output elements only: every
+//! output element keeps one accumulator fed in ascending-k order, so
+//! results are bit-identical to a plain triple loop at any SIMD width.
 
 use adainf_simcore::Prng;
 use std::fmt;
 
 /// Rows of the right-hand operand packed per pass by the GEMM kernel
-/// ([`Matrix::matmul_into`], [`Matrix::t_matmul_into`]): the
-/// lane-padded stack buffer holds this many rows of one column panel,
-/// so its size is fixed whatever the contraction length.
+/// ([`Matrix::matmul_into`], [`Matrix::t_matmul_into`]) when a panel
+/// needs padding: the lane-padded stack buffer holds this many rows of
+/// one column panel, so its size is fixed whatever the contraction
+/// length.
 const NARROW_CHUNK: usize = 64;
 
 /// Widest output column panel of the GEMM kernel: outputs wider than
@@ -267,11 +269,9 @@ impl Matrix {
     /// The GEMM kernel behind [`Self::matmul_into`] (`T = false`:
     /// `out = self × other`) and [`Self::t_matmul_into`] (`T = true`:
     /// `out = selfᵀ × other`); both contract over the rows of `other`.
-    /// The output runs in column panels at most [`PANEL`] wide. Each
-    /// panel's slice of `other` is packed, zero-padded to 8, 16, 24 or
-    /// 32 lanes, into a fixed-size stack buffer ([`NARROW_CHUNK`] rows
-    /// per pass), and output rows accumulate in `[f32; L]` register
-    /// groups, several rows per block (see [`accumulate_block`]).
+    /// The output runs in column panels at most [`PANEL`] wide, each
+    /// accumulated in `[f32; L]` register groups of 8, 16, 24 or 32
+    /// lanes, several rows per block (see [`accumulate_block`]).
     fn gemm_into<const T: bool>(&self, other: &Matrix, out: &mut Matrix) {
         let rows = if T { self.cols } else { self.rows };
         out.reset_zeroed(rows, other.cols);
@@ -286,10 +286,13 @@ impl Matrix {
     }
 
     /// One column panel of [`Self::gemm_into`]: output columns
-    /// `c0..c0 + w` with `w = min(other.cols − c0, L)`, in blocks of `R`
-    /// rows (then single rows for the remainder). Every block keeps at
-    /// least eight independent 8-lane add chains in flight (`R · L ≥
-    /// 64`).
+    /// `c0..c0 + w` with `w = min(other.cols − c0, L)`. A right operand
+    /// exactly `L` wide (every trunk-layer product) already is rows of
+    /// `L` lanes, and is read in place over the whole contraction.
+    /// Otherwise the panel's slice of `other` is packed, zero-padded to
+    /// `L` lanes, into a fixed-size stack buffer, [`NARROW_CHUNK`] rows
+    /// per pass: the buffer is zeroed once per panel, and each pass
+    /// overwrites only the `w` kept lanes of the rows it reads.
     fn gemm_panel<const T: bool, const L: usize, const R: usize>(
         &self,
         other: &Matrix,
@@ -297,9 +300,11 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         let n = other.cols;
+        if n == L {
+            self.gemm_rows::<T, L, R, true>(other.data.as_chunks::<L>().0, 0, 0, L, out);
+            return;
+        }
         let w = (n - c0).min(L);
-        let rows = out.rows;
-        let full = rows / R * R;
         let mut packed = [[0.0f32; L]; NARROW_CHUNK];
         for k0 in (0..other.rows).step_by(NARROW_CHUNK) {
             let kc = (other.rows - k0).min(NARROW_CHUNK);
@@ -309,23 +314,47 @@ impl Matrix {
             {
                 p[..w].copy_from_slice(&row[c0..c0 + w]);
             }
-            let packed = &packed[..kc];
-            for i in (0..full).step_by(R) {
-                self.gemm_block::<T, L, R>(packed, k0, i, &mut out.data[i * n + c0..], n, w);
-            }
-            for i in full..rows {
-                self.gemm_block::<T, L, 1>(packed, k0, i, &mut out.data[i * n + c0..], n, w);
+            if w == L {
+                self.gemm_rows::<T, L, R, true>(&packed[..kc], k0, c0, w, out);
+            } else {
+                self.gemm_rows::<T, L, R, false>(&packed[..kc], k0, c0, w, out);
             }
         }
     }
 
+    /// Every output row of one panel, fed the right-operand rows
+    /// `packed` that start at contraction index `k0`: blocks of `R` rows,
+    /// then single rows for the remainder. Every block keeps at least
+    /// eight independent 8-lane add chains in flight (`R · L ≥ 64`).
+    /// `FULL` is `w = L`: a full-width panel and a narrower one run
+    /// separate kernels, so each compiles to one kind of row access.
+    fn gemm_rows<const T: bool, const L: usize, const R: usize, const FULL: bool>(
+        &self,
+        packed: &[[f32; L]],
+        k0: usize,
+        c0: usize,
+        w: usize,
+        out: &mut Matrix,
+    ) {
+        let (n, rows) = (out.cols, out.rows);
+        let full = rows / R * R;
+        for i in (0..full).step_by(R) {
+            let o = &mut out.data[i * n + c0..];
+            self.gemm_block::<T, L, R, FULL>(packed, k0, i, o, n, w);
+        }
+        for i in full..rows {
+            let o = &mut out.data[i * n + c0..];
+            self.gemm_block::<T, L, 1, FULL>(packed, k0, i, o, n, w);
+        }
+    }
+
     /// One block of [`Self::gemm_panel`]: output rows `i..i + R`, fed
-    /// the packed chunk that starts at contraction index `k0`. Reads the
-    /// left operand in place: `self[i + r][k0 + k]` through row slices
-    /// cut to the chunk up front (no per-element bounds check), or
-    /// `self[k0 + k][i + r]` when transposed.
+    /// the right-operand rows that start at contraction index `k0`.
+    /// Reads the left operand in place: `self[i + r][k0 + k]` through
+    /// row slices cut to those rows up front (no per-element bounds
+    /// check), or `self[k0 + k][i + r]` when transposed.
     #[inline(always)]
-    fn gemm_block<const T: bool, const L: usize, const R: usize>(
+    fn gemm_block<const T: bool, const L: usize, const R: usize, const FULL: bool>(
         &self,
         packed: &[[f32; L]],
         k0: usize,
@@ -337,11 +366,11 @@ impl Matrix {
         let d = self.cols;
         if T {
             let x = |r: usize, k: usize| self.data[(k0 + k) * d + i + r];
-            accumulate_block::<L, R>(packed, x, out, stride, w);
+            accumulate_block::<L, R, FULL>(packed, x, out, stride, w);
         } else {
             let a: [&[f32]; R] =
                 std::array::from_fn(|r| &self.data[(i + r) * d + k0..][..packed.len()]);
-            accumulate_block::<L, R>(packed, |r, k| a[r][k], out, stride, w);
+            accumulate_block::<L, R, FULL>(packed, |r, k| a[r][k], out, stride, w);
         }
     }
 
@@ -574,17 +603,19 @@ impl fmt::Debug for Matrix {
 /// pass. `out` starts at the block's first element; its rows lie
 /// `stride` apart and the block covers `w ≤ L` columns of each. The `R`
 /// rows' add chains are independent, so they overlap instead of waiting
-/// on one another. Lanes past `w` only ever multiply the zero padding
-/// and are dropped; every kept element starts from its stored value
-/// (`+0.0` on the first pass) and adds its products in ascending `k`,
-/// so results are bit-identical to the plain triple loop.
+/// on one another. A full-width row (`w = L`) loads and stores as one
+/// whole array; a narrower one loads its `w` stored lanes and zero pad
+/// lanes, which only ever multiply the zero padding and are dropped.
+/// Every kept element starts from its stored value (`+0.0` on the first
+/// pass) and adds its products in ascending `k`, so results are
+/// bit-identical to the plain triple loop.
 ///
 /// `x` reads the left operand where it lies, one row (or column) per
 /// accumulator. Fed from a k-major copy instead, with the `R` values of
 /// one `k` side by side, LLVM vectorises across the rows with gathers
 /// and scatters rather than across the lanes: several times slower.
 #[inline(always)]
-fn accumulate_block<const L: usize, const R: usize>(
+fn accumulate_block<const L: usize, const R: usize, const FULL: bool>(
     packed: &[[f32; L]],
     x: impl Fn(usize, usize) -> f32,
     out: &mut [f32],
@@ -593,7 +624,12 @@ fn accumulate_block<const L: usize, const R: usize>(
 ) {
     let mut acc = [[0.0f32; L]; R];
     for (r, a) in acc.iter_mut().enumerate() {
-        a[..w].copy_from_slice(&out[r * stride..r * stride + w]);
+        let o = &out[r * stride..];
+        if FULL {
+            a.copy_from_slice(&o[..L]);
+        } else {
+            a[..w].copy_from_slice(&o[..w]);
+        }
     }
     for (k, b) in packed.iter().enumerate() {
         for (r, a) in acc.iter_mut().enumerate() {
@@ -604,7 +640,12 @@ fn accumulate_block<const L: usize, const R: usize>(
         }
     }
     for (r, a) in acc.iter().enumerate() {
-        out[r * stride..r * stride + w].copy_from_slice(&a[..w]);
+        let o = &mut out[r * stride..];
+        if FULL {
+            o[..L].copy_from_slice(a);
+        } else {
+            o[..w].copy_from_slice(&a[..w]);
+        }
     }
 }
 

@@ -153,7 +153,9 @@ fn kernels_match_reference_at_every_output_width() {
 }
 
 /// Contractions longer than one packed chunk: the partial sums carried
-/// across chunks, and across panels, must stay bit-exact.
+/// across chunks, and across panels, must stay bit-exact. Outputs
+/// exactly 8, 16, 24 or 32 wide read the right operand in place over
+/// the whole contraction; the others pack it chunk by chunk.
 #[test]
 fn kernels_carry_partial_sums_across_chunks() {
     for (seed, (m, k, n)) in [
@@ -164,6 +166,8 @@ fn kernels_carry_partial_sums_across_chunks() {
         (66, 130, 24),
         (9, 70, 32),
         (130, 65, 67),
+        (40, 130, 8),
+        (33, 65, 16),
     ]
     .into_iter()
     .enumerate()
@@ -172,4 +176,23 @@ fn kernels_carry_partial_sums_across_chunks() {
             panic!("{e:?}");
         }
     }
+}
+
+/// An empty contraction at 32 lanes, read in place, writes `+0.0` over
+/// every element of a dirty output buffer.
+#[test]
+fn empty_contraction_gives_positive_zeros() {
+    let a = Matrix::zeros(5, 0);
+    let b = Matrix::zeros(0, 32);
+    let mut out = Matrix::from_slice(2, 2, &[-0.0, 7.0, f32::NAN, -1.0]);
+    let positive_zeros = |m: &Matrix, rows: usize| {
+        assert_eq!((m.rows(), m.cols()), (rows, 32));
+        assert!(m.data().iter().all(|x| x.to_bits() == 0), "{:?}", m.data());
+    };
+    a.matmul_into(&b, &mut out);
+    positive_zeros(&out, 5);
+    let mut out = Matrix::from_slice(1, 1, &[-0.0]);
+    // selfᵀ × other over zero shared rows: a 7 × 32 output.
+    Matrix::zeros(0, 7).t_matmul_into(&b, &mut out);
+    positive_zeros(&out, 7);
 }

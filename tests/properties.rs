@@ -434,7 +434,7 @@ proptest! {
                 .clamp(1, pool.len());
             let subset = pool.gather(&art.deviation[..take]);
             let model = &rt.models[node];
-            let direct = model.accuracy_on(&subset, model.profile.full_cut());
+            let direct = model.accuracy_on(&subset, model.profile().full_cut());
             let via_prefix = art.pool_prefix[take] as f64 / take as f64;
             prop_assert_eq!(direct.to_bits(), via_prefix.to_bits());
         }
