@@ -1,48 +1,28 @@
-//! Regenerates the paper's tables and figures:
-//! `run_all [NAME…] [--fast|--full]`.
+//! Regenerates the paper's tables and figures and the experiments beyond
+//! them: `run_all [NAME…] [--fast|--full]`.
 //!
 //! With no name it runs every item in order; otherwise it runs each item
 //! whose label starts with one of the names, so `fig18` runs the three
-//! Fig 18/19 parts. A name that selects nothing exits non-zero and lists
-//! the labels. `--fast` is the 150 s horizon, `--full` the paper's
-//! 1000 s; the default is 500 s.
+//! Fig 18/19 parts. A name that selects nothing exits 2 and lists the
+//! labels. `--fast` is the 150 s horizon, `--full` the paper's 1000 s;
+//! the default is 500 s.
+//!
+//! The selected items' declared runs go into one pool, each distinct
+//! configuration once, before any item prints. The process exits 1 if
+//! any item reports a failed check (the chaos floors, the latency
+//! predictor's guards).
 
 #![forbid(unsafe_code)]
 
-use adainf_bench::experiments as ex;
-
-/// A labelled figure regenerator.
-type Item = (&'static str, fn(ex::Scale) -> String);
-
-/// Every item, in run order. `trajectory` and `extensions` cover material
-/// beyond the paper's figures; they have their own binaries.
-const ITEMS: [Item; 19] = [
-    ("fig04", ex::fig04),
-    ("fig05", ex::fig05),
-    ("fig06", ex::fig06),
-    ("fig07", ex::fig07),
-    ("fig08", ex::fig08),
-    ("fig09", ex::fig09),
-    ("fig10", ex::fig10),
-    ("fig11", ex::fig11),
-    ("fig12+13", ex::fig12_13),
-    ("fig18/19a", ex::fig18_19a),
-    ("fig18/19b", ex::fig18_19b),
-    ("fig18/19c", ex::fig18_19c),
-    ("fig20", ex::fig20),
-    ("fig21", ex::fig21),
-    ("fig22", ex::fig22),
-    ("fig23", ex::fig23),
-    ("fig24", ex::fig24),
-    ("table1", ex::table1),
-    ("table2", ex::table2),
-];
+use adainf_bench::experiments::{self as ex, Item, Run, ITEMS};
+use adainf_harness::parallel::RunSet;
+use adainf_harness::sim::RunConfig;
 
 /// The items `names` select, in run order: every item whose label starts
 /// with one of the names, or all of them when `names` is empty. A name
 /// that selects nothing is an error.
 fn select<'a>(items: &'a [Item], names: &[&str]) -> Result<Vec<&'a Item>, String> {
-    let selects = |name: &str, (label, _): &Item| label.starts_with(name);
+    let selects = |name: &str, (label, ..): &Item| label.starts_with(name);
     if let Some(name) = names.iter().find(|n| !items.iter().any(|i| selects(n, i))) {
         return Err(format!("no item label starts with `{name}`"));
     }
@@ -61,15 +41,31 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .collect();
     let selected = select(&ITEMS, &names).unwrap_or_else(|e| {
-        let labels: Vec<&str> = ITEMS.iter().map(|(label, _)| *label).collect();
+        let labels: Vec<&str> = ITEMS.iter().map(|(label, ..)| *label).collect();
         eprintln!("run_all: {e}; labels: {}", labels.join(" "));
         std::process::exit(2);
     });
-    for (name, f) in selected {
-        eprintln!("=== {name} ===");
-        let t0 = std::time::Instant::now();
-        println!("{}", f(scale));
-        eprintln!("[{name}] {:.1}s", t0.elapsed().as_secs_f64());
+    let t0 = std::time::Instant::now();
+    let declared: Vec<Vec<RunConfig>> = selected.iter().map(|(_, runs, ..)| runs(scale)).collect();
+    let runs = RunSet::new(declared.iter().flatten().cloned()).run();
+    let mut failed = false;
+    for (&&(label, _, render, check), configs) in selected.iter().zip(&declared) {
+        let results: Vec<Run> = configs.iter().map(|c| (c, runs.get(c))).collect();
+        eprintln!("=== {label} ===");
+        println!("{}", render(&results));
+        for failure in check(&results) {
+            eprintln!("[{label}] FAIL: {failure}");
+            failed = true;
+        }
+    }
+    eprintln!(
+        "[run_all] {} runs for {} declared, {:.1}s",
+        runs.configs().len(),
+        declared.iter().map(Vec::len).sum::<usize>(),
+        t0.elapsed().as_secs_f64()
+    );
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -80,7 +76,7 @@ mod tests {
     fn labels(names: &[&str]) -> Result<Vec<&'static str>, String> {
         Ok(select(&ITEMS, names)?
             .iter()
-            .map(|(label, _)| *label)
+            .map(|(label, ..)| *label)
             .collect())
     }
 
@@ -97,7 +93,29 @@ mod tests {
             labels(&["fig18"]).unwrap(),
             ["fig18/19a", "fig18/19b", "fig18/19c"]
         );
+        assert_eq!(
+            labels(&["extensions", "trajectory", "per", "chaos"]).unwrap(),
+            ["trajectory", "per-app", "chaos", "extensions"]
+        );
+        let papers = labels(&["fig", "table"]).unwrap();
+        assert_eq!(papers.len(), 19);
+        assert!(papers
+            .iter()
+            .all(|l| l.starts_with("fig") || l.starts_with("table")));
         assert!(labels(&["fig99"]).is_err());
         assert!(labels(&["fig04", "fig99"]).is_err());
+    }
+
+    /// The paper's §5 varies one axis at a time around one default
+    /// deployment, so the figures' declarations repeat runs.
+    #[test]
+    fn figure_declarations_collapse_to_distinct_runs() {
+        let configs: Vec<RunConfig> = select(&ITEMS, &["fig", "table2"])
+            .unwrap()
+            .iter()
+            .flat_map(|(_, runs, ..)| runs(ex::Scale::Fast))
+            .collect();
+        assert_eq!(configs.len(), 75);
+        assert_eq!(RunSet::new(configs).configs().len(), 54);
     }
 }

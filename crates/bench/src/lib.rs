@@ -4,9 +4,10 @@
 //! paper's evaluation:
 //!
 //! * `run_all [NAME…]` prints the same rows/series the paper reports, for
-//!   every figure and table or for the ones whose label starts with a
-//!   given name (`run_all fig18 table2`). It accepts `--fast` (150 s
-//!   horizon) and `--full` (the paper's 1000 s); the default is 500 s.
+//!   every figure, table and experiment beyond them, or for the ones
+//!   whose label starts with a given name (`run_all fig18 chaos`). It
+//!   accepts `--fast` (150 s horizon) and `--full` (the paper's 1000 s);
+//!   the default is 500 s.
 //! * Criterion micro-benchmarks (`benches/`) for the Table 1 CPU-side
 //!   overheads: session scheduling latency (the paper's 2 ms), drift
 //!   detection / DAG update (the paper's 4.2 s), memory-manager eviction

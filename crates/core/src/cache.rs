@@ -1,8 +1,8 @@
 //! Scheduler decision caching.
 //!
-//! The §3.3 searches (SLO-demand inversion, the §6 joint choice and the
-//! §3.3.2 time split) are pure functions of the session inputs and the
-//! period's drift state, and the simulator's session states recur: the
+//! The §3.3 searches (the SLO-demand inversion and the §3.3.2 time
+//! split) are pure functions of the session inputs and the period's
+//! drift state, and the simulator's session states recur: the
 //! request predictor is integer-quantised, space division rounds the
 //! concurrent-session count `s` up to an integer and every allocation is
 //! snapped onto the centi-GPU grid ([`crate::space`]), so gpu fractions
@@ -20,18 +20,18 @@
 //! Layout: one slot per `(app, predicted requests)`, held in a
 //! per-app vector indexed by the request count and grown to the largest
 //! count seen, so finding a slot is two index operations. A slot holds
-//! the lifetime demand and joint values and the period's time plans, in
-//! a short list keyed by exact gpu-fraction bits. Request counts at or
-//! past `DENSE_REQUESTS` are computed uncached (the slot vector would
+//! the lifetime demand value and the period's time plans, in a short
+//! list keyed by exact gpu-fraction bits. Request counts at or past
+//! `DENSE_REQUESTS` are computed uncached (the slot vector would
 //! otherwise grow with any outlier), and a slot holding `SLOT_PLANS`
 //! plans is cleared before the next one is stored. Neither bound is
 //! reached by the benchmark workloads: at seed 42 the busiest slot holds
 //! 53 plans in one period on the paper's deployment and 57 under chaos
 //! faults, whose rate bursts push the largest predicted count to 686.
 //!
-//! Invalidation: per-app demand curves and joint choices depend only on
-//! the immutable [`AppSpec`](adainf_apps::AppSpec)s, so they live for
-//! the scheduler's lifetime. Time plans depend on the period's RI-DAG
+//! Invalidation: per-app demand curves depend only on the immutable
+//! [`AppSpec`](adainf_apps::AppSpec)s, so they live for the
+//! scheduler's lifetime. Time plans depend on the period's RI-DAG
 //! and refreshed accuracy tables, so [`DecisionCache::start_period`]
 //! drops them at every period boundary (and thus on every drift-impact
 //! change). The scheduler calls it at the top of its period hook, where
@@ -69,9 +69,6 @@ struct Slot {
     /// SLO-demand fraction (§3.3.1 inversion). Valid for the
     /// scheduler's lifetime.
     demand: Option<f64>,
-    /// Fraction of the joint `(fraction, batch)` choice (§6). Valid for
-    /// the scheduler's lifetime.
-    joint: Option<f64>,
     /// Pool-independent §3.3.2 time plans by gpu-fraction bits, in the
     /// order they were first asked for. Cleared every period.
     plans: Vec<(u64, TimePlan)>,
@@ -157,33 +154,15 @@ impl DecisionCache {
         (self.counts.hits, self.counts.misses, self.counts.evictions)
     }
 
-    /// Memoised SLO-demand fraction for `(app, requests)`.
+    /// Memoised SLO-demand fraction for `(app, requests)`: answered from
+    /// its slot, or computed and stored.
     pub fn demand(&mut self, app: usize, requests: u32, compute: impl FnOnce() -> f64) -> f64 {
-        self.lifetime(app, requests, |slot| &mut slot.demand, compute)
-    }
-
-    /// Memoised fraction of the joint `(fraction, batch)` choice for
-    /// `(app, requests)`.
-    pub fn joint(&mut self, app: usize, requests: u32, compute: impl FnOnce() -> f64) -> f64 {
-        self.lifetime(app, requests, |slot| &mut slot.joint, compute)
-    }
-
-    /// A spec-lifetime value of `(app, requests)`, held in the slot field
-    /// `field` picks: answered from it, or computed and stored.
-    fn lifetime(
-        &mut self,
-        app: usize,
-        requests: u32,
-        field: fn(&mut Slot) -> &mut Option<f64>,
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
         let DecisionCache { slots, counts } = self;
         let Some(slot) = find_slot(slots, app, requests) else {
             counts.misses += 1;
             return compute();
         };
-        let cell = field(slot);
-        match *cell {
+        match slot.demand {
             Some(stored) => {
                 counts.hits += 1;
                 check_hit((app, requests), &stored, compute);
@@ -191,7 +170,7 @@ impl DecisionCache {
             }
             None => {
                 counts.misses += 1;
-                *cell.insert(compute())
+                *slot.demand.insert(compute())
             }
         }
     }
@@ -283,26 +262,20 @@ mod tests {
     }
 
     #[test]
-    fn start_period_drops_plans_keeps_demand_and_joint() {
+    fn start_period_drops_plans_keeps_demand() {
         let mut cache = DecisionCache::default();
         cache.plan(0, 16, 0.25, || plan_with(8));
         cache.demand(0, 16, || 0.3);
-        cache.joint(0, 16, || 0.4);
-        assert_eq!(cache.stats(), (0, 3, 0));
+        assert_eq!(cache.stats(), (0, 2, 0));
         cache.start_period();
         assert_eq!(
             cache.plan(0, 16, 0.25, || plan_with(4)).batch,
             4,
             "plans must not survive the period boundary"
         );
-        assert_eq!(cache.stats(), (0, 4, 0));
+        assert_eq!(cache.stats(), (0, 3, 0));
         assert_eq!(cache.demand(0, 16, || 0.3), 0.3);
-        assert_eq!(cache.joint(0, 16, || 0.4), 0.4);
-        assert_eq!(
-            cache.stats(),
-            (2, 4, 0),
-            "demand and joint values are spec-lifetime"
-        );
+        assert_eq!(cache.stats(), (1, 3, 0), "demand values are spec-lifetime");
     }
 
     #[cfg(feature = "strict-invariants")]
@@ -340,15 +313,14 @@ mod tests {
         for round in 1..=2u64 {
             assert_eq!(cache.plan(1, far, 0.25, || plan_with(8)).batch, 8);
             assert_eq!(cache.demand(1, far, || 0.5), 0.5);
-            assert_eq!(cache.joint(1, far, || 0.6), 0.6);
-            assert_eq!(cache.stats(), (0, 3 * round, 0), "every lookup computes");
+            assert_eq!(cache.stats(), (0, 2 * round, 0), "every lookup computes");
         }
         assert!(cache.slots.iter().all(Vec::is_empty), "no slot was grown");
         // The last count below the bound still gets a slot.
         let edge = DENSE_REQUESTS - 1;
         cache.plan(1, edge, 0.25, || plan_with(8));
         assert_eq!(cache.plan(1, edge, 0.25, || plan_with(8)).batch, 8);
-        assert_eq!(cache.stats(), (1, 7, 0));
+        assert_eq!(cache.stats(), (1, 5, 0));
         assert_eq!(cache.slots[1].len(), DENSE_REQUESTS as usize);
     }
 

@@ -29,10 +29,6 @@ pub struct AdaInfConfig {
     /// §6 extension: sessions predicting at most this many requests are
     /// served on the host CPU, freeing GPU space (0 disables).
     pub cpu_offload_threshold: u32,
-    /// §6 extension: decide request batch size and GPU fraction jointly
-    /// in one shot instead of choosing the batch at full GPU and
-    /// re-adjusting after allocation ("Design Challenge").
-    pub joint_batch_space: bool,
     /// Admit against *learned* latency forecasts instead of the analytic
     /// inputs: an online per-app ridge regressor (see [`crate::predict`])
     /// streams an observation from every completed job, and once warm its
@@ -86,7 +82,6 @@ impl Default for AdaInfConfig {
             detect_margin: 0.05,
             retrain_epochs: 1,
             cpu_offload_threshold: 0,
-            joint_batch_space: false,
             predicted_latency: false,
             predictor_warmup: 64,
             drift_workers: 0,

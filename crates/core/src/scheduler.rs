@@ -21,7 +21,7 @@ use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
-use crate::space::{divide_space, divide_space_joint, JobDemand};
+use crate::space::{divide_space, JobDemand};
 use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
 use adainf_simcore::walltime::WallTimer;
@@ -369,24 +369,14 @@ impl Scheduler for AdaInfScheduler {
             .cloned()
             .collect();
 
-        let mut division = if self.config.joint_batch_space {
-            divide_space_joint(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                &self.profiler,
-                &mut self.cache,
-            )
-        } else {
-            divide_space(
-                &gpu_demands,
-                ctx.server.total_space(),
-                ctx.avg_job_time,
-                self.config.slo_aware_space,
-                &self.profiler,
-                &mut self.cache,
-            )
-        };
+        let mut division = divide_space(
+            &gpu_demands,
+            ctx.server.total_space(),
+            ctx.avg_job_time,
+            self.config.slo_aware_space,
+            &self.profiler,
+            &mut self.cache,
+        );
         // Never over-commit the free capacity: scale down proportionally.
         let wanted: f64 = division.iter().map(|d| d.gpu).sum();
         if wanted > ctx.free_gpus && wanted > 0.0 {
@@ -606,105 +596,68 @@ mod tests {
         assert!(big.gpu > 0.0);
     }
 
-    #[test]
-    fn joint_batch_space_produces_valid_plans() {
-        let (_, mut apps, server) = setup(2);
-        let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
-        let config = AdaInfConfig {
-            joint_batch_space: true,
-            ..AdaInfConfig::default()
-        };
-        let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
-        sched.on_period_start(&mut apps, &server, SimTime::ZERO);
-        let predicted = vec![32u32, 32];
-        let pools: Vec<Vec<usize>> = apps
-            .iter()
-            .map(|rt| rt.pools.iter().map(|p| p.remaining()).collect())
-            .collect();
-        let ctx = SessionCtx {
-            now: SimTime::ZERO,
-            predicted: &predicted,
-            server: &server,
-            free_gpus: 4.0,
-            avg_job_time: SimDuration::from_millis(60),
-            pool_remaining: &pools,
-        };
-        let plans = sched.on_session(&ctx);
-        assert_eq!(plans.len(), 2);
-        for p in &plans {
-            assert!(p.gpu > 0.0 && p.gpu <= 1.0);
-            assert!(p.batch >= 1);
-        }
-    }
-
     /// Every plan served from the warm decision cache equals the plan
     /// recomputed with the cache swapped for an empty one: 12 contexts,
-    /// each recurring 5 times in each of 3 periods (180 sessions), for
-    /// both space dividers, with half the sessions squeezed below demand
-    /// and a third of app 0's counts past the cache's dense bound (those
-    /// compute uncached, warm or cold).
+    /// each recurring 5 times in each of 3 periods (180 sessions), with
+    /// half the sessions squeezed below demand and a third of app 0's
+    /// counts past the cache's dense bound (those compute uncached, warm
+    /// or cold).
     #[test]
     fn warm_cache_plans_equal_cold_recomputes() {
         const SQUEEZED: f64 = 0.3;
         const FAR: u32 = crate::cache::DENSE_REQUESTS + 9;
-        for joint_batch_space in [false, true] {
-            let (_, mut apps, server) = setup(3);
-            let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
-            let config = AdaInfConfig {
-                joint_batch_space,
-                ..AdaInfConfig::default()
-            };
-            let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
-            for period in 1..=3u64 {
-                for rt in &mut apps {
-                    rt.advance_period();
-                }
-                let now = SimTime::from_secs(50 * period);
-                sched.on_period_start(&mut apps, &server, now);
-                let pools: Vec<Vec<usize>> = apps
-                    .iter()
-                    .map(|rt| rt.pools.iter().map(|p| p.remaining()).collect())
-                    .collect();
-                let (hits_before, ..) = sched.cache.stats();
-                for i in 0..60usize {
-                    let mut predicted: Vec<u32> =
-                        (0..3).map(|a| [8, 16, 32][(i + a) % 3]).collect();
-                    predicted[0] = [8, 16, FAR][i % 3];
-                    let free_gpus = [4.0, SQUEEZED][i % 2];
-                    let ctx = SessionCtx {
-                        now,
-                        predicted: &predicted,
-                        server: &server,
-                        free_gpus,
-                        avg_job_time: SimDuration::from_millis([40, 60][(i / 2) % 2]),
-                        pool_remaining: &pools,
-                    };
-                    let warm = sched.on_session(&ctx);
-                    let warm_cache = std::mem::take(&mut sched.cache);
-                    let cold = sched.on_session(&ctx);
-                    sched.cache = warm_cache;
-                    // Debug renders f64 in shortest round-trip form, so
-                    // equal renderings are bit-equal plans.
-                    assert_eq!(
-                        format!("{warm:?}"),
-                        format!("{cold:?}"),
-                        "joint {joint_batch_space}, period {period}, session {i}"
-                    );
-                    // Roomy sessions want more than the squeezed free
-                    // space, so the squeezed ones ran the scale-down.
-                    let total: f64 = warm.iter().map(|p| p.gpu).sum();
-                    if free_gpus == SQUEEZED {
-                        assert!(total <= SQUEEZED + 1e-9, "squeezed total {total}");
-                    } else {
-                        assert!(total > SQUEEZED, "roomy total {total}");
-                    }
-                }
-                let (hits, ..) = sched.cache.stats();
-                assert!(
-                    hits > hits_before,
-                    "period {period}: the warm cache never hit"
-                );
+        let (_, mut apps, server) = setup(3);
+        let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+        let mut sched =
+            AdaInfScheduler::new(AdaInfConfig::default(), Profiler::default(), specs, 7);
+        for period in 1..=3u64 {
+            for rt in &mut apps {
+                rt.advance_period();
             }
+            let now = SimTime::from_secs(50 * period);
+            sched.on_period_start(&mut apps, &server, now);
+            let pools: Vec<Vec<usize>> = apps
+                .iter()
+                .map(|rt| rt.pools.iter().map(|p| p.remaining()).collect())
+                .collect();
+            let (hits_before, ..) = sched.cache.stats();
+            for i in 0..60usize {
+                let mut predicted: Vec<u32> = (0..3).map(|a| [8, 16, 32][(i + a) % 3]).collect();
+                predicted[0] = [8, 16, FAR][i % 3];
+                let free_gpus = [4.0, SQUEEZED][i % 2];
+                let ctx = SessionCtx {
+                    now,
+                    predicted: &predicted,
+                    server: &server,
+                    free_gpus,
+                    avg_job_time: SimDuration::from_millis([40, 60][(i / 2) % 2]),
+                    pool_remaining: &pools,
+                };
+                let warm = sched.on_session(&ctx);
+                let warm_cache = std::mem::take(&mut sched.cache);
+                let cold = sched.on_session(&ctx);
+                sched.cache = warm_cache;
+                // Debug renders f64 in shortest round-trip form, so
+                // equal renderings are bit-equal plans.
+                assert_eq!(
+                    format!("{warm:?}"),
+                    format!("{cold:?}"),
+                    "period {period}, session {i}"
+                );
+                // Roomy sessions want more than the squeezed free
+                // space, so the squeezed ones ran the scale-down.
+                let total: f64 = warm.iter().map(|p| p.gpu).sum();
+                if free_gpus == SQUEEZED {
+                    assert!(total <= SQUEEZED + 1e-9, "squeezed total {total}");
+                } else {
+                    assert!(total > SQUEEZED, "roomy total {total}");
+                }
+            }
+            let (hits, ..) = sched.cache.stats();
+            assert!(
+                hits > hits_before,
+                "period {period}: the warm cache never hit"
+            );
         }
     }
 

@@ -65,25 +65,6 @@ pub fn slo_demand(job: &JobDemand, profiler: &Profiler) -> f64 {
         .max(1e-3)
 }
 
-/// The §6 joint `(fraction, batch)` choice of one job: for every batch
-/// candidate, invert the regression from that batch's own full-GPU worst
-/// case; keep the pair with the smallest fraction that meets the SLO.
-pub fn joint_choice(job: &JobDemand, profiler: &Profiler) -> (f64, u32) {
-    use adainf_gpusim::latency::BATCH_CANDIDATES;
-    BATCH_CANDIDATES
-        .iter()
-        .map(|&b| {
-            let full = profiler.worst_case_full(&job.cost, job.requests, b);
-            let g = profiler
-                .scaler
-                .required_fraction(full.as_millis_f64(), job.slo.as_millis_f64())
-                .max(1e-3);
-            (g, b)
-        })
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite fractions")) // simlint: allow(no-unwrap-in-lib) — fractions are clamped to [1e-3, ..], never NaN
-        .expect("candidates non-empty") // simlint: allow(no-unwrap-in-lib) — BATCH_CANDIDATES is a non-empty const
-}
-
 /// Divides `total_gpus` among the session's jobs, with the demand
 /// inversion memoised in `cache`.
 ///
@@ -120,40 +101,6 @@ pub fn divide_space(
         .map(|(j, d)| JobSpace {
             app: j.app,
             gpu: quantize_space((session_pool * d / total_demand).clamp(1e-3, 1.0)),
-        })
-        .collect()
-}
-
-/// §6 "Design Challenge" extension: decide the batch size and required
-/// fraction **jointly** — for every batch candidate, invert the
-/// regression from that batch's own full-GPU worst case, and keep the
-/// `(batch, fraction)` pair with the smallest fraction that meets the
-/// SLO. The space divides by the chosen fractions, memoised per job in
-/// `cache`; the batch the job runs is the time plan's, re-adjusted for
-/// its structure like every other job's.
-pub fn divide_space_joint(
-    jobs: &[JobDemand],
-    total_gpus: f64,
-    avg_job_time: SimDuration,
-    profiler: &Profiler,
-    cache: &mut DecisionCache,
-) -> Vec<JobSpace> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let session_pool = session_pool(total_gpus, avg_job_time);
-
-    let choices: Vec<f64> = jobs
-        .iter()
-        .map(|j| cache.joint(j.app, j.requests, || joint_choice(j, profiler).0))
-        .collect();
-    let total_demand: f64 = choices.iter().sum();
-
-    jobs.iter()
-        .zip(&choices)
-        .map(|(j, g)| JobSpace {
-            app: j.app,
-            gpu: quantize_space((session_pool * g / total_demand).clamp(1e-3, 1.0)),
         })
         .collect()
 }
@@ -203,12 +150,6 @@ mod tests {
             &p,
             &mut cache,
         )
-    }
-
-    /// [`divide_space_joint`] through a fresh cache.
-    fn split_joint(jobs: &[JobDemand], gpus: f64, t_a_ms: u64) -> Vec<JobSpace> {
-        let (p, mut cache) = (Profiler::default(), DecisionCache::default());
-        divide_space_joint(jobs, gpus, SimDuration::from_millis(t_a_ms), &p, &mut cache)
     }
 
     #[test]
@@ -280,9 +221,7 @@ mod tests {
             demand(1, 53, 3.0e7, 450),
             demand(2, 11, 6.0e7, 500),
         ];
-        let div = split(&jobs, 4.0, 137, true);
-        let joint = split_joint(&jobs, 4.0, 137);
-        for d in div.iter().chain(&joint) {
+        for d in split(&jobs, 4.0, 137, true) {
             let centi = d.gpu * 100.0;
             assert!(
                 (centi - centi.round()).abs() < 1e-9 || d.gpu == 1e-3,
@@ -300,26 +239,5 @@ mod tests {
     #[test]
     fn empty_jobs_yield_empty_division() {
         assert!(split(&[], 4.0, 100, true).is_empty());
-        assert!(split_joint(&[], 4.0, 100).is_empty());
-    }
-
-    #[test]
-    fn joint_division_allocates_comparable_space() {
-        // The one-shot decision should land near the two-step result for
-        // typical jobs (the two approaches only diverge when the batch
-        // re-adjustment would change the choice a lot).
-        let jobs = vec![demand(0, 32, 1.5e8, 400), demand(1, 32, 6.0e7, 500)];
-        let two_step = split(&jobs, 4.0, 100, true);
-        let joint = split_joint(&jobs, 4.0, 100);
-        for (a, b) in two_step.iter().zip(&joint) {
-            assert_eq!(a.app, b.app);
-            assert!(b.gpu > 0.0 && b.gpu <= 1.0);
-            assert!(
-                (a.gpu - b.gpu).abs() < a.gpu.max(b.gpu),
-                "two-step {} vs joint {}",
-                a.gpu,
-                b.gpu
-            );
-        }
     }
 }

@@ -67,8 +67,8 @@ fn main() {
         }
     }
 
-    if !(1..=14).contains(&config.num_apps) {
-        eprintln!("--apps must be in 1..=14");
+    if let Err(e) = config.validate() {
+        eprintln!("adainf-sim: {e}");
         std::process::exit(2);
     }
 

@@ -16,7 +16,6 @@ use crate::sim::{ChaosConfig, Method, RunConfig};
 use adainf_core::AdaInfConfig;
 use adainf_driftgen::FaultSpec;
 use adainf_simcore::SimDuration;
-use std::sync::Arc;
 
 /// One named scenario: a fault spec plus its finish-rate floor.
 #[derive(Clone, Copy, Debug)]
@@ -118,43 +117,34 @@ pub struct ChaosOutcome {
     pub predicted_rel_err_last_q: f64,
 }
 
-/// The configuration every scenario runs under: short horizon (chaos
-/// laws guarantee ≥ 2 windows per family in 60 s), small app set, the
-/// AdaInf scheduler.
-pub fn suite_config(seed: u64) -> RunConfig {
-    RunConfig {
-        seed,
-        duration: SimDuration::from_secs(60),
-        num_gpus: 4,
-        num_apps: 3,
-        base_rate: 4000.0,
-        pool_size: 1000,
-        method: Method::AdaInf(AdaInfConfig::default()),
-        comm: None,
-        device_factors: Arc::from([]),
-        chaos: None,
-        train_workers: 0,
+/// The one seed the suite runs at (CI's bound gate, tests, EXPERIMENTS.md).
+pub const SEED: u64 = 11;
+
+impl Scenario {
+    /// The scenario's run at `seed`: a short horizon (chaos laws guarantee
+    /// ≥ 2 windows per family in 60 s), a small app set, the AdaInf
+    /// scheduler and the scenario's faults (none for the control).
+    pub fn config(&self, seed: u64) -> RunConfig {
+        let spec = (self.spec)(seed);
+        RunConfig {
+            seed,
+            duration: SimDuration::from_secs(60),
+            num_gpus: 4,
+            num_apps: 3,
+            base_rate: 4000.0,
+            pool_size: 1000,
+            method: Method::AdaInf(AdaInfConfig {
+                predicted_latency: self.predicted,
+                ..AdaInfConfig::default()
+            }),
+            chaos: (!spec.is_empty()).then(|| ChaosConfig::scenario(spec)),
+            ..RunConfig::default()
+        }
     }
 }
 
-/// Runs one scenario at `seed` and evaluates its bound.
-pub fn run_scenario(scenario: &Scenario, seed: u64) -> ChaosOutcome {
-    let mut cfg = suite_config(seed);
-    if scenario.predicted {
-        cfg.method = Method::AdaInf(AdaInfConfig {
-            predicted_latency: true,
-            ..AdaInfConfig::default()
-        });
-    }
-    let spec = (scenario.spec)(seed);
-    if !spec.is_empty() {
-        cfg.chaos = Some(ChaosConfig::scenario(spec));
-    }
-    let m = crate::sim::run(cfg);
-    outcome(scenario, &m)
-}
-
-fn outcome(scenario: &Scenario, m: &RunMetrics) -> ChaosOutcome {
+/// Evaluates `scenario`'s bound on the metrics of its run.
+pub fn outcome(scenario: &Scenario, m: &RunMetrics) -> ChaosOutcome {
     let finish_rate = m.mean_finish_rate();
     ChaosOutcome {
         name: scenario.name.to_string(),
@@ -172,14 +162,6 @@ fn outcome(scenario: &Scenario, m: &RunMetrics) -> ChaosOutcome {
         predicted_rel_err_first_q: m.predicted_rel_err_quartile(0),
         predicted_rel_err_last_q: m.predicted_rel_err_quartile(3),
     }
-}
-
-/// Runs the whole catalogue at `seed`.
-pub fn run_suite(seed: u64) -> Vec<ChaosOutcome> {
-    SCENARIOS
-        .iter()
-        .map(|s| run_scenario(s, seed))
-        .collect()
 }
 
 /// Renders suite outcomes as a markdown table.

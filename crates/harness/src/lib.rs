@@ -13,13 +13,15 @@
 //!   per app, per node), 1 s finish-rate windows, updated-model shares,
 //!   retraining-time/sample bookkeeping, latency stats, utilization,
 //!   overheads.
-//! * [`experiments`] — one entry point per figure/table of the paper,
-//!   run by name through `adainf-bench`'s `run_all`.
+//! * [`experiments`] — one item per figure/table of the paper and per
+//!   experiment beyond it, each declaring the runs it reads; run by name
+//!   through `adainf-bench`'s `run_all`.
+//! * [`parallel`] — [`run_many`], and [`RunSet`]: each distinct run once.
 //! * [`report`] — the plain-text table emitter of the regenerated
 //!   tables.
 //! * [`chaos`] — the chaos experiment suite: named fault scenarios
-//!   (request bursts, eviction storms, pool starvation, device stalls)
-//!   run against the schedulers, with per-scenario SLO-violation bounds.
+//!   (request bursts, eviction storms, pool starvation, device stalls),
+//!   each a run configuration with a finish-rate floor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@ pub mod parallel;
 pub mod report;
 pub mod sim;
 
-pub use chaos::{run_suite, ChaosOutcome};
+pub use chaos::ChaosOutcome;
 pub use metrics::RunMetrics;
-pub use parallel::run_many;
-pub use sim::{ChaosConfig, Method, RunConfig, Simulation};
+pub use parallel::{run_many, RunSet};
+pub use sim::{ChaosConfig, ConfigError, Method, RunConfig, Simulation};

@@ -162,7 +162,44 @@ impl RunConfig {
             ..*self
         }
     }
+
+    /// Checks the inputs a run cannot serve without: 1–14 applications,
+    /// at least one GPU, at least one session and a finite, positive
+    /// request rate.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let (field, reason) = if !(1..=14).contains(&self.num_apps) {
+            ("num_apps", format!("{} is outside 1..=14", self.num_apps))
+        } else if self.num_gpus == 0 {
+            ("num_gpus", "0; a run needs at least one GPU".into())
+        } else if self.duration < SESSION {
+            let d = self.duration;
+            ("duration", format!("{d:?} holds no {SESSION:?} session"))
+        } else if !(self.base_rate.is_finite() && self.base_rate > 0.0) {
+            let r = self.base_rate;
+            ("base_rate", format!("{r} is not a finite, positive rate"))
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError { field, reason })
+    }
 }
+
+/// A [`RunConfig`] field [`RunConfig::validate`] rejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's name.
+    pub field: &'static str,
+    /// Its value and why it is rejected.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid `{}`: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// A bulk retraining registered at a period boundary, with the pool
 /// samples snapshotted at registration time (the data that was shipped /
@@ -1548,6 +1585,31 @@ mod tests {
         // tail did not move.
         assert_eq!(sim.metrics.inference_latency.count(), 0);
         assert!(sim.serial_free_at.iter().all(|&f| f == jammed));
+    }
+
+    #[test]
+    fn validate_names_each_rejected_field() {
+        let field = |edit: fn(&mut RunConfig)| {
+            let mut cfg = RunConfig::default();
+            edit(&mut cfg);
+            cfg.validate().err().map(|e| e.field)
+        };
+        assert_eq!(field(|_| {}), None);
+        assert_eq!(field(|c| c.num_apps = 14), None);
+        assert_eq!(field(|c| c.duration = SESSION), None);
+        assert_eq!(field(|c| c.num_apps = 0), Some("num_apps"));
+        assert_eq!(field(|c| c.num_apps = 15), Some("num_apps"));
+        assert_eq!(field(|c| c.num_gpus = 0), Some("num_gpus"));
+        assert_eq!(field(|c| c.duration = SimDuration::ZERO), Some("duration"));
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let cfg = RunConfig {
+                base_rate: rate,
+                ..RunConfig::default()
+            };
+            let e = cfg.validate().unwrap_err();
+            assert_eq!(e.field, "base_rate", "rate {rate}");
+            assert!(e.to_string().starts_with("invalid `base_rate`: "), "{e}");
+        }
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //!    under `strict-invariants`.
 //! 3. **Chaos determinism** — a faulted run is still a deterministic
 //!    function of the seed.
+//!
+//! The per-scenario tests only read results, so each scenario runs once
+//! for the whole file ([`scenario`]); the determinism tests run their own.
 
 use adainf::core::AdaInfConfig;
 use adainf::driftgen::FaultSpec;
-use adainf::harness::chaos::{report, run_scenario, run_suite, SCENARIOS};
+use adainf::harness::chaos::{self, outcome, report, ChaosOutcome, SCENARIOS};
 use adainf::harness::sim::{run, ChaosConfig, Method, RunConfig};
+use adainf::harness::RunSet;
 use adainf::simcore::SimDuration;
+use std::sync::OnceLock;
 
 fn config(method: Method, seed: u64) -> RunConfig {
     RunConfig {
@@ -28,6 +33,18 @@ fn config(method: Method, seed: u64) -> RunConfig {
         duration: SimDuration::from_secs(60),
         ..RunConfig::default()
     }
+}
+
+/// Every scenario's run at the suite seed, each run once.
+fn suite() -> &'static RunSet {
+    static RUNS: OnceLock<RunSet> = OnceLock::new();
+    RUNS.get_or_init(|| RunSet::new(SCENARIOS.iter().map(|s| s.config(chaos::SEED))).run())
+}
+
+/// The outcome of scenario `i` of the catalogue at the suite seed.
+fn scenario(i: usize) -> ChaosOutcome {
+    let s = &SCENARIOS[i];
+    outcome(s, suite().get(&s.config(chaos::SEED)))
 }
 
 /// Armed-but-empty chaos must reproduce the pristine goldens of
@@ -72,7 +89,7 @@ fn empty_fault_spec_reproduces_pristine_goldens() {
 /// point panics or trips a `strict-invariants` assert.
 #[test]
 fn scenarios_hold_their_documented_floors() {
-    let outcomes = run_suite(11);
+    let outcomes: Vec<ChaosOutcome> = (0..SCENARIOS.len()).map(scenario).collect();
     let table = report(&outcomes);
     for o in &outcomes {
         assert!(
@@ -87,7 +104,7 @@ fn scenarios_hold_their_documented_floors() {
 /// requests are shed up front instead of collapsing the finish rate.
 #[test]
 fn rate_burst_sheds_instead_of_collapsing() {
-    let o = run_scenario(&SCENARIOS[1], 11);
+    let o = scenario(1);
     assert_eq!(o.name, "rate-burst");
     assert!(o.fault_sessions > 0, "no burst window fired");
     assert!(o.shed_requests > 0, "admission control never shed");
@@ -98,7 +115,7 @@ fn rate_burst_sheds_instead_of_collapsing() {
 /// retried a bounded number of times and give up into degraded serving.
 #[test]
 fn memory_pressure_storms_and_bounded_reloads() {
-    let o = run_scenario(&SCENARIOS[2], 11);
+    let o = scenario(2);
     assert_eq!(o.name, "memory-pressure");
     assert!(o.eviction_storms >= 1, "no pressure window opened");
     assert!(o.storm_evictions > 0, "storm evicted nothing");
@@ -110,7 +127,7 @@ fn memory_pressure_storms_and_bounded_reloads() {
 /// casualty).
 #[test]
 fn pool_starvation_destroys_samples_not_serving() {
-    let o = run_scenario(&SCENARIOS[3], 11);
+    let o = scenario(3);
     assert_eq!(o.name, "pool-starvation");
     assert!(o.starved_samples > 0, "no samples starved");
     assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
@@ -120,7 +137,7 @@ fn pool_starvation_destroys_samples_not_serving() {
 /// inference-only fallback) keeps the run above its floor.
 #[test]
 fn device_stall_degrades_gracefully() {
-    let o = run_scenario(&SCENARIOS[4], 11);
+    let o = scenario(4);
     assert_eq!(o.name, "device-stall");
     assert!(o.fault_sessions > 0, "no stall window fired");
     assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
@@ -134,7 +151,7 @@ fn device_stall_degrades_gracefully() {
 /// relative error beats the first quartile's warm-up-and-stall error.
 #[test]
 fn device_stall_predicted_reconverges() {
-    let o = run_scenario(&SCENARIOS[5], 11);
+    let o = scenario(5);
     assert_eq!(o.name, "device-stall-predicted");
     assert!(o.fault_sessions > 0, "no stall window fired");
     assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);

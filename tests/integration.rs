@@ -1,14 +1,19 @@
 //! Cross-crate integration tests: the full pipeline from drift generation
 //! through scheduling to metric collection, plus the paper's headline
 //! orderings at reduced scale.
+//!
+//! The tests only read results, so every run they read is declared once
+//! in [`runs`] and run once for the whole file.
 
 use adainf::core::plan::Scheduler;
 use adainf::core::profiler::Profiler;
 use adainf::core::{AdaInfConfig, AdaInfScheduler};
 use adainf::driftgen::workload::ArrivalConfig;
 use adainf::gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
-use adainf::harness::sim::{run, Method, RunConfig};
+use adainf::harness::sim::{Method, RunConfig};
+use adainf::harness::{RunMetrics, RunSet};
 use adainf::simcore::{Prng, SimDuration, SimTime};
+use std::sync::OnceLock;
 
 /// The calibrated contention regime at a reduced horizon: the paper's
 /// orderings need the default 8-application load (with fewer apps each
@@ -22,9 +27,99 @@ fn small(method: Method) -> RunConfig {
     }
 }
 
+/// [`small`] under AdaInf configured as `config`.
+fn small_adainf(config: AdaInfConfig) -> RunConfig {
+    small(Method::AdaInf(config))
+}
+
+/// [`small`] AdaInf at 150 s.
+fn short() -> RunConfig {
+    RunConfig {
+        duration: SimDuration::from_secs(150),
+        ..small_adainf(AdaInfConfig::default())
+    }
+}
+
+/// [`short`] with CPU offload of sessions predicting ≤ 4 requests.
+fn cpu_offload() -> RunConfig {
+    short().with_method(Method::AdaInf(AdaInfConfig {
+        cpu_offload_threshold: 4,
+        ..AdaInfConfig::default()
+    }))
+}
+
+/// [`short`] on a 2×1.0 + 4×0.5 fleet.
+fn hetero_fleet() -> RunConfig {
+    RunConfig {
+        device_factors: vec![1.0, 1.0, 0.5, 0.5, 0.5, 0.5].into(),
+        ..short()
+    }
+}
+
+/// An ablation variant on two apps for 100 s.
+fn variant(config: AdaInfConfig) -> RunConfig {
+    RunConfig {
+        duration: SimDuration::from_secs(100),
+        num_apps: 2,
+        pool_size: 400,
+        ..small_adainf(config)
+    }
+}
+
+fn variants() -> [AdaInfConfig; 6] {
+    [
+        AdaInfConfig::variant_i(),
+        AdaInfConfig::variant_u(),
+        AdaInfConfig::variant_s(),
+        AdaInfConfig::variant_e(),
+        AdaInfConfig::variant_m1(),
+        AdaInfConfig::variant_m2(),
+    ]
+}
+
+/// Every run the tests read, each distinct one run once, largest first.
+fn runs() -> &'static RunSet {
+    static RUNS: OnceLock<RunSet> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let mut configs = vec![
+            RunConfig {
+                num_apps: 14,
+                ..small_adainf(AdaInfConfig::default())
+            },
+            small_adainf(AdaInfConfig::default()),
+            small(Method::Ekya),
+            small(Method::Scrooge),
+            small(Method::ScroogeStar),
+            small_adainf(AdaInfConfig::no_retraining()),
+            RunConfig {
+                seed: 1,
+                ..small_adainf(AdaInfConfig::default())
+            },
+            RunConfig {
+                seed: 2,
+                ..small_adainf(AdaInfConfig::default())
+            },
+            short(),
+            cpu_offload(),
+            hetero_fleet(),
+            RunConfig {
+                num_apps: 2,
+                ..small_adainf(AdaInfConfig::default())
+            },
+        ];
+        configs.extend(variants().map(variant));
+        RunSet::new(configs).run()
+    })
+}
+
+/// The result of a run [`runs`] declares.
+fn run(config: RunConfig) -> &'static RunMetrics {
+    runs().get(&config)
+}
+
 #[test]
 fn adainf_beats_ekya_on_both_axes() {
-    let adainf = run(small(Method::AdaInf(AdaInfConfig::default())));
+    let adainf = run(small_adainf(AdaInfConfig::default()));
     let ekya = run(small(Method::Ekya));
     assert!(
         adainf.mean_accuracy() > ekya.mean_accuracy(),
@@ -42,7 +137,7 @@ fn adainf_beats_ekya_on_both_axes() {
 
 #[test]
 fn adainf_beats_scrooge_on_accuracy() {
-    let adainf = run(small(Method::AdaInf(AdaInfConfig::default())));
+    let adainf = run(small_adainf(AdaInfConfig::default()));
     let scrooge = run(small(Method::Scrooge));
     assert!(
         adainf.mean_accuracy() > scrooge.mean_accuracy() + 0.02,
@@ -59,8 +154,8 @@ fn adainf_beats_scrooge_on_accuracy() {
 
 #[test]
 fn retraining_beats_no_retraining() {
-    let with = run(small(Method::AdaInf(AdaInfConfig::default())));
-    let without = run(small(Method::AdaInf(AdaInfConfig::no_retraining())));
+    let with = run(small_adainf(AdaInfConfig::default()));
+    let without = run(small_adainf(AdaInfConfig::no_retraining()));
     assert!(
         with.mean_accuracy() > without.mean_accuracy() + 0.03,
         "with {} vs without {}",
@@ -162,11 +257,11 @@ fn app_count_scaling_degrades_gracefully() {
     // improve; nothing panics up to the full 14-app catalogue.
     let few = run(RunConfig {
         num_apps: 2,
-        ..small(Method::AdaInf(AdaInfConfig::default()))
+        ..small_adainf(AdaInfConfig::default())
     });
     let many = run(RunConfig {
         num_apps: 14,
-        ..small(Method::AdaInf(AdaInfConfig::default()))
+        ..small_adainf(AdaInfConfig::default())
     });
     assert!(many.total_requests > few.total_requests);
     assert!(few.mean_finish_rate() >= many.mean_finish_rate() - 0.05);
@@ -176,14 +271,14 @@ fn app_count_scaling_degrades_gracefully() {
 fn seeds_change_realisations_but_not_shape() {
     let a = run(RunConfig {
         seed: 1,
-        ..small(Method::AdaInf(AdaInfConfig::default()))
+        ..small_adainf(AdaInfConfig::default())
     });
     let b = run(RunConfig {
         seed: 2,
-        ..small(Method::AdaInf(AdaInfConfig::default()))
+        ..small_adainf(AdaInfConfig::default())
     });
     assert_ne!(a.total_requests, b.total_requests);
-    for m in [&a, &b] {
+    for m in [a, b] {
         assert!(m.mean_accuracy() > 0.6, "accuracy collapsed: {}", m.mean_accuracy());
         assert!(m.mean_finish_rate() > 0.8);
     }
@@ -191,33 +286,10 @@ fn seeds_change_realisations_but_not_shape() {
 
 #[test]
 fn extension_features_run_end_to_end() {
-    // §6 extensions: CPU offload, joint batch/space decision and a
-    // heterogeneous fleet all run and stay within a sane band of the
-    // baseline.
-    let baseline = run(RunConfig {
-        duration: SimDuration::from_secs(150),
-        ..small(Method::AdaInf(AdaInfConfig::default()))
-    });
-    let cpu = run(RunConfig {
-        duration: SimDuration::from_secs(150),
-        ..small(Method::AdaInf(AdaInfConfig {
-            cpu_offload_threshold: 4,
-            ..AdaInfConfig::default()
-        }))
-    });
-    let joint = run(RunConfig {
-        duration: SimDuration::from_secs(150),
-        ..small(Method::AdaInf(AdaInfConfig {
-            joint_batch_space: true,
-            ..AdaInfConfig::default()
-        }))
-    });
-    let hetero = run(RunConfig {
-        duration: SimDuration::from_secs(150),
-        device_factors: vec![1.0, 1.0, 0.5, 0.5, 0.5, 0.5].into(),
-        ..small(Method::AdaInf(AdaInfConfig::default()))
-    });
-    for m in [&cpu, &joint, &hetero] {
+    // §6 extensions: CPU offload and a heterogeneous fleet both run and
+    // stay within a sane band of the baseline.
+    let baseline = run(short());
+    for m in [run(cpu_offload()), run(hetero_fleet())] {
         assert!(
             (m.mean_accuracy() - baseline.mean_accuracy()).abs() < 0.08,
             "{}: {} vs baseline {}",
@@ -231,10 +303,7 @@ fn extension_features_run_end_to_end() {
 
 #[test]
 fn per_app_latency_percentiles_are_ordered() {
-    let m = run(RunConfig {
-        duration: SimDuration::from_secs(150),
-        ..small(Method::AdaInf(AdaInfConfig::default()))
-    });
+    let m = run(short());
     for app in 0..m.per_app_latency.len() {
         let (p50, p95, p99) = m.latency_percentiles(app);
         assert!(p50 <= p95 && p95 <= p99, "app {app}: {p50} {p95} {p99}");
@@ -244,21 +313,9 @@ fn per_app_latency_percentiles_are_ordered() {
 
 #[test]
 fn variant_configs_run_end_to_end() {
-    for config in [
-        AdaInfConfig::variant_i(),
-        AdaInfConfig::variant_u(),
-        AdaInfConfig::variant_s(),
-        AdaInfConfig::variant_e(),
-        AdaInfConfig::variant_m1(),
-        AdaInfConfig::variant_m2(),
-    ] {
+    for config in variants() {
         let name = config.variant_name();
-        let m = run(RunConfig {
-            duration: SimDuration::from_secs(100),
-            num_apps: 2,
-            pool_size: 400,
-            ..small(Method::AdaInf(config))
-        });
+        let m = run(variant(config));
         assert_eq!(m.name, name);
         assert!(m.mean_accuracy() > 0.4, "{name}: {}", m.mean_accuracy());
     }
