@@ -5,9 +5,11 @@
 //!   (caller-owned output) forms, at the MLP's steady-state shapes.
 //! * `gemm/head_*`, `gemm/trunk_forward_*`,
 //!   `gemm/backward_input_grad_*` — the same kernels at the shapes the
-//!   deployed early-exit heads actually run: a 6-class head's forward
-//!   and weight gradient (8 lanes), the 32- and 24-wide trunk layers'
-//!   forward passes, and a trunk layer's transposed input gradient.
+//!   deployed early-exit heads actually run: the forward and weight
+//!   gradient of a 6-class head (padded to 8 lanes) and a 12-class one
+//!   (padded to 16), the 32- and 24-wide trunk layers' forward passes,
+//!   and a trunk layer's input gradient against the transposed weight
+//!   copy the backward pass writes first.
 //! * `end_to_end/tiny_run` — one complete 20 s, 2-application
 //!   simulation through the public `run` entry point, so a regression
 //!   anywhere in the stack shows up even if every micro-bench holds.
@@ -18,6 +20,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adainf_harness::sim::{run, RunConfig};
+use adainf_nn::layer::Dense;
 use adainf_nn::Matrix;
 use adainf_simcore::{Prng, SimDuration};
 
@@ -51,27 +54,33 @@ fn bench_gemm(c: &mut Criterion) {
         bch.iter(|| black_box(&a).matmul_t_into(black_box(&wt), &mut wt_scratch, &mut out))
     });
 
-    // Head forward: a 32-row batch through the last 32-wide trunk
-    // activation into a 6-class head (bias, no ReLU).
-    let acts = random_matrix(32, 32, &mut rng);
-    let head_w = random_matrix(32, 6, &mut rng);
-    let head_b: Vec<f32> = (0..6).map(|_| rng.gauss() as f32).collect();
-    group.bench_function("head_forward_32x32x6", |bch| {
-        bch.iter(|| black_box(&acts).affine_into(black_box(&head_w), &head_b, false, &mut out))
-    });
-    // Head weight gradient aᵀ·g: 24-wide activations, 6-class gradient.
-    let head_in = random_matrix(32, 24, &mut rng);
-    let head_g = random_matrix(32, 6, &mut rng);
-    group.bench_function("head_weight_grad_32x24x6", |bch| {
-        bch.iter(|| black_box(&head_in).t_matmul_into(black_box(&head_g), &mut out))
-    });
-    // Backward input gradient g·Wᵀ of the 32→24 trunk layer.
+    for classes in [6, 12] {
+        // Head forward: a 32-row batch through the first exit's 32-wide
+        // trunk activation into a class-padded head (bias, no ReLU).
+        let acts = random_matrix(32, 32, &mut rng);
+        let head = Dense::head(32, classes, &mut rng);
+        group.bench_function(&format!("head_forward_32x32x{classes}"), |bch| {
+            bch.iter(|| black_box(&head).infer_into(black_box(&acts), &mut out))
+        });
+        // Head weight gradient aᵀ·g: 24-wide activations, the class
+        // gradient with its zero pad columns.
+        let head_in = random_matrix(32, 24, &mut rng);
+        let head_g = random_matrix(32, classes, &mut rng);
+        let mut padded_g = Matrix::zeros(32, classes.next_multiple_of(8));
+        for r in 0..32 {
+            padded_g.row_mut(r)[..classes].copy_from_slice(head_g.row(r));
+        }
+        group.bench_function(&format!("head_weight_grad_32x24x{classes}"), |bch| {
+            bch.iter(|| black_box(&head_in).t_matmul_into(black_box(&padded_g), &mut out))
+        });
+    }
+    // Backward input gradient g·Wᵀ of the 32→24 trunk layer, against
+    // the transposed weight copy (24 × 32) the backward pass writes
+    // first.
     let trunk_g = random_matrix(32, 24, &mut rng);
-    let trunk_w = random_matrix(32, 24, &mut rng);
+    let trunk_wt = random_matrix(24, 32, &mut rng);
     group.bench_function("backward_input_grad_32x24x32", |bch| {
-        bch.iter(|| {
-            black_box(&trunk_g).matmul_t_into(black_box(&trunk_w), &mut wt_scratch, &mut out)
-        })
+        bch.iter(|| black_box(&trunk_g).matmul_into(black_box(&trunk_wt), &mut out))
     });
     // Trunk forward of a 32-row batch: the 16→32 first layer and the
     // 32→24 second layer (bias and ReLU).

@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for the retraining backward pass.
 //!
-//! * `train/train_slice` — one staged per-(app, node) retraining slice
-//!   through an external [`TrainSliceScratch`], the exact unit of work
-//!   the period-boundary fan-out deals to its pool workers.
+//! * `train/train_slice`, `train/train_slice_12_classes` — one staged
+//!   per-(app, node) retraining slice through an external
+//!   [`TrainSliceScratch`], the exact unit of work the period-boundary
+//!   fan-out deals to its pool workers, for a 6-class model (heads
+//!   padded to 8 lanes) and a 12-class one (16 lanes).
 //! * `train/batch_parts_sgd` — the raw early-exit backward pass with
 //!   the blocked gradient GEMM and the fused momentum update.
 //! * `train/score_exits_400` — scoring every head exit of a deployed
@@ -23,9 +25,13 @@ use adainf_nn::{EarlyExitMlp, InferScratch, MlpConfig, TrainScratch};
 use adainf_simcore::Prng;
 
 fn training_batch(n: usize) -> adainf_driftgen::LabeledSamples {
+    class_batch(n, 6)
+}
+
+fn class_batch(n: usize, classes: usize) -> adainf_driftgen::LabeledSamples {
     let root = Prng::new(77);
     let mut stream = TaskStream::new(
-        TaskStreamConfig::new("vehicle", 6, 9).with_drift(0.4, 0.2),
+        TaskStreamConfig::new("vehicle", classes, 9).with_drift(0.4, 0.2),
         &root,
     );
     stream.sample(n)
@@ -38,15 +44,21 @@ fn bench_train(c: &mut Criterion) {
     let root = Prng::new(77);
     let batch = training_batch(400);
 
-    group.bench_function("train_slice", |b| {
-        let mut rng = root.split(1);
-        let mut model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
-        let mut scratch = TrainSliceScratch::default();
-        b.iter(|| {
-            model.train_slice_with(black_box(&batch), 1, &mut scratch);
-            black_box(model.version())
-        })
-    });
+    let batch_12 = class_batch(400, 12);
+    for (id, classes, batch) in [
+        ("train_slice", 6, &batch),
+        ("train_slice_12_classes", 12, &batch_12),
+    ] {
+        group.bench_function(id, |b| {
+            let mut rng = root.split(1);
+            let mut model = TrainableModel::new(zoo::mobilenet_v2(), classes, &mut rng);
+            let mut scratch = TrainSliceScratch::default();
+            b.iter(|| {
+                model.train_slice_with(black_box(batch), 1, &mut scratch);
+                black_box(model.version())
+            })
+        });
+    }
 
     let features = {
         let mut rng = root.split(1);

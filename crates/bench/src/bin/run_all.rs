@@ -5,7 +5,8 @@
 //! whose label starts with one of the names, so `fig18` runs the three
 //! Fig 18/19 parts. A name that selects nothing exits 2 and lists the
 //! labels. `--fast` is the 150 s horizon, `--full` the paper's 1000 s;
-//! the default is 500 s.
+//! the default is 500 s. Any other flag, or both together, exits 2
+//! naming it and the accepted flags.
 //!
 //! The selected items' declared runs go into one pool, each distinct
 //! configuration once, before any item prints. The process exits 1 if
@@ -32,14 +33,26 @@ fn select<'a>(items: &'a [Item], names: &[&str]) -> Result<Vec<&'a Item>, String
         .collect())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = ex::Scale::from_args(&args);
-    let names: Vec<&str> = args
+/// The scale and the item names `args` ask for: every argument that
+/// does not start with `--` is a name. An unknown flag, or `--fast`
+/// with `--full`, is an error naming it and the accepted flags.
+fn parse(args: &[String]) -> Result<(ex::Scale, Vec<&str>), String> {
+    let scale = ex::Scale::from_args(args)
+        .map_err(|e| format!("{e}; flags: {}", ex::Scale::FLAGS.join(" ")))?;
+    let names = args
         .iter()
         .map(String::as_str)
         .filter(|a| !a.starts_with("--"))
         .collect();
+    Ok((scale, names))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, names) = parse(&args).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
+    });
     let selected = select(&ITEMS, &names).unwrap_or_else(|e| {
         let labels: Vec<&str> = ITEMS.iter().map(|(label, ..)| *label).collect();
         eprintln!("run_all: {e}; labels: {}", labels.join(" "));
@@ -104,6 +117,27 @@ mod tests {
             .all(|l| l.starts_with("fig") || l.starts_with("table")));
         assert!(labels(&["fig99"]).is_err());
         assert!(labels(&["fig04", "fig99"]).is_err());
+    }
+
+    /// Flags other than `--fast` / `--full`, and the two together, are
+    /// rejected with a message naming the flag and the accepted ones;
+    /// names pass through in order.
+    #[test]
+    fn unknown_or_conflicting_flags_are_rejected() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let given = args(&["--fast", "fig", "table2"]);
+        assert_eq!(parse(&given), Ok((ex::Scale::Fast, vec!["fig", "table2"])));
+        let given = args(&["chaos"]);
+        assert_eq!(parse(&given), Ok((ex::Scale::Default, vec!["chaos"])));
+        for (bad, named) in [
+            (&["--fats", "table2"][..], "`--fats`"),
+            (&["--seed", "11", "chaos"], "`--seed`"),
+            (&["--fast", "--full"], "exclude each other"),
+        ] {
+            let err = parse(&args(bad)).unwrap_err();
+            assert!(err.contains(named), "{err}");
+            assert!(err.ends_with("flags: --fast --full"), "{err}");
+        }
     }
 
     /// The paper's §5 varies one axis at a time around one default

@@ -223,7 +223,8 @@ pub struct DetectScratch {
     /// Each projection centres it in place.
     feats: Matrix,
     projected: Matrix,
-    scored: Vec<(u32, f64)>,
+    /// `(deviation key, sample index)` per ranked sample.
+    scored: Vec<(i64, u32)>,
     /// Gathered ranked-subset rows for the prefix extension.
     chunk: Matrix,
     /// Forward-pass ping-pong buffers for the prefix extension.
@@ -272,7 +273,7 @@ fn rank_features(
     pca: &Pca,
     means: &[Vec<f32>],
     projected: &mut Matrix,
-    scored: &mut Vec<(u32, f64)>,
+    scored: &mut Vec<(i64, u32)>,
 ) -> Vec<u32> {
     if new.is_empty() {
         return Vec::new();
@@ -281,28 +282,37 @@ fn rank_features(
     scored.clear();
     scored.extend(new.labels.iter().enumerate().map(|(i, &label)| {
         let mean = &means[usize::from(label)];
-        (i as u32, cosine_distance(projected.row(i), mean))
+        (
+            deviation_key(cosine_distance(projected.row(i), mean)),
+            i as u32,
+        )
     }));
     sort_by_deviation(scored);
-    scored.iter().map(|&(i, _)| i).collect()
+    scored.iter().map(|&(_, i)| i).collect()
 }
 
-/// Sorts `(index, distance)` pairs by descending distance, ascending
-/// index among equal distances: the stable descending sort of the
-/// distances, since `scored` is built in ascending index. The keys are
-/// integers, so no float comparator runs. Each distance maps to its
-/// IEEE total-order bits after `+ 0.0` folds −0.0 into +0.0, which
-/// orders exactly as `partial_cmp` does on non-NaN values (plain
-/// `total_cmp` would put −0.0 below +0.0 and perturb the goldens).
-/// Index keys are unique, so the unstable in-place sort is
-/// deterministic. A NaN distance panics, as comparing it did.
-fn sort_by_deviation(scored: &mut [(u32, f64)]) {
-    scored.sort_unstable_by_key(|&(i, d)| {
-        assert!(!d.is_nan(), "finite distances");
-        let bits = (d + 0.0).to_bits() as i64;
-        let total_order = bits ^ (((bits >> 63) as u64) >> 1) as i64;
-        (std::cmp::Reverse(total_order), i)
-    });
+/// The sort key of a deviation `d`: an integer that orders ascending
+/// as `d` descends. `d` maps to its IEEE total-order bits after `+ 0.0`
+/// folds −0.0 into +0.0, which order exactly as `partial_cmp` does on
+/// non-NaN values (plain `total_cmp` would put −0.0 below +0.0 and
+/// perturb the goldens); the bitwise NOT reverses them.
+///
+/// # Panics
+/// Panics on a NaN distance, as comparing it did.
+fn deviation_key(d: f64) -> i64 {
+    assert!(!d.is_nan(), "finite distances");
+    let bits = (d + 0.0).to_bits() as i64;
+    !(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// Sorts `(deviation key, index)` pairs ([`deviation_key`]) ascending:
+/// descending distance, ascending index among equal distances — the
+/// stable descending sort of the distances, since the pairs are built
+/// in ascending index. Each key is built once, before the sort, so the
+/// comparisons are plain integer ones. Index keys are unique, so the
+/// unstable in-place sort is deterministic.
+fn sort_by_deviation(scored: &mut [(i64, u32)]) {
+    scored.sort_unstable();
 }
 
 /// Interleaves the deviation ranking into the §3.3.2 retraining order:
@@ -792,17 +802,23 @@ mod tests {
                 .collect();
             let mut want = scored.clone();
             want.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-            let mut got = scored;
+            let want: Vec<u32> = want.iter().map(|&(i, _)| i).collect();
+            let mut got: Vec<(i64, u32)> =
+                scored.iter().map(|&(i, d)| (deviation_key(d), i)).collect();
             sort_by_deviation(&mut got);
-            let order = |v: &[(u32, f64)]| v.iter().map(|&(i, _)| i).collect::<Vec<_>>();
-            assert_eq!(order(&got), order(&want), "{n} pairs");
+            let got: Vec<u32> = got.iter().map(|&(_, i)| i).collect();
+            assert_eq!(got, want, "{n} pairs");
         }
     }
 
     #[test]
     #[should_panic(expected = "finite distances")]
     fn deviation_sort_panics_on_nan() {
-        sort_by_deviation(&mut [(0, 0.5), (1, f64::NAN), (2, 0.1)]);
+        let mut keyed: Vec<(i64, u32)> = [(0, 0.5), (1, f64::NAN), (2, 0.1)]
+            .iter()
+            .map(|&(i, d)| (deviation_key(d), i))
+            .collect();
+        sort_by_deviation(&mut keyed);
     }
 
     /// A runtime `periods` boundaries in, its pools drawn.

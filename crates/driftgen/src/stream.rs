@@ -113,6 +113,7 @@ impl LabeledSamples {
     ///
     /// # Panics
     /// Panics when `i` is out of range or the widths differ.
+    #[inline]
     pub fn push(&mut self, src: &LabeledSamples, i: usize) {
         self.inputs.push_row(src.inputs.row(i));
         self.labels.push(src.labels[i]);

@@ -39,15 +39,26 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--fast` / `--full` from CLI args.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--fast") {
-            Scale::Fast
-        } else if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Default
+    /// The flags [`Self::from_args`] accepts.
+    pub const FLAGS: [&'static str; 2] = ["--fast", "--full"];
+
+    /// Parses `--fast` / `--full` from CLI args, ignoring arguments
+    /// that do not start with `--`. Any other flag, or `--fast` with
+    /// `--full`, is an error naming it.
+    pub fn from_args(args: &[String]) -> Result<Scale, String> {
+        let mut scale = Scale::Default;
+        for flag in args.iter().filter(|a| a.starts_with("--")) {
+            let named = match flag.as_str() {
+                "--fast" => Scale::Fast,
+                "--full" => Scale::Full,
+                _ => return Err(format!("unknown flag `{flag}`")),
+            };
+            if scale != Scale::Default && scale != named {
+                return Err("`--fast` and `--full` exclude each other".to_string());
+            }
+            scale = named;
         }
+        Ok(scale)
     }
 
     /// The run horizon.
@@ -1336,9 +1347,21 @@ mod tests {
         let f = |args: &[&str]| {
             Scale::from_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
         };
-        assert_eq!(f(&["bin", "--fast"]), Scale::Fast);
-        assert_eq!(f(&["bin", "--full"]), Scale::Full);
-        assert_eq!(f(&["bin"]), Scale::Default);
+        assert_eq!(f(&["bin", "--fast"]), Ok(Scale::Fast));
+        assert_eq!(f(&["bin", "--full"]), Ok(Scale::Full));
+        assert_eq!(f(&["bin"]), Ok(Scale::Default));
+        assert_eq!(f(&["--fast", "fig", "--fast"]), Ok(Scale::Fast));
+        for (bad, flag) in [
+            (["--fats", "table2"], "`--fats`"),
+            (["table2", "--seed"], "`--seed`"),
+            (["--fast", "--quick"], "`--quick`"),
+        ] {
+            assert!(f(&bad).unwrap_err().contains(flag), "{bad:?}");
+        }
+        assert!(f(&["--fast", "--full"])
+            .unwrap_err()
+            .contains("exclude each other"));
+        assert!(f(&["--full", "fig", "--fast"]).is_err());
         assert_eq!(Scale::Fast.duration().as_secs_f64(), 150.0);
         assert_eq!(Scale::Full.duration().as_secs_f64(), 1000.0);
     }

@@ -1,6 +1,6 @@
 //! Dense layers with manual forward/backward passes.
 
-use crate::matrix::Matrix;
+use crate::matrix::{lane_width, Matrix};
 use adainf_simcore::Prng;
 
 /// The SGD-with-momentum step [`Dense::backward_scratch`] applies:
@@ -14,15 +14,25 @@ pub struct SgdMomentum {
 }
 
 /// A fully-connected layer `y = x·W + b` with an optional ReLU.
+///
+/// A classification head ([`Dense::head`]) stores its weights, bias and
+/// velocities padded with zero columns up to the GEMM lane width, so
+/// its class-wide products run full-width in place; every gradient it
+/// is given carries `+0.0` in the pad columns, so the pad parameters
+/// stay `+0.0`. Its forward output has the padded width, the real
+/// outputs first.
 #[derive(Clone, Debug)]
 pub struct Dense {
-    /// Weight matrix, `in_dim × out_dim`.
-    pub weights: Matrix,
-    /// Bias vector, length `out_dim`.
-    pub bias: Vec<f32>,
+    /// Weight matrix, `in_dim × width`: the `out_dim` real columns,
+    /// then the zero pad columns of a head.
+    weights: Matrix,
+    /// Bias vector, `width` long.
+    bias: Vec<f32>,
     /// Whether a ReLU follows the affine map.
-    pub relu: bool,
-    // SGD-momentum velocities.
+    relu: bool,
+    /// The real output count.
+    out_dim: usize,
+    // SGD-momentum velocities, padded like the parameters.
     vel_w: Matrix,
     vel_b: Vec<f32>,
 }
@@ -41,12 +51,25 @@ pub struct GradScratch {
 impl Dense {
     /// Creates a He-initialised layer.
     pub fn new(in_dim: usize, out_dim: usize, relu: bool, rng: &mut Prng) -> Self {
+        Self::padded(in_dim, out_dim, out_dim, relu, rng)
+    }
+
+    /// Creates a He-initialised classification head: no ReLU, and its
+    /// parameters padded with zero columns to the GEMM lane width (8
+    /// lanes up to 8 classes, 16 up to 16, …). The random draw is the
+    /// unpadded layer's, in the same order.
+    pub fn head(in_dim: usize, classes: usize, rng: &mut Prng) -> Self {
+        Self::padded(in_dim, classes, lane_width(classes), false, rng)
+    }
+
+    fn padded(in_dim: usize, out_dim: usize, width: usize, relu: bool, rng: &mut Prng) -> Self {
         Dense {
-            weights: Matrix::he_init(in_dim, out_dim, rng),
-            bias: vec![0.0; out_dim],
+            weights: Matrix::he_init(in_dim, out_dim, rng).padded_to(width),
+            bias: vec![0.0; width],
             relu,
-            vel_w: Matrix::zeros(in_dim, out_dim),
-            vel_b: vec![0.0; out_dim],
+            out_dim,
+            vel_w: Matrix::zeros(in_dim, width),
+            vel_b: vec![0.0; width],
         }
     }
 
@@ -55,14 +78,14 @@ impl Dense {
         self.weights.rows()
     }
 
-    /// Output dimensionality.
+    /// Output dimensionality: the real outputs, without a head's pad.
     pub fn out_dim(&self) -> usize {
-        self.weights.cols()
+        self.out_dim
     }
 
-    /// Number of trainable parameters.
+    /// Number of trainable parameters, without a head's pad.
     pub fn param_count(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.bias.len()
+        (self.in_dim() + 1) * self.out_dim
     }
 
     /// Inference forward pass.
@@ -74,8 +97,10 @@ impl Dense {
 
     /// Inference forward pass into a caller-owned buffer, through the
     /// fused [`Matrix::affine_into`] kernel — bias and ReLU are applied
-    /// per output row inside the GEMM instead of as two further
-    /// full-matrix passes. Bit-identical to the unfused pipeline.
+    /// to each output element before its store instead of as two
+    /// further full-matrix passes. Bit-identical to the unfused
+    /// pipeline. A head writes its padded width, the real outputs
+    /// first.
     pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
         input.affine_into(&self.weights, &self.bias, self.relu, out);
     }
@@ -84,11 +109,13 @@ impl Dense {
     /// input; `mask` is its forward pre-activation or its ReLU output —
     /// `relu(x) ≤ 0 ⇔ x ≤ 0`, so either gives the same ReLU mask, and it
     /// is not read when the layer has no ReLU. `grad_out` is the
-    /// gradient w.r.t. this layer's output (mutated in place by the
-    /// mask), `grad_in` receives the gradient w.r.t. the input (`None`
-    /// skips it, for a first layer whose input has no parameters to
-    /// train), and `scratch` holds the reusable parameter-gradient
-    /// buffers. The gradient is averaged over the batch.
+    /// gradient w.r.t. this layer's output, as wide as the forward
+    /// output (a head's pad columns hold `+0.0`), mutated in place by
+    /// the mask; `grad_in` receives the gradient w.r.t. the input
+    /// (`None` skips it, for a first layer whose input has no
+    /// parameters to train), and `scratch` holds the reusable
+    /// parameter-gradient buffers. The gradient is averaged over the
+    /// batch.
     pub fn backward_scratch(
         &mut self,
         input: &Matrix,
@@ -98,14 +125,19 @@ impl Dense {
         grad_in: Option<&mut Matrix>,
         scratch: &mut GradScratch,
     ) {
-        if self.relu {
-            grad_out.relu_backward_inplace(mask);
-        }
+        // The ReLU mask and the raw bias-gradient sums, in one pass.
+        let grad_b = &mut scratch.grad_b;
+        grad_out.masked_col_sums_into(self.relu.then_some(mask), grad_b);
         let batch = input.rows().max(1) as f32;
         // Gradient w.r.t. input, for the upstream layer (reads the
-        // pre-update weights, so it must precede the optimizer step).
+        // pre-update weights, so it must precede the optimizer step),
+        // contracted over the real outputs only. A transposed copy kept
+        // current by the update instead measured no faster: every step
+        // changes every weight, so it costs the same transpose.
         if let Some(grad_in) = grad_in {
-            grad_out.matmul_t_into(&self.weights, &mut scratch.weights_t, grad_in);
+            let weights_t = &mut scratch.weights_t;
+            self.weights.transpose_leading_into(self.out_dim, weights_t);
+            grad_out.matmul_leading_into(weights_t, grad_in);
         }
         // Raw weight-gradient sums; the batch-mean scaling and
         // robustness clamp are fused into `momentum_step` below, saving
@@ -113,8 +145,6 @@ impl Dense {
         input.t_matmul_into(grad_out, &mut scratch.grad_w);
         // The bias gradient is a short vector — scale and clamp in
         // place, exactly as before.
-        let grad_b = &mut scratch.grad_b;
-        grad_out.col_sums_into(grad_b);
         for g in grad_b.iter_mut() {
             *g = (*g / batch).clamp(-5.0, 5.0);
         }
@@ -134,10 +164,13 @@ impl Dense {
         }
     }
 
-    /// Flattens the parameters into `out`.
+    /// Flattens the parameters into `out`: the weights row by row, then
+    /// the bias, without a head's pad.
     pub fn append_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weights.data());
-        out.extend_from_slice(&self.bias);
+        for r in 0..self.in_dim() {
+            out.extend_from_slice(&self.weights.row(r)[..self.out_dim]);
+        }
+        out.extend_from_slice(&self.bias[..self.out_dim]);
     }
 }
 

@@ -7,11 +7,24 @@
 //! [`Matrix::matmul_into`] and [`Matrix::t_matmul_into`], at every
 //! output width: the output runs in column panels at most 32 wide, each
 //! held in 8, 16, 24 or 32 vector lanes and accumulated several rows at
-//! a time. A right operand exactly that wide is read in place; a
-//! narrower panel is packed, zero-padded to the lane count. The kernels
-//! unroll and pad across *independent* output elements only: every
-//! output element keeps one accumulator fed in ascending-k order, so
-//! results are bit-identical to a plain triple loop at any SIMD width.
+//! a time. The kernels unroll and pad across *independent* output
+//! elements only: every output element keeps one accumulator fed in
+//! ascending-k order, so results are bit-identical to a plain triple
+//! loop at any SIMD width.
+//!
+//! A right operand exactly a lane width wide (`lane_width`) is read in
+//! place over the whole contraction. That covers every product the
+//! deployed models run: the trunk layers are 32, 24 and 16 wide; a
+//! classification head stores its weights padded with zero columns to
+//! the lane width (`layer::Dense::head`), so its logits and weight
+//! gradient are 8 or 16 wide too; and the PCA runs on 32-wide features
+//! with 8 components. Only other widths (the general API, other PCA
+//! sizes) pack the panel, zero-padded to the lane count, 64
+//! contraction rows per pass. Outputs are written once: the first pass
+//! over the contraction starts its accumulators at `+0.0` instead of
+//! loading a zeroed output, and the pass that ends it applies the bias
+//! and ReLU of [`Matrix::affine_into`] to the registers before the one
+//! store.
 
 use adainf_simcore::Prng;
 use std::fmt;
@@ -26,6 +39,49 @@ const NARROW_CHUNK: usize = 64;
 /// Widest output column panel of the GEMM kernel: outputs wider than
 /// this run as several panels, the last one holding the remainder.
 const PANEL: usize = 32;
+
+/// The width the GEMM kernel reads a right operand of `cols` columns
+/// in place at: `cols` rounded up to a multiple of 8 lanes, up to one
+/// [`PANEL`]; a wider operand keeps its width (it runs as several
+/// panels). Storing a matrix padded with zero columns to this width
+/// lets every product with it run full-width without packing.
+pub(crate) fn lane_width(cols: usize) -> usize {
+    if cols <= PANEL {
+        cols.next_multiple_of(8)
+    } else {
+        cols
+    }
+}
+
+/// The products of the GEMM kernel, its `OP` parameter: each instance
+/// compiles only what its product needs. `self × other`:
+const MATMUL: u8 = 0;
+/// `selfᵀ × other`:
+const T_MATMUL: u8 = 1;
+/// `self × other`, then the [`Epilogue`] on each element before its
+/// store:
+const AFFINE: u8 = 2;
+
+/// What an `AFFINE` GEMM kernel does to each output element once its
+/// sum is complete, before the store: add `bias[j]`, then clamp a
+/// negative value to `+0.0` (when `relu`) — the exact operations, in
+/// the same order, of separate bias and ReLU passes over the stored
+/// product. Other kernels ignore it.
+#[derive(Clone, Copy, Default)]
+struct Epilogue<'a> {
+    bias: &'a [f32],
+    relu: bool,
+}
+
+impl<'a> Epilogue<'a> {
+    /// The epilogue of the output column panel starting at `c0`.
+    fn panel(self, c0: usize) -> Self {
+        Epilogue {
+            bias: self.bias.get(c0..).unwrap_or_default(),
+            ..self
+        }
+    }
+}
 
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
@@ -104,11 +160,13 @@ impl Matrix {
     }
 
     /// A single row as a slice.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable row slice.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -122,6 +180,30 @@ impl Matrix {
         self.cols = cols;
         self.data.clear();
         self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Reshapes this matrix to `rows × cols` for a writer that stores
+    /// every element, reusing the allocation: unlike
+    /// [`Self::reset_zeroed`] it clears nothing, so elements keep stale
+    /// values until written.
+    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// This matrix with zero columns appended up to `cols` wide: each
+    /// row's values, then `+0.0` padding.
+    ///
+    /// # Panics
+    /// Panics when `cols < self.cols()`.
+    pub(crate) fn padded_to(&self, cols: usize) -> Matrix {
+        assert!(cols >= self.cols, "padding narrows the matrix");
+        let mut out = Matrix::zeros(self.rows, cols);
+        for r in 0..self.rows {
+            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
+        }
+        out
     }
 
     /// Empties this matrix to `0 × cols` with room for `capacity` rows,
@@ -138,6 +220,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics when `row.len() != self.cols()`.
+    #[inline]
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "row width mismatch");
         self.data.extend_from_slice(row);
@@ -199,51 +282,47 @@ impl Matrix {
         out
     }
 
-    /// `self × other`, written into `out` (reshaped and zeroed in
-    /// place) through the lane-padded, register-blocked GEMM kernel
-    /// (see the module docs): `out[i][j] = Σ_k self[i][k]·other[k][j]`,
-    /// each element one accumulator fed in ascending `k`, so results
-    /// are bit-identical to the plain triple loop.
+    /// `self × other`, written into `out` (reshaped in place) through
+    /// the lane-padded, register-blocked GEMM kernel (see the module
+    /// docs): `out[i][j] = Σ_k self[i][k]·other[k][j]`, each element one
+    /// accumulator fed in ascending `k` from `+0.0`, so results are
+    /// bit-identical to the plain triple loop.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        self.gemm_into::<false>(other, out);
+        self.gemm_into::<MATMUL>(other, out, Epilogue::default());
+    }
+
+    /// `self[.., ..k] × other` with `k = other.rows()`, written into
+    /// `out`: the product over the leading `k` columns of `self`, read
+    /// in place — the input gradient of a class-padded head, whose
+    /// gradient rows carry zero pad columns past the `k` real classes.
+    /// An extra `+0.0` term would turn a `−0.0` sum into `+0.0`, so the
+    /// pad columns must stay out of the contraction.
+    ///
+    /// # Panics
+    /// Panics when `self` has fewer than `k` columns.
+    pub(crate) fn matmul_leading_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert!(self.cols >= other.rows, "matmul shape mismatch");
+        self.gemm_into::<MATMUL>(other, out, Epilogue::default());
     }
 
     /// `relu?(self × weights + bias)`, written into `out` — the fused
-    /// dense-layer forward pass. Runs the exact [`Self::matmul_into`]
-    /// loop, then applies the bias add (and optional ReLU) to each output
-    /// row as soon as its accumulation finishes, while the row is still
-    /// cache-hot — instead of two further full-matrix passes. Every
-    /// output element sees the same operations in the same order as
-    /// `matmul_into` + `add_row_vec` + `relu_inplace`, so results are
-    /// bit-identical.
+    /// dense-layer forward pass: the [`Self::matmul_into`] kernel adds
+    /// the bias (and applies the optional ReLU) to each finished
+    /// accumulator before its one store, instead of two further
+    /// full-matrix passes. Every output element sees the same
+    /// operations in the same order as `matmul_into` + `add_row_vec` +
+    /// `relu_inplace`, so results are bit-identical.
     ///
     /// # Panics
     /// Panics on inner-dimension or bias-width mismatch.
     pub fn affine_into(&self, weights: &Matrix, bias: &[f32], relu: bool, out: &mut Matrix) {
         assert_eq!(self.cols, weights.rows, "matmul shape mismatch");
         assert_eq!(bias.len(), weights.cols, "bias width mismatch");
-        // The accumulation pass is the exact [`Self::matmul_into`]
-        // kernel (shared so the GEMM lives in one place).
-        self.matmul_into(weights, out);
-        // Row epilogue: bias, then the ReLU clamp — the exact order of
-        // the unfused add_row_vec / relu_inplace passes.
-        for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for (o, &b) in out_row.iter_mut().zip(bias) {
-                *o += b;
-            }
-            if relu {
-                for o in out_row.iter_mut() {
-                    if *o < 0.0 {
-                        *o = 0.0;
-                    }
-                }
-            }
-        }
+        self.gemm_into::<AFFINE>(weights, out, Epilogue { bias, relu });
     }
 
     /// `selfᵀ × other` without materialising the transpose.
@@ -253,9 +332,9 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ × other`, written into `out` (reshaped and zeroed in
-    /// place) through the same kernel as [`Self::matmul_into`], reading
-    /// `self` transposed in place: each output element accumulates
+    /// `selfᵀ × other`, written into `out` (reshaped in place) through
+    /// the same kernel as [`Self::matmul_into`], reading `self`
+    /// transposed in place: each output element accumulates
     /// `self[r][i]·other[r][j]` over ascending `r`, exactly as
     /// [`Self::t_matmul`] over a materialised transpose would.
     ///
@@ -263,62 +342,93 @@ impl Matrix {
     /// Panics on row-count mismatch.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        self.gemm_into::<true>(other, out);
+        self.gemm_into::<T_MATMUL>(other, out, Epilogue::default());
     }
 
-    /// The GEMM kernel behind [`Self::matmul_into`] (`T = false`:
-    /// `out = self × other`) and [`Self::t_matmul_into`] (`T = true`:
-    /// `out = selfᵀ × other`); both contract over the rows of `other`.
-    /// The output runs in column panels at most [`PANEL`] wide, each
-    /// accumulated in `[f32; L]` register groups of 8, 16, 24 or 32
-    /// lanes, several rows per block (see [`accumulate_block`]).
-    fn gemm_into<const T: bool>(&self, other: &Matrix, out: &mut Matrix) {
-        let rows = if T { self.cols } else { self.rows };
-        out.reset_zeroed(rows, other.cols);
+    /// The GEMM kernel behind [`Self::matmul_into`] (`OP = MATMUL`:
+    /// `out = self × other`), [`Self::t_matmul_into`] (`T_MATMUL`:
+    /// `out = selfᵀ × other`) and [`Self::affine_into`] (`AFFINE`:
+    /// `self × other` through `epilogue`); each contracts over the rows
+    /// of `other`. The output runs in column panels at most [`PANEL`]
+    /// wide, each accumulated in `[f32; L]` register groups of 8, 16,
+    /// 24 or 32 lanes, several rows per block (see
+    /// [`accumulate_block`]). Every output element is stored by the
+    /// kernel, so `out` is reshaped without being zeroed.
+    fn gemm_into<const OP: u8>(&self, other: &Matrix, out: &mut Matrix, epilogue: Epilogue) {
+        let rows = if OP == T_MATMUL { self.cols } else { self.rows };
+        out.reshape_for_overwrite(rows, other.cols);
         for c0 in (0..other.cols).step_by(PANEL) {
+            let epilogue = epilogue.panel(c0);
             match other.cols - c0 {
-                0..=8 => self.gemm_panel::<T, 8, 8>(other, c0, out),
-                9..=16 => self.gemm_panel::<T, 16, 4>(other, c0, out),
-                17..=24 => self.gemm_panel::<T, 24, 4>(other, c0, out),
-                _ => self.gemm_panel::<T, 32, 4>(other, c0, out),
+                0..=8 => self.gemm_panel::<OP, 8, 8>(other, c0, out, epilogue),
+                9..=16 => self.gemm_panel::<OP, 16, 4>(other, c0, out, epilogue),
+                17..=24 => self.gemm_panel::<OP, 24, 4>(other, c0, out, epilogue),
+                _ => self.gemm_panel::<OP, 32, 4>(other, c0, out, epilogue),
             }
         }
     }
 
     /// One column panel of [`Self::gemm_into`]: output columns
     /// `c0..c0 + w` with `w = min(other.cols − c0, L)`. A right operand
-    /// exactly `L` wide (every trunk-layer product) already is rows of
-    /// `L` lanes, and is read in place over the whole contraction.
-    /// Otherwise the panel's slice of `other` is packed, zero-padded to
-    /// `L` lanes, into a fixed-size stack buffer, [`NARROW_CHUNK`] rows
-    /// per pass: the buffer is zeroed once per panel, and each pass
-    /// overwrites only the `w` kept lanes of the rows it reads.
-    fn gemm_panel<const T: bool, const L: usize, const R: usize>(
+    /// exactly `L` wide (every trunk and head product) already is rows
+    /// of `L` lanes, and is read in place in one pass over the whole
+    /// contraction. Otherwise the panel's slice of `other` is packed,
+    /// zero-padded to `L` lanes, into a fixed-size stack buffer,
+    /// [`NARROW_CHUNK`] rows per pass: the buffer is zeroed once per
+    /// panel, and each pass overwrites only the `w` kept lanes of the
+    /// rows it reads. An empty contraction still makes one pass, which
+    /// stores `+0.0` through the epilogue.
+    fn gemm_panel<const OP: u8, const L: usize, const R: usize>(
         &self,
         other: &Matrix,
         c0: usize,
         out: &mut Matrix,
+        epilogue: Epilogue,
     ) {
-        let n = other.cols;
+        let (n, k) = (other.cols, other.rows);
         if n == L {
-            self.gemm_rows::<T, L, R, true>(other.data.as_chunks::<L>().0, 0, 0, L, out);
+            let rhs = other.data.as_chunks::<L>().0;
+            self.gemm_rows::<OP, L, R, true, false>(rhs, 0, 0, L, out, epilogue);
             return;
         }
         let w = (n - c0).min(L);
         let mut packed = [[0.0f32; L]; NARROW_CHUNK];
-        for k0 in (0..other.rows).step_by(NARROW_CHUNK) {
-            let kc = (other.rows - k0).min(NARROW_CHUNK);
+        for k0 in (0..k.max(1)).step_by(NARROW_CHUNK) {
+            let kc = (k - k0).min(NARROW_CHUNK);
             for (p, row) in packed
                 .iter_mut()
                 .zip(other.data[k0 * n..].chunks_exact(n).take(kc))
             {
                 p[..w].copy_from_slice(&row[c0..c0 + w]);
             }
-            if w == L {
-                self.gemm_rows::<T, L, R, true>(&packed[..kc], k0, c0, w, out);
+            let rhs = &packed[..kc];
+            if OP == AFFINE && k0 + kc < k {
+                // Only the pass that ends the contraction runs the
+                // epilogue: the others store partial sums.
+                self.gemm_pass::<MATMUL, L, R>(rhs, k0, c0, w, out, epilogue);
             } else {
-                self.gemm_rows::<T, L, R, false>(&packed[..kc], k0, c0, w, out);
+                self.gemm_pass::<OP, L, R>(rhs, k0, c0, w, out, epilogue);
             }
+        }
+    }
+
+    /// One packed pass of [`Self::gemm_panel`], through the kernel for
+    /// its panel width (`FULL`: `w = L`) and its place in the
+    /// contraction (`RESUME`: a pass past the first).
+    fn gemm_pass<const OP: u8, const L: usize, const R: usize>(
+        &self,
+        rhs: &[[f32; L]],
+        k0: usize,
+        c0: usize,
+        w: usize,
+        out: &mut Matrix,
+        e: Epilogue,
+    ) {
+        match (w == L, k0 > 0) {
+            (true, false) => self.gemm_rows::<OP, L, R, true, false>(rhs, k0, c0, w, out, e),
+            (true, true) => self.gemm_rows::<OP, L, R, true, true>(rhs, k0, c0, w, out, e),
+            (false, false) => self.gemm_rows::<OP, L, R, false, false>(rhs, k0, c0, w, out, e),
+            (false, true) => self.gemm_rows::<OP, L, R, false, true>(rhs, k0, c0, w, out, e),
         }
     }
 
@@ -326,25 +436,42 @@ impl Matrix {
     /// `packed` that start at contraction index `k0`: blocks of `R` rows,
     /// then single rows for the remainder. Every block keeps at least
     /// eight independent 8-lane add chains in flight (`R · L ≥ 64`).
-    /// `FULL` is `w = L`: a full-width panel and a narrower one run
-    /// separate kernels, so each compiles to one kind of row access.
-    fn gemm_rows<const T: bool, const L: usize, const R: usize, const FULL: bool>(
+    /// `FULL` is `w = L` and `RESUME` a pass past the first (`k0 > 0`):
+    /// each combination, like each `OP`, runs its own kernel, so each
+    /// compiles to one kind of row access and keeps its accumulators in
+    /// registers.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_rows<
+        const OP: u8,
+        const L: usize,
+        const R: usize,
+        const FULL: bool,
+        const RESUME: bool,
+    >(
         &self,
         packed: &[[f32; L]],
         k0: usize,
         c0: usize,
         w: usize,
         out: &mut Matrix,
+        epilogue: Epilogue,
     ) {
         let (n, rows) = (out.cols, out.rows);
+        // The panel's bias, zero-padded to whole lanes (pad lanes add
+        // `+0.0` and are dropped at the store).
+        let mut bias = [0.0f32; L];
+        if OP == AFFINE {
+            bias[..w].copy_from_slice(&epilogue.bias[..w]);
+        }
+        let finish = (bias, epilogue.relu);
         let full = rows / R * R;
         for i in (0..full).step_by(R) {
             let o = &mut out.data[i * n + c0..];
-            self.gemm_block::<T, L, R, FULL>(packed, k0, i, o, n, w);
+            self.gemm_block::<OP, L, R, FULL, RESUME>(packed, k0, i, o, n, w, &finish);
         }
         for i in full..rows {
             let o = &mut out.data[i * n + c0..];
-            self.gemm_block::<T, L, 1, FULL>(packed, k0, i, o, n, w);
+            self.gemm_block::<OP, L, 1, FULL, RESUME>(packed, k0, i, o, n, w, &finish);
         }
     }
 
@@ -354,7 +481,14 @@ impl Matrix {
     /// row slices cut to those rows up front (no per-element bounds
     /// check), or `self[k0 + k][i + r]` when transposed.
     #[inline(always)]
-    fn gemm_block<const T: bool, const L: usize, const R: usize, const FULL: bool>(
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_block<
+        const OP: u8,
+        const L: usize,
+        const R: usize,
+        const FULL: bool,
+        const RESUME: bool,
+    >(
         &self,
         packed: &[[f32; L]],
         k0: usize,
@@ -362,15 +496,17 @@ impl Matrix {
         out: &mut [f32],
         stride: usize,
         w: usize,
+        finish: &([f32; L], bool),
     ) {
         let d = self.cols;
-        if T {
+        if OP == T_MATMUL {
             let x = |r: usize, k: usize| self.data[(k0 + k) * d + i + r];
-            accumulate_block::<L, R, FULL>(packed, x, out, stride, w);
+            accumulate_block::<OP, L, R, FULL, RESUME>(packed, x, out, stride, w, finish);
         } else {
             let a: [&[f32]; R] =
                 std::array::from_fn(|r| &self.data[(i + r) * d + k0..][..packed.len()]);
-            accumulate_block::<L, R, FULL>(packed, |r, k| a[r][k], out, stride, w);
+            let x = |r: usize, k: usize| a[r][k];
+            accumulate_block::<OP, L, R, FULL, RESUME>(packed, x, out, stride, w, finish);
         }
     }
 
@@ -401,13 +537,33 @@ impl Matrix {
     /// Writes `selfᵀ` into `out`, reshaping it in place and reusing its
     /// allocation.
     pub(crate) fn transpose_into(&self, out: &mut Matrix) {
-        out.reset_zeroed(self.cols, self.rows);
-        if self.cols == 0 {
+        self.transpose_leading_into(self.cols, out);
+    }
+
+    /// Writes the transpose of the leading `k` columns of `self` into
+    /// `out` (`k × rows`), storing each element once: eight source rows
+    /// at a time, so each output row takes its values in 8-lane runs,
+    /// then any last rows one element at a time.
+    ///
+    /// # Panics
+    /// Panics when `k > self.cols()`.
+    pub(crate) fn transpose_leading_into(&self, k: usize, out: &mut Matrix) {
+        assert!(k <= self.cols, "transpose past the last column");
+        let (rows, cols) = (self.rows, self.cols);
+        out.reshape_for_overwrite(k, rows);
+        if k == 0 {
             return;
         }
-        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
-            for (c, &x) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = x;
+        for (b, block) in self.data.chunks_exact(8 * cols).enumerate() {
+            let src: [&[f32]; 8] = std::array::from_fn(|r| &block[r * cols..][..k]);
+            for (c, o) in (0..k).zip(out.data[8 * b..].chunks_mut(rows)) {
+                o[..8].copy_from_slice(&std::array::from_fn::<f32, 8, _>(|r| src[r][c]));
+            }
+        }
+        for r in rows / 8 * 8..rows {
+            let column = out.data[r..].iter_mut().step_by(rows);
+            for (o, &x) in column.zip(&self.data[r * cols..][..k]) {
+                *o = x;
             }
         }
     }
@@ -427,19 +583,6 @@ impl Matrix {
         for x in &mut self.data {
             if *x < 0.0 {
                 *x = 0.0;
-            }
-        }
-    }
-
-    /// Element-wise in-place multiply by the ReLU mask of `mask` (the
-    /// backward pass of ReLU): entries where `mask <= 0` are zeroed.
-    /// `mask` may be the ReLU's input or its output — `relu(x) <= 0`
-    /// exactly when `x <= 0` — so callers can keep either.
-    pub fn relu_backward_inplace(&mut self, mask: &Matrix) {
-        assert_eq!(self.data.len(), mask.data.len(), "shape mismatch");
-        for (g, p) in self.data.iter_mut().zip(&mask.data) {
-            if *p <= 0.0 {
-                *g = 0.0;
             }
         }
     }
@@ -481,6 +624,31 @@ impl Matrix {
         for r in 0..self.rows {
             for (o, x) in out.iter_mut().zip(self.row(r)) {
                 *o += x;
+            }
+        }
+    }
+
+    /// The ReLU backward pass and the bias gradient in one pass over
+    /// `self`: with a `mask`, zeroes each element whose mask entry is
+    /// `≤ 0` — `mask` may be the ReLU's input or its output, since
+    /// `relu(x) ≤ 0` exactly when `x ≤ 0` — then adds it to its
+    /// column's sum in `sums` (as [`Self::col_sums_into`]: ascending
+    /// rows from `+0.0`).
+    pub(crate) fn masked_col_sums_into(&mut self, mask: Option<&Matrix>, sums: &mut Vec<f32>) {
+        let Some(mask) = mask else {
+            return self.col_sums_into(sums);
+        };
+        assert_eq!(self.data.len(), mask.data.len(), "shape mismatch");
+        sums.clear();
+        sums.resize(self.cols, 0.0);
+        if self.cols == 0 {
+            return;
+        }
+        let rows = self.data.chunks_exact_mut(self.cols);
+        for (row, m) in rows.zip(mask.data.chunks_exact(self.cols)) {
+            for ((g, &p), s) in row.iter_mut().zip(m).zip(sums.iter_mut()) {
+                *g = if p <= 0.0 { 0.0 } else { *g };
+                *s += *g;
             }
         }
     }
@@ -604,31 +772,41 @@ impl fmt::Debug for Matrix {
 /// `stride` apart and the block covers `w ≤ L` columns of each. The `R`
 /// rows' add chains are independent, so they overlap instead of waiting
 /// on one another. A full-width row (`w = L`) loads and stores as one
-/// whole array; a narrower one loads its `w` stored lanes and zero pad
-/// lanes, which only ever multiply the zero padding and are dropped.
-/// Every kept element starts from its stored value (`+0.0` on the first
-/// pass) and adds its products in ascending `k`, so results are
-/// bit-identical to the plain triple loop.
+/// whole array; a narrower one keeps zero pad lanes, which only ever
+/// multiply the zero padding and are dropped. Every kept element
+/// starts at `+0.0` (a first pass) or its stored partial sum (a
+/// `RESUME` pass) and adds its products in ascending `k`; an `AFFINE`
+/// kernel then adds the lane-padded bias of `finish` and, when its flag
+/// is set, clamps negatives to `+0.0`, before the one store. Results
+/// are bit-identical to the plain triple loop followed by the bias and
+/// ReLU passes. (The epilogue reads the accumulators as whole arrays by
+/// value: indexed in place, it made LLVM keep them in memory, even in
+/// the kernels that never run it.)
 ///
 /// `x` reads the left operand where it lies, one row (or column) per
 /// accumulator. Fed from a k-major copy instead, with the `R` values of
 /// one `k` side by side, LLVM vectorises across the rows with gathers
 /// and scatters rather than across the lanes: several times slower.
 #[inline(always)]
-fn accumulate_block<const L: usize, const R: usize, const FULL: bool>(
+fn accumulate_block<
+    const OP: u8,
+    const L: usize,
+    const R: usize,
+    const FULL: bool,
+    const RESUME: bool,
+>(
     packed: &[[f32; L]],
     x: impl Fn(usize, usize) -> f32,
     out: &mut [f32],
     stride: usize,
     w: usize,
+    finish: &([f32; L], bool),
 ) {
+    let w = if FULL { L } else { w };
     let mut acc = [[0.0f32; L]; R];
-    for (r, a) in acc.iter_mut().enumerate() {
-        let o = &out[r * stride..];
-        if FULL {
-            a.copy_from_slice(&o[..L]);
-        } else {
-            a[..w].copy_from_slice(&o[..w]);
+    if RESUME {
+        for (r, a) in acc.iter_mut().enumerate() {
+            a[..w].copy_from_slice(&out[r * stride..][..w]);
         }
     }
     for (k, b) in packed.iter().enumerate() {
@@ -640,12 +818,15 @@ fn accumulate_block<const L: usize, const R: usize, const FULL: bool>(
         }
     }
     for (r, a) in acc.iter().enumerate() {
-        let o = &mut out[r * stride..];
-        if FULL {
-            o[..L].copy_from_slice(a);
-        } else {
-            o[..w].copy_from_slice(&a[..w]);
+        let mut v = *a;
+        if OP == AFFINE {
+            let (bias, relu) = finish;
+            v = std::array::from_fn(|j| v[j] + bias[j]);
+            if *relu {
+                v = v.map(|x| if x < 0.0 { 0.0 } else { x });
+            }
         }
+        out[r * stride..][..w].copy_from_slice(&v[..w]);
     }
 }
 
@@ -918,13 +1099,22 @@ mod tests {
         let mut act = pre.clone();
         act.relu_inplace();
         assert_eq!(act.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let mut grad = Matrix::from_slice(1, 4, &[1.0, 1.0, 1.0, 1.0]);
-        grad.relu_backward_inplace(&pre);
-        assert_eq!(grad.data(), &[0.0, 0.0, 1.0, 0.0]);
+        // Two rows, each masked by the same row.
+        let ones = Matrix::from_slice(2, 4, &[1.0; 8]);
+        let mask = |m: &Matrix| Matrix::from_slice(2, 4, &[m.data(), m.data()].concat());
+        let mut grad = ones.clone();
+        let mut sums = vec![9.0; 3];
+        grad.masked_col_sums_into(Some(&mask(&pre)), &mut sums);
+        assert_eq!(grad.data(), &[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(sums, [0.0, 0.0, 2.0, 0.0]);
         // The ReLU output carries the same mask as its input.
-        let mut from_act = Matrix::from_slice(1, 4, &[1.0, 1.0, 1.0, 1.0]);
-        from_act.relu_backward_inplace(&act);
+        let mut from_act = ones.clone();
+        from_act.masked_col_sums_into(Some(&mask(&act)), &mut sums);
         assert_eq!(from_act, grad);
+        // Without a mask it is the plain column sum.
+        let mut plain = ones;
+        plain.masked_col_sums_into(None, &mut sums);
+        assert_eq!((plain.data(), &sums[..]), (&[1.0; 8][..], &[2.0; 4][..]));
     }
 
     #[test]

@@ -131,8 +131,9 @@ pub struct InferScratch {
 pub struct TrainScratch {
     /// Post-activation output of each trunk layer.
     activations: Vec<Matrix>,
-    /// Head logits, softmaxed in place into class probabilities.
-    probs: Matrix,
+    /// Head logits, lane-padded; the real ones become their
+    /// exponentials in the gradient pass.
+    logits: Matrix,
     /// Gradient carrier flowing backward through the trunk.
     grad: Matrix,
     /// Per-layer backward output buffer, swapped with `grad`.
@@ -166,7 +167,7 @@ impl EarlyExitMlp {
         let mut in_dim = config.input_dim;
         for &h in &config.hidden {
             trunk.push(Dense::new(in_dim, h, true, rng));
-            heads.push(Dense::new(h, config.classes, false, rng));
+            heads.push(Dense::head(h, config.classes, rng));
             in_dim = h;
         }
         EarlyExitMlp {
@@ -232,8 +233,9 @@ impl EarlyExitMlp {
             std::mem::swap(ping, pong);
         }
         self.heads[exit].infer_into(ping, pong);
+        let classes = self.classes();
         (0..pong.rows())
-            .map(|r| softmax_argmax(pong.row_mut(r)))
+            .map(|r| softmax_argmax(&mut pong.row_mut(r)[..classes]))
             .collect()
     }
 
@@ -290,6 +292,7 @@ impl EarlyExitMlp {
             return;
         }
         let InferScratch { ping, pong, rows } = scratch;
+        let classes = self.classes();
         let mut start = 0;
         while start < labels.len() {
             let end = (start + SCORE_CHUNK).min(labels.len());
@@ -313,7 +316,8 @@ impl EarlyExitMlp {
                         .iter()
                         .enumerate()
                         .filter(|&(r, &label)| {
-                            softmax_argmax(pong.row_mut(r)) == usize::from(label)
+                            let logits = &mut pong.row_mut(r)[..classes];
+                            softmax_argmax(logits) == usize::from(label)
                         })
                         .count();
                     *acc += hits as f64;
@@ -391,28 +395,24 @@ impl EarlyExitMlp {
         // Per-exit head forward + softmax-CE gradient, updating heads and
         // collecting the gradient each head injects into its trunk level.
         let mut total_loss = 0.0f64;
+        let classes = self.config.classes;
         for e in 0..n_exits {
             let w = self.config.exit_weights[e];
-            self.heads[e].infer_into(&scratch.activations[e], &mut scratch.probs);
-            scratch.probs.softmax_rows_inplace();
-            if with_loss {
-                for (r, &label) in labels.iter().enumerate() {
-                    let p = scratch.probs.get(r, usize::from(label)).max(1e-12);
-                    total_loss += -(p as f64).ln() * w as f64;
-                }
-            }
-            // Gradient: dL/dlogits = (p − onehot) · w.
-            scratch.grad.copy_from(&scratch.probs);
-            for (r, &label) in labels.iter().enumerate() {
-                let label = usize::from(label);
-                scratch.grad.set(r, label, scratch.grad.get(r, label) - 1.0);
-            }
-            scratch.grad.scale(w);
-            // Heads have no ReLU, so the pre-activation argument is
-            // never read; pass the probs buffer to satisfy the shape.
+            self.heads[e].infer_into(&scratch.activations[e], &mut scratch.logits);
+            let loss = with_loss.then_some(&mut total_loss);
+            softmax_ce_grad(
+                &mut scratch.logits,
+                classes,
+                labels,
+                w,
+                loss,
+                &mut scratch.grad,
+            );
+            // Heads have no ReLU, so the mask argument is never read;
+            // pass the logits buffer to satisfy the shape.
             self.heads[e].backward_scratch(
                 &scratch.activations[e],
-                &scratch.probs,
+                &scratch.logits,
                 &mut scratch.grad,
                 update,
                 Some(&mut scratch.head_grads[e]),
@@ -481,6 +481,62 @@ impl EarlyExitMlp {
             layer.append_params(&mut out);
         }
         out
+    }
+}
+
+/// The softmax cross-entropy gradient of one exit, `(p − onehot)·weight`
+/// per row, written into `grad` (reshaped to the padded logit width,
+/// with `+0.0` in every pad column) from `logits`, whose first
+/// `classes` columns are the real logits. One `expf` per real logit,
+/// left in `logits`, then one normalising pass writes each real
+/// gradient element: `p = expf(x − max) / total`, with `total` summed
+/// in ascending class order as the softmax sums it, minus 1 at the
+/// label, times `weight`. Bit-identical to softmax, copy, one-hot
+/// subtraction and scaling as separate passes. With `loss`, adds each
+/// row's `−ln(max(p_label, 1e-12))·weight` to it in row order.
+fn softmax_ce_grad(
+    logits: &mut Matrix,
+    classes: usize,
+    labels: &[Label],
+    weight: f32,
+    mut loss: Option<&mut f64>,
+    grad: &mut Matrix,
+) {
+    let width = logits.cols();
+    grad.reshape_for_overwrite(logits.rows(), width);
+    if width > classes {
+        // The pad columns, in one pass; the rows below write the rest.
+        grad.data_mut().fill(0.0);
+    }
+    let rows = logits.data_mut().chunks_exact_mut(width);
+    for ((x, g), &label) in rows
+        .zip(grad.data_mut().chunks_exact_mut(width))
+        .zip(labels)
+    {
+        let (real, label) = (&mut x[..classes], usize::from(label));
+        // The maximum the softmax's `f32::max` fold finds, at one
+        // compare per logit: both skip NaN, and the two may differ only
+        // in the sign of a zero maximum, which no `expf(x − max)` sees.
+        let mut max = f32::NEG_INFINITY;
+        for &v in real.iter() {
+            if v > max {
+                max = v;
+            }
+        }
+        let mut total = 0.0;
+        for v in real.iter_mut() {
+            *v = (*v - max).exp();
+            total += *v;
+        }
+        if let Some(loss) = loss.as_deref_mut() {
+            let p = (real[label] / total).max(1e-12);
+            *loss += -(p as f64).ln() * weight as f64;
+        }
+        let g = &mut g[..classes];
+        for (g, &e) in g.iter_mut().zip(real.iter()) {
+            *g = e / total * weight;
+        }
+        g[label] = (real[label] / total - 1.0) * weight;
     }
 }
 
@@ -575,14 +631,17 @@ mod tests {
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
-    /// The reference prediction per row: softmax over the logits, then
-    /// the last maximal probability.
+    /// The reference prediction per row: the naive forward pass of
+    /// [`RefLayer`] over the unpadded parameters, softmax over the
+    /// logits, then the last maximal probability.
     fn softmax_then_argmax(net: &EarlyExitMlp, inputs: &Matrix, exit: usize) -> Vec<usize> {
-        let mut x = inputs.clone();
+        let rows = inputs.rows();
+        let mut x = inputs.data().to_vec();
         for layer in &net.trunk[..=exit] {
-            x = layer.infer(&x);
+            x = RefLayer::of(layer, true).forward(&x, rows).1;
         }
-        let mut probs = net.heads[exit].infer(&x);
+        let head = RefLayer::of(&net.heads[exit], false);
+        let mut probs = Matrix::from_slice(rows, head.n_out, &head.forward(&x, rows).0);
         probs.softmax_rows_inplace();
         (0..probs.rows())
             .map(|r| {
@@ -721,14 +780,19 @@ mod tests {
     }
 
     impl RefLayer {
-        fn of(layer: &Dense) -> Self {
+        /// The unpadded parameters of `layer`, read through
+        /// [`Dense::append_params`], and zero velocities.
+        fn of(layer: &Dense, relu: bool) -> Self {
             let (n_in, n_out) = (layer.in_dim(), layer.out_dim());
+            let mut w = Vec::new();
+            layer.append_params(&mut w);
+            let b = w.split_off(n_in * n_out);
             RefLayer {
-                w: layer.weights.data().to_vec(),
-                b: layer.bias.clone(),
+                w,
+                b,
                 n_in,
                 n_out,
-                relu: layer.relu,
+                relu,
                 vel_w: vec![0.0; n_in * n_out],
                 vel_b: vec![0.0; n_out],
             }
@@ -871,14 +935,17 @@ mod tests {
         }
     }
 
-    /// The production step (fused forward, activation-masked ReLU
-    /// backward, transposed and lane-padded GEMMs, no layer-0 input
-    /// gradient) must leave every parameter bit-equal to the naive
-    /// reference step at every deployed head width and on a ragged
-    /// batch.
+    /// The class counts the application catalog deploys.
+    const DEPLOYED_CLASSES: [usize; 10] = [2, 3, 4, 5, 6, 7, 8, 9, 10, 12];
+
+    /// The production step (write-once fused forward, class-padded
+    /// heads, the fused softmax gradient, the fused ReLU mask and bias
+    /// sums, kept transposed weights, no layer-0 input gradient) must
+    /// leave every parameter bit-equal to the naive reference step at
+    /// every deployed class count and on a ragged batch.
     #[test]
     fn train_step_bit_matches_naive_reference() {
-        for classes in [2, 3, 6, 12] {
+        for classes in DEPLOYED_CLASSES {
             let mut rng = Prng::new(100 + classes as u64);
             let cfg = head_config(classes);
             let rule = SgdMomentum {
@@ -887,8 +954,10 @@ mod tests {
             };
             let exit_weights = cfg.exit_weights.clone();
             let mut net = EarlyExitMlp::new(cfg, &mut rng);
-            let mut trunk: Vec<RefLayer> = net.trunk.iter().map(RefLayer::of).collect();
-            let mut heads: Vec<RefLayer> = net.heads.iter().map(RefLayer::of).collect();
+            let mut trunk: Vec<RefLayer> =
+                net.trunk.iter().map(|l| RefLayer::of(l, true)).collect();
+            let mut heads: Vec<RefLayer> =
+                net.heads.iter().map(|l| RefLayer::of(l, false)).collect();
             for (step, rows) in [32, 32, 17, 32].into_iter().enumerate() {
                 let (x, y) = random_batch(&mut rng, rows, classes);
                 net.train_batch_parts(&x, &y);
@@ -902,6 +971,86 @@ mod tests {
                 let got: Vec<u32> = net.flatten_params().iter().map(|p| p.to_bits()).collect();
                 assert!(got == want, "{classes} classes: step {step} diverges");
             }
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The inference twin of the step reference: at every deployed
+    /// class count and every exit, `score_exits`,
+    /// `predict_with_scratch` and `features_into` bit-match a naive
+    /// forward pass, softmax and argmax, at row counts below, at and
+    /// across the scoring chunks, through buffers reused across sizes.
+    #[test]
+    fn inference_bit_matches_naive_reference() {
+        for classes in DEPLOYED_CLASSES {
+            let mut rng = Prng::new(200 + classes as u64);
+            let mut net = EarlyExitMlp::new(head_config(classes), &mut rng);
+            for _ in 0..3 {
+                let (x, y) = random_batch(&mut rng, 32, classes);
+                net.train_batch_parts(&x, &y);
+            }
+            let mut scratch = InferScratch::default();
+            let mut feats = Matrix::from_slice(1, 1, &[7.0]);
+            for rows in [1, 17, 63, 64, 65, 400] {
+                let (x, y) = random_batch(&mut rng, rows, classes);
+                let mut accs = [9.0; 3];
+                net.score_exits(&x, &y, 0b111, &mut scratch, &mut accs);
+                for (exit, acc) in accs.iter().enumerate() {
+                    let at = format!("{classes} classes, {rows} rows, exit {exit}");
+                    let want = softmax_then_argmax(&net, &x, exit);
+                    assert_eq!(
+                        net.predict_with_scratch(&x, exit, &mut scratch),
+                        want,
+                        "{at}"
+                    );
+                    let hits = want.iter().zip(&y).filter(|&(&p, &l)| p == usize::from(l));
+                    let want_acc = hits.count() as f64 / rows as f64;
+                    assert_eq!(acc.to_bits(), want_acc.to_bits(), "{at}");
+                }
+                net.features_into(&x, &mut feats);
+                let want = RefLayer::of(&net.trunk[0], true).forward(x.data(), rows).1;
+                assert_eq!((feats.rows(), feats.cols()), (rows, 32));
+                assert!(
+                    bits(feats.data()) == bits(&want),
+                    "{classes} classes, {rows} rows"
+                );
+            }
+        }
+    }
+
+    /// Padding the heads changes neither the parameter count nor the
+    /// flattened parameters: a fresh network flattens to the unpadded
+    /// He draws, in draw order per layer (trunk then heads), with zero
+    /// biases.
+    #[test]
+    fn padding_leaves_param_count_and_flattening_unchanged() {
+        for classes in DEPLOYED_CLASSES {
+            let cfg = head_config(classes);
+            let net = EarlyExitMlp::new(cfg.clone(), &mut Prng::new(classes as u64));
+            let mut rng = Prng::new(classes as u64);
+            let (mut trunk, mut heads) = (Vec::new(), Vec::new());
+            let mut in_dim = cfg.input_dim;
+            for &h in &cfg.hidden {
+                trunk.push((Matrix::he_init(in_dim, h, &mut rng), h));
+                heads.push((Matrix::he_init(h, classes, &mut rng), classes));
+                in_dim = h;
+            }
+            let want: Vec<f32> = trunk
+                .iter()
+                .chain(&heads)
+                .flat_map(|(w, n)| w.data().iter().copied().chain(vec![0.0; *n]))
+                .collect();
+            let hidden = 16 * 32 + 32 * 24 + 24 * 16 + (32 + 24 + 16);
+            let expect = hidden + (32 + 24 + 16) * classes + 3 * classes;
+            assert_eq!(net.param_count(), expect, "{classes} classes");
+            assert_eq!(want.len(), expect, "{classes} classes");
+            assert!(
+                bits(&net.flatten_params()) == bits(&want),
+                "{classes} classes"
+            );
         }
     }
 
