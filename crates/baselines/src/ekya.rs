@@ -92,14 +92,14 @@ impl EkyaScheduler {
                 .best_train_batch(&cost, per_model)
                 .max(MIN_TRAIN_BATCH);
             // Samples whose RETRAIN_EPOCHS-epoch training fits the window.
-            let fit = self.profiler.samples_within(
+            let fit = self.profiler.latency.samples_within(
                 &cost,
                 batch,
                 per_model,
                 window.mul_f64(1.0 / RETRAIN_EPOCHS as f64),
             );
             let cap = fit.min(pools.get(i).copied().unwrap_or(0) as u32);
-            let dur = self.profiler.training_latency(
+            let dur = self.profiler.latency.training_latency(
                 &cost,
                 cap,
                 batch,
@@ -265,7 +265,7 @@ impl Scheduler for EkyaScheduler {
                 // The serving stack batches sensibly for the share it
                 // got; Ekya's deficiency is accuracy-driven allocation,
                 // not the batching itself.
-                let (batch, _) = self.profiler.optimal_batch_at(
+                let (batch, _) = self.profiler.latency.optimal_batch(
                     &self.specs[app].full_structure_cost(),
                     n,
                     gpu,

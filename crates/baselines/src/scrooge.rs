@@ -76,7 +76,7 @@ impl ScroogeScheduler {
         let slo_ms = app.slo.as_millis_f64();
         let mut best: Option<(f64, u32)> = None;
         for &b in &BATCH_CANDIDATES {
-            let full = self.profiler.worst_case_full(&cost, n, b).as_millis_f64();
+            let full = self.profiler.latency.worst_case(&cost, n, b, 1.0).as_millis_f64();
             let g = self.profiler.scaler.required_fraction(full, slo_ms);
             if best.is_none_or(|(bg, _)| g < bg) {
                 best = Some((g, b));
@@ -170,7 +170,7 @@ impl Scheduler for ScroogeScheduler {
                     g.clamp(1e-3, 1.0)
                 };
                 // Re-pick the batch at the final allocation.
-                let (batch, _) = self.profiler.optimal_batch_at(
+                let (batch, _) = self.profiler.latency.optimal_batch(
                     &self.specs[app].full_structure_cost(),
                     ctx.predicted[app],
                     gpu,

@@ -1,8 +1,11 @@
 //! AdaInf tunables and ablation switches.
 
 /// Configuration of the AdaInf scheduler. Defaults are the paper's (§4):
-/// `α = 0.4`, `A_m` within `[80 %, 95 %]`, `S` starting at 3 % with 3 %
-/// increments, stability after 4 unchanged rounds.
+/// `α = 0.4`, `A_m` within `[80 %, 95 %]`, `S` starting at 3 %. The
+/// detector's fixed parameters — 3 % increments of `S`, stability after
+/// 4 unchanged rounds, a 0.05 detection margin — are constants of
+/// [`crate::drift_detect`], and its 8 PCA components
+/// [`crate::drift_cache::PCA_COMPONENTS`].
 #[derive(Clone, Debug)]
 pub struct AdaInfConfig {
     /// Weight of the SLO term in the eviction score `S_c` (§3.4.2).
@@ -15,15 +18,6 @@ pub struct AdaInfConfig {
     /// Initial fraction `S` of new samples inspected by the drift
     /// detector (§3.2).
     pub s_init: f64,
-    /// Increment of `S` per detection round.
-    pub s_step: f64,
-    /// Rounds without change after which detection stops (`n` in §3.2).
-    pub stable_rounds: usize,
-    /// PCA components used before cosine distances (§3.2).
-    pub pca_components: usize,
-    /// Detection margin: a model is impacted when `I_m − I'_m` exceeds
-    /// this (guards against finite-sample noise on small `S`).
-    pub detect_margin: f64,
     /// Epochs per retraining slice.
     pub retrain_epochs: u32,
     /// §6 extension: sessions predicting at most this many requests are
@@ -76,10 +70,6 @@ impl Default for AdaInfConfig {
             alpha: 0.4,
             a_m: 0.9,
             s_init: 0.03,
-            s_step: 0.03,
-            stable_rounds: 4,
-            pca_components: 8,
-            detect_margin: 0.05,
             retrain_epochs: 1,
             cpu_offload_threshold: 0,
             predicted_latency: false,
@@ -198,8 +188,8 @@ mod tests {
         let c = AdaInfConfig::default();
         assert_eq!(c.alpha, 0.4);
         assert_eq!(c.s_init, 0.03);
-        assert_eq!(c.s_step, 0.03);
-        assert_eq!(c.stable_rounds, 4);
+        assert_eq!(crate::drift_detect::S_STEP, 0.03);
+        assert_eq!(crate::drift_detect::STABLE_ROUNDS, 4);
         assert_eq!(c.variant_name(), "AdaInf");
     }
 

@@ -1,44 +1,38 @@
-//! Per-period drift artifact cache.
+//! Per-boundary drift artifacts and the warm-start bases between
+//! boundaries.
 //!
 //! The §3.2 detection loop and the §3.3.2 retraining-order selection
-//! consume the same expensive artifacts — feature matrices, a PCA fit of
-//! the old training data, projections, per-class means and deviation
-//! rankings — and historically recomputed them per consumer: twice inside
-//! `detect_drift` (pool + reference rankings each refit the PCA) and a
-//! third time in the retraining-order selection for every impacted node.
-//! This module computes each node's artifacts **exactly once per period**
-//! and shares them.
+//! read the same per-node artifacts — a PCA fit of the old training
+//! data, per-class means, the deviation rankings of the new pool and of
+//! the held-out set, and correctness prefix-sums along them — once per
+//! model per period. Each period boundary builds them once, for every
+//! node it will read, into one table in job order: the scheduler's
+//! detection sweep and `set_order` read that table, and the scheduler
+//! drops it before serving resumes, so rankings and prefix-sums are
+//! never resident between boundaries.
 //!
-//! Filling: at each period boundary the scheduler builds every stale
-//! entry at once, in two phases fanned out across the boundary's
-//! workers, so its lookups that period all hit.
-//! [`DriftCache::fit_stale`] fits each stale node's PCA basis and class
-//! means on its old training set; the scheduler then frees every old
-//! training set and draws the new pools, and [`DriftCache::rank_stale`]
+//! The build runs in two phases, fanned out across the boundary's
+//! workers. [`WarmBases::fit`] fits each job's PCA basis and class means
+//! on its node's old training set; the scheduler then frees every old
+//! training set and draws the jobs' pools, and [`BoundaryFits::rank`]
 //! ranks each pool and held-out set against its fit. A boundary thus
 //! never holds a model's old training set and its new pool at once.
-//! [`DriftCache::artifacts`] builds on a miss for every other caller;
-//! like every build, it panics on a node whose old set is gone or whose
-//! pool is not drawn. Only a set that really is empty takes the
-//! identity-order path.
+//! Every build panics on a node whose old set is gone or whose pool is
+//! not drawn; only a set that really is empty takes the identity-order
+//! path. [`build_artifacts`] is the standalone cold build of one node.
 //!
 //! Determinism: PCA-fit randomness is routed through a child [`Prng`]
 //! stream derived from the scheduler's root stream via [`Prng::split`],
-//! keyed by `(period, node)`. A cached fit is therefore draw-identical to
-//! a refit — the artifacts are a pure function of `(pool generation,
-//! model version, root stream)`, which is exactly the cache key.
+//! keyed by `(period, node)`, so a build is a pure function of its
+//! node's data, the root stream and its warm-start basis — the same at
+//! every worker count and in every build order.
 //!
-//! Invalidation: entries are keyed by `(app, node)` and tagged with
-//! `(pool generation, model version)`. The pool generation is the
-//! runtime's period counter — `advance_period` wholesale-replaces pools
-//! and reference sets, so any period bump invalidates. The model version
-//! bumps on every retraining slice, so a retrained model never serves
-//! stale rankings. Once the boundary's last reader is done (the
-//! scheduler's detection sweep and `set_order`), [`DriftCache::retire`]
-//! cuts every entry down to its key and fitted basis, the warm-start
-//! seed of the next period's build: rankings and prefix-sums do not stay
-//! resident all period, nor sit beside the next period's while those
-//! build. A retired entry is never a hit; a lookup at its key rebuilds.
+//! Warm starts: the only drift state that outlives a boundary is
+//! [`WarmBases`], each `(app, node)`'s last build key
+//! `(pool generation, model version)` and fitted basis. A build
+//! warm-starts its fit from that basis only at the next pool generation
+//! (the runtime's period counter) and the same model version (bumped by
+//! every retraining slice); see [`WarmBases::warm_for`].
 //!
 //! Sample orders are `u32` (a pool never holds more than `u32::MAX`
 //! samples), half the bytes of `usize` orders over 6000-sample pools.
@@ -49,13 +43,16 @@ use adainf_nn::metrics::cosine_distance;
 use adainf_nn::pca::{Pca, PcaScratch};
 use adainf_nn::{InferScratch, Label, Matrix};
 use adainf_simcore::{parallel, Prng};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Stream label base for the per-`(period, node)` PCA child streams.
 /// Mixed (not added) so labels cannot collide with other subsystem
 /// streams split from the same root.
 const PCA_STREAM: u64 = 0xD21F_7000;
+
+/// PCA components the old features are reduced to before the cosine
+/// deviations are measured (§3.2).
+pub const PCA_COMPONENTS: usize = 8;
 
 /// Everything the drift pipeline needs about one `(app, node)` in one
 /// period, computed in a single pass over the data. `PartialEq`
@@ -211,10 +208,10 @@ impl DriftArtifacts {
     }
 }
 
-/// Reusable buffers for [`build_artifacts`]: PCA scratch, feature and
+/// Reusable buffers for the artifact builds: PCA scratch, feature and
 /// projection matrices, the scored index list and the inference
 /// ping-pong buffers of the lazy prefix extension. One instance serves
-/// every node of every app — artifacts are built one at a time.
+/// every node a worker builds, one at a time.
 #[derive(Clone, Debug, Default)]
 pub struct DetectScratch {
     pca: PcaScratch,
@@ -357,7 +354,6 @@ struct OldFit {
 fn fit_old(
     rt: &AppRuntime,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
@@ -375,7 +371,7 @@ fn fit_old(
     } = scratch;
     model.features_into(old, feats);
     let mut rng = root.split(PCA_STREAM ^ (rt.period() << 16) ^ node as u64);
-    let pca = Pca::fit_warm_with_scratch(feats, pca_components, &mut rng, pca_scratch, warm);
+    let pca = Pca::fit_warm_with_scratch(feats, PCA_COMPONENTS, &mut rng, pca_scratch, warm);
     pca.transform_into(feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
     Some(OldFit { pca, means })
@@ -448,21 +444,25 @@ fn ranked_artifacts(
 
 /// Builds one node's ranked artifact set — both deviation rankings and
 /// the retraining interleave — from its old training set, drawn pool
-/// and old held-out set, with the prefix-sums left at their seed.
+/// and old held-out set, with the prefix-sums left at their seed: the
+/// two phases of the boundary build, run back to back on one node.
 ///
 /// PCA randomness comes from `root.split(...)` keyed by the runtime's
 /// period and the node, never from an advancing caller stream — so the
-/// result is reproducible from the key and the warm-start basis alone:
-/// replaying a build with the same `warm` input is bit-identical.
-fn build_ranked(
+/// result is reproducible from the runtime and the warm-start basis
+/// alone: replaying a build with the same `warm` input is bit-identical.
+///
+/// # Panics
+/// Panics if the node's old training or held-out set was freed, or its
+/// pool is not drawn.
+pub(crate) fn build_ranked(
     rt: &AppRuntime,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
     warm: Option<&Matrix>,
 ) -> DriftArtifacts {
-    let fit = fit_old(rt, node, pca_components, root, scratch, warm);
+    let fit = fit_old(rt, node, root, scratch, warm);
     let rankings = rank_new(rt, node, fit.as_ref(), scratch);
     ranked_artifacts(rt, node, rankings, fit)
 }
@@ -479,11 +479,10 @@ fn build_ranked(
 pub fn build_artifacts(
     rt: &AppRuntime,
     node: usize,
-    pca_components: usize,
     root: &Prng,
     scratch: &mut DetectScratch,
 ) -> DriftArtifacts {
-    let mut artifacts = build_ranked(rt, node, pca_components, root, scratch, None);
+    let mut artifacts = build_ranked(rt, node, root, scratch, None);
     let pool_len = artifacts.deviation.len();
     let ref_len = artifacts.ref_order.len();
     if pool_len > 0 {
@@ -495,270 +494,127 @@ pub fn build_artifacts(
     artifacts
 }
 
-/// One cache slot: the tag it was built for and the artifacts
-/// themselves.
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    /// `(pool generation, model version)` the artifacts were built at.
-    key: (u64, u64),
-    artifacts: DriftArtifacts,
-    /// Set by [`DriftCache::retire`]: `artifacts` then holds only its
-    /// basis, and the entry answers no lookup.
-    retired: bool,
+/// A node's build key: its pool generation — the runtime's period
+/// counter, since `advance_period` replaces every pool and held-out set
+/// — and its model version, bumped by every retraining slice.
+fn build_key(rt: &AppRuntime, node: usize) -> (u64, u64) {
+    (rt.period(), rt.models[node].version())
 }
 
-impl CacheEntry {
-    fn live(key: (u64, u64), artifacts: DriftArtifacts) -> Self {
-        CacheEntry {
-            key,
-            artifacts,
-            retired: false,
-        }
-    }
+/// The drift state that outlives a period boundary: per `(app, node)`,
+/// the key of its last build and the PCA basis that build fitted (empty
+/// when the node had no old data), the warm-start seed of the node's
+/// next fit. One `k × d` basis per node, nothing else.
+#[derive(Debug, Default)]
+pub struct WarmBases {
+    bases: BTreeMap<(usize, usize), ((u64, u64), Matrix)>,
+}
 
-    /// Whether a lookup at `key` may be answered from this entry.
-    fn hits(&self, key: (u64, u64)) -> bool {
-        !self.retired && self.key == key
-    }
+/// Phase one of a boundary build: each job's slot and the fit
+/// [`WarmBases::fit`] made on its old training set, owned and in job
+/// order, for [`Self::rank`] to rank the new data against.
+#[derive(Debug)]
+pub struct BoundaryFits {
+    jobs: Vec<((usize, usize), Option<OldFit>)>,
+}
 
-    /// The warm-start input a build at `key` should consume given this
-    /// prior entry (callers only rebuild at a key the entry does not
-    /// answer).
+impl WarmBases {
+    /// The basis a build of node `node` of app `app` on `rt` warm-starts
+    /// its PCA fit from: the node's last basis, when that build was at
+    /// the previous pool generation and the same model version and
+    /// fitted one.
     ///
-    /// * Next pool generation at an unchanged model version — the
-    ///   previous period's basis is a valid warm start: the old-sample
-    ///   distribution moves gradually, so the dominant subspace barely
-    ///   rotates.
+    /// * Next pool generation at an unchanged model version — the old
+    ///   samples move gradually, so the dominant subspace barely rotates
+    ///   and the previous basis is a valid start.
     /// * Anything else — a model-version bump (retraining rotated the
-    ///   feature space) or a generation jump — invalidates the warm
-    ///   state; the build falls back to the keyed random start.
-    ///
-    /// A retired entry seeds exactly as it did live: retirement keeps
-    /// the key and the basis this rule reads.
-    fn warm_for(&self, key: (u64, u64)) -> Option<&Matrix> {
-        let usable = self.key.1 == key.1
-            && self.key.0 + 1 == key.0
-            && self.artifacts.basis.rows() > 0;
-        usable.then_some(&self.artifacts.basis)
-    }
-}
-
-/// The per-period artifact cache. Entries are keyed by `(app, node)` and
-/// tagged with `(pool generation, model version)`; a tag mismatch
-/// rebuilds in place, so the map never outgrows `apps × nodes` entries.
-/// Rebuilds warm-start their PCA fit from the previous period's basis
-/// when the model version is unchanged (see `CacheEntry::warm_for`).
-#[derive(Clone, Debug, Default)]
-pub struct DriftCache {
-    entries: BTreeMap<(usize, usize), CacheEntry>,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that rebuilt the artifacts.
-    pub misses: u64,
-    /// Rebuilds that warm-started their PCA fit from a previous basis.
-    pub warm_starts: u64,
-    scratch: DetectScratch,
-}
-
-/// One stale entry between the two phases of the boundary fill: its
-/// slot, its key, whether its fit warm-started, and the fit.
-#[derive(Debug)]
-struct StaleBuild {
-    slot: (usize, usize),
-    key: (u64, u64),
-    warm_started: bool,
-    fit: Option<OldFit>,
-}
-
-/// The fits [`DriftCache::fit_stale`] made on the old training sets,
-/// owned, for [`DriftCache::rank_stale`] to rank the new data against.
-#[derive(Debug)]
-pub struct StaleFits {
-    builds: Vec<StaleBuild>,
-}
-
-impl StaleFits {
-    /// The `(app, node)` slots being rebuilt, in job order: the pools
-    /// [`DriftCache::rank_stale`] reads.
-    pub fn slots(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.builds.iter().map(|b| b.slot)
-    }
-}
-
-impl DriftCache {
-    /// The artifacts of `(app, node)` for the runtime's current period
-    /// and model version, building them on first use.
-    ///
-    /// # Panics
-    /// A build panics if the node's old training or held-out set was
-    /// freed, or its pool is not drawn.
-    pub fn artifacts(
-        &mut self,
-        app: usize,
-        rt: &AppRuntime,
-        node: usize,
-        pca_components: usize,
-        root: &Prng,
-    ) -> &DriftArtifacts {
-        let key = (rt.period(), rt.models[node].version());
-        let scratch = &mut self.scratch;
-        match self.entries.entry((app, node)) {
-            Entry::Occupied(mut e) => {
-                if e.get().hits(key) {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                    let warm = e.get().warm_for(key);
-                    self.warm_starts += u64::from(warm.is_some());
-                    let artifacts = build_ranked(rt, node, pca_components, root, scratch, warm);
-                    *e.get_mut() = CacheEntry::live(key, artifacts);
-                }
-                &e.into_mut().artifacts
-            }
-            Entry::Vacant(v) => {
-                self.misses += 1;
-                let artifacts = build_ranked(rt, node, pca_components, root, scratch, None);
-                &v.insert(CacheEntry::live(key, artifacts)).artifacts
-            }
-        }
+    ///   feature space), a generation jump, a rebuild at the same
+    ///   generation, or no build yet — is cold: the fit falls back to
+    ///   its keyed random start.
+    pub fn warm_for(&self, app: usize, rt: &AppRuntime, node: usize) -> Option<&Matrix> {
+        let ((generation, version), basis) = self.bases.get(&(app, node))?;
+        let key = build_key(rt, node);
+        let usable = *version == key.1 && generation + 1 == key.0 && basis.rows() > 0;
+        usable.then_some(basis)
     }
 
-    /// Phase one of the period boundary's fill: fits the PCA basis and
-    /// class means of every stale entry among `jobs` on its node's old
-    /// training set, across up to `threads` workers (0 = the host's
-    /// available parallelism). Current live entries are skipped (their
-    /// next lookup hits). Each fit borrows the runtime and the current
-    /// entry's warm basis and is a pure function of its
-    /// `(pool generation, model version)` key and keyed PCA stream, so
-    /// the fits are the same at every width. Warm inputs come from the
-    /// *previous* period's entries, live or retired, so builds of one
-    /// period never feed each other.
+    /// Phase one of the boundary build: fits the PCA basis and class
+    /// means of every `(app, node)` in `jobs` on its node's old training
+    /// set, across up to `threads` workers (0 = the host's available
+    /// parallelism). Each fit borrows the runtime and its warm basis
+    /// ([`Self::warm_for`]) and is a pure function of them and its keyed
+    /// PCA stream, so the fits are the same at every width; the warm
+    /// bases are the previous boundary's, so the fits of one boundary
+    /// never feed each other.
     ///
     /// The fits are all phase two needs of the old data: the caller
-    /// frees the old training sets and draws the stale pools
-    /// ([`StaleFits::slots`]) before handing them to
-    /// [`Self::rank_stale`].
+    /// frees the old training sets and draws the jobs' pools before
+    /// [`BoundaryFits::rank`].
     ///
     /// # Panics
-    /// Panics if a stale node's old training set was freed.
-    pub fn fit_stale(
+    /// Panics if a job's old training set was freed.
+    pub fn fit(
         &self,
         jobs: &[(usize, usize)],
         apps: &[AppRuntime],
-        pca_components: usize,
         root: &Prng,
         threads: usize,
-    ) -> StaleFits {
-        let stale: Vec<((usize, usize), (u64, u64))> = jobs
-            .iter()
-            .map(|&(app, node)| {
+    ) -> BoundaryFits {
+        let fits =
+            parallel::fan_out_indexed(jobs.len(), threads, DetectScratch::default, |i, scratch| {
+                let (app, node) = jobs[i];
                 let rt = &apps[app];
-                ((app, node), (rt.period(), rt.models[node].version()))
-            })
-            .filter(|(slot, key)| self.entries.get(slot).is_none_or(|e| !e.hits(*key)))
-            .collect();
-        let entries = &self.entries;
-        let fits = parallel::fan_out_indexed(
-            stale.len(),
-            threads,
-            DetectScratch::default,
-            |i, scratch| {
-                let ((app, node), key) = stale[i];
-                let warm = entries.get(&(app, node)).and_then(|e| e.warm_for(key));
-                let fit = fit_old(&apps[app], node, pca_components, root, scratch, warm);
-                (warm.is_some(), fit)
-            },
-        );
-        StaleFits {
-            builds: stale
-                .into_iter()
-                .zip(fits)
-                .map(|((slot, key), (warm_started, fit))| StaleBuild {
-                    slot,
-                    key,
-                    warm_started,
-                    fit,
-                })
-                .collect(),
+                fit_old(rt, node, root, scratch, self.warm_for(app, rt, node))
+            });
+        BoundaryFits {
+            jobs: jobs.iter().copied().zip(fits).collect(),
         }
     }
 
-    /// Phase two of the period boundary's fill: ranks every fitted
-    /// entry's drawn pool and old held-out set against its fit, across
-    /// up to `threads` workers, and installs the results in job order,
-    /// bumping the counters a missing [`Self::artifacts`] lookup would.
-    /// Entries, counters and warm chains equal those of sequential
-    /// lookups at every width.
-    ///
-    /// Returns the resolved worker count (0 when nothing was stale).
+    /// Drops a boundary's artifact table, keeping each job's build key
+    /// and fitted basis as the warm-start seed of the node's next build.
+    /// `jobs` and `apps` are the ones the table was built from, still in
+    /// the boundary that built it: the keys are read off the runtimes,
+    /// so no model may have retrained since.
     ///
     /// # Panics
-    /// Panics if a fitted node's pool is not drawn or its old held-out
-    /// set was freed.
-    pub fn rank_stale(&mut self, fits: StaleFits, apps: &[AppRuntime], threads: usize) -> usize {
-        let builds = fits.builds;
-        let rankings = parallel::fan_out_indexed(
-            builds.len(),
-            threads,
-            DetectScratch::default,
-            |i, scratch| {
-                let StaleBuild {
-                    slot: (app, node),
-                    fit,
-                    ..
-                } = &builds[i];
+    /// Panics unless the table holds one artifact set per job.
+    pub fn keep(
+        &mut self,
+        jobs: &[(usize, usize)],
+        apps: &[AppRuntime],
+        table: Vec<DriftArtifacts>,
+    ) {
+        assert_eq!(jobs.len(), table.len(), "one artifact set per job");
+        for (&(app, node), artifacts) in jobs.iter().zip(table) {
+            let key = build_key(&apps[app], node);
+            self.bases.insert((app, node), (key, artifacts.basis));
+        }
+    }
+}
+
+impl BoundaryFits {
+    /// Phase two of the boundary build: ranks every job's drawn pool and
+    /// old held-out set against its fit, across up to `threads` workers,
+    /// and returns the artifact sets in job order, their prefix-sums at
+    /// the seed. The table is the same at every width, and each set
+    /// equals a sequential one-node build on the same runtime and warm
+    /// basis.
+    ///
+    /// # Panics
+    /// Panics if a job's pool is not drawn or its old held-out set was
+    /// freed.
+    pub fn rank(self, apps: &[AppRuntime], threads: usize) -> Vec<DriftArtifacts> {
+        let jobs = self.jobs;
+        let rankings =
+            parallel::fan_out_indexed(jobs.len(), threads, DetectScratch::default, |i, scratch| {
+                let ((app, node), fit) = &jobs[i];
                 rank_new(&apps[*app], *node, fit.as_ref(), scratch)
-            },
-        );
-        let width = parallel::resolved_threads(builds.len(), threads);
-        for (build, rankings) in builds.into_iter().zip(rankings) {
-            let (app, node) = build.slot;
-            self.misses += 1;
-            self.warm_starts += u64::from(build.warm_started);
-            let artifacts = ranked_artifacts(&apps[app], node, rankings, build.fit);
-            self.entries
-                .insert(build.slot, CacheEntry::live(build.key, artifacts));
-        }
-        width
-    }
-
-    /// Retires every entry to its warm-start seed: the key and the
-    /// fitted basis stay, the rankings and prefix-sums are freed. The
-    /// scheduler calls this once the boundary's detection sweep and
-    /// `set_order` have read the period's artifacts, so they do not stay
-    /// resident all period, nor beside the next period's while those
-    /// build. A retired entry answers no lookup: [`Self::get`] and
-    /// [`Self::get_mut`] return `None`, and [`Self::artifacts`] at its
-    /// key rebuilds (a miss) rather than hits. The next generation's
-    /// build warm-starts from it exactly as from a live entry.
-    pub fn retire(&mut self) {
-        for e in self.entries.values_mut() {
-            let basis = std::mem::take(&mut e.artifacts.basis);
-            e.artifacts = DriftArtifacts {
-                basis,
-                ..DriftArtifacts::default()
-            };
-            e.retired = true;
-        }
-    }
-
-    /// Shared view of a live entry; `None` when [`Self::artifacts`] has
-    /// not run for `(app, node)` yet or the entry is retired.
-    pub fn get(&self, app: usize, node: usize) -> Option<&DriftArtifacts> {
-        self.entries
-            .get(&(app, node))
-            .filter(|e| !e.retired)
-            .map(|e| &e.artifacts)
-    }
-
-    /// Mutable view of a live entry, for lazily extending its
-    /// prefix-sums in place (the extension is value-preserving, so a
-    /// later hit replays exactly what a fresh build would produce).
-    pub fn get_mut(&mut self, app: usize, node: usize) -> Option<&mut DriftArtifacts> {
-        self.entries
-            .get_mut(&(app, node))
-            .filter(|e| !e.retired)
-            .map(|e| &mut e.artifacts)
+            });
+        jobs.into_iter()
+            .zip(rankings)
+            .map(|(((app, node), fit), rankings)| ranked_artifacts(&apps[app], node, rankings, fit))
+            .collect()
     }
 }
 
@@ -837,74 +693,12 @@ mod tests {
         rt
     }
 
-    /// Both phases of the boundary fill over drawn pools, without the
-    /// scheduler's frees between them, so lookups can still rebuild
-    /// from the same runtime.
-    fn refresh(
-        cache: &mut DriftCache,
-        jobs: &[(usize, usize)],
-        apps: &[AppRuntime],
-        root: &Prng,
-        threads: usize,
-    ) -> usize {
-        let fits = cache.fit_stale(jobs, apps, 8, root, threads);
-        cache.rank_stale(fits, apps, threads)
-    }
-
-    /// The scheduler's boundary sequence — fit the stale nodes on their
-    /// old sets, free the old sets, draw the pools, rank — installs the
-    /// artifacts sequential lookups build on a runtime whose pools were
-    /// drawn up front, with the pools undrawn until the draw.
-    #[test]
-    fn phased_fill_with_frees_matches_lookups() {
-        let root = Prng::new(7);
-        let twin = drifted_runtime(2);
-        let mut apps = [AppRuntime::new(
-            catalog::video_surveillance(0),
-            ArrivalConfig::default(),
-            400,
-            &Prng::new(314),
-        )];
-        apps[0].advance_period();
-        apps[0].advance_period();
-        let nodes = apps[0].spec.nodes.len();
-        let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-        let mut cache = DriftCache::default();
-        let fits = cache.fit_stale(&jobs, &apps, 8, &root, 2);
-        apps[0].free_old_samples();
-        assert!(apps[0].pools.iter().all(|p| !p.is_drawn()));
-        assert_eq!(fits.slots().collect::<Vec<_>>(), jobs);
-        for (a, node) in fits.slots() {
-            apps[a].pools[node].draw();
-        }
-        assert_eq!(cache.rank_stale(fits, &apps, 2), 2);
-        let mut seq = DriftCache::default();
-        for node in 0..nodes {
-            let want = seq.artifacts(0, &twin, node, 8, &root);
-            let got = cache.get(0, node).expect("installed");
-            assert_eq!(got, want, "node {node}");
-            assert_eq!(basis_bits(got), basis_bits(want), "node {node}");
-        }
-        assert_eq!(
-            (cache.misses, cache.warm_starts),
-            (seq.misses, seq.warm_starts)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "old training set of node 1 read after it was freed")]
-    fn looking_up_a_node_whose_old_set_is_gone_panics() {
-        let mut rt = drifted_runtime(1);
-        rt.free_old_samples();
-        DriftCache::default().artifacts(0, &rt, 1, 8, &Prng::new(7));
-    }
-
     #[test]
     #[should_panic(expected = "old held-out set of node 0 read after it was freed")]
     fn building_on_a_freed_held_out_set_panics() {
         let mut rt = drifted_runtime(1);
         rt.free_ref_samples();
-        build_artifacts(&rt, 0, 8, &Prng::new(7), &mut DetectScratch::default());
+        build_artifacts(&rt, 0, &Prng::new(7), &mut DetectScratch::default());
     }
 
     #[test]
@@ -912,7 +706,7 @@ mod tests {
     fn building_on_an_undrawn_pool_panics() {
         let mut rt = drifted_runtime(1);
         rt.advance_period();
-        build_artifacts(&rt, 2, 8, &Prng::new(7), &mut DetectScratch::default());
+        build_artifacts(&rt, 2, &Prng::new(7), &mut DetectScratch::default());
     }
 
     /// The old `rank_against` computed class means with one full rescan
@@ -969,7 +763,7 @@ mod tests {
         let root = Prng::new(99);
         let mut scratch = DetectScratch::default();
         for node in 0..rt.spec.nodes.len() {
-            let art = build_artifacts(&rt, node, 8, &root, &mut scratch);
+            let art = build_artifacts(&rt, node, &root, &mut scratch);
             let pool = rt.pools[node].samples();
             let model = &rt.models[node];
             assert_eq!(art.pool_prefix.len(), pool.len() + 1);
@@ -989,244 +783,147 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_artifacts_bit_equal_fresh_build() {
-        let rt = drifted_runtime(2);
-        let root = Prng::new(7);
-        let mut cache = DriftCache::default();
-        let first = cache.artifacts(0, &rt, 1, 8, &root).clone();
-        assert_eq!(cache.misses, 1);
-        let hit = cache.artifacts(0, &rt, 1, 8, &root).clone();
-        assert_eq!(cache.hits, 1);
-        // A hit must replay the build exactly, and an independent fresh
-        // build from the same root stream must agree bit-for-bit.
-        let fresh = build_artifacts(&rt, 1, 8, &root, &mut DetectScratch::default());
-        assert_eq!(first.deviation, fresh.deviation);
-        assert_eq!(first.retrain, fresh.retrain);
-        assert_eq!(first.ref_order, fresh.ref_order);
-        assert_eq!(hit.deviation, fresh.deviation);
-        // Lazily extending the cached entry — in two steps, through a
-        // hit — must land on the same prefix-sums as the eager build.
-        let art = cache.get_mut(0, 1).expect("entry present");
-        let mut scratch = DetectScratch::default();
-        let half = fresh.deviation.len() / 2;
-        art.pool_prefix_at(&rt, 1, half, &mut scratch);
-        art.pool_prefix_at(&rt, 1, fresh.deviation.len(), &mut scratch);
-        art.ref_prefix_at(&rt, 1, fresh.ref_order.len(), &mut scratch);
-        assert_eq!(art.pool_prefix, fresh.pool_prefix);
-        assert_eq!(art.ref_prefix, fresh.ref_prefix);
-    }
-
-    #[test]
-    fn cache_invalidates_on_period_and_version_bumps() {
-        let mut rt = drifted_runtime(1);
-        let root = Prng::new(7);
-        let mut cache = DriftCache::default();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-        // Pool-generation bump: new period → rebuild.
-        rt.advance_period();
-        rt.draw_pools();
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!((cache.hits, cache.misses), (1, 2));
-        // Model-version bump: retraining → rebuild.
-        let slice = rt.pools[1].samples().clone();
-        rt.models[1].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!((cache.hits, cache.misses), (1, 3));
-        // Stable key afterwards: hit again.
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!((cache.hits, cache.misses), (2, 3));
-    }
-
     fn basis_bits(art: &DriftArtifacts) -> Vec<u32> {
         art.basis.data().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The period boundary's fill: `refresh` at every width must leave
-    /// the cache — entries, counters and warm chains — bit-identical to
-    /// sequential lookups, and every lookup after it must hit. A cache
-    /// retired after each generation's reads, as the scheduler's is,
-    /// warm-starts its next refresh from the bases alone and lands on
-    /// the same bits.
+    /// One boundary's build of `jobs`: fit, free the old training sets,
+    /// draw the jobs' pools, rank — the scheduler's sequence.
+    fn boundary(
+        warm: &WarmBases,
+        jobs: &[(usize, usize)],
+        apps: &mut [AppRuntime],
+        root: &Prng,
+        threads: usize,
+    ) -> Vec<DriftArtifacts> {
+        let fits = warm.fit(jobs, apps, root, threads);
+        for rt in apps.iter_mut() {
+            rt.free_old_samples();
+        }
+        for &(app, node) in jobs {
+            apps[app].pools[node].draw();
+        }
+        fits.rank(apps, threads)
+    }
+
+    /// The two-phase boundary build at every width, over two
+    /// generations, equals one `build_ranked` per node on a runtime that
+    /// keeps its old sets and had its pools drawn up front, warm-started
+    /// by the same rule: the same rankings, the same basis bits, and the
+    /// same warm chain (every node warm at the second generation).
     #[test]
-    fn refresh_bit_equal_sequential_lookups() {
+    fn two_phase_build_matches_sequential_builds() {
         let root = Prng::new(7);
         for threads in [1, 2, 4, 8] {
-            let mut rt = drifted_runtime(1);
-            let mut seq = DriftCache::default();
-            let mut refreshed = DriftCache::default();
-            let mut retiring = DriftCache::default();
-            // Two generations so the second refresh exercises warm starts.
-            for _ in 0..2 {
-                let nodes = rt.spec.nodes.len();
-                let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-                let misses = refreshed.misses;
-                let width = refresh(
-                    &mut refreshed,
-                    &jobs,
-                    std::slice::from_ref(&rt),
-                    &root,
-                    threads,
-                );
-                assert_eq!(width, threads.min(nodes), "threads {threads}");
-                assert_eq!(
-                    refreshed.misses - misses,
-                    nodes as u64,
-                    "all slots stale at a fresh generation"
-                );
-                refresh(
-                    &mut retiring,
-                    &jobs,
-                    std::slice::from_ref(&rt),
-                    &root,
-                    threads,
-                );
-                for node in 0..nodes {
-                    let s = seq.artifacts(0, &rt, node, 8, &root).clone();
-                    let p = refreshed.artifacts(0, &rt, node, 8, &root);
-                    assert_eq!(&s, p, "threads {threads} node {node}");
+            let mut apps = [AppRuntime::new(
+                catalog::video_surveillance(0),
+                ArrivalConfig::default(),
+                400,
+                &Prng::new(314),
+            )];
+            apps[0].advance_period();
+            let mut seq = drifted_runtime(1);
+            let nodes = seq.spec.nodes.len();
+            let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
+            let (mut warm, mut seq_warm) = (WarmBases::default(), WarmBases::default());
+            for generation in 0..2 {
+                let at = format!("threads {threads} generation {generation}");
+                let mut scratch = DetectScratch::default();
+                let want: Vec<DriftArtifacts> = (0..nodes)
+                    .map(|node| {
+                        let basis = seq_warm.warm_for(0, &seq, node);
+                        assert_eq!(basis.is_some(), generation == 1, "{at} node {node}");
+                        build_ranked(&seq, node, &root, &mut scratch, basis)
+                    })
+                    .collect();
+                assert!(apps[0].pools.iter().all(|p| !p.is_drawn()), "{at}");
+                let got = boundary(&warm, &jobs, &mut apps, &root, threads);
+                assert_eq!(got, want, "{at}");
+                for (node, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(basis_bits(g), basis_bits(w), "{at} node {node}");
                     assert_eq!(
-                        basis_bits(&s),
-                        basis_bits(p),
-                        "threads {threads} node {node} basis"
-                    );
-                    let r = retiring.get(0, node).expect("live until retired");
-                    assert_eq!(r, p, "threads {threads} node {node} after retirement");
-                    assert_eq!(
-                        basis_bits(r),
-                        basis_bits(p),
-                        "threads {threads} node {node}"
+                        warm.warm_for(0, &apps[0], node).is_some(),
+                        seq_warm.warm_for(0, &seq, node).is_some(),
+                        "{at} node {node}"
                     );
                 }
-                // A second refresh at the same key finds nothing stale.
-                assert_eq!(
-                    refresh(
-                        &mut refreshed,
-                        &jobs,
-                        std::slice::from_ref(&rt),
-                        &root,
-                        threads
-                    ),
-                    0
-                );
-                retiring.retire();
-                rt.advance_period();
-                rt.draw_pools();
+                warm.keep(&jobs, &apps, got);
+                seq_warm.keep(&jobs, std::slice::from_ref(&seq), want);
+                apps[0].free_ref_samples();
+                apps[0].advance_period();
+                seq.advance_period();
+                seq.draw_pools();
             }
-            assert_eq!(seq.misses, refreshed.misses, "threads {threads}");
-            assert_eq!(seq.warm_starts, refreshed.warm_starts, "threads {threads}");
-            assert_eq!(retiring.misses, refreshed.misses, "threads {threads}");
-            assert_eq!(
-                retiring.warm_starts, refreshed.warm_starts,
-                "threads {threads}"
-            );
-            assert!(
-                refreshed.warm_starts > 0,
-                "second generation must warm-start"
-            );
-            // Refreshed entries are current: the lookups above all hit.
-            assert_eq!(
-                refreshed.hits as usize,
-                2 * rt.spec.nodes.len(),
-                "threads {threads}"
-            );
         }
     }
 
-    /// Warm state survives exactly one period step at a fixed model
-    /// version, and dies on a model-version bump or a generation jump —
-    /// whether the previous entry is still live or already retired.
+    /// The warm rule over real builds: the next generation at the same
+    /// model version is warm; a rebuild at the same generation, a
+    /// model-version bump and a generation jump are cold, as is a node
+    /// never built.
     #[test]
-    fn warm_start_invalidates_on_version_and_generation_bumps() {
+    fn warm_rule_needs_next_generation_and_same_version() {
         let root = Prng::new(7);
-        for retire in [false, true] {
-            let first_build = |rt: &AppRuntime| {
-                let mut cache = DriftCache::default();
-                cache.artifacts(0, rt, 1, 8, &root);
-                if retire {
-                    cache.retire();
-                }
-                cache
-            };
+        let built = |rt: &AppRuntime| {
+            let jobs = [(0, 1)];
+            let apps = std::slice::from_ref(rt);
+            let mut warm = WarmBases::default();
+            let table = warm.fit(&jobs, apps, &root, 1).rank(apps, 1);
+            warm.keep(&jobs, apps, table);
+            warm
+        };
 
-            // Adjacent periods, same model version: warm start.
-            let mut rt = drifted_runtime(1);
-            let mut cache = first_build(&rt);
-            rt.advance_period();
-            rt.draw_pools();
-            let warm = cache.artifacts(0, &rt, 1, 8, &root).clone();
-            assert_eq!(
-                cache.warm_starts, 1,
-                "adjacent period must warm-start ({retire})"
-            );
-            // The same build through a live entry: bit-equal.
-            let mut live = DriftCache::default();
-            live.artifacts(0, &drifted_runtime(1), 1, 8, &root);
-            let want = live.artifacts(0, &rt, 1, 8, &root);
-            assert_eq!(&warm, want, "retired {retire}");
-            assert_eq!(basis_bits(&warm), basis_bits(want), "retired {retire}");
+        let mut rt = drifted_runtime(1);
+        let warm = built(&rt);
+        assert!(warm.warm_for(0, &rt, 1).is_none(), "same generation");
+        assert!(warm.warm_for(0, &rt, 0).is_none(), "never built");
+        assert!(warm.warm_for(1, &rt, 1).is_none(), "other app");
+        rt.advance_period();
+        let basis = warm
+            .warm_for(0, &rt, 1)
+            .expect("next generation, same version");
+        assert_eq!(basis.rows(), PCA_COMPONENTS);
+        let slice = rt.pools[1].draw().clone();
+        rt.models[1].train_slice(&slice, 1);
+        assert!(warm.warm_for(0, &rt, 1).is_none(), "version bump");
 
-            // Model-version bump alongside the period step: cold restart.
-            let mut rt = drifted_runtime(1);
-            let mut cache = first_build(&rt);
-            rt.advance_period();
-            let slice = rt.pools[1].draw().clone();
-            rt.models[1].train_slice(&slice, 1);
-            cache.artifacts(0, &rt, 1, 8, &root);
-            assert_eq!(
-                cache.warm_starts, 0,
-                "version bump must invalidate ({retire})"
-            );
-
-            // Generation jump (two periods between builds): cold restart.
-            let mut rt = drifted_runtime(1);
-            let mut cache = first_build(&rt);
-            rt.advance_period();
-            rt.advance_period();
-            rt.draw_pools();
-            cache.artifacts(0, &rt, 1, 8, &root);
-            assert_eq!(
-                cache.warm_starts, 0,
-                "generation jump must invalidate ({retire})"
-            );
-        }
+        let mut rt = drifted_runtime(1);
+        let warm = built(&rt);
+        rt.advance_period();
+        rt.advance_period();
+        assert!(warm.warm_for(0, &rt, 1).is_none(), "generation jump");
     }
 
-    /// A retired entry answers no lookup: `get`/`get_mut` see nothing,
-    /// and a lookup at the very key it was built at rebuilds — one miss,
-    /// no hit — bit-equal to a fresh build, after which the entry is
-    /// live again.
+    /// A boundary-built set's lazily extended prefix-sums — grown in two
+    /// steps, after the old training sets are freed — land on the eager
+    /// standalone build's, and its rankings and basis equal it.
     #[test]
-    fn retired_entries_are_never_hits() {
-        let rt = drifted_runtime(2);
+    fn boundary_prefix_sums_extend_to_the_full_build() {
         let root = Prng::new(7);
-        let nodes = rt.spec.nodes.len();
+        let mut apps = [drifted_runtime(2)];
+        let nodes = apps[0].spec.nodes.len();
+        let mut scratch = DetectScratch::default();
+        let fresh: Vec<DriftArtifacts> = (0..nodes)
+            .map(|node| build_artifacts(&apps[0], node, &root, &mut scratch))
+            .collect();
         let jobs: Vec<(usize, usize)> = (0..nodes).map(|n| (0, n)).collect();
-        let mut cache = DriftCache::default();
-        refresh(&mut cache, &jobs, std::slice::from_ref(&rt), &root, 1);
-        cache.retire();
-        for node in 0..nodes {
-            assert!(cache.get(0, node).is_none(), "node {node}");
-            assert!(cache.get_mut(0, node).is_none(), "node {node}");
+        let table = boundary(&WarmBases::default(), &jobs, &mut apps, &root, 2);
+        for (node, (mut art, fresh)) in table.into_iter().zip(fresh).enumerate() {
+            assert_eq!(art.pool_prefix, [0], "node {node}");
+            let pool_len = fresh.deviation.len();
+            art.pool_prefix_at(&apps[0], node, pool_len / 2, &mut scratch);
+            art.pool_prefix_at(&apps[0], node, pool_len, &mut scratch);
+            art.ref_prefix_at(&apps[0], node, fresh.ref_order.len(), &mut scratch);
+            assert_eq!(art, fresh, "node {node}");
+            assert_eq!(basis_bits(&art), basis_bits(&fresh), "node {node}");
         }
-        let (hits, misses) = (cache.hits, cache.misses);
-        let rebuilt = cache.artifacts(0, &rt, 1, 8, &root).clone();
-        assert_eq!((cache.hits, cache.misses), (hits, misses + 1));
-        let fresh = build_ranked(&rt, 1, 8, &root, &mut DetectScratch::default(), None);
-        assert_eq!(rebuilt, fresh);
-        assert_eq!(basis_bits(&rebuilt), basis_bits(&fresh));
-        assert!(!rebuilt.deviation.is_empty());
-        cache.artifacts(0, &rt, 1, 8, &root);
-        assert_eq!((cache.hits, cache.misses), (hits + 1, misses + 1));
-        assert!(cache.get(0, 1).is_some() && cache.get(0, 0).is_none());
-        // The rebuilt entry's next refresh at the same key is a no-op;
-        // the still-retired nodes rebuild.
-        assert_eq!(
-            refresh(&mut cache, &jobs, std::slice::from_ref(&rt), &root, 1),
-            1
-        );
-        assert_eq!(cache.misses, misses + nodes as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "old training set of node 1 read after it was freed")]
+    fn fitting_a_node_whose_old_set_is_gone_panics() {
+        let mut rt = drifted_runtime(1);
+        rt.free_old_samples();
+        WarmBases::default().fit(&[(0, 1)], &[rt], &Prng::new(7), 1);
     }
 }

@@ -20,12 +20,11 @@
 //! the samples that deviate the most from the old training samples"
 //! (§3.3.2).
 //!
-//! All expensive artifacts (features, the PCA fit, projections, rankings
-//! and the per-sample correctness prefix-sums the `S`-growth loop reads)
-//! come from [`crate::drift_cache`], which computes them once per
-//! `(app, node, period, model version)` and shares them with the
-//! scheduler's retraining-order consumer. The `S`-loop itself is an exact
-//! rewrite of the old per-round `accuracy_on` calls: the accuracy of a
+//! `detect` runs the loop over one application's artifact sets
+//! ([`crate::drift_cache`]): the scheduler hands it the app's slice of
+//! the boundary's table, whose retraining orders it then reads too, and
+//! [`detect_drift`] builds each node's set cold first. The `S`-loop is an
+//! exact rewrite of per-round `accuracy_on` calls: the accuracy of a
 //! deviation-ranked prefix is a running correct-count divided by the
 //! prefix length, so `prefix[take] / take` is bit-equal to re-running the
 //! model on the cloned prefix subset. The prefix-sums extend lazily, so
@@ -33,9 +32,19 @@
 //! growing `S` actually reaches it before stabilising.
 
 use crate::config::AdaInfConfig;
-use crate::drift_cache::{DetectScratch, DriftCache};
+use crate::drift_cache::{build_ranked, DetectScratch, DriftArtifacts};
 use adainf_apps::AppRuntime;
 use adainf_simcore::Prng;
+
+/// Increment of `S` per detection round (the paper's 3 %).
+pub(crate) const S_STEP: f64 = 0.03;
+
+/// Rounds without change after which detection stops (`n` in §3.2).
+pub(crate) const STABLE_ROUNDS: usize = 4;
+
+/// Detection margin: a model is impacted when `I_m − I'_m` exceeds this,
+/// which guards against finite-sample noise at small `S`.
+pub(crate) const DETECT_MARGIN: f64 = 0.05;
 
 /// Detection outcome for one application.
 #[derive(Clone, Debug, Default)]
@@ -48,49 +57,53 @@ pub struct DriftReport {
     pub trace: Vec<(f64, Vec<usize>)>,
 }
 
-/// Runs the §3.2 detection loop over all nodes of one application.
+/// Runs the §3.2 detection loop over all nodes of one application,
+/// building each node's artifacts cold from its old training set, drawn
+/// pool and old held-out set.
+///
+/// # Panics
+/// Panics if a node's old training or held-out set was freed, or its
+/// pool is not drawn.
 pub fn detect_drift(rt: &AppRuntime, config: &AdaInfConfig, root: &Prng) -> DriftReport {
-    let mut cache = DriftCache::default();
-    detect_drift_cached(rt, 0, config, &mut cache, root)
+    let mut scratch = DetectScratch::default();
+    let mut artifacts: Vec<DriftArtifacts> = (0..rt.spec.nodes.len())
+        .map(|node| build_ranked(rt, node, root, &mut scratch, None))
+        .collect();
+    detect(rt, &mut artifacts, config)
 }
 
-/// [`detect_drift`] reading node artifacts through a shared
-/// [`DriftCache`], so a scheduler that also consumes retraining orders
-/// pays for each node's feature/PCA/ranking work once per period.
-pub fn detect_drift_cached(
+/// Runs the §3.2 detection loop over one application's artifact sets,
+/// one per node in node order. The rankings do not depend on `S` (it
+/// only selects a ranked prefix); the correctness prefix-sums extend in
+/// place, only as deep as the loop's largest `take` — detection usually
+/// stabilises long before `S` reaches 100 %, so most pool samples are
+/// never predicted at all.
+///
+/// # Panics
+/// Panics unless `artifacts` holds one set per node of `rt`.
+pub(crate) fn detect(
     rt: &AppRuntime,
-    app: usize,
+    artifacts: &mut [DriftArtifacts],
     config: &AdaInfConfig,
-    cache: &mut DriftCache,
-    root: &Prng,
 ) -> DriftReport {
-    let n_nodes = rt.spec.nodes.len();
-    // Materialise every node's rankings up front (they do not depend on
-    // S; S only selects a ranked prefix). The correctness prefix-sums
-    // extend lazily below, only as deep as the loop's largest `take` —
-    // detection usually stabilises long before S reaches 100 %, so most
-    // pool samples are never predicted at all.
-    for node in 0..n_nodes {
-        cache.artifacts(app, rt, node, config.pca_components, root);
-    }
-
+    assert_eq!(
+        artifacts.len(),
+        rt.spec.nodes.len(),
+        "one artifact set per node"
+    );
     let mut report = DriftReport::default();
     let mut s = config.s_init;
     let mut stable = 0usize;
     let mut last_set: Option<Vec<usize>> = None;
-    let mut impacts = vec![0.0f64; n_nodes];
+    let mut impacts = vec![0.0f64; artifacts.len()];
     // One buffer set for every lazy prefix extension of this detection
     // run: the gather/forward scratch warms up on the first chunk and is
     // reused across nodes and S rounds.
     let mut scratch = DetectScratch::default();
 
-    while stable < config.stable_rounds && s <= 1.0 {
+    while stable < STABLE_ROUNDS && s <= 1.0 {
         let mut set = Vec::new();
-        for (node, impact) in impacts.iter_mut().enumerate() {
-            let art = cache
-                .get_mut(app, node)
-                // simlint: allow(no-unwrap-in-lib) — every (app, node) entry was populated by the loop above
-                .expect("artifact populated above");
+        for (node, (art, impact)) in artifacts.iter_mut().zip(&mut impacts).enumerate() {
             let pool_len = art.deviation.len();
             let ref_len = art.ref_order.len();
             if pool_len == 0 || ref_len == 0 {
@@ -104,7 +117,7 @@ pub fn detect_drift_cached(
             // row-independent).
             let i_prime = art.pool_prefix_at(rt, node, take, &mut scratch) as f64 / take as f64;
             let i_m = art.ref_prefix_at(rt, node, ref_take, &mut scratch) as f64 / ref_take as f64;
-            if i_m - i_prime > config.detect_margin {
+            if i_m - i_prime > DETECT_MARGIN {
                 set.push(node);
                 *impact = i_m - i_prime;
             }
@@ -117,7 +130,7 @@ pub fn detect_drift_cached(
             last_set = Some(set);
         }
         report.final_s = s;
-        s += config.s_step;
+        s += S_STEP;
     }
 
     if let Some(set) = last_set {
@@ -129,7 +142,7 @@ pub fn detect_drift_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift_cache::build_artifacts;
+    use crate::drift_cache::{build_artifacts, WarmBases};
     use adainf_apps::catalog;
     use adainf_driftgen::workload::ArrivalConfig;
 
@@ -218,8 +231,8 @@ mod tests {
         let rng = Prng::new(2);
         let config = AdaInfConfig::default();
         let report = detect_drift(&rt, &config, &rng);
-        // The trace's last `stable_rounds` entries carry the same set.
-        let k = config.stable_rounds;
+        // The trace's last `STABLE_ROUNDS` entries carry the same set.
+        let k = STABLE_ROUNDS;
         assert!(report.trace.len() >= k);
         let tail = &report.trace[report.trace.len() - k..];
         assert!(tail.windows(2).all(|w| w[0].1 == w[1].1));
@@ -249,26 +262,28 @@ mod tests {
     fn deviation_order_is_permutation() {
         let rt = drifted_runtime(1);
         let rng = Prng::new(4);
-        let order = build_artifacts(&rt, 1, 8, &rng, &mut DetectScratch::default()).deviation;
+        let order = build_artifacts(&rt, 1, &rng, &mut DetectScratch::default()).deviation;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..order.len() as u32).collect::<Vec<_>>());
     }
 
+    /// `detect` over a cold two-phase boundary build of every node, its
+    /// old training sets freed in between, reports what `detect_drift`
+    /// reports, round for round.
     #[test]
-    fn cached_and_uncached_detection_agree() {
-        let rt = drifted_runtime(3);
+    fn detect_over_a_cold_boundary_build_equals_detect_drift() {
+        let mut apps = [drifted_runtime(3)];
         let root = Prng::new(5);
         let config = AdaInfConfig::default();
-        let plain = detect_drift(&rt, &config, &root);
-        let mut cache = DriftCache::default();
-        let first = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
-        let again = detect_drift_cached(&rt, 0, &config, &mut cache, &root);
-        assert!(cache.hits > 0, "second detection must hit the cache");
-        for (a, b) in [(&plain, &first), (&first, &again)] {
-            assert_eq!(a.impacted, b.impacted);
-            assert_eq!(a.trace, b.trace);
-            assert_eq!(a.final_s.to_bits(), b.final_s.to_bits());
-        }
+        let plain = detect_drift(&apps[0], &config, &root);
+        let jobs: Vec<(usize, usize)> = (0..apps[0].spec.nodes.len()).map(|n| (0, n)).collect();
+        let fits = WarmBases::default().fit(&jobs, &apps, &root, 2);
+        apps[0].free_old_samples();
+        let mut table = fits.rank(&apps, 2);
+        let report = detect(&apps[0], &mut table, &config);
+        assert_eq!(plain.impacted, report.impacted);
+        assert_eq!(plain.trace, report.trace);
+        assert_eq!(plain.final_s.to_bits(), report.final_s.to_bits());
     }
 }

@@ -14,11 +14,12 @@
 //! * [`drift_detect`] — §3.2: PCA + cosine-distance selection of the most
 //!   deviating `S` samples, iterative growth of `S` until the detected
 //!   set stabilises, and per-model impact degrees.
-//! * [`drift_cache`] — the per-period drift artifact cache: features,
-//!   PCA fits, deviation rankings and correctness prefix-sums computed
-//!   once per `(app, node, period, model version)` and shared between
-//!   detection and retraining-order selection, with PCA randomness on
-//!   keyed child streams so caching is bit-transparent.
+//! * [`drift_cache`] — the per-boundary drift artifacts: PCA fits,
+//!   deviation rankings and correctness prefix-sums built once per
+//!   boundary for every node it reads, in two phases, and shared between
+//!   detection and retraining-order selection; between boundaries only
+//!   each node's warm-start PCA basis stays. PCA randomness runs on
+//!   keyed child streams, so a build is the same at every worker count.
 //! * [`ridag`] — §3.2: the retraining-inference DAG of one application.
 //! * [`profiler`] — the stand-in for AdaInf's offline profiling: batch ×
 //!   structure latency tables at full GPU and communication-inflation

@@ -66,7 +66,12 @@ impl CommProfile {
 /// The profiling-table facade used by all schedulers.
 #[derive(Clone, Debug)]
 pub struct Profiler {
-    /// The GPU latency law (compute component).
+    /// The GPU latency law (compute component), queried directly:
+    /// `worst_case` and `optimal_batch` at `g = 1.0` are the full-GPU
+    /// profile of §3.3.1 step 1 (profiling runs alone on an idle GPU),
+    /// at a fraction `g` the re-adjusted batch of §3.3.1 step 2 and
+    /// §3.3.2; `samples_within` and `training_latency` price the
+    /// retraining settings of §3.3.2.
     pub latency: LatencyModel,
     /// Communication inflation per memory strategy.
     pub comm: CommProfile,
@@ -110,25 +115,6 @@ impl Profiler {
         }
     }
 
-    /// Profiled worst-case inference latency at **full GPU** for a job of
-    /// `n` requests at batch `b` (compute only — profiling runs alone on
-    /// an idle GPU).
-    pub fn worst_case_full(&self, cost: &StructureCost, n: u32, batch: u32) -> SimDuration {
-        self.latency.worst_case(cost, n, batch, 1.0)
-    }
-
-    /// The batch size minimising worst-case latency at full GPU, with the
-    /// latency (§3.3.1 step 1).
-    pub fn optimal_batch_full(&self, cost: &StructureCost, n: u32) -> (u32, SimDuration) {
-        self.latency.optimal_batch(cost, n, 1.0)
-    }
-
-    /// The batch size minimising the **scaled** worst-case latency at
-    /// fraction `g` (§3.3.1 step 2 / §3.3.2 re-adjustment).
-    pub fn optimal_batch_at(&self, cost: &StructureCost, n: u32, g: f64) -> (u32, SimDuration) {
-        self.latency.optimal_batch(cost, n, g)
-    }
-
     /// End-to-end inference latency estimate for a job: compute at the
     /// fraction times the communication inflation of the strategy pair.
     pub fn inference_latency(
@@ -143,18 +129,6 @@ impl Profiler {
         self.latency
             .worst_case(cost, n, batch, g)
             .mul_f64(self.comm.inflation(mode, policy))
-    }
-
-    /// Retraining samples that fit in `budget` at fraction `g` with the
-    /// given batch (§3.3.2 retraining-setting selection).
-    pub fn samples_within(
-        &self,
-        cost: &StructureCost,
-        batch: u32,
-        g: f64,
-        budget: SimDuration,
-    ) -> u32 {
-        self.latency.samples_within(cost, batch, g, budget)
     }
 
     /// The retraining batch size that maximises samples trained per unit
@@ -180,18 +154,6 @@ impl Profiler {
             }
         }
         best
-    }
-
-    /// Latency of a retraining setting at fraction `g`.
-    pub fn training_latency(
-        &self,
-        cost: &StructureCost,
-        samples: u32,
-        batch: u32,
-        epochs: u32,
-        g: f64,
-    ) -> SimDuration {
-        self.latency.training_latency(cost, samples, batch, epochs, g)
     }
 }
 
@@ -272,7 +234,10 @@ mod tests {
     #[test]
     fn profiler_scaler_tracks_latency_model() {
         let p = Profiler::default();
-        let full = p.worst_case_full(&reference(), 64, 16).as_millis_f64();
+        let full = p
+            .latency
+            .worst_case(&reference(), 64, 16, 1.0)
+            .as_millis_f64();
         let predicted = p.scaler.scale(full, 0.5);
         let actual = p
             .latency

@@ -15,8 +15,8 @@
 
 use crate::cache::DecisionCache;
 use crate::config::AdaInfConfig;
-use crate::drift_cache::DriftCache;
-use crate::drift_detect::{detect_drift_cached, DriftReport};
+use crate::drift_cache::WarmBases;
+use crate::drift_detect::{detect, DriftReport};
 use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
 use crate::predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};
 use crate::profiler::Profiler;
@@ -25,7 +25,7 @@ use crate::space::{divide_space, JobDemand};
 use crate::timealloc::{clamp_slices, plan_time, select_structures, strategies};
 use adainf_apps::{AppRuntime, AppSpec};
 use adainf_simcore::walltime::WallTimer;
-use adainf_simcore::{Prng, SimDuration, SimTime};
+use adainf_simcore::{parallel, Prng, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Per-application scheduling state snapshotted at the period boundary.
@@ -65,10 +65,15 @@ pub struct AdaInfScheduler {
     drift_period_ns: Vec<u64>,
     /// Exact memoisation of the per-session searches (see [`crate::cache`]).
     cache: DecisionCache,
-    /// Per-period drift artifact cache (see [`crate::drift_cache`]):
-    /// detection and retraining-order selection share one feature/PCA/
-    /// ranking computation per `(app, node, period, model version)`.
-    drift: DriftCache,
+    /// Each `(app, node)`'s last drift build key and PCA basis, the
+    /// warm-start seeds of the next boundary's build (see
+    /// [`crate::drift_cache`]) — the only drift state kept between
+    /// boundaries.
+    warm: WarmBases,
+    /// `(reads, builds)` of drift artifact sets so far: each detecting
+    /// app's sweep reads one per node and each `set_order` one; each
+    /// boundary job builds one.
+    drift_stats: (u64, u64),
     /// Largest resolved worker-thread count used by any boundary drift
     /// build this run (0 when no build had work). Bench rows record it so
     /// results document the host parallelism they were measured under.
@@ -103,7 +108,8 @@ impl AdaInfScheduler {
             drift_wall_ns: 0,
             drift_period_ns: Vec::new(),
             cache: DecisionCache::default(),
-            drift: DriftCache::default(),
+            warm: WarmBases::default(),
+            drift_stats: (0, 0),
             worker_threads: 0,
             predictor,
         }
@@ -114,9 +120,13 @@ impl AdaInfScheduler {
         &self.config
     }
 
-    /// `(hits, misses)` of the drift artifact cache so far.
+    /// `(reads, builds)` of drift artifact sets so far: the sets the
+    /// detection sweeps and `set_order` read, and the sets the
+    /// boundaries built — the counts a drift artifact cache reported as
+    /// `(hits, misses)` when every read was a lookup that hit a set
+    /// built at the boundary.
     pub fn drift_cache_stats(&self) -> (u64, u64) {
-        (self.drift.hits, self.drift.misses)
+        self.drift_stats
     }
 
     /// Refreshes the per-node `(cut, accuracy)` tables and initial
@@ -239,51 +249,53 @@ impl Scheduler for AdaInfScheduler {
             rng,
             states,
             last_reports,
-            drift,
+            warm,
+            drift_stats,
             worker_threads,
             ..
         } = &mut *self;
-        // Build every stale artifact set up front. The job set mirrors
-        // exactly what the sweep below reads — every node of apps that
-        // run detection, and only the frozen RI-DAG's retraining nodes
-        // otherwise — so every lookup in the sweep hits.
+        // The boundary's jobs, in app and node order: every node of apps
+        // that run detection, and only the frozen RI-DAG's retraining
+        // nodes otherwise — exactly the sets the sweep and `set_order`
+        // below read.
+        let detects: Vec<bool> = states
+            .iter()
+            .map(|state| config.update_dag_each_period || !state.frozen)
+            .collect();
         let mut jobs: Vec<(usize, usize)> = Vec::new();
         for (a, rt) in apps.iter().enumerate() {
-            let update_dag = config.update_dag_each_period || !states[a].frozen;
             for node in 0..rt.spec.nodes.len() {
-                if update_dag || states[a].ridag.retrains(node) {
+                if detects[a] || states[a].ridag.retrains(node) {
                     jobs.push((a, node));
                 }
             }
         }
         // The build runs in two phases, so that no model's old training
         // set and new pool are held at once: fit on the old sets, free
-        // them all, draw the stale pools, rank the pools and held-out
+        // them all, draw the jobs' pools, rank the pools and held-out
         // sets against the fits.
-        let fits = drift.fit_stale(
-            &jobs,
-            apps,
-            config.pca_components,
-            rng,
-            config.drift_workers,
-        );
+        let fits = warm.fit(&jobs, apps, rng, config.drift_workers);
         for rt in apps.iter_mut() {
             rt.free_old_samples();
         }
         let draw_wall = WallTimer::start();
-        for (a, node) in fits.slots() {
+        for &(a, node) in &jobs {
             apps[a].pools[node].draw();
         }
         let draw_ns = draw_wall.elapsed_nanos();
-        let width = drift.rank_stale(fits, apps, config.drift_workers);
-        *worker_threads = (*worker_threads).max(width);
+        let mut table = fits.rank(apps, config.drift_workers);
+        drift_stats.1 += jobs.len() as u64;
+        *worker_threads =
+            (*worker_threads).max(parallel::resolved_threads(jobs.len(), config.drift_workers));
 
         for (a, rt) in apps.iter_mut().enumerate() {
+            let range = jobs.partition_point(|j| j.0 < a)..jobs.partition_point(|j| j.0 <= a);
+            let artifacts = &mut table[range.clone()];
             // AdaInf/U builds each application's DAG once — frozen at
             // the first period in which drift is detected at all.
-            let update_dag = config.update_dag_each_period || !states[a].frozen;
-            if update_dag {
-                let report = detect_drift_cached(rt, a, config, drift, rng);
+            if detects[a] {
+                let report = detect(rt, artifacts, config);
+                drift_stats.0 += artifacts.len() as u64;
                 states[a].ridag = RiDag::build(&rt.spec, &report);
                 if !report.impacted.is_empty() {
                     states[a].frozen = true;
@@ -294,20 +306,18 @@ impl Scheduler for AdaInfScheduler {
             // consumes the most-deviating samples first (§3.3.2). This
             // applies even for /U — sample selection is not part of
             // the DAG-update ablation. The order comes from the same
-            // cached artifacts the detector just read.
-            for node in 0..rt.spec.nodes.len() {
+            // artifact sets the detector just read.
+            for (&(_, node), art) in jobs[range].iter().zip(artifacts.iter()) {
                 if states[a].ridag.retrains(node) {
-                    let order = &drift
-                        .artifacts(a, rt, node, config.pca_components, rng)
-                        .retrain;
-                    rt.pools[node].set_order(order);
+                    rt.pools[node].set_order(&art.retrain);
+                    drift_stats.0 += 1;
                 }
             }
         }
-        // The sweep and `set_order` were the artifacts' and the old
-        // held-out sets' last readers: keep only each entry's warm-start
+        // The sweep and `set_order` were the table's and the old
+        // held-out sets' last readers: keep only each node's warm-start
         // basis for the next boundary.
-        drift.retire();
+        warm.keep(&jobs, apps, table);
         for rt in apps.iter_mut() {
             rt.free_ref_samples();
         }
@@ -685,13 +695,14 @@ mod tests {
         assert_eq!(sched.worker_threads(), Some(1));
     }
 
-    /// Each boundary retires every drift entry once the sweep and
-    /// `set_order` have read it, and retiring moves no lookup: over four
-    /// boundaries, with and without AdaInf/U's frozen DAG (whose later
-    /// boundaries rebuild only the retraining nodes), the cache reports
-    /// the counts it did when entries stayed live all period.
+    /// Each boundary counts one read per artifact set its sweep and
+    /// `set_order` read and one build per job — with and without
+    /// AdaInf/U's frozen DAG, whose later boundaries build only the
+    /// retraining nodes, the counts the drift artifact cache reported
+    /// as `(hits, misses)` — and keeps each built node's basis, so the
+    /// next boundary's build of it warm-starts.
     #[test]
-    fn period_start_retires_every_drift_entry() {
+    fn period_start_counts_reads_and_builds_and_keeps_bases() {
         let cases = [
             (
                 AdaInfConfig::default(),
@@ -708,21 +719,31 @@ mod tests {
             let name = config.variant_name();
             let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
             let mut stats = Vec::new();
+            let mut built: Vec<Vec<bool>> = apps
+                .iter()
+                .map(|rt| vec![false; rt.spec.nodes.len()])
+                .collect();
             for period in 0..4u64 {
                 if period > 0 {
                     for rt in &mut apps {
                         rt.advance_period();
                     }
                 }
-                sched.on_period_start(&mut apps, &server, SimTime::from_secs(50 * period));
                 for (a, rt) in apps.iter().enumerate() {
-                    for node in 0..rt.spec.nodes.len() {
-                        assert!(
-                            sched.drift.get(a, node).is_none(),
-                            "{name} period {period}: ({a}, {node}) still live"
+                    for (node, &built) in built[a].iter().enumerate() {
+                        assert_eq!(
+                            sched.warm.warm_for(a, rt, node).is_some(),
+                            built,
+                            "{name} period {period}: ({a}, {node})"
                         );
                     }
                 }
+                sched.on_period_start(&mut apps, &server, SimTime::from_secs(50 * period));
+                // The boundary draws exactly its jobs' pools.
+                built = apps
+                    .iter()
+                    .map(|rt| rt.pools.iter().map(|p| p.is_drawn()).collect())
+                    .collect();
                 stats.push(sched.drift_cache_stats());
             }
             assert_eq!(stats, want, "{name}");

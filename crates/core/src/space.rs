@@ -58,7 +58,7 @@ pub fn quantize_space(gpu: f64) -> f64 {
 /// to its SLO. Depends only on the job's (spec-fixed) cost, SLO and
 /// request count — the memoisation axis of the decision cache.
 pub fn slo_demand(job: &JobDemand, profiler: &Profiler) -> f64 {
-    let (_b, l_w) = profiler.optimal_batch_full(&job.cost, job.requests);
+    let (_b, l_w) = profiler.latency.optimal_batch(&job.cost, job.requests, 1.0);
     profiler
         .scaler
         .required_fraction(l_w.as_millis_f64(), job.slo.as_millis_f64())

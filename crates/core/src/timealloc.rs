@@ -124,7 +124,7 @@ pub fn plan_time(
 
     // 2. Batch re-adjustment for the chosen structure.
     let dag_cost = app.structure_cost(&cuts);
-    let (batch, _) = profiler.optimal_batch_at(&dag_cost, requests.max(1), gpu);
+    let (batch, _) = profiler.latency.optimal_batch(&dag_cost, requests.max(1), gpu);
 
     // 3. Inference time and spare time.
     let inference_time =
@@ -152,7 +152,7 @@ pub fn plan_time(
             // past the space's saturation knee would waste the budget).
             let cost = app.nodes[entry.node].profile.full_cost();
             let batch = profiler.best_train_batch(&cost, gpu);
-            let fit = profiler.samples_within(&cost, batch, gpu, budget);
+            let fit = profiler.latency.samples_within(&cost, batch, gpu, budget);
             proto.push(ProtoSlice {
                 node: entry.node,
                 time: budget,

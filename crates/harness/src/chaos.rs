@@ -175,7 +175,7 @@ pub fn report(outcomes: &[ChaosOutcome]) -> String {
     );
     for o in outcomes {
         out.push_str(&format!(
-            "| {} | {:.4} | {:.2} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.4} |\n",
+            "| {} | {:.4} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.4} |\n",
             o.name,
             o.finish_rate,
             o.finish_floor,
@@ -215,5 +215,14 @@ mod tests {
         let md = report(&[o]);
         assert_eq!(md.lines().count(), 3);
         assert!(md.contains("| control |"));
+        // A floor prints at the finish rate's precision: a 0.999 floor
+        // does not round up to 1 next to a failing 0.9985.
+        let tight = ChaosOutcome {
+            finish_rate: 0.9985,
+            finish_floor: 0.999,
+            passed: false,
+            ..outcome(scenario, &m)
+        };
+        assert!(report(&[tight]).contains("| control | 0.9985 | 0.9990 | NO |"));
     }
 }

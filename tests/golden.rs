@@ -16,8 +16,8 @@
 //! (`cargo test --features strict-invariants --test golden`).
 //!
 //! The AdaInf rows were re-baselined **once** for the drift-pipeline
-//! overhaul (DESIGN.md § Drift artifact cache & determinism). Two kinds
-//! of change fold into the new values: (a) routing PCA randomness
+//! overhaul (DESIGN.md § Drift artifacts per boundary & determinism).
+//! Two kinds of change fold into the new values: (a) routing PCA randomness
 //! through keyed child streams plus the GEMM covariance changed the
 //! draw schedule — measured alone, mean accuracy shifted by < 1e-3 on
 //! every seed (−0.00061 / +0.00099 / +0.00032); (b) the space-division

@@ -2,7 +2,7 @@
 //! invariants across crates.
 
 use adainf::apps::{catalog, AppRuntime};
-use adainf::core::drift_cache::{build_artifacts, DetectScratch, DriftCache};
+use adainf::core::drift_cache::{build_artifacts, DetectScratch, WarmBases};
 use adainf::core::regression::PowerLawScaler;
 use adainf::driftgen::workload::ArrivalConfig;
 use adainf::driftgen::{RetrainPool, TaskStream, TaskStreamConfig};
@@ -325,7 +325,7 @@ fn small_advanced_runtime(seed: u64, periods: usize) -> AppRuntime {
     rt
 }
 
-/// Builds a small drifted runtime for the drift-cache properties, its
+/// Builds a small drifted runtime for the drift-artifact properties, its
 /// pools drawn.
 fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
     let mut rt = small_advanced_runtime(seed, periods);
@@ -337,9 +337,9 @@ fn small_drifted_runtime(seed: u64, periods: usize) -> AppRuntime {
 /// [`fan_out_check`] replays the per-(app, node) build under forced
 /// claim-order permutations at 1/2/4/8 workers and asserts bit-equality
 /// with the sequential loop, and the scheduler's two-phase boundary
-/// build ([`DriftCache::fit_stale`], the old sets freed and the pools
-/// drawn, [`DriftCache::rank_stale`]) at every one of those widths must
-/// land on the same artifact bits.
+/// build ([`WarmBases::fit`], the old sets freed and the pools drawn,
+/// `BoundaryFits::rank`) at every one of those widths must land on the
+/// same artifact bits.
 #[test]
 fn drift_refresh_survives_adversarial_schedules() {
     use adainf::simcore::parallel::fan_out_check;
@@ -372,7 +372,7 @@ fn drift_refresh_survives_adversarial_schedules() {
             DetectScratch::default,
             |i, scratch| {
                 let (app, node) = jobs[i];
-                build_artifacts(&apps[app], node, 8, &root, scratch)
+                build_artifacts(&apps[app], node, &root, scratch)
             },
         );
 
@@ -383,21 +383,16 @@ fn drift_refresh_survives_adversarial_schedules() {
         // build frees their old training sets between its phases.
         for threads in [1usize, 2, 4, 8] {
             let mut own = advanced();
-            let mut cache = DriftCache::default();
-            let fits = cache.fit_stale(&jobs, &own, 8, &root, threads);
+            let fits = WarmBases::default().fit(&jobs, &own, &root, threads);
             for rt in &mut own {
                 rt.free_old_samples();
             }
-            for (app, node) in fits.slots() {
+            for &(app, node) in &jobs {
                 own[app].pools[node].draw();
             }
-            cache.rank_stale(fits, &own, threads);
-            assert_eq!(cache.misses as usize, jobs.len(), "every slot is stale");
-            for (j, &(app, node)) in jobs.iter().enumerate() {
-                let art = cache.get(app, node).unwrap_or_else(|| {
-                    panic!("boundary build at {threads} thread(s) missing ({app}, {node})")
-                });
-                let want = &reference[j];
+            let table = fits.rank(&own, threads);
+            assert_eq!(table.len(), jobs.len(), "one artifact set per job");
+            for (art, want) in table.iter().zip(&reference) {
                 assert_eq!(art.deviation, want.deviation, "deviation @{threads}t");
                 assert_eq!(art.retrain, want.retrain, "retrain @{threads}t");
                 assert_eq!(art.ref_order, want.ref_order, "ref_order @{threads}t");
@@ -410,13 +405,13 @@ fn drift_refresh_survives_adversarial_schedules() {
     }
 }
 
-// Drift-artifact-cache properties run far fewer cases: each case builds
-// and trains a full multi-model runtime.
+// Drift-artifact properties run far fewer cases: each case builds and
+// trains a full multi-model runtime.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The cached correctness prefix-sums reproduce `accuracy_on` over
-    /// any deviation-ranked prefix bit-for-bit.
+    /// The correctness prefix-sums reproduce `accuracy_on` over any
+    /// deviation-ranked prefix bit-for-bit.
     #[test]
     fn prefix_sum_accuracy_is_exact(
         seed in 0u64..500,
@@ -427,7 +422,7 @@ proptest! {
         let root = Prng::new(seed ^ 0xACC);
         let mut scratch = DetectScratch::default();
         for node in 0..rt.spec.nodes.len() {
-            let art = build_artifacts(&rt, node, 8, &root, &mut scratch);
+            let art = build_artifacts(&rt, node, &root, &mut scratch);
             let pool = rt.pools[node].samples();
             prop_assume!(!pool.is_empty());
             let take = ((take_frac * pool.len() as f64).ceil() as usize)
@@ -440,69 +435,75 @@ proptest! {
         }
     }
 
-    /// A cache hit replays the keyed-stream build bit-for-bit: hit,
-    /// rebuilt and independently fresh artifacts all agree, because the
-    /// PCA stream is keyed by `(period, node)` off an unadvanced root.
+    /// A boundary-built artifact set replays the standalone keyed-stream
+    /// build bit-for-bit, because the PCA stream is keyed by
+    /// `(period, node)` off an unadvanced root: the rankings and basis
+    /// agree, and its prefix-sums, extended lazily in chunks, land on the
+    /// eager build's values.
     #[test]
-    fn cached_artifacts_bit_equal_fresh(
+    fn boundary_artifacts_bit_equal_fresh(
         seed in 0u64..500,
         periods in 1usize..3,
     ) {
         let rt = small_drifted_runtime(seed, periods);
         let root = Prng::new(seed ^ 0xCAC4E);
-        let mut cache = DriftCache::default();
         let node = 1;
-        let first = cache.artifacts(0, &rt, node, 8, &root).clone();
-        let hit = cache.artifacts(0, &rt, node, 8, &root).clone();
-        prop_assert_eq!(cache.hits, 1);
-        let fresh = build_artifacts(&rt, node, 8, &root, &mut DetectScratch::default());
-        prop_assert_eq!(&first.deviation, &fresh.deviation);
-        prop_assert_eq!(&first.retrain, &fresh.retrain);
-        prop_assert_eq!(&first.ref_order, &fresh.ref_order);
-        prop_assert_eq!(&hit.deviation, &fresh.deviation);
-        // Lazily extending the cached entry's prefix-sums (in chunks)
-        // must land on the eager build's values bit-for-bit.
-        if let Some(art) = cache.get_mut(0, node) {
-            let mut scratch = DetectScratch::default();
-            let pool_len = fresh.deviation.len();
-            if pool_len > 0 {
-                art.pool_prefix_at(&rt, node, pool_len / 2 + 1, &mut scratch);
-                art.pool_prefix_at(&rt, node, pool_len, &mut scratch);
-            }
-            let ref_len = fresh.ref_order.len();
-            if ref_len > 0 {
-                art.ref_prefix_at(&rt, node, ref_len, &mut scratch);
-            }
-            prop_assert_eq!(&art.pool_prefix, &fresh.pool_prefix);
-            prop_assert_eq!(&art.ref_prefix, &fresh.ref_prefix);
+        let apps = std::slice::from_ref(&rt);
+        let mut table = WarmBases::default().fit(&[(0, node)], apps, &root, 1).rank(apps, 1);
+        let fresh = build_artifacts(&rt, node, &root, &mut DetectScratch::default());
+        let art = &mut table[0];
+        prop_assert_eq!(&art.deviation, &fresh.deviation);
+        prop_assert_eq!(&art.retrain, &fresh.retrain);
+        prop_assert_eq!(&art.ref_order, &fresh.ref_order);
+        let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+        prop_assert_eq!(bits(&art.basis), bits(&fresh.basis));
+        let mut scratch = DetectScratch::default();
+        let pool_len = fresh.deviation.len();
+        if pool_len > 0 {
+            art.pool_prefix_at(&rt, node, pool_len / 2 + 1, &mut scratch);
+            art.pool_prefix_at(&rt, node, pool_len, &mut scratch);
         }
+        let ref_len = fresh.ref_order.len();
+        if ref_len > 0 {
+            art.ref_prefix_at(&rt, node, ref_len, &mut scratch);
+        }
+        prop_assert_eq!(&art.pool_prefix, &fresh.pool_prefix);
+        prop_assert_eq!(&art.ref_prefix, &fresh.ref_prefix);
     }
 
-    /// The cache key tracks both staleness sources: a pool-generation
-    /// bump (new period) and a model-version bump (retraining) each
-    /// force a rebuild, and the key is stable otherwise.
+    /// The warm rule tracks both staleness sources: a build warm-starts
+    /// from a node's kept basis only one pool generation (period) on at
+    /// the same model version; a rebuild at the same generation, a
+    /// generation jump and a model-version bump (retraining) are cold.
     #[test]
-    fn cache_invalidates_on_generation_and_version(
+    fn warm_start_needs_next_generation_and_same_version(
         seed in 0u64..500,
     ) {
-        let mut rt = small_drifted_runtime(seed, 1);
         let root = Prng::new(seed ^ 0x17A1E);
-        let mut cache = DriftCache::default();
         let node = 1;
-        cache.artifacts(0, &rt, node, 8, &root);
-        cache.artifacts(0, &rt, node, 8, &root);
-        prop_assert_eq!((cache.hits, cache.misses), (1, 1));
+        let built = |rt: &AppRuntime| {
+            let apps = std::slice::from_ref(rt);
+            let mut warm = WarmBases::default();
+            let table = warm.fit(&[(0, node)], apps, &root, 1).rank(apps, 1);
+            warm.keep(&[(0, node)], apps, table);
+            warm
+        };
+        let mut rt = small_drifted_runtime(seed, 1);
+        let warm = built(&rt);
+        prop_assert!(warm.warm_for(0, &rt, node).is_none());
         rt.advance_period();
         rt.draw_pools();
-        cache.artifacts(0, &rt, node, 8, &root);
-        prop_assert_eq!((cache.hits, cache.misses), (1, 2));
+        prop_assert!(warm.warm_for(0, &rt, node).is_some());
         let slice = rt.pools[node].samples().clone();
         prop_assume!(!slice.is_empty());
         rt.models[node].train_slice(&slice, 1);
-        cache.artifacts(0, &rt, node, 8, &root);
-        prop_assert_eq!((cache.hits, cache.misses), (1, 3));
-        cache.artifacts(0, &rt, node, 8, &root);
-        prop_assert_eq!((cache.hits, cache.misses), (2, 3));
+        prop_assert!(warm.warm_for(0, &rt, node).is_none());
+
+        let mut rt = small_drifted_runtime(seed, 1);
+        let warm = built(&rt);
+        rt.advance_period();
+        rt.advance_period();
+        prop_assert!(warm.warm_for(0, &rt, node).is_none());
     }
 }
 
