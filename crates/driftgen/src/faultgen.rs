@@ -265,9 +265,7 @@ impl FaultTimeline {
                 windows.push(FaultWindow {
                     kind,
                     start: SimTime::from_micros(start),
-                    end: SimTime::from_micros(
-                        start.saturating_add(law.duration.as_micros()),
-                    ),
+                    end: SimTime::from_micros(start.saturating_add(law.duration.as_micros())),
                     magnitude: law.magnitude,
                 });
             }
@@ -343,7 +341,11 @@ mod tests {
         let b = FaultTimeline::generate(&FaultSpec::chaos(3), horizon(), &root);
         assert_eq!(a.windows(), b.windows());
         let c = FaultTimeline::generate(&FaultSpec::chaos(4), horizon(), &root);
-        assert_ne!(a.windows(), c.windows(), "different fault seeds must differ");
+        assert_ne!(
+            a.windows(),
+            c.windows(),
+            "different fault seeds must differ"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Ornstein–Uhlenbeck-style jitter, and occasional bursts. Arrivals within
 //! a 5 ms session are Poisson at the instantaneous rate.
 
-use adainf_simcore::{Prng, SimTime};
 use adainf_simcore::time::SESSION;
+use adainf_simcore::{Prng, SimTime};
 
 /// Configuration of an arrival trace.
 #[derive(Clone, Debug)]
@@ -79,17 +79,13 @@ impl ArrivalTrace {
             self.ou = self.ou * 0.9 + self.rng.gauss() * self.config.jitter;
             if self.burst_left > 0.0 {
                 self.burst_left -= 1.0;
-            } else if self
-                .rng
-                .chance(self.config.bursts_per_100s / 100.0)
-            {
+            } else if self.rng.chance(self.config.bursts_per_100s / 100.0) {
                 self.burst_left = self.config.burst_len_s;
             }
         }
         let diurnal = 1.0
             + self.config.diurnal_amplitude
-                * (2.0 * std::f64::consts::PI * sec / self.config.diurnal_period_s)
-                    .sin();
+                * (2.0 * std::f64::consts::PI * sec / self.config.diurnal_period_s).sin();
         let burst = if self.burst_left > 0.0 {
             self.config.burst_gain
         } else {

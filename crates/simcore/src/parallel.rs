@@ -407,10 +407,15 @@ mod tests {
         // one worker and its result landed in its own slot.
         for threads in [0, 1, 2, 3, 7, 64] {
             let jobs: Vec<String> = (0..41).map(|i| format!("job-{i}")).collect();
-            let out = fan_out_indexed_owned(jobs, threads, || 0usize, |i, job, ran| {
-                *ran += 1;
-                (i, job)
-            });
+            let out = fan_out_indexed_owned(
+                jobs,
+                threads,
+                || 0usize,
+                |i, job, ran| {
+                    *ran += 1;
+                    (i, job)
+                },
+            );
             for (i, (idx, job)) in out.iter().enumerate() {
                 assert_eq!(*idx, i, "threads={threads}");
                 assert_eq!(job, &format!("job-{i}"), "threads={threads}");

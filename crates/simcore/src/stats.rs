@@ -86,8 +86,7 @@ impl OnlineStats {
         let n = (self.n + other.n) as f64;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.n as f64 / n;
-        let m2 =
-            self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
+        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
         self.n += other.n;
         self.mean = mean;
         self.m2 = m2;
@@ -218,8 +217,7 @@ impl Cdf {
             return 0.0;
         }
         self.ensure_sorted();
-        let idx = ((q.clamp(0.0, 1.0) * (self.samples.len() - 1) as f64).round())
-            as usize;
+        let idx = ((q.clamp(0.0, 1.0) * (self.samples.len() - 1) as f64).round()) as usize;
         self.samples[idx]
     }
 

@@ -36,7 +36,9 @@ pub struct WallTimer {
 impl WallTimer {
     /// Starts a stopwatch.
     pub fn start() -> Self {
-        WallTimer { started: Instant::now() }
+        WallTimer {
+            started: Instant::now(),
+        }
     }
 
     /// Host milliseconds since [`WallTimer::start`]. For overhead
