@@ -164,9 +164,19 @@ impl RunConfig {
     }
 
     /// Checks the inputs a run cannot serve without: 1–14 applications,
-    /// at least one GPU, at least one session and a finite, positive
-    /// request rate.
+    /// at least one GPU, at least one session, a finite, positive
+    /// request rate and finite, positive fleet speed factors; under
+    /// AdaInf also `α` in [0, 1] and `A_m` and the initial `S` in
+    /// (0, 1]. Fields of the method are named `method.<field>`.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let method = match &self.method {
+            Method::AdaInf(c) => adainf_range_error(c),
+            Method::Ekya | Method::Scrooge | Method::ScroogeStar => None,
+        };
+        let bad_factor = self
+            .device_factors
+            .iter()
+            .find(|f| !(f.is_finite() && **f > 0.0));
         let (field, reason) = if !(1..=14).contains(&self.num_apps) {
             ("num_apps", format!("{} is outside 1..=14", self.num_apps))
         } else if self.num_gpus == 0 {
@@ -177,10 +187,33 @@ impl RunConfig {
         } else if !(self.base_rate.is_finite() && self.base_rate > 0.0) {
             let r = self.base_rate;
             ("base_rate", format!("{r} is not a finite, positive rate"))
+        } else if let Some(f) = bad_factor {
+            (
+                "device_factors",
+                format!("{f} is not a finite, positive speed factor"),
+            )
+        } else if let Some(error) = method {
+            error
         } else {
             return Ok(());
         };
         Err(ConfigError { field, reason })
+    }
+}
+
+/// The first of AdaInf's ranged fields [`RunConfig::validate`] rejects:
+/// `α` outside [0, 1], or `A_m` or the initial `S` outside (0, 1]
+/// (a NaN is outside every range).
+fn adainf_range_error(c: &AdaInfConfig) -> Option<(&'static str, String)> {
+    let unit = |x: f64| x > 0.0 && x <= 1.0;
+    if !(0.0..=1.0).contains(&c.alpha) {
+        Some(("method.alpha", format!("{} is outside [0, 1]", c.alpha)))
+    } else if !unit(c.a_m) {
+        Some(("method.a_m", format!("{} is outside (0, 1]", c.a_m)))
+    } else if !unit(c.s_init) {
+        Some(("method.s_init", format!("{} is outside (0, 1]", c.s_init)))
+    } else {
+        None
     }
 }
 
@@ -1610,6 +1643,59 @@ mod tests {
             assert_eq!(e.field, "base_rate", "rate {rate}");
             assert!(e.to_string().starts_with("invalid `base_rate`: "), "{e}");
         }
+        // The factors override `num_gpus`, so their count is free.
+        let fleet = |factors: &[f64]| {
+            let cfg = RunConfig {
+                device_factors: factors.into(),
+                ..RunConfig::default()
+            };
+            cfg.validate().err().map(|e| e.field)
+        };
+        assert_eq!(fleet(&[1.0, 1.0, 0.5, 0.5, 0.5, 0.5]), None);
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(fleet(&[1.0, bad]), Some("device_factors"), "factor {bad}");
+        }
+        // AdaInf's ranged fields, set one at a time.
+        let adainf = |field: &str, x: f64| {
+            let mut c = AdaInfConfig::default();
+            *match field {
+                "method.alpha" => &mut c.alpha,
+                "method.a_m" => &mut c.a_m,
+                _ => &mut c.s_init,
+            } = x;
+            let cfg = RunConfig {
+                method: Method::AdaInf(c),
+                ..RunConfig::default()
+            };
+            cfg.validate().err().map(|e| e.to_string())
+        };
+        // The ends the figure sweeps reach: α 0–1, A_m and S up to 1.
+        let ends = [
+            ("method.alpha", 0.0),
+            ("method.alpha", 1.0),
+            ("method.a_m", 1.0),
+            ("method.s_init", 1.0),
+        ];
+        for (field, x) in ends {
+            assert_eq!(adainf(field, x), None, "{field} = {x}");
+        }
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let rejected = [
+            ("method.alpha", [-0.1, 1.1, nan, inf]),
+            ("method.a_m", [0.0, 1.5, nan, inf]),
+            ("method.s_init", [0.0, -0.03, 1.01, nan]),
+        ];
+        for (field, values) in rejected {
+            for x in values {
+                let e = adainf(field, x).expect("rejected");
+                assert!(
+                    e.starts_with(&format!("invalid `{field}`: ")),
+                    "{field} = {x}: {e}"
+                );
+            }
+        }
+        // Only AdaInf carries these fields.
+        assert_eq!(field(|c| c.method = Method::Ekya), None);
     }
 
     #[test]
