@@ -24,12 +24,10 @@ fn usage() -> ! {
 }
 
 fn parse<T: std::str::FromStr>(value: Option<String>, flag: &str) -> T {
-    value
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("invalid or missing value for {flag}");
-            usage()
-        })
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("invalid or missing value for {flag}");
+        usage()
+    })
 }
 
 fn main() {
@@ -52,8 +50,7 @@ fn main() {
             "--apps" => config.num_apps = parse(args.next(), "--apps"),
             "--gpus" => config.num_gpus = parse(args.next(), "--gpus"),
             "--duration" => {
-                config.duration =
-                    SimDuration::from_secs(parse(args.next(), "--duration"))
+                config.duration = SimDuration::from_secs(parse(args.next(), "--duration"))
             }
             "--seed" => config.seed = parse(args.next(), "--seed"),
             "--rate" => config.base_rate = parse(args.next(), "--rate"),
@@ -90,10 +87,16 @@ fn main() {
         println!("requests served      : {}", s.total_requests);
         println!("mean accuracy        : {:.2}%", s.mean_accuracy * 100.0);
         println!("mean finish rate     : {:.2}%", s.mean_finish_rate * 100.0);
-        println!("mean inference lat.  : {:.2} ms", s.mean_inference_latency_ms);
+        println!(
+            "mean inference lat.  : {:.2} ms",
+            s.mean_inference_latency_ms
+        );
         println!("mean retrain lat.    : {:.1} ms", s.mean_retrain_latency_ms);
         println!("edge-cloud traffic   : {:.1} GB", s.edge_cloud_gb);
-        println!("scheduling wall time : {:.3} ms/session", s.sched_overhead_ms);
+        println!(
+            "scheduling wall time : {:.3} ms/session",
+            s.sched_overhead_ms
+        );
         println!(
             "decision-cache hits  : {:.1}% ({} hits / {} misses)",
             s.cache_hit_rate * 100.0,

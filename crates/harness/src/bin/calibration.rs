@@ -36,7 +36,10 @@ fn surveillance(seed: u64) -> AppRuntime {
 
 fn main() {
     // 1. Frozen-model decay.
-    println!("1) frozen-model accuracy vs. staleness (mean over {} seeds)", SEEDS.len());
+    println!(
+        "1) frozen-model accuracy vs. staleness (mean over {} seeds)",
+        SEEDS.len()
+    );
     let mut rows = Vec::new();
     let mut acc = [[0.0f64; 3]; 6];
     for &seed in &SEEDS {
@@ -60,7 +63,12 @@ fn main() {
     println!(
         "{}",
         table(
-            &["periods stale", "stable (detect)", "severe (vehicle)", "moderate (person)"],
+            &[
+                "periods stale",
+                "stable (detect)",
+                "severe (vehicle)",
+                "moderate (person)"
+            ],
             &rows
         )
     );
@@ -86,7 +94,10 @@ fn main() {
     println!("{}", table(&["samples", "accuracy"], &rows));
 
     // 3. Detection reliability at the third period.
-    println!("3) drift-detection hits at period 3, out of {} seeds", SEEDS.len());
+    println!(
+        "3) drift-detection hits at period 3, out of {} seeds",
+        SEEDS.len()
+    );
     let mut hits = [0u32; 3];
     for &seed in &SEEDS {
         let mut rt = surveillance(seed);
@@ -104,7 +115,11 @@ fn main() {
         "{}",
         table(
             &["stable", "severe", "moderate"],
-            &[vec![hits[0].to_string(), hits[1].to_string(), hits[2].to_string()]]
+            &[vec![
+                hits[0].to_string(),
+                hits[1].to_string(),
+                hits[2].to_string()
+            ]]
         )
     );
 

@@ -170,9 +170,7 @@ pub fn report(outcomes: &[ChaosOutcome]) -> String {
     out.push_str(
         "| scenario | finish | floor | ok | shed | degraded | fault sessions | storms | storm evictions | starved | pred MAE µs | headroom viol |\n",
     );
-    out.push_str(
-        "|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-    );
+    out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
     for o in outcomes {
         out.push_str(&format!(
             "| {} | {:.4} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.4} |\n",

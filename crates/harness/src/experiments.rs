@@ -308,7 +308,10 @@ fn fig07(runs: &[Run]) -> String {
     for p in 0..periods {
         rows.push(vec![
             p.to_string(),
-            format!("{:.1}s", early_inc.retrain_gpu_seconds.get(p).unwrap_or(&0.0)),
+            format!(
+                "{:.1}s",
+                early_inc.retrain_gpu_seconds.get(p).unwrap_or(&0.0)
+            ),
             early_inc
                 .samples_used
                 .get(p)
@@ -402,7 +405,11 @@ fn fig10(_: &[Run]) -> String {
     let app = adainf_apps::catalog::video_surveillance(0);
     let full = app.full_cuts();
     // Three early-exit structures: shallow, medium, and detector-heavy.
-    let shallow: Vec<usize> = app.nodes.iter().map(|n| n.profile.exit_points()[0]).collect();
+    let shallow: Vec<usize> = app
+        .nodes
+        .iter()
+        .map(|n| n.profile.exit_points()[0])
+        .collect();
     let medium: Vec<usize> = app
         .nodes
         .iter()
@@ -508,7 +515,9 @@ fn detailed_workload_at(
                 app: 0,
                 model: node as u32,
                 job,
-                kind: TaskKind::Inference { requests: batch * 2 },
+                kind: TaskKind::Inference {
+                    requests: batch * 2,
+                },
                 layers,
                 batch,
                 frac: 0.2,
@@ -524,7 +533,9 @@ fn detailed_workload_at(
             app: 1,
             model: 0,
             job,
-            kind: TaskKind::Inference { requests: batch * 2 },
+            kind: TaskKind::Inference {
+                requests: batch * 2,
+            },
             layers: adainf_modelzoo::zoo::resnet18()
                 .structure_layers(adainf_modelzoo::zoo::resnet18().full_cut()),
             batch,
@@ -551,8 +562,7 @@ fn detailed_workload_at(
 fn fig11(_: &[Run]) -> String {
     let mut rows = Vec::new();
     for &b in &[4u32, 8, 16, 32] {
-        let (_, results) =
-            detailed_workload(ExecMode::PerRequest, EvictionPolicyKind::Lru, b, 6);
+        let (_, results) = detailed_workload(ExecMode::PerRequest, EvictionPolicyKind::Lru, b, 6);
         let compute: f64 = results.iter().map(|r| r.compute.as_millis_f64()).sum();
         let comm: f64 = results.iter().map(|r| r.comm.as_millis_f64()).sum();
         rows.push(vec![
@@ -641,7 +651,10 @@ fn fig12_13(_: &[Run]) -> String {
         "\nFig 12b — reuse between dependent DAG tasks\n{}",
         table(&["hand-off", "events", "p5", "median", "p95"], &rows2)
     );
-    let rows3 = vec![cdf_summary("param: across consecutive jobs", &mut cross_jobs)];
+    let rows3 = vec![cdf_summary(
+        "param: across consecutive jobs",
+        &mut cross_jobs,
+    )];
     let _ = write!(
         out,
         "\nFig 13 — parameter reuse across jobs\n{}\n(paper orderings: intermediates/inference fastest, params/inference slowest ~67ms)\n",
@@ -917,7 +930,10 @@ pub fn measure_inflation_alpha(alpha: f64) -> f64 {
                 app: a,
                 model: 0,
                 job: job + 1,
-                kind: TaskKind::Retraining { samples: 16, epochs: 1 },
+                kind: TaskKind::Retraining {
+                    samples: 16,
+                    epochs: 1,
+                },
                 layers: layers.clone(),
                 batch: 16,
                 frac: 0.33,
@@ -1404,7 +1420,7 @@ mod tests {
         // The last trace row and the ground-truth row carry the same set.
         let lines: Vec<&str> = out
             .lines()
-            .filter(|l| l.starts_with('|') && !l.contains("models impacted") )
+            .filter(|l| l.starts_with('|') && !l.contains("models impacted"))
             .collect();
         let last_trace = lines[lines.len() - 2];
         let truth = lines[lines.len() - 1];

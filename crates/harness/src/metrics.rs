@@ -311,12 +311,8 @@ impl RunMetrics {
                 / 1e3
                 / self.period_overhead.count().max(1) as f64,
             drift_detect_p99_us: self.drift_detect_p99_us(),
-            serve_us: self.serve_ns as f64
-                / 1e3
-                / self.period_overhead.count().max(1) as f64,
-            train_us: self.train_ns as f64
-                / 1e3
-                / self.period_overhead.count().max(1) as f64,
+            serve_us: self.serve_ns as f64 / 1e3 / self.period_overhead.count().max(1) as f64,
+            train_us: self.train_ns as f64 / 1e3 / self.period_overhead.count().max(1) as f64,
             worker_threads: self.worker_threads,
             shed_requests: self.shed_requests,
             degraded_jobs: self.degraded_jobs,
