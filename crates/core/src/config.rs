@@ -5,7 +5,8 @@
 /// detector's fixed parameters — 3 % increments of `S`, stability after
 /// 4 unchanged rounds, a 0.05 detection margin — are constants of
 /// [`crate::drift_detect`], and its 8 PCA components
-/// [`crate::drift_cache::PCA_COMPONENTS`].
+/// [`crate::drift_cache::PCA_COMPONENTS`]. A retraining slice runs
+/// [`crate::timealloc::RETRAIN_EPOCHS`] epochs.
 #[derive(Clone, Debug)]
 pub struct AdaInfConfig {
     /// Weight of the SLO term in the eviction score `S_c` (§3.4.2).
@@ -18,8 +19,6 @@ pub struct AdaInfConfig {
     /// Initial fraction `S` of new samples inspected by the drift
     /// detector (§3.2).
     pub s_init: f64,
-    /// Epochs per retraining slice.
-    pub retrain_epochs: u32,
     /// §6 extension: sessions predicting at most this many requests are
     /// served on the host CPU, freeing GPU space (0 disables).
     pub cpu_offload_threshold: u32,
@@ -70,7 +69,6 @@ impl Default for AdaInfConfig {
             alpha: 0.4,
             a_m: 0.9,
             s_init: 0.03,
-            retrain_epochs: 1,
             cpu_offload_threshold: 0,
             predicted_latency: false,
             predictor_warmup: 64,

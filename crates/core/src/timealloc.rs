@@ -27,6 +27,9 @@ use adainf_apps::AppSpec;
 use adainf_gpusim::{EvictionPolicyKind, ExecMode};
 use adainf_simcore::SimDuration;
 
+/// Epochs per retraining slice: one pass over the slice's samples.
+pub const RETRAIN_EPOCHS: u32 = 1;
+
 /// A retraining slice before the pool bound is applied: `fit` samples
 /// fit in the budget; the live pool state caps it at plan time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -158,7 +161,7 @@ pub fn plan_time(
                 time: budget,
                 fit,
                 batch,
-                epochs: config.retrain_epochs,
+                epochs: RETRAIN_EPOCHS,
             });
         }
     }
