@@ -121,9 +121,7 @@ impl ModelProfile {
     /// structure. A "cut at `c`" runs layers `0..=c`.
     pub fn exit_points(&self) -> Vec<usize> {
         let last = self.num_layers() - 1;
-        let mut points: Vec<usize> = (EXIT_STRIDE - 1..last)
-            .step_by(EXIT_STRIDE)
-            .collect();
+        let mut points: Vec<usize> = (EXIT_STRIDE - 1..last).step_by(EXIT_STRIDE).collect();
         points.push(last);
         points
     }

@@ -94,12 +94,10 @@ mod tests {
                 > mobilenet_v2().full_cost().flops_per_sample
         );
         assert!(
-            mobilenet_v2().full_cost().flops_per_sample
-                > shufflenet().full_cost().flops_per_sample
+            mobilenet_v2().full_cost().flops_per_sample > shufflenet().full_cost().flops_per_sample
         );
         assert!(
-            resnet18().full_cost().flops_per_sample
-                > mobilenet_v2().full_cost().flops_per_sample
+            resnet18().full_cost().flops_per_sample > mobilenet_v2().full_cost().flops_per_sample
         );
     }
 
@@ -119,11 +117,7 @@ mod tests {
             audio_net(),
             intent_net(),
         ] {
-            assert!(
-                p.exit_points().len() >= 3,
-                "{} has too few exits",
-                p.name
-            );
+            assert!(p.exit_points().len() >= 3, "{} has too few exits", p.name);
         }
     }
 }
