@@ -1,8 +1,8 @@
 //! Criterion benches guarding the engine's hot paths.
 //!
 //! * `gemm/*` — the `Matrix` multiply kernels driving every SGD
-//!   retraining step, in both the allocating and the `_into`
-//!   (caller-owned output) forms, at the MLP's steady-state shapes.
+//!   retraining step, each writing into a caller-owned output, at the
+//!   MLP's steady-state shapes.
 //! * `gemm/head_*`, `gemm/trunk_forward_*`,
 //!   `gemm/backward_input_grad_*` — the same kernels at the shapes the
 //!   deployed early-exit heads actually run: the forward and weight
@@ -36,22 +36,14 @@ fn bench_gemm(c: &mut Criterion) {
     let b = random_matrix(256, 64, &mut rng);
     let at = random_matrix(32, 256, &mut rng); // for selfᵀ × other
     let bt = random_matrix(32, 64, &mut rng);
-    let wt = random_matrix(64, 256, &mut rng); // for self × otherᵀ
     let mut out = Matrix::zeros(0, 0);
 
     let mut group = c.benchmark_group("gemm");
-    group.bench_function("matmul_32x256x64_alloc", |bch| {
-        bch.iter(|| black_box(black_box(&a).matmul(black_box(&b))))
-    });
     group.bench_function("matmul_into_32x256x64", |bch| {
         bch.iter(|| black_box(&a).matmul_into(black_box(&b), &mut out))
     });
     group.bench_function("t_matmul_into_256x32x64", |bch| {
         bch.iter(|| black_box(&at).t_matmul_into(black_box(&bt), &mut out))
-    });
-    let mut wt_scratch = Matrix::zeros(0, 0);
-    group.bench_function("matmul_t_into_32x256x64", |bch| {
-        bch.iter(|| black_box(&a).matmul_t_into(black_box(&wt), &mut wt_scratch, &mut out))
     });
 
     for classes in [6, 12] {

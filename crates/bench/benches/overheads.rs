@@ -22,8 +22,8 @@ use adainf_core::AdaInfConfig;
 use adainf_gpusim::content::{ContentKey, TaskContext};
 use adainf_gpusim::memory::AccessIntent;
 use adainf_gpusim::{EvictionPolicyKind, GpuMemory, MemoryConfig};
-use adainf_nn::pca::Pca;
-use adainf_nn::{EarlyExitMlp, Label, Matrix, MlpConfig, TrainBatch};
+use adainf_nn::pca::{Pca, PcaScratch};
+use adainf_nn::{EarlyExitMlp, InferScratch, Label, Matrix, MlpConfig, TrainScratch};
 use adainf_simcore::{Prng, SimTime};
 
 fn bench_session_scheduling(c: &mut Criterion) {
@@ -80,20 +80,19 @@ fn bench_nn(c: &mut Criterion) {
     let data: Vec<f32> = (0..32 * 16).map(|i| ((i % 17) as f32) / 17.0).collect();
     let inputs = Matrix::from_slice(32, 16, &data);
     let labels: Vec<Label> = (0..32).map(|i| i % 6).collect();
-    let batch = TrainBatch {
-        inputs: inputs.clone(),
-        labels,
-    };
     // Full structure: `small` has two exits, so the last valid index is 1.
     let full_exit = net.num_exits() - 1;
+    let mut infer = InferScratch::default();
     c.bench_function("nn/forward_batch32", |b| {
-        b.iter(|| black_box(net.predict(black_box(&inputs), full_exit)))
+        b.iter(|| black_box(net.predict_with_scratch(black_box(&inputs), full_exit, &mut infer)))
     });
+    let mut train = TrainScratch::default();
     c.bench_function("nn/sgd_step_batch32", |b| {
-        b.iter(|| black_box(net.train_batch(black_box(&batch))))
+        b.iter(|| net.train_batch(black_box(&inputs), black_box(&labels), &mut train))
     });
+    let mut pca = PcaScratch::default();
     c.bench_function("nn/pca_fit_8", |b| {
-        b.iter(|| black_box(Pca::fit(black_box(&inputs), 8, &mut rng)))
+        b.iter(|| black_box(Pca::fit(black_box(&inputs), 8, &mut rng, &mut pca, None)))
     });
 }
 

@@ -61,41 +61,25 @@ fn bench_pca(c: &mut Criterion) {
     // The warm basis is the previous boundary's fit of the same node,
     // at the same model version: a drift build's situation when the
     // model did not retrain in between.
-    let warm_basis = Pca::fit(&old_features(&rt), K, &mut Prng::new(7)).into_components();
+    let mut scratch = PcaScratch::default();
+    let old = old_features(&rt);
+    let warm_basis = Pca::fit(&old, K, &mut Prng::new(7), &mut scratch, None).into_components();
     rt.advance_period();
     let data = old_features(&rt);
 
-    group.bench_function("fit_cold", |b| {
-        let mut scratch = PcaScratch::default();
-        b.iter(|| {
-            let mut r = Prng::new(7);
-            black_box(Pca::fit_with_scratch(
-                black_box(&data),
-                K,
-                &mut r,
-                &mut scratch,
-            ))
-        })
-    });
-
-    group.bench_function("fit_warm", |b| {
-        let mut scratch = PcaScratch::default();
-        b.iter(|| {
-            let mut r = Prng::new(7);
-            black_box(Pca::fit_warm_with_scratch(
-                black_box(&data),
-                K,
-                &mut r,
-                &mut scratch,
-                Some(&warm_basis),
-            ))
-        })
-    });
+    for (id, warm) in [("fit_cold", None), ("fit_warm", Some(&warm_basis))] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut r = Prng::new(7);
+                black_box(Pca::fit(black_box(&data), K, &mut r, &mut scratch, warm))
+            })
+        });
+    }
 
     let mut rng = Prng::new(13);
     let raw: Vec<f32> = (0..6000 * 32).map(|_| rng.gauss() as f32).collect();
     let feats = Matrix::from_slice(6000, 32, &raw);
-    let pca = Pca::fit(&feats, K, &mut rng);
+    let pca = Pca::fit(&feats, K, &mut rng, &mut scratch, None);
     group.bench_function("transform", |b| {
         let (mut x, mut out) = (Matrix::default(), Matrix::default());
         b.iter(|| {

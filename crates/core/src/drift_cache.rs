@@ -371,7 +371,7 @@ fn fit_old(
     } = scratch;
     model.features_into(old, feats);
     let mut rng = root.split(PCA_STREAM ^ (rt.period() << 16) ^ node as u64);
-    let pca = Pca::fit_warm_with_scratch(feats, PCA_COMPONENTS, &mut rng, pca_scratch, warm);
+    let pca = Pca::fit(feats, PCA_COMPONENTS, &mut rng, pca_scratch, warm);
     pca.transform_into(feats, projected);
     let means = class_means(projected, &old.labels, model.classes());
     Some(OldFit { pca, means })

@@ -91,9 +91,10 @@ impl Profiler {
     /// points of the reference structure (as AdaInf fits its non-linear
     /// model from offline profiles).
     pub fn new(latency: LatencyModel, comm: CommProfile) -> Self {
+        let (flops_per_sample, activation_bytes) = latency.reference();
         let reference = StructureCost {
-            flops_per_sample: latency.flops_ref,
-            activation_bytes: latency.act_ref,
+            flops_per_sample,
+            activation_bytes,
             param_bytes: 3.0e7,
         };
         let points: Vec<(f64, f64)> = [1.0, 0.75, 0.5, 0.25, 0.125]

@@ -401,7 +401,7 @@ const STREAM_TAG: u64 = 0x7A5C_57E3_A11D_11F5;
 mod tests {
     use super::*;
     use adainf_nn::metrics::js_divergence;
-    use adainf_nn::{EarlyExitMlp, MlpConfig, TrainBatch};
+    use adainf_nn::{EarlyExitMlp, MlpConfig, TrainScratch};
     use adainf_simcore::rng::GAUSS_BLOCK;
 
     fn stream(prior_drift: f64, mean_drift: f64) -> TaskStream {
@@ -440,6 +440,14 @@ mod tests {
         assert!(max_js > 0.05, "priors did not drift: {max_js}");
     }
 
+    /// `epochs` full-batch SGD steps of `net` on `samples`.
+    fn sgd_epochs(net: &mut EarlyExitMlp, samples: &LabeledSamples, epochs: usize) {
+        let mut scratch = TrainScratch::default();
+        for _ in 0..epochs {
+            net.train_batch(&samples.inputs, &samples.labels, &mut scratch);
+        }
+    }
+
     #[test]
     fn mean_drift_degrades_a_frozen_model() {
         // A model trained at period 0 must lose accuracy as class means
@@ -448,13 +456,7 @@ mod tests {
         let train = s.sample(600);
         let mut rng = Prng::new(5);
         let mut net = EarlyExitMlp::new(MlpConfig::small(16, 6), &mut rng);
-        net.train_epochs(
-            &TrainBatch {
-                inputs: train.inputs.clone(),
-                labels: train.labels.clone(),
-            },
-            60,
-        );
+        sgd_epochs(&mut net, &train, 60);
         let eval0 = s.sample(800);
         let acc0 = net.accuracy(&eval0.inputs, &eval0.labels, 1);
         assert!(acc0 > 0.85, "initial accuracy too low: {acc0}");
@@ -475,26 +477,14 @@ mod tests {
         let train = s.sample(600);
         let mut rng = Prng::new(6);
         let mut net = EarlyExitMlp::new(MlpConfig::small(16, 6), &mut rng);
-        net.train_epochs(
-            &TrainBatch {
-                inputs: train.inputs.clone(),
-                labels: train.labels.clone(),
-            },
-            60,
-        );
+        sgd_epochs(&mut net, &train, 60);
         for _ in 0..6 {
             s.advance_period();
         }
         let eval = s.sample(800);
         let stale = net.accuracy(&eval.inputs, &eval.labels, 1);
         let fresh = s.sample(600);
-        net.train_epochs(
-            &TrainBatch {
-                inputs: fresh.inputs.clone(),
-                labels: fresh.labels.clone(),
-            },
-            40,
-        );
+        sgd_epochs(&mut net, &fresh, 40);
         let retrained = net.accuracy(&eval.inputs, &eval.labels, 1);
         assert!(
             retrained > stale + 0.05,

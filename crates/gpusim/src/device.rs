@@ -6,19 +6,15 @@
 //! lets multiple applications share a GPU, which is how all methods reach
 //! ~100 % utilization (Fig 21).
 
-use crate::latency::LatencyModel;
 use crate::memory::MemoryConfig;
 use adainf_simcore::{SimDuration, SimTime};
 
-/// Hardware description of the edge server.
+/// Hardware description of the edge server: its V100-class devices,
+/// each with [`GpuSpec::MEMORY_PER_GPU`] of memory.
 #[derive(Clone, Debug)]
 pub struct GpuSpec {
     /// Number of GPUs.
     pub num_gpus: u32,
-    /// GPU memory per device, bytes (V100: 16 GB).
-    pub memory_per_gpu: u64,
-    /// The compute-latency law of this GPU class.
-    pub latency: LatencyModel,
     /// §6 extension — heterogeneous fleets: per-device speed factors
     /// relative to the reference class (`1.0` = a V100-equivalent).
     /// Empty means a homogeneous fleet of `num_gpus` reference devices.
@@ -32,14 +28,15 @@ impl Default for GpuSpec {
     fn default() -> Self {
         GpuSpec {
             num_gpus: 4,
-            memory_per_gpu: 16 * (1 << 30),
-            latency: LatencyModel::default(),
             device_factors: Vec::new(),
         }
     }
 }
 
 impl GpuSpec {
+    /// GPU memory per device, bytes (V100: 16 GiB).
+    pub const MEMORY_PER_GPU: u64 = 16 * (1 << 30);
+
     /// A spec with `n` GPUs and defaults otherwise.
     pub fn with_gpus(n: u32) -> Self {
         GpuSpec {
@@ -60,8 +57,6 @@ impl GpuSpec {
         );
         GpuSpec {
             num_gpus: factors.len() as u32,
-            memory_per_gpu: 16 * (1 << 30),
-            latency: LatencyModel::default(),
             device_factors: factors,
         }
     }
@@ -78,7 +73,7 @@ impl GpuSpec {
     /// A memory configuration matching this server's pooled capacity.
     pub fn memory_config(&self) -> MemoryConfig {
         MemoryConfig {
-            gpu_capacity: self.memory_per_gpu * self.num_gpus as u64,
+            gpu_capacity: Self::MEMORY_PER_GPU * self.num_gpus as u64,
             ..MemoryConfig::default()
         }
     }

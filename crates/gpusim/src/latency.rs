@@ -60,7 +60,9 @@ impl StructureCost {
 /// Candidate request batch sizes considered by every scheduler.
 pub const BATCH_CANDIDATES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// The compute-latency law of one GPU class.
+/// The compute-latency law of one GPU class. Its calibration constants
+/// are fixed: `Default` sets them, and [`Self::with_stall`] derives a
+/// stalled device's law from them.
 ///
 /// ```
 /// use adainf_gpusim::{LatencyModel, StructureCost};
@@ -79,38 +81,38 @@ pub const BATCH_CANDIDATES: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 #[derive(Clone, Debug)]
 pub struct LatencyModel {
     /// Effective serving throughput of a whole GPU, FLOPs/s.
-    pub throughput: f64,
+    throughput: f64,
     /// Exponent δ of `fraction^δ` throughput scaling (MPS inefficiency).
-    pub space_exponent: f64,
+    space_exponent: f64,
     /// Sublinear batch-cost exponent below the knee.
-    pub batch_alpha: f64,
+    batch_alpha: f64,
     /// Superlinear spill exponent above the knee.
-    pub spill_beta: f64,
+    spill_beta: f64,
     /// Spill cost gain above the knee.
-    pub spill_gain: f64,
+    spill_gain: f64,
     /// Fixed per-batch overhead, µs (kernel launches etc.). Launch
     /// latency does not scale with the MPS partition size, so this is
     /// flat in the fraction.
-    pub overhead_us: f64,
+    overhead_us: f64,
     /// Exponent of overhead growth as the fraction shrinks (0 = flat).
-    pub overhead_exponent: f64,
+    overhead_exponent: f64,
     /// Knee batch size for the reference structure on a whole GPU.
-    pub knee_ref: f64,
+    knee_ref: f64,
     /// Exponent of knee scaling with the GPU fraction (≈ linear per Fig 9).
-    pub knee_space_exponent: f64,
+    knee_space_exponent: f64,
     /// FLOPs/sample of the reference structure (surveillance full DAG).
-    pub flops_ref: f64,
+    flops_ref: f64,
     /// Activation bytes/sample of the reference structure.
-    pub act_ref: f64,
+    act_ref: f64,
     /// Retraining cost per sample relative to inference. Training runs
     /// forward + backward + optimiser at full input resolution (inference
     /// serves the compressed/downsampled path), so the per-sample ratio
     /// is far above the textbook 3×; calibrated so bulk-retraining a
     /// period's pool takes the ~20 s the paper reports (Fig 7b).
-    pub train_expansion: f64,
+    pub(crate) train_expansion: f64,
     /// Effective CPU inference throughput, FLOPs/s (§6 "DNN Execution in
     /// CPUs": low-rate jobs can be served on the host CPU, freeing GPU).
-    pub cpu_throughput: f64,
+    cpu_throughput: f64,
 }
 
 impl Default for LatencyModel {
@@ -134,6 +136,13 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
+    /// The reference structure's forward FLOPs and peak activation
+    /// bytes per sample (the surveillance app's full DAG): the structure
+    /// whose saturation knee sits at batch 16 on a whole GPU.
+    pub fn reference(&self) -> (f64, f64) {
+        (self.flops_ref, self.act_ref)
+    }
+
     /// Saturation knee (in samples) for `structure` at GPU fraction
     /// `frac ∈ (0, 1]`. Heavier structures (more FLOPs, bigger
     /// activations) saturate earlier; more space pushes the knee out.

@@ -162,8 +162,9 @@ impl RunConfig {
     }
 
     /// Checks the inputs a run cannot serve without: 1–14 applications,
-    /// at least one GPU, at least one session, a finite, positive
-    /// request rate and finite, positive fleet speed factors; under
+    /// at least one GPU, a duration of one or more whole sessions (a
+    /// run steps whole sessions, so a partial one would be dropped
+    /// unserved), a finite, positive request rate and finite, positive fleet speed factors; under
     /// AdaInf also `α` in [0, 1] and `A_m` and the initial `S` in
     /// (0, 1]. Fields of the method are named `method.<field>`.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -175,13 +176,16 @@ impl RunConfig {
             .device_factors
             .iter()
             .find(|f| !(f.is_finite() && **f > 0.0));
+        let (micros, session) = (self.duration.as_micros(), SESSION.as_micros());
+        let whole_sessions = micros >= session && micros.is_multiple_of(session);
         let (field, reason) = if !(1..=14).contains(&self.num_apps) {
             ("num_apps", format!("{} is outside 1..=14", self.num_apps))
         } else if self.num_gpus == 0 {
             ("num_gpus", "0; a run needs at least one GPU".into())
-        } else if self.duration < SESSION {
+        } else if !whole_sessions {
             let d = self.duration;
-            ("duration", format!("{d:?} holds no {SESSION:?} session"))
+            let reason = format!("{d:?} is not a positive whole number of {SESSION:?} sessions");
+            ("duration", reason)
         } else if !(self.base_rate.is_finite() && self.base_rate > 0.0) {
             let r = self.base_rate;
             ("base_rate", format!("{r} is not a finite, positive rate"))
@@ -1640,6 +1644,8 @@ mod tests {
         assert_eq!(field(|c| c.num_apps = 15), Some("num_apps"));
         assert_eq!(field(|c| c.num_gpus = 0), Some("num_gpus"));
         assert_eq!(field(|c| c.duration = SimDuration::ZERO), Some("duration"));
+        let partial = |c: &mut RunConfig| c.duration = SESSION + SimDuration::from_micros(1);
+        assert_eq!(field(partial), Some("duration"));
         for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
             let cfg = RunConfig {
                 base_rate: rate,

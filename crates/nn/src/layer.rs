@@ -88,13 +88,6 @@ impl Dense {
         (self.in_dim() + 1) * self.out_dim
     }
 
-    /// Inference forward pass.
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.infer_into(input, &mut out);
-        out
-    }
-
     /// Inference forward pass into a caller-owned buffer, through the
     /// fused [`Matrix::affine_into`] kernel — bias and ReLU are applied
     /// to each output element before its store instead of as two
@@ -189,7 +182,8 @@ mod tests {
             .copy_from_slice(&[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         layer.bias = vec![0.5, -0.5];
         let x = Matrix::from_slice(1, 3, &[1.0, 2.0, 3.0]);
-        let y = layer.infer(&x);
+        let mut y = Matrix::from_slice(2, 2, &[9.0; 4]);
+        layer.infer_into(&x, &mut y);
         // y0 = 1*1 + 2*0 + 3*1 + 0.5 = 4.5 ; y1 = 0 + 2 + 3 − 0.5 = 4.5
         assert_eq!(y.data(), &[4.5, 4.5]);
     }
@@ -203,7 +197,11 @@ mod tests {
         let x = Matrix::from_slice(2, 2, &[0.3, -0.7, 1.2, 0.4]);
         let eps = 1e-3;
 
-        let loss = |l: &Dense| -> f32 { l.infer(&x).data().iter().sum() };
+        let loss = |l: &Dense| -> f32 {
+            let mut y = Matrix::default();
+            l.infer_into(&x, &mut y);
+            y.data().iter().sum()
+        };
 
         // Analytic: run backward with grad_out = ones and lr so small the
         // update exposes the gradient: after update w' = w − lr·g, so

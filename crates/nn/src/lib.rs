@@ -13,13 +13,18 @@
 //! Contents:
 //!
 //! * [`matrix`] — a minimal row-major `f32` matrix with the handful of ops
-//!   backprop needs.
+//!   backprop needs; every product writes into a caller-owned output
+//!   (`matmul_into`, `t_matmul_into`, `affine_into`).
 //! * [`layer`] — dense layers with ReLU, forward/backward passes.
 //! * [`mlp`] — [`mlp::EarlyExitMlp`]: a multi-layer perceptron with a
 //!   softmax classification head after every hidden layer (deep
 //!   supervision, as in BranchyNet/SPINN), trained with SGD + momentum.
+//!   The network holds only its parameters: training runs through a
+//!   caller-owned [`TrainScratch`], inference through an
+//!   [`InferScratch`].
 //! * [`pca`] — principal component analysis by power iteration, used by
-//!   the drift detector (§3.2) before computing cosine distances.
+//!   the drift detector (§3.2) before computing cosine distances; one
+//!   `Pca::fit`, cold or warm-started, through a caller-owned scratch.
 //! * [`metrics`] — cosine distance, KL and Jensen–Shannon divergence
 //!   (Fig 6), accuracy helpers.
 
@@ -33,7 +38,7 @@ pub mod mlp;
 pub mod pca;
 
 pub use matrix::{Matrix, RowIndex};
-pub use mlp::{EarlyExitMlp, InferScratch, MlpConfig, TrainBatch, TrainScratch};
+pub use mlp::{EarlyExitMlp, InferScratch, MlpConfig, TrainScratch};
 
 /// A class label. One byte: the catalogue's tasks have at most a dozen
 /// classes, and the sample sets the simulator holds (a 6000-sample

@@ -48,19 +48,10 @@ impl MlpConfig {
     }
 }
 
-/// A labelled mini-batch.
-#[derive(Clone, Debug)]
-pub struct TrainBatch {
-    /// Feature rows, `batch × input_dim`.
-    pub inputs: Matrix,
-    /// Class label per row.
-    pub labels: Vec<Label>,
-}
-
 /// An MLP with an early-exit head after every trunk layer.
 ///
 /// ```
-/// use adainf_nn::{EarlyExitMlp, Matrix, MlpConfig, TrainBatch};
+/// use adainf_nn::{EarlyExitMlp, Label, Matrix, MlpConfig, TrainScratch};
 /// use adainf_simcore::Prng;
 /// let mut rng = Prng::new(3);
 /// let mut net = EarlyExitMlp::new(MlpConfig::small(4, 2), &mut rng);
@@ -69,33 +60,20 @@ pub struct TrainBatch {
 ///     let c = if i % 2 == 0 { -1.0f32 } else { 1.0 };
 ///     vec![c; 4]
 /// }).collect();
-/// let batch = TrainBatch {
-///     inputs: Matrix::from_slice(32, 4, &data),
-///     labels: (0..32).map(|i| i % 2).collect(),
-/// };
-/// net.train_epochs(&batch, 20);
-/// let acc = net.accuracy(&batch.inputs, &batch.labels, net.num_exits() - 1);
+/// let inputs = Matrix::from_slice(32, 4, &data);
+/// let labels: Vec<Label> = (0..32).map(|i| i % 2).collect();
+/// let mut scratch = TrainScratch::default();
+/// for _ in 0..20 {
+///     net.train_batch(&inputs, &labels, &mut scratch);
+/// }
+/// let acc = net.accuracy(&inputs, &labels, net.num_exits() - 1);
 /// assert!(acc > 0.95);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EarlyExitMlp {
     trunk: Vec<Dense>,
     heads: Vec<Dense>,
     config: MlpConfig,
-    scratch: TrainScratch,
-}
-
-impl Clone for EarlyExitMlp {
-    /// Clones the parameters and optimizer state; the training scratch
-    /// buffers start empty in the clone (they re-warm on first use).
-    fn clone(&self) -> Self {
-        EarlyExitMlp {
-            trunk: self.trunk.clone(),
-            heads: self.heads.clone(),
-            config: self.config.clone(),
-            scratch: TrainScratch::default(),
-        }
-    }
 }
 
 /// Rows per trunk pass of [`EarlyExitMlp::score_exits`]:
@@ -116,18 +94,14 @@ pub struct InferScratch {
     rows: Matrix,
 }
 
-/// Preallocated buffers reused by every [`EarlyExitMlp::train_batch`]
-/// call, so steady-state SGD retraining performs zero heap
-/// allocations: forward activations per trunk layer (also the ReLU
-/// masks of the backward pass), softmax/gradient carriers, and
-/// per-layer parameter-gradient scratch.
-///
-/// Public so parallel training fan-outs can hold one instance per
-/// *worker* (via [`EarlyExitMlp::train_batch_parts_with`]) instead of
-/// re-warming each model's embedded scratch; the buffers carry no
-/// model state — every field is fully overwritten before it is read —
-/// so sharing an instance across models is bit-safe.
-#[derive(Debug, Default)]
+/// The buffers of [`EarlyExitMlp::train_batch`], reused across calls
+/// so steady-state SGD retraining performs zero heap allocations:
+/// forward activations per trunk layer (also the ReLU masks of the
+/// backward pass), softmax/gradient carriers, and per-layer
+/// parameter-gradient scratch. They carry no model state — every
+/// field is fully overwritten before it is read — so one instance
+/// serves any number of networks of any shape, bit for bit.
+#[derive(Clone, Debug, Default)]
 pub struct TrainScratch {
     /// Post-activation output of each trunk layer.
     activations: Vec<Matrix>,
@@ -174,7 +148,6 @@ impl EarlyExitMlp {
             trunk,
             heads,
             config,
-            scratch: TrainScratch::default(),
         }
     }
 
@@ -203,19 +176,11 @@ impl EarlyExitMlp {
     }
 
     /// Predicted class per row at the given exit (0-based; the last exit
-    /// is the "full structure"): the softmax argmax, last class on ties,
-    /// read straight from the logits (see [`Self::predict_with_scratch`]).
-    ///
-    /// # Panics
-    /// Panics if `exit >= num_exits()`.
-    pub fn predict(&self, inputs: &Matrix, exit: usize) -> Vec<usize> {
-        self.predict_with_scratch(inputs, exit, &mut InferScratch::default())
-    }
-
-    /// [`Self::predict`] through caller-provided ping-pong buffers: no
-    /// input clone and no per-layer allocation. Each row's class is the
-    /// one softmax then argmax would pick, taken from the logits without
-    /// the softmax where that is exact (`matrix::softmax_argmax`).
+    /// is the "full structure"), through caller-provided ping-pong
+    /// buffers: no input clone and no per-layer allocation. Each row's
+    /// class is the one softmax then argmax would pick (the last class
+    /// on ties), taken from the logits without the softmax where that
+    /// is exact (`matrix::softmax_argmax`).
     ///
     /// # Panics
     /// Panics if `exit >= num_exits()`.
@@ -245,7 +210,7 @@ impl EarlyExitMlp {
         if labels.is_empty() {
             return 0.0;
         }
-        let preds = self.predict(inputs, exit);
+        let preds = self.predict_with_scratch(inputs, exit, &mut InferScratch::default());
         let correct = preds
             .iter()
             .zip(labels)
@@ -333,53 +298,31 @@ impl EarlyExitMlp {
         }
     }
 
-    /// The hidden representation at the *first* trunk layer — used as the
-    /// "feature vector" of a sample by the drift detector (§3.2).
-    pub fn features(&self, inputs: &Matrix) -> Matrix {
-        self.trunk[0].infer(inputs)
-    }
-
-    /// [`Self::features`] into a caller-owned buffer (reshaped in
-    /// place), for the drift data path's reusable feature matrices.
+    /// The hidden representation at the *first* trunk layer — the
+    /// "feature vector" of a sample the drift detector uses (§3.2) —
+    /// written into a caller-owned buffer (reshaped in place), for the
+    /// drift data path's reusable feature matrices.
     pub fn features_into(&self, inputs: &Matrix, out: &mut Matrix) {
         self.trunk[0].infer_into(inputs, out);
     }
 
-    /// One SGD step on a mini-batch with deep supervision: the loss is the
-    /// exit-weighted sum of per-exit cross-entropies. Returns the mean
-    /// (weighted) loss, for monitoring.
-    ///
-    /// All intermediate buffers live in the network's `TrainScratch`
-    /// and are reused across calls, so steady-state retraining performs
-    /// zero heap allocations once the buffers have warmed up.
-    pub fn train_batch(&mut self, batch: &TrainBatch) -> f64 {
-        self.step(&batch.inputs, &batch.labels, true)
-    }
-
-    /// [`Self::train_batch`] on borrowed inputs and labels, so callers
-    /// slicing mini-batches out of a larger sample set need not assemble
-    /// a [`TrainBatch`] (and clone rows into it) per step. It skips the
-    /// loss, which only monitoring reads; the weights it leaves are
-    /// bit-identical to [`Self::train_batch`]'s.
-    pub fn train_batch_parts(&mut self, inputs: &Matrix, labels: &[Label]) {
-        self.step(inputs, labels, false);
-    }
-
-    /// The SGD step behind [`Self::train_batch`] and
-    /// [`Self::train_batch_parts`]; returns the mean weighted loss when
-    /// `with_loss`, else `0.0`. The loss only reads the softmax, so
-    /// skipping it changes no weight.
-    fn step(&mut self, inputs: &Matrix, labels: &[Label], with_loss: bool) -> f64 {
+    /// One SGD step on a mini-batch with deep supervision: the loss is
+    /// the exit-weighted sum of per-exit cross-entropies, and the step
+    /// applies its gradient without evaluating the loss, which nothing
+    /// reads. Every intermediate buffer lives in `scratch` and is reused
+    /// across calls, so steady-state retraining performs zero heap
+    /// allocations once the buffers have warmed up. An empty batch is a
+    /// no-op.
+    pub fn train_batch(&mut self, inputs: &Matrix, labels: &[Label], scratch: &mut TrainScratch) {
         assert_eq!(inputs.rows(), labels.len());
         if labels.is_empty() {
-            return 0.0;
+            return;
         }
         let update = SgdMomentum {
             lr: self.config.lr,
             momentum: self.config.momentum,
         };
         let n_exits = self.num_exits();
-        let scratch = &mut self.scratch;
         scratch.activations.resize_with(n_exits, Matrix::default);
         scratch.head_grads.resize_with(n_exits, Matrix::default);
 
@@ -394,20 +337,11 @@ impl EarlyExitMlp {
 
         // Per-exit head forward + softmax-CE gradient, updating heads and
         // collecting the gradient each head injects into its trunk level.
-        let mut total_loss = 0.0f64;
         let classes = self.config.classes;
         for e in 0..n_exits {
             let w = self.config.exit_weights[e];
             self.heads[e].infer_into(&scratch.activations[e], &mut scratch.logits);
-            let loss = with_loss.then_some(&mut total_loss);
-            softmax_ce_grad(
-                &mut scratch.logits,
-                classes,
-                labels,
-                w,
-                loss,
-                &mut scratch.grad,
-            );
+            softmax_ce_grad(&mut scratch.logits, classes, labels, w, &mut scratch.grad);
             // Heads have no ReLU, so the mask argument is never read;
             // pass the logits buffer to satisfy the shape.
             self.heads[e].backward_scratch(
@@ -445,33 +379,6 @@ impl EarlyExitMlp {
                 scratch.grad.axpy(1.0, &scratch.head_grads[e - 1]);
             }
         }
-        total_loss / labels.len() as f64
-    }
-
-    /// [`Self::train_batch_parts`] using a caller-owned scratch instead
-    /// of the model's embedded one — the entry point for parallel
-    /// training fan-outs, where one warmed [`TrainScratch`] per worker
-    /// serves every model that worker trains. Implemented as two
-    /// pointer swaps around the embedded-scratch path, so the math (and
-    /// its result, bit for bit) is identical.
-    pub fn train_batch_parts_with(
-        &mut self,
-        inputs: &Matrix,
-        labels: &[Label],
-        scratch: &mut TrainScratch,
-    ) {
-        std::mem::swap(&mut self.scratch, scratch);
-        self.train_batch_parts(inputs, labels);
-        std::mem::swap(&mut self.scratch, scratch);
-    }
-
-    /// Trains on `batch` for `epochs` passes; returns the final loss.
-    pub fn train_epochs(&mut self, batch: &TrainBatch, epochs: usize) -> f64 {
-        let mut loss = 0.0;
-        for _ in 0..epochs {
-            loss = self.train_batch(batch);
-        }
-        loss
     }
 
     /// Flattens all parameters (trunk then heads) into a vector.
@@ -492,14 +399,12 @@ impl EarlyExitMlp {
 /// gradient element: `p = expf(x − max) / total`, with `total` summed
 /// in ascending class order as the softmax sums it, minus 1 at the
 /// label, times `weight`. Bit-identical to softmax, copy, one-hot
-/// subtraction and scaling as separate passes. With `loss`, adds each
-/// row's `−ln(max(p_label, 1e-12))·weight` to it in row order.
+/// subtraction and scaling as separate passes.
 fn softmax_ce_grad(
     logits: &mut Matrix,
     classes: usize,
     labels: &[Label],
     weight: f32,
-    mut loss: Option<&mut f64>,
     grad: &mut Matrix,
 ) {
     let width = logits.cols();
@@ -528,10 +433,6 @@ fn softmax_ce_grad(
             *v = (*v - max).exp();
             total += *v;
         }
-        if let Some(loss) = loss.as_deref_mut() {
-            let p = (real[label] / total).max(1e-12);
-            *loss += -(p as f64).ln() * weight as f64;
-        }
         let g = &mut g[..classes];
         for (g, &e) in g.iter_mut().zip(real.iter()) {
             *g = e / total * weight;
@@ -546,7 +447,7 @@ mod tests {
 
     /// Two well-separated Gaussian blobs; any working learner must reach
     /// high accuracy quickly.
-    fn blob_batch(rng: &mut Prng, n: usize, dim: usize) -> TrainBatch {
+    fn blob_batch(rng: &mut Prng, n: usize, dim: usize) -> (Matrix, Vec<Label>) {
         let mut data = Vec::with_capacity(n * dim);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
@@ -557,10 +458,30 @@ mod tests {
             }
             labels.push(label);
         }
-        TrainBatch {
-            inputs: Matrix::from_slice(n, dim, &data),
-            labels,
+        (Matrix::from_slice(n, dim, &data), labels)
+    }
+
+    /// The mean exit-weighted cross-entropy of `net` on a batch, from the
+    /// naive reference forward pass: per row and exit,
+    /// `−ln(max(p_label, 1e-12))·weight`, with `p` the softmax of the
+    /// exit's logits. A training step's gradient is that of this loss
+    /// at the parameters it starts from.
+    fn reference_loss(net: &EarlyExitMlp, inputs: &Matrix, labels: &[Label]) -> f64 {
+        let rows = labels.len();
+        let mut x = inputs.data().to_vec();
+        let mut total = 0.0f64;
+        for (e, &weight) in net.config.exit_weights.iter().enumerate() {
+            x = RefLayer::of(&net.trunk[e], true).forward(&x, rows).1;
+            let head = RefLayer::of(&net.heads[e], false);
+            let logits = head.forward(&x, rows).0;
+            for (row, &label) in logits.chunks_exact(head.n_out).zip(labels) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
+                let p = ((row[usize::from(label)] - max).exp() / sum).max(1e-12);
+                total += -(p as f64).ln() * weight as f64;
+            }
         }
+        total / rows.max(1) as f64
     }
 
     #[test]
@@ -568,19 +489,21 @@ mod tests {
         let mut rng = Prng::new(42);
         let cfg = MlpConfig::small(8, 2);
         let mut net = EarlyExitMlp::new(cfg, &mut rng);
-        let train = blob_batch(&mut rng, 64, 8);
-        let test = blob_batch(&mut rng, 128, 8);
-        let before = net.accuracy(&test.inputs, &test.labels, 1);
+        let (x, y) = blob_batch(&mut rng, 64, 8);
+        let (test_x, test_y) = blob_batch(&mut rng, 128, 8);
+        let before = net.accuracy(&test_x, &test_y, 1);
+        let mut scratch = TrainScratch::default();
         let mut last_loss = f64::INFINITY;
         for _ in 0..30 {
-            last_loss = net.train_batch(&train);
+            last_loss = reference_loss(&net, &x, &y);
+            net.train_batch(&x, &y, &mut scratch);
         }
         for exit in 0..net.num_exits() {
-            let acc = net.accuracy(&test.inputs, &test.labels, exit);
+            let acc = net.accuracy(&test_x, &test_y, exit);
             assert!(acc > 0.95, "exit {exit} accuracy {acc}");
         }
         assert!(last_loss < 0.2, "loss {last_loss}");
-        let after = net.accuracy(&test.inputs, &test.labels, 1);
+        let after = net.accuracy(&test_x, &test_y, 1);
         assert!(after > before, "training must improve accuracy");
     }
 
@@ -593,19 +516,19 @@ mod tests {
         let data: Vec<f32> = (0..64)
             .map(|i| if i % 3 == 0 { 1e6 } else { -1e6 })
             .collect();
-        let batch = TrainBatch {
-            inputs: Matrix::from_slice(16, 4, &data),
-            labels: (0..16).map(|i| i % 2).collect(),
-        };
+        let x = Matrix::from_slice(16, 4, &data);
+        let y: Vec<Label> = (0..16).map(|i| i % 2).collect();
+        let mut scratch = TrainScratch::default();
         for _ in 0..50 {
-            let loss = net.train_batch(&batch);
+            let loss = reference_loss(&net, &x, &y);
             assert!(loss.is_finite(), "loss diverged");
+            net.train_batch(&x, &y, &mut scratch);
         }
         for p in net.flatten_params() {
             assert!(p.is_finite(), "parameter became non-finite");
         }
         // Predictions still well-defined.
-        let _ = net.predict(&batch.inputs, 1);
+        let _ = net.predict_with_scratch(&x, 1, &mut InferScratch::default());
     }
 
     #[test]
@@ -622,12 +545,13 @@ mod tests {
             }
             labels.push(c);
         }
-        let batch = TrainBatch {
-            inputs: Matrix::from_slice(60, 4, &data),
-            labels,
-        };
-        let first = net.train_batch(&batch);
-        let last = net.train_epochs(&batch, 40);
+        let x = Matrix::from_slice(60, 4, &data);
+        let first = reference_loss(&net, &x, &labels);
+        let mut scratch = TrainScratch::default();
+        for _ in 0..40 {
+            net.train_batch(&x, &labels, &mut scratch);
+        }
+        let last = reference_loss(&net, &x, &labels);
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
@@ -651,26 +575,24 @@ mod tests {
             .collect()
     }
 
-    /// Both prediction entry points must pick, at every exit, the class
-    /// softmax then argmax picks, with dirty reused buffers.
+    /// Predictions must pick, at every exit, the class softmax then
+    /// argmax picks, with dirty reused buffers.
     #[test]
     fn predictions_match_softmax_then_argmax() {
         let mut rng = Prng::new(13);
         let mut net = EarlyExitMlp::new(MlpConfig::small(8, 3), &mut rng);
-        let train = blob_batch(&mut rng, 48, 8);
-        net.train_epochs(&train, 10);
-        let test = blob_batch(&mut rng, 96, 8);
+        let (x, y) = blob_batch(&mut rng, 48, 8);
+        let mut train = TrainScratch::default();
+        for _ in 0..10 {
+            net.train_batch(&x, &y, &mut train);
+        }
+        let (test_x, _) = blob_batch(&mut rng, 96, 8);
         let mut scratch = InferScratch::default();
         for exit in 0..net.num_exits() {
-            let want = softmax_then_argmax(&net, &test.inputs, exit);
-            assert_eq!(net.predict(&test.inputs, exit), want, "exit {exit}");
-            let fast = net.predict_with_scratch(&test.inputs, exit, &mut scratch);
+            let want = softmax_then_argmax(&net, &test_x, exit);
+            let fast = net.predict_with_scratch(&test_x, exit, &mut scratch);
             assert_eq!(fast, want, "exit {exit}");
         }
-        let feats = net.features(&test.inputs);
-        let mut out = Matrix::from_slice(1, 3, &[3.0, 3.0, 3.0]);
-        net.features_into(&test.inputs, &mut out);
-        assert_eq!(feats, out);
     }
 
     /// The masked scorer must bit-match [`EarlyExitMlp::accuracy`] at
@@ -681,9 +603,10 @@ mod tests {
     fn one_pass_exit_scoring_matches_accuracy() {
         let mut rng = Prng::new(19);
         let mut net = EarlyExitMlp::new(head_config(6), &mut rng);
+        let mut train = TrainScratch::default();
         for _ in 0..3 {
             let (x, y) = random_batch(&mut rng, 32, 6);
-            net.train_batch_parts(&x, &y);
+            net.train_batch(&x, &y, &mut train);
         }
         let mut scratch = InferScratch::default();
         for rows in [400, 0, 1, 63, 64, 65, 31] {
@@ -711,27 +634,6 @@ mod tests {
         let net = EarlyExitMlp::new(head_config(2), &mut rng);
         let (x, y) = random_batch(&mut rng, 4, 2);
         net.score_exits(&x, &y, 0b1000, &mut InferScratch::default(), &mut [0.0; 3]);
-    }
-
-    /// Skipping the loss must leave the same weights as computing it.
-    #[test]
-    fn loss_free_step_leaves_identical_weights() {
-        let mut rng = Prng::new(21);
-        let mut with_loss = EarlyExitMlp::new(head_config(6), &mut rng);
-        let mut without = with_loss.clone();
-        for rows in [32, 17, 32] {
-            let (inputs, labels) = random_batch(&mut rng, rows, 6);
-            let loss = with_loss.train_batch(&TrainBatch {
-                inputs: inputs.clone(),
-                labels: labels.clone(),
-            });
-            assert!(loss > 0.0);
-            without.train_batch_parts(&inputs, &labels);
-        }
-        let bits = |n: &EarlyExitMlp| -> Vec<u32> {
-            n.flatten_params().iter().map(|p| p.to_bits()).collect()
-        };
-        assert_eq!(bits(&with_loss), bits(&without));
     }
 
     /// The deployed heads' shape: 16 inputs, a 32/24/16 trunk.
@@ -942,9 +844,11 @@ mod tests {
     /// heads, the fused softmax gradient, the fused ReLU mask and bias
     /// sums, kept transposed weights, no layer-0 input gradient) must
     /// leave every parameter bit-equal to the naive reference step at
-    /// every deployed class count and on a ragged batch.
+    /// every deployed class count and on a ragged batch, through one
+    /// scratch reused across every class count.
     #[test]
     fn train_step_bit_matches_naive_reference() {
+        let mut scratch = TrainScratch::default();
         for classes in DEPLOYED_CLASSES {
             let mut rng = Prng::new(100 + classes as u64);
             let cfg = head_config(classes);
@@ -960,7 +864,7 @@ mod tests {
                 net.heads.iter().map(|l| RefLayer::of(l, false)).collect();
             for (step, rows) in [32, 32, 17, 32].into_iter().enumerate() {
                 let (x, y) = random_batch(&mut rng, rows, classes);
-                net.train_batch_parts(&x, &y);
+                net.train_batch(&x, &y, &mut scratch);
                 reference_step(&mut trunk, &mut heads, &exit_weights, x.data(), &y, rule);
                 let want: Vec<u32> = trunk
                     .iter()
@@ -988,9 +892,10 @@ mod tests {
         for classes in DEPLOYED_CLASSES {
             let mut rng = Prng::new(200 + classes as u64);
             let mut net = EarlyExitMlp::new(head_config(classes), &mut rng);
+            let mut train = TrainScratch::default();
             for _ in 0..3 {
                 let (x, y) = random_batch(&mut rng, 32, classes);
-                net.train_batch_parts(&x, &y);
+                net.train_batch(&x, &y, &mut train);
             }
             let mut scratch = InferScratch::default();
             let mut feats = Matrix::from_slice(1, 1, &[7.0]);
@@ -1058,8 +963,9 @@ mod tests {
     fn features_have_first_layer_width() {
         let mut rng = Prng::new(3);
         let net = EarlyExitMlp::new(MlpConfig::small(8, 2), &mut rng);
-        let batch = blob_batch(&mut rng, 4, 8);
-        let f = net.features(&batch.inputs);
+        let (x, _) = blob_batch(&mut rng, 4, 8);
+        let mut f = Matrix::default();
+        net.features_into(&x, &mut f);
         assert_eq!(f.rows(), 4);
         assert_eq!(f.cols(), 32);
     }
@@ -1111,15 +1017,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_train_is_zero_loss() {
+    fn empty_batch_training_is_a_no_op() {
         let mut rng = Prng::new(2);
         let mut net = EarlyExitMlp::new(MlpConfig::small(4, 2), &mut rng);
-        let batch = TrainBatch {
-            inputs: Matrix::zeros(0, 4),
-            labels: vec![],
-        };
-        assert_eq!(net.train_batch(&batch), 0.0);
-        assert_eq!(net.accuracy(&batch.inputs, &batch.labels, 0), 0.0);
+        let before = net.flatten_params();
+        let x = Matrix::zeros(0, 4);
+        net.train_batch(&x, &[], &mut TrainScratch::default());
+        assert_eq!(net.flatten_params(), before);
+        assert_eq!(net.accuracy(&x, &[], 0), 0.0);
     }
 
     #[test]
@@ -1148,6 +1053,6 @@ mod tests {
         let mut rng = Prng::new(1);
         let net = EarlyExitMlp::new(MlpConfig::small(4, 2), &mut rng);
         let x = Matrix::zeros(1, 4);
-        net.predict(&x, 5);
+        net.predict_with_scratch(&x, 5, &mut InferScratch::default());
     }
 }

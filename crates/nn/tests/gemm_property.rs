@@ -88,13 +88,10 @@ fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) -> CaseResult {
     let a = random_matrix(m, k, &mut rng);
     let b = random_matrix(k, n, &mut rng);
     let mut out = Matrix::from_slice(1, 3, &[7.0, 7.0, 7.0]);
-    let mut scratch = Matrix::from_slice(2, 1, &[7.0, 7.0]);
 
     let want = reference_matmul(&a, &b);
     a.matmul_into(&b, &mut out);
     assert_bit_identical(&format!("matmul_into {shape}"), &out, &want)?;
-    // The allocating form must agree with its _into twin.
-    assert_bit_identical(&format!("matmul {shape}"), &a.matmul(&b), &want)?;
 
     let bias: Vec<f32> = (0..n).map(|_| rng.gauss() as f32).collect();
     for relu in [false, true] {
@@ -109,15 +106,7 @@ fn check_all_kernels(m: usize, k: usize, n: usize, seed: u64) -> CaseResult {
     let g = random_matrix(m, n, &mut rng);
     let want = reference_matmul(&transpose(&a), &g);
     a.t_matmul_into(&g, &mut out);
-    assert_bit_identical(&format!("t_matmul_into {shape}"), &out, &want)?;
-
-    // self (m×k) × otherᵀ (k×n over n×k storage).
-    let w = random_matrix(n, k, &mut rng);
-    let want = reference_matmul(&a, &transpose(&w));
-    a.matmul_t_into(&w, &mut scratch, &mut out);
-    assert_bit_identical(&format!("matmul_t_into {shape}"), &out, &want)?;
-    assert_bit_identical(&format!("matmul_t {shape}"), &a.matmul_t(&w), &want)?;
-    Ok(())
+    assert_bit_identical(&format!("t_matmul_into {shape}"), &out, &want)
 }
 
 proptest! {
