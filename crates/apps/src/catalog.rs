@@ -38,9 +38,27 @@ pub fn video_surveillance(id: u32) -> AppSpec {
         "video surveillance",
         SimDuration::from_millis(400),
         vec![
-            node("object detection", zoo::tiny_yolo_v3(), 3, DriftProfile::Stable, None),
-            node("vehicle type recognition", zoo::mobilenet_v2(), 6, DriftProfile::Severe, Some(0)),
-            node("person activity recognition", zoo::shufflenet(), 5, DriftProfile::Moderate, Some(0)),
+            node(
+                "object detection",
+                zoo::tiny_yolo_v3(),
+                3,
+                DriftProfile::Stable,
+                None,
+            ),
+            node(
+                "vehicle type recognition",
+                zoo::mobilenet_v2(),
+                6,
+                DriftProfile::Severe,
+                Some(0),
+            ),
+            node(
+                "person activity recognition",
+                zoo::shufflenet(),
+                5,
+                DriftProfile::Moderate,
+                Some(0),
+            ),
         ],
     )
 }
@@ -52,8 +70,20 @@ pub fn traffic_monitoring(id: u32) -> AppSpec {
         "traffic monitoring",
         SimDuration::from_millis(450),
         vec![
-            node("vehicle detection", zoo::ssdlite(), 3, DriftProfile::Mild, None),
-            node("vehicle classification", zoo::resnet18(), 8, DriftProfile::Severe, Some(0)),
+            node(
+                "vehicle detection",
+                zoo::ssdlite(),
+                3,
+                DriftProfile::Mild,
+                None,
+            ),
+            node(
+                "vehicle classification",
+                zoo::resnet18(),
+                8,
+                DriftProfile::Severe,
+                Some(0),
+            ),
         ],
     )
 }
@@ -65,8 +95,20 @@ pub fn face_authentication(id: u32) -> AppSpec {
         "face authentication",
         SimDuration::from_millis(500),
         vec![
-            node("face detection", zoo::mobilenet_v2(), 2, DriftProfile::Stable, None),
-            node("face recognition", zoo::resnet18(), 12, DriftProfile::Mild, Some(0)),
+            node(
+                "face detection",
+                zoo::mobilenet_v2(),
+                2,
+                DriftProfile::Stable,
+                None,
+            ),
+            node(
+                "face recognition",
+                zoo::resnet18(),
+                12,
+                DriftProfile::Mild,
+                Some(0),
+            ),
         ],
     )
 }
@@ -78,8 +120,20 @@ pub fn voice_assistant(id: u32) -> AppSpec {
         "voice assistant",
         SimDuration::from_millis(550),
         vec![
-            node("speech recognition", zoo::audio_net(), 10, DriftProfile::Moderate, None),
-            node("intent classification", zoo::intent_net(), 8, DriftProfile::Moderate, Some(0)),
+            node(
+                "speech recognition",
+                zoo::audio_net(),
+                10,
+                DriftProfile::Moderate,
+                None,
+            ),
+            node(
+                "intent classification",
+                zoo::intent_net(),
+                8,
+                DriftProfile::Moderate,
+                Some(0),
+            ),
         ],
     )
 }
@@ -91,9 +145,27 @@ pub fn drone_footage(id: u32) -> AppSpec {
         "drone footage analysis",
         SimDuration::from_millis(600),
         vec![
-            node("object detection", zoo::tiny_yolo_v3(), 4, DriftProfile::Mild, None),
-            node("land-cover recognition", zoo::shufflenet(), 6, DriftProfile::Moderate, Some(0)),
-            node("target recognition", zoo::mobilenet_v2(), 7, DriftProfile::Mild, Some(0)),
+            node(
+                "object detection",
+                zoo::tiny_yolo_v3(),
+                4,
+                DriftProfile::Mild,
+                None,
+            ),
+            node(
+                "land-cover recognition",
+                zoo::shufflenet(),
+                6,
+                DriftProfile::Moderate,
+                Some(0),
+            ),
+            node(
+                "target recognition",
+                zoo::mobilenet_v2(),
+                7,
+                DriftProfile::Mild,
+                Some(0),
+            ),
         ],
     )
 }
@@ -105,8 +177,20 @@ pub fn retail_analytics(id: u32) -> AppSpec {
         "retail analytics",
         SimDuration::from_millis(500),
         vec![
-            node("shelf detection", zoo::ssdlite(), 3, DriftProfile::Mild, None),
-            node("product recognition", zoo::mobilenet_v2(), 12, DriftProfile::Severe, Some(0)),
+            node(
+                "shelf detection",
+                zoo::ssdlite(),
+                3,
+                DriftProfile::Mild,
+                None,
+            ),
+            node(
+                "product recognition",
+                zoo::mobilenet_v2(),
+                12,
+                DriftProfile::Severe,
+                Some(0),
+            ),
         ],
     )
 }
@@ -118,8 +202,20 @@ pub fn license_plate(id: u32) -> AppSpec {
         "license plate reading",
         SimDuration::from_millis(450),
         vec![
-            node("plate detection", zoo::ssdlite(), 2, DriftProfile::Stable, None),
-            node("text recognition", zoo::stn_ocr(), 10, DriftProfile::Mild, Some(0)),
+            node(
+                "plate detection",
+                zoo::ssdlite(),
+                2,
+                DriftProfile::Stable,
+                None,
+            ),
+            node(
+                "text recognition",
+                zoo::stn_ocr(),
+                10,
+                DriftProfile::Mild,
+                Some(0),
+            ),
         ],
     )
 }
@@ -133,11 +229,41 @@ pub fn social_media(id: u32) -> AppSpec {
         "social media",
         SimDuration::from_millis(600),
         vec![
-            node("image recognition", zoo::image_recognizer(), 10, DriftProfile::Moderate, None),
-            node("safety classification", zoo::nsfw_net(), 2, DriftProfile::Mild, Some(0)),
-            node("person tag suggestion", zoo::mobilenet_v2(), 12, DriftProfile::Moderate, Some(0)),
-            node("language identification", zoo::lang_id(), 6, DriftProfile::Mild, None),
-            node("translation", zoo::translator(), 8, DriftProfile::Mild, Some(3)),
+            node(
+                "image recognition",
+                zoo::image_recognizer(),
+                10,
+                DriftProfile::Moderate,
+                None,
+            ),
+            node(
+                "safety classification",
+                zoo::nsfw_net(),
+                2,
+                DriftProfile::Mild,
+                Some(0),
+            ),
+            node(
+                "person tag suggestion",
+                zoo::mobilenet_v2(),
+                12,
+                DriftProfile::Moderate,
+                Some(0),
+            ),
+            node(
+                "language identification",
+                zoo::lang_id(),
+                6,
+                DriftProfile::Mild,
+                None,
+            ),
+            node(
+                "translation",
+                zoo::translator(),
+                8,
+                DriftProfile::Mild,
+                Some(3),
+            ),
         ],
     )
 }
@@ -165,9 +291,27 @@ pub fn extension_apps() -> Vec<AppSpec> {
             "video game analysis",
             SimDuration::from_millis(500),
             vec![
-                node("object detection", zoo::ssdlite(), 5, DriftProfile::Mild, None),
-                node("text recognition", zoo::stn_ocr(), 10, DriftProfile::Mild, Some(0)),
-                node("object recognition", zoo::resnet18(), 9, DriftProfile::Moderate, Some(0)),
+                node(
+                    "object detection",
+                    zoo::ssdlite(),
+                    5,
+                    DriftProfile::Mild,
+                    None,
+                ),
+                node(
+                    "text recognition",
+                    zoo::stn_ocr(),
+                    10,
+                    DriftProfile::Mild,
+                    Some(0),
+                ),
+                node(
+                    "object recognition",
+                    zoo::resnet18(),
+                    9,
+                    DriftProfile::Moderate,
+                    Some(0),
+                ),
             ],
         ),
         // Rating dance performance: TinyYOLOv3 → ShuffleNet.
@@ -176,8 +320,20 @@ pub fn extension_apps() -> Vec<AppSpec> {
             "dance performance rating",
             SimDuration::from_millis(450),
             vec![
-                node("person detection", zoo::tiny_yolo_v3(), 2, DriftProfile::Stable, None),
-                node("pose recognition", zoo::shufflenet(), 8, DriftProfile::Moderate, Some(0)),
+                node(
+                    "person detection",
+                    zoo::tiny_yolo_v3(),
+                    2,
+                    DriftProfile::Stable,
+                    None,
+                ),
+                node(
+                    "pose recognition",
+                    zoo::shufflenet(),
+                    8,
+                    DriftProfile::Moderate,
+                    Some(0),
+                ),
             ],
         ),
         // Billboard response estimation: SSDLite → MobileNetV2 + ResNet18.
@@ -186,9 +342,27 @@ pub fn extension_apps() -> Vec<AppSpec> {
             "billboard response estimation",
             SimDuration::from_millis(550),
             vec![
-                node("object detection", zoo::ssdlite(), 3, DriftProfile::Mild, None),
-                node("face recognition", zoo::mobilenet_v2(), 10, DriftProfile::Mild, Some(0)),
-                node("gaze recognition", zoo::resnet18(), 5, DriftProfile::Moderate, Some(0)),
+                node(
+                    "object detection",
+                    zoo::ssdlite(),
+                    3,
+                    DriftProfile::Mild,
+                    None,
+                ),
+                node(
+                    "face recognition",
+                    zoo::mobilenet_v2(),
+                    10,
+                    DriftProfile::Mild,
+                    Some(0),
+                ),
+                node(
+                    "gaze recognition",
+                    zoo::resnet18(),
+                    5,
+                    DriftProfile::Moderate,
+                    Some(0),
+                ),
             ],
         ),
         // Bike-rack occupancy on buses: TinyYOLOv3 only.
@@ -196,7 +370,13 @@ pub fn extension_apps() -> Vec<AppSpec> {
             11,
             "bike-rack occupancy",
             SimDuration::from_millis(400),
-            vec![node("object detection", zoo::tiny_yolo_v3(), 3, DriftProfile::Mild, None)],
+            vec![node(
+                "object detection",
+                zoo::tiny_yolo_v3(),
+                3,
+                DriftProfile::Mild,
+                None,
+            )],
         ),
         // Amber-alert vehicle matching: STN-OCR + SSDLite → ResNet18.
         AppSpec::new(
@@ -204,9 +384,27 @@ pub fn extension_apps() -> Vec<AppSpec> {
             "amber alert matching",
             SimDuration::from_millis(500),
             vec![
-                node("text recognition", zoo::stn_ocr(), 10, DriftProfile::Mild, None),
-                node("object detection", zoo::ssdlite(), 3, DriftProfile::Mild, None),
-                node("make/model recognition", zoo::resnet18(), 12, DriftProfile::Severe, Some(1)),
+                node(
+                    "text recognition",
+                    zoo::stn_ocr(),
+                    10,
+                    DriftProfile::Mild,
+                    None,
+                ),
+                node(
+                    "object detection",
+                    zoo::ssdlite(),
+                    3,
+                    DriftProfile::Mild,
+                    None,
+                ),
+                node(
+                    "make/model recognition",
+                    zoo::resnet18(),
+                    12,
+                    DriftProfile::Severe,
+                    Some(1),
+                ),
             ],
         ),
         // Corporate logo placement: TinyYOLOv3 → MobileNetV2 + ShuffleNet.
@@ -215,9 +413,27 @@ pub fn extension_apps() -> Vec<AppSpec> {
             "logo placement rating",
             SimDuration::from_millis(600),
             vec![
-                node("object detection", zoo::tiny_yolo_v3(), 3, DriftProfile::Stable, None),
-                node("icon recognition", zoo::mobilenet_v2(), 9, DriftProfile::Moderate, Some(0)),
-                node("pose recognition", zoo::shufflenet(), 8, DriftProfile::Mild, Some(0)),
+                node(
+                    "object detection",
+                    zoo::tiny_yolo_v3(),
+                    3,
+                    DriftProfile::Stable,
+                    None,
+                ),
+                node(
+                    "icon recognition",
+                    zoo::mobilenet_v2(),
+                    9,
+                    DriftProfile::Moderate,
+                    Some(0),
+                ),
+                node(
+                    "pose recognition",
+                    zoo::shufflenet(),
+                    8,
+                    DriftProfile::Mild,
+                    Some(0),
+                ),
             ],
         ),
     ]
@@ -290,7 +506,11 @@ mod tests {
     fn every_app_is_well_formed() {
         for app in apps_for_count(14) {
             // At least one root and one leaf; topological parent order.
-            assert!(app.nodes.iter().any(|n| n.upstream.is_none()), "{}", app.name);
+            assert!(
+                app.nodes.iter().any(|n| n.upstream.is_none()),
+                "{}",
+                app.name
+            );
             assert!(!app.leaves().is_empty(), "{}", app.name);
             for (i, n) in app.nodes.iter().enumerate() {
                 if let Some(up) = n.upstream {

@@ -46,12 +46,7 @@ impl AppSpec {
     ///
     /// # Panics
     /// Panics if any node references an upstream at or after itself.
-    pub fn new(
-        id: u32,
-        name: impl Into<String>,
-        slo: SimDuration,
-        nodes: Vec<NodeSpec>,
-    ) -> Self {
+    pub fn new(id: u32, name: impl Into<String>, slo: SimDuration, nodes: Vec<NodeSpec>) -> Self {
         assert!(!nodes.is_empty(), "an application needs at least one model");
         for (i, n) in nodes.iter().enumerate() {
             if let Some(up) = n.upstream {
@@ -88,9 +83,9 @@ impl AppSpec {
     /// Aggregate cost of the full structures of all models (the "initial
     /// DAG" used for offline profiling, §3.3.1).
     pub fn full_structure_cost(&self) -> StructureCost {
-        self.nodes
-            .iter()
-            .fold(StructureCost::zero(), |acc, n| acc.plus(n.profile.full_cost()))
+        self.nodes.iter().fold(StructureCost::zero(), |acc, n| {
+            acc.plus(n.profile.full_cost())
+        })
     }
 
     /// Aggregate cost for an arbitrary per-model structure choice.
@@ -170,8 +165,7 @@ mod tests {
         let mut cuts = app.full_cuts();
         cuts[1] = 2;
         assert!(
-            app.structure_cost(&cuts).flops_per_sample
-                < app.full_structure_cost().flops_per_sample
+            app.structure_cost(&cuts).flops_per_sample < app.full_structure_cost().flops_per_sample
         );
     }
 
