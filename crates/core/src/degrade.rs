@@ -241,13 +241,7 @@ mod tests {
         // rem. With per_batch 16 ms, batch 16 → 1 ms per request.
         let adm = admit_within_slo(40, 16, ms(16), ms(0), ms(19));
         assert_eq!(adm.admitted, 19, "exactly 1 whole batch + 3 tail");
-        let adm2 = admit_within_slo(
-            40,
-            16,
-            ms(16),
-            ms(0),
-            ms(19) - SimDuration::from_micros(1),
-        );
+        let adm2 = admit_within_slo(40, 16, ms(16), ms(0), ms(19) - SimDuration::from_micros(1));
         assert_eq!(adm2.admitted, 18, "1 µs short drops one tail request");
         // Fixed exactly at the SLO: zero budget, everything sheds.
         let adm3 = admit_within_slo(40, 16, ms(10), ms(400), ms(400));

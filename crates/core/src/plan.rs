@@ -198,11 +198,7 @@ pub trait Scheduler {
     /// online model, or `None` when the scheduler has no predictor or
     /// the app's model is still warming up (callers then fall back to
     /// their analytic inputs).
-    fn predict_latency(
-        &self,
-        app: usize,
-        feats: &LatencyFeatures,
-    ) -> Option<PredictedLatency> {
+    fn predict_latency(&self, app: usize, feats: &LatencyFeatures) -> Option<PredictedLatency> {
         let _ = (app, feats);
         None
     }

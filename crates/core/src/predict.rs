@@ -213,12 +213,7 @@ pub fn rls_predict(model: &RlsModel, feats: &LatencyFeatures) -> PredictedLatenc
 /// with both targets sharing the gain `k`. Fixed operation order over
 /// fixed-size arrays: deterministic and allocation-free (simlint
 /// `[hot]`).
-pub fn rls_update(
-    model: &mut RlsModel,
-    feats: &LatencyFeatures,
-    per_batch_us: f64,
-    fixed_us: f64,
-) {
+pub fn rls_update(model: &mut RlsModel, feats: &LatencyFeatures, per_batch_us: f64, fixed_us: f64) {
     let x = &feats.x;
     // px = P·x (P is symmetric, so this is also xᵀ·P).
     let mut px = [0.0; FEATURES];
@@ -334,15 +329,7 @@ mod tests {
         let mut p = LatencyPredictor::new(1, 8);
         let shapes: Vec<f64> = (1..=24).map(|i| 150.0 * i as f64).collect();
         for (i, &a) in shapes.iter().enumerate().cycle().take(96) {
-            let f = LatencyFeatures::new(
-                16,
-                8,
-                0.5,
-                5e7 * (1 + i % 4) as f64,
-                0.0,
-                0.0,
-                a,
-            );
+            let f = LatencyFeatures::new(16, 8, 0.5, 5e7 * (1 + i % 4) as f64, 0.0, 0.0, a);
             p.observe(0, &f, 1.07 * a, 25.0);
         }
         for &a in &shapes {

@@ -58,7 +58,9 @@ impl PowerLawScaler {
         if target <= 0.0 || latency_full <= 0.0 {
             return 1.0;
         }
-        (latency_full / target).powf(1.0 / self.theta).clamp(1e-4, 1.0)
+        (latency_full / target)
+            .powf(1.0 / self.theta)
+            .clamp(1e-4, 1.0)
     }
 }
 

@@ -98,9 +98,15 @@ mod tests {
             dag.order,
             vec![
                 RiVertex::Inference { node: 0 },
-                RiVertex::Retrain { node: 1, impact: 0.12 },
+                RiVertex::Retrain {
+                    node: 1,
+                    impact: 0.12
+                },
                 RiVertex::Inference { node: 1 },
-                RiVertex::Retrain { node: 2, impact: 0.05 },
+                RiVertex::Retrain {
+                    node: 2,
+                    impact: 0.05
+                },
                 RiVertex::Inference { node: 2 },
             ]
         );
