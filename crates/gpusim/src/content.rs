@@ -90,15 +90,11 @@ impl ReuseCategory {
             (ContentType::Intermediate, TaskContext::Inference) => {
                 ReuseCategory::IntermediateInference
             }
-            (ContentType::Param, TaskContext::Retraining) => {
-                ReuseCategory::ParamRetraining
-            }
+            (ContentType::Param, TaskContext::Retraining) => ReuseCategory::ParamRetraining,
             (ContentType::Intermediate, TaskContext::Retraining) => {
                 ReuseCategory::IntermediateRetraining
             }
-            (ContentType::Param, TaskContext::Inference) => {
-                ReuseCategory::ParamInference
-            }
+            (ContentType::Param, TaskContext::Inference) => ReuseCategory::ParamInference,
         }
     }
 

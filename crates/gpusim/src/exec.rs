@@ -95,11 +95,7 @@ impl TaskExec {
     pub fn structure_cost(&self) -> StructureCost {
         StructureCost {
             flops_per_sample: self.layers.iter().map(|l| l.flops).sum(),
-            activation_bytes: self
-                .layers
-                .iter()
-                .map(|l| l.activation_bytes as f64)
-                .sum(),
+            activation_bytes: self.layers.iter().map(|l| l.activation_bytes as f64).sum(),
             param_bytes: self.layers.iter().map(|l| l.param_bytes as f64).sum(),
         }
     }
@@ -418,7 +414,12 @@ mod tests {
         let model = LatencyModel::default();
         let task = inference_task(1, 1, 1, 16, 16);
         let mut mem = GpuMemory::new(MemoryConfig::default()); // ample memory
-        let res = run_concurrent(std::slice::from_ref(&task), &model, &mut mem, ExecMode::LayerGrouped);
+        let res = run_concurrent(
+            std::slice::from_ref(&task),
+            &model,
+            &mut mem,
+            ExecMode::LayerGrouped,
+        );
         let expect = model.worst_case(&task.structure_cost(), 16, 16, 0.5);
         let got = res[0].compute;
         let diff = got.as_micros().abs_diff(expect.as_micros());
@@ -455,8 +456,7 @@ mod tests {
         let res = run_concurrent(&[task], &model, &mut mem, ExecMode::PerRequest);
         // Only the initial parameter load should cost anything.
         let param_bytes = 6 * 500_000;
-        let expected =
-            SimDuration::from_millis_f64(param_bytes as f64 / 6.0e9 * 1e3);
+        let expected = SimDuration::from_millis_f64(param_bytes as f64 / 6.0e9 * 1e3);
         assert!(
             res[0].comm <= expected + SimDuration::from_micros(50),
             "comm {:?} expected ≈{expected:?}",
@@ -501,8 +501,8 @@ mod tests {
         let up = inference_task(1, 0, 1, 16, 16);
         let mut down = inference_task(1, 1, 1, 16, 16);
         down.input_from = Some((0, 5)); // model 0's last layer output
-        // Downstream starts after upstream so its layer-0 read hits the
-        // produced content.
+                                        // Downstream starts after upstream so its layer-0 read hits the
+                                        // produced content.
         down.start = SimTime::from_millis(50);
         let mut mem = GpuMemory::new(MemoryConfig {
             record_reuse: true,
@@ -522,11 +522,17 @@ mod tests {
     fn multi_epoch_retraining_multiplies_compute() {
         let model = LatencyModel::default();
         let one = TaskExec {
-            kind: TaskKind::Retraining { samples: 32, epochs: 1 },
+            kind: TaskKind::Retraining {
+                samples: 32,
+                epochs: 1,
+            },
             ..inference_task(1, 1, 1, 0, 16)
         };
         let three = TaskExec {
-            kind: TaskKind::Retraining { samples: 32, epochs: 3 },
+            kind: TaskKind::Retraining {
+                samples: 32,
+                epochs: 3,
+            },
             ..inference_task(1, 1, 1, 0, 16)
         };
         let mut mem = GpuMemory::new(MemoryConfig::default());
@@ -543,10 +549,19 @@ mod tests {
         let model = LatencyModel::default();
         let task = inference_task(1, 1, 1, 20, 16);
         let mut mem = GpuMemory::new(MemoryConfig::default());
-        let res = run_concurrent(std::slice::from_ref(&task), &model, &mut mem, ExecMode::LayerGrouped);
+        let res = run_concurrent(
+            std::slice::from_ref(&task),
+            &model,
+            &mut mem,
+            ExecMode::LayerGrouped,
+        );
         let expect = model.worst_case(&task.structure_cost(), 20, 16, 0.5);
         let diff = res[0].compute.as_micros().abs_diff(expect.as_micros());
-        assert!(diff <= expect.as_micros() / 20 + 20, "{:?} vs {expect:?}", res[0].compute);
+        assert!(
+            diff <= expect.as_micros() / 20 + 20,
+            "{:?} vs {expect:?}",
+            res[0].compute
+        );
     }
 
     #[test]
@@ -568,7 +583,10 @@ mod tests {
             .iter()
             .filter(|e| e.cross == Some(CrossReuse::ParamAcrossJobs))
             .count();
-        assert!(cross_jobs >= 6, "expected per-layer cross-job reuse, got {cross_jobs}");
+        assert!(
+            cross_jobs >= 6,
+            "expected per-layer cross-job reuse, got {cross_jobs}"
+        );
         // And the reuse gap reflects the inter-job interval (~70 ms).
         let gap = mem
             .reuse_events()

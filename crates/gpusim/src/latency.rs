@@ -150,8 +150,7 @@ impl LatencyModel {
         let frac = frac.clamp(1e-4, 1.0);
         let flop_scale = (self.flops_ref / structure.flops_per_sample.max(1.0)).sqrt();
         let act_scale = (self.act_ref / structure.activation_bytes.max(1.0)).sqrt();
-        (self.knee_ref * frac.powf(self.knee_space_exponent) * flop_scale * act_scale)
-            .max(1.0)
+        (self.knee_ref * frac.powf(self.knee_space_exponent) * flop_scale * act_scale).max(1.0)
     }
 
     /// Batch cost in "sample units": sublinear below the knee, superlinear
@@ -161,8 +160,7 @@ impl LatencyModel {
         if b <= knee {
             b.powf(self.batch_alpha)
         } else {
-            knee.powf(self.batch_alpha)
-                + self.spill_gain * (b - knee).powf(self.spill_beta)
+            knee.powf(self.batch_alpha) + self.spill_gain * (b - knee).powf(self.spill_beta)
         }
     }
 
@@ -178,8 +176,8 @@ impl LatencyModel {
         let frac = frac.clamp(1e-4, 1.0);
         let knee = self.knee(structure, frac);
         let units = self.batch_cost_units(batch, knee);
-        let compute_s = structure.flops_per_sample * units
-            / (self.throughput * frac.powf(self.space_exponent));
+        let compute_s =
+            structure.flops_per_sample * units / (self.throughput * frac.powf(self.space_exponent));
         let overhead_us = self.overhead_us / frac.powf(self.overhead_exponent);
         SimDuration::from_millis_f64(compute_s * 1e3 + overhead_us / 1e3)
     }
@@ -275,8 +273,7 @@ impl LatencyModel {
         if n == 0 {
             return SimDuration::ZERO;
         }
-        let per_request_ms =
-            structure.flops_per_sample / self.cpu_throughput * 1e3 + 0.05;
+        let per_request_ms = structure.flops_per_sample / self.cpu_throughput * 1e3 + 0.05;
         SimDuration::from_millis_f64(per_request_ms * n as f64)
     }
 

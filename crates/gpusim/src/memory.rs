@@ -355,8 +355,7 @@ impl GpuMemory {
     /// nominal bandwidth whatever the time `_now` of the storm.
     pub fn apply_pressure(&mut self, frac: f64, _now: SimTime) -> SimDuration {
         let frac = frac.clamp(0.0, 1.0);
-        self.effective_capacity =
-            ((self.config.gpu_capacity as f64 * frac).max(1.0)) as u64;
+        self.effective_capacity = ((self.config.gpu_capacity as f64 * frac).max(1.0)) as u64;
         let before = self.stats.evictions + self.stats.drops;
         let comm = self.make_room(0);
         self.stats.pressure_evictions +=
@@ -406,9 +405,7 @@ impl GpuMemory {
         // Reuse instrumentation spans evictions: any re-access of a
         // previously touched content is a reuse, resident or not.
         if self.config.record_reuse {
-            if let Some(&(at, prev_ctx, prev_job, _prev_model)) =
-                self.last_touch.get(&key)
-            {
+            if let Some(&(at, prev_ctx, prev_job, _prev_model)) = self.last_touch.get(&key) {
                 self.reuse_events.push(ReuseEvent {
                     category: ReuseCategory::of(key.ctype, ctx),
                     elapsed: now.since(at),
@@ -461,8 +458,7 @@ impl GpuMemory {
             // First-ever touch of parameters: they start in CPU memory
             // (models are loaded from host), so the initial fetch pays
             // pageable cost.
-            let t =
-                Self::transfer_cost(bytes, self.config.pageable_bandwidth);
+            let t = Self::transfer_cost(bytes, self.config.pageable_bandwidth);
             comm += t;
             self.stats.comm_time += t;
             self.stats.bytes_moved += bytes;
@@ -498,9 +494,7 @@ impl GpuMemory {
             .resident
             .keys()
             .filter(|k| {
-                k.app == app
-                    && k.job >> 8 == job_hi
-                    && k.ctype == ContentType::Intermediate
+                k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate
             })
             .copied()
             .collect();
@@ -508,7 +502,10 @@ impl GpuMemory {
             if eager {
                 if let Some(e) = self.resident.remove(&key) {
                     if cfg!(feature = "strict-invariants") {
-                        assert!(self.used >= e.bytes, "strict-invariants: resident accounting underflow");
+                        assert!(
+                            self.used >= e.bytes,
+                            "strict-invariants: resident accounting underflow"
+                        );
                     }
                     self.used -= e.bytes;
                     self.stats.drops += 1;
@@ -567,9 +564,7 @@ fn cross_touch(
         ContentType::Param => {
             if prev_job != job {
                 Some(CrossReuse::ParamAcrossJobs)
-            } else if prev_ctx == TaskContext::Retraining
-                && ctx == TaskContext::Inference
-            {
+            } else if prev_ctx == TaskContext::Retraining && ctx == TaskContext::Inference {
                 Some(CrossReuse::ParamRetrainToInference)
             } else {
                 None
@@ -609,8 +604,26 @@ mod tests {
     fn strict_catches_backwards_access() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Lru));
         let key = ContentKey::param(0, 0, 0);
-        mem.access(key, 100, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(10));
-        mem.access(key, 100, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(5));
+        mem.access(
+            key,
+            100,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(10),
+        );
+        mem.access(
+            key,
+            100,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(5),
+        );
     }
 
     fn t(us: u64) -> SimTime {
@@ -626,7 +639,8 @@ mod tests {
             100,
             TaskContext::Inference,
             1,
-            0, 400.0,
+            0,
+            400.0,
             AccessIntent::Fetch,
             t(0),
         );
@@ -636,7 +650,8 @@ mod tests {
             100,
             TaskContext::Inference,
             1,
-            0, 400.0,
+            0,
+            400.0,
             AccessIntent::Fetch,
             t(500),
         );
@@ -657,7 +672,8 @@ mod tests {
             600,
             TaskContext::Inference,
             1,
-            0, 400.0,
+            0,
+            400.0,
             AccessIntent::Produce,
             t(0),
         );
@@ -669,7 +685,8 @@ mod tests {
             600,
             TaskContext::Inference,
             1,
-            0, 400.0,
+            0,
+            400.0,
             AccessIntent::Produce,
             t(10),
         );
@@ -681,7 +698,8 @@ mod tests {
             600,
             TaskContext::Inference,
             1,
-            0, 400.0,
+            0,
+            400.0,
             AccessIntent::Fetch,
             t(20),
         );
@@ -694,19 +712,63 @@ mod tests {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Lru));
         let old = ContentKey::intermediate(1, 1, 0, 1);
         let newer = ContentKey::intermediate(1, 1, 1, 1);
-        mem.access(old, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.access(newer, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(10));
+        mem.access(
+            old,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
+        mem.access(
+            newer,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(10),
+        );
         // Needs 400 → evicts `old` only.
         let third = ContentKey::intermediate(1, 1, 2, 1);
-        mem.access(third, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(20));
+        mem.access(
+            third,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(20),
+        );
         // `newer` still resident → hit; `old` gone → fetch.
         assert_eq!(
-            mem.access(newer, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(30)),
+            mem.access(
+                newer,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                400.0,
+                AccessIntent::Fetch,
+                t(30)
+            ),
             SimDuration::ZERO
         );
         assert!(
-            mem.access(old, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(40))
-                > SimDuration::ZERO
+            mem.access(
+                old,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                400.0,
+                AccessIntent::Fetch,
+                t(40)
+            ) > SimDuration::ZERO
         );
     }
 
@@ -717,19 +779,63 @@ mod tests {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let inter = ContentKey::intermediate(1, 1, 0, 1);
         let param = ContentKey::param(1, 1, 0);
-        mem.access(inter, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.access(param, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(10));
+        mem.access(
+            inter,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
+        mem.access(
+            param,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(10),
+        );
         let third = ContentKey::intermediate(1, 2, 0, 1);
-        mem.access(third, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(20));
+        mem.access(
+            third,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(20),
+        );
         // Param (S_c high) should be the victim; intermediate stays.
         assert_eq!(
-            mem.access(inter, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(30)),
+            mem.access(
+                inter,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                400.0,
+                AccessIntent::Fetch,
+                t(30)
+            ),
             SimDuration::ZERO,
             "intermediate should have been kept"
         );
         assert!(
-            mem.access(param, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(40))
-                > SimDuration::ZERO,
+            mem.access(
+                param,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                400.0,
+                AccessIntent::Fetch,
+                t(40)
+            ) > SimDuration::ZERO,
             "param should have been evicted"
         );
     }
@@ -738,11 +844,29 @@ mod tests {
     fn dead_intermediates_drop_without_writeback() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
-        mem.access(inter, 900, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
+        mem.access(
+            inter,
+            900,
+            TaskContext::Inference,
+            7,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
         mem.retire_job_group(1, 7, false);
         let before = mem.stats().comm_time;
         let other = ContentKey::intermediate(2, 1, 0, 8);
-        let cost = mem.access(other, 900, TaskContext::Inference, 8, 0, 400.0, AccessIntent::Produce, t(10));
+        let cost = mem.access(
+            other,
+            900,
+            TaskContext::Inference,
+            8,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(10),
+        );
         assert_eq!(cost, SimDuration::ZERO, "dropping garbage is free");
         assert_eq!(mem.stats().comm_time, before);
         assert_eq!(mem.stats().drops, 1);
@@ -753,8 +877,26 @@ mod tests {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let inter = ContentKey::intermediate(1, 1, 0, (7 << 8) | 3);
         let param = ContentKey::param(1, 1, 0);
-        mem.access(inter, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.access(param, 300, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Fetch, t(1));
+        mem.access(
+            inter,
+            300,
+            TaskContext::Inference,
+            7,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
+        mem.access(
+            param,
+            300,
+            TaskContext::Inference,
+            7,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(1),
+        );
         let used = mem.used();
         mem.retire_job_group(1, 7, true);
         assert_eq!(mem.used(), used - 300, "intermediate freed, param kept");
@@ -765,10 +907,37 @@ mod tests {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let param = ContentKey::param(1, 1, 0);
         // Retraining touches, then inference reuses → ParamRetrainToInference.
-        mem.access(param, 100, TaskContext::Retraining, 1, 0, 400.0, AccessIntent::Fetch, t(0));
-        mem.access(param, 100, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(50));
+        mem.access(
+            param,
+            100,
+            TaskContext::Retraining,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(0),
+        );
+        mem.access(
+            param,
+            100,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(50),
+        );
         // Next job reuses → ParamAcrossJobs.
-        mem.access(param, 100, TaskContext::Inference, 2, 0, 400.0, AccessIntent::Fetch, t(60_000));
+        mem.access(
+            param,
+            100,
+            TaskContext::Inference,
+            2,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(60_000),
+        );
         let tags: Vec<_> = mem.reuse_events().iter().map(|e| e.cross).collect();
         assert_eq!(
             tags,
@@ -784,8 +953,26 @@ mod tests {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Lru));
         let a = ContentKey::intermediate(1, 1, 0, 1);
         let b = ContentKey::intermediate(1, 2, 0, 1);
-        mem.access(a, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(0));
-        mem.access(b, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Produce, t(10));
+        mem.access(
+            a,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
+        mem.access(
+            b,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(10),
+        );
         assert_eq!(mem.used(), 800);
         // Collapse to 30 % of 1000 B → both contents must go.
         let comm = mem.apply_pressure(0.3, t(20));
@@ -799,8 +986,26 @@ mod tests {
         mem.release_pressure();
         assert_eq!(mem.capacity(), 1000);
         let evictions_before = mem.stats().evictions;
-        mem.access(a, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(30));
-        mem.access(b, 400, TaskContext::Inference, 1, 0, 400.0, AccessIntent::Fetch, t(40));
+        mem.access(
+            a,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(30),
+        );
+        mem.access(
+            b,
+            400,
+            TaskContext::Inference,
+            1,
+            0,
+            400.0,
+            AccessIntent::Fetch,
+            t(40),
+        );
         assert_eq!(mem.stats().evictions, evictions_before);
         assert_eq!(mem.used(), 800);
     }
@@ -809,7 +1014,16 @@ mod tests {
     fn pressure_storm_counts_dead_drops_separately() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
-        mem.access(inter, 600, TaskContext::Inference, 7, 0, 400.0, AccessIntent::Produce, t(0));
+        mem.access(
+            inter,
+            600,
+            TaskContext::Inference,
+            7,
+            0,
+            400.0,
+            AccessIntent::Produce,
+            t(0),
+        );
         mem.retire_job_group(1, 7, false);
         let comm = mem.apply_pressure(0.1, t(10));
         assert_eq!(comm, SimDuration::ZERO, "dead blocks drop for free");
@@ -831,8 +1045,7 @@ mod tests {
             cfg.gpu_capacity = 500;
             cfg.pin_capacity = 2000; // PIN space never binds in this test
             let pinned = SimDuration::from_millis_f64(400.0 / cfg.pin_bandwidth * 1e3);
-            let pageable =
-                SimDuration::from_millis_f64(400.0 / cfg.pageable_bandwidth * 1e3);
+            let pageable = SimDuration::from_millis_f64(400.0 / cfg.pageable_bandwidth * 1e3);
             // Park a retraining intermediate, force it out with a second
             // intermediate, refetch. The measured refetch = evicting the
             // spoiler (also a retraining intermediate → PIN) + fetching
@@ -840,9 +1053,36 @@ mod tests {
             let mut mem = GpuMemory::new(cfg.clone());
             let inter = ContentKey::intermediate(1, 1, 0, 1);
             let spoiler = ContentKey::intermediate(1, 2, 0, 1);
-            mem.access(inter, 400, TaskContext::Retraining, 1, 0, slo_ms, AccessIntent::Produce, t(0));
-            mem.access(spoiler, 400, TaskContext::Retraining, 1, 0, slo_ms, AccessIntent::Produce, t(10));
-            let refetch = mem.access(inter, 400, TaskContext::Retraining, 1, 0, slo_ms, AccessIntent::Fetch, t(20));
+            mem.access(
+                inter,
+                400,
+                TaskContext::Retraining,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Produce,
+                t(0),
+            );
+            mem.access(
+                spoiler,
+                400,
+                TaskContext::Retraining,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Produce,
+                t(10),
+            );
+            let refetch = mem.access(
+                inter,
+                400,
+                TaskContext::Retraining,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Fetch,
+                t(20),
+            );
             assert_eq!(
                 refetch,
                 pinned + pinned,
@@ -853,9 +1093,36 @@ mod tests {
             // the pageable rate.
             let mut mem = GpuMemory::new(cfg.clone());
             let param = ContentKey::param(1, 1, 0);
-            mem.access(param, 400, TaskContext::Inference, 1, 0, slo_ms, AccessIntent::Fetch, t(0));
-            mem.access(spoiler, 400, TaskContext::Inference, 1, 0, slo_ms, AccessIntent::Produce, t(10));
-            let refetch = mem.access(param, 400, TaskContext::Inference, 1, 0, slo_ms, AccessIntent::Fetch, t(20));
+            mem.access(
+                param,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Fetch,
+                t(0),
+            );
+            mem.access(
+                spoiler,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Produce,
+                t(10),
+            );
+            let refetch = mem.access(
+                param,
+                400,
+                TaskContext::Inference,
+                1,
+                0,
+                slo_ms,
+                AccessIntent::Fetch,
+                t(20),
+            );
             assert_eq!(
                 refetch,
                 pinned + pageable,
@@ -879,7 +1146,10 @@ mod tests {
             let ctx = TaskContext::Retraining;
             mem.access(inter, 400, ctx, 1, 0, 400.0, AccessIntent::Produce, t(0));
             mem.access(spoiler, 400, ctx, 2, 0, 400.0, AccessIntent::Produce, t(10));
-            assert_eq!(mem.pin_used, 400, "the retraining intermediate spills to PIN");
+            assert_eq!(
+                mem.pin_used, 400,
+                "the retraining intermediate spills to PIN"
+            );
             // The spoiler dies, so the refetch drops it without a spill.
             mem.retire_job_group(1, 2, false);
             mem.access(inter, resize, ctx, 1, 0, 400.0, AccessIntent::Fetch, t(20));
@@ -909,7 +1179,16 @@ mod tests {
                     AccessIntent::Fetch
                 };
                 clock += 100;
-                mem.access(key, 400, TaskContext::Retraining, 1, 0, 400.0, intent, t(clock));
+                mem.access(
+                    key,
+                    400,
+                    TaskContext::Retraining,
+                    1,
+                    0,
+                    400.0,
+                    intent,
+                    t(clock),
+                );
             }
             mem.stats().comm_time
         };
