@@ -130,8 +130,7 @@ pub fn lex(source: &str) -> LexedFile {
                 while i < n
                     && (bytes[i] == b'_'
                         || bytes[i].is_ascii_alphanumeric()
-                        || (bytes[i] == b'.'
-                            && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)))
+                        || (bytes[i] == b'.' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)))
                 {
                     i += 1;
                 }
@@ -271,7 +270,9 @@ mod tests {
         "##;
         let ids = idents(src);
         assert!(ids.contains(&"real_ident".to_string()));
-        assert!(!ids.iter().any(|s| s == "Instant" || s == "HashMap" || s == "SystemTime"));
+        assert!(!ids
+            .iter()
+            .any(|s| s == "Instant" || s == "HashMap" || s == "SystemTime"));
     }
 
     #[test]
@@ -291,7 +292,10 @@ mod tests {
         let src = "// simlint: allow(no-unwrap-in-lib, no-wall-clock) — justified\nfoo();\nbar(); // simlint: allow(no-ambient-rng)\n";
         let lexed = lex(src);
         assert!(lexed.allowed(1, "no-unwrap-in-lib"));
-        assert!(lexed.allowed(2, "no-wall-clock"), "annotation covers next line");
+        assert!(
+            lexed.allowed(2, "no-wall-clock"),
+            "annotation covers next line"
+        );
         assert!(lexed.allowed(3, "no-ambient-rng"));
         assert!(!lexed.allowed(3, "no-unwrap-in-lib"));
     }

@@ -116,8 +116,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let files = collect_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
     let mut report = Report::default();
     for rel in files {
-        let source = std::fs::read_to_string(root.join(&rel))
-            .map_err(|e| format!("{rel}: {e}"))?;
+        let source = std::fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
         report.files_scanned += 1;
         report
             .diagnostics

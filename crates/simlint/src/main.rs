@@ -223,5 +223,7 @@ fn json_string(s: &str) -> String {
 
 /// Escapes GitHub workflow-command message data (`%`, CR, LF).
 fn gh_escape(s: &str) -> String {
-    s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    s.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }

@@ -172,14 +172,16 @@ impl<'a> Builder<'a> {
         let close_of = brace_matches(tokens);
         let mut i = 0usize;
         while i < tokens.len() {
-            while self.stack.len() > 1
-                && self.scopes[*self.stack.last().unwrap_or(&0)].end_tok < i
+            while self.stack.len() > 1 && self.scopes[*self.stack.last().unwrap_or(&0)].end_tok < i
             {
                 self.stack.pop();
             }
             match &tokens[i].kind {
                 TokenKind::Punct('#')
-                    if matches!(tokens.get(i + 1).map(|t| &t.kind), Some(TokenKind::Punct('['))) =>
+                    if matches!(
+                        tokens.get(i + 1).map(|t| &t.kind),
+                        Some(TokenKind::Punct('['))
+                    ) =>
                 {
                     let end = skip_attr(tokens, i);
                     let test = attr_marks_test(&tokens[i..end]);
@@ -261,8 +263,11 @@ impl<'a> Builder<'a> {
         }
         self.scopes.sort_by_key(|s| s.start_tok);
         // Re-point parents after the sort: recompute by containment.
-        let spans: Vec<(usize, usize)> =
-            self.scopes.iter().map(|s| (s.start_tok, s.end_tok)).collect();
+        let spans: Vec<(usize, usize)> = self
+            .scopes
+            .iter()
+            .map(|s| (s.start_tok, s.end_tok))
+            .collect();
         for idx in 1..self.scopes.len() {
             let (start, end) = spans[idx];
             let mut parent = 0usize;
@@ -273,7 +278,9 @@ impl<'a> Builder<'a> {
             }
             self.scopes[idx].parent = parent;
         }
-        ScopeTree { scopes: self.scopes }
+        ScopeTree {
+            scopes: self.scopes,
+        }
     }
 
     /// Handles `fn name … { … }` / `mod name { … }` at keyword index `i`.
@@ -563,10 +570,7 @@ mod tests {
         let tree = ScopeTree::build(&lexed);
         let a = ident_at(&lexed, "a", 0);
         assert_eq!(tree.enclosing_fn(a), Some("f"));
-        assert!(tree
-            .scopes
-            .iter()
-            .all(|s| s.kind != ScopeKind::Closure));
+        assert!(tree.scopes.iter().all(|s| s.kind != ScopeKind::Closure));
     }
 
     #[test]
@@ -595,9 +599,6 @@ mod tests {
         let tree = ScopeTree::build(&lexed);
         assert_eq!(tree.enclosing_fn(ident_at(&lexed, "a", 0)), Some("real"));
         // `sig` has no body, so no Fn scope carries its name.
-        assert!(tree
-            .scopes
-            .iter()
-            .all(|s| s.name.as_deref() != Some("sig")));
+        assert!(tree.scopes.iter().all(|s| s.name.as_deref() != Some("sig")));
     }
 }

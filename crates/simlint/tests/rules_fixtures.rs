@@ -12,36 +12,144 @@ use std::path::PathBuf;
 /// `(rule id, fixture file, pretend workspace path)` — the pretend path
 /// places each fixture inside the rule's scope.
 const CASES: &[(&str, &str, &str)] = &[
-    ("no-wall-clock", "violating.rs", "crates/harness/src/fixture.rs"),
+    (
+        "no-wall-clock",
+        "violating.rs",
+        "crates/harness/src/fixture.rs",
+    ),
     ("no-wall-clock", "clean.rs", "crates/harness/src/fixture.rs"),
-    ("no-wall-clock", "allowlisted.rs", "crates/harness/src/fixture.rs"),
-    ("no-ambient-rng", "violating.rs", "crates/driftgen/src/fixture.rs"),
-    ("no-ambient-rng", "clean.rs", "crates/driftgen/src/fixture.rs"),
-    ("no-ambient-rng", "allowlisted.rs", "crates/driftgen/src/fixture.rs"),
-    ("no-unordered-iteration", "violating.rs", "crates/gpusim/src/fixture.rs"),
-    ("no-unordered-iteration", "clean.rs", "crates/gpusim/src/fixture.rs"),
-    ("no-unordered-iteration", "allowlisted.rs", "crates/gpusim/src/fixture.rs"),
-    ("forbid-unsafe-everywhere", "violating_lib.rs", "crates/gpusim/src/lib.rs"),
-    ("forbid-unsafe-everywhere", "clean_lib.rs", "crates/gpusim/src/lib.rs"),
-    ("forbid-unsafe-everywhere", "allowlisted_lib.rs", "crates/gpusim/src/lib.rs"),
-    ("no-unwrap-in-lib", "violating.rs", "crates/core/src/fixture.rs"),
+    (
+        "no-wall-clock",
+        "allowlisted.rs",
+        "crates/harness/src/fixture.rs",
+    ),
+    (
+        "no-ambient-rng",
+        "violating.rs",
+        "crates/driftgen/src/fixture.rs",
+    ),
+    (
+        "no-ambient-rng",
+        "clean.rs",
+        "crates/driftgen/src/fixture.rs",
+    ),
+    (
+        "no-ambient-rng",
+        "allowlisted.rs",
+        "crates/driftgen/src/fixture.rs",
+    ),
+    (
+        "no-unordered-iteration",
+        "violating.rs",
+        "crates/gpusim/src/fixture.rs",
+    ),
+    (
+        "no-unordered-iteration",
+        "clean.rs",
+        "crates/gpusim/src/fixture.rs",
+    ),
+    (
+        "no-unordered-iteration",
+        "allowlisted.rs",
+        "crates/gpusim/src/fixture.rs",
+    ),
+    (
+        "forbid-unsafe-everywhere",
+        "violating_lib.rs",
+        "crates/gpusim/src/lib.rs",
+    ),
+    (
+        "forbid-unsafe-everywhere",
+        "clean_lib.rs",
+        "crates/gpusim/src/lib.rs",
+    ),
+    (
+        "forbid-unsafe-everywhere",
+        "allowlisted_lib.rs",
+        "crates/gpusim/src/lib.rs",
+    ),
+    (
+        "no-unwrap-in-lib",
+        "violating.rs",
+        "crates/core/src/fixture.rs",
+    ),
     ("no-unwrap-in-lib", "clean.rs", "crates/core/src/fixture.rs"),
-    ("no-unwrap-in-lib", "allowlisted.rs", "crates/core/src/fixture.rs"),
-    ("float-env-guard", "violating.rs", "crates/nn/src/fixture.rs"),
+    (
+        "no-unwrap-in-lib",
+        "allowlisted.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "float-env-guard",
+        "violating.rs",
+        "crates/nn/src/fixture.rs",
+    ),
     ("float-env-guard", "clean.rs", "crates/nn/src/fixture.rs"),
-    ("float-env-guard", "allowlisted.rs", "crates/nn/src/fixture.rs"),
-    ("prng-stream-discipline", "violating.rs", "crates/core/src/fixture.rs"),
-    ("prng-stream-discipline", "clean.rs", "crates/core/src/fixture.rs"),
-    ("prng-stream-discipline", "allowlisted.rs", "crates/core/src/fixture.rs"),
-    ("no-adhoc-threading", "violating.rs", "crates/harness/src/fixture.rs"),
-    ("no-adhoc-threading", "clean.rs", "crates/harness/src/fixture.rs"),
-    ("no-adhoc-threading", "allowlisted.rs", "crates/harness/src/fixture.rs"),
-    ("no-shared-sync-outside-pool", "violating.rs", "crates/core/src/fixture.rs"),
-    ("no-shared-sync-outside-pool", "clean.rs", "crates/core/src/fixture.rs"),
-    ("no-shared-sync-outside-pool", "allowlisted.rs", "crates/core/src/fixture.rs"),
-    ("no-nondet-float-reduction", "violating.rs", "crates/core/src/fixture.rs"),
-    ("no-nondet-float-reduction", "clean.rs", "crates/core/src/fixture.rs"),
-    ("no-nondet-float-reduction", "allowlisted.rs", "crates/core/src/fixture.rs"),
+    (
+        "float-env-guard",
+        "allowlisted.rs",
+        "crates/nn/src/fixture.rs",
+    ),
+    (
+        "prng-stream-discipline",
+        "violating.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "prng-stream-discipline",
+        "clean.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "prng-stream-discipline",
+        "allowlisted.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-adhoc-threading",
+        "violating.rs",
+        "crates/harness/src/fixture.rs",
+    ),
+    (
+        "no-adhoc-threading",
+        "clean.rs",
+        "crates/harness/src/fixture.rs",
+    ),
+    (
+        "no-adhoc-threading",
+        "allowlisted.rs",
+        "crates/harness/src/fixture.rs",
+    ),
+    (
+        "no-shared-sync-outside-pool",
+        "violating.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-shared-sync-outside-pool",
+        "clean.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-shared-sync-outside-pool",
+        "allowlisted.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-nondet-float-reduction",
+        "violating.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-nondet-float-reduction",
+        "clean.rs",
+        "crates/core/src/fixture.rs",
+    ),
+    (
+        "no-nondet-float-reduction",
+        "allowlisted.rs",
+        "crates/core/src/fixture.rs",
+    ),
 ];
 
 fn fixture(rule: &str, file: &str) -> String {
@@ -88,7 +196,11 @@ fn violating_fixtures_fail_in_unscoped_mode_too() {
         if !file.starts_with("violating") {
             continue;
         }
-        let name = if *rule == "forbid-unsafe-everywhere" { "lib.rs" } else { "fixture.rs" };
+        let name = if *rule == "forbid-unsafe-everywhere" {
+            "lib.rs"
+        } else {
+            "fixture.rs"
+        };
         let diags = lint_source(name, &fixture(rule, file), &config, false);
         assert!(
             diags.iter().any(|d| d.rule == *rule),
@@ -107,9 +219,15 @@ fn hot_path_alloc_fixture_trio_under_a_hot_table() {
     for file in ["violating.rs", "clean.rs", "allowlisted.rs"] {
         let source = fixture("hot-path-alloc", file);
         let diags = lint_source(pretend, &source, &config, true);
-        let of_rule: Vec<_> = diags.iter().filter(|d| d.rule == "hot-path-alloc").collect();
+        let of_rule: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == "hot-path-alloc")
+            .collect();
         if file == "violating.rs" {
-            assert!(!of_rule.is_empty(), "{file}: expected a finding, got {diags:?}");
+            assert!(
+                !of_rule.is_empty(),
+                "{file}: expected a finding, got {diags:?}"
+            );
         } else {
             assert!(of_rule.is_empty(), "{file}: expected none, got {of_rule:?}");
         }
@@ -126,7 +244,10 @@ fn hot_path_alloc_fixture_trio_under_a_hot_table() {
         &Config::default(),
         true,
     );
-    assert!(diags.is_empty(), "unarmed hot rule must stay silent: {diags:?}");
+    assert!(
+        diags.is_empty(),
+        "unarmed hot rule must stay silent: {diags:?}"
+    );
 }
 
 #[test]

@@ -77,5 +77,8 @@ fn hot_registry_matches_the_tree() {
             entries += 1;
         }
     }
-    assert!(entries > 0, "the [hot] registry is empty — the zero-alloc guard is unarmed");
+    assert!(
+        entries > 0,
+        "the [hot] registry is empty — the zero-alloc guard is unarmed"
+    );
 }
