@@ -23,7 +23,10 @@ fn main() {
     };
 
     println!("GPU sweep for the 8-application deployment (250 s horizon):\n");
-    println!("{:>5} | {:>18} | {:>18}", "GPUs", "AdaInf acc/finish", "Ekya acc/finish");
+    println!(
+        "{:>5} | {:>18} | {:>18}",
+        "GPUs", "AdaInf acc/finish", "Ekya acc/finish"
+    );
     println!("{}", "-".repeat(50));
 
     let mut adainf_at_4 = None;

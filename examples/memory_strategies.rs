@@ -15,9 +15,7 @@
 use adainf::apps::catalog;
 use adainf::gpusim::content::ReuseCategory;
 use adainf::gpusim::exec::{run_concurrent, TaskExec, TaskKind};
-use adainf::gpusim::{
-    EvictionPolicyKind, ExecMode, GpuMemory, LatencyModel, MemoryConfig,
-};
+use adainf::gpusim::{EvictionPolicyKind, ExecMode, GpuMemory, LatencyModel, MemoryConfig};
 use adainf::simcore::{Cdf, SimTime};
 
 fn build_tasks(jobs: u64) -> Vec<TaskExec> {
@@ -32,7 +30,10 @@ fn build_tasks(jobs: u64) -> Vec<TaskExec> {
                     app: 0,
                     model: node as u32,
                     job,
-                    kind: TaskKind::Retraining { samples: 16, epochs: 1 },
+                    kind: TaskKind::Retraining {
+                        samples: 16,
+                        epochs: 1,
+                    },
                     layers: layers.clone(),
                     batch: 16,
                     frac: 0.25,
@@ -72,7 +73,12 @@ fn main() {
         record_reuse: true,
         ..MemoryConfig::default()
     });
-    run_concurrent(&build_tasks(6), &latency, &mut profiling, ExecMode::LayerGrouped);
+    run_concurrent(
+        &build_tasks(6),
+        &latency,
+        &mut profiling,
+        ExecMode::LayerGrouped,
+    );
     let reuse_table = GpuMemory::profile_reuse_table(
         profiling.reuse_events(),
         MemoryConfig::default().reuse_table_ms,
@@ -85,10 +91,26 @@ fn main() {
         "strategies", "compute", "comm", "comm share"
     );
     for (name, mode, policy) in [
-        ("layer-grouped + priority (AdaInf)", ExecMode::LayerGrouped, EvictionPolicyKind::Priority),
-        ("layer-grouped + LRU      (/M2)", ExecMode::LayerGrouped, EvictionPolicyKind::Lru),
-        ("per-request  + priority  (/M1)", ExecMode::PerRequest, EvictionPolicyKind::Priority),
-        ("per-request  + LRU  (baselines)", ExecMode::PerRequest, EvictionPolicyKind::Lru),
+        (
+            "layer-grouped + priority (AdaInf)",
+            ExecMode::LayerGrouped,
+            EvictionPolicyKind::Priority,
+        ),
+        (
+            "layer-grouped + LRU      (/M2)",
+            ExecMode::LayerGrouped,
+            EvictionPolicyKind::Lru,
+        ),
+        (
+            "per-request  + priority  (/M1)",
+            ExecMode::PerRequest,
+            EvictionPolicyKind::Priority,
+        ),
+        (
+            "per-request  + LRU  (baselines)",
+            ExecMode::PerRequest,
+            EvictionPolicyKind::Lru,
+        ),
     ] {
         let mut mem = GpuMemory::new(MemoryConfig {
             gpu_capacity: 40_000_000,

@@ -28,7 +28,10 @@ fn main() {
     println!("requests served      : {}", s.total_requests);
     println!("mean accuracy        : {:.1}%", s.mean_accuracy * 100.0);
     println!("mean SLO finish rate : {:.1}%", s.mean_finish_rate * 100.0);
-    println!("mean inference lat.  : {:.1} ms", s.mean_inference_latency_ms);
+    println!(
+        "mean inference lat.  : {:.1} ms",
+        s.mean_inference_latency_ms
+    );
     println!("GPU utilization      : {:.0}%", s.mean_utilization * 100.0);
 
     println!("\naccuracy per 50 s period:");

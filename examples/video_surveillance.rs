@@ -56,8 +56,10 @@ fn main() {
         println!("\n=== period {period} ===");
         if let Some(report) = sched.last_reports.first() {
             if report.impacted.is_empty() {
-                println!("drift detection: no model impacted (S stopped at {:.0}%)",
-                    report.final_s * 100.0);
+                println!(
+                    "drift detection: no model impacted (S stopped at {:.0}%)",
+                    report.final_s * 100.0
+                );
             } else {
                 for (node, impact) in &report.impacted {
                     println!(

@@ -154,7 +154,12 @@ fn scrooge_reproduces_seed_engine() {
 #[test]
 fn predictor_on_reproduces_pristine_goldens() {
     let goldens = [
-        (11u64, 1725130u64, 0.9031915247768613f64, 0.9992656108706952f64),
+        (
+            11u64,
+            1725130u64,
+            0.9031915247768613f64,
+            0.9992656108706952f64,
+        ),
         (23, 1518908, 0.9093875812740043, 0.9998909458453026),
         (47, 1392262, 0.9090062030500701, 0.9991235715669184),
     ];

@@ -279,7 +279,11 @@ fn seeds_change_realisations_but_not_shape() {
     });
     assert_ne!(a.total_requests, b.total_requests);
     for m in [a, b] {
-        assert!(m.mean_accuracy() > 0.6, "accuracy collapsed: {}", m.mean_accuracy());
+        assert!(
+            m.mean_accuracy() > 0.6,
+            "accuracy collapsed: {}",
+            m.mean_accuracy()
+        );
         assert!(m.mean_finish_rate() > 0.8);
     }
 }
