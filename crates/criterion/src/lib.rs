@@ -53,8 +53,8 @@ impl Criterion {
                 "--quick" => c.measure_for = Duration::from_millis(60),
                 "--bench" | "--test" | "--nocapture" => {}
                 // Flags with a value we don't interpret.
-                "--save-baseline" | "--baseline" | "--measurement-time"
-                | "--warm-up-time" | "--sample-size" => skip_value = true,
+                "--save-baseline" | "--baseline" | "--measurement-time" | "--warm-up-time"
+                | "--sample-size" => skip_value = true,
                 s if s.starts_with("--") => {}
                 s => c.filter = Some(s.to_string()),
             }
