@@ -322,15 +322,13 @@ macro_rules! prop_assert_eq {
         let l = $left;
         let r = $right;
         if l != r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
-                format!(
-                    "assertion failed: {} == {} (left: {:?}, right: {:?})",
-                    stringify!($left),
-                    stringify!($right),
-                    l,
-                    r
-                ),
-            ));
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
+                "assertion failed: {} == {} (left: {:?}, right: {:?})",
+                stringify!($left),
+                stringify!($right),
+                l,
+                r
+            )));
         }
     }};
 }
