@@ -5,7 +5,7 @@
 /// detector's fixed parameters — 3 % increments of `S`, stability after
 /// 4 unchanged rounds, a 0.05 detection margin — are constants of
 /// [`crate::drift_detect`], and its 8 PCA components
-/// [`crate::drift_cache::PCA_COMPONENTS`]. A retraining slice runs
+/// [`crate::drift_artifacts::PCA_COMPONENTS`]. A retraining slice runs
 /// [`crate::timealloc::RETRAIN_EPOCHS`] epochs.
 #[derive(Clone, Debug)]
 pub struct AdaInfConfig {

@@ -14,7 +14,7 @@
 //! * [`drift_detect`] — §3.2: PCA + cosine-distance selection of the most
 //!   deviating `S` samples, iterative growth of `S` until the detected
 //!   set stabilises, and per-model impact degrees.
-//! * [`drift_cache`] — the per-boundary drift artifacts: PCA fits,
+//! * [`drift_artifacts`] — the per-boundary drift artifacts: PCA fits,
 //!   deviation rankings and correctness prefix-sums built once per
 //!   boundary for every node it reads, in two phases, and shared between
 //!   detection and retraining-order selection; between boundaries only
@@ -52,7 +52,7 @@
 pub mod cache;
 pub mod config;
 pub mod degrade;
-pub mod drift_cache;
+pub mod drift_artifacts;
 pub mod drift_detect;
 pub mod plan;
 pub mod predict;
