@@ -18,8 +18,7 @@ use adainf_simcore::{Prng, SimDuration, SimTime};
 
 /// The fixed 8-application scenario every decision bench runs against.
 pub struct Scenario {
-    /// Application runtimes, advanced two periods so drift is present,
-    /// their pools drawn.
+    /// Application runtimes, advanced two periods so drift is present.
     pub apps: Vec<AppRuntime>,
     /// The per-app specs (what schedulers are constructed from).
     pub specs: Vec<AppSpec>,
@@ -42,7 +41,6 @@ impl Scenario {
         for rt in &mut apps {
             rt.advance_period();
             rt.advance_period();
-            rt.draw_pools();
         }
         let specs = apps.iter().map(|a| a.spec.clone()).collect();
         let pools = apps

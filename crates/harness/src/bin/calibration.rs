@@ -104,9 +104,8 @@ fn main() {
         for _ in 0..3 {
             rt.advance_period();
         }
-        rt.draw_pools();
         let rng = Prng::new(seed ^ 0xD);
-        let report = detect_drift(&rt, &AdaInfConfig::default(), &rng);
+        let report = detect_drift(&mut rt, &AdaInfConfig::default(), &rng);
         for (node, _) in report.impacted {
             hits[node] += 1;
         }

@@ -811,8 +811,9 @@ impl Simulation {
     }
 
     /// Opens a period: records each node's label distribution, runs
-    /// the scheduler's period hook, marks the nodes it schedules for
-    /// retraining and registers its bulk retrainings.
+    /// the scheduler's period hook, drops the retired sets it left,
+    /// marks the nodes it schedules for retraining and registers its
+    /// bulk retrainings.
     fn open_period(&mut self, t: SimTime) {
         for (a, rt) in self.apps.iter().enumerate() {
             for node in 0..rt.spec.nodes.len() {
@@ -826,6 +827,11 @@ impl Simulation {
         let plan = self
             .scheduler
             .on_period_start(&mut self.apps, self.server.spec(), t);
+        // The hook took the retired sets it reads, and nothing reads the
+        // rest: drop them before bulk registration draws pools.
+        for rt in &mut self.apps {
+            rt.retired.clear();
+        }
         self.metrics
             .period_overhead
             .add(plan.overhead.as_millis_f64());
@@ -1628,6 +1634,38 @@ mod tests {
         // tail did not move.
         assert_eq!(sim.metrics.inference_latency.count(), 0);
         assert!(sim.serial_free_at.iter().all(|&f| f == jammed));
+    }
+
+    /// After every boundary of a 3-app, 4-period run no app holds a
+    /// retired set, whichever scheduler's hook ran: AdaInf's takes them,
+    /// Ekya's and Scrooge's read none and leave them to the harness.
+    #[test]
+    fn no_app_holds_a_retired_set_after_a_boundary() {
+        for method in [
+            Method::AdaInf(AdaInfConfig::default()),
+            Method::Ekya,
+            Method::Scrooge,
+        ] {
+            let name = method.name();
+            let mut sim = Simulation::new(RunConfig {
+                num_apps: 3,
+                ..tiny(method)
+            });
+            for period in 0..4u64 {
+                if period > 0 {
+                    sim.close_period();
+                    assert!(sim
+                        .apps
+                        .iter()
+                        .all(|rt| rt.retired.len() == rt.models.len()));
+                }
+                sim.open_period(SimTime::from_micros(period * PERIOD.as_micros()));
+                assert!(
+                    sim.apps.iter().all(|rt| rt.retired.is_empty()),
+                    "{name} period {period}"
+                );
+            }
+        }
     }
 
     #[test]
