@@ -5,9 +5,6 @@
 //!   [`TrainSliceScratch`], the exact unit of work the period-boundary
 //!   fan-out deals to its pool workers, for a 6-class model (heads
 //!   padded to 8 lanes) and a 12-class one (16 lanes).
-//! * `train/batch_sgd` — one raw early-exit SGD step through a
-//!   caller-owned [`TrainScratch`], with the blocked gradient GEMM and
-//!   the fused momentum update.
 //! * `train/score_exits_400` — scoring every head exit of a deployed
 //!   model on a 400-row evaluation set in one trunk pass, the work a
 //!   node's first accuracy read in a period does.
@@ -22,7 +19,7 @@ use std::hint::black_box;
 use adainf_driftgen::{TaskStream, TaskStreamConfig};
 use adainf_modelzoo::head::HEAD_EXITS;
 use adainf_modelzoo::{zoo, TrainSliceScratch, TrainableModel};
-use adainf_nn::{EarlyExitMlp, InferScratch, Matrix, MlpConfig, TrainScratch};
+use adainf_nn::InferScratch;
 use adainf_simcore::Prng;
 
 fn training_batch(n: usize) -> adainf_driftgen::LabeledSamples {
@@ -60,20 +57,6 @@ fn bench_train(c: &mut Criterion) {
             })
         });
     }
-
-    let mut features = Matrix::default();
-    {
-        let mut rng = root.split(1);
-        let model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
-        model.features_into(&batch, &mut features);
-    }
-
-    group.bench_function("batch_sgd", |b| {
-        let mut rng = root.split(2);
-        let mut net = EarlyExitMlp::new(MlpConfig::small(features.cols(), 6), &mut rng);
-        let mut scratch = TrainScratch::default();
-        b.iter(|| net.train_batch(black_box(&features), black_box(&batch.labels), &mut scratch))
-    });
 
     let mut rng = root.split(4);
     let mut model = TrainableModel::new(zoo::mobilenet_v2(), 6, &mut rng);
