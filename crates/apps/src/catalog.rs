@@ -481,7 +481,7 @@ mod tests {
     #[test]
     fn social_media_has_complex_dag() {
         let app = social_media(7);
-        assert_eq!(app.num_models(), 5);
+        assert_eq!(app.nodes.len(), 5);
         // Two roots (image branch, text branch).
         let roots = app.nodes.iter().filter(|n| n.upstream.is_none()).count();
         assert_eq!(roots, 2);
@@ -569,6 +569,6 @@ mod tests {
         // §1: "AdaInf is also applicable to single-model applications" —
         // the bike-rack app is single-model.
         let apps = apps_for_count(14);
-        assert!(apps.iter().any(|a| a.num_models() == 1));
+        assert!(apps.iter().any(|a| a.nodes.len() == 1));
     }
 }

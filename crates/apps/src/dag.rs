@@ -61,11 +61,6 @@ impl AppSpec {
         }
     }
 
-    /// Number of models.
-    pub fn num_models(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Indices of the leaf nodes — the outputs whose predictions define
     /// the application's accuracy (§2: "the percentage of all inference
     /// requests for vehicle type and person activity outputs … predicted

@@ -9,7 +9,6 @@
 //!   8-app deployment (the "periodical DAG update").
 //! * `memory/eviction` — priority-eviction throughput of the GPU memory
 //!   manager under thrash.
-//! * `nn/*` — the mini-NN substrate (forward, PCA fit).
 
 #![forbid(unsafe_code)]
 
@@ -22,8 +21,6 @@ use adainf_core::AdaInfConfig;
 use adainf_gpusim::content::{ContentKey, TaskContext};
 use adainf_gpusim::memory::AccessIntent;
 use adainf_gpusim::{EvictionPolicyKind, GpuMemory, MemoryConfig};
-use adainf_nn::pca::{Pca, PcaScratch};
-use adainf_nn::{EarlyExitMlp, InferScratch, Matrix, MlpConfig};
 use adainf_simcore::{Prng, SimTime};
 
 fn bench_session_scheduling(c: &mut Criterion) {
@@ -79,28 +76,10 @@ fn bench_memory_eviction(c: &mut Criterion) {
     });
 }
 
-fn bench_nn(c: &mut Criterion) {
-    let mut rng = Prng::new(3);
-    let net = EarlyExitMlp::new(MlpConfig::small(16, 6), &mut rng);
-    let data: Vec<f32> = (0..32 * 16).map(|i| ((i % 17) as f32) / 17.0).collect();
-    let inputs = Matrix::from_slice(32, 16, &data);
-    // Full structure: `small` has two exits, so the last valid index is 1.
-    let full_exit = net.num_exits() - 1;
-    let mut infer = InferScratch::default();
-    c.bench_function("nn/forward_batch32", |b| {
-        b.iter(|| black_box(net.predict_with_scratch(black_box(&inputs), full_exit, &mut infer)))
-    });
-    let mut pca = PcaScratch::default();
-    c.bench_function("nn/pca_fit_8", |b| {
-        b.iter(|| black_box(Pca::fit(black_box(&inputs), 8, &mut rng, &mut pca, None)))
-    });
-}
-
 criterion_group!(
     benches,
     bench_session_scheduling,
     bench_period_planning,
-    bench_memory_eviction,
-    bench_nn
+    bench_memory_eviction
 );
 criterion_main!(benches);

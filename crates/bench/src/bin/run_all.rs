@@ -141,7 +141,9 @@ mod tests {
     }
 
     /// The paper's §5 varies one axis at a time around one default
-    /// deployment, so the figures' declarations repeat runs.
+    /// deployment, so the figures' declarations repeat runs. Fig 23's α
+    /// reaches a run only through its re-profiled inflation, and α = 0.1
+    /// and 0.2 re-profile alike, as do α = 0.6 and 0.8.
     #[test]
     fn figure_declarations_collapse_to_distinct_runs() {
         let configs: Vec<RunConfig> = select(&ITEMS, &["fig", "table2"])
@@ -150,6 +152,6 @@ mod tests {
             .flat_map(|(_, runs, ..)| runs(ex::Scale::Fast))
             .collect();
         assert_eq!(configs.len(), 75);
-        assert_eq!(RunSet::new(configs).configs().len(), 54);
+        assert_eq!(RunSet::new(configs).configs().len(), 52);
     }
 }

@@ -1,16 +1,60 @@
-//! AdaInf tunables and ablation switches.
+//! AdaInf's tunables and the variant a run is (§5.2).
+
+/// Which configuration of AdaInf a run is: the full system, one of the
+/// six ablations of §5.2 (each removes one mechanism), or one of the
+/// two no-retraining references of Figs 4a and 7.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Variant {
+    /// Every mechanism on.
+    AdaInf,
+    /// AdaInf/I: spare time divided evenly instead of by impact.
+    I,
+    /// AdaInf/U: the RI-DAG is built once and never updated.
+    U,
+    /// AdaInf/S: GPU space divided evenly among the session's jobs
+    /// instead of by SLO-derived demand.
+    S,
+    /// AdaInf/E: always the full structure.
+    E,
+    /// AdaInf/M1: per-request execution, no eager intermediate eviction.
+    M1,
+    /// AdaInf/M2: LRU eviction instead of priority + PIN.
+    M2,
+    /// Early-exit structures without any retraining ("Early-w/o", Fig 7).
+    EarlyWithoutRetraining,
+    /// Full structures without any retraining, the "without retraining"
+    /// reference of Fig 4a.
+    NoRetraining,
+}
+
+impl Variant {
+    /// The variant's display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Variant::AdaInf => "AdaInf",
+            Variant::I => "AdaInf/I",
+            Variant::U => "AdaInf/U",
+            Variant::S => "AdaInf/S",
+            Variant::E => "AdaInf/E",
+            Variant::M1 => "AdaInf/M1",
+            Variant::M2 => "AdaInf/M2",
+            Variant::EarlyWithoutRetraining => "Early-w/o",
+            Variant::NoRetraining => "No-retrain",
+        }
+    }
+}
 
 /// Configuration of the AdaInf scheduler. Defaults are the paper's (§4):
-/// `α = 0.4`, `A_m` within `[80 %, 95 %]`, `S` starting at 3 %. The
-/// detector's fixed parameters — 3 % increments of `S`, stability after
-/// 4 unchanged rounds, a 0.05 detection margin — are constants of
+/// `A_m` within `[80 %, 95 %]`, `S` starting at 3 %. The detector's
+/// fixed parameters — 3 % increments of `S`, stability after 4
+/// unchanged rounds, a 0.05 detection margin — are constants of
 /// [`crate::drift_detect`], and its 8 PCA components
 /// [`crate::drift_artifacts::PCA_COMPONENTS`]. A retraining slice runs
-/// [`crate::timealloc::RETRAIN_EPOCHS`] epochs.
+/// [`crate::timealloc::RETRAIN_EPOCHS`] epochs. The eviction score's
+/// weight `α` (§3.4.2) belongs to the GPU memory,
+/// [`adainf_gpusim::MemoryConfig::alpha`].
 #[derive(Clone, Debug)]
 pub struct AdaInfConfig {
-    /// Weight of the SLO term in the eviction score `S_c` (§3.4.2).
-    pub alpha: f64,
     /// Accuracy threshold `A_m` for early-exit structure selection
     /// (§3.3.2), as a fraction of the model's *initial* accuracy rather
     /// than an absolute value, so it adapts across tasks of different
@@ -42,137 +86,31 @@ pub struct AdaInfConfig {
     /// determinism tests can pin exact worker counts — one worker is
     /// their sequential reference; results never depend on it.
     pub drift_workers: usize,
-
-    // ---- Ablation switches (§5.2) ----
-    /// `false` = AdaInf/I: spare time divided evenly instead of by impact.
-    pub use_impact_degrees: bool,
-    /// `false` = AdaInf/U: the RI-DAG is built once and never updated.
-    pub update_dag_each_period: bool,
-    /// `false` = AdaInf/S: GPU space divided evenly among the session's
-    /// jobs instead of by SLO-derived demand.
-    pub slo_aware_space: bool,
-    /// `false` = AdaInf/E: always use the full structure.
-    pub use_early_exit: bool,
-    /// `false` = AdaInf/M1: per-request execution, no eager intermediate
-    /// eviction.
-    pub maximize_memory_usage: bool,
-    /// `false` = AdaInf/M2: LRU eviction instead of priority + PIN.
-    pub priority_eviction: bool,
-    /// `false` disables retraining entirely (the "Early-w/o" reference
-    /// of Fig 7).
-    pub retraining_enabled: bool,
+    /// The variant run: AdaInf itself, a §5.2 ablation or a
+    /// no-retraining reference.
+    pub variant: Variant,
 }
 
 impl Default for AdaInfConfig {
     fn default() -> Self {
         AdaInfConfig {
-            alpha: 0.4,
             a_m: 0.9,
             s_init: 0.03,
             cpu_offload_threshold: 0,
             predicted_latency: false,
             predictor_warmup: 64,
             drift_workers: 0,
-            use_impact_degrees: true,
-            update_dag_each_period: true,
-            slo_aware_space: true,
-            use_early_exit: true,
-            maximize_memory_usage: true,
-            priority_eviction: true,
-            retraining_enabled: true,
+            variant: Variant::AdaInf,
         }
     }
 }
 
-impl AdaInfConfig {
-    /// AdaInf/I — even spare-time division.
-    pub fn variant_i() -> Self {
+impl From<Variant> for AdaInfConfig {
+    /// The default tunables, run as `variant`.
+    fn from(variant: Variant) -> Self {
         AdaInfConfig {
-            use_impact_degrees: false,
+            variant,
             ..AdaInfConfig::default()
-        }
-    }
-
-    /// AdaInf/U — RI-DAG built once, impact degrees never updated.
-    pub fn variant_u() -> Self {
-        AdaInfConfig {
-            update_dag_each_period: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// AdaInf/S — even GPU space division.
-    pub fn variant_s() -> Self {
-        AdaInfConfig {
-            slo_aware_space: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// AdaInf/E — full structures only.
-    pub fn variant_e() -> Self {
-        AdaInfConfig {
-            use_early_exit: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// AdaInf/M1 — no layer-grouped execution / eager eviction.
-    pub fn variant_m1() -> Self {
-        AdaInfConfig {
-            maximize_memory_usage: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// AdaInf/M2 — LRU eviction.
-    pub fn variant_m2() -> Self {
-        AdaInfConfig {
-            priority_eviction: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// Early-exit structure without any retraining ("Early-w/o", Fig 7).
-    pub fn early_without_retraining() -> Self {
-        AdaInfConfig {
-            retraining_enabled: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// Full structure, no retraining — the "without retraining"
-    /// reference of Fig 4a.
-    pub fn no_retraining() -> Self {
-        AdaInfConfig {
-            retraining_enabled: false,
-            use_early_exit: false,
-            ..AdaInfConfig::default()
-        }
-    }
-
-    /// The variant's display name.
-    pub fn variant_name(&self) -> &'static str {
-        if !self.retraining_enabled {
-            if self.use_early_exit {
-                "Early-w/o"
-            } else {
-                "No-retrain"
-            }
-        } else if !self.use_impact_degrees {
-            "AdaInf/I"
-        } else if !self.update_dag_each_period {
-            "AdaInf/U"
-        } else if !self.slo_aware_space {
-            "AdaInf/S"
-        } else if !self.use_early_exit {
-            "AdaInf/E"
-        } else if !self.maximize_memory_usage {
-            "AdaInf/M1"
-        } else if !self.priority_eviction {
-            "AdaInf/M2"
-        } else {
-            "AdaInf"
         }
     }
 }
@@ -184,24 +122,28 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = AdaInfConfig::default();
-        assert_eq!(c.alpha, 0.4);
+        assert_eq!(adainf_gpusim::MemoryConfig::default().alpha, 0.4);
         assert_eq!(c.s_init, 0.03);
         assert_eq!(crate::drift_detect::S_STEP, 0.03);
         assert_eq!(crate::drift_detect::STABLE_ROUNDS, 4);
-        assert_eq!(c.variant_name(), "AdaInf");
+        assert_eq!(c.variant, Variant::AdaInf);
     }
 
     #[test]
     fn variant_names() {
-        assert_eq!(AdaInfConfig::variant_i().variant_name(), "AdaInf/I");
-        assert_eq!(AdaInfConfig::variant_u().variant_name(), "AdaInf/U");
-        assert_eq!(AdaInfConfig::variant_s().variant_name(), "AdaInf/S");
-        assert_eq!(AdaInfConfig::variant_e().variant_name(), "AdaInf/E");
-        assert_eq!(AdaInfConfig::variant_m1().variant_name(), "AdaInf/M1");
-        assert_eq!(AdaInfConfig::variant_m2().variant_name(), "AdaInf/M2");
-        assert_eq!(
-            AdaInfConfig::early_without_retraining().variant_name(),
-            "Early-w/o"
-        );
+        let names = [
+            (Variant::AdaInf, "AdaInf"),
+            (Variant::I, "AdaInf/I"),
+            (Variant::U, "AdaInf/U"),
+            (Variant::S, "AdaInf/S"),
+            (Variant::E, "AdaInf/E"),
+            (Variant::M1, "AdaInf/M1"),
+            (Variant::M2, "AdaInf/M2"),
+            (Variant::EarlyWithoutRetraining, "Early-w/o"),
+            (Variant::NoRetraining, "No-retrain"),
+        ];
+        for (variant, name) in names {
+            assert_eq!(AdaInfConfig::from(variant).variant.name(), name);
+        }
     }
 }

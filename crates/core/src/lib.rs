@@ -40,8 +40,9 @@
 //!   ridge regression) and the SLO-headroom scorer that feeds learned
 //!   `fixed`/`per_batch` forecasts into [`degrade`]'s admission when
 //!   [`AdaInfConfig::predicted_latency`] is on.
-//! * [`config`] — all tunables (α, `A_m`, `S`…) and the ablation switches
-//!   (/I, /U, /S, /E, /M1, /M2 of §5.2).
+//! * [`config`] — the tunables (`A_m`, `S`…) and the [`Variant`] a run
+//!   is: AdaInf, one of the ablations /I, /U, /S, /E, /M1 and /M2 of
+//!   §5.2, or a no-retraining reference.
 //! * [`cache`] — exact memoisation of the per-session scheduling
 //!   searches, invalidated at period boundaries.
 //! * [`scheduler`] — [`scheduler::AdaInfScheduler`], tying it together.
@@ -63,7 +64,7 @@ pub mod scheduler;
 pub mod space;
 pub mod timealloc;
 
-pub use config::AdaInfConfig;
+pub use config::{AdaInfConfig, Variant};
 pub use degrade::DegradePolicy;
 pub use plan::{JobPlan, PeriodPlan, RetrainSlice, Scheduler, SessionCtx};
 pub use predict::{LatencyFeatures, LatencyPredictor, PredictedLatency};

@@ -15,7 +15,7 @@
 //! scheduling round).
 
 use crate::cache::DecisionCache;
-use crate::config::AdaInfConfig;
+use crate::config::{AdaInfConfig, Variant};
 use crate::drift_artifacts::WarmBases;
 use crate::drift_detect::{detect, DriftReport};
 use crate::plan::{AppPeriodPlan, JobPlan, PeriodPlan, Scheduler, SessionCtx};
@@ -148,7 +148,7 @@ impl AdaInfScheduler {
 
 impl Scheduler for AdaInfScheduler {
     fn name(&self) -> String {
-        self.config.variant_name().to_string()
+        self.config.variant.name().to_string()
     }
 
     fn cache_stats(&self) -> (u64, u64, u64) {
@@ -233,7 +233,7 @@ impl Scheduler for AdaInfScheduler {
         // have no reader and drop here, a pool nobody read undrawn.
         let detects: Vec<bool> = states
             .iter()
-            .map(|state| config.update_dag_each_period || !state.frozen)
+            .map(|state| config.variant != Variant::U || !state.frozen)
             .collect();
         let (mut jobs, mut retired) = (Vec::new(), Vec::new());
         for (a, rt) in apps.iter_mut().enumerate() {
@@ -351,7 +351,7 @@ impl Scheduler for AdaInfScheduler {
             &gpu_demands,
             ctx.server.total_space(),
             ctx.avg_job_time,
-            self.config.slo_aware_space,
+            self.config.variant != Variant::S,
             &self.profiler,
             &mut self.cache,
         );
@@ -677,14 +677,14 @@ mod tests {
                 [(8, 7), (16, 14), (26, 21), (37, 28)],
             ),
             (
-                AdaInfConfig::variant_u(),
+                AdaInfConfig::from(Variant::U),
                 [(8, 7), (13, 12), (19, 17), (24, 21)],
             ),
         ];
         for (config, want) in cases {
             let (_, mut apps, server) = setup(3);
             let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
-            let name = config.variant_name();
+            let name = config.variant.name();
             let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
             let mut stats = Vec::new();
             let mut built: Vec<Vec<bool>> = apps
@@ -724,10 +724,10 @@ mod tests {
     /// stay undrawn.
     #[test]
     fn period_start_frees_old_sets_and_draws_only_read_pools() {
-        for config in [AdaInfConfig::default(), AdaInfConfig::variant_u()] {
+        for config in [AdaInfConfig::default(), AdaInfConfig::from(Variant::U)] {
             let (_, mut apps, server) = setup(3);
             let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
-            let name = config.variant_name();
+            let name = config.variant.name();
             let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
             let mut undrawn = 0;
             for period in 0..4u64 {
@@ -742,7 +742,7 @@ mod tests {
                     .iter()
                     .zip(&apps)
                     .map(|(state, rt)| {
-                        let update_dag = sched.config.update_dag_each_period || !state.frozen;
+                        let update_dag = sched.config.variant != Variant::U || !state.frozen;
                         (0..rt.spec.nodes.len())
                             .map(|node| update_dag || state.ridag.retrains(node))
                             .collect()
@@ -775,7 +775,7 @@ mod tests {
     fn unread_retiring_pools_are_never_drawn() {
         let (_, mut apps, server) = setup(3);
         let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
-        let config = AdaInfConfig::variant_u();
+        let config = AdaInfConfig::from(Variant::U);
         let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
         let mut unread = 0;
         for period in 0..4u64 {
@@ -805,12 +805,84 @@ mod tests {
         assert!(unread > 0, "no retiring pool went unread");
     }
 
+    /// What each variant changes, decision by decision: the memory
+    /// strategies; whether node 1 of the surveillance app, under the
+    /// RI-DAG that retrains nodes 1 (impact 0.12) and 2 (0.04), runs an
+    /// early exit; how that job's spare time splits between the two
+    /// retraining nodes; and how a session divides space between two
+    /// apps of unequal demand. AdaInf/U matches AdaInf in all four: its
+    /// frozen DAG is pinned by `variant_u_keeps_first_dag`.
+    #[test]
+    fn each_variant_changes_only_its_own_decisions() {
+        use adainf_gpusim::EvictionPolicyKind::{Lru, Priority};
+        use adainf_gpusim::ExecMode::{LayerGrouped, PerRequest};
+        use Variant::*;
+        let grouped = (LayerGrouped, Priority);
+        let want = [
+            (AdaInf, grouped, true, "3.00:1", "demand"),
+            (I, grouped, true, "1.00:1", "demand"),
+            (U, grouped, true, "3.00:1", "demand"),
+            (S, grouped, true, "3.00:1", "even"),
+            (E, grouped, false, "3.00:1", "demand"),
+            (M1, (PerRequest, Priority), true, "3.00:1", "demand"),
+            (M2, (LayerGrouped, Lru), true, "3.00:1", "demand"),
+            (EarlyWithoutRetraining, grouped, true, "none", "demand"),
+            (NoRetraining, grouped, false, "none", "demand"),
+        ];
+        let app = catalog::video_surveillance(0);
+        let report = DriftReport {
+            impacted: vec![(1, 0.12), (2, 0.04)],
+            final_s: 0.18,
+            trace: Vec::new(),
+        };
+        let dag = RiDag::build(&app, &report);
+        let profiler = Profiler::default();
+        let predicted = [8u32, 64];
+        for (variant, memory, early_exit, split, space) in want {
+            let config = AdaInfConfig::from(variant);
+            let name = variant.name();
+            assert_eq!(strategies(&config), memory, "{name}");
+            let cuts = select_structures(&app, &dag, &mut |_, _| 0.95, &[0.95; 3], &config);
+            let full = app.nodes[1].profile.full_cut();
+            assert_eq!(cuts[1] < full, early_exit, "{name}");
+            let plan = plan_time(&app, &dag, cuts, 0.3, 16, &config, &profiler);
+            let time = |node| {
+                let slice = plan.proto.iter().find(|p| p.node == node).unwrap();
+                slice.time.as_millis_f64()
+            };
+            let got = match plan.proto.len() {
+                0 => "none".to_string(),
+                _ => format!("{:.2}:1", time(1) / time(2)),
+            };
+            assert_eq!(got, split, "{name}");
+
+            let (_, mut apps, server) = setup(2);
+            let specs: Vec<AppSpec> = apps.iter().map(|a| a.spec.clone()).collect();
+            let mut sched = AdaInfScheduler::new(config, Profiler::default(), specs, 7);
+            sched.on_period_start(&mut apps, &server, SimTime::ZERO);
+            let pools: Vec<Vec<usize>> = apps
+                .iter()
+                .map(|rt| rt.pools.iter().map(|p| p.remaining()).collect())
+                .collect();
+            let ctx = SessionCtx {
+                now: SimTime::ZERO,
+                predicted: &predicted,
+                server: &server,
+                free_gpus: 4.0,
+                avg_job_time: SimDuration::from_millis(100),
+                pool_remaining: &pools,
+            };
+            let gpus: Vec<f64> = sched.on_session(&ctx).iter().map(|p| p.gpu).collect();
+            let got = if gpus[0] == gpus[1] { "even" } else { "demand" };
+            assert_eq!(got, space, "{name}: {gpus:?}");
+        }
+    }
+
     #[test]
     fn variant_u_keeps_first_dag() {
         let (_, mut apps, server) = setup(1);
         let specs = vec![apps[0].spec.clone()];
-        let mut sched =
-            AdaInfScheduler::new(AdaInfConfig::variant_u(), Profiler::default(), specs, 7);
+        let mut sched = AdaInfScheduler::new(Variant::U.into(), Profiler::default(), specs, 7);
         for _ in 0..2 {
             apps[0].advance_period();
         }

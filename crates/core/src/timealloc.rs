@@ -19,7 +19,7 @@
 //! cache; [`clamp_slices`] then caps each slice at the live pool state
 //! every session.
 
-use crate::config::AdaInfConfig;
+use crate::config::{AdaInfConfig, Variant};
 use crate::plan::RetrainSlice;
 use crate::profiler::Profiler;
 use crate::ridag::RiDag;
@@ -64,17 +64,11 @@ pub struct TimePlan {
 
 /// The memory-strategy pair implied by an AdaInf configuration.
 pub fn strategies(config: &AdaInfConfig) -> (ExecMode, EvictionPolicyKind) {
-    let mode = if config.maximize_memory_usage {
-        ExecMode::LayerGrouped
-    } else {
-        ExecMode::PerRequest
-    };
-    let policy = if config.priority_eviction {
-        EvictionPolicyKind::Priority
-    } else {
-        EvictionPolicyKind::Lru
-    };
-    (mode, policy)
+    match config.variant {
+        Variant::M1 => (ExecMode::PerRequest, EvictionPolicyKind::Priority),
+        Variant::M2 => (ExecMode::LayerGrouped, EvictionPolicyKind::Lru),
+        _ => (ExecMode::LayerGrouped, EvictionPolicyKind::Priority),
+    }
 }
 
 /// Step 1 — early-exit structure selection per node. Depends only on
@@ -88,12 +82,13 @@ pub fn select_structures(
     initial_acc: &[f64],
     config: &AdaInfConfig,
 ) -> Vec<usize> {
+    let full_only = matches!(config.variant, Variant::E | Variant::NoRetraining);
     app.nodes
         .iter()
         .enumerate()
         .map(|(node, nspec)| {
             let full = nspec.profile.full_cut();
-            if !config.use_early_exit || !ridag.retrains(node) {
+            if full_only || !ridag.retrains(node) {
                 // "If there is no retraining task vertex … AdaInf uses the
                 // full structure since it does not need to save time."
                 return full;
@@ -133,10 +128,9 @@ pub fn plan_time(
 
     // 3. Inference time and spare time.
     let inference_time = profiler.inference_latency(&dag_cost, requests, batch, gpu, mode, policy);
-    let spare = if config.retraining_enabled {
-        app.slo.saturating_sub(inference_time)
-    } else {
-        SimDuration::ZERO
+    let spare = match config.variant {
+        Variant::EarlyWithoutRetraining | Variant::NoRetraining => SimDuration::ZERO,
+        _ => app.slo.saturating_sub(inference_time),
     };
 
     // 4. Impact-proportional split into retraining settings.
@@ -145,7 +139,7 @@ pub fn plan_time(
         let total_impact = ridag.total_impact();
         let k = ridag.entries.len() as f64;
         for entry in &ridag.entries {
-            let share = if config.use_impact_degrees && total_impact > 0.0 {
+            let share = if config.variant != Variant::I && total_impact > 0.0 {
                 entry.impact / total_impact
             } else {
                 1.0 / k
@@ -280,7 +274,7 @@ mod tests {
     fn variant_i_splits_evenly() {
         let (app, dag) = surveillance_setup();
         let pools = [100_000, 100_000, 100_000];
-        let (_, slices) = allocate(&app, &dag, 0.3, 16, &pools, &AdaInfConfig::variant_i());
+        let (_, slices) = allocate(&app, &dag, 0.3, 16, &pools, &AdaInfConfig::from(Variant::I));
         let times: Vec<f64> = slices.iter().map(|s| s.time.as_millis_f64()).collect();
         assert!((times[0] - times[1]).abs() < 0.01, "{times:?}");
     }
@@ -288,7 +282,7 @@ mod tests {
     #[test]
     fn variant_e_uses_full_structures() {
         let (app, dag) = surveillance_setup();
-        let config = AdaInfConfig::variant_e();
+        let config = AdaInfConfig::from(Variant::E);
         let (plan, _) = allocate(&app, &dag, 0.3, 16, &[1000, 1000, 1000], &config);
         assert_eq!(plan.cuts, app.full_cuts());
     }
@@ -332,7 +326,7 @@ mod tests {
     #[test]
     fn no_retraining_when_disabled() {
         let (app, dag) = surveillance_setup();
-        let config = AdaInfConfig::early_without_retraining();
+        let config = AdaInfConfig::from(Variant::EarlyWithoutRetraining);
         let (plan, slices) = allocate(&app, &dag, 0.3, 16, &[1000, 1000, 1000], &config);
         assert!(slices.is_empty());
         // Early exits still used (it is "Early"-w/o).

@@ -10,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use adainf_core::AdaInfConfig;
+use adainf_core::{AdaInfConfig, Variant};
 use adainf_harness::sim::{run, Method, RunConfig};
 use adainf_simcore::SimDuration;
 
@@ -43,7 +43,7 @@ fn main() {
                     "ekya" => Method::Ekya,
                     "scrooge" => Method::Scrooge,
                     "scrooge-star" => Method::ScroogeStar,
-                    "no-retrain" => Method::AdaInf(AdaInfConfig::no_retraining()),
+                    "no-retrain" => Method::AdaInf(Variant::NoRetraining.into()),
                     _ => usage(),
                 };
             }

@@ -16,7 +16,7 @@ use crate::report::{pct, table};
 use crate::sim::{Method, RunConfig};
 use adainf_core::drift_detect::detect_drift;
 use adainf_core::profiler::CommProfile;
-use adainf_core::AdaInfConfig;
+use adainf_core::{AdaInfConfig, Variant};
 use adainf_gpusim::exec::{run_concurrent, LayerSpec, TaskExec, TaskKind};
 use adainf_gpusim::latency::BATCH_CANDIDATES;
 use adainf_gpusim::memory::CrossReuse;
@@ -170,7 +170,7 @@ fn fig04_runs(scale: Scale) -> Vec<RunConfig> {
     let base = scale.base();
     vec![
         base.with_method(Method::AdaInf(AdaInfConfig::default())),
-        base.with_method(Method::AdaInf(AdaInfConfig::no_retraining())),
+        base.with_method(Method::AdaInf(Variant::NoRetraining.into())),
         base.with_method(Method::Ekya),
     ]
 }
@@ -215,7 +215,7 @@ fn fig05_runs(scale: Scale) -> Vec<RunConfig> {
     let base = surveillance_only(scale);
     vec![
         base.with_method(Method::AdaInf(AdaInfConfig::default())),
-        base.with_method(Method::AdaInf(AdaInfConfig::no_retraining())),
+        base.with_method(Method::AdaInf(Variant::NoRetraining.into())),
     ]
 }
 
@@ -277,9 +277,9 @@ fn fig07_runs(scale: Scale) -> Vec<RunConfig> {
     let base = surveillance_only(scale);
     vec![
         base.with_method(Method::AdaInf(AdaInfConfig::default())),
-        base.with_method(Method::AdaInf(AdaInfConfig::variant_e())),
+        base.with_method(Method::AdaInf(Variant::E.into())),
         base.with_method(Method::Ekya),
-        base.with_method(Method::AdaInf(AdaInfConfig::early_without_retraining())),
+        base.with_method(Method::AdaInf(Variant::EarlyWithoutRetraining.into())),
     ]
 }
 
@@ -827,16 +827,16 @@ fn fig21(runs: &[Run]) -> String {
 fn fig22_runs(scale: Scale) -> Vec<RunConfig> {
     let base = scale.base();
     [
-        AdaInfConfig::default(),
-        AdaInfConfig::variant_m1(),
-        AdaInfConfig::variant_m2(),
-        AdaInfConfig::variant_s(),
-        AdaInfConfig::variant_e(),
-        AdaInfConfig::variant_u(),
-        AdaInfConfig::variant_i(),
+        Variant::AdaInf,
+        Variant::M1,
+        Variant::M2,
+        Variant::S,
+        Variant::E,
+        Variant::U,
+        Variant::I,
     ]
     .into_iter()
-    .map(|c| base.with_method(Method::AdaInf(c)))
+    .map(|v| base.with_method(Method::AdaInf(v.into())))
     .collect()
 }
 
@@ -855,7 +855,8 @@ const FIG23_ALPHAS: [f64; 5] = [0.1, 0.2, 0.4, 0.6, 0.8];
 
 /// For each α the offline memory profiling is re-run with the detailed
 /// engine (heterogeneous SLOs), and the measured communication inflation
-/// drives a full run.
+/// drives a full run. α reaches the run only through that inflation, so
+/// α values of equal inflation declare the same run.
 fn fig23_runs(scale: Scale) -> Vec<RunConfig> {
     // Normalise the re-profiled inflation to the default calibration:
     // what matters is how α *changes* the communication cost relative to
@@ -870,11 +871,10 @@ fn fig23_runs(scale: Scale) -> Vec<RunConfig> {
                     / reference,
                 ..CommProfile::default()
             };
-            let base = RunConfig {
+            RunConfig {
                 comm: Some(comm),
                 ..scale.base()
-            };
-            adainf_with(&base, |c| c.alpha = alpha)
+            }
         })
         .collect()
 }

@@ -63,7 +63,7 @@ impl Method {
     /// Display name of the method.
     pub fn name(&self) -> String {
         match self {
-            Method::AdaInf(c) => c.variant_name().to_string(),
+            Method::AdaInf(c) => c.variant.name().to_string(),
             Method::Ekya => "Ekya".to_string(),
             Method::Scrooge => "Scrooge".to_string(),
             Method::ScroogeStar => "Scrooge*".to_string(),
@@ -165,8 +165,8 @@ impl RunConfig {
     /// at least one GPU, a duration of one or more whole sessions (a
     /// run steps whole sessions, so a partial one would be dropped
     /// unserved), a finite, positive request rate and finite, positive fleet speed factors; under
-    /// AdaInf also `α` in [0, 1] and `A_m` and the initial `S` in
-    /// (0, 1]. Fields of the method are named `method.<field>`.
+    /// AdaInf also `A_m` and the initial `S` in (0, 1]. Fields of the
+    /// method are named `method.<field>`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let method = match &self.method {
             Method::AdaInf(c) => adainf_range_error(c),
@@ -204,13 +204,11 @@ impl RunConfig {
 }
 
 /// The first of AdaInf's ranged fields [`RunConfig::validate`] rejects:
-/// `α` outside [0, 1], or `A_m` or the initial `S` outside (0, 1]
-/// (a NaN is outside every range).
+/// `A_m` or the initial `S` outside (0, 1] (a NaN is outside every
+/// range).
 fn adainf_range_error(c: &AdaInfConfig) -> Option<(&'static str, String)> {
     let unit = |x: f64| x > 0.0 && x <= 1.0;
-    if !(0.0..=1.0).contains(&c.alpha) {
-        Some(("method.alpha", format!("{} is outside [0, 1]", c.alpha)))
-    } else if !unit(c.a_m) {
+    if !unit(c.a_m) {
         Some(("method.a_m", format!("{} is outside (0, 1]", c.a_m)))
     } else if !unit(c.s_init) {
         Some(("method.s_init", format!("{} is outside (0, 1]", c.s_init)))
@@ -1709,7 +1707,6 @@ mod tests {
         let adainf = |field: &str, x: f64| {
             let mut c = AdaInfConfig::default();
             *match field {
-                "method.alpha" => &mut c.alpha,
                 "method.a_m" => &mut c.a_m,
                 _ => &mut c.s_init,
             } = x;
@@ -1719,19 +1716,13 @@ mod tests {
             };
             cfg.validate().err().map(|e| e.to_string())
         };
-        // The ends the figure sweeps reach: α 0–1, A_m and S up to 1.
-        let ends = [
-            ("method.alpha", 0.0),
-            ("method.alpha", 1.0),
-            ("method.a_m", 1.0),
-            ("method.s_init", 1.0),
-        ];
+        // The ends the figure sweeps reach: A_m and S up to 1.
+        let ends = [("method.a_m", 1.0), ("method.s_init", 1.0)];
         for (field, x) in ends {
             assert_eq!(adainf(field, x), None, "{field} = {x}");
         }
         let (nan, inf) = (f64::NAN, f64::INFINITY);
         let rejected = [
-            ("method.alpha", [-0.1, 1.1, nan, inf]),
             ("method.a_m", [0.0, 1.5, nan, inf]),
             ("method.s_init", [0.0, -0.03, 1.01, nan]),
         ];

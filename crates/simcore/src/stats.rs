@@ -73,26 +73,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
@@ -221,16 +201,6 @@ impl Cdf {
         self.samples[idx]
     }
 
-    /// Fraction of samples `<= x`; 0.0 when empty.
-    pub fn fraction_below(&mut self, x: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let n = self.samples.partition_point(|s| *s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
     /// Emits `(value, cumulative_fraction)` points suitable for plotting,
     /// down-sampled to at most `max_points`.
     pub fn points(&mut self, max_points: usize) -> Vec<(f64, f64)> {
@@ -281,26 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, x) in data.iter().enumerate() {
-            all.add(*x);
-            if i % 2 == 0 {
-                a.add(*x)
-            } else {
-                b.add(*x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn histogram_quantiles() {
         let mut h = Histogram::new(0.0, 100.0, 100);
         for i in 0..100 {
@@ -325,7 +275,6 @@ mod tests {
         assert_eq!(c.min(), 1.0);
         assert_eq!(c.max(), 100.0);
         assert!((c.quantile(0.5) - 50.0).abs() <= 1.0);
-        assert!((c.fraction_below(25.0) - 0.25).abs() < 0.02);
         let pts = c.points(10);
         assert!(pts.len() <= 11);
         assert_eq!(pts.last().unwrap().1, 1.0);
@@ -340,7 +289,6 @@ mod tests {
         let mut c = Cdf::new();
         assert!(c.is_empty());
         assert_eq!(c.quantile(0.5), 0.0);
-        assert_eq!(c.fraction_below(1.0), 0.0);
         assert!(c.points(5).is_empty());
     }
 }

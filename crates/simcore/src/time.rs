@@ -80,11 +80,6 @@ impl SimTime {
     pub fn session_index(self) -> u64 {
         self.0 / SESSION.0
     }
-
-    /// Start of the retraining period containing this instant.
-    pub fn period_start(self) -> SimTime {
-        SimTime(self.period_index() * PERIOD.0)
-    }
 }
 
 impl SimDuration {
@@ -254,7 +249,6 @@ mod tests {
     fn period_and_session_indexing() {
         let t = SimTime::from_secs(125);
         assert_eq!(t.period_index(), 2);
-        assert_eq!(t.period_start(), SimTime::from_secs(100));
         assert_eq!(SimTime::from_millis(14).session_index(), 2);
         assert_eq!(SimTime::ZERO.session_index(), 0);
     }

@@ -7,7 +7,7 @@
 
 use adainf::core::plan::Scheduler;
 use adainf::core::profiler::Profiler;
-use adainf::core::{AdaInfConfig, AdaInfScheduler};
+use adainf::core::{AdaInfConfig, AdaInfScheduler, Variant};
 use adainf::driftgen::workload::ArrivalConfig;
 use adainf::gpusim::{EvictionPolicyKind, ExecMode, GpuSpec};
 use adainf::harness::sim::{Method, RunConfig};
@@ -57,25 +57,23 @@ fn hetero_fleet() -> RunConfig {
 }
 
 /// An ablation variant on two apps for 100 s.
-fn variant(config: AdaInfConfig) -> RunConfig {
+fn variant(v: Variant) -> RunConfig {
     RunConfig {
         duration: SimDuration::from_secs(100),
         num_apps: 2,
         pool_size: 400,
-        ..small_adainf(config)
+        ..small_adainf(v.into())
     }
 }
 
-fn variants() -> [AdaInfConfig; 6] {
-    [
-        AdaInfConfig::variant_i(),
-        AdaInfConfig::variant_u(),
-        AdaInfConfig::variant_s(),
-        AdaInfConfig::variant_e(),
-        AdaInfConfig::variant_m1(),
-        AdaInfConfig::variant_m2(),
-    ]
-}
+const VARIANTS: [Variant; 6] = [
+    Variant::I,
+    Variant::U,
+    Variant::S,
+    Variant::E,
+    Variant::M1,
+    Variant::M2,
+];
 
 /// Every run the tests read, each distinct one run once, largest first.
 fn runs() -> &'static RunSet {
@@ -90,7 +88,7 @@ fn runs() -> &'static RunSet {
             small(Method::Ekya),
             small(Method::Scrooge),
             small(Method::ScroogeStar),
-            small_adainf(AdaInfConfig::no_retraining()),
+            small_adainf(Variant::NoRetraining.into()),
             RunConfig {
                 seed: 1,
                 ..small_adainf(AdaInfConfig::default())
@@ -107,7 +105,7 @@ fn runs() -> &'static RunSet {
                 ..small_adainf(AdaInfConfig::default())
             },
         ];
-        configs.extend(variants().map(variant));
+        configs.extend(VARIANTS.map(variant));
         RunSet::new(configs).run()
     })
 }
@@ -155,7 +153,7 @@ fn adainf_beats_scrooge_on_accuracy() {
 #[test]
 fn retraining_beats_no_retraining() {
     let with = run(small_adainf(AdaInfConfig::default()));
-    let without = run(small_adainf(AdaInfConfig::no_retraining()));
+    let without = run(small_adainf(Variant::NoRetraining.into()));
     assert!(
         with.mean_accuracy() > without.mean_accuracy() + 0.03,
         "with {} vs without {}",
@@ -317,9 +315,9 @@ fn per_app_latency_percentiles_are_ordered() {
 
 #[test]
 fn variant_configs_run_end_to_end() {
-    for config in variants() {
-        let name = config.variant_name();
-        let m = run(variant(config));
+    for v in VARIANTS {
+        let name = v.name();
+        let m = run(variant(v));
         assert_eq!(m.name, name);
         assert!(m.mean_accuracy() > 0.4, "{name}: {}", m.mean_accuracy());
     }

@@ -12,7 +12,7 @@ use adainf::gpusim::{EvictionPolicyKind, GpuMemory, MemoryConfig};
 use adainf::gpusim::{LatencyModel, StructureCost};
 use adainf::nn::metrics::{js_divergence, normalize_hist};
 use adainf::nn::Matrix;
-use adainf::simcore::{Cdf, OnlineStats, Prng};
+use adainf::simcore::{Cdf, Prng};
 use proptest::prelude::*;
 
 proptest! {
@@ -147,23 +147,6 @@ proptest! {
         prop_assert!(cdf.quantile(lo) <= cdf.quantile(hi));
         prop_assert!(cdf.quantile(0.0) <= cdf.quantile(1.0));
         prop_assert!(cdf.quantile(1.0) <= 1e6);
-    }
-
-    /// Welford merge equals sequential accumulation.
-    #[test]
-    fn online_stats_merge_associative(
-        a in proptest::collection::vec(-1e3f64..1e3, 0..50),
-        b in proptest::collection::vec(-1e3f64..1e3, 0..50),
-    ) {
-        let mut all = OnlineStats::new();
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for x in &a { all.add(*x); left.add(*x); }
-        for x in &b { all.add(*x); right.add(*x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), all.count());
-        prop_assert!((left.mean() - all.mean()).abs() < 1e-9);
-        prop_assert!((left.variance() - all.variance()).abs() < 1e-6);
     }
 
     /// JS divergence is symmetric, non-negative and bounded by ln 2 for
