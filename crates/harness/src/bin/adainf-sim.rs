@@ -6,7 +6,8 @@
 //!            [--rate REQ_PER_SEC] [--pool SAMPLES] [--json]
 //! ```
 //!
-//! Prints the run summary (or, with `--json`, the full metric export).
+//! Prints a summary read from the run's `RunMetrics` (or, with `--json`,
+//! `RunMetrics::export_json`: the summary values and every series).
 
 #![forbid(unsafe_code)]
 
@@ -77,36 +78,41 @@ fn main() {
         config.duration.as_secs_f64(),
         config.seed
     );
-    let metrics = run(config);
+    let m = run(config);
 
     if json {
-        println!("{}", metrics.export_json());
+        println!("{}", m.export_json());
     } else {
-        let s = metrics.summary();
-        println!("method               : {}", s.name);
-        println!("requests served      : {}", s.total_requests);
-        println!("mean accuracy        : {:.2}%", s.mean_accuracy * 100.0);
-        println!("mean finish rate     : {:.2}%", s.mean_finish_rate * 100.0);
+        println!("method               : {}", m.name);
+        println!("requests served      : {}", m.total_requests);
+        println!("mean accuracy        : {:.2}%", m.mean_accuracy() * 100.0);
+        println!(
+            "mean finish rate     : {:.2}%",
+            m.mean_finish_rate() * 100.0
+        );
         println!(
             "mean inference lat.  : {:.2} ms",
-            s.mean_inference_latency_ms
+            m.inference_latency.mean()
         );
-        println!("mean retrain lat.    : {:.1} ms", s.mean_retrain_latency_ms);
-        println!("edge-cloud traffic   : {:.1} GB", s.edge_cloud_gb);
+        println!("mean retrain lat.    : {:.1} ms", m.retrain_latency.mean());
+        println!(
+            "edge-cloud traffic   : {:.1} GB",
+            m.edge_cloud_bytes as f64 / 1e9
+        );
         println!(
             "scheduling wall time : {:.3} ms/session",
-            s.sched_overhead_ms
+            m.sched_overhead.mean()
         );
         println!(
             "decision-cache hits  : {:.1}% ({} hits / {} misses)",
-            s.cache_hit_rate * 100.0,
-            metrics.cache_hits,
-            metrics.cache_misses
+            m.cache_hit_rate() * 100.0,
+            m.cache_hits,
+            m.cache_misses
         );
         println!("\nper-application job latency (ms):");
         println!("  {:<4} {:>8} {:>8} {:>8}", "app", "p50", "p95", "p99");
-        for app in 0..metrics.per_app_latency.len() {
-            let (p50, p95, p99) = metrics.latency_percentiles(app);
+        for app in 0..m.per_app_latency.len() {
+            let (p50, p95, p99) = m.latency_percentiles(app);
             println!("  {app:<4} {p50:>8.1} {p95:>8.1} {p99:>8.1}");
         }
     }

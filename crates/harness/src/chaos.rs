@@ -29,7 +29,7 @@ pub struct Scenario {
     pub finish_floor: f64,
     /// Run with `AdaInfConfig::predicted_latency` on: admission decides
     /// from the online latency predictor's forecasts once warm, and the
-    /// outcome carries the calibration columns.
+    /// report's calibration columns read its forecasts.
     pub predicted: bool,
 }
 
@@ -72,7 +72,9 @@ pub const SCENARIOS: [Scenario; 6] = [
     // times inflate, forecasts lag, then the forgetting factor pulls
     // them back. The floor documents that admission on a temporarily
     // mis-calibrated model still degrades instead of collapsing, and
-    // the outcome's calibration columns show the re-convergence.
+    // the run's forecast error by session quartile
+    // (`RunMetrics::predicted_rel_err_quartile`) shows the
+    // re-convergence.
     Scenario {
         name: "device-stall-predicted",
         spec: FaultSpec::device_stall,
@@ -80,42 +82,6 @@ pub const SCENARIOS: [Scenario; 6] = [
         predicted: true,
     },
 ];
-
-/// Outcome of one scenario run.
-#[derive(Clone, Debug)]
-pub struct ChaosOutcome {
-    /// Scenario name.
-    pub name: String,
-    /// Mean finish rate over the run.
-    pub finish_rate: f64,
-    /// The scenario's documented floor.
-    pub finish_floor: f64,
-    /// Whether the finish rate held its floor.
-    pub passed: bool,
-    /// Requests shed by admission control.
-    pub shed_requests: u64,
-    /// Jobs served degraded after reload give-up.
-    pub degraded_jobs: u64,
-    /// Sessions inside an active fault window.
-    pub fault_sessions: u64,
-    /// Pressure windows opened.
-    pub eviction_storms: u64,
-    /// Evictions + drops those storms forced.
-    pub storm_evictions: u64,
-    /// Pool samples destroyed by starvation.
-    pub starved_samples: u64,
-    /// Mean |forecast − outcome| of the latency predictor, µs (0 when
-    /// the scenario ran without one).
-    pub predicted_latency_mae_us: f64,
-    /// Fraction of predicted-to-fit jobs that blew their SLO anyway.
-    pub headroom_violation_rate: f64,
-    /// Mean *relative* forecast error over the run's first and last
-    /// session quartiles — re-convergence evidence: the stall inflates
-    /// early error, the forgetting factor pulls the tail back down.
-    pub predicted_rel_err_first_q: f64,
-    /// See [`Self::predicted_rel_err_first_q`].
-    pub predicted_rel_err_last_q: f64,
-}
 
 /// The one seed the suite runs at (CI's bound gate, tests, EXPERIMENTS.md).
 pub const SEED: u64 = 11;
@@ -141,51 +107,36 @@ impl Scenario {
             ..RunConfig::default()
         }
     }
-}
 
-/// Evaluates `scenario`'s bound on the metrics of its run.
-pub fn outcome(scenario: &Scenario, m: &RunMetrics) -> ChaosOutcome {
-    let finish_rate = m.mean_finish_rate();
-    ChaosOutcome {
-        name: scenario.name.to_string(),
-        finish_rate,
-        finish_floor: scenario.finish_floor,
-        passed: finish_rate >= scenario.finish_floor,
-        shed_requests: m.shed_requests,
-        degraded_jobs: m.degraded_jobs,
-        fault_sessions: m.fault_sessions,
-        eviction_storms: m.eviction_storms,
-        storm_evictions: m.storm_evictions,
-        starved_samples: m.starved_samples,
-        predicted_latency_mae_us: m.predicted_latency_mae_us(),
-        headroom_violation_rate: m.headroom_violation_rate(),
-        predicted_rel_err_first_q: m.predicted_rel_err_quartile(0),
-        predicted_rel_err_last_q: m.predicted_rel_err_quartile(3),
+    /// Whether the mean finish rate of `m`, this scenario's run, holds
+    /// the documented floor.
+    pub fn holds(&self, m: &RunMetrics) -> bool {
+        m.mean_finish_rate() >= self.finish_floor
     }
 }
 
-/// Renders suite outcomes as a markdown table.
-pub fn report(outcomes: &[ChaosOutcome]) -> String {
+/// Renders each scenario's run as a row of a markdown table.
+pub fn report(runs: &[(&Scenario, &RunMetrics)]) -> String {
     let mut out = String::new();
     out.push_str(
         "| scenario | finish | floor | ok | shed | degraded | fault sessions | storms | storm evictions | starved | pred MAE µs | headroom viol |\n",
     );
     out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|\n");
-    for o in outcomes {
+    for (s, m) in runs {
         out.push_str(&format!(
             "| {} | {:.4} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {:.4} |\n",
-            o.name,
-            o.finish_rate,
-            o.finish_floor,
-            if o.passed { "yes" } else { "NO" },
-            o.shed_requests,
-            o.degraded_jobs,
-            o.fault_sessions,
-            o.eviction_storms,
-            o.storm_evictions,
-            o.starved_samples,
-            o.predicted_latency_mae_us,
-            o.headroom_violation_rate,
+            s.name,
+            m.mean_finish_rate(),
+            s.finish_floor,
+            if s.holds(m) { "yes" } else { "NO" },
+            m.shed_requests,
+            m.degraded_jobs,
+            m.fault_sessions,
+            m.eviction_storms,
+            m.storm_evictions,
+            m.starved_samples,
+            m.predicted_latency_mae_us(),
+            m.headroom_violation_rate(),
         ));
     }
     out
@@ -194,6 +145,7 @@ pub fn report(outcomes: &[ChaosOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adainf_simcore::SimTime;
 
     #[test]
     fn catalogue_names_are_unique_and_floors_sane() {
@@ -206,21 +158,20 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_one_row_per_outcome() {
+    fn report_renders_one_row_per_scenario() {
         let scenario = &SCENARIOS[0];
-        let m = RunMetrics::new("AdaInf".into(), &[2]);
-        let o = outcome(scenario, &m);
-        let md = report(&[o]);
+        let mut m = RunMetrics::new("AdaInf".into(), &[2]);
+        let md = report(&[(scenario, &m)]);
         assert_eq!(md.lines().count(), 3);
         assert!(md.contains("| control |"));
         // A floor prints at the finish rate's precision: a 0.999 floor
         // does not round up to 1 next to a failing 0.9985.
-        let tight = ChaosOutcome {
-            finish_rate: 0.9985,
+        let tight = Scenario {
             finish_floor: 0.999,
-            passed: false,
-            ..outcome(scenario, &m)
+            ..*scenario
         };
-        assert!(report(&[tight]).contains("| control | 0.9985 | 0.9990 | NO |"));
+        m.finish.record(SimTime::from_secs(1), 1997.0, 2000.0);
+        assert!(!tight.holds(&m));
+        assert!(report(&[(&tight, &m)]).contains("| control | 0.9985 | 0.9990 | NO |"));
     }
 }

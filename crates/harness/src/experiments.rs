@@ -10,7 +10,7 @@
 //! [`Scale::Default`] (500 s) preserves every qualitative shape at less
 //! cost, and [`Scale::Fast`] (150 s) is for smoke runs.
 
-use crate::chaos::{self, SCENARIOS};
+use crate::chaos::{self, Scenario, SCENARIOS};
 use crate::metrics::RunMetrics;
 use crate::report::{pct, table};
 use crate::sim::{Method, RunConfig};
@@ -24,7 +24,7 @@ use adainf_gpusim::{
     EvictionPolicyKind, ExecMode, GpuMemory, LatencyModel, MemoryConfig, StructureCost,
 };
 use adainf_nn::metrics::js_divergence;
-use adainf_simcore::{Cdf, PeriodSeries, Prng, SimDuration, SimTime};
+use adainf_simcore::{Cdf, Prng, SimDuration, SimTime, WindowSeries};
 use std::fmt::Write as _;
 
 /// How long the simulated runs last.
@@ -140,7 +140,7 @@ fn adainf_with(base: &RunConfig, edit: impl FnOnce(&mut AdaInfConfig)) -> RunCon
 }
 
 /// A per-period series as percentages, `-` for a period without data.
-fn pct_row(series: &PeriodSeries) -> Vec<String> {
+fn pct_row(series: &WindowSeries) -> Vec<String> {
     series
         .ratios()
         .iter()
@@ -1237,7 +1237,7 @@ fn per_app(runs: &[Run]) -> String {
                             .map(pct)
                             .next_back()
                             .unwrap_or_else(|| "-".into()),
-                        pct(m.per_app_accuracy[app].mean()),
+                        pct(m.per_app_accuracy[app].mean_ratio()),
                         format!("{p50:.0}/{p95:.0}/{p99:.0}ms"),
                         samples.to_string(),
                     ]
@@ -1266,11 +1266,12 @@ fn chaos_runs(_: Scale) -> Vec<RunConfig> {
     SCENARIOS.iter().map(|s| s.config(chaos::SEED)).collect()
 }
 
-fn chaos_outcomes(runs: &[Run]) -> Vec<chaos::ChaosOutcome> {
+/// Each scenario with the metrics of its run.
+fn chaos_pairs<'a>(runs: &[Run<'a>]) -> Vec<(&'static Scenario, &'a RunMetrics)> {
     SCENARIOS
         .iter()
         .zip(runs)
-        .map(|(scenario, (_, m))| chaos::outcome(scenario, m))
+        .map(|(s, &(_, m))| (s, m))
         .collect()
 }
 
@@ -1279,19 +1280,21 @@ fn chaos_suite(runs: &[Run]) -> String {
     format!(
         "## Chaos suite (seed {})\n\n{}",
         chaos::SEED,
-        chaos::report(&chaos_outcomes(runs))
+        chaos::report(&chaos_pairs(runs))
     )
 }
 
 /// The scenarios whose finish rate fell below their documented floor.
 fn chaos_bounds(runs: &[Run]) -> Vec<String> {
-    chaos_outcomes(runs)
+    chaos_pairs(runs)
         .into_iter()
-        .filter(|o| !o.passed)
-        .map(|o| {
+        .filter(|(s, m)| !s.holds(m))
+        .map(|(s, m)| {
             format!(
                 "{} finished {:.4}, below its floor {:.2}",
-                o.name, o.finish_rate, o.finish_floor
+                s.name,
+                m.mean_finish_rate(),
+                s.finish_floor
             )
         })
         .collect()

@@ -9,10 +9,11 @@
 //! built from.
 //!
 //! * [`sim`] — the simulation loop ([`sim::Simulation`], [`sim::RunConfig`]).
-//! * [`metrics`] — [`metrics::RunMetrics`]: per-period accuracy (overall,
-//!   per app, per node), 1 s finish-rate windows, updated-model shares,
-//!   retraining-time/sample bookkeeping, latency stats, utilization,
-//!   overheads.
+//! * [`metrics`] — [`metrics::RunMetrics`], the one type that holds a
+//!   run's results: per-period accuracy (overall, per app, per node), 1 s
+//!   finish-rate windows, updated-model shares, retraining-time/sample
+//!   bookkeeping, latency stats, utilization, overheads, and their JSON
+//!   export.
 //! * [`experiments`] — one item per figure/table of the paper and per
 //!   experiment beyond it, each declaring the runs it reads; run by name
 //!   through `adainf-bench`'s `run_all`.
@@ -34,7 +35,6 @@ pub mod parallel;
 pub mod report;
 pub mod sim;
 
-pub use chaos::ChaosOutcome;
 pub use metrics::RunMetrics;
 pub use parallel::{run_many, RunSet};
 pub use sim::{ChaosConfig, ConfigError, Method, RunConfig, Simulation};

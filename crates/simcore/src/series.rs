@@ -1,15 +1,13 @@
 //! Windowed time series.
 //!
-//! Two shapes of series recur throughout the evaluation:
-//!
-//! * [`PeriodSeries`] — one aggregate per 50 s retraining period
-//!   (accuracy in Figs 4, 5, 7, 18, 22).
-//! * [`WindowSeries`] — one aggregate per fixed window of arbitrary width
-//!   (the 1 s finish-rate windows of Fig 19 and the per-second GPU
-//!   utilization of Fig 21).
+//! A [`WindowSeries`] holds one ratio per fixed-width window of
+//! simulated time. The evaluation reads three widths: the 50 s
+//! retraining [`PERIOD`](crate::time::PERIOD) (accuracy in Figs 4, 5,
+//! 7, 18 and 22), 5 s (the intra-period accuracy trajectory) and 1 s
+//! (the finish-rate windows of Fig 19).
 
 use crate::stats::OnlineStats;
-use crate::time::{SimDuration, SimTime, PERIOD};
+use crate::time::{SimDuration, SimTime};
 
 /// Ratio accumulator: `hits / total` per window (finish rates, accuracy).
 #[derive(Clone, Copy, Debug, Default)]
@@ -108,65 +106,10 @@ impl WindowSeries {
     }
 }
 
-/// A series with one ratio slot per retraining period (50 s).
-#[derive(Clone, Debug)]
-pub struct PeriodSeries {
-    inner: WindowSeries,
-}
-
-impl Default for PeriodSeries {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PeriodSeries {
-    /// Creates a per-period series.
-    pub fn new() -> Self {
-        PeriodSeries {
-            inner: WindowSeries::new(PERIOD),
-        }
-    }
-
-    /// Records `hits` out of `total` at time `at`.
-    pub fn record(&mut self, at: SimTime, hits: f64, total: f64) {
-        self.inner.record(at, hits, total);
-    }
-
-    /// Ratio of period `idx`, if it saw traffic.
-    pub fn period(&self, idx: usize) -> Option<f64> {
-        self.inner.ratios().get(idx).copied().flatten()
-    }
-
-    /// All per-period ratios.
-    pub fn ratios(&self) -> Vec<Option<f64>> {
-        self.inner.ratios()
-    }
-
-    /// Mean across non-empty periods.
-    pub fn mean(&self) -> f64 {
-        self.inner.mean_ratio()
-    }
-
-    /// Pooled ratio across all periods.
-    pub fn pooled(&self) -> f64 {
-        self.inner.pooled_ratio()
-    }
-
-    /// Number of periods touched.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::PERIOD;
 
     #[test]
     fn windows_bucket_by_time() {
@@ -205,12 +148,10 @@ mod tests {
 
     #[test]
     fn period_series_uses_50s_periods() {
-        let mut p = PeriodSeries::new();
+        let mut p = WindowSeries::new(PERIOD);
         p.record(SimTime::from_secs(10), 8.0, 10.0);
         p.record(SimTime::from_secs(60), 9.0, 10.0);
-        assert_eq!(p.period(0), Some(0.8));
-        assert_eq!(p.period(1), Some(0.9));
-        assert_eq!(p.period(2), None);
+        assert_eq!(p.ratios(), vec![Some(0.8), Some(0.9)]);
         assert_eq!(p.len(), 2);
     }
 }

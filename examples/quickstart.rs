@@ -23,16 +23,24 @@ fn main() {
     println!("deploying 8 applications on a 4-GPU edge server …");
     let metrics = run(config.with_method(Method::AdaInf(AdaInfConfig::default())));
 
-    let s = metrics.summary();
-    println!("\nmethod               : {}", s.name);
-    println!("requests served      : {}", s.total_requests);
-    println!("mean accuracy        : {:.1}%", s.mean_accuracy * 100.0);
-    println!("mean SLO finish rate : {:.1}%", s.mean_finish_rate * 100.0);
+    println!("\nmethod               : {}", metrics.name);
+    println!("requests served      : {}", metrics.total_requests);
+    println!(
+        "mean accuracy        : {:.1}%",
+        metrics.mean_accuracy() * 100.0
+    );
+    println!(
+        "mean SLO finish rate : {:.1}%",
+        metrics.mean_finish_rate() * 100.0
+    );
     println!(
         "mean inference lat.  : {:.1} ms",
-        s.mean_inference_latency_ms
+        metrics.inference_latency.mean()
     );
-    println!("GPU utilization      : {:.0}%", s.mean_utilization * 100.0);
+    println!(
+        "GPU utilization      : {:.0}%",
+        metrics.mean_utilization() * 100.0
+    );
 
     println!("\naccuracy per 50 s period:");
     for (i, acc) in metrics.accuracy.ratios().iter().enumerate() {

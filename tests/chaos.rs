@@ -19,9 +19,9 @@
 
 use adainf::core::AdaInfConfig;
 use adainf::driftgen::FaultSpec;
-use adainf::harness::chaos::{self, outcome, report, ChaosOutcome, SCENARIOS};
+use adainf::harness::chaos::{self, report, Scenario, SCENARIOS};
 use adainf::harness::sim::{run, ChaosConfig, Method, RunConfig};
-use adainf::harness::RunSet;
+use adainf::harness::{RunMetrics, RunSet};
 use adainf::simcore::SimDuration;
 use std::sync::OnceLock;
 
@@ -41,10 +41,11 @@ fn suite() -> &'static RunSet {
     RUNS.get_or_init(|| RunSet::new(SCENARIOS.iter().map(|s| s.config(chaos::SEED))).run())
 }
 
-/// The outcome of scenario `i` of the catalogue at the suite seed.
-fn scenario(i: usize) -> ChaosOutcome {
-    let s = &SCENARIOS[i];
-    outcome(s, suite().get(&s.config(chaos::SEED)))
+/// Scenario `i` of the catalogue and the metrics of its run at the
+/// suite seed.
+fn scenario(i: usize) -> (Scenario, &'static RunMetrics) {
+    let s = SCENARIOS[i];
+    (s, suite().get(&s.config(chaos::SEED)))
 }
 
 /// Armed-but-empty chaos must reproduce the pristine goldens of
@@ -66,19 +67,18 @@ fn empty_fault_spec_reproduces_pristine_goldens() {
         let mut cfg = config(Method::AdaInf(AdaInfConfig::default()), seed);
         cfg.chaos = Some(ChaosConfig::scenario(FaultSpec::none(seed)));
         let m = run(cfg);
-        let s = m.summary();
         assert_eq!(m.total_requests, requests, "seed {seed}: total_requests");
         assert_eq!(
-            s.mean_accuracy.to_bits(),
+            m.mean_accuracy().to_bits(),
             accuracy.to_bits(),
             "seed {seed}: mean_accuracy {} != golden {accuracy}",
-            s.mean_accuracy
+            m.mean_accuracy()
         );
         assert_eq!(
-            s.mean_finish_rate.to_bits(),
+            m.mean_finish_rate().to_bits(),
             finish.to_bits(),
             "seed {seed}: mean_finish_rate {} != golden {finish}",
-            s.mean_finish_rate
+            m.mean_finish_rate()
         );
         assert_eq!(m.fault_sessions, 0);
         assert_eq!(m.shed_requests, 0);
@@ -89,13 +89,18 @@ fn empty_fault_spec_reproduces_pristine_goldens() {
 /// point panics or trips a `strict-invariants` assert.
 #[test]
 fn scenarios_hold_their_documented_floors() {
-    let outcomes: Vec<ChaosOutcome> = (0..SCENARIOS.len()).map(scenario).collect();
-    let table = report(&outcomes);
-    for o in &outcomes {
+    let rows: Vec<(&Scenario, &RunMetrics)> = SCENARIOS
+        .iter()
+        .map(|s| (s, suite().get(&s.config(chaos::SEED))))
+        .collect();
+    let table = report(&rows);
+    for (s, m) in rows {
         assert!(
-            o.passed,
+            s.holds(m),
             "{} violated its bound: finish {} < floor {}\n{table}",
-            o.name, o.finish_rate, o.finish_floor
+            s.name,
+            m.mean_finish_rate(),
+            s.finish_floor
         );
     }
 }
@@ -104,22 +109,32 @@ fn scenarios_hold_their_documented_floors() {
 /// requests are shed up front instead of collapsing the finish rate.
 #[test]
 fn rate_burst_sheds_instead_of_collapsing() {
-    let o = scenario(1);
-    assert_eq!(o.name, "rate-burst");
-    assert!(o.fault_sessions > 0, "no burst window fired");
-    assert!(o.shed_requests > 0, "admission control never shed");
-    assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
+    let (s, m) = scenario(1);
+    assert_eq!(s.name, "rate-burst");
+    assert!(m.fault_sessions > 0, "no burst window fired");
+    assert!(m.shed_requests > 0, "admission control never shed");
+    assert!(
+        s.holds(m),
+        "finish {} < {}",
+        m.mean_finish_rate(),
+        s.finish_floor
+    );
 }
 
 /// Memory-pressure spikes force eviction storms; parameter reloads are
 /// retried a bounded number of times and give up into degraded serving.
 #[test]
 fn memory_pressure_storms_and_bounded_reloads() {
-    let o = scenario(2);
-    assert_eq!(o.name, "memory-pressure");
-    assert!(o.eviction_storms >= 1, "no pressure window opened");
-    assert!(o.storm_evictions > 0, "storm evicted nothing");
-    assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
+    let (s, m) = scenario(2);
+    assert_eq!(s.name, "memory-pressure");
+    assert!(m.eviction_storms >= 1, "no pressure window opened");
+    assert!(m.storm_evictions > 0, "storm evicted nothing");
+    assert!(
+        s.holds(m),
+        "finish {} < {}",
+        m.mean_finish_rate(),
+        s.finish_floor
+    );
 }
 
 /// Pool starvation destroys retraining samples mid-period; serving
@@ -127,20 +142,30 @@ fn memory_pressure_storms_and_bounded_reloads() {
 /// casualty).
 #[test]
 fn pool_starvation_destroys_samples_not_serving() {
-    let o = scenario(3);
-    assert_eq!(o.name, "pool-starvation");
-    assert!(o.starved_samples > 0, "no samples starved");
-    assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
+    let (s, m) = scenario(3);
+    assert_eq!(s.name, "pool-starvation");
+    assert!(m.starved_samples > 0, "no samples starved");
+    assert!(
+        s.holds(m),
+        "finish {} < {}",
+        m.mean_finish_rate(),
+        s.finish_floor
+    );
 }
 
 /// Transient device stalls inflate kernel latency; degradation (shed +
 /// inference-only fallback) keeps the run above its floor.
 #[test]
 fn device_stall_degrades_gracefully() {
-    let o = scenario(4);
-    assert_eq!(o.name, "device-stall");
-    assert!(o.fault_sessions > 0, "no stall window fired");
-    assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
+    let (s, m) = scenario(4);
+    assert_eq!(s.name, "device-stall");
+    assert!(m.fault_sessions > 0, "no stall window fired");
+    assert!(
+        s.holds(m),
+        "finish {} < {}",
+        m.mean_finish_rate(),
+        s.finish_floor
+    );
 }
 
 /// Predicted-latency admission through device-stall windows: the stall
@@ -151,25 +176,32 @@ fn device_stall_degrades_gracefully() {
 /// relative error beats the first quartile's warm-up-and-stall error.
 #[test]
 fn device_stall_predicted_reconverges() {
-    let o = scenario(5);
-    assert_eq!(o.name, "device-stall-predicted");
-    assert!(o.fault_sessions > 0, "no stall window fired");
-    assert!(o.passed, "finish {} < {}", o.finish_rate, o.finish_floor);
+    let (s, m) = scenario(5);
+    assert_eq!(s.name, "device-stall-predicted");
+    assert!(m.fault_sessions > 0, "no stall window fired");
     assert!(
-        o.predicted_latency_mae_us > 0.0 && o.predicted_latency_mae_us.is_finite(),
-        "calibration never ran: MAE {}",
-        o.predicted_latency_mae_us
+        s.holds(m),
+        "finish {} < {}",
+        m.mean_finish_rate(),
+        s.finish_floor
+    );
+    let mae = m.predicted_latency_mae_us();
+    assert!(
+        mae > 0.0 && mae.is_finite(),
+        "calibration never ran: MAE {mae}"
+    );
+    let violations = m.headroom_violation_rate();
+    assert!(
+        (0.0..=1.0).contains(&violations),
+        "violation rate {violations}"
+    );
+    let (first, last) = (
+        m.predicted_rel_err_quartile(0),
+        m.predicted_rel_err_quartile(3),
     );
     assert!(
-        (0.0..=1.0).contains(&o.headroom_violation_rate),
-        "violation rate {}",
-        o.headroom_violation_rate
-    );
-    assert!(
-        o.predicted_rel_err_last_q < o.predicted_rel_err_first_q,
-        "no re-convergence: first-quartile rel err {} ≤ last-quartile {}",
-        o.predicted_rel_err_first_q,
-        o.predicted_rel_err_last_q
+        last < first,
+        "no re-convergence: first-quartile rel err {first} ≤ last-quartile {last}"
     );
 }
 
@@ -195,13 +227,10 @@ fn parallel_drift_build_matches_sequential_under_chaos() {
     assert_eq!(p.shed_requests, s.shed_requests);
     assert_eq!(p.fault_sessions, s.fault_sessions);
     assert_eq!(p.storm_evictions, s.storm_evictions);
+    assert_eq!(p.mean_accuracy().to_bits(), s.mean_accuracy().to_bits());
     assert_eq!(
-        p.summary().mean_accuracy.to_bits(),
-        s.summary().mean_accuracy.to_bits()
-    );
-    assert_eq!(
-        p.summary().mean_finish_rate.to_bits(),
-        s.summary().mean_finish_rate.to_bits()
+        p.mean_finish_rate().to_bits(),
+        s.mean_finish_rate().to_bits()
     );
 }
 
@@ -218,12 +247,9 @@ fn chaos_runs_are_deterministic() {
     assert_eq!(a.shed_requests, b.shed_requests);
     assert_eq!(a.fault_sessions, b.fault_sessions);
     assert_eq!(a.storm_evictions, b.storm_evictions);
+    assert_eq!(a.mean_accuracy().to_bits(), b.mean_accuracy().to_bits());
     assert_eq!(
-        a.summary().mean_accuracy.to_bits(),
-        b.summary().mean_accuracy.to_bits()
-    );
-    assert_eq!(
-        a.summary().mean_finish_rate.to_bits(),
-        b.summary().mean_finish_rate.to_bits()
+        a.mean_finish_rate().to_bits(),
+        b.mean_finish_rate().to_bits()
     );
 }

@@ -503,21 +503,20 @@ fn unwarmed_predictor_falls_back_to_analytic_bit_exactly() {
         assert!(on.fault_sessions > 0, "seed {seed}: no stall window fired");
         assert_eq!(on.total_requests, off.total_requests, "seed {seed}");
         assert_eq!(on.shed_requests, off.shed_requests, "seed {seed}");
-        let (a, b) = (on.summary(), off.summary());
         assert_eq!(
-            a.mean_accuracy.to_bits(),
-            b.mean_accuracy.to_bits(),
+            on.mean_accuracy().to_bits(),
+            off.mean_accuracy().to_bits(),
             "seed {seed}: mean_accuracy"
         );
         assert_eq!(
-            a.mean_finish_rate.to_bits(),
-            b.mean_finish_rate.to_bits(),
+            on.mean_finish_rate().to_bits(),
+            off.mean_finish_rate().to_bits(),
             "seed {seed}: mean_finish_rate"
         );
         // Below warm-up the model forecasts nothing, so no calibration
         // row was ever scored.
-        assert_eq!(a.predicted_latency_mae_us, 0.0, "seed {seed}");
-        assert_eq!(a.headroom_violation_rate, 0.0, "seed {seed}");
+        assert_eq!(on.predicted_latency_mae_us(), 0.0, "seed {seed}");
+        assert_eq!(on.headroom_violation_rate(), 0.0, "seed {seed}");
     }
 }
 
@@ -546,20 +545,19 @@ fn predictor_off_is_inert_across_methods_and_seeds() {
                 duration: SimDuration::from_secs(60),
                 ..RunConfig::default()
             });
-            let s = m.summary();
             assert_eq!(
                 m.total_requests, requests,
                 "{} seed {seed}: total_requests",
-                s.name
+                m.name
             );
             assert_eq!(
                 m.pred_abs_err_us.count(),
                 0,
                 "{} seed {seed}: calibration ran with the predictor off",
-                s.name
+                m.name
             );
-            assert_eq!(s.predicted_latency_mae_us, 0.0, "{} seed {seed}", s.name);
-            assert_eq!(s.headroom_violation_rate, 0.0, "{} seed {seed}", s.name);
+            assert_eq!(m.predicted_latency_mae_us(), 0.0, "{} seed {seed}", m.name);
+            assert_eq!(m.headroom_violation_rate(), 0.0, "{} seed {seed}", m.name);
         }
     }
 }
@@ -596,11 +594,9 @@ fn pipeline_bit_identical_across_pool_widths() {
             sequential.period_overhead.count() >= 2,
             "seed {seed}: no period boundaries crossed — the pipeline never ran"
         );
-        let base = sequential.summary();
         let base_fine = sequential.accuracy_fine.ratios();
         for workers in [2usize, 4, 8] {
             let m = make(seed, workers);
-            let s = m.summary();
             assert_eq!(
                 m.total_requests, sequential.total_requests,
                 "seed {seed} workers {workers}: total_requests"
@@ -610,18 +606,18 @@ fn pipeline_bit_identical_across_pool_widths() {
                 "seed {seed} workers {workers}: shed_requests"
             );
             assert_eq!(
-                s.mean_accuracy.to_bits(),
-                base.mean_accuracy.to_bits(),
+                m.mean_accuracy().to_bits(),
+                sequential.mean_accuracy().to_bits(),
                 "seed {seed} workers {workers}: mean_accuracy"
             );
             assert_eq!(
-                s.mean_finish_rate.to_bits(),
-                base.mean_finish_rate.to_bits(),
+                m.mean_finish_rate().to_bits(),
+                sequential.mean_finish_rate().to_bits(),
                 "seed {seed} workers {workers}: mean_finish_rate"
             );
             assert_eq!(
-                s.mean_inference_latency_ms.to_bits(),
-                base.mean_inference_latency_ms.to_bits(),
+                m.inference_latency.mean().to_bits(),
+                sequential.inference_latency.mean().to_bits(),
                 "seed {seed} workers {workers}: mean_inference_latency_ms"
             );
             let fine = m.accuracy_fine.ratios();
