@@ -130,16 +130,6 @@ impl EdgeServer {
             .map(|b| (b / capacity).min(1.0))
             .collect()
     }
-
-    /// Mean utilization across all recorded windows.
-    pub fn mean_utilization(&self) -> f64 {
-        let u = self.utilization_per_second();
-        if u.is_empty() {
-            0.0
-        } else {
-            u.iter().sum::<f64>() / u.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +165,6 @@ mod tests {
         s.record_busy(SimTime::ZERO, SimDuration::ZERO, 1.0);
         s.record_busy(SimTime::ZERO, SimDuration::from_secs(1), 0.0);
         assert!(s.utilization_per_second().is_empty());
-        assert_eq!(s.mean_utilization(), 0.0);
     }
 
     #[test]

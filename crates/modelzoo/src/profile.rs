@@ -94,23 +94,6 @@ impl ModelProfile {
         self
     }
 
-    /// Applies a model-compression factor (DeepSpeed-style, §4): FLOPs
-    /// and parameter bytes shrink by `factor`; activation footprints are
-    /// architecture-bound and stay.
-    ///
-    /// # Panics
-    /// Panics unless `0 < factor <= 1`.
-    pub fn compressed(mut self, factor: f64) -> ModelProfile {
-        assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        for f in &mut self.layer_flops {
-            *f *= factor;
-        }
-        for p in &mut self.layer_param_bytes {
-            *p = (*p as f64 * factor) as u64;
-        }
-        self.with_costs()
-    }
-
     /// Number of layers in the full structure.
     pub fn num_layers(&self) -> usize {
         self.layer_flops.len()
@@ -214,23 +197,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compression_scales_flops_and_params_only() {
-        let p = profile();
-        let act_before: u64 = p.layer_activation_bytes.iter().sum();
-        let c = p.clone().compressed(0.5);
-        let flops: f64 = c.layer_flops.iter().sum();
-        assert!((flops - 4.5e7).abs() / 4.5e7 < 1e-9);
-        let act_after: u64 = c.layer_activation_bytes.iter().sum();
-        assert_eq!(act_before, act_after);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be in")]
-    fn bad_compression_rejected() {
-        profile().compressed(1.5);
-    }
-
     /// The summing `structure_cost` the per-cut table replaced: each
     /// field summed over the layer slice `..=cut`.
     fn summed_cost(p: &ModelProfile, cut: usize) -> StructureCost {
@@ -244,8 +210,8 @@ mod tests {
         }
     }
 
-    /// Every zoo backbone, plain and compressed: the stored cost of
-    /// every cut bit-equals the slice sums over the layer vectors.
+    /// Every zoo backbone: the stored cost of every cut bit-equals the
+    /// slice sums over the layer vectors.
     #[test]
     fn cost_table_bit_equals_layer_sums() {
         use crate::zoo;
@@ -270,18 +236,16 @@ mod tests {
             zoo::audio_net(),
             zoo::intent_net(),
         ];
-        for plain in backbones {
-            for p in [plain.clone(), plain.compressed(0.5)] {
-                for cut in 0..p.num_layers() {
-                    assert_eq!(
-                        bits(p.structure_cost(cut)),
-                        bits(summed_cost(&p, cut)),
-                        "{} cut {cut}",
-                        p.name
-                    );
-                }
-                assert_eq!(bits(p.full_cost()), bits(summed_cost(&p, p.full_cut())));
+        for p in backbones {
+            for cut in 0..p.num_layers() {
+                assert_eq!(
+                    bits(p.structure_cost(cut)),
+                    bits(summed_cost(&p, cut)),
+                    "{} cut {cut}",
+                    p.name
+                );
             }
+            assert_eq!(bits(p.full_cost()), bits(summed_cost(&p, p.full_cut())));
         }
     }
 

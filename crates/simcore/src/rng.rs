@@ -7,8 +7,8 @@
 //! expose [`Prng::split`] to derive independent child generators.
 //!
 //! The distribution samplers implemented here (normal via Box–Muller,
-//! Poisson via Knuth/normal approximation, exponential via inversion) keep
-//! us from needing `rand_distr` as a dependency.
+//! Poisson via Knuth/normal approximation) keep us from needing
+//! `rand_distr` as a dependency.
 //!
 //! Rows of scaled normals rounded to `f32` — the data generator's
 //! samples — come from one blocked kernel, [`Prng::scaled_gauss_rows`].
@@ -307,12 +307,6 @@ impl Prng {
                 x.round() as u64
             }
         }
-    }
-
-    /// Exponential draw with the given rate (mean `1/rate`).
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        debug_assert!(rate > 0.0);
-        -(1.0 - self.f64()).ln() / rate
     }
 
     /// Samples an index from a discrete distribution given by non-negative
