@@ -15,7 +15,7 @@
 //! values do not reproduce the typed ones.
 
 use crate::regression::PowerLawScaler;
-use adainf_gpusim::exec::{run_concurrent, TaskExec, TaskKind};
+use adainf_gpusim::exec::{run_concurrent, total_ms, TaskExec, TaskKind};
 use adainf_gpusim::{
     EvictionPolicyKind, ExecMode, GpuMemory, LatencyModel, MemoryConfig, StructureCost,
 };
@@ -203,9 +203,7 @@ pub fn measure_inflation(
         policy,
         ..MemoryConfig::default()
     });
-    let results = run_concurrent(&tasks, &latency, &mut mem, mode);
-    let compute: f64 = results.iter().map(|r| r.compute.as_millis_f64()).sum();
-    let comm: f64 = results.iter().map(|r| r.comm.as_millis_f64()).sum();
+    let (compute, comm) = total_ms(&run_concurrent(&tasks, &latency, &mut mem, mode));
     if compute <= 0.0 {
         1.0
     } else {

@@ -115,8 +115,14 @@ pub struct TaskResult {
     pub compute: SimDuration,
     /// CPU–GPU communication time incurred by this task's accesses.
     pub comm: SimDuration,
-    /// Completion instant (task start + compute + comm).
-    pub finished_at: SimTime,
+}
+
+/// The total compute and communication time of a run's tasks, in ms:
+/// the two sums every report of the detailed engine reads.
+pub fn total_ms(results: &[TaskResult]) -> (f64, f64) {
+    let compute = results.iter().map(|r| r.compute.as_millis_f64()).sum();
+    let comm = results.iter().map(|r| r.comm.as_millis_f64()).sum();
+    (compute, comm)
 }
 
 /// A single layer touch of some portion of a batch.
@@ -338,7 +344,7 @@ pub fn run_concurrent(
                 .expect("task was registered");
             *slot -= 1;
             if *slot == 0 && mode == ExecMode::LayerGrouped {
-                mem.retire_job_group(task.app, task.job, true);
+                mem.retire_job_group(task.app, task.job);
             }
         }
     }
@@ -347,7 +353,6 @@ pub fn run_concurrent(
         .map(|l| TaskResult {
             compute: l.compute,
             comm: l.comm,
-            finished_at: l.clock,
         })
         .collect()
 }
@@ -604,6 +609,6 @@ mod tests {
         let mut mem = GpuMemory::new(MemoryConfig::default());
         let res = run_concurrent(&[task], &model, &mut mem, ExecMode::LayerGrouped);
         assert_eq!(res[0].compute, SimDuration::ZERO);
-        assert_eq!(res[0].finished_at, SimTime::ZERO);
+        assert_eq!(res[0].comm, SimDuration::ZERO);
     }
 }

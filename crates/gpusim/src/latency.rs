@@ -88,18 +88,13 @@ pub struct LatencyModel {
     batch_alpha: f64,
     /// Superlinear spill exponent above the knee.
     spill_beta: f64,
-    /// Spill cost gain above the knee.
-    spill_gain: f64,
     /// Fixed per-batch overhead, µs (kernel launches etc.). Launch
     /// latency does not scale with the MPS partition size, so this is
     /// flat in the fraction.
     overhead_us: f64,
-    /// Exponent of overhead growth as the fraction shrinks (0 = flat).
-    overhead_exponent: f64,
-    /// Knee batch size for the reference structure on a whole GPU.
+    /// Knee batch size for the reference structure on a whole GPU; the
+    /// knee scales linearly with the GPU fraction (Fig 9).
     knee_ref: f64,
-    /// Exponent of knee scaling with the GPU fraction (≈ linear per Fig 9).
-    knee_space_exponent: f64,
     /// FLOPs/sample of the reference structure (surveillance full DAG).
     flops_ref: f64,
     /// Activation bytes/sample of the reference structure.
@@ -122,11 +117,8 @@ impl Default for LatencyModel {
             space_exponent: 0.85,
             batch_alpha: 0.75,
             spill_beta: 1.5,
-            spill_gain: 1.0,
             overhead_us: 350.0,
-            overhead_exponent: 0.0,
             knee_ref: 16.0,
-            knee_space_exponent: 1.0,
             flops_ref: 1.5e8,
             act_ref: 2.0e6,
             train_expansion: 9.0,
@@ -150,7 +142,7 @@ impl LatencyModel {
         let frac = frac.clamp(1e-4, 1.0);
         let flop_scale = (self.flops_ref / structure.flops_per_sample.max(1.0)).sqrt();
         let act_scale = (self.act_ref / structure.activation_bytes.max(1.0)).sqrt();
-        (self.knee_ref * frac.powf(self.knee_space_exponent) * flop_scale * act_scale).max(1.0)
+        (self.knee_ref * frac * flop_scale * act_scale).max(1.0)
     }
 
     /// Batch cost in "sample units": sublinear below the knee, superlinear
@@ -160,7 +152,7 @@ impl LatencyModel {
         if b <= knee {
             b.powf(self.batch_alpha)
         } else {
-            knee.powf(self.batch_alpha) + self.spill_gain * (b - knee).powf(self.spill_beta)
+            knee.powf(self.batch_alpha) + (b - knee).powf(self.spill_beta)
         }
     }
 
@@ -178,8 +170,7 @@ impl LatencyModel {
         let units = self.batch_cost_units(batch, knee);
         let compute_s =
             structure.flops_per_sample * units / (self.throughput * frac.powf(self.space_exponent));
-        let overhead_us = self.overhead_us / frac.powf(self.overhead_exponent);
-        SimDuration::from_millis_f64(compute_s * 1e3 + overhead_us / 1e3)
+        SimDuration::from_millis_f64(compute_s * 1e3 + self.overhead_us / 1e3)
     }
 
     /// Worst-case latency (§2.3): time to run all `ceil(n/batch)` batches

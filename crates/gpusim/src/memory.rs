@@ -63,7 +63,8 @@ pub struct MemoryConfig {
     pub record_reuse: bool,
     /// Mean reuse latency per category in ms, the `R_c` table obtained
     /// by offline profiling (§3.4.2 "AdaInf takes the mean value of the
-    /// range as the value of R_c of the data type").
+    /// range as the value of R_c of the data type"), in
+    /// [`ReuseCategory::all`] order.
     pub reuse_table_ms: [f64; 4],
 }
 
@@ -111,20 +112,12 @@ pub struct ReuseEvent {
     pub cross: Option<CrossReuse>,
 }
 
+/// A resident block. Its last touch lives in `GpuMemory::last_touch`.
 #[derive(Clone, Debug)]
 struct Resident {
     bytes: u64,
-    last_access: SimTime,
-    last_ctx: TaskContext,
-    /// Job that last touched the content (for cross-job detection).
-    last_job: u64,
-    /// Model that last touched the content (for cross-model detection).
-    last_model: u32,
     /// SLO of the owning application in ms (for the `S_c` score).
     slo_ms: f64,
-    /// True once the owning job retired (intermediates only): the block
-    /// is garbage and can be dropped with no writeback.
-    dead: bool,
 }
 
 /// Statistics the memory manager accumulates.
@@ -138,15 +131,12 @@ pub struct MemoryStats {
     pub produces: u64,
     /// Contents evicted GPU→CPU.
     pub evictions: u64,
-    /// Dead contents dropped without writeback.
+    /// Intermediates of retired jobs dropped without writeback.
     pub drops: u64,
     /// Total CPU→GPU + GPU→CPU transfer time.
     pub comm_time: SimDuration,
-    /// Total bytes moved either direction.
-    pub bytes_moved: u64,
-    /// Evictions + drops forced by [`GpuMemory::apply_pressure`]
-    /// capacity collapses (eviction storms), a subset of
-    /// `evictions + drops`.
+    /// Evictions forced by [`GpuMemory::apply_pressure`] capacity
+    /// collapses (eviction storms), a subset of `evictions`.
     pub pressure_evictions: u64,
 }
 
@@ -165,10 +155,11 @@ pub struct GpuMemory {
     pin_used: u64,
     stats: MemoryStats,
     reuse_events: Vec<ReuseEvent>,
-    /// Last access of every known content regardless of residency —
-    /// reuse intervals (Figs 12–13) span evictions: a parameter evicted
-    /// between jobs is still *reused* by the next job.
-    last_touch: BTreeMap<ContentKey, (SimTime, TaskContext, u64, u32)>,
+    /// Last access (time, task context, job) of every known content
+    /// regardless of residency. Eviction ranks resident blocks by it,
+    /// and reuse intervals (Figs 12–13) span evictions: a parameter
+    /// evicted between jobs is still *reused* by the next job.
+    last_touch: BTreeMap<ContentKey, (SimTime, TaskContext, u64)>,
 }
 
 /// How an access obtains the content if it is not resident.
@@ -223,21 +214,11 @@ impl GpuMemory {
         &self.reuse_events
     }
 
-    /// `S_c = (1−α)·R_c + α·L_s` for a resident entry (§3.4.2). Dead
-    /// blocks score infinitely high: they are never needed again.
-    fn score(&self, key: &ContentKey, entry: &Resident) -> f64 {
-        if entry.dead {
-            return f64::INFINITY;
-        }
-        let cat = ReuseCategory::of(key.ctype, entry.last_ctx);
-        let idx = match cat {
-            ReuseCategory::IntermediateInference => 0,
-            ReuseCategory::ParamRetraining => 1,
-            ReuseCategory::IntermediateRetraining => 2,
-            ReuseCategory::ParamInference => 3,
-        };
-        let r_c = self.config.reuse_table_ms[idx];
-        (1.0 - self.config.alpha) * r_c + self.config.alpha * entry.slo_ms
+    /// `S_c = (1−α)·R_c + α·L_s` (§3.4.2) of a content last touched in
+    /// `ctx` whose owner's SLO is `slo_ms`.
+    fn score(&self, key: &ContentKey, ctx: TaskContext, slo_ms: f64) -> f64 {
+        let r_c = self.config.reuse_table_ms[table_index(ReuseCategory::of(key.ctype, ctx))];
+        (1.0 - self.config.alpha) * r_c + self.config.alpha * slo_ms
     }
 
     /// Frees space for `needed` bytes by evicting victims according to the
@@ -254,19 +235,20 @@ impl GpuMemory {
             bytes: u64,
             score: f64,
             last_access: SimTime,
-            dead: bool,
             slo_ms: f64,
         }
         let mut victims: Vec<Victim> = self
             .resident
             .iter()
-            .map(|(k, e)| Victim {
-                key: *k,
-                bytes: e.bytes,
-                score: self.score(k, e),
-                last_access: e.last_access,
-                dead: e.dead,
-                slo_ms: e.slo_ms,
+            .map(|(k, e)| {
+                let (last_access, ctx, _) = self.last_touch[k];
+                Victim {
+                    key: *k,
+                    bytes: e.bytes,
+                    score: self.score(k, ctx, e.slo_ms),
+                    last_access,
+                    slo_ms: e.slo_ms,
+                }
             })
             .collect();
         match self.config.policy {
@@ -277,8 +259,8 @@ impl GpuMemory {
                 victims.sort_by(|a, b| {
                     b.score
                         .partial_cmp(&a.score)
-                        // simlint: allow(no-unwrap-in-lib) — victim scores are reuse distances: finite or +inf, never NaN
-                        .expect("scores are finite or +inf")
+                        // simlint: allow(no-unwrap-in-lib) — victim scores are reuse distances and SLOs: finite, never NaN
+                        .expect("scores are finite")
                         .then(a.last_access.cmp(&b.last_access))
                         .then(a.key.cmp(&b.key))
                 });
@@ -300,13 +282,7 @@ impl GpuMemory {
             }
             self.used -= v.bytes;
             to_free = to_free.saturating_sub(v.bytes);
-            if v.dead {
-                // Garbage: dropped, no writeback.
-                self.stats.drops += 1;
-                continue;
-            }
             self.stats.evictions += 1;
-            self.stats.bytes_moved += v.bytes;
             // Stage in PIN when the policy supports it and the content is
             // expected back soon (low score) and PIN has room.
             let location = if self.config.policy == EvictionPolicyKind::Priority
@@ -349,17 +325,16 @@ impl GpuMemory {
 
     /// Chaos injection point: collapses the enforced capacity to `frac`
     /// of the configured bytes and immediately evicts down to it — an
-    /// eviction storm. The storm's evictions and drops are accounted in
+    /// eviction storm. The storm's evictions are accounted in
     /// [`MemoryStats::pressure_evictions`] as well as the regular
-    /// counters. Returns the writeback time incurred, at the link's
+    /// counter. Returns the writeback time incurred, at the link's
     /// nominal bandwidth whatever the time `_now` of the storm.
     pub fn apply_pressure(&mut self, frac: f64, _now: SimTime) -> SimDuration {
         let frac = frac.clamp(0.0, 1.0);
         self.effective_capacity = ((self.config.gpu_capacity as f64 * frac).max(1.0)) as u64;
-        let before = self.stats.evictions + self.stats.drops;
+        let before = self.stats.evictions;
         let comm = self.make_room(0);
-        self.stats.pressure_evictions +=
-            (self.stats.evictions + self.stats.drops).saturating_sub(before);
+        self.stats.pressure_evictions += self.stats.evictions - before;
         comm
     }
 
@@ -367,12 +342,6 @@ impl GpuMemory {
     /// enforced again from the next access on.
     pub fn release_pressure(&mut self) {
         self.effective_capacity = self.config.gpu_capacity;
-    }
-
-    /// The capacity currently enforced (configured bytes, unless a
-    /// pressure fault holds it lower).
-    pub fn capacity(&self) -> u64 {
-        self.effective_capacity
     }
 
     /// Touches a content block: the central entry point of the simulator.
@@ -405,7 +374,7 @@ impl GpuMemory {
         // Reuse instrumentation spans evictions: any re-access of a
         // previously touched content is a reuse, resident or not.
         if self.config.record_reuse {
-            if let Some(&(at, prev_ctx, prev_job, _prev_model)) = self.last_touch.get(&key) {
+            if let Some(&(at, prev_ctx, prev_job)) = self.last_touch.get(&key) {
                 self.reuse_events.push(ReuseEvent {
                     category: ReuseCategory::of(key.ctype, ctx),
                     elapsed: now.since(at),
@@ -413,14 +382,9 @@ impl GpuMemory {
                 });
             }
         }
-        self.last_touch.insert(key, (now, ctx, job, accessor_model));
+        self.last_touch.insert(key, (now, ctx, job));
 
-        if let Some(entry) = self.resident.get_mut(&key) {
-            entry.last_access = now;
-            entry.last_ctx = ctx;
-            entry.last_job = job;
-            entry.last_model = accessor_model;
-            entry.dead = false;
+        if self.resident.contains_key(&key) {
             self.stats.hits += 1;
             return SimDuration::ZERO;
         }
@@ -449,7 +413,6 @@ impl GpuMemory {
                 let t = Self::transfer_cost(bytes, bandwidth);
                 comm += t;
                 self.stats.comm_time += t;
-                self.stats.bytes_moved += bytes;
                 self.stats.fetches += 1;
             } else {
                 self.stats.produces += 1;
@@ -461,66 +424,45 @@ impl GpuMemory {
             let t = Self::transfer_cost(bytes, self.config.pageable_bandwidth);
             comm += t;
             self.stats.comm_time += t;
-            self.stats.bytes_moved += bytes;
             self.stats.fetches += 1;
         } else {
             self.stats.produces += 1;
         }
-        self.resident.insert(
-            key,
-            Resident {
-                bytes,
-                last_access: now,
-                last_ctx: ctx,
-                last_job: job,
-                last_model: accessor_model,
-                slo_ms,
-                dead: false,
-            },
-        );
+        self.resident.insert(key, Resident { bytes, slo_ms });
         self.used += bytes;
         comm
     }
 
-    /// Marks all intermediates of `(app, job_hi)` dead, whatever their
-    /// slot: the execution engine encodes intermediate keys as
-    /// `key.job = (job << 8) | slot`. With AdaInf's maximise-usage
-    /// strategy (§3.4.1) this is called on job completion: "evict all
-    /// intermediate outputs of the job but retain the updated
-    /// parameters". Dead blocks are dropped without writeback when space
-    /// is needed; `eager` drops them immediately.
-    pub fn retire_job_group(&mut self, app: u32, job_hi: u64, eager: bool) {
-        let keys: Vec<ContentKey> = self
-            .resident
-            .keys()
-            .filter(|k| {
-                k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate
-            })
-            .copied()
-            .collect();
-        for key in keys {
-            if eager {
-                if let Some(e) = self.resident.remove(&key) {
-                    if cfg!(feature = "strict-invariants") {
-                        assert!(
-                            self.used >= e.bytes,
-                            "strict-invariants: resident accounting underflow"
-                        );
-                    }
-                    self.used -= e.bytes;
-                    self.stats.drops += 1;
-                }
-            } else if let Some(e) = self.resident.get_mut(&key) {
-                e.dead = true;
+    /// Drops all resident intermediates of `(app, job_hi)`, whatever
+    /// their slot, without writeback: the execution engine encodes
+    /// intermediate keys as `key.job = (job << 8) | slot`. With AdaInf's
+    /// maximise-usage strategy (§3.4.1) this is called on job
+    /// completion: "evict all intermediate outputs of the job but retain
+    /// the updated parameters".
+    pub fn retire_job_group(&mut self, app: u32, job_hi: u64) {
+        let retired = |k: &ContentKey| {
+            k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate
+        };
+        let (used, drops) = (&mut self.used, &mut self.stats.drops);
+        self.resident.retain(|k, e| {
+            if !retired(k) {
+                return true;
             }
-        }
+            if cfg!(feature = "strict-invariants") {
+                assert!(
+                    *used >= e.bytes,
+                    "strict-invariants: resident accounting underflow"
+                );
+            }
+            *used -= e.bytes;
+            *drops += 1;
+            false
+        });
         // Also forget spilled intermediates of the job. A pinned one's
         // PIN reservation is not released and stays counted in
         // `pin_used`; releasing it would change the comm inflation the
         // detailed engine (`exec::run_concurrent`) measures.
-        self.spilled.retain(|k, _| {
-            !(k.app == app && k.job >> 8 == job_hi && k.ctype == ContentType::Intermediate)
-        });
+        self.spilled.retain(|k, _| !retired(k));
     }
 
     /// Mean reuse latency per category (ms) from recorded events — the
@@ -530,12 +472,7 @@ impl GpuMemory {
         let mut sums = [0.0f64; 4];
         let mut counts = [0u64; 4];
         for ev in events {
-            let idx = match ev.category {
-                ReuseCategory::IntermediateInference => 0,
-                ReuseCategory::ParamRetraining => 1,
-                ReuseCategory::IntermediateRetraining => 2,
-                ReuseCategory::ParamInference => 3,
-            };
+            let idx = table_index(ev.category);
             sums[idx] += ev.elapsed.as_millis_f64();
             counts[idx] += 1;
         }
@@ -546,6 +483,16 @@ impl GpuMemory {
             }
         }
         out
+    }
+}
+
+/// The index of `category`'s `R_c` in [`MemoryConfig::reuse_table_ms`].
+fn table_index(category: ReuseCategory) -> usize {
+    match category {
+        ReuseCategory::IntermediateInference => 0,
+        ReuseCategory::ParamRetraining => 1,
+        ReuseCategory::IntermediateRetraining => 2,
+        ReuseCategory::ParamInference => 3,
     }
 }
 
@@ -841,65 +788,19 @@ mod tests {
     }
 
     #[test]
-    fn dead_intermediates_drop_without_writeback() {
-        let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
-        mem.access(
-            inter,
-            900,
-            TaskContext::Inference,
-            7,
-            0,
-            400.0,
-            AccessIntent::Produce,
-            t(0),
-        );
-        mem.retire_job_group(1, 7, false);
-        let before = mem.stats().comm_time;
-        let other = ContentKey::intermediate(2, 1, 0, 8);
-        let cost = mem.access(
-            other,
-            900,
-            TaskContext::Inference,
-            8,
-            0,
-            400.0,
-            AccessIntent::Produce,
-            t(10),
-        );
-        assert_eq!(cost, SimDuration::ZERO, "dropping garbage is free");
-        assert_eq!(mem.stats().comm_time, before);
-        assert_eq!(mem.stats().drops, 1);
-    }
-
-    #[test]
-    fn eager_retire_frees_immediately() {
+    fn retire_drops_intermediates_without_writeback_and_keeps_params() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
         let inter = ContentKey::intermediate(1, 1, 0, (7 << 8) | 3);
         let param = ContentKey::param(1, 1, 0);
-        mem.access(
-            inter,
-            300,
-            TaskContext::Inference,
-            7,
-            0,
-            400.0,
-            AccessIntent::Produce,
-            t(0),
-        );
-        mem.access(
-            param,
-            300,
-            TaskContext::Inference,
-            7,
-            0,
-            400.0,
-            AccessIntent::Fetch,
-            t(1),
-        );
-        let used = mem.used();
-        mem.retire_job_group(1, 7, true);
+        let ctx = TaskContext::Inference;
+        mem.access(inter, 300, ctx, 7, 0, 400.0, AccessIntent::Produce, t(0));
+        mem.access(param, 300, ctx, 7, 0, 400.0, AccessIntent::Fetch, t(1));
+        let (used, comm) = (mem.used(), mem.stats().comm_time);
+        mem.retire_job_group(1, 7);
         assert_eq!(mem.used(), used - 300, "intermediate freed, param kept");
+        assert_eq!(mem.stats().comm_time, comm, "dropping is free");
+        assert_eq!(mem.stats().drops, 1);
+        assert_eq!(mem.stats().evictions, 0);
     }
 
     #[test]
@@ -977,14 +878,12 @@ mod tests {
         // Collapse to 30 % of 1000 B → both contents must go.
         let comm = mem.apply_pressure(0.3, t(20));
         assert!(comm > SimDuration::ZERO, "storm writes back");
-        assert_eq!(mem.capacity(), 300);
         assert!(mem.used() <= 300, "used {} over pressure cap", mem.used());
         assert_eq!(mem.stats().pressure_evictions, 2);
         assert_eq!(mem.stats().evictions, 2);
         // Refetch under pressure thrashes; release restores capacity and
         // both fit again with no further evictions.
         mem.release_pressure();
-        assert_eq!(mem.capacity(), 1000);
         let evictions_before = mem.stats().evictions;
         mem.access(
             a,
@@ -1011,25 +910,19 @@ mod tests {
     }
 
     #[test]
-    fn pressure_storm_counts_dead_drops_separately() {
+    fn pressure_storm_counts_only_its_own_evictions() {
         let mut mem = GpuMemory::new(small_config(EvictionPolicyKind::Priority));
-        let inter = ContentKey::intermediate(1, 1, 0, 7 << 8);
-        mem.access(
-            inter,
-            600,
-            TaskContext::Inference,
-            7,
-            0,
-            400.0,
-            AccessIntent::Produce,
-            t(0),
-        );
-        mem.retire_job_group(1, 7, false);
+        let ctx = TaskContext::Inference;
+        let retired = ContentKey::intermediate(1, 1, 0, 7 << 8);
+        let live = ContentKey::intermediate(1, 2, 0, 8 << 8);
+        mem.access(retired, 300, ctx, 7, 0, 400.0, AccessIntent::Produce, t(0));
+        mem.access(live, 300, ctx, 8, 0, 400.0, AccessIntent::Produce, t(1));
+        mem.retire_job_group(1, 7);
         let comm = mem.apply_pressure(0.1, t(10));
-        assert_eq!(comm, SimDuration::ZERO, "dead blocks drop for free");
+        assert!(comm > SimDuration::ZERO, "the live block is written back");
         assert_eq!(mem.stats().pressure_evictions, 1);
-        assert_eq!(mem.stats().drops, 1);
-        assert_eq!(mem.stats().evictions, 0);
+        assert_eq!(mem.stats().evictions, 1);
+        assert_eq!(mem.stats().drops, 1, "the retire's drop, not the storm's");
     }
 
     #[test]
@@ -1150,8 +1043,8 @@ mod tests {
                 mem.pin_used, 400,
                 "the retraining intermediate spills to PIN"
             );
-            // The spoiler dies, so the refetch drops it without a spill.
-            mem.retire_job_group(1, 2, false);
+            // The spoiler's job retires, so the refetch needs no spill.
+            mem.retire_job_group(1, 2);
             mem.access(inter, resize, ctx, 1, 0, 400.0, AccessIntent::Fetch, t(20));
             assert_eq!(mem.pin_used, 0, "refetch at {resize} B");
         }

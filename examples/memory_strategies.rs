@@ -14,7 +14,7 @@
 
 use adainf::apps::catalog;
 use adainf::gpusim::content::ReuseCategory;
-use adainf::gpusim::exec::{run_concurrent, TaskExec, TaskKind};
+use adainf::gpusim::exec::{run_concurrent, total_ms, TaskExec, TaskKind};
 use adainf::gpusim::{EvictionPolicyKind, ExecMode, GpuMemory, LatencyModel, MemoryConfig};
 use adainf::simcore::{Cdf, SimTime};
 
@@ -120,9 +120,7 @@ fn main() {
             reuse_table_ms: reuse_table,
             ..MemoryConfig::default()
         });
-        let results = run_concurrent(&build_tasks(6), &latency, &mut mem, mode);
-        let compute: f64 = results.iter().map(|r| r.compute.as_millis_f64()).sum();
-        let comm: f64 = results.iter().map(|r| r.comm.as_millis_f64()).sum();
+        let (compute, comm) = total_ms(&run_concurrent(&build_tasks(6), &latency, &mut mem, mode));
         println!(
             "{name:<38} {compute:>10.1}ms {comm:>10.1}ms {:>9.1}%",
             comm / (compute + comm) * 100.0
