@@ -229,14 +229,12 @@ impl DecisionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adainf_simcore::SimDuration;
 
     /// A plan told apart by its batch.
     fn plan_with(batch: u32) -> TimePlan {
         TimePlan {
             cuts: vec![2],
             batch,
-            inference_time: SimDuration::from_millis(10),
             proto: Vec::new(),
         }
     }

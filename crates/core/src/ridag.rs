@@ -10,58 +10,26 @@
 
 use crate::drift_detect::DriftReport;
 use crate::plan::RiEntry;
-use adainf_apps::AppSpec;
 
-/// One vertex of the retraining-inference DAG.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RiVertex {
-    /// Retraining task of a model, with its impact degree.
-    Retrain {
-        /// DAG node (model) index.
-        node: usize,
-        /// Impact degree from drift detection.
-        impact: f64,
-    },
-    /// Inference task of a model.
-    Inference {
-        /// DAG node (model) index.
-        node: usize,
-    },
-}
-
-/// The retraining-inference DAG of one application for one period.
+/// The retraining-inference DAG of one application for one period:
+/// its retraining vertices. Every model has an inference vertex, so
+/// only the retraining ones are stored.
 #[derive(Clone, Debug, Default)]
 pub struct RiDag {
-    /// Vertices in execution order (retraining immediately before the
-    /// same model's inference; upstream inference before downstream).
-    pub order: Vec<RiVertex>,
     /// The retraining entries (node, impact), ascending node.
     pub entries: Vec<RiEntry>,
 }
 
 impl RiDag {
-    /// Builds the DAG for `app` from a drift report. Models absent from
-    /// the report get no retraining vertex.
-    pub fn build(app: &AppSpec, report: &DriftReport) -> RiDag {
-        let mut impact = vec![None; app.nodes.len()];
-        for (node, deg) in &report.impacted {
-            impact[*node] = Some(*deg);
-        }
-        let mut order = Vec::new();
-        // Nodes are stored topologically, so iterating in index order
-        // respects upstream-before-downstream.
-        for (node, deg) in impact.iter().enumerate().take(app.nodes.len()) {
-            if let Some(deg) = deg {
-                order.push(RiVertex::Retrain { node, impact: *deg });
-            }
-            order.push(RiVertex::Inference { node });
-        }
+    /// Builds the DAG from a drift report. Models absent from the report
+    /// get no retraining vertex.
+    pub fn build(report: &DriftReport) -> RiDag {
         let entries = report
             .impacted
             .iter()
             .map(|&(node, impact)| RiEntry { node, impact })
             .collect();
-        RiDag { order, entries }
+        RiDag { entries }
     }
 
     /// Whether `node` has a retraining vertex this period.
@@ -78,7 +46,6 @@ impl RiDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adainf_apps::catalog;
 
     fn report(impacted: Vec<(usize, f64)>) -> DriftReport {
         DriftReport {
@@ -92,35 +59,20 @@ mod tests {
     fn builds_fig15_shape() {
         // Vehicle (1) and person (2) impacted, detection (0) not — the
         // Fig 15 configuration.
-        let app = catalog::video_surveillance(0);
-        let dag = RiDag::build(&app, &report(vec![(1, 0.12), (2, 0.05)]));
-        assert_eq!(
-            dag.order,
-            vec![
-                RiVertex::Inference { node: 0 },
-                RiVertex::Retrain {
-                    node: 1,
-                    impact: 0.12
-                },
-                RiVertex::Inference { node: 1 },
-                RiVertex::Retrain {
-                    node: 2,
-                    impact: 0.05
-                },
-                RiVertex::Inference { node: 2 },
-            ]
-        );
+        let dag = RiDag::build(&report(vec![(1, 0.12), (2, 0.05)]));
+        let entries: Vec<(usize, f64)> = dag.entries.iter().map(|e| (e.node, e.impact)).collect();
+        assert_eq!(entries, vec![(1, 0.12), (2, 0.05)]);
         assert!(!dag.retrains(0));
         assert!(dag.retrains(1));
+        assert!(dag.retrains(2));
         assert!((dag.total_impact() - 0.17).abs() < 1e-12);
     }
 
     #[test]
     fn no_drift_means_inference_only() {
-        let app = catalog::video_surveillance(0);
-        let dag = RiDag::build(&app, &report(vec![]));
-        assert_eq!(dag.order.len(), 3);
+        let dag = RiDag::build(&report(vec![]));
         assert!(dag.entries.is_empty());
+        assert!((0..3).all(|node| !dag.retrains(node)));
         assert_eq!(dag.total_impact(), 0.0);
     }
 }

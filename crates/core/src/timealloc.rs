@@ -56,8 +56,6 @@ pub struct TimePlan {
     pub cuts: Vec<usize>,
     /// Re-adjusted request batch size.
     pub batch: u32,
-    /// Estimated total inference time of the job.
-    pub inference_time: SimDuration,
     /// Retraining slices before pool clamping.
     pub proto: Vec<ProtoSlice>,
 }
@@ -161,12 +159,7 @@ pub fn plan_time(
         }
     }
 
-    TimePlan {
-        cuts,
-        batch,
-        inference_time,
-        proto,
-    }
+    TimePlan { cuts, batch, proto }
 }
 
 /// Applies the live pool state to a plan's proto slices: each slice's
@@ -207,7 +200,7 @@ mod tests {
             final_s: 0.18,
             trace: Vec::new(),
         };
-        let dag = RiDag::build(&app, &report);
+        let dag = RiDag::build(&report);
         (app, dag)
     }
 
@@ -222,6 +215,14 @@ mod tests {
                 0.95
             }
         }
+    }
+
+    /// The profiled inference time of `plan` for a job of `requests` at
+    /// `gpu`: the time `plan_time` leaves the retraining slices after.
+    fn inference_time(app: &AppSpec, plan: &TimePlan, gpu: f64, requests: u32) -> SimDuration {
+        let (mode, policy) = strategies(&AdaInfConfig::default());
+        let cost = app.structure_cost(&plan.cuts);
+        Profiler::default().inference_latency(&cost, requests, plan.batch, gpu, mode, policy)
     }
 
     /// The scheduler's time path for one job: the period's structure
@@ -267,7 +268,8 @@ mod tests {
         assert!((ratio - 3.0).abs() < 0.05, "ratio {ratio}");
         // The budgets must fit inside the SLO spare time.
         let total: f64 = slices.iter().map(|s| s.time.as_millis_f64()).sum();
-        assert!(total <= app.slo.as_millis_f64() - plan.inference_time.as_millis_f64() + 0.01);
+        let inference = inference_time(&app, &plan, 0.3, 16);
+        assert!(total <= app.slo.as_millis_f64() - inference.as_millis_f64() + 0.01);
     }
 
     #[test]
@@ -339,7 +341,7 @@ mod tests {
         // A tiny fraction with a large job: inference exceeds the SLO.
         let config = AdaInfConfig::default();
         let (plan, slices) = allocate(&app, &dag, 0.005, 256, &[1000, 1000, 1000], &config);
-        assert!(plan.inference_time > app.slo);
+        assert!(inference_time(&app, &plan, 0.005, 256) > app.slo);
         assert!(slices.is_empty());
     }
 }
