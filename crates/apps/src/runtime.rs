@@ -171,11 +171,6 @@ impl AppRuntime {
         self.initial_accuracy[node]
     }
 
-    /// The current evaluation set of node `i`.
-    pub fn eval_set(&self, node: usize) -> &LabeledSamples {
-        &self.eval_sets[node]
-    }
-
     /// Advances to the next period: each node's current pool and
     /// held-out set retire into [`Self::retired`] (handed over, not
     /// copied; a pool nobody read stays undrawn), streams drift, new
@@ -361,7 +356,7 @@ mod tests {
         let mut rt = surveillance_runtime();
         let cut = |rt: &AppRuntime, e: usize| cut_for_exit(rt, 1, e);
         let fresh =
-            |rt: &AppRuntime, e: usize| rt.models[1].accuracy_on(rt.eval_set(1), cut(rt, e));
+            |rt: &AppRuntime, e: usize| rt.models[1].accuracy_on(&rt.eval_sets[1], cut(rt, e));
         let key = |rt: &AppRuntime| (rt.models[1].trained_samples() / 256, rt.period());
         let slot_keys = |rt: &AppRuntime| rt.acc_cache[1].map(|(b, p, _)| (b, p));
 
@@ -418,7 +413,7 @@ mod tests {
             let mut rt = AppRuntime::new(spec, ArrivalConfig::default(), 100, &root);
             for node in 0..rt.models.len() {
                 for cut in rt.models[node].profile().exit_points() {
-                    let want = rt.models[node].accuracy_on(rt.eval_set(node), cut);
+                    let want = rt.models[node].accuracy_on(&rt.eval_sets[node], cut);
                     let got = rt.accuracy(node, cut);
                     assert_eq!(
                         got.to_bits(),

@@ -52,7 +52,7 @@ enum Samples {
 /// let slice = pool.take(30); // the first read draws the pool
 /// assert_eq!(slice.len(), 30);
 /// assert_eq!(pool.remaining(), 70);
-/// assert!((pool.used_fraction() - 0.3).abs() < 1e-12);
+/// assert_eq!(pool.used(), 30);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RetrainPool {
@@ -147,14 +147,6 @@ impl RetrainPool {
         self.cursor
     }
 
-    /// Fraction of the pool consumed so far (0 when the pool is empty).
-    pub fn used_fraction(&self) -> f64 {
-        match self.total() {
-            0 => 0.0,
-            total => self.cursor as f64 / total as f64,
-        }
-    }
-
     /// The underlying samples, shared: clone the `Arc` to keep them
     /// past the pool's lifetime without copying them.
     ///
@@ -231,7 +223,6 @@ mod tests {
         assert_eq!(c.len(), 2); // exhausted
         assert_eq!(p.remaining(), 0);
         assert_eq!(p.used(), 10);
-        assert!((p.used_fraction() - 1.0).abs() < 1e-12);
         assert!(p.take(1).is_empty());
     }
 
@@ -259,7 +250,7 @@ mod tests {
     fn empty_pool_is_inert() {
         let mut p = RetrainPool::empty();
         assert_eq!(p.total(), 0);
-        assert_eq!(p.used_fraction(), 0.0);
+        assert_eq!((p.used(), p.remaining()), (0, 0));
         assert!(p.take(5).is_empty());
     }
 
@@ -272,18 +263,13 @@ mod tests {
         (RetrainPool::new(s.sample(n)), deferred)
     }
 
-    fn counts(p: &RetrainPool) -> (usize, usize, usize, u64) {
-        (
-            p.total(),
-            p.remaining(),
-            p.used(),
-            p.used_fraction().to_bits(),
-        )
+    fn counts(p: &RetrainPool) -> (usize, usize, usize) {
+        (p.total(), p.remaining(), p.used())
     }
 
-    /// An undrawn pool answers `total`, `remaining`, `used` and
-    /// `used_fraction` as the drawn pool does, without drawing; its
-    /// first `take` draws it and hands out the same rows.
+    /// An undrawn pool answers `total`, `remaining` and `used` as the
+    /// drawn pool does, without drawing; its first `take` draws it and
+    /// hands out the same rows.
     #[test]
     fn deferred_pool_counts_like_a_drawn_one_and_take_draws_it() {
         for n in [0usize, 1, 10] {
