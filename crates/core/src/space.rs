@@ -53,6 +53,23 @@ pub fn quantize_space(gpu: f64) -> f64 {
     ((gpu * 100.0).round() / 100.0).max(1e-3)
 }
 
+/// Scales `division` down proportionally when it asks for more than
+/// `free_gpus`, flooring each share onto the allocation grid of
+/// [`quantize_space`], with its one-milli-GPU floor. The scale factor is
+/// a fresh f64 every session (free space moves with in-flight
+/// releases), and an unsnapped product would hand the plan cache one
+/// novel key per session. Flooring keeps the squeezed sum within the
+/// free space.
+pub(crate) fn squeeze_space(division: &mut [JobSpace], free_gpus: f64) {
+    let wanted: f64 = division.iter().map(|d| d.gpu).sum();
+    if wanted > free_gpus && wanted > 0.0 {
+        let k = (free_gpus / wanted).max(0.0);
+        for d in division {
+            d.gpu = ((d.gpu * k * 100.0).floor() / 100.0).max(1e-3);
+        }
+    }
+}
+
 /// The SLO-derived demand fraction of one job (§3.3.1): the fraction the
 /// fitted regression says pulls the job's best full-GPU worst case down
 /// to its SLO. Depends only on the job's (spec-fixed) cost, SLO and
